@@ -1,44 +1,68 @@
-//! Parallel coverage campaigns: an event-driven scheduler that fans
-//! epoch-resumable CoverMe searches across worker threads and streams
-//! report rows as functions finish.
+//! Parallel coverage campaigns, and the one search executor every search
+//! runs on.
 //!
 //! The paper evaluates CoverMe one Fdlibm function at a time; reproducing a
 //! whole table is embarrassingly parallel because every function is searched
-//! independently. A [`Campaign`] schedules **epoch tasks** — one slice of
-//! one *(function, shard)* search ([`SearchState::run_rounds`]) — on a pool
-//! of scoped worker threads ([`std::thread::scope`]). With `shards = 1` and
-//! sync off (the defaults) every function is a single task running one
-//! [`CoverMe`](crate::CoverMe) search to exhaustion, exactly the paper's
-//! setup; with
-//! `shards > 1` each function's `n_start` budget splits across shard units
-//! ([`crate::shard`]), and with `sync_epochs > 1` each shard's slice is
-//! further cut into epochs with a **barrier rendezvous per function**
-//! between them: when the last shard of a function's epoch parks its state,
-//! the rendezvous exchanges
-//! [`SaturationDelta`](crate::saturation::SaturationDelta)s among the shards
-//! ([`crate::sync::exchange_deltas_gated`] — commutative, so arrival order cannot
-//! matter) and enqueues the next epoch's tasks. Because tasks are claimed
-//! from one shared queue seeded in function-major order, a trailing heavy
-//! function (e.g. `ieee754_pow` with its 114 branches) fans out over the
-//! workers that would otherwise sit idle at the end of a campaign.
+//! independently. A [`Campaign`] runs its functions on one executor: a queue
+//! of **tasks** — one slice of one *(function, shard)* search
+//! ([`SearchState::run_rounds`]) — claimed by one worker loop on a pool of
+//! scoped threads ([`std::thread::scope`]). What a returned task triggers
+//! is the only difference between the two schedules:
 //!
-//! Finished functions do not wait for the suite: the moment a function's
-//! last epoch completes, its merged [`FunctionResult`] is emitted as a
+//! * **Fixed** (the default): every function runs its `n_start` schedule.
+//!   With `shards = 1` and sync off every function is a single task
+//!   running one [`CoverMe`](crate::CoverMe) search to exhaustion, exactly
+//!   the paper's setup; with `shards > 1` the budget splits across shard
+//!   units ([`crate::shard`]), and with `sync_epochs > 1` each shard's slice
+//!   is cut into epochs ([`crate::sync`]). When the last shard of a
+//!   function's epoch returns, the shards exchange
+//!   [`SaturationDelta`](crate::saturation::SaturationDelta)s (commutative,
+//!   so arrival order cannot matter) and the next epoch is enqueued, or the
+//!   function is finalized.
+//! * **Bandit** ([`SchedulerPolicy::Bandit`]): a global evaluation pool is
+//!   granted in installments, one shard per function. When every
+//!   outstanding grant has returned, a deterministic UCB allocator grants
+//!   the next round.
+//!
+//! [`CoverMe::run`](crate::CoverMe::run) is a one-function run of the same
+//! executor on the calling thread, and
+//! [`CoverMe::run_parallel`](crate::CoverMe::run_parallel) the same run with
+//! one worker per shard:
+//!
+//! ```text
+//!              tasks (function, shard, rounds)
+//!   queue ──▶ worker loop ──▶ SearchState::run_rounds ──▶ settle
+//!     ▲                                                     │
+//!     │     fixed:  last shard of the epoch back? exchange  │
+//!     └──── deltas, enqueue the next epoch — or finalize ◀──┤
+//!           bandit: every grant back? allocate the next   ◀─┘
+//!           round — or finalize everything left
+//! ```
+//!
+//! Because tasks are claimed from one shared queue seeded in
+//! function-major order, a trailing heavy function (e.g. `ieee754_pow` with
+//! its 114 branches) fans out over the workers that would otherwise sit
+//! idle at the end of a campaign.
+//!
+//! Finished functions do not wait for the suite: the moment a function is
+//! finalized, its merged [`FunctionResult`] is emitted as a
 //! [`CampaignEvent`] — [`Campaign::run_with`] hands every event to a caller
 //! callback as it lands (the `fdlibm_campaign --stream` mode prints table
-//! rows this way), while [`Campaign::run`] just collects them. Either way
-//! the final [`CampaignReport`] lists results in inventory order.
+//! rows this way), while [`Campaign::run`] just collects them. With more
+//! than one worker the calling thread runs no searches, only the handler.
+//! Either way the final [`CampaignReport`] lists results in inventory
+//! order.
 //!
 //! Properties the runner guarantees:
 //!
 //! * **Determinism across thread counts.** Every function's seed is derived
 //!   from the campaign seed, the *function name* and its duplicate-name
 //!   occurrence (never from scheduling or its inventory position, so a
-//!   subset campaign reproduces the full campaign's rows); each epoch
-//!   task's work is a deterministic function of
-//!   `(seed, shards, sync_epochs)`; and delta exchange is commutative — so
-//!   a budget-less campaign produces identical searches whether it runs on
-//!   1 worker or 64.
+//!   subset campaign reproduces the full campaign's rows); each task's work
+//!   is a deterministic function of `(seed, shards, sync_epochs, budget)`;
+//!   delta exchange is commutative; and bandit grants are decided only when
+//!   no grant is outstanding — so a campaign without a deadline produces
+//!   identical searches whether it runs on 1 worker or 64.
 //! * **Graceful budget expiry.** With a wall-clock budget set, workers check
 //!   the deadline *before* claiming a task — an expired deadline never
 //!   starts a zero-budget search that would be counted as completed — and
@@ -52,8 +76,9 @@
 //!   by a condvar, so a slow function does not serialize the suite behind
 //!   it and idle workers sleep instead of spinning.
 
-use std::collections::VecDeque;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use coverme_runtime::Program;
@@ -63,7 +88,7 @@ use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SchedulerPolicy, S
 use crate::report::TestReport;
 use crate::saturation::SaturationDelta;
 use crate::shard::{merge_shards, ShardOutcome};
-use crate::sync::{exchange_deltas_gated, SyncPlan};
+use crate::sync::{exchange_deltas, SyncPlan};
 
 /// Configuration of a parallel campaign.
 ///
@@ -171,40 +196,27 @@ impl CampaignConfig {
         self
     }
 
-    /// Alias of [`with_base`](Self::with_base) (pre-builder spelling).
-    pub fn base(self, base: CoverMeConfig) -> Self {
-        self.with_base(base)
-    }
-
-    /// Alias of [`with_workers`](Self::with_workers) (pre-builder
-    /// spelling).
-    pub fn workers(self, workers: usize) -> Self {
-        self.with_workers(workers)
-    }
-
-    /// Alias of [`with_shards`](Self::with_shards) (pre-builder spelling).
-    pub fn shards(self, shards: usize) -> Self {
-        self.with_shards(shards)
-    }
-
-    /// Alias of [`with_sync_epochs`](Self::with_sync_epochs) (pre-builder
-    /// spelling).
-    pub fn sync_epochs(self, sync_epochs: usize) -> Self {
-        self.with_sync_epochs(sync_epochs)
-    }
-
-    /// Alias of [`with_time_budget`](Self::with_time_budget) (pre-builder
-    /// spelling).
-    pub fn time_budget(self, budget: Duration) -> Self {
-        self.with_time_budget(budget)
-    }
-
     /// The campaign's per-function shard count: the requested count clamped
     /// so every shard keeps at least
     /// [`MIN_ROUNDS_PER_SHARD`](crate::shard::MIN_ROUNDS_PER_SHARD)
-    /// starting points (see [`CoverMeConfig::effective_shards`]).
+    /// starting points (see [`CoverMeConfig::effective_shards`]), or 1
+    /// under the bandit, which runs every function as one shard.
     pub fn effective_shards(&self) -> usize {
-        self.base.effective_shards()
+        if self.bandit_pool().is_some() {
+            1
+        } else {
+            self.base.effective_shards()
+        }
+    }
+
+    /// The global evaluation pool when this campaign runs the bandit
+    /// ([`SchedulerPolicy::Bandit`] with a base `budget`). A bandit without
+    /// a pool has nothing to allocate and runs the fixed schedule (the CLI
+    /// rejects that combination).
+    fn bandit_pool(&self) -> Option<usize> {
+        self.base
+            .budget
+            .filter(|_| self.base.scheduler == SchedulerPolicy::Bandit)
     }
 
     /// The worker count this configuration resolves to for `inventory_len`
@@ -360,14 +372,6 @@ impl FunctionResult {
         self.report
             .as_ref()
             .map_or(0, TestReport::infeasible_blamed)
-    }
-
-    /// Sync barriers the adaptive gate skipped for this function's shards
-    /// (0 if skipped or sync off).
-    pub fn barriers_skipped(&self) -> usize {
-        self.report
-            .as_ref()
-            .map_or(0, |report| report.barriers_skipped)
     }
 
     /// One formatted campaign-table row (no trailing newline) — exactly
@@ -584,14 +588,6 @@ impl CampaignReport {
             .sum()
     }
 
-    /// Total sync barriers the adaptive gate skipped across the suite.
-    pub fn total_barriers_skipped(&self) -> usize {
-        self.results
-            .iter()
-            .map(FunctionResult::barriers_skipped)
-            .sum()
-    }
-
     /// Total corpus inputs replayed across the suite's warm starts
     /// (0 for a campaign run without a corpus store).
     pub fn total_warm_replayed(&self) -> usize {
@@ -796,13 +792,6 @@ impl CampaignReport {
         push_json_number(
             &mut out,
             "  ",
-            "total_barriers_skipped",
-            self.total_barriers_skipped() as f64,
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
             "coverage_per_megaeval",
             self.coverage_per_megaeval(),
             true,
@@ -968,13 +957,6 @@ impl CampaignReport {
                         report.infeasible_blamed() as f64,
                         true,
                     );
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "barriers_skipped",
-                        report.barriers_skipped as f64,
-                        true,
-                    );
                     if report.warm_replayed > 0 {
                         push_json_bool(&mut out, "      ", "corpus_warm_start", true, true);
                         push_json_number(
@@ -1137,15 +1119,15 @@ impl Campaign {
         &self.config
     }
 
-    /// Runs the epoch schedule across the worker pool and aggregates the
-    /// merged outcomes in inventory order. Equivalent to
+    /// Runs the schedule across the worker pool and aggregates the merged
+    /// outcomes in inventory order. Equivalent to
     /// [`run_with`](Self::run_with) with a no-op event handler.
     pub fn run<P: Program + Sync>(&self, inventory: &[P]) -> CampaignReport {
         self.run_with(inventory, |_| {})
     }
 
     /// Runs the campaign, invoking `on_event` (on the calling thread) for
-    /// every [`CampaignEvent`] the scheduler produces — a
+    /// every [`CampaignEvent`] the executor produces — a
     /// [`CampaignEvent::FunctionFinished`] the moment each function's
     /// merged result is ready, in completion order. The returned report is
     /// identical to [`run`](Self::run)'s; streaming only changes *when*
@@ -1156,51 +1138,37 @@ impl Campaign {
         F: FnMut(&CampaignEvent),
     {
         let started = Instant::now();
-        if self.config.base.scheduler == SchedulerPolicy::Bandit {
-            if let Some(pool) = self.config.base.budget {
-                return self.run_bandit(inventory, &mut on_event, started, pool);
-            }
-            // Bandit without a pool has nothing to allocate; fall through
-            // to the fixed schedule (the CLI rejects this combination).
-        }
+        let pool = self.config.bandit_pool();
         let shards = self.config.effective_shards();
         let workers = self.config.effective_workers(inventory.len());
         let mut template = self.config.base.clone();
         // The worker grid is sized with the effective shard count; the
         // per-shard stride must agree with it.
         template.shards = shards;
-        let plan = SyncPlan::new(&template);
-        if inventory.is_empty() {
-            return CampaignReport {
-                results: Vec::new(),
-                workers,
-                shards,
-                sync_epochs: plan.epochs(),
-                scheduler: SchedulerPolicy::Fixed,
-                eval_budget: self.config.base.budget,
-                wall_time: started.elapsed(),
-            };
+        template.cancel = self.config.cancel.clone();
+        if pool.is_some() {
+            // A bandit function may overdraw its fixed schedule, and its
+            // allowance is installed per grant: the pool itself never
+            // reaches a single state.
+            template.sync_epochs = 0;
+            template.n_start = template.n_start.saturating_mul(BANDIT_OVERDRAFT);
+            template.budget = None;
         }
-
-        let deadline = self.config.time_budget.map(|budget| started + budget);
+        let plan = SyncPlan::new(&template);
 
         // Seed derivation input per function: how many *earlier* inventory
         // entries share its name. 0 for every uniquely named function, so a
         // subset campaign reproduces the full campaign's rows (position
         // independence); duplicates still get distinct seeds.
-        let occurrences: Vec<usize> = {
-            let mut counts: std::collections::HashMap<String, usize> =
-                std::collections::HashMap::new();
-            inventory
-                .iter()
-                .map(|program| {
-                    let count = counts.entry(program.name().to_string()).or_default();
-                    let occurrence = *count;
-                    *count += 1;
-                    occurrence
-                })
-                .collect()
-        };
+        let mut counts: HashMap<&str, usize> = HashMap::new();
+        let occurrences: Vec<usize> = inventory
+            .iter()
+            .map(|program| {
+                let count = counts.entry(program.name()).or_default();
+                *count += 1;
+                *count - 1
+            })
+            .collect();
         // Per-function configurations (derived seed, no deadline clamp —
         // the clamp is applied when a search state is actually created).
         // With a corpus attached, each function's fingerprint is resolved
@@ -1215,7 +1183,6 @@ impl Campaign {
                 let mut config = template.clone();
                 config.seed =
                     derive_function_seed(self.config.base.seed, program.name(), occurrence);
-                config.cancel = self.config.cancel.clone();
                 if let (Some(store), Some(fps)) = (&self.config.corpus, &fingerprints) {
                     config.warm_start = store.warm_start_for(
                         fps[index],
@@ -1228,89 +1195,24 @@ impl Campaign {
             })
             .collect();
 
-        // Epoch-0 tasks for every (function, shard) pair, function-major so
-        // the suite streams front to back and a trailing heavy function
-        // still fans out over idle workers.
-        let scheduler = Mutex::new(Scheduler {
-            queue: (0..inventory.len())
-                .flat_map(|function| {
-                    (0..shards).map(move |shard| Task {
-                        function,
-                        shard,
-                        epoch: 0,
-                    })
-                })
-                .collect(),
-            functions: (0..inventory.len())
-                .map(|_| FunctionRun {
-                    states: (0..shards).map(|_| None).collect(),
-                    published: vec![None; shards],
-                    pending: shards,
-                    epoch: 0,
-                    finished: false,
-                })
-                .collect(),
-            unfinished: inventory.len(),
-            expired: false,
-        });
-        let ready = Condvar::new();
-        let (sender, receiver) = mpsc::channel::<CampaignEvent>();
-
-        let mut results: Vec<Option<FunctionResult>> = inventory.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let ready = &ready;
-            let plan = &plan;
-            let configs = &configs;
-            for _ in 0..workers {
-                let sender = sender.clone();
-                scope.spawn(move || {
-                    worker_loop(sender, scheduler, ready, plan, deadline, inventory, configs)
-                });
-            }
-            drop(sender);
-            // The caller's thread is the event loop: hand each row to the
-            // handler the moment a worker lands it, then keep it for the
-            // final report. The channel closes when the last worker exits.
-            for event in receiver.iter() {
-                on_event(&event);
-                let CampaignEvent::FunctionFinished { index, result } = event;
-                results[index] = Some(result);
-            }
-        });
-
-        // Deadline leftovers: functions the expiry cut mid-search keep the
-        // progress their parked states completed (partial), functions that
-        // never started are skipped. Emitted as events too, in inventory
-        // order, so a streaming consumer sees every row exactly once.
-        let mut scheduler = scheduler.into_inner().expect("scheduler lock poisoned");
-        for (index, run) in scheduler.functions.iter_mut().enumerate() {
-            if run.finished {
-                continue;
-            }
-            let outcomes: Vec<ShardOutcome> = run
-                .states
-                .iter_mut()
-                .filter_map(Option::take)
-                .map(SearchState::finish)
-                .collect();
-            let result = finalize_function(inventory[index].name(), outcomes, shards, true);
-            let event = CampaignEvent::FunctionFinished { index, result };
-            on_event(&event);
-            let CampaignEvent::FunctionFinished { result, .. } = event;
-            results[index] = Some(result);
-        }
-
+        let schedule = match pool {
+            Some(pool) => Schedule::Bandit(Pool::new(pool, inventory.len())),
+            None => Schedule::Fixed(plan),
+        };
+        let deadline = self.config.time_budget.map(|budget| started + budget);
+        let executor = Executor::new(inventory, &configs, schedule, deadline);
+        let results = executor.run_on(workers, &mut on_event);
         self.record_corpus(&fingerprints, &configs, &results);
         CampaignReport {
-            results: results
-                .into_iter()
-                .map(|result| result.expect("every function finalized"))
-                .collect(),
+            results,
             workers,
             shards,
             sync_epochs: plan.epochs(),
-            scheduler: SchedulerPolicy::Fixed,
+            scheduler: if pool.is_some() {
+                SchedulerPolicy::Bandit
+            } else {
+                SchedulerPolicy::Fixed
+            },
             eval_budget: self.config.base.budget,
             wall_time: started.elapsed(),
         }
@@ -1339,13 +1241,12 @@ impl Campaign {
         &self,
         fingerprints: &Option<Vec<u64>>,
         configs: &[CoverMeConfig],
-        results: &[Option<FunctionResult>],
+        results: &[FunctionResult],
     ) {
         let (Some(store), Some(fps)) = (&self.config.corpus, fingerprints) else {
             return;
         };
         for ((fingerprint, config), result) in fps.iter().zip(configs).zip(results) {
-            let Some(result) = result else { continue };
             if result.status != FunctionStatus::Complete {
                 continue;
             }
@@ -1354,387 +1255,48 @@ impl Campaign {
             }
         }
     }
-
-    /// The bandit campaign driver (see [`SchedulerPolicy::Bandit`]):
-    /// allocates a global evaluation pool across functions in grant
-    /// installments decided at *round barriers* by a deterministic
-    /// UCB-style score over per-grant marginal coverage telemetry.
-    ///
-    /// * Shards are normalized to 1 — under eval-budget economics the unit
-    ///   of scheduling is the function, and the epoch-pausable
-    ///   [`SearchState`] already yields at its allowance, so intra-function
-    ///   sharding would only dilute the telemetry a grant decision reads.
-    /// * Every function's `n_start` schedule is inflated by
-    ///   [`BANDIT_OVERDRAFT`] so a consistently-earning function can spend
-    ///   past the fixed schedule; the starting-point schedule is sampled
-    ///   sequentially, so the inflated prefix is bit-identical to the
-    ///   fixed schedule's points.
-    /// * The seeding round grants every function once, in inventory order.
-    ///   Each later round (when all outstanding tasks returned) recycles
-    ///   the unspent allowances of naturally-finished functions and grants
-    ///   the top [`GRANTS_PER_ROUND`] paused candidates by UCB score:
-    ///   scaled marginal coverage per eval plus an exploration bonus; ties
-    ///   break on a seeded name hash, then inventory index. All decisions
-    ///   are pure functions of barrier-time telemetry, so the outcome is
-    ///   deterministic per `(seed, budget)` regardless of worker count.
-    fn run_bandit<P, F>(
-        &self,
-        inventory: &[P],
-        on_event: &mut F,
-        started: Instant,
-        pool: usize,
-    ) -> CampaignReport
-    where
-        P: Program + Sync,
-        F: FnMut(&CampaignEvent),
-    {
-        let workers = {
-            let requested = if self.config.workers == 0 {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(2)
-                    .max(2)
-            } else {
-                self.config.workers
-            };
-            requested.clamp(1, inventory.len().max(1))
-        };
-        let report_shell = |results: Vec<FunctionResult>, wall_time: Duration| CampaignReport {
-            results,
-            workers,
-            shards: 1,
-            sync_epochs: 1,
-            scheduler: SchedulerPolicy::Bandit,
-            eval_budget: Some(pool),
-            wall_time,
-        };
-        if inventory.is_empty() {
-            return report_shell(Vec::new(), started.elapsed());
-        }
-        let deadline = self.config.time_budget.map(|budget| started + budget);
-        let grant_evals = bandit_grant_evals(pool, inventory.len());
-
-        let occurrences: Vec<usize> = {
-            let mut counts: std::collections::HashMap<String, usize> =
-                std::collections::HashMap::new();
-            inventory
-                .iter()
-                .map(|program| {
-                    let count = counts.entry(program.name().to_string()).or_default();
-                    let occurrence = *count;
-                    *count += 1;
-                    occurrence
-                })
-                .collect()
-        };
-        let fingerprints = self.fingerprints(inventory);
-        let configs: Vec<CoverMeConfig> = inventory
-            .iter()
-            .zip(&occurrences)
-            .enumerate()
-            .map(|(index, (program, &occurrence))| {
-                let mut config = self.config.base.clone();
-                config.shards = 1;
-                config.sync_epochs = 0;
-                config.n_start = config.n_start.saturating_mul(BANDIT_OVERDRAFT);
-                config.seed =
-                    derive_function_seed(self.config.base.seed, program.name(), occurrence);
-                // The per-search allowance is installed per grant; the
-                // pool itself never reaches a single state.
-                config.budget = None;
-                config.cancel = self.config.cancel.clone();
-                if let (Some(store), Some(fps)) = (&self.config.corpus, &fingerprints) {
-                    config.warm_start = store.warm_start_for(
-                        fps[index],
-                        program.arity(),
-                        program.num_sites(),
-                        config.search_key(),
-                    );
-                }
-                config
-            })
-            .collect();
-
-        // Seeding round: one grant per function, inventory order, while
-        // the pool lasts. Never-granted functions are finalized Skipped.
-        let mut runs: Vec<BanditRun<'_, P>> = (0..inventory.len())
-            .map(|_| BanditRun {
-                state: None,
-                granted: 0,
-                grants: 0,
-                covered_before: 0,
-                evals_before: 0,
-                rate: 0.0,
-                paused: false,
-                done: false,
-            })
-            .collect();
-        let mut unallocated = pool;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for (index, run) in runs.iter_mut().enumerate() {
-            let grant = grant_evals.min(unallocated);
-            if grant == 0 {
-                break;
-            }
-            unallocated -= grant;
-            run.granted = grant;
-            run.grants = 1;
-            queue.push_back(index);
-        }
-        let outstanding = queue.len();
-        let scheduler = Mutex::new(BanditScheduler {
-            queue,
-            runs,
-            outstanding,
-            unallocated,
-            total_grants: outstanding,
-            done_count: 0,
-            expired: false,
-        });
-        let ready = Condvar::new();
-        let (sender, receiver) = mpsc::channel::<CampaignEvent>();
-
-        // A zero pool seeds no tasks, so no task return would ever trigger
-        // the allocator: run it once up front to finalize everything as
-        // skipped (workers then exit immediately).
-        {
-            let mut guard = scheduler.lock().expect("scheduler lock poisoned");
-            if guard.outstanding == 0 {
-                bandit_allocate(&mut guard, &sender, inventory, grant_evals);
-            }
-        }
-
-        let mut results: Vec<Option<FunctionResult>> = inventory.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let ready = &ready;
-            let configs = &configs;
-            for _ in 0..workers {
-                let sender = sender.clone();
-                scope.spawn(move || {
-                    bandit_worker_loop(
-                        sender,
-                        scheduler,
-                        ready,
-                        deadline,
-                        inventory,
-                        configs,
-                        grant_evals,
-                    )
-                });
-            }
-            drop(sender);
-            for event in receiver.iter() {
-                on_event(&event);
-                let CampaignEvent::FunctionFinished { index, result } = event;
-                results[index] = Some(result);
-            }
-        });
-
-        // Deadline leftovers, exactly like the fixed path: parked progress
-        // is kept as partial, never-started functions are skipped.
-        let mut scheduler = scheduler.into_inner().expect("scheduler lock poisoned");
-        for (index, run) in scheduler.runs.iter_mut().enumerate() {
-            if run.done {
-                continue;
-            }
-            let ledger = BudgetLedger {
-                granted: run.granted,
-                grants: run.grants,
-            };
-            let outcomes: Vec<ShardOutcome> = run
-                .state
-                .take()
-                .map(SearchState::finish)
-                .into_iter()
-                .collect();
-            let mut result = finalize_function(inventory[index].name(), outcomes, 1, true);
-            result.budget = Some(ledger);
-            let event = CampaignEvent::FunctionFinished { index, result };
-            on_event(&event);
-            let CampaignEvent::FunctionFinished { result, .. } = event;
-            results[index] = Some(result);
-        }
-
-        self.record_corpus(&fingerprints, &configs, &results);
-        report_shell(
-            results
-                .into_iter()
-                .map(|result| result.expect("every function finalized"))
-                .collect(),
-            started.elapsed(),
-        )
-    }
 }
 
-/// One epoch task: run one slice of one (function, shard) search.
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    function: usize,
-    shard: usize,
-    epoch: usize,
+/// A standalone search ([`CoverMe::run`](crate::CoverMe::run)): a
+/// one-function run of the executor with the configuration's own seed and
+/// no campaign deadline, on the calling thread.
+pub(crate) fn run_standalone<P: Program>(config: &CoverMeConfig, program: &P) -> TestReport {
+    standalone(config, program, |executor, _| {
+        executor.run_inline(&mut |_| {})
+    })
 }
 
-/// Rendezvous state of one function: parked search states between epochs
-/// plus the barrier countdown of the epoch in flight.
-struct FunctionRun<'inv, P: Program> {
-    /// One slot per shard; `None` until the shard's first epoch task
-    /// creates the state (and while a worker has it checked out).
-    states: Vec<Option<SearchState<'inv, P>>>,
-    /// Each shard's last published saturation delta, refreshed at the
-    /// rendezvous only when its tracker version moved (see
-    /// [`exchange_deltas_gated`]).
-    published: Vec<Option<SaturationDelta>>,
-    /// Tasks of the current epoch not yet returned.
-    pending: usize,
-    /// The epoch currently in flight (next to rendezvous).
-    epoch: usize,
-    /// Whether the function was finalized and its event emitted.
-    finished: bool,
+/// [`run_standalone`] with one worker thread per shard
+/// ([`CoverMe::run_parallel`](crate::CoverMe::run_parallel)).
+pub(crate) fn run_standalone_parallel<P: Program + Sync>(
+    config: &CoverMeConfig,
+    program: &P,
+) -> TestReport {
+    standalone(config, program, |executor, shards| {
+        executor.run_on(shards, &mut |_| {})
+    })
 }
 
-/// Shared scheduler state, guarded by one mutex + condvar pair.
-struct Scheduler<'inv, P: Program> {
-    queue: VecDeque<Task>,
-    functions: Vec<FunctionRun<'inv, P>>,
-    /// Functions not yet finalized; workers exit when it reaches 0.
-    unfinished: usize,
-    /// Set when a worker observes the campaign deadline expired; stops all
-    /// claiming, leaving parked states for partial finalization.
-    expired: bool,
-}
-
-/// The worker loop: claim an epoch task, check the state out of its slot
-/// (creating it on the shard's first epoch, with the time budget clamped
-/// to what the campaign deadline leaves), run the slice *outside* the
-/// lock, park the state, and — as the last shard of a function's epoch —
-/// run the rendezvous: exchange saturation deltas and enqueue the next
-/// epoch, or finalize the function and emit its event.
-fn worker_loop<'inv, P: Program + Sync>(
-    events: mpsc::Sender<CampaignEvent>,
-    scheduler: &Mutex<Scheduler<'inv, P>>,
-    ready: &Condvar,
-    plan: &SyncPlan,
-    deadline: Option<Instant>,
-    inventory: &'inv [P],
-    configs: &[CoverMeConfig],
-) {
-    loop {
-        let task = {
-            let mut guard = scheduler.lock().expect("scheduler lock poisoned");
-            loop {
-                if guard.expired || guard.unfinished == 0 {
-                    return;
-                }
-                if budget_state(deadline, Instant::now()) == BudgetState::Expired {
-                    guard.expired = true;
-                    ready.notify_all();
-                    return;
-                }
-                if let Some(task) = guard.queue.pop_front() {
-                    break task;
-                }
-                guard = ready.wait(guard).expect("scheduler lock poisoned");
-            }
-        };
-
-        // Check the state out (or create it — outside the lock, since
-        // schedule regeneration is O(n_start) RNG draws).
-        let parked = scheduler.lock().expect("scheduler lock poisoned").functions[task.function]
-            .states[task.shard]
-            .take();
-        let mut state = parked.unwrap_or_else(|| {
-            let mut config = configs[task.function].clone();
-            match budget_state(deadline, Instant::now()) {
-                BudgetState::Remaining(left) => {
-                    config.time_budget = Some(match config.time_budget {
-                        Some(budget) => budget.min(left),
-                        None => left,
-                    });
-                }
-                BudgetState::Expired => {
-                    // The deadline expired between the claim check and
-                    // state creation: a zero budget makes the state record
-                    // a DeadlineExpired outcome on its first round check
-                    // instead of running the whole slice unbounded.
-                    config.time_budget = Some(Duration::ZERO);
-                }
-                BudgetState::Unlimited => {}
-            }
-            SearchState::new(&config, &inventory[task.function], task.shard)
-        });
-        state.run_rounds(plan.rounds_in_epoch(task.shard, task.epoch));
-
-        let mut guard = scheduler.lock().expect("scheduler lock poisoned");
-        let scheduler_state = &mut *guard;
-        let run = &mut scheduler_state.functions[task.function];
-        run.states[task.shard] = Some(state);
-        run.pending -= 1;
-        if run.pending > 0 {
-            continue;
-        }
-
-        // Rendezvous: this worker returned the function's last outstanding
-        // task of the epoch.
-        run.epoch += 1;
-        let active: Vec<usize> = run
-            .states
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.as_ref().is_some_and(|s| !s.is_finished()))
-            .map(|(shard, _)| shard)
-            .collect();
-        if run.epoch < plan.epochs() && !active.is_empty() && !scheduler_state.expired {
-            exchange_deltas_gated(
-                &mut run.states,
-                &mut run.published,
-                configs[task.function].adaptive_sync,
-            );
-            run.pending = active.len();
-            for shard in active {
-                scheduler_state.queue.push_back(Task {
-                    function: task.function,
-                    shard,
-                    epoch: run.epoch,
-                });
-            }
-            ready.notify_all();
-            continue;
-        }
-        if scheduler_state.expired && run.epoch < plan.epochs() && !active.is_empty() {
-            // The deadline raced the rendezvous: leave the states parked
-            // for partial finalization after the pool drains.
-            continue;
-        }
-
-        // The function ran its full schedule (or every shard finished
-        // early): finalize and emit — outside the lock, the merge is real
-        // work.
-        let cut_short = run.states.iter().flatten().any(|s| {
-            matches!(
-                s.outcome(),
-                Some(EpochOutcome::DeadlineExpired | EpochOutcome::Degraded)
-            )
-        });
-        let states: Vec<SearchState<'inv, P>> =
-            run.states.iter_mut().filter_map(Option::take).collect();
-        run.finished = true;
-        scheduler_state.unfinished -= 1;
-        ready.notify_all();
-        drop(guard);
-
-        let outcomes: Vec<ShardOutcome> = states.into_iter().map(SearchState::finish).collect();
-        let result = finalize_function(
-            inventory[task.function].name(),
-            outcomes,
-            plan.shards(),
-            cut_short,
-        );
-        let _ = events.send(CampaignEvent::FunctionFinished {
-            index: task.function,
-            result,
-        });
-    }
+fn standalone<P: Program>(
+    config: &CoverMeConfig,
+    program: &P,
+    run: impl FnOnce(Executor<'_, '_, P>, usize) -> Vec<FunctionResult>,
+) -> TestReport {
+    let config = CoverMeConfig {
+        shards: config.effective_shards(),
+        ..config.clone()
+    };
+    let plan = SyncPlan::new(&config);
+    let executor = Executor::new(
+        std::slice::from_ref(program),
+        std::slice::from_ref(&config),
+        Schedule::Fixed(plan),
+        None,
+    );
+    run(executor, plan.shards())
+        .pop()
+        .and_then(|result| result.report)
+        .expect("a search without a campaign deadline always reports")
 }
 
 /// Grants handed out per allocation round after the seeding round. A
@@ -1753,18 +1315,59 @@ const BANDIT_OVERDRAFT: usize = 4;
 /// functions are favored over proven earners.
 const UCB_EXPLORATION: f64 = 0.5;
 
-/// The per-installment grant size: an eighth of a function's fair share of
-/// the pool, floored at 1000 evaluations so tiny pools still buy a
-/// meaningful slice of search.
-fn bandit_grant_evals(pool: usize, functions: usize) -> usize {
-    (pool / functions.max(1).saturating_mul(8)).max(1000)
+/// One task: run up to `rounds` rounds of one (function, shard) search.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    function: usize,
+    shard: usize,
+    rounds: usize,
 }
 
-/// Scheduling state of one function under the bandit.
-struct BanditRun<'inv, P: Program> {
-    /// The function's pausable search; `None` until its first grant is
-    /// claimed (and while a worker has it checked out).
-    state: Option<SearchState<'inv, P>>,
+/// What a returned task triggers — the one thing the fixed schedule and
+/// the bandit do differently.
+enum Schedule {
+    /// Every function runs its whole `n_start` schedule, cut into the
+    /// plan's sync epochs. When the last shard of a function's epoch
+    /// returns, the shards exchange saturation deltas
+    /// ([`exchange_deltas`] — commutative, so arrival order cannot matter)
+    /// and the next epoch is enqueued, or the function is finalized.
+    Fixed(SyncPlan),
+    /// The bandit (see [`SchedulerPolicy::Bandit`]): one shard per
+    /// function, run grant by grant. When every outstanding grant has
+    /// returned, [`Shared::allocate`] grants the next round.
+    Bandit(Pool),
+}
+
+/// The bandit's global evaluation pool.
+struct Pool {
+    /// The per-installment grant size: an eighth of a function's fair
+    /// share of the pool, floored at 1000 evaluations so tiny pools still
+    /// buy a meaningful slice of search.
+    grant_evals: usize,
+    /// Evaluations of the pool not yet granted.
+    unallocated: usize,
+    /// Total grants handed out (the `t` of the UCB exploration term).
+    total_grants: usize,
+    /// Grants of the current round not yet returned; the allocator runs
+    /// when it reaches 0 — the round barrier that makes grant decisions
+    /// independent of worker count.
+    outstanding: usize,
+}
+
+impl Pool {
+    fn new(pool: usize, functions: usize) -> Pool {
+        Pool {
+            grant_evals: (pool / functions.max(1).saturating_mul(8)).max(1000),
+            unallocated: pool,
+            total_grants: 0,
+            outstanding: 0,
+        }
+    }
+}
+
+/// One function's bandit grant ledger.
+#[derive(Debug, Default)]
+struct Grant {
     /// Evaluations granted from the pool so far.
     granted: usize,
     /// Number of grant installments.
@@ -1778,239 +1381,538 @@ struct BanditRun<'inv, P: Program> {
     /// Parked with [`EpochOutcome::BudgetExhausted`] — a re-grant
     /// candidate.
     paused: bool,
-    /// Finalized and its event emitted.
-    done: bool,
 }
 
-/// Shared bandit scheduler state, guarded by one mutex + condvar pair.
-struct BanditScheduler<'inv, P: Program> {
-    /// Function indices granted and ready to run this round.
-    queue: VecDeque<usize>,
-    runs: Vec<BanditRun<'inv, P>>,
-    /// Tasks granted this round and not yet returned; the allocator runs
-    /// when it reaches 0 — the round barrier that makes grant decisions
-    /// independent of worker count.
-    outstanding: usize,
-    /// Evaluations of the pool not yet granted.
-    unallocated: usize,
-    /// Total grants handed out (the `t` of the UCB exploration term).
-    total_grants: usize,
-    /// Functions finalized; workers exit when it reaches the inventory.
-    done_count: usize,
-    /// The wall-clock deadline passed; stop claiming.
+/// Scheduling state of one function.
+struct FunctionRun<'inv, P: Program> {
+    /// One slot per shard; `None` until the shard's first task creates the
+    /// state (and while a worker has it checked out).
+    states: Vec<Option<SearchState<'inv, P>>>,
+    /// Each shard's last published saturation delta (see
+    /// [`exchange_deltas`]).
+    published: Vec<Option<SaturationDelta>>,
+    /// Tasks of the current sync epoch not yet returned.
+    pending: usize,
+    /// The sync epoch in flight.
+    epoch: usize,
+    /// The bandit's grant ledger; `None` under the fixed schedule.
+    grant: Option<Grant>,
+    /// Whether the function was finalized and its event emitted.
+    finished: bool,
+}
+
+impl<'inv, P: Program> FunctionRun<'inv, P> {
+    fn new(shards: usize, grant: Option<Grant>) -> Self {
+        FunctionRun {
+            states: (0..shards).map(|_| None).collect(),
+            published: vec![None; shards],
+            pending: shards,
+            epoch: 0,
+            grant,
+            finished: false,
+        }
+    }
+
+    /// Marks the function finalized and takes its states. `deadline_cut`
+    /// marks a function the campaign deadline stopped; a shard that
+    /// expired or degraded mid-search (see [`EpochOutcome::Degraded`])
+    /// cuts it short too.
+    fn finalize(&mut self, index: usize, deadline_cut: bool) -> Finished<'inv, P> {
+        self.finished = true;
+        let cut_short = deadline_cut
+            || self.states.iter().flatten().any(|state| {
+                matches!(
+                    state.outcome(),
+                    Some(EpochOutcome::DeadlineExpired | EpochOutcome::Degraded)
+                )
+            });
+        Finished {
+            index,
+            shards: self.states.len(),
+            states: self.states.iter_mut().filter_map(Option::take).collect(),
+            cut_short,
+            budget: self.grant.as_ref().map(|grant| BudgetLedger {
+                granted: grant.granted,
+                grants: grant.grants,
+            }),
+        }
+    }
+}
+
+/// A finalized function's states, merged into its result outside the lock
+/// (the merge is real work).
+struct Finished<'inv, P: Program> {
+    index: usize,
+    /// Shard slots the function was scheduled with.
+    shards: usize,
+    /// The states of the shards that ran.
+    states: Vec<SearchState<'inv, P>>,
+    /// Whether the function stopped before its full budget.
+    cut_short: bool,
+    budget: Option<BudgetLedger>,
+}
+
+impl<P: Program> Finished<'_, P> {
+    fn into_event(self, inventory: &[P]) -> CampaignEvent {
+        let name = inventory[self.index].name();
+        let shards_run = self.states.len();
+        let mut outcomes: Vec<ShardOutcome> =
+            self.states.into_iter().map(SearchState::finish).collect();
+        let report = match outcomes.len() {
+            0 => None,
+            // The paper's setup: a single whole-budget search, passed
+            // through without representative-input reselection so the
+            // campaign reproduces a standalone `CoverMe::run` exactly.
+            _ if self.shards == 1 => outcomes.pop().map(|outcome| outcome.into_report(name)),
+            _ => Some(merge_shards(name, outcomes).report),
+        };
+        let status = if report.is_none() {
+            FunctionStatus::Skipped
+        } else if self.cut_short || shards_run < self.shards {
+            FunctionStatus::Partial
+        } else {
+            FunctionStatus::Complete
+        };
+        CampaignEvent::FunctionFinished {
+            index: self.index,
+            result: FunctionResult {
+                name: name.to_string(),
+                report,
+                shards_run,
+                status,
+                budget: self.budget,
+            },
+        }
+    }
+}
+
+/// The executor state one mutex guards.
+struct Shared<'inv, P: Program> {
+    queue: VecDeque<Task>,
+    functions: Vec<FunctionRun<'inv, P>>,
+    schedule: Schedule,
+    /// Functions not yet finalized; workers exit when it reaches 0.
+    unfinished: usize,
+    /// Set when a worker observes the campaign deadline expired; stops all
+    /// claiming, leaving parked states for the deadline pass.
     expired: bool,
 }
 
-/// The bandit worker loop: claim a granted function, run its search to the
-/// allowance (or to natural completion), park it, and — as the last task
-/// of the round — run the allocator.
-fn bandit_worker_loop<'inv, P: Program + Sync>(
-    events: mpsc::Sender<CampaignEvent>,
-    scheduler: &Mutex<BanditScheduler<'inv, P>>,
-    ready: &Condvar,
-    deadline: Option<Instant>,
-    inventory: &'inv [P],
-    configs: &[CoverMeConfig],
-    grant_evals: usize,
-) {
-    loop {
-        let (function, allowance, parked) = {
-            let mut guard = scheduler.lock().expect("scheduler lock poisoned");
-            loop {
-                if guard.expired || guard.done_count == guard.runs.len() {
-                    return;
+impl<'inv, P: Program> Shared<'inv, P> {
+    fn finalize(&mut self, index: usize) -> Finished<'inv, P> {
+        self.unfinished -= 1;
+        self.functions[index].finalize(index, false)
+    }
+
+    /// Parks a returned task's state and runs what its return triggers.
+    /// Returns the functions that finished.
+    fn settle(
+        &mut self,
+        task: Task,
+        state: SearchState<'inv, P>,
+        outcome: EpochOutcome,
+        inventory: &[P],
+    ) -> Vec<Finished<'inv, P>> {
+        let function = task.function;
+        let mut finished = Vec::new();
+        let run = &mut self.functions[function];
+        match &mut self.schedule {
+            Schedule::Fixed(plan) => {
+                run.states[task.shard] = Some(state);
+                run.pending -= 1;
+                if run.pending > 0 {
+                    return finished;
                 }
-                if budget_state(deadline, Instant::now()) == BudgetState::Expired {
-                    guard.expired = true;
-                    ready.notify_all();
-                    return;
+                // Rendezvous: the function's last task of the epoch is back.
+                run.epoch += 1;
+                let active: Vec<usize> = (0..run.states.len())
+                    .filter(|&shard| run.states[shard].as_ref().is_some_and(|s| !s.is_finished()))
+                    .collect();
+                if run.epoch < plan.epochs() && !active.is_empty() {
+                    // If the deadline raced the rendezvous, the states stay
+                    // parked for the deadline pass.
+                    if !self.expired {
+                        exchange_deltas(&mut run.states, &mut run.published);
+                        run.pending = active.len();
+                        for shard in active {
+                            let rounds = plan.rounds_in_epoch(shard, run.epoch);
+                            self.queue.push_back(Task {
+                                function,
+                                shard,
+                                rounds,
+                            });
+                        }
+                    }
+                } else {
+                    finished.push(self.finalize(function));
                 }
-                if let Some(function) = guard.queue.pop_front() {
-                    let run = &mut guard.runs[function];
-                    break (function, run.granted, run.state.take());
-                }
-                guard = ready.wait(guard).expect("scheduler lock poisoned");
             }
+            Schedule::Bandit(pool) => {
+                let grant = run.grant.as_mut().expect("bandit functions carry a ledger");
+                // Marginal coverage per eval over the grant that just
+                // completed — the reward the next allocation round scores.
+                let covered_now = state.tracker().covered().len();
+                let evals_now = state.evaluations();
+                let gained = covered_now.saturating_sub(grant.covered_before);
+                let spent = evals_now.saturating_sub(grant.evals_before).max(1);
+                grant.rate = gained as f64 / spent as f64;
+                // Settle the ledger against actual spend so `granted` always
+                // means "consumed from the pool": the final round in flight
+                // can overshoot the allowance (a round is never cut
+                // mid-minimization), so the overage is charged to the pool
+                // now; an underspend on natural completion is refunded.
+                // Either way Σ granted + unallocated stays exactly the pool.
+                if evals_now > grant.granted {
+                    let charged = (evals_now - grant.granted).min(pool.unallocated);
+                    pool.unallocated -= charged;
+                    grant.granted += charged;
+                }
+                let exhausted = outcome == EpochOutcome::BudgetExhausted;
+                if exhausted {
+                    grant.paused = true;
+                } else {
+                    let refund = grant.granted.saturating_sub(evals_now);
+                    pool.unallocated += refund;
+                    grant.granted -= refund;
+                }
+                run.states[0] = Some(state);
+                pool.outstanding -= 1;
+                let round_over = pool.outstanding == 0;
+                if !exhausted {
+                    // Natural completion: Complete, or Partial for
+                    // degraded/deadline cuts.
+                    finished.push(self.finalize(function));
+                }
+                if round_over {
+                    self.allocate(inventory, &mut finished);
+                }
+            }
+        }
+        finished
+    }
+
+    /// The bandit's round barrier: grants the top [`GRANTS_PER_ROUND`]
+    /// paused candidates by UCB score — scaled marginal coverage per eval
+    /// plus an exploration bonus, ties broken on a seeded name hash, then
+    /// inventory index — or, when the pool is dry or no candidate remains,
+    /// finalizes everything left (paused functions spent their share:
+    /// Complete; never-granted ones: Skipped). Runs only when no grant is
+    /// outstanding, so its decisions are a pure function of accumulated
+    /// telemetry — never of worker count or arrival order.
+    fn allocate(&mut self, inventory: &[P], finished: &mut Vec<Finished<'inv, P>>) {
+        let Schedule::Bandit(pool) = &mut self.schedule else {
+            unreachable!("only the bandit allocates");
         };
-
-        // First grant: create the state outside the lock (schedule
-        // regeneration is O(n_start) RNG draws) with the allowance the
-        // seeding round granted.
-        let mut state = parked.unwrap_or_else(|| {
-            let mut config = configs[function].clone();
-            config.budget = Some(allowance);
-            match budget_state(deadline, Instant::now()) {
-                BudgetState::Remaining(left) => {
-                    config.time_budget = Some(match config.time_budget {
-                        Some(budget) => budget.min(left),
-                        None => left,
-                    });
-                }
-                BudgetState::Expired => {
-                    config.time_budget = Some(Duration::ZERO);
-                }
-                BudgetState::Unlimited => {}
-            }
-            SearchState::new(&config, &inventory[function], 0)
-        });
-        let outcome = state.run_rounds(usize::MAX);
-
-        let mut guard = scheduler.lock().expect("scheduler lock poisoned");
-        let scheduler_state = &mut *guard;
-        let run = &mut scheduler_state.runs[function];
-        // Marginal coverage per eval over the grant that just completed —
-        // the reward the next allocation round scores.
-        let covered_now = state.tracker().covered().len();
-        let evals_now = state.evaluations();
-        let gained = covered_now.saturating_sub(run.covered_before);
-        let spent = evals_now.saturating_sub(run.evals_before).max(1);
-        run.rate = gained as f64 / spent as f64;
-        scheduler_state.outstanding -= 1;
-        // Settle the ledger against actual spend so `granted` always means
-        // "consumed from the pool": the final round in flight can overshoot
-        // the allowance (a round is never cut mid-minimization), so the
-        // overage is charged to the pool now; an underspend on natural
-        // completion is refunded. Either way Σ granted + unallocated stays
-        // exactly the pool.
-        if evals_now > run.granted {
-            let charged = (evals_now - run.granted).min(scheduler_state.unallocated);
-            scheduler_state.unallocated -= charged;
-            run.granted += charged;
-        }
-        if outcome == EpochOutcome::BudgetExhausted {
-            run.paused = true;
-            run.state = Some(state);
-        } else {
-            // Natural completion: refund the unspent allowance and
-            // finalize (Complete, or Partial for degraded/deadline cuts).
-            let refund = run.granted.saturating_sub(evals_now);
-            scheduler_state.unallocated += refund;
-            run.granted -= refund;
-            let cut_short = matches!(
-                outcome,
-                EpochOutcome::DeadlineExpired | EpochOutcome::Degraded
-            );
-            let ledger = BudgetLedger {
-                granted: run.granted,
-                grants: run.grants,
+        let paused = |run: &FunctionRun<'inv, P>| {
+            !run.finished && run.grant.as_ref().is_some_and(|grant| grant.paused)
+        };
+        let mut candidates: Vec<usize> = (0..self.functions.len())
+            .filter(|&index| paused(&self.functions[index]))
+            .collect();
+        if pool.unallocated > 0 && !candidates.is_empty() {
+            let (total, grant_evals) = (pool.total_grants, pool.grant_evals);
+            let functions = &self.functions;
+            let score = |index: usize| -> f64 {
+                let grant = functions[index].grant.as_ref().expect("bandit ledger");
+                // Scale the marginal rate to "branches expected from one
+                // more grant" so it is commensurate with the O(1)
+                // exploration term.
+                let exploit = grant.rate * grant_evals as f64;
+                let explore = UCB_EXPLORATION
+                    * (((total + 1) as f64).ln() / grant.grants.max(1) as f64).sqrt();
+                exploit + explore
             };
-            run.done = true;
-            scheduler_state.done_count += 1;
-            let name = inventory[function].name();
-            let outcome_vec = vec![state.finish()];
-            let mut result = finalize_function(name, outcome_vec, 1, cut_short);
-            result.budget = Some(ledger);
-            let _ = events.send(CampaignEvent::FunctionFinished {
-                index: function,
-                result,
+            candidates.sort_by(|&a, &b| {
+                score(b)
+                    .partial_cmp(&score(a))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| {
+                        bandit_tiebreak(inventory[a].name())
+                            .cmp(&bandit_tiebreak(inventory[b].name()))
+                    })
+                    .then(a.cmp(&b))
             });
+            let mut granted_any = false;
+            for &index in candidates.iter().take(GRANTS_PER_ROUND) {
+                let amount = pool.grant_evals.min(pool.unallocated);
+                if amount == 0 {
+                    break;
+                }
+                pool.unallocated -= amount;
+                pool.total_grants += 1;
+                pool.outstanding += 1;
+                let run = &mut self.functions[index];
+                let state = run.states[0].as_mut().expect("a paused function is parked");
+                let grant = run.grant.as_mut().expect("bandit ledger");
+                grant.granted += amount;
+                grant.grants += 1;
+                grant.covered_before = state.tracker().covered().len();
+                grant.evals_before = state.evaluations();
+                grant.paused = false;
+                state.extend_budget(amount);
+                self.queue.push_back(Task {
+                    function: index,
+                    shard: 0,
+                    rounds: usize::MAX,
+                });
+                granted_any = true;
+            }
+            if granted_any {
+                return;
+            }
         }
-        if scheduler_state.outstanding == 0 {
-            bandit_allocate(scheduler_state, &events, inventory, grant_evals);
-            ready.notify_all();
+        // No further grants possible: the campaign is over. Paused
+        // functions spent their share of the pool — that is a completed
+        // bandit outcome, not a truncation; never-granted functions are
+        // skipped.
+        for index in 0..self.functions.len() {
+            if !self.functions[index].finished {
+                finished.push(self.finalize(index));
+            }
         }
     }
 }
 
-/// The round-barrier allocator: grants the top [`GRANTS_PER_ROUND`] paused
-/// candidates by UCB score, or — when the pool is dry or no candidate
-/// remains — finalizes everything left (paused functions spent their share:
-/// Complete; never-granted ones: Skipped). Runs under the scheduler lock,
-/// only at `outstanding == 0` barriers, so its decisions are a pure
-/// function of accumulated telemetry — never of worker count or arrival
-/// order.
-fn bandit_allocate<'inv, P: Program>(
-    scheduler: &mut BanditScheduler<'inv, P>,
-    events: &mpsc::Sender<CampaignEvent>,
+/// The one search executor behind every campaign and every standalone
+/// search: a queue of `(function, shard, rounds)` tasks, one worker loop
+/// ([`run_worker`]), the rendezvous a returned task triggers
+/// ([`Shared::settle`]), and one pass that finalizes the functions a
+/// deadline cut ([`Executor::run`]).
+struct Executor<'c, 'inv, P: Program> {
     inventory: &'inv [P],
-    grant_evals: usize,
-) {
-    let mut candidates: Vec<usize> = (0..scheduler.runs.len())
-        .filter(|&index| {
-            let run = &scheduler.runs[index];
-            run.paused && !run.done
-        })
-        .collect();
-    if scheduler.unallocated > 0 && !candidates.is_empty() {
-        let total = scheduler.total_grants;
-        let score = |index: usize| -> f64 {
-            let run = &scheduler.runs[index];
-            // Scale the marginal rate to "branches expected from one more
-            // grant" so it is commensurate with the O(1) exploration term.
-            let exploit = run.rate * grant_evals as f64;
-            let explore =
-                UCB_EXPLORATION * (((total + 1) as f64).ln() / run.grants.max(1) as f64).sqrt();
-            exploit + explore
+    /// Per-function search configurations.
+    configs: &'c [CoverMeConfig],
+    deadline: Option<Instant>,
+    shared: Mutex<Shared<'inv, P>>,
+    ready: Condvar,
+}
+
+impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
+    fn new(
+        inventory: &'inv [P],
+        configs: &'c [CoverMeConfig],
+        mut schedule: Schedule,
+        deadline: Option<Instant>,
+    ) -> Self {
+        let mut queue = VecDeque::new();
+        let functions = match &mut schedule {
+            Schedule::Fixed(plan) => {
+                // Epoch-0 tasks for every (function, shard) pair,
+                // function-major so the suite streams front to back and a
+                // trailing heavy function still fans out over idle workers.
+                for function in 0..inventory.len() {
+                    for shard in 0..plan.shards() {
+                        let rounds = plan.rounds_in_epoch(shard, 0);
+                        queue.push_back(Task {
+                            function,
+                            shard,
+                            rounds,
+                        });
+                    }
+                }
+                (0..inventory.len())
+                    .map(|_| FunctionRun::new(plan.shards(), None))
+                    .collect()
+            }
+            Schedule::Bandit(pool) => {
+                // Seeding round: one grant per function, inventory order,
+                // while the pool lasts.
+                let runs = (0..inventory.len())
+                    .map(|function| {
+                        let mut grant = Grant::default();
+                        let amount = pool.grant_evals.min(pool.unallocated);
+                        if amount > 0 {
+                            pool.unallocated -= amount;
+                            grant.granted = amount;
+                            grant.grants = 1;
+                            queue.push_back(Task {
+                                function,
+                                shard: 0,
+                                rounds: usize::MAX,
+                            });
+                        }
+                        FunctionRun::new(1, Some(grant))
+                    })
+                    .collect();
+                pool.outstanding = queue.len();
+                pool.total_grants = queue.len();
+                runs
+            }
         };
-        candidates.sort_by(|&a, &b| {
-            score(b)
-                .partial_cmp(&score(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    bandit_tiebreak(inventory[a].name()).cmp(&bandit_tiebreak(inventory[b].name()))
-                })
-                .then(a.cmp(&b))
-        });
-        let mut granted_any = false;
-        for &index in candidates.iter().take(GRANTS_PER_ROUND) {
-            let grant = grant_evals.min(scheduler.unallocated);
-            if grant == 0 {
-                break;
-            }
-            scheduler.unallocated -= grant;
-            scheduler.total_grants += 1;
-            let run = &mut scheduler.runs[index];
-            run.granted += grant;
-            run.grants += 1;
-            run.covered_before = run
-                .state
-                .as_ref()
-                .map_or(run.covered_before, |s| s.tracker().covered().len());
-            run.evals_before = run
-                .state
-                .as_ref()
-                .map_or(run.evals_before, SearchState::evaluations);
-            if let Some(state) = run.state.as_mut() {
-                state.extend_budget(grant);
-            }
-            run.paused = false;
-            scheduler.queue.push_back(index);
-            scheduler.outstanding += 1;
-            granted_any = true;
-        }
-        if granted_any {
-            return;
+        Executor {
+            inventory,
+            configs,
+            deadline,
+            shared: Mutex::new(Shared {
+                queue,
+                functions,
+                schedule,
+                unfinished: inventory.len(),
+                expired: false,
+            }),
+            ready: Condvar::new(),
         }
     }
-    // No further grants possible: the campaign is over. Paused functions
-    // spent their share of the pool — that is a completed bandit outcome,
-    // not a truncation; never-granted functions are skipped.
-    for (index, program) in inventory.iter().enumerate() {
-        let run = &mut scheduler.runs[index];
-        if run.done {
-            continue;
-        }
-        let ledger = BudgetLedger {
-            granted: run.granted,
-            grants: run.grants,
+
+    fn lock(&self) -> MutexGuard<'_, Shared<'inv, P>> {
+        self.shared.lock().expect("executor lock poisoned")
+    }
+
+    /// Runs the executor to the end and returns the results in inventory
+    /// order. `drive` runs the worker loops, handing every event they emit
+    /// to the sink it is given; each event reaches `on_event` on the
+    /// calling thread.
+    fn run(
+        self,
+        on_event: &mut dyn FnMut(&CampaignEvent),
+        drive: impl FnOnce(&Self, &mut dyn FnMut(CampaignEvent)),
+    ) -> Vec<FunctionResult> {
+        let mut results: Vec<Option<FunctionResult>> =
+            self.inventory.iter().map(|_| None).collect();
+        let mut deliver = |event: CampaignEvent| {
+            on_event(&event);
+            let CampaignEvent::FunctionFinished { index, result } = event;
+            results[index] = Some(result);
         };
-        let cut_short = run.state.as_ref().is_some_and(|s| {
-            matches!(
-                s.outcome(),
-                Some(EpochOutcome::DeadlineExpired | EpochOutcome::Degraded)
-            )
-        });
-        let outcomes: Vec<ShardOutcome> = run
-            .state
-            .take()
-            .map(SearchState::finish)
+        // A bandit pool too small for a single grant seeds no task whose
+        // return would run the allocator: run it once up front, which
+        // finalizes everything as skipped.
+        let mut opening = Vec::new();
+        {
+            let mut shared = self.lock();
+            if matches!(&shared.schedule, Schedule::Bandit(pool) if pool.outstanding == 0) {
+                shared.allocate(self.inventory, &mut opening);
+            }
+        }
+        for finished in opening {
+            deliver(finished.into_event(self.inventory));
+        }
+        drive(&self, &mut deliver);
+        // The deadline pass: functions the expiry cut mid-search keep the
+        // progress their parked states completed (partial), functions that
+        // never started are skipped. Emitted as events too, in inventory
+        // order, so a streaming consumer sees every row exactly once.
+        let inventory = self.inventory;
+        let shared = self.shared.into_inner().expect("executor lock poisoned");
+        for (index, mut run) in shared.functions.into_iter().enumerate() {
+            if !run.finished {
+                deliver(run.finalize(index, true).into_event(inventory));
+            }
+        }
+        results
             .into_iter()
-            .collect();
-        run.done = true;
-        scheduler.done_count += 1;
-        let mut result = finalize_function(program.name(), outcomes, 1, cut_short);
-        result.budget = Some(ledger);
-        let _ = events.send(CampaignEvent::FunctionFinished { index, result });
+            .map(|result| result.expect("every function finalized"))
+            .collect()
+    }
+
+    /// Runs every task on the calling thread.
+    fn run_inline(self, on_event: &mut dyn FnMut(&CampaignEvent)) -> Vec<FunctionResult> {
+        self.run(on_event, |executor, deliver| run_worker(executor, deliver))
+    }
+
+    /// Claims the next task and checks its state out of its slot, with the
+    /// function's grant under the bandit. Blocks while the queue is empty
+    /// and other workers still hold tasks; returns `None` once every
+    /// function is finalized or the deadline expired.
+    fn claim(&self) -> Option<(Task, Option<SearchState<'inv, P>>, Option<usize>)> {
+        let mut shared = self.lock();
+        loop {
+            if shared.expired || shared.unfinished == 0 {
+                return None;
+            }
+            if budget_state(self.deadline, Instant::now()) == BudgetState::Expired {
+                shared.expired = true;
+                self.ready.notify_all();
+                return None;
+            }
+            if let Some(task) = shared.queue.pop_front() {
+                let run = &mut shared.functions[task.function];
+                let allowance = run.grant.as_ref().map(|grant| grant.granted);
+                return Some((task, run.states[task.shard].take(), allowance));
+            }
+            shared = self.ready.wait(shared).expect("executor lock poisoned");
+        }
+    }
+
+    /// Creates a shard's search state on its first task — outside the
+    /// lock, since schedule regeneration is O(n_start) RNG draws — with
+    /// the time budget clamped to what the campaign deadline leaves and,
+    /// under the bandit, the function's first grant as its allowance.
+    fn new_state(&self, task: Task, allowance: Option<usize>) -> SearchState<'inv, P> {
+        let mut config = Cow::Borrowed(&self.configs[task.function]);
+        if allowance.is_some() {
+            config.to_mut().budget = allowance;
+        }
+        match budget_state(self.deadline, Instant::now()) {
+            BudgetState::Remaining(left) => {
+                let budget = config.time_budget.map_or(left, |budget| budget.min(left));
+                config.to_mut().time_budget = Some(budget);
+            }
+            // The deadline expired between the claim check and state
+            // creation: a zero budget makes the state record a
+            // DeadlineExpired outcome on its first round check instead of
+            // running the whole slice unbounded.
+            BudgetState::Expired => config.to_mut().time_budget = Some(Duration::ZERO),
+            BudgetState::Unlimited => {}
+        }
+        SearchState::new(&config, &self.inventory[task.function], task.shard)
+    }
+
+    /// Hands a task's state back and runs what its return triggers.
+    fn settle(
+        &self,
+        task: Task,
+        state: SearchState<'inv, P>,
+        outcome: EpochOutcome,
+    ) -> Vec<Finished<'inv, P>> {
+        let finished = self.lock().settle(task, state, outcome, self.inventory);
+        self.ready.notify_all();
+        finished
+    }
+}
+
+impl<P: Program + Sync> Executor<'_, '_, P> {
+    /// Runs the executor on `workers` scoped worker threads; the calling
+    /// thread runs no searches and hands each event to the handler the
+    /// moment a worker lands it. A single worker runs on the calling
+    /// thread instead, spawning nothing.
+    fn run_on(
+        self,
+        workers: usize,
+        on_event: &mut dyn FnMut(&CampaignEvent),
+    ) -> Vec<FunctionResult> {
+        if workers <= 1 {
+            return self.run_inline(on_event);
+        }
+        self.run(on_event, |executor, deliver| {
+            let (sender, receiver) = mpsc::channel();
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let sender = sender.clone();
+                    scope.spawn(move || {
+                        run_worker(executor, &mut |event| {
+                            let _ = sender.send(event);
+                        })
+                    });
+                }
+                drop(sender);
+                for event in receiver {
+                    deliver(event);
+                }
+            });
+        })
+    }
+}
+
+/// The one worker loop: claim a task, run its slice *outside* the lock,
+/// hand the state back, and emit every function that finished.
+fn run_worker<P: Program>(executor: &Executor<'_, '_, P>, emit: &mut dyn FnMut(CampaignEvent)) {
+    while let Some((task, parked, allowance)) = executor.claim() {
+        let mut state = parked.unwrap_or_else(|| executor.new_state(task, allowance));
+        let outcome = state.run_rounds(task.rounds);
+        for finished in executor.settle(task, state, outcome) {
+            emit(finished.into_event(executor.inventory));
+        }
     }
 }
 
@@ -2024,49 +1926,6 @@ fn bandit_tiebreak(name: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// Builds a function's [`FunctionResult`] from whatever shard outcomes
-/// exist. `cut_short` marks results that did not run their full budget —
-/// the campaign deadline truncated them (directly, or by leaving shards
-/// unstarted), or a shard degraded on consecutive aborted rounds (see
-/// [`EpochOutcome::Degraded`]).
-fn finalize_function(
-    name: &str,
-    mut outcomes: Vec<ShardOutcome>,
-    configured_shards: usize,
-    cut_short: bool,
-) -> FunctionResult {
-    let shards_run = outcomes.len();
-    if outcomes.is_empty() {
-        return FunctionResult {
-            name: name.to_string(),
-            report: None,
-            shards_run: 0,
-            status: FunctionStatus::Skipped,
-            budget: None,
-        };
-    }
-    let report = if configured_shards == 1 {
-        // The paper's setup: a single whole-budget search, passed through
-        // without representative-input reselection so the campaign
-        // reproduces a standalone `CoverMe::run` exactly.
-        outcomes.pop().expect("non-empty").into_report(name)
-    } else {
-        merge_shards(name, outcomes).report
-    };
-    let status = if cut_short || shards_run < configured_shards {
-        FunctionStatus::Partial
-    } else {
-        FunctionStatus::Complete
-    };
-    FunctionResult {
-        name: name.to_string(),
-        report: Some(report),
-        shards_run,
-        status,
-        budget: None,
-    }
 }
 
 /// Derives a function's seed from the campaign seed, the function name and
@@ -2136,7 +1995,7 @@ mod tests {
     }
 
     fn quick_base() -> CoverMeConfig {
-        CoverMeConfig::default().n_start(40).seed(7)
+        CoverMeConfig::default().with_n_start(40).with_seed(7)
     }
 
     /// The scheduling-independent content of a report, for equality checks.
@@ -2161,8 +2020,12 @@ mod tests {
         let runs: Vec<CampaignReport> = [1, 2, 4]
             .iter()
             .map(|&workers| {
-                Campaign::new(CampaignConfig::new().base(quick_base()).workers(workers))
-                    .run(&programs)
+                Campaign::new(
+                    CampaignConfig::new()
+                        .with_base(quick_base())
+                        .with_workers(workers),
+                )
+                .run(&programs)
             })
             .collect();
         assert_eq!(fingerprint(&runs[0]), fingerprint(&runs[1]));
@@ -2177,9 +2040,9 @@ mod tests {
             .iter()
             .map(|&workers| {
                 let config = CampaignConfig::new()
-                    .base(quick_base().n_start(48))
-                    .shards(3)
-                    .workers(workers);
+                    .with_base(quick_base().with_n_start(48))
+                    .with_shards(3)
+                    .with_workers(workers);
                 Campaign::new(config).run(&programs)
             })
             .collect();
@@ -2192,12 +2055,17 @@ mod tests {
     #[test]
     fn sharded_campaign_covers_at_least_the_unsharded_one() {
         let programs = inventory();
-        let base = || quick_base().n_start(64);
-        let unsharded = Campaign::new(CampaignConfig::new().base(base()).workers(2)).run(&programs);
+        let base = || quick_base().with_n_start(64);
+        let unsharded =
+            Campaign::new(CampaignConfig::new().with_base(base()).with_workers(2)).run(&programs);
         for shards in [2usize, 4] {
-            let sharded =
-                Campaign::new(CampaignConfig::new().base(base()).shards(shards).workers(2))
-                    .run(&programs);
+            let sharded = Campaign::new(
+                CampaignConfig::new()
+                    .with_base(base())
+                    .with_shards(shards)
+                    .with_workers(2),
+            )
+            .run(&programs);
             for (a, b) in unsharded.results.iter().zip(&sharded.results) {
                 let (a, b) = (a.report.as_ref().unwrap(), b.report.as_ref().unwrap());
                 assert!(
@@ -2214,21 +2082,52 @@ mod tests {
 
     #[test]
     fn unsharded_campaign_reproduces_standalone_coverme_runs() {
-        // With shards = 1 the campaign is the paper's setup: per function,
-        // exactly the report a standalone CoverMe run with the derived seed
-        // produces — including redundant accepted inputs, which the sharded
-        // merge would drop.
+        // Every campaign row is exactly the report a standalone CoverMe
+        // run with the derived seed produces, on one thread or one thread
+        // per shard, whatever the campaign's worker count. Unsharded that
+        // includes redundant accepted inputs, which a sharded merge drops.
+        let shapes = [
+            ("unsharded", quick_base()),
+            (
+                "sharded, sync off",
+                quick_base().with_n_start(48).with_shards(3),
+            ),
+            (
+                "sharded, sync on",
+                quick_base()
+                    .with_n_start(64)
+                    .with_shards(3)
+                    .with_sync_epochs(4),
+            ),
+        ];
         let programs = inventory();
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
-        for (index, (program, result)) in programs.iter().zip(&report.results).enumerate() {
-            let mut config = quick_base();
-            config.seed = derive_function_seed(quick_base().seed, program.name(), 0);
-            let standalone = crate::CoverMe::new(config).run(program);
-            let campaign = result.report.as_ref().unwrap();
-            assert_eq!(campaign.inputs, standalone.inputs, "function #{index}");
-            assert_eq!(campaign.coverage, standalone.coverage);
-            assert_eq!(campaign.rounds, standalone.rounds);
+        for (shape, base) in shapes {
+            let standalone: Vec<[TestReport; 2]> = programs
+                .iter()
+                .map(|program| {
+                    let mut config = base.clone();
+                    config.seed = derive_function_seed(base.seed, program.name(), 0);
+                    let search = crate::CoverMe::new(config);
+                    [search.run(program), search.run_parallel(program)]
+                })
+                .collect();
+            for workers in [1, 2, 5] {
+                let config = CampaignConfig::new()
+                    .with_base(base.clone())
+                    .with_workers(workers);
+                let report = Campaign::new(config).run(&programs);
+                for (result, reports) in report.results.iter().zip(&standalone) {
+                    let campaign = result.report.as_ref().unwrap();
+                    for standalone in reports {
+                        let context = format!("{shape}, {workers} workers, {}", result.name);
+                        assert_eq!(campaign.inputs, standalone.inputs, "{context}");
+                        assert_eq!(campaign.coverage, standalone.coverage, "{context}");
+                        assert_eq!(campaign.evaluations, standalone.evaluations, "{context}");
+                        assert_eq!(campaign.rounds, standalone.rounds, "{context}");
+                        assert_eq!(campaign.epochs, standalone.epochs, "{context}");
+                    }
+                }
+            }
         }
     }
 
@@ -2237,10 +2136,19 @@ mod tests {
         // A subset campaign must reproduce the full campaign's rows: seeds
         // depend on names (and duplicate-name occurrence), not position.
         let programs = inventory();
-        let full =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let full = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         let subset = vec![inventory().remove(2)];
-        let alone = Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&subset);
+        let alone = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&subset);
         let (full_gamma, lone_gamma) = (
             full.results[2].report.as_ref().unwrap(),
             alone.results[0].report.as_ref().unwrap(),
@@ -2252,8 +2160,12 @@ mod tests {
     #[test]
     fn results_arrive_in_inventory_order() {
         let programs = inventory();
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(3)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(3),
+        )
+        .run(&programs);
         let names: Vec<&str> = report.results.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["alpha", "beta", "gamma"]);
     }
@@ -2262,13 +2174,15 @@ mod tests {
     fn streaming_events_match_the_final_report() {
         let programs = inventory();
         let mut events: Vec<(usize, String, bool)> = Vec::new();
-        let report = Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run_with(
-            &programs,
-            |event| {
-                let CampaignEvent::FunctionFinished { index, result } = event;
-                events.push((*index, result.name.clone(), result.completed()));
-            },
-        );
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run_with(&programs, |event| {
+            let CampaignEvent::FunctionFinished { index, result } = event;
+            events.push((*index, result.name.clone(), result.completed()));
+        });
         // Exactly one event per function, carrying the same result the
         // final report lists at that inventory index.
         assert_eq!(events.len(), programs.len());
@@ -2280,8 +2194,12 @@ mod tests {
             assert_eq!(report.results[index].completed(), completed);
         }
         // The streamed run is the same run: identical to a collected one.
-        let collected =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let collected = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         assert_eq!(fingerprint(&report), fingerprint(&collected));
     }
 
@@ -2292,35 +2210,28 @@ mod tests {
             .iter()
             .map(|&workers| {
                 let config = CampaignConfig::new()
-                    .base(quick_base().n_start(64))
-                    .shards(3)
-                    .sync_epochs(4)
-                    .workers(workers);
+                    .with_base(quick_base().with_n_start(64))
+                    .with_shards(3)
+                    .with_sync_epochs(4)
+                    .with_workers(workers);
                 Campaign::new(config).run(&programs)
             })
             .collect();
         assert_eq!(fingerprint(&runs[0]), fingerprint(&runs[1]));
         assert_eq!(fingerprint(&runs[0]), fingerprint(&runs[2]));
         assert_eq!(runs[0].sync_epochs, 4);
-        // The campaign's event-driven rendezvous agrees with the
-        // standalone sync drivers on the same derived seed.
-        for (program, result) in programs.iter().zip(&runs[0].results) {
-            let mut config = quick_base().n_start(64).shards(3).sync_epochs(4);
-            config.seed = derive_function_seed(quick_base().seed, program.name(), 0);
-            let standalone = crate::CoverMe::new(config).run(program);
-            let campaign = result.report.as_ref().unwrap();
-            assert_eq!(campaign.inputs, standalone.inputs, "{}", program.name());
-            assert_eq!(campaign.coverage, standalone.coverage);
-            assert_eq!(campaign.evaluations, standalone.evaluations);
-        }
     }
 
     #[test]
     fn statuses_are_consistent_with_reports() {
         // Budget-free: everything completes.
         let programs = inventory();
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         assert!(report
             .results
             .iter()
@@ -2332,9 +2243,9 @@ mod tests {
         // Zero budget: everything skipped, no partials.
         let cut = Campaign::new(
             CampaignConfig::new()
-                .base(quick_base())
-                .workers(2)
-                .time_budget(Duration::ZERO),
+                .with_base(quick_base())
+                .with_workers(2)
+                .with_time_budget(Duration::ZERO),
         )
         .run(&programs);
         assert!(cut
@@ -2365,13 +2276,13 @@ mod tests {
             slow as fn(&[f64], &mut ExecCtx),
         )];
         let config = CampaignConfig::new()
-            .base(
+            .with_base(
                 quick_base()
-                    .n_start(200_000)
-                    .infeasible_policy(crate::InfeasiblePolicy::Disabled),
+                    .with_n_start(200_000)
+                    .with_infeasible_policy(crate::InfeasiblePolicy::Disabled),
             )
-            .workers(1)
-            .time_budget(Duration::from_millis(60));
+            .with_workers(1)
+            .with_time_budget(Duration::from_millis(60));
         let report = Campaign::new(config).run(&programs);
         let result = &report.results[0];
         assert_eq!(result.status, FunctionStatus::Partial, "{report}");
@@ -2399,8 +2310,12 @@ mod tests {
             1,
             spin as fn(&[f64], &mut ExecCtx),
         )];
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(1)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(1),
+        )
+        .run(&programs);
         let result = &report.results[0];
         assert_eq!(result.status, FunctionStatus::Partial, "{report}");
         let partial = result.report.as_ref().expect("progress kept");
@@ -2415,17 +2330,17 @@ mod tests {
         let programs = inventory();
         let blind = Campaign::new(
             CampaignConfig::new()
-                .base(quick_base().n_start(64))
-                .shards(3)
-                .workers(2),
+                .with_base(quick_base().with_n_start(64))
+                .with_shards(3)
+                .with_workers(2),
         )
         .run(&programs);
         let synced = Campaign::new(
             CampaignConfig::new()
-                .base(quick_base().n_start(64))
-                .shards(3)
-                .sync_epochs(4)
-                .workers(2),
+                .with_base(quick_base().with_n_start(64))
+                .with_shards(3)
+                .with_sync_epochs(4)
+                .with_workers(2),
         )
         .run(&programs);
         let json = synced.to_json_with_sync_baseline(&blind);
@@ -2443,9 +2358,9 @@ mod tests {
     fn expired_budget_returns_partial_results() {
         let programs = inventory();
         let config = CampaignConfig::new()
-            .base(quick_base())
-            .workers(2)
-            .time_budget(Duration::ZERO);
+            .with_base(quick_base())
+            .with_workers(2)
+            .with_time_budget(Duration::ZERO);
         let report = Campaign::new(config).run(&programs);
         // One entry per function either way, every one skipped: the deadline
         // had already passed when the workers started claiming.
@@ -2498,8 +2413,12 @@ mod tests {
             FnProgram::new("straight_a", 1, 0, no_branches as fn(&[f64], &mut ExecCtx)),
             FnProgram::new("straight_b", 1, 0, no_branches as fn(&[f64], &mut ExecCtx)),
         ];
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         assert_eq!(report.completed(), 2);
         assert!(report
             .results
@@ -2530,8 +2449,12 @@ mod tests {
             FnProgram::new("straight", 1, 0, no_branches as fn(&[f64], &mut ExecCtx)),
             FnProgram::new("partial", 1, 2, partial as fn(&[f64], &mut ExecCtx)),
         ];
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         let partial_pct = report.results[1].branch_coverage_percent().unwrap();
         assert!(partial_pct < 100.0);
         // The mean is exactly the branchful function's percentage — the
@@ -2577,8 +2500,12 @@ mod tests {
             FnProgram::new("twin", 1, 2, alpha as fn(&[f64], &mut ExecCtx)),
             FnProgram::new("twin", 1, 2, alpha as fn(&[f64], &mut ExecCtx)),
         ];
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         let a = report.results[0].report.as_ref().unwrap();
         let b = report.results[1].report.as_ref().unwrap();
         assert_ne!(
@@ -2590,8 +2517,12 @@ mod tests {
     #[test]
     fn suite_aggregation_sums_branches() {
         let programs = inventory();
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         let covered: usize = report
             .results
             .iter()
@@ -2615,8 +2546,9 @@ mod tests {
         let programs = inventory();
         // Force memoization on: the toy programs are far below the Auto
         // threshold, and this test is about the telemetry plumbing.
-        let base = quick_base().cache(crate::objective::CacheMode::On);
-        let report = Campaign::new(CampaignConfig::new().base(base).workers(2)).run(&programs);
+        let base = quick_base().with_cache(crate::objective::CacheMode::On);
+        let report =
+            Campaign::new(CampaignConfig::new().with_base(base).with_workers(2)).run(&programs);
         assert!(report.total_evaluations() > 0);
         let summed: usize = report.results.iter().map(FunctionResult::evaluations).sum();
         assert_eq!(report.total_evaluations(), summed);
@@ -2636,15 +2568,19 @@ mod tests {
     #[test]
     fn json_report_is_well_formed_and_complete() {
         let programs = inventory();
-        let report =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         let json = report.to_json();
         // One object per function plus matched braces/brackets.
         assert_eq!(json.matches("\"name\":").count(), programs.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for key in [
-            "\"schema\": \"coverme-campaign-report/6\"",
+            "\"schema\": \"coverme-campaign-report/7\"",
             "\"backend\": \"",
             "\"simd_isa\": \"",
             "\"lane_width\":",
@@ -2673,9 +2609,9 @@ mod tests {
     fn json_report_marks_skipped_functions() {
         let programs = inventory();
         let config = CampaignConfig::new()
-            .base(quick_base())
-            .workers(2)
-            .time_budget(Duration::ZERO);
+            .with_base(quick_base())
+            .with_workers(2)
+            .with_time_budget(Duration::ZERO);
         let json = Campaign::new(config).run(&programs).to_json();
         assert_eq!(json.matches("\"completed\": false").count(), programs.len());
         assert!(json.contains("\"skipped\": 3"));
@@ -2692,9 +2628,13 @@ mod tests {
             1,
             body as fn(&[f64], &mut ExecCtx),
         )];
-        let json = Campaign::new(CampaignConfig::new().base(quick_base()).workers(1))
-            .run(&programs)
-            .to_json();
+        let json = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(1),
+        )
+        .run(&programs)
+        .to_json();
         assert!(json.contains("quo\\\"te\\\\back\\nline"));
     }
 
@@ -2704,31 +2644,34 @@ mod tests {
         assert!(config.effective_workers(40) >= 2);
         // Never more workers than work units; at least one for tiny suites.
         assert_eq!(config.effective_workers(1), 1);
-        assert_eq!(CampaignConfig::new().workers(8).effective_workers(3), 3);
+        assert_eq!(
+            CampaignConfig::new().with_workers(8).effective_workers(3),
+            3
+        );
         // Sharding multiplies the unit count, so one heavy function can
         // still fan out over several workers.
         assert_eq!(
             CampaignConfig::new()
-                .workers(8)
-                .shards(4)
+                .with_workers(8)
+                .with_shards(4)
                 .effective_workers(1),
             4
         );
         // The minimum-rounds floor caps how finely a small budget splits,
         // and the unit grid follows the effective count.
-        let starved = CampaignConfig::new().base(quick_base()).shards(4);
+        let starved = CampaignConfig::new().with_base(quick_base()).with_shards(4);
         assert_eq!(starved.effective_shards(), 2); // n_start 40 / 16
-        assert_eq!(starved.clone().workers(8).effective_workers(1), 2);
+        assert_eq!(starved.clone().with_workers(8).effective_workers(1), 2);
     }
 
     fn bandit_config(budget: usize, workers: usize) -> CampaignConfig {
         CampaignConfig::new()
-            .base(
+            .with_base(
                 quick_base()
-                    .scheduler(SchedulerPolicy::Bandit)
-                    .budget(budget),
+                    .with_scheduler(SchedulerPolicy::Bandit)
+                    .with_budget(budget),
             )
-            .workers(workers)
+            .with_workers(workers)
     }
 
     #[test]
@@ -2780,8 +2723,12 @@ mod tests {
     #[test]
     fn bandit_with_ample_budget_matches_fixed_coverage() {
         let programs = inventory();
-        let fixed =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let fixed = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         let bandit = Campaign::new(bandit_config(500_000, 2)).run(&programs);
         for (a, b) in fixed.results.iter().zip(&bandit.results) {
             let (a, b) = (a.report.as_ref().unwrap(), b.report.as_ref().unwrap());
@@ -2815,12 +2762,16 @@ mod tests {
         let programs = inventory();
         let fallback = Campaign::new(
             CampaignConfig::new()
-                .base(quick_base().scheduler(SchedulerPolicy::Bandit))
-                .workers(2),
+                .with_base(quick_base().with_scheduler(SchedulerPolicy::Bandit))
+                .with_workers(2),
         )
         .run(&programs);
-        let fixed =
-            Campaign::new(CampaignConfig::new().base(quick_base()).workers(2)).run(&programs);
+        let fixed = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         assert_eq!(fingerprint(&fallback), fingerprint(&fixed));
         assert_eq!(fallback.scheduler, SchedulerPolicy::Fixed);
     }

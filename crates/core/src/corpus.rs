@@ -517,7 +517,6 @@ mod tests {
             timeouts: 0,
             traps: 0,
             epochs: Vec::new(),
-            barriers_skipped: 0,
             warm_replayed: 0,
             backend: "interp",
             simd_isa: "portable",

@@ -19,11 +19,14 @@
 //! of starting points (`n_start`) is exhausted, or when an optional wall
 //! clock budget runs out.
 //!
-//! With `shards > 1` the starting-point budget is split across independent
-//! shard searches whose snapshots are merged afterwards (see
-//! [`crate::shard`]): [`CoverMe::run`] executes the shards sequentially
-//! (same merged report, no extra threads), [`CoverMe::run_parallel`] fans
-//! them across scoped worker threads for a wall-clock speedup.
+//! This module owns the loop itself — the epoch-resumable [`SearchState`]
+//! — and its configuration. It does not schedule: [`CoverMe::run`] and
+//! [`CoverMe::run_parallel`] are one-function runs of the campaign's
+//! executor ([`crate::campaign`]), so a standalone search and a campaign
+//! row share one code path. With `shards > 1` the starting-point budget is
+//! split across shard searches whose snapshots are merged afterwards (see
+//! [`crate::shard`]): `run` executes the shards on the calling thread,
+//! `run_parallel` on one worker thread per shard, with identical reports.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,7 +42,7 @@ use crate::objective::{CacheMode, ObjectiveEngine};
 
 use crate::report::{EpochTelemetry, RoundOutcome, RoundRecord, TestReport};
 use crate::saturation::{SaturationDelta, SaturationTracker};
-use crate::shard::{merge_shards, run_shard, AcceptedInput, ShardOutcome};
+use crate::shard::{AcceptedInput, ShardOutcome};
 
 /// How `pen` decides that a conditional site no longer needs attention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -235,16 +238,6 @@ pub struct CoverMeConfig {
     /// the global budget the bandit allocates across functions. `None`
     /// (the default) means unlimited, bit-identical to earlier releases.
     pub budget: Option<usize>,
-    /// Adaptive sync (off by default): gates every cross-shard sync
-    /// barrier on tracker [`SaturationTracker::version`] movement — a
-    /// barrier where no shard has anything new to publish skips the
-    /// exchange entirely (counted in
-    /// [`TestReport::barriers_skipped`](crate::TestReport)) — and
-    /// *densifies* the epoch windows of a search whose previous exchange
-    /// carried new coverage by splitting the next window in two around an
-    /// extra gated barrier. Off, the cadence is bit-identical to earlier
-    /// releases. See [`crate::sync`].
-    pub adaptive_sync: bool,
     /// Campaign scheduling policy (ignored by standalone runs). The
     /// default [`SchedulerPolicy::Fixed`] reproduces earlier releases
     /// bit-for-bit.
@@ -327,7 +320,6 @@ impl Default for CoverMeConfig {
             zero_threshold: 0.0,
             time_budget: None,
             budget: None,
-            adaptive_sync: false,
             scheduler: SchedulerPolicy::Fixed,
             record_search_coverage: false,
             shards: 1,
@@ -349,108 +341,92 @@ impl CoverMeConfig {
     }
 
     /// Sets the number of starting points (`n_start`).
-    pub fn n_start(mut self, n_start: usize) -> Self {
+    pub fn with_n_start(mut self, n_start: usize) -> Self {
         self.n_start = n_start;
         self
     }
 
     /// Sets the number of Monte-Carlo iterations per start (`n_iter`).
-    pub fn n_iter(mut self, n_iter: usize) -> Self {
+    pub fn with_n_iter(mut self, n_iter: usize) -> Self {
         self.n_iter = n_iter;
         self
     }
 
     /// Sets the local minimization method.
-    pub fn local_method(mut self, method: LocalMethod) -> Self {
+    pub fn with_local_method(mut self, method: LocalMethod) -> Self {
         self.local_method = method;
         self
     }
 
     /// Sets the branch-distance `ε`.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
+    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
         self
     }
 
     /// Sets the starting-point distribution.
-    pub fn starting_points(mut self, strategy: StartingPointStrategy) -> Self {
+    pub fn with_starting_points(mut self, strategy: StartingPointStrategy) -> Self {
         self.starting_points = strategy;
         self
     }
 
     /// Sets the Monte-Carlo perturbation distribution.
-    pub fn perturbation(mut self, perturbation: PerturbationKind) -> Self {
+    pub fn with_perturbation(mut self, perturbation: PerturbationKind) -> Self {
         self.perturbation = perturbation;
         self
     }
 
     /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
+    pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
     /// Sets the saturation semantics used by `pen`.
-    pub fn pen_policy(mut self, policy: PenPolicy) -> Self {
+    pub fn with_pen_policy(mut self, policy: PenPolicy) -> Self {
         self.pen_policy = policy;
         self
     }
 
     /// Sets the infeasible-branch policy.
-    pub fn infeasible_policy(mut self, policy: InfeasiblePolicy) -> Self {
+    pub fn with_infeasible_policy(mut self, policy: InfeasiblePolicy) -> Self {
         self.infeasible_policy = policy;
         self
     }
 
-    /// Selects the execution backend (see
-    /// [`BackendMode`](coverme_runtime::BackendMode)). Bit-exact under
-    /// every mode; `Auto` (the default) prefers the compiled tape.
-    pub fn backend(mut self, mode: coverme_runtime::BackendMode) -> Self {
-        self.backend = mode;
-        self
-    }
-
-    /// Forces the SIMD ISA of the backend's lane kernels (bit-exact under
-    /// every ISA; see [`CoverMeConfig::simd`]).
-    pub fn simd(mut self, isa: coverme_runtime::SimdIsa) -> Self {
-        self.simd = Some(isa);
+    /// Sets the zero-acceptance threshold (`FOO_R(x*) <=` this is "zero").
+    pub fn with_zero_threshold(mut self, threshold: f64) -> Self {
+        self.zero_threshold = threshold;
         self
     }
 
     /// Sets the wall-clock budget.
-    pub fn time_budget(mut self, budget: Duration) -> Self {
+    pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
         self
     }
 
     /// Sets the evaluation allowance (see [`CoverMeConfig::budget`]).
-    pub fn budget(mut self, evaluations: usize) -> Self {
+    pub fn with_budget(mut self, evaluations: usize) -> Self {
         self.budget = Some(evaluations);
         self
     }
 
-    /// Enables or disables adaptive sync (see
-    /// [`CoverMeConfig::adaptive_sync`]).
-    pub fn adaptive_sync(mut self, enabled: bool) -> Self {
-        self.adaptive_sync = enabled;
-        self
-    }
-
     /// Sets the campaign scheduling policy (see [`SchedulerPolicy`]).
-    pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
+    pub fn with_scheduler(mut self, policy: SchedulerPolicy) -> Self {
         self.scheduler = policy;
         self
     }
 
     /// Enables recording coverage of intermediate search evaluations.
-    pub fn record_search_coverage(mut self, enabled: bool) -> Self {
+    pub fn with_record_search_coverage(mut self, enabled: bool) -> Self {
         self.record_search_coverage = enabled;
         self
     }
 
     /// Sets the number of shards the `n_start` budget is split across
     /// (`0` and `1` both mean unsharded).
-    pub fn shards(mut self, shards: usize) -> Self {
+    pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
@@ -468,7 +444,7 @@ impl CoverMeConfig {
 
     /// Sets the number of sync epochs of a sharded search (`0` and `1`
     /// both mean off — no cross-shard exchange before the final merge).
-    pub fn sync_epochs(mut self, sync_epochs: usize) -> Self {
+    pub fn with_sync_epochs(mut self, sync_epochs: usize) -> Self {
         self.sync_epochs = sync_epochs;
         self
     }
@@ -490,127 +466,30 @@ impl CoverMeConfig {
 
     /// Enables or disables the rounding-based polish step applied to
     /// near-miss minima.
-    pub fn polish(mut self, enabled: bool) -> Self {
+    pub fn with_polish(mut self, enabled: bool) -> Self {
         self.polish = enabled;
         self
     }
 
     /// Sets the objective engine's memoization policy.
-    pub fn cache(mut self, mode: CacheMode) -> Self {
+    pub fn with_cache(mut self, mode: CacheMode) -> Self {
         self.cache = mode;
         self
     }
 
-    // --- the `with_*` builder surface -------------------------------------
-    //
-    // One `with_*` method per public field (the canonical construction
-    // path now that the struct is `#[non_exhaustive]`). The short-named
-    // setters above predate this surface and stay as aliases.
-
-    /// Sets the number of starting points (`n_start`).
-    pub fn with_n_start(self, n_start: usize) -> Self {
-        self.n_start(n_start)
-    }
-
-    /// Sets the number of Monte-Carlo iterations per start (`n_iter`).
-    pub fn with_n_iter(self, n_iter: usize) -> Self {
-        self.n_iter(n_iter)
-    }
-
-    /// Sets the local minimization method.
-    pub fn with_local_method(self, method: LocalMethod) -> Self {
-        self.local_method(method)
-    }
-
-    /// Sets the branch-distance `ε`.
-    pub fn with_epsilon(self, epsilon: f64) -> Self {
-        self.epsilon(epsilon)
-    }
-
-    /// Sets the starting-point distribution.
-    pub fn with_starting_points(self, strategy: StartingPointStrategy) -> Self {
-        self.starting_points(strategy)
-    }
-
-    /// Sets the Monte-Carlo perturbation distribution.
-    pub fn with_perturbation(self, perturbation: PerturbationKind) -> Self {
-        self.perturbation(perturbation)
-    }
-
-    /// Sets the master seed.
-    pub fn with_seed(self, seed: u64) -> Self {
-        self.seed(seed)
-    }
-
-    /// Sets the saturation semantics used by `pen`.
-    pub fn with_pen_policy(self, policy: PenPolicy) -> Self {
-        self.pen_policy(policy)
-    }
-
-    /// Sets the infeasible-branch policy.
-    pub fn with_infeasible_policy(self, policy: InfeasiblePolicy) -> Self {
-        self.infeasible_policy(policy)
-    }
-
-    /// Sets the zero-acceptance threshold (`FOO_R(x*) <=` this is "zero").
-    pub fn with_zero_threshold(mut self, threshold: f64) -> Self {
-        self.zero_threshold = threshold;
+    /// Selects the execution backend (see
+    /// [`BackendMode`](coverme_runtime::BackendMode)). Bit-exact under
+    /// every mode; `Auto` (the default) prefers the compiled tape.
+    pub fn with_backend(mut self, mode: coverme_runtime::BackendMode) -> Self {
+        self.backend = mode;
         self
     }
 
-    /// Sets the wall-clock budget.
-    pub fn with_time_budget(self, budget: Duration) -> Self {
-        self.time_budget(budget)
-    }
-
-    /// Sets the evaluation allowance (see [`CoverMeConfig::budget`]).
-    pub fn with_budget(self, evaluations: usize) -> Self {
-        self.budget(evaluations)
-    }
-
-    /// Enables or disables adaptive sync.
-    pub fn with_adaptive_sync(self, enabled: bool) -> Self {
-        self.adaptive_sync(enabled)
-    }
-
-    /// Sets the campaign scheduling policy.
-    pub fn with_scheduler(self, policy: SchedulerPolicy) -> Self {
-        self.scheduler(policy)
-    }
-
-    /// Enables recording coverage of intermediate search evaluations.
-    pub fn with_record_search_coverage(self, enabled: bool) -> Self {
-        self.record_search_coverage(enabled)
-    }
-
-    /// Sets the shard count.
-    pub fn with_shards(self, shards: usize) -> Self {
-        self.shards(shards)
-    }
-
-    /// Sets the sync-epoch count.
-    pub fn with_sync_epochs(self, sync_epochs: usize) -> Self {
-        self.sync_epochs(sync_epochs)
-    }
-
-    /// Enables or disables the rounding-based polish step.
-    pub fn with_polish(self, enabled: bool) -> Self {
-        self.polish(enabled)
-    }
-
-    /// Sets the objective engine's memoization policy.
-    pub fn with_cache(self, mode: CacheMode) -> Self {
-        self.cache(mode)
-    }
-
-    /// Selects the execution backend.
-    pub fn with_backend(self, mode: coverme_runtime::BackendMode) -> Self {
-        self.backend(mode)
-    }
-
-    /// Forces the SIMD ISA of the backend's lane kernels.
-    pub fn with_simd(self, isa: coverme_runtime::SimdIsa) -> Self {
-        self.simd(isa)
+    /// Forces the SIMD ISA of the backend's lane kernels (bit-exact under
+    /// every ISA; see [`CoverMeConfig::simd`]).
+    pub fn with_simd(mut self, isa: coverme_runtime::SimdIsa) -> Self {
+        self.simd = Some(isa);
+        self
     }
 
     /// Attaches a corpus warm start (see [`WarmStart`]): prior inputs and
@@ -633,7 +512,7 @@ impl CoverMeConfig {
     /// `polish`, `record_search_coverage`, the eval allowance and the
     /// shard/sync split. Knobs pinned result-invisible by the property
     /// suites stay out: `cache`, `backend`, `simd` (every ISA's kernels
-    /// are bit-identical), `adaptive_sync`, epoch slicing, `time_budget`
+    /// are bit-identical), epoch slicing, `time_budget`
     /// (wall-clock never decides a *complete* run's content),
     /// `warm_start`/`cancel` themselves.
     ///
@@ -733,60 +612,23 @@ impl CoverMe {
 
     /// Runs branch coverage-based testing on `program` (Algorithm 1).
     ///
-    /// With `shards > 1` the shard searches run sequentially on the calling
-    /// thread and their snapshots are merged ([`crate::shard`]); the merged
-    /// report is identical to what [`run_parallel`](Self::run_parallel)
-    /// produces, just without the wall-clock speedup.
+    /// A one-function run of the campaign executor ([`crate::campaign`])
+    /// on the calling thread, with the configuration's own seed: with
+    /// `shards > 1` the shards run one after another and their snapshots
+    /// are merged ([`crate::shard`]), exchanging saturation deltas at the
+    /// sync epochs ([`crate::sync`]). The report is identical to what
+    /// [`run_parallel`](Self::run_parallel) produces, just without the
+    /// wall-clock speedup.
     pub fn run<P: Program>(&self, program: &P) -> TestReport {
-        let shards = self.config.effective_shards();
-        let config = CoverMeConfig {
-            shards,
-            ..self.config.clone()
-        };
-        if shards == 1 {
-            return run_shard(&config, program, 0).into_report(program.name());
-        }
-        if config.effective_sync_epochs() > 1 {
-            let outcomes = crate::sync::run_shards_synced(&config, program);
-            return merge_shards(program.name(), outcomes).report;
-        }
-        let outcomes: Vec<ShardOutcome> = (0..shards)
-            .map(|index| run_shard(&config, program, index))
-            .collect();
-        merge_shards(program.name(), outcomes).report
+        crate::campaign::run_standalone(&self.config, program)
     }
 
-    /// Runs branch coverage-based testing with the configured shards fanned
-    /// across scoped worker threads (one thread per shard).
-    ///
-    /// The merged report is bitwise-identical to [`run`](Self::run) with the
-    /// same configuration — the shard snapshots are deterministic and the
-    /// merge is ordered by shard index — but the wall-clock time approaches
-    /// the slowest single shard. With `shards <= 1` this is exactly `run`.
+    /// Runs branch coverage-based testing with one worker thread per
+    /// shard — the same executor run as [`run`](Self::run), so the report
+    /// is bitwise-identical, but the wall-clock time approaches the
+    /// slowest single shard. With `shards <= 1` this is exactly `run`.
     pub fn run_parallel<P: Program + Sync>(&self, program: &P) -> TestReport {
-        let shards = self.config.effective_shards();
-        if shards == 1 {
-            return self.run(program);
-        }
-        let config = CoverMeConfig {
-            shards,
-            ..self.config.clone()
-        };
-        if config.effective_sync_epochs() > 1 {
-            let outcomes = crate::sync::run_shards_synced_parallel(&config, program);
-            return merge_shards(program.name(), outcomes).report;
-        }
-        let config = &config;
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|index| scope.spawn(move || run_shard(config, program, index)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard worker panicked"))
-                .collect()
-        });
-        merge_shards(program.name(), outcomes).report
+        crate::campaign::run_standalone_parallel(&self.config, program)
     }
 }
 
@@ -841,8 +683,8 @@ impl EpochOutcome {
 /// a state to exhaustion in one call is bit-identical to running it in
 /// any sequence of smaller slices (pinned by
 /// `tests/sync_properties.rs`), which is what makes epochs free:
-/// the sync barriers of [`crate::sync`] and the campaign's epoch
-/// scheduler are pure pause points.
+/// the executor's sync epochs ([`crate::sync`]) and bandit grants
+/// ([`crate::campaign`]) are pure pause points.
 ///
 /// Between slices a state can exchange saturation knowledge with sibling
 /// shards: [`extract_delta`](Self::extract_delta) publishes its tracker
@@ -881,9 +723,6 @@ pub struct SearchState<'a, P: Program> {
     /// round that runs to completion); at [`ABORT_PATIENCE`] the search
     /// finishes with [`EpochOutcome::Degraded`].
     abort_streak: usize,
-    /// Sync barriers crossed without an exchange under the adaptive gate
-    /// (see [`CoverMeConfig::adaptive_sync`]).
-    barriers_skipped: usize,
     /// Whether a configured warm start is still waiting to be replayed
     /// (consumed at the top of the first `run_rounds` slice, so replay
     /// evaluations land in that slice's epoch telemetry).
@@ -969,7 +808,6 @@ impl<'a, P: Program> SearchState<'a, P> {
             finished_at: None,
             finished: None,
             abort_streak: 0,
-            barriers_skipped: 0,
             warm_pending: config.warm_start.as_ref().is_some_and(|w| !w.is_empty()),
             warm_replayed: 0,
             warm_satisfied: false,
@@ -1035,13 +873,6 @@ impl<'a, P: Program> SearchState<'a, P> {
     pub fn absorb_delta(&mut self, delta: &SaturationDelta) -> bool {
         self.pending_absorbed += 1;
         self.tracker.apply_delta(delta)
-    }
-
-    /// Records that the adaptive gate skipped the exchange at a sync
-    /// barrier this state was parked at (telemetry only; see
-    /// [`CoverMeConfig::adaptive_sync`]).
-    pub fn note_barrier_skipped(&mut self) {
-        self.barriers_skipped += 1;
     }
 
     /// Raises the evaluation allowance by `extra` evaluations and, when the
@@ -1385,7 +1216,6 @@ impl<'a, P: Program> SearchState<'a, P> {
             timeouts: self.engine.telemetry().timeouts as usize,
             traps: self.engine.telemetry().traps as usize,
             epochs: self.epochs,
-            barriers_skipped: self.barriers_skipped,
             warm_replayed: self.warm_replayed,
             backend: self.engine.backend_name(),
             simd_isa: self.engine.simd_isa().label(),
@@ -1546,7 +1376,10 @@ mod tests {
     }
 
     fn quick_config() -> CoverMeConfig {
-        CoverMeConfig::default().n_start(60).n_iter(5).seed(42)
+        CoverMeConfig::default()
+            .with_n_start(60)
+            .with_n_iter(5)
+            .with_seed(42)
     }
 
     #[test]
@@ -1621,7 +1454,7 @@ mod tests {
 
     #[test]
     fn covered_only_policy_still_covers_the_example() {
-        let config = quick_config().pen_policy(PenPolicy::CoveredOnly);
+        let config = quick_config().with_pen_policy(PenPolicy::CoveredOnly);
         let report = CoverMe::new(config).run(&paper_example());
         assert_eq!(report.branch_coverage_percent(), 100.0);
     }
@@ -1630,16 +1463,16 @@ mod tests {
     fn search_coverage_extension_never_reports_less() {
         let plain = CoverMe::new(quick_config()).run(&paper_example());
         let extended =
-            CoverMe::new(quick_config().record_search_coverage(true)).run(&paper_example());
+            CoverMe::new(quick_config().with_record_search_coverage(true)).run(&paper_example());
         assert!(extended.coverage.covered_count() >= plain.coverage.covered_count());
     }
 
     #[test]
     fn respects_time_budget() {
         let config = quick_config()
-            .n_start(1_000_000)
-            .infeasible_policy(InfeasiblePolicy::Disabled)
-            .time_budget(Duration::from_millis(50));
+            .with_n_start(1_000_000)
+            .with_infeasible_policy(InfeasiblePolicy::Disabled)
+            .with_time_budget(Duration::from_millis(50));
         let report = CoverMe::new(config).run(&infeasible_example());
         // Generous bound: the run must stop well under a second.
         assert!(report.wall_time < Duration::from_secs(5));
@@ -1653,8 +1486,8 @@ mod tests {
         // Remark 6.1 situation 2), so disable the heuristic here and let the
         // extra rounds recover full coverage.
         let config = quick_config()
-            .local_method(LocalMethod::NelderMead)
-            .infeasible_policy(InfeasiblePolicy::Disabled);
+            .with_local_method(LocalMethod::NelderMead)
+            .with_infeasible_policy(InfeasiblePolicy::Disabled);
         let report = CoverMe::new(config).run(&paper_example());
         assert_eq!(report.branch_coverage_percent(), 100.0);
     }
@@ -1674,7 +1507,7 @@ mod tests {
 
     #[test]
     fn sharded_run_covers_the_paper_example_and_is_deterministic() {
-        let config = quick_config().shards(4);
+        let config = quick_config().with_shards(4);
         let a = CoverMe::new(config.clone()).run(&paper_example());
         let b = CoverMe::new(config).run(&paper_example());
         assert_eq!(a.branch_coverage_percent(), 100.0, "{a}");
@@ -1685,7 +1518,7 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_sequential_sharded_run() {
-        let config = quick_config().shards(3);
+        let config = quick_config().with_shards(3);
         let sequential = CoverMe::new(config.clone()).run(&paper_example());
         let parallel = CoverMe::new(config).run_parallel(&paper_example());
         assert_eq!(sequential.inputs, parallel.inputs);
@@ -1697,7 +1530,8 @@ mod tests {
     fn sharded_run_never_covers_less_than_unsharded() {
         for shards in [2usize, 3, 4] {
             let unsharded = CoverMe::new(quick_config()).run(&infeasible_example());
-            let sharded = CoverMe::new(quick_config().shards(shards)).run(&infeasible_example());
+            let sharded =
+                CoverMe::new(quick_config().with_shards(shards)).run(&infeasible_example());
             assert!(
                 sharded.coverage.covered_count() >= unsharded.coverage.covered_count(),
                 "{shards} shards covered {} < {}",
@@ -1711,35 +1545,41 @@ mod tests {
     fn effective_shards_keeps_a_minimum_round_slice() {
         assert_eq!(
             CoverMeConfig::default()
-                .n_start(40)
-                .shards(4)
+                .with_n_start(40)
+                .with_shards(4)
                 .effective_shards(),
             2
         );
         assert_eq!(
             CoverMeConfig::default()
-                .n_start(80)
-                .shards(4)
+                .with_n_start(80)
+                .with_shards(4)
                 .effective_shards(),
             4
         );
         assert_eq!(
             CoverMeConfig::default()
-                .n_start(8)
-                .shards(4)
+                .with_n_start(8)
+                .with_shards(4)
                 .effective_shards(),
             1
         );
-        assert_eq!(CoverMeConfig::default().shards(0).effective_shards(), 1);
+        assert_eq!(
+            CoverMeConfig::default().with_shards(0).effective_shards(),
+            1
+        );
         // The paper's full budget splits comfortably.
-        assert_eq!(CoverMeConfig::default().shards(16).effective_shards(), 16);
+        assert_eq!(
+            CoverMeConfig::default().with_shards(16).effective_shards(),
+            16
+        );
     }
 
     #[test]
     fn shards_zero_and_one_mean_unsharded() {
         let baseline = CoverMe::new(quick_config()).run(&paper_example());
-        let zero = CoverMe::new(quick_config().shards(0)).run(&paper_example());
-        let one = CoverMe::new(quick_config().shards(1)).run(&paper_example());
+        let zero = CoverMe::new(quick_config().with_shards(0)).run(&paper_example());
+        let one = CoverMe::new(quick_config().with_shards(1)).run(&paper_example());
         assert_eq!(baseline.inputs, zero.inputs);
         assert_eq!(baseline.inputs, one.inputs);
     }
@@ -1763,7 +1603,7 @@ mod tests {
     #[test]
     fn always_aborting_program_degrades_instead_of_burning_the_budget() {
         let program = always_aborting();
-        let mut state = SearchState::new(&quick_config().n_start(500), &program, 0);
+        let mut state = SearchState::new(&quick_config().with_n_start(500), &program, 0);
         let outcome = state.run_to_exhaustion();
         assert_eq!(outcome, EpochOutcome::Degraded);
         assert_eq!(state.rounds_run(), ABORT_PATIENCE);
@@ -1782,9 +1622,9 @@ mod tests {
     fn budget_pauses_the_search_and_extend_resumes_it() {
         let program = infeasible_example();
         let config = quick_config()
-            .n_start(500)
-            .infeasible_policy(InfeasiblePolicy::Disabled)
-            .budget(1);
+            .with_n_start(500)
+            .with_infeasible_policy(InfeasiblePolicy::Disabled)
+            .with_budget(1);
         let mut state = SearchState::new(&config, &program, 0);
         // The allowance admits exactly one (overshooting) round.
         assert_eq!(state.run_to_exhaustion(), EpochOutcome::BudgetExhausted);
@@ -1809,12 +1649,12 @@ mod tests {
         // scheduler relies on.
         let program = infeasible_example();
         let base = quick_config()
-            .n_start(24)
-            .infeasible_policy(InfeasiblePolicy::Disabled);
+            .with_n_start(24)
+            .with_infeasible_policy(InfeasiblePolicy::Disabled);
         let mut free = SearchState::new(&base, &program, 0);
         free.run_to_exhaustion();
 
-        let mut dripped = SearchState::new(&base.clone().budget(1), &program, 0);
+        let mut dripped = SearchState::new(&base.clone().with_budget(1), &program, 0);
         while dripped.run_to_exhaustion() == EpochOutcome::BudgetExhausted {
             dripped.extend_budget(1);
         }
@@ -1835,7 +1675,7 @@ mod tests {
                 ctx.branch(1, Cmp::Eq, x * x, -1.0);
             })
         };
-        let config = quick_config().infeasible_policy(InfeasiblePolicy::Generalized);
+        let config = quick_config().with_infeasible_policy(InfeasiblePolicy::Generalized);
         let report = CoverMe::new(config).run(&doubly_infeasible());
         assert_eq!(report.coverage.covered_count(), 2, "{report}");
         assert!(report.infeasible.contains(&BranchId::false_of(0)));
@@ -1857,7 +1697,7 @@ mod tests {
         // A single infeasible site at the end of the path: the two policies
         // must find the same verdict and the same coverage.
         let classic = CoverMe::new(quick_config()).run(&infeasible_example());
-        let config = quick_config().infeasible_policy(InfeasiblePolicy::Generalized);
+        let config = quick_config().with_infeasible_policy(InfeasiblePolicy::Generalized);
         let general = CoverMe::new(config).run(&infeasible_example());
         assert_eq!(general.coverage.covered_count(), 3, "{general}");
         assert!(general.infeasible.contains(&BranchId::true_of(1)));

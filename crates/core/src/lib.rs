@@ -61,7 +61,7 @@
 //!     }
 //! });
 //!
-//! let report = CoverMe::new(CoverMeConfig::default().seed(7)).run(&foo);
+//! let report = CoverMe::new(CoverMeConfig::default().with_seed(7)).run(&foo);
 //! assert_eq!(report.coverage.branch_coverage_percent(), 100.0);
 //! ```
 
@@ -92,7 +92,7 @@ pub use report::{EpochTelemetry, RoundOutcome, RoundRecord, TestReport};
 pub use representing::{Evaluation, RepresentingFunction};
 pub use saturation::{SaturationDelta, SaturationTracker};
 pub use shard::{merge_shards, run_shard, AcceptedInput, MergedSearch, ShardOutcome};
-pub use sync::{run_shards_synced, run_shards_synced_parallel, SyncPlan};
+pub use sync::SyncPlan;
 
 // Re-export the pieces users need to define programs without adding an
 // explicit dependency on the runtime crate.

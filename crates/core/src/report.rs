@@ -109,12 +109,6 @@ pub struct TestReport {
     /// Per-epoch work telemetry, aggregated across shards by epoch index
     /// (entries are in epoch order). Unsynced runs have a single epoch.
     pub epochs: Vec<EpochTelemetry>,
-    /// Sync barriers this search crossed without exchanging deltas because
-    /// the adaptive gate ([`crate::CoverMeConfig::adaptive_sync`]) saw no
-    /// tracker `version()` movement since the previous barrier. Summed
-    /// across shards by the campaign merge; 0 for unsynced or non-adaptive
-    /// runs.
-    pub barriers_skipped: usize,
     /// Corpus inputs replayed before the search's first round when the
     /// run warm-started from a [`crate::corpus::CorpusStore`] entry (the
     /// replayed evaluations are included in
@@ -223,7 +217,7 @@ impl TestReport {
     }
 
     /// The standalone-run JSON artifact (schema
-    /// [`schema::RUN_REPORT`] = `coverme-run-report/3`) — what
+    /// [`schema::RUN_REPORT`] = `coverme-run-report/4`) — what
     /// `coverme run --json` writes and `coverme serve` streams for
     /// single-program jobs. `entry` is the entry-function name, `path`
     /// the source file the run tested. A warm-started run additionally
@@ -350,7 +344,6 @@ mod tests {
                 evaluations: 22,
                 deltas_absorbed: 0,
             }],
-            barriers_skipped: 0,
             warm_replayed: 0,
             backend: "interp",
             simd_isa: "portable",

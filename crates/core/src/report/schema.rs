@@ -52,14 +52,14 @@ impl SchemaId {
 /// [`TestReport::to_run_json`](crate::TestReport::to_run_json)).
 pub const RUN_REPORT: SchemaId = SchemaId {
     kind: "coverme-run-report",
-    version: 3,
+    version: 4,
 };
 
 /// The campaign report
 /// ([`CampaignReport::write_json`](crate::CampaignReport)).
 pub const CAMPAIGN_REPORT: SchemaId = SchemaId {
     kind: "coverme-campaign-report",
-    version: 6,
+    version: 7,
 };
 
 /// One persisted function entry of the corpus store
@@ -730,7 +730,7 @@ mod tests {
 
     #[test]
     fn envelope_dispatch() {
-        let env = open_envelope(r#"{"schema": "coverme-run-report/3", "evals": 7}"#).unwrap();
+        let env = open_envelope(r#"{"schema": "coverme-run-report/4", "evals": 7}"#).unwrap();
         assert!(env.is(RUN_REPORT));
         assert!(env.expect(RUN_REPORT).is_ok());
         assert!(env
@@ -745,10 +745,10 @@ mod tests {
 
     #[test]
     fn labels_match_the_emitted_schemas() {
-        assert_eq!(RUN_REPORT.label(), "coverme-run-report/3");
-        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/6");
-        assert!(RUN_REPORT.matches("coverme-run-report/3"));
-        assert!(!RUN_REPORT.matches("coverme-run-report/2"));
+        assert_eq!(RUN_REPORT.label(), "coverme-run-report/4");
+        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/7");
+        assert!(RUN_REPORT.matches("coverme-run-report/4"));
+        assert!(!RUN_REPORT.matches("coverme-run-report/3"));
     }
 
     #[test]

@@ -59,14 +59,13 @@
 //!
 //! The shard loop itself lives in the epoch-resumable
 //! [`SearchState`](crate::driver::SearchState); [`run_shard`] runs one
-//! state to exhaustion in a single slice. Callers that own threads
-//! ([`crate::Campaign`]'s epoch scheduler, or
-//! [`CoverMe::run_parallel`](crate::CoverMe::run_parallel)) drive the same
-//! states epoch by epoch — optionally exchanging saturation deltas at the
-//! [`crate::sync`] barriers — and
-//! [`CoverMe::run`](crate::CoverMe::run) executes the shards sequentially;
-//! all of them merge to the identical report for a fixed
-//! `(seed, shards, sync_epochs)`.
+//! state to exhaustion in a single slice. The executor of
+//! [`crate::campaign`] — behind campaigns, [`CoverMe::run`](crate::CoverMe::run)
+//! and [`CoverMe::run_parallel`](crate::CoverMe::run_parallel) alike —
+//! drives the same states epoch by epoch, optionally exchanging saturation
+//! deltas at the [`crate::sync`] barriers, on any number of workers; all of
+//! them merge to the identical report for a fixed `(seed, shards,
+//! sync_epochs)`.
 
 use std::time::Instant;
 
@@ -132,9 +131,6 @@ pub struct ShardOutcome {
     /// shard's [`SearchState`] executed (a run-to-exhaustion shard has
     /// exactly one).
     pub epochs: Vec<EpochTelemetry>,
-    /// Sync barriers the shard crossed without an exchange under the
-    /// adaptive gate (see [`CoverMeConfig::adaptive_sync`]).
-    pub barriers_skipped: usize,
     /// Corpus inputs the shard's warm start replayed (see
     /// [`CoverMeConfig::warm_start`]; 0 for a cold search).
     pub warm_replayed: usize,
@@ -168,7 +164,6 @@ impl ShardOutcome {
             timeouts: self.timeouts,
             traps: self.traps,
             epochs: self.epochs,
-            barriers_skipped: self.barriers_skipped,
             warm_replayed: self.warm_replayed,
             backend: self.backend,
             simd_isa: self.simd_isa,
@@ -196,8 +191,8 @@ pub struct MergedSearch {
 /// state, run it to exhaustion in a single slice, convert it into the
 /// shard snapshot. With `config.shards <= 1` this is exactly the
 /// sequential driver loop; cross-shard sync lives one layer up
-/// ([`crate::sync`] and the campaign's epoch scheduler), which pause the
-/// same state machine at epoch boundaries instead.
+/// ([`crate::sync`] and the campaign executor), which pause the same state
+/// machine at epoch boundaries instead.
 ///
 /// # Panics
 ///
@@ -288,7 +283,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
     let cache_hits = outcomes.iter().map(|o| o.cache_hits).sum();
     let timeouts = outcomes.iter().map(|o| o.timeouts).sum();
     let traps = outcomes.iter().map(|o| o.traps).sum();
-    let barriers_skipped = outcomes.iter().map(|o| o.barriers_skipped).sum();
     let warm_replayed = outcomes.iter().map(|o| o.warm_replayed).sum();
     let started = outcomes.iter().map(|o| o.started).min().expect("non-empty");
     let finished = outcomes
@@ -315,7 +309,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
             timeouts,
             traps,
             epochs,
-            barriers_skipped,
             warm_replayed,
             backend,
             simd_isa,
@@ -348,10 +341,10 @@ mod tests {
 
     fn config(shards: usize) -> CoverMeConfig {
         CoverMeConfig::default()
-            .n_start(48)
-            .n_iter(5)
-            .seed(9)
-            .shards(shards)
+            .with_n_start(48)
+            .with_n_iter(5)
+            .with_seed(9)
+            .with_shards(shards)
     }
 
     #[test]
@@ -386,8 +379,8 @@ mod tests {
         let cfg = config(3)
             // Keep every shard running its full slice so the round sets are
             // exactly the strided slices.
-            .infeasible_policy(InfeasiblePolicy::Disabled)
-            .n_start(12);
+            .with_infeasible_policy(InfeasiblePolicy::Disabled)
+            .with_n_start(12);
         let outcomes: Vec<ShardOutcome> = (0..3).map(|i| run_shard(&cfg, &program, i)).collect();
         let mut rounds_seen: Vec<usize> = outcomes
             .iter()
@@ -401,7 +394,7 @@ mod tests {
         assert_eq!(rounds_seen.len(), total, "overlapping shard slices");
         // And the same global round gets the same starting point in every
         // shard count (shared schedule).
-        let unsharded = run_shard(&cfg.clone().shards(1), &program, 0);
+        let unsharded = run_shard(&cfg.clone().with_shards(1), &program, 0);
         for outcome in &outcomes {
             for record in &outcome.rounds {
                 if let Some(seq) = unsharded.rounds.iter().find(|r| r.round == record.round) {

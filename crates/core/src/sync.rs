@@ -25,11 +25,10 @@
 //! exchange is a union of commutative, idempotent deltas
 //! ([`SaturationTracker::apply_delta`](crate::saturation::SaturationTracker::apply_delta)),
 //! so the result is **deterministic per `(seed, shards, sync_epochs)`** —
-//! independent of worker count, scheduling, or delta arrival order. The
-//! sequential driver ([`run_shards_synced`]) and the thread-per-shard
-//! barrier driver ([`run_shards_synced_parallel`]) produce bit-identical
-//! outcomes, and the campaign's event-driven epoch scheduler
-//! ([`crate::campaign`]) reuses [`exchange_deltas_gated`] so it agrees too.
+//! independent of worker count, scheduling, or delta arrival order. This
+//! module holds only the plan and the exchange ([`exchange_deltas`]); the
+//! one executor of [`crate::campaign`] runs the epochs, for campaigns and
+//! for standalone [`CoverMe`](crate::CoverMe) runs alike.
 //!
 //! With `sync_epochs <= 1` there are no barriers and the search is
 //! bit-identical to the pre-sync path (pinned by
@@ -49,13 +48,10 @@
 //! searches (pinned by `warm_started_synced_runs_stay_deterministic` in
 //! `tests/sync_properties.rs`).
 
-use std::sync::{Barrier, Mutex};
-
 use coverme_runtime::Program;
 
 use crate::driver::{CoverMeConfig, SearchState};
 use crate::saturation::SaturationDelta;
-use crate::shard::ShardOutcome;
 
 /// The deterministic epoch schedule of one synced search — a pure function
 /// of `(n_start, shards, sync_epochs)`, never of scheduling.
@@ -125,306 +121,50 @@ fn strided_count(lo: usize, hi: usize, shard: usize, shards: usize) -> usize {
     below(hi) - below(lo)
 }
 
-/// The barrier rendezvous. `states` and `published` are parallel arrays
+/// The rendezvous exchange. `states` and `published` are parallel arrays
 /// indexed by shard: each present state whose tracker `version` moved
 /// since its last publication refreshes its slot with a fresh
 /// [`SaturationDelta`] (an idle or finished shard skips the re-broadcast
 /// — the cached delta describes the same state), then every still-active
-/// state absorbs the deltas *refreshed at this barrier*. Skipping the
+/// state absorbs the deltas *refreshed at this rendezvous*. Skipping the
 /// unrefreshed slots is sound because every state present here has been
-/// present (and absorbing) since the first barrier, so a slot last
-/// refreshed at an earlier barrier was already absorbed then — re-applying
-/// it would be an idempotent no-op; the fast path just skips building and
-/// applying it (the delta fast-path satellite micro-opt). Finished
-/// states absorb nothing — their search is over, and mutating their
-/// snapshot would change the merged report depending on *when* they
-/// finished, breaking worker-count determinism. Apply order is irrelevant
-/// (deltas are commutative and idempotent), which is exactly why the
-/// sequential, barrier-parallel and campaign schedulers can all share
-/// this function and still agree bit for bit.
-///
-/// The adaptive gate ([`CoverMeConfig::adaptive_sync`]): when `adaptive` is set and *no*
-/// shard's tracker `version()` moved since its last publication, the
-/// exchange is skipped entirely — no delta is built or applied, and every
-/// still-active state records a skipped barrier
-/// ([`SearchState::note_barrier_skipped`]). Returns whether an exchange
-/// happened. The gate decision is a pure function of the tracker versions
-/// at the barrier, so it is deterministic per `(seed, shards,
-/// sync_epochs)` regardless of worker count.
-pub(crate) fn exchange_deltas_gated<'inv, P: Program>(
-    states: &mut [Option<SearchState<'inv, P>>],
+/// present (and absorbing) since the first rendezvous, so a slot last
+/// refreshed earlier was already absorbed then — re-applying it would be
+/// an idempotent no-op. Finished states absorb nothing — their search is
+/// over, and mutating their snapshot would change the merged report
+/// depending on *when* they finished, breaking worker-count determinism.
+/// Apply order is irrelevant (deltas are commutative and idempotent).
+pub(crate) fn exchange_deltas<P: Program>(
+    states: &mut [Option<SearchState<'_, P>>],
     published: &mut [Option<SaturationDelta>],
-    adaptive: bool,
-) -> bool {
+) {
     debug_assert_eq!(states.len(), published.len());
     // A slot is stale when its shard's tracker moved past the published
-    // version (a `None` slot at the first barrier is always stale).
-    let stale: Vec<bool> = states
-        .iter()
-        .zip(published.iter())
-        .map(|(state, slot)| {
-            state.as_ref().is_some_and(|state| {
-                slot.as_ref().map(|delta| delta.version) != Some(state.tracker().version())
-            })
-        })
-        .collect();
-    if adaptive && !stale.contains(&true) {
-        for state in states.iter_mut().flatten() {
-            if !state.is_finished() {
-                state.note_barrier_skipped();
-            }
-        }
-        return false;
-    }
-    for ((slot, state), refresh) in published.iter_mut().zip(states.iter()).zip(&stale) {
-        if *refresh {
-            *slot = Some(
-                state
-                    .as_ref()
-                    .expect("stale implies present")
-                    .extract_delta(),
-            );
+    // version (a `None` slot at the first rendezvous is always stale).
+    let mut stale = vec![false; states.len()];
+    for ((slot, state), refresh) in published.iter_mut().zip(states.iter()).zip(&mut stale) {
+        let Some(state) = state else { continue };
+        if slot.as_ref().map(|delta| delta.version) != Some(state.tracker().version()) {
+            *slot = Some(state.extract_delta());
+            *refresh = true;
         }
     }
     for (index, state) in states.iter_mut().enumerate() {
-        let Some(state) = state else { continue };
-        if state.is_finished() {
+        let Some(state) = state.as_mut().filter(|state| !state.is_finished()) else {
             continue;
-        }
+        };
         for (peer, delta) in published.iter().enumerate() {
-            if peer == index || !stale[peer] {
-                continue;
-            }
-            if let Some(delta) = delta {
-                state.absorb_delta(delta);
+            if peer != index && stale[peer] {
+                state.absorb_delta(delta.as_ref().expect("stale slots were refreshed"));
             }
         }
     }
-    true
-}
-
-/// Covered-branch count of the union of every published delta — the
-/// signal the adaptive densify decision keys on (coverage grew at this
-/// barrier ⇒ split the next epoch window around an extra gated barrier).
-/// A pure function of the published slots, so every driver computes the
-/// same value.
-fn published_union_covered(published: &[Option<SaturationDelta>]) -> usize {
-    let mut slots = published.iter().flatten();
-    let Some(first) = slots.next() else { return 0 };
-    let mut union = first.covered().clone();
-    for delta in slots {
-        union.union_with(delta.covered());
-    }
-    union.len()
-}
-
-/// Splits an epoch quota of `quota` rounds into `halves` contiguous
-/// sub-slices and returns the length of sub-slice `half` (the first half
-/// takes the odd round). The sub-slices partition the quota, so adaptive
-/// densification never changes *which* rounds run — only where the extra
-/// gated barrier falls.
-fn split_quota(quota: usize, halves: usize, half: usize) -> usize {
-    debug_assert!(half < halves);
-    if halves <= 1 {
-        return quota;
-    }
-    let first = quota.div_ceil(2);
-    if half == 0 {
-        first
-    } else {
-        quota - first
-    }
-}
-
-/// Runs every shard of a synced search sequentially on the calling thread:
-/// epoch by epoch, all shards advance through the current window, then the
-/// rendezvous exchanges deltas. Returns the shard outcomes in shard order
-/// — bit-identical to [`run_shards_synced_parallel`] with the same
-/// configuration. The shard and epoch counts are normalized through
-/// [`effective_shards`](CoverMeConfig::effective_shards) /
-/// [`effective_sync_epochs`](CoverMeConfig::effective_sync_epochs), so a
-/// raw configuration behaves exactly as it would inside
-/// [`CoverMe`](crate::CoverMe) or a campaign.
-///
-/// With `sync_epochs <= 1` this degenerates to running each shard to
-/// exhaustion with no exchange — the pre-sync sharded search.
-pub fn run_shards_synced<P: Program>(config: &CoverMeConfig, program: &P) -> Vec<ShardOutcome> {
-    let plan = SyncPlan::new(config);
-    // The states' stride must agree with the plan's (possibly clamped)
-    // shard count, or part of the schedule would silently never run.
-    let config = CoverMeConfig {
-        shards: plan.shards(),
-        ..config.clone()
-    };
-    let adaptive = config.adaptive_sync;
-    let mut states: Vec<Option<SearchState<'_, P>>> = (0..plan.shards())
-        .map(|index| Some(SearchState::new(&config, program, index)))
-        .collect();
-    let mut published: Vec<Option<SaturationDelta>> = vec![None; plan.shards()];
-    // Adaptive state: whether the previous boundary's exchange carried new
-    // coverage (split the next window in two), and the union covered count
-    // at the previous exchange (to detect growth). Both are pure functions
-    // of the published slots, so the parallel driver reproduces them.
-    let mut densify_next = false;
-    let mut prev_union_covered = 0usize;
-    for epoch in 0..plan.epochs() {
-        let halves = if adaptive && densify_next { 2 } else { 1 };
-        for half in 0..halves {
-            for (index, state) in states.iter_mut().enumerate() {
-                let state = state.as_mut().expect("state present");
-                if !state.is_finished() {
-                    let quota = split_quota(plan.rounds_in_epoch(index, epoch), halves, half);
-                    state.run_rounds(quota);
-                }
-            }
-            let mid_window = half + 1 < halves;
-            if !mid_window && epoch + 1 >= plan.epochs() {
-                break;
-            }
-            let any_active = states
-                .iter()
-                .any(|s| s.as_ref().is_some_and(|s| !s.is_finished()));
-            if !any_active {
-                densify_next = false;
-                continue;
-            }
-            let exchanged = exchange_deltas_gated(&mut states, &mut published, adaptive);
-            if adaptive && !mid_window {
-                let union_covered = published_union_covered(&published);
-                densify_next = exchanged && union_covered > prev_union_covered;
-                prev_union_covered = union_covered;
-            }
-        }
-    }
-    states
-        .into_iter()
-        .map(|state| state.expect("state present").finish())
-        .collect()
-}
-
-/// Runs every shard of a synced search on its own scoped worker thread,
-/// rendezvousing at a [`Barrier`] between epochs: publish the delta (only
-/// when the tracker's `version` moved — an idle shard's slot keeps its
-/// cached, still-accurate delta), wait, absorb the deltas refreshed at
-/// this barrier (the same fast path as [`exchange_deltas_gated`], recognized by
-/// a barrier-sequence stamp on each slot), wait again (so nobody's next
-/// publish overwrites a slot a slow sibling is still reading). Under
-/// [`CoverMeConfig::adaptive_sync`] every thread additionally computes the
-/// same gate and densify decisions as the sequential driver — both are
-/// pure functions of the stamped slots all threads see between the two
-/// waits. Outcomes are bit-identical to [`run_shards_synced`] — the
-/// barrier only buys the wall-clock of the slowest shard per epoch
-/// instead of the sum.
-pub fn run_shards_synced_parallel<P: Program + Sync>(
-    config: &CoverMeConfig,
-    program: &P,
-) -> Vec<ShardOutcome> {
-    let plan = SyncPlan::new(config);
-    let shards = plan.shards();
-    if shards <= 1 || plan.epochs() <= 1 {
-        return run_shards_synced(config, program);
-    }
-    // Same stride normalization as the sequential driver.
-    let config = CoverMeConfig {
-        shards,
-        ..config.clone()
-    };
-    let adaptive = config.adaptive_sync;
-    let barrier = Barrier::new(shards);
-    // Each slot carries the publishing shard's delta plus the rendezvous
-    // sequence number at which it was last refreshed, so absorbers can
-    // tell "refreshed now" from "cached from an earlier barrier".
-    let published: Vec<Mutex<Option<(usize, SaturationDelta)>>> =
-        (0..shards).map(|_| Mutex::new(None)).collect();
-    let (config, barrier, published) = (&config, &barrier, &published);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|index| {
-                scope.spawn(move || {
-                    let mut state = SearchState::new(config, program, index);
-                    let mut last_published: Option<u64> = None;
-                    // Every thread keeps these in lockstep: the inputs to
-                    // the decisions are the shared slots, which all
-                    // threads read between the same two barrier waits.
-                    let mut rendezvous = 0usize;
-                    let mut densify_next = false;
-                    let mut prev_union_covered = 0usize;
-                    for epoch in 0..plan.epochs() {
-                        let halves = if adaptive && densify_next { 2 } else { 1 };
-                        for half in 0..halves {
-                            if !state.is_finished() {
-                                let quota =
-                                    split_quota(plan.rounds_in_epoch(index, epoch), halves, half);
-                                state.run_rounds(quota);
-                            }
-                            let mid_window = half + 1 < halves;
-                            if !mid_window && epoch + 1 == plan.epochs() {
-                                break;
-                            }
-                            let version = state.tracker().version();
-                            if last_published != Some(version) {
-                                *published[index].lock().expect("delta slot poisoned") =
-                                    Some((rendezvous, state.extract_delta()));
-                                last_published = Some(version);
-                            }
-                            barrier.wait();
-                            // Between the waits the slots are frozen:
-                            // every thread sees the same refresh stamps
-                            // and computes the same gate/densify verdicts.
-                            let mut any_refreshed = false;
-                            let mut union = coverme_runtime::BranchSet::new();
-                            for slot in published.iter() {
-                                let slot = slot.lock().expect("delta slot poisoned");
-                                if let Some((stamp, delta)) = slot.as_ref() {
-                                    any_refreshed |= *stamp == rendezvous;
-                                    if adaptive && !mid_window {
-                                        union.union_with(delta.covered());
-                                    }
-                                }
-                            }
-                            let exchange = !adaptive || any_refreshed;
-                            if exchange {
-                                if !state.is_finished() {
-                                    for (peer, slot) in published.iter().enumerate() {
-                                        if peer == index {
-                                            continue;
-                                        }
-                                        let slot = slot.lock().expect("delta slot poisoned");
-                                        if let Some((stamp, delta)) = slot.as_ref() {
-                                            if *stamp == rendezvous {
-                                                state.absorb_delta(delta);
-                                            }
-                                        }
-                                    }
-                                }
-                            } else if !state.is_finished() {
-                                state.note_barrier_skipped();
-                            }
-                            if adaptive && !mid_window {
-                                let union_covered = union.len();
-                                densify_next = exchange && union_covered > prev_union_covered;
-                                prev_union_covered = union_covered;
-                            }
-                            barrier.wait();
-                            rendezvous += 1;
-                        }
-                    }
-                    state.finish()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("sync shard worker panicked"))
-            .collect()
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::InfeasiblePolicy;
-    use crate::shard::merge_shards;
     use crate::{CoverMe, CoverMeConfig};
     use coverme_runtime::{Cmp, ExecCtx, FnProgram};
 
@@ -444,11 +184,11 @@ mod tests {
 
     fn config(shards: usize, sync_epochs: usize) -> CoverMeConfig {
         CoverMeConfig::default()
-            .n_start(64)
-            .n_iter(5)
-            .seed(11)
-            .shards(shards)
-            .sync_epochs(sync_epochs)
+            .with_n_start(64)
+            .with_n_iter(5)
+            .with_seed(11)
+            .with_shards(shards)
+            .with_sync_epochs(sync_epochs)
     }
 
     #[test]
@@ -492,19 +232,12 @@ mod tests {
     #[test]
     fn sequential_and_parallel_synced_runs_agree() {
         let program = paper_example();
-        let cfg = config(4, 4);
-        let sequential = merge_shards(
-            program.name(),
-            run_shards_synced(&cfg.clone().shards(4), &program),
-        );
-        let parallel = merge_shards(
-            program.name(),
-            run_shards_synced_parallel(&cfg.shards(4), &program),
-        );
-        assert_eq!(sequential.report.inputs, parallel.report.inputs);
-        assert_eq!(sequential.report.coverage, parallel.report.coverage);
-        assert_eq!(sequential.report.evaluations, parallel.report.evaluations);
-        assert_eq!(sequential.report.rounds, parallel.report.rounds);
+        let sequential = CoverMe::new(config(4, 4)).run(&program);
+        let parallel = CoverMe::new(config(4, 4)).run_parallel(&program);
+        assert_eq!(sequential.inputs, parallel.inputs);
+        assert_eq!(sequential.coverage, parallel.coverage);
+        assert_eq!(sequential.evaluations, parallel.evaluations);
+        assert_eq!(sequential.rounds, parallel.rounds);
     }
 
     #[test]
@@ -569,98 +302,50 @@ mod tests {
 
     #[test]
     fn raw_shard_counts_are_normalized_like_everywhere_else() {
-        // shards = 4 with n_start = 32 clamps to 2 effective shards; a raw
-        // configuration handed straight to the sync drivers must still run
-        // the whole schedule (regression: the states used to stride by the
-        // raw count, silently dropping half the rounds).
+        // shards = 4 with n_start = 32 clamps to 2 effective shards; the
+        // states must stride by the clamped count too (regression: they
+        // used to stride by the raw count, silently dropping half the
+        // rounds).
         let program = unsaturable_example();
         let cfg = CoverMeConfig::default()
-            .n_start(32)
-            .n_iter(3)
-            .seed(5)
-            .shards(4)
-            .sync_epochs(2)
-            .infeasible_policy(InfeasiblePolicy::Disabled);
-        let outcomes = run_shards_synced(&cfg, &program);
-        assert_eq!(outcomes.len(), 2, "clamped to 2 shards");
-        let rounds: usize = outcomes.iter().map(|o| o.rounds.len()).sum();
-        assert_eq!(rounds, 32, "every scheduled round ran");
-        let parallel = run_shards_synced_parallel(&cfg, &program);
-        let parallel_rounds: usize = parallel.iter().map(|o| o.rounds.len()).sum();
-        assert_eq!(parallel_rounds, 32);
-    }
-
-    #[test]
-    fn adaptive_sync_agrees_between_sequential_and_parallel_drivers() {
-        // The gate and densify decisions are pure functions of the
-        // published slots, so both drivers must make the same calls and
-        // produce bit-identical outcomes.
-        let program = unsaturable_example();
-        let cfg = CoverMeConfig::default()
-            .n_start(64)
-            .n_iter(4)
-            .seed(17)
-            .shards(4)
-            .sync_epochs(4)
-            .adaptive_sync(true)
-            .infeasible_policy(InfeasiblePolicy::Disabled);
-        let sequential = merge_shards(program.name(), run_shards_synced(&cfg, &program));
-        let parallel = merge_shards(program.name(), run_shards_synced_parallel(&cfg, &program));
-        assert_eq!(sequential.report.inputs, parallel.report.inputs);
-        assert_eq!(sequential.report.coverage, parallel.report.coverage);
-        assert_eq!(sequential.report.evaluations, parallel.report.evaluations);
-        assert_eq!(sequential.report.rounds, parallel.report.rounds);
-        assert_eq!(
-            sequential.report.barriers_skipped,
-            parallel.report.barriers_skipped
-        );
-    }
-
-    #[test]
-    fn adaptive_gate_counts_skipped_barriers() {
-        // A saturated-early search stops moving its trackers, so later
-        // barriers carry no new versions and the adaptive gate skips them.
-        let program = paper_example();
-        let cfg = config(4, 4).adaptive_sync(true);
-        let adaptive = merge_shards(program.name(), run_shards_synced(&cfg, &program));
-        let plain = merge_shards(
-            program.name(),
-            run_shards_synced(&cfg.clone().adaptive_sync(false), &program),
-        );
-        // The gate and densify never change which rounds run or what the
-        // trackers learn — only barrier bookkeeping.
-        assert_eq!(adaptive.report.inputs, plain.report.inputs);
-        assert_eq!(adaptive.report.coverage, plain.report.coverage);
-        assert_eq!(plain.report.barriers_skipped, 0, "gate off: no skips");
+            .with_n_start(32)
+            .with_n_iter(3)
+            .with_seed(5)
+            .with_shards(4)
+            .with_sync_epochs(2)
+            .with_infeasible_policy(InfeasiblePolicy::Disabled);
+        let sequential = CoverMe::new(cfg.clone()).run(&program);
+        assert_eq!(sequential.rounds.len(), 32, "every scheduled round ran");
+        let parallel = CoverMe::new(cfg).run_parallel(&program);
+        assert_eq!(parallel.rounds, sequential.rounds);
     }
 
     #[test]
     fn delta_fast_path_is_invisible_in_outcomes() {
         // The stale-slot fast path (skip rebuilding/reapplying unchanged
         // deltas) must not change any reported outcome relative to what
-        // the search learns — pin the full report fingerprint across both
-        // drivers on a program that exercises idle barriers.
+        // the search learns — pin the full report fingerprint across
+        // worker counts on a program that exercises idle rendezvous.
         let program = unsaturable_example();
         let cfg = CoverMeConfig::default()
-            .n_start(48)
-            .n_iter(3)
-            .seed(23)
-            .shards(3)
-            .sync_epochs(6)
-            .infeasible_policy(InfeasiblePolicy::Disabled);
-        let sequential = merge_shards(program.name(), run_shards_synced(&cfg, &program));
-        let parallel = merge_shards(program.name(), run_shards_synced_parallel(&cfg, &program));
-        assert_eq!(sequential.report.inputs, parallel.report.inputs);
-        assert_eq!(sequential.report.evaluations, parallel.report.evaluations);
-        assert_eq!(sequential.report.rounds, parallel.report.rounds);
-        assert_eq!(sequential.report.barriers_skipped, 0);
-        assert_eq!(parallel.report.barriers_skipped, 0);
+            .with_n_start(48)
+            .with_n_iter(3)
+            .with_seed(23)
+            .with_shards(3)
+            .with_sync_epochs(6)
+            .with_infeasible_policy(InfeasiblePolicy::Disabled);
+        let sequential = CoverMe::new(cfg.clone()).run(&program);
+        let parallel = CoverMe::new(cfg).run_parallel(&program);
+        assert_eq!(sequential.inputs, parallel.inputs);
+        assert_eq!(sequential.evaluations, parallel.evaluations);
+        assert_eq!(sequential.rounds, parallel.rounds);
+        assert_eq!(sequential.epochs, parallel.epochs);
     }
 
     #[test]
     fn synced_report_carries_per_epoch_telemetry() {
         let program = unsaturable_example();
-        let cfg = config(4, 4).infeasible_policy(InfeasiblePolicy::Disabled);
+        let cfg = config(4, 4).with_infeasible_policy(InfeasiblePolicy::Disabled);
         let report = CoverMe::new(cfg).run(&program);
         assert!(report.epochs.len() > 1, "sync run has multiple epochs");
         let total_rounds: usize = report.epochs.iter().map(|e| e.rounds).sum();
@@ -671,7 +356,7 @@ mod tests {
         for (index, epoch) in report.epochs.iter().enumerate() {
             assert_eq!(epoch.epoch, index);
         }
-        // Every barrier exchanged deltas among the 4 still-active shards.
+        // Every rendezvous exchanged deltas among the 4 still-active shards.
         assert!(report.epochs.iter().skip(1).any(|e| e.deltas_absorbed > 0));
     }
 }

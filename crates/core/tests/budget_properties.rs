@@ -1,7 +1,6 @@
 //! Property-based tests for the eval-budget economics layer: the bandit
 //! campaign scheduler (`SchedulerPolicy::Bandit`), the global evaluation
-//! budget (`CoverMeConfig::budget`), delta-gated adaptive sync
-//! (`CoverMeConfig::adaptive_sync`), and generalized infeasibility blame
+//! budget (`CoverMeConfig::budget`), and generalized infeasibility blame
 //! (`InfeasiblePolicy::Generalized`).
 //!
 //! The PR promises:
@@ -12,17 +11,13 @@
 //! * the bandit **conserves the pool**: the sum of granted evaluations
 //!   never exceeds the global budget, and no function spends more than it
 //!   was granted;
-//! * the new knobs at their defaults (`scheduler = fixed`,
-//!   `adaptive_sync = off`, no budget) are **bit-identical to the
-//!   pre-budget path**: a campaign constructed through the new
-//!   configuration surface reproduces both a knob-free campaign and a
-//!   standalone `CoverMe::run` per function, exactly;
+//! * the new knobs at their defaults (`scheduler = fixed`, no budget) are
+//!   **bit-identical to the pre-budget path**: a campaign constructed
+//!   through the new configuration surface reproduces a knob-free
+//!   campaign exactly;
 //! * saturation deltas from searches running **generalized blame** stay
 //!   commutative and idempotent, so sync rendezvous and shard merges
-//!   remain arrival-order-free under the new policy;
-//! * **adaptive sync stays deterministic**: the sequential driver and the
-//!   thread-per-shard barrier driver agree on every output with the gate
-//!   and the densify heuristic enabled.
+//!   remain arrival-order-free under the new policy.
 //!
 //! Programs are the same randomly generated straight-line conditionals the
 //! sync suite uses.
@@ -30,8 +25,8 @@
 use proptest::prelude::*;
 
 use coverme::{
-    Campaign, CampaignConfig, CampaignReport, CoverMe, CoverMeConfig, InfeasiblePolicy,
-    SaturationTracker, SchedulerPolicy, ShardOutcome,
+    Campaign, CampaignConfig, CampaignReport, CoverMeConfig, InfeasiblePolicy, SaturationTracker,
+    SchedulerPolicy, ShardOutcome,
 };
 use coverme_runtime::{Cmp, ExecCtx, FnProgram, Program};
 
@@ -147,7 +142,7 @@ proptest! {
         let run = |workers: usize| {
             Campaign::new(
                 CampaignConfig::new()
-                    .base(
+                    .with_base(
                         base_config(seed)
                             .with_scheduler(SchedulerPolicy::Bandit)
                             .with_budget(pool),
@@ -183,7 +178,7 @@ proptest! {
         let programs = build_inventory(suite);
         let report = Campaign::new(
             CampaignConfig::new()
-                .base(
+                .with_base(
                     base_config(seed)
                         .with_scheduler(SchedulerPolicy::Bandit)
                         .with_budget(pool),
@@ -220,8 +215,7 @@ proptest! {
     }
 
     /// The new knobs at their defaults reproduce the pre-budget campaign
-    /// and the standalone per-function search, bit for bit: fixed
-    /// scheduling plus non-adaptive sync is the exact code path earlier
+    /// bit for bit: fixed scheduling is the exact code path earlier
     /// releases ran.
     #[test]
     fn default_knobs_are_bit_identical_to_the_prebudget_path(
@@ -235,11 +229,7 @@ proptest! {
         .run(&programs);
         let explicit = Campaign::new(
             CampaignConfig::new()
-                .base(
-                    base_config(seed)
-                        .with_scheduler(SchedulerPolicy::Fixed)
-                        .with_adaptive_sync(false),
-                )
+                .with_base(base_config(seed).with_scheduler(SchedulerPolicy::Fixed))
                 .with_workers(2),
         )
         .run(&programs);
@@ -285,27 +275,4 @@ proptest! {
         prop_assert_eq!(&again, &abc);
     }
 
-    /// Adaptive sync (gate + densify) stays deterministic: the sequential
-    /// driver and the thread-per-shard barrier driver agree on every
-    /// output with the new cadence heuristics enabled.
-    #[test]
-    fn adaptive_sync_deterministic_across_drivers(
-        specs in prop::collection::vec(site_strategy(), 1..5),
-        seed in 0..1000u64,
-        shards in 2..4usize,
-        sync_epochs in 2..5usize,
-    ) {
-        let program = build_program("generated".to_string(), specs);
-        let cfg = base_config(seed)
-            .with_shards(shards)
-            .with_sync_epochs(sync_epochs)
-            .with_adaptive_sync(true);
-        let sequential = CoverMe::new(cfg.clone()).run(&program);
-        let parallel = CoverMe::new(cfg).run_parallel(&program);
-        prop_assert_eq!(&sequential.inputs, &parallel.inputs);
-        prop_assert_eq!(&sequential.coverage, &parallel.coverage);
-        prop_assert_eq!(sequential.evaluations, parallel.evaluations);
-        prop_assert_eq!(sequential.barriers_skipped, parallel.barriers_skipped);
-        prop_assert_eq!(&sequential.rounds, &parallel.rounds);
-    }
 }

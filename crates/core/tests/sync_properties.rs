@@ -14,8 +14,9 @@
 //! * saturation-delta application is commutative and idempotent, so the
 //!   barrier rendezvous may apply deltas in any arrival order;
 //! * synced results are deterministic per `(seed, shards, sync_epochs)` at
-//!   any worker count — the sequential driver, the thread-per-shard
-//!   barrier driver and the campaign's event-driven scheduler all agree;
+//!   any worker count — `CoverMe::run` on the calling thread,
+//!   `CoverMe::run_parallel` on one worker per shard and campaigns on any
+//!   number of workers (all one executor) agree;
 //! * on the generated corpus, coverage with sync on is a superset of
 //!   coverage with sync off at equal budget. (This is an empirical pin of
 //!   the easy-program regime, not a theorem — a larger snapshot changes
@@ -300,9 +301,9 @@ proptest! {
     }
 
     /// Synced searches are deterministic per `(seed, shards, sync_epochs)`
-    /// at any worker count: the sequential sync driver, the
-    /// thread-per-shard barrier driver, and the campaign's event-driven
-    /// scheduler at several worker counts all produce the same report.
+    /// at any worker count: `CoverMe::run` on the calling thread,
+    /// `CoverMe::run_parallel` on one worker per shard, and campaigns at
+    /// several worker counts all produce the same report.
     #[test]
     fn synced_results_deterministic_at_any_worker_count(
         specs in program_strategy(),
@@ -345,8 +346,8 @@ proptest! {
 
     /// A corpus warm start replays inside each shard's first `run_rounds`
     /// slice, before any scheduled round: synced warm runs remain
-    /// deterministic across the sequential and the thread-per-shard
-    /// barrier drivers, and the per-epoch evaluation ledger still covers
+    /// deterministic between `CoverMe::run` and `CoverMe::run_parallel`,
+    /// and the per-epoch evaluation ledger still covers
     /// every evaluation — replayed ones included.
     #[test]
     fn warm_started_synced_runs_stay_deterministic(

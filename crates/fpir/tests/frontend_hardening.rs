@@ -131,15 +131,39 @@ fn non_ascii_and_control_bytes_never_panic_the_lexer() {
     }
 }
 
+/// Sources up to this many bytes are cut at every char boundary.
+const EXHAUSTIVE_CUTS_UP_TO: usize = 4096;
+/// Longer sources are still cut at every boundary this close to either end.
+const EDGE_BYTES: usize = 1024;
+/// ...and at about this many evenly spaced boundaries in between.
+const SPACED_CUTS: usize = 1000;
+
+/// The prefix lengths a truncation test parses. Each parse is linear in
+/// the prefix, so parsing every prefix of a long source is quadratic; past
+/// [`EXHAUSTIVE_CUTS_UP_TO`] bytes a fixed, deterministic sample keeps the
+/// ends dense (where headers and the last unclosed block live) and spaces
+/// the rest evenly.
+fn cut_points(source: &str) -> Vec<usize> {
+    let len = source.len();
+    let boundaries = (0..len).filter(|&i| source.is_char_boundary(i));
+    if len <= EXHAUSTIVE_CUTS_UP_TO {
+        return boundaries.collect();
+    }
+    let step = len / SPACED_CUTS;
+    boundaries
+        .filter(|&i| i < EDGE_BYTES || i >= len - EDGE_BYTES || i % step == 0)
+        .collect()
+}
+
 #[test]
 fn every_truncation_of_a_valid_program_fails_cleanly_or_parses() {
-    // Chop a known-good program at every char boundary: the quintessential
+    // Chop a known-good program at its cut points: the quintessential
     // "editor saved half the file" input. Each prefix either parses (rare
     // but legal — e.g. cutting between two functions) or errors with a
     // line number pointing into the file.
     for seed in [3u64, 17, 40] {
         let source = generate_source(seed);
-        for end in (0..source.len()).filter(|&i| source.is_char_boundary(i)) {
+        for end in cut_points(&source) {
             let prefix = &source[..end];
             match parse(prefix) {
                 Ok(_) => {}

@@ -34,7 +34,6 @@
 //!   --time-budget SECS   wall-clock budget; unstarted functions are skipped
 //!   --budget N           global evaluation budget for --scheduler bandit
 //!   --scheduler POLICY   campaign eval allocation: fixed (default), bandit
-//!   --adaptive-sync      skip sync barriers whose deltas cannot have changed
 //!   --n-start N          starting points per function (default 80)
 //!   --seed S             campaign master seed (default 42)
 //!   --local METHOD       local minimizer: powell (default), nm, compass, none
@@ -81,7 +80,6 @@ usage: cargo run --release --example fdlibm_campaign -- [options] [names...]
   --time-budget SECS   wall-clock budget; unstarted functions are skipped
   --budget N           global evaluation budget for --scheduler bandit
   --scheduler POLICY   campaign eval allocation: fixed (default), bandit
-  --adaptive-sync      skip sync barriers whose deltas cannot have changed
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --n-start N          starting points per function (default 80)
   --seed S             campaign master seed (default 42)

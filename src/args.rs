@@ -53,8 +53,6 @@ pub struct CommonOptions {
     pub budget_evals: Option<usize>,
     /// Campaign scheduling policy (`--scheduler fixed|bandit`).
     pub scheduler: SchedulerPolicy,
-    /// Delta-gated adaptive sync cadence (`--adaptive-sync`).
-    pub adaptive_sync: bool,
     /// Infeasibility heuristic (`--infeasible last|all|off`).
     pub infeasible_policy: InfeasiblePolicy,
     /// Machine-readable report path (`--json PATH`, written atomically).
@@ -82,7 +80,6 @@ impl Default for CommonOptions {
             time_budget: None,
             budget_evals: None,
             scheduler: SchedulerPolicy::Fixed,
-            adaptive_sync: false,
             infeasible_policy: InfeasiblePolicy::LastConditional,
             json_path: None,
             stream: false,
@@ -105,7 +102,6 @@ impl CommonOptions {
             .with_shards(self.shards)
             .with_sync_epochs(self.sync_epochs)
             .with_scheduler(self.scheduler)
-            .with_adaptive_sync(self.adaptive_sync)
             .with_infeasible_policy(self.infeasible_policy);
         if let Some(isa) = self.simd {
             config = config.with_simd(isa);
@@ -127,7 +123,6 @@ pub const COMMON_USAGE: &str = "\
   --seed S             master seed (default 42)
   --shards N           shards per function (default 1 = unsharded)
   --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
-  --adaptive-sync      skip sync barriers whose deltas cannot have changed
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp, tape
   --simd ISA           SIMD kernels: portable, sse2, avx2 (default: autodetect;
@@ -242,7 +237,6 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
                     other => self.usage_error(&format!("--scheduler got unknown policy {other}")),
                 };
             }
-            "--adaptive-sync" => options.adaptive_sync = true,
             "--infeasible" => {
                 options.infeasible_policy = match self.value_for("--infeasible").as_str() {
                     "last" => InfeasiblePolicy::LastConditional,
@@ -412,7 +406,6 @@ mod tests {
             "50000",
             "--scheduler",
             "bandit",
-            "--adaptive-sync",
             "--infeasible",
             "all",
             "--json",
@@ -435,7 +428,6 @@ mod tests {
         assert_eq!(options.time_budget, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(options.budget_evals, Some(50_000));
         assert_eq!(options.scheduler, SchedulerPolicy::Bandit);
-        assert!(options.adaptive_sync);
         assert_eq!(options.infeasible_policy, InfeasiblePolicy::Generalized);
         assert_eq!(options.json_path.as_deref(), Some("out.json"));
         assert!(options.stream);
@@ -444,13 +436,7 @@ mod tests {
 
     #[test]
     fn budget_knobs_reach_the_search_config() {
-        let mut p = parser(&[
-            "--budget",
-            "50000",
-            "--scheduler",
-            "bandit",
-            "--adaptive-sync",
-        ]);
+        let mut p = parser(&["--budget", "50000", "--scheduler", "bandit"]);
         let mut options = CommonOptions::default();
         while let Some(arg) = p.next_arg() {
             assert!(p.accept_common(&arg, &mut options), "unhandled {arg}");
@@ -458,12 +444,10 @@ mod tests {
         let config = options.search_config();
         assert_eq!(config.budget, Some(50_000));
         assert_eq!(config.scheduler, SchedulerPolicy::Bandit);
-        assert!(config.adaptive_sync);
         // Defaults keep every new knob off, reproducing earlier releases.
         let defaults = CommonOptions::default().search_config();
         assert_eq!(defaults.budget, None);
         assert_eq!(defaults.scheduler, SchedulerPolicy::Fixed);
-        assert!(!defaults.adaptive_sync);
         assert_eq!(
             defaults.infeasible_policy,
             InfeasiblePolicy::LastConditional

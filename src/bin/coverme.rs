@@ -55,7 +55,6 @@ options:
   --seed S             master seed (default 42)
   --shards N           shards per function (default 1 = unsharded)
   --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
-  --adaptive-sync      skip sync barriers whose deltas cannot have changed
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp, tape
   --simd ISA           SIMD kernels: portable, sse2, avx2 (default: autodetect;
