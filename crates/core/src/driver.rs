@@ -1117,12 +1117,12 @@ impl<'a, P: Program> SearchState<'a, P> {
         let mut evaluation = self.engine.eval_full(&minimum_point);
         self.evaluations += 1;
         if self.config.polish && evaluation.value > self.config.zero_threshold {
-            if let Some((polished, polished_eval, polish_evals)) =
-                polish_minimum(&mut self.engine, &minimum_point, self.config.zero_threshold)
-            {
-                minimum_point = polished;
+            let (polished, polish_evals) =
+                polish_minimum(&mut self.engine, &minimum_point, self.config.zero_threshold);
+            self.evaluations += polish_evals;
+            if let Some((point, polished_eval)) = polished {
+                minimum_point = point;
                 evaluation = polished_eval;
-                self.evaluations += polish_evals;
             }
         }
         let outcome = if !evaluation.outcome.is_done() {
@@ -1240,16 +1240,16 @@ impl<'a, P: Program> SearchState<'a, P> {
 /// candidates tried here are the natural "intended" values a numeric method
 /// narrowly missed: integers, halves, tenths, and a few ULP neighbours.
 ///
-/// Returns the polished point, its evaluation and the number of extra
-/// representing-function evaluations, or `None` if no candidate reached the
-/// threshold. Candidate probes run through the engine's scalar fast path —
-/// the re-probe of the incumbent (and any repeated rounded candidate) is a
-/// cache hit.
+/// Returns the polished point and its evaluation (`None` if no candidate
+/// reached the threshold) together with the number of representing-function
+/// evaluations spent, which is owed on both paths. Candidate probes run
+/// through the engine's scalar fast path — the re-probe of the incumbent
+/// (and any repeated rounded candidate) is a cache hit.
 fn polish_minimum<P: Program>(
     engine: &mut ObjectiveEngine<P>,
     x: &[f64],
     threshold: f64,
-) -> Option<(Vec<f64>, crate::representing::Evaluation, usize)> {
+) -> (Option<(Vec<f64>, crate::representing::Evaluation)>, usize) {
     let mut best = x.to_vec();
     let mut best_value = engine.eval_scalar(&best);
     let mut evaluations = 1usize;
@@ -1269,8 +1269,7 @@ fn polish_minimum<P: Program>(
                 best = trial;
                 if best_value <= threshold {
                     let evaluation = engine.eval_full(&best);
-                    evaluations += 1;
-                    return Some((best, evaluation, evaluations));
+                    return (Some((best, evaluation)), evaluations + 1);
                 }
             }
         }
@@ -1278,10 +1277,9 @@ fn polish_minimum<P: Program>(
 
     if best_value <= threshold {
         let evaluation = engine.eval_full(&best);
-        evaluations += 1;
-        Some((best, evaluation, evaluations))
+        (Some((best, evaluation)), evaluations + 1)
     } else {
-        None
+        (None, evaluations)
     }
 }
 
@@ -1616,6 +1614,26 @@ mod tests {
             .all(|r| r.outcome == RoundOutcome::Aborted));
         assert!(report.timeouts > 0, "telemetry counts the timeouts");
         assert_eq!(report.traps, 0);
+    }
+
+    #[test]
+    fn reported_evaluations_match_engine_calls() {
+        // With the memo cache off every engine call is one execution, and
+        // every execution — line-search probes, the final full evaluation,
+        // polish probes that find nothing — is owed to `evaluations`.
+        fn check<P: Program>(program: &P) {
+            let config = quick_config().with_cache(CacheMode::Off);
+            let mut state = SearchState::new(&config, program, 0);
+            state.run_to_exhaustion();
+            assert_eq!(
+                state.evaluations as u64,
+                state.engine.telemetry().calls,
+                "{}",
+                program.name()
+            );
+        }
+        check(&paper_example());
+        check(&infeasible_example());
     }
 
     #[test]

@@ -385,17 +385,13 @@ where
 /// (as everywhere in this crate) so an undefined region cannot capture the
 /// line search.
 ///
-/// When the objective reports a lane width
-/// ([`preferred_batch`](Objective::preferred_batch) `> 1`), the first
-/// abscissae the bracketing walk will visit — `0`, `step`, the golden
-/// ladder beyond it and the first swapped-orientation probe — are
-/// evaluated *speculatively* as one batch before the classic search runs.
-/// The search itself is unchanged: it consults the speculative values by
-/// exact abscissa (bit-level match) and falls back to scalar evaluation
-/// everywhere else, so the trajectory, the returned minimum and the
-/// reported evaluation count are bit-identical to the unspeculated search;
-/// the batch merely lets a lane-parallel engine compute the opening probes
-/// at full width (and seed its memo) in a single dispatch.
+/// Every abscissa the search visits costs exactly one
+/// [`eval_scalar`](Objective::eval_scalar) call, and the returned count is
+/// the number of those calls. Nothing is evaluated speculatively, so the
+/// line search never batches even when the objective reports a lane width:
+/// the bracketing walk consumes its probes one at a time, and a batch of
+/// guessed abscissae would mostly execute points whose values are never
+/// read.
 pub fn minimize_along_ray<O>(
     f: &mut O,
     point: &[f64],
@@ -406,45 +402,8 @@ pub fn minimize_along_ray<O>(
 where
     O: Objective + ?Sized,
 {
-    let lanes = f.preferred_batch();
-    let mut speculated: Vec<(u64, f64)> = Vec::new();
-    if lanes > 1 {
-        // The bracket's deterministic prefix: a = 0, b = step, then golden
-        // magnifications c = b + GOLD·(b − a), … — plus the first probe of
-        // the swapped orientation (taken when f(step) > f(0)).
-        let mut ladder = Vec::with_capacity(lanes);
-        ladder.push(0.0);
-        ladder.push(step);
-        ladder.push(-GOLD * step);
-        let (mut prev, mut cur) = (0.0, step);
-        while ladder.len() < lanes {
-            let next = cur + GOLD * (cur - prev);
-            ladder.push(next);
-            prev = cur;
-            cur = next;
-        }
-        ladder.truncate(lanes);
-        let probes: Vec<Vec<f64>> = ladder
-            .iter()
-            .map(|&t| {
-                point
-                    .iter()
-                    .zip(direction)
-                    .map(|(p, d)| p + t * d)
-                    .collect()
-            })
-            .collect();
-        let mut raw = Vec::new();
-        f.eval_batch(&probes, &mut raw);
-        for (&t, &value) in ladder.iter().zip(&raw) {
-            speculated.push((t.to_bits(), value));
-        }
-    }
     let mut scratch = point.to_vec();
     let mut g = |t: f64| {
-        if let Some(&(_, value)) = speculated.iter().find(|&&(bits, _)| bits == t.to_bits()) {
-            return sanitize_value(value);
-        }
         for ((s, p), d) in scratch.iter_mut().zip(point).zip(direction) {
             *s = p + t * d;
         }
@@ -569,15 +528,17 @@ mod tests {
     }
 
     #[test]
-    fn speculative_ray_search_is_bit_identical_to_scalar() {
-        // An objective that advertises lanes: the speculative golden-ladder
-        // batch must change nothing observable — same point, same value,
-        // same reported evaluation count as a lane-less twin.
+    fn ray_search_never_batches_and_counts_every_scalar_call() {
+        // An objective that advertises lanes still gets one scalar call per
+        // counted evaluation and no batch at all, and lands on the same
+        // point and value as a lane-less twin.
         struct Laned {
             batches: usize,
+            scalars: usize,
         }
         impl Objective for Laned {
             fn eval_scalar(&mut self, point: &[f64]) -> f64 {
+                self.scalars += 1;
                 (point[0] - 3.0).powi(2) + (point[1] + 0.5).powi(4)
             }
             fn eval_batch(&mut self, points: &[Vec<f64>], out: &mut Vec<f64>) {
@@ -588,15 +549,17 @@ mod tests {
                 }
             }
             fn preferred_batch(&self) -> usize {
-                8
+                16
             }
         }
-        let mut laned = Laned { batches: 0 };
+        let mut laned = Laned {
+            batches: 0,
+            scalars: 0,
+        };
         let (point, value, evals) =
             minimize_along_ray(&mut laned, &[0.0, -0.5], &[1.0, 0.0], 1.0, 1e-9);
-        // eval_batch is called once for the speculative ladder (the batches
-        // counter includes its own recursion-free scalar fallbacks).
-        assert!(laned.batches >= 1);
+        assert_eq!(laned.batches, 0);
+        assert_eq!(laned.scalars, evals);
         let mut scalar = FnObjective(|p: &[f64]| (p[0] - 3.0).powi(2) + (p[1] + 0.5).powi(4));
         let (spoint, svalue, sevals) =
             minimize_along_ray(&mut scalar, &[0.0, -0.5], &[1.0, 0.0], 1.0, 1e-9);
@@ -604,29 +567,6 @@ mod tests {
         assert_eq!(point[1].to_bits(), spoint[1].to_bits());
         assert_eq!(value.to_bits(), svalue.to_bits());
         assert_eq!(evals, sevals);
-    }
-
-    #[test]
-    fn speculative_ray_search_memoizes_nan_as_infinite() {
-        // Speculated raw values flow through the same NaN sanitization as
-        // scalar ones.
-        struct NanLaned;
-        impl Objective for NanLaned {
-            fn eval_scalar(&mut self, point: &[f64]) -> f64 {
-                if point[0] < 0.0 {
-                    f64::NAN
-                } else {
-                    (point[0] - 1.0).powi(2)
-                }
-            }
-            fn preferred_batch(&self) -> usize {
-                4
-            }
-        }
-        let mut laned = NanLaned;
-        let (point, value, _) = minimize_along_ray(&mut laned, &[4.0], &[-1.0], 0.5, 1e-9);
-        assert!((point[0] - 1.0).abs() < 1e-4);
-        assert!(value < 1e-6);
     }
 
     #[test]
