@@ -27,24 +27,11 @@
 //! execution-backend layer has a real choice to make: **interp** and
 //! **interp lane** run the AST interpreter (scalar / lane-batched),
 //! **tape** and **tape lane** run the compiled instruction tape — the
-//! lane column being the true-SIMD path (per-lane tape VMs plus the
-//! `resolve_pen_lanes` lockstep finalize). The machine-independent ratios
+//! lane column being the lockstep path (per-lane tape VMs plus the
+//! `resolve_pen_lanes` finalize). The machine-independent ratios
 //! `tape_speedup_vs_interp` and `tape_lane_speedup_vs_interp_lane` feed
 //! the CI gate, which additionally enforces an absolute 1.5x floor on the
 //! lane ratio — the backend's reason to exist.
-//!
-//! A third table isolates the SIMD finalize kernels: one real
-//! pending-event stream is harvested from `pow` through
-//! [`LaneCtx::pending_lanes`] (late-search shape: one open site, so one
-//! pen code and comparison), its packed distance kernel
-//! ([`coverme_runtime::simd::distance_lanes`], the body of the lane
-//! finalize) is timed per ISA on an L1-resident slice of the operands,
-//! and the whole stream is re-finalized under every ISA
-//! ([`resolve_pen_lanes_with`]) as a bit-identity check. The
-//! machine-normalized `simd_speedup_vs_scalar_lane` column — per-ISA
-//! kernel throughput over the portable scalar kernel on the same
-//! operands — feeds the CI gate, which enforces an absolute 1.3x floor on
-//! the AVX2 row plus the usual relative tolerance per ISA.
 //!
 //! Every measurement is best-of-R with a fresh engine per repetition, so
 //! repetitions cannot warm each other's caches.
@@ -68,10 +55,7 @@ use coverme::objective::ObjectiveEngine;
 use coverme::{BackendMode, BranchId, BranchSet, Objective};
 use coverme_fdlibm::by_name;
 use coverme_fpir::{compile, IrProgram};
-use coverme_runtime::simd::distance_lanes;
-use coverme_runtime::{
-    pen_code, resolve_pen_lanes_with, Cmp, ExecCtx, LaneCtx, Program, SimdIsa, DEFAULT_EPSILON,
-};
+use coverme_runtime::{ExecCtx, Program, DEFAULT_EPSILON};
 
 /// The benchmarked functions: the suite's most branch-dense members (the
 /// auto-cache tier and its runners-up) plus two cheap-but-typical ones so
@@ -347,7 +331,7 @@ impl FpirRow {
         self.tape_lane / self.interp_lane.max(1e-12)
     }
 
-    /// The SIMD-finalize gain: lane-batched tape over scalar tape.
+    /// The lane-path gain: lane-batched tape over scalar tape.
     fn simd_finalize_speedup(&self) -> f64 {
         self.tape_lane / self.tape.max(1e-12)
     }
@@ -458,182 +442,6 @@ fn measure_fpir(name: &'static str, measure_mode: bool) -> FpirRow {
     }
 }
 
-/// A harvested pending-event stream (SoA), the input to the finalize
-/// kernels.
-struct EventStream {
-    codes: Vec<u8>,
-    ops: Vec<Cmp>,
-    lhs: Vec<f64>,
-    rhs: Vec<f64>,
-}
-
-/// Harvests `count` real pending-penalty events by recording `pow` (the
-/// suite's most branch-dense function) through a [`LaneCtx`] against the
-/// late-search snapshot: every site fully saturated except the true side
-/// of site 0. This is the steady state the packed kernels target — a
-/// converged search spends its rounds chasing the last open branches, so
-/// the lanes of a batch agree on the surviving site (uniform chunks, the
-/// `distance_lanes` fast path) while the operands still vary per lane.
-/// Divergent mid-search batches fall back to the scalar per-lane resolve
-/// on every ISA identically, so they would only dilute the kernel
-/// comparison this table exists to make.
-fn harvest_events(count: usize) -> EventStream {
-    let benchmark = by_name("pow").expect("pow is in the suite");
-    let sites = Program::num_sites(&benchmark);
-    let mut saturated = BranchSet::with_sites(sites);
-    for site in 0..sites {
-        if site > 0 {
-            saturated.insert(BranchId::true_of(site as u32));
-        }
-        saturated.insert(BranchId::false_of(site as u32));
-    }
-    let points = inputs(Program::arity(&benchmark), count);
-    let mut lane = LaneCtx::new(saturated).with_epsilon(DEFAULT_EPSILON);
-    let mut stream = EventStream {
-        codes: Vec::with_capacity(count),
-        ops: Vec::with_capacity(count),
-        lhs: Vec::with_capacity(count),
-        rhs: Vec::with_capacity(count),
-    };
-    let mut scratch = Vec::new();
-    for chunk in points.chunks(lane.width()) {
-        for point in chunk {
-            lane.record(&benchmark, point);
-        }
-        let (codes, ops, lhs, rhs) = lane.pending_lanes();
-        stream.codes.extend_from_slice(codes);
-        stream.ops.extend_from_slice(ops);
-        stream.lhs.extend_from_slice(lhs);
-        stream.rhs.extend_from_slice(rhs);
-        scratch.clear();
-        lane.finalize_into(&mut scratch);
-    }
-    stream
-}
-
-/// Per-ISA finalize-kernel measurement row. `speedup` is throughput over
-/// the portable scalar finalize on the same event stream — the
-/// machine-normalized `simd_speedup_vs_scalar_lane` column the CI gate
-/// watches (absolute 1.3x floor on the AVX2 row).
-struct SimdRow {
-    isa: &'static str,
-    lane_width: usize,
-    events_per_sec: f64,
-    speedup: f64,
-}
-
-impl SimdRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\n",
-                "      \"isa\": \"{}\",\n",
-                "      \"lane_width\": {},\n",
-                "      \"finalize_events_per_sec\": {:.0},\n",
-                "      \"simd_speedup_vs_scalar_lane\": {:.4}\n",
-                "    }}"
-            ),
-            self.isa, self.lane_width, self.events_per_sec, self.speedup,
-        )
-    }
-}
-
-/// Times each ISA's packed distance kernel ([`distance_lanes`], the body
-/// of the lane finalize) on the harvested operand stream, normalized to
-/// the portable scalar kernel on the same operands — plus the
-/// non-negotiable cross-ISA bit-identity check over the full
-/// [`resolve_pen_lanes_with`] dispatch.
-///
-/// The timed slice is kept L1-resident (1024 events ≈ 24 KiB of
-/// lhs/rhs/out) so the column measures the kernel the ISA actually
-/// changes, not the memory system: at full-stream sizes every ISA
-/// converges on cache bandwidth and the ratio reads ~1.0 no matter what
-/// the vector units do.
-fn measure_simd(measure_mode: bool) -> Vec<SimdRow> {
-    let events = if measure_mode { 4096 } else { 256 };
-    let (passes, reps) = if measure_mode { (20_000, 7) } else { (4, 1) };
-    let stream = harvest_events(events);
-    let n = stream.codes.len();
-
-    // The harvest chases one open site, so the stream carries one pen code
-    // and one comparison — the uniform-run shape the packed kernel serves.
-    let code = stream.codes[0];
-    let op = stream.ops[0];
-    assert!(
-        stream.codes.iter().all(|&c| c == code) && stream.ops.iter().all(|&o| o == op),
-        "harvested stream is not uniform; the kernel timing would be meaningless"
-    );
-    let kernel_op = match code {
-        pen_code::FALSE_SATURATED => op,
-        pen_code::TRUE_SATURATED => op.negate(),
-        other => panic!("harvest produced non-distance pen code {other}"),
-    };
-
-    let timed = n.min(1024);
-    let lhs = &stream.lhs[..timed];
-    let rhs = &stream.rhs[..timed];
-    let throughput_of = |isa: SimdIsa| {
-        let elapsed = best_of(
-            reps,
-            || vec![0.0; timed],
-            |out: &mut Vec<f64>| {
-                for _ in 0..passes {
-                    distance_lanes(isa, kernel_op, lhs, rhs, DEFAULT_EPSILON, out);
-                    black_box(out.last());
-                }
-            },
-        );
-        (timed * passes) as f64 / elapsed.as_secs_f64().max(1e-12)
-    };
-
-    let portable = throughput_of(SimdIsa::Portable);
-    let mut reference = Vec::new();
-    resolve_pen_lanes_with(
-        SimdIsa::Portable,
-        &stream.codes,
-        &stream.ops,
-        &stream.lhs,
-        &stream.rhs,
-        DEFAULT_EPSILON,
-        &mut reference,
-    );
-
-    SimdIsa::supported()
-        .into_iter()
-        .map(|isa| {
-            let events_per_sec = if isa == SimdIsa::Portable {
-                portable
-            } else {
-                throughput_of(isa)
-            };
-            // Whatever the timings, every ISA must finalize to the same bits.
-            let mut values = Vec::new();
-            resolve_pen_lanes_with(
-                isa,
-                &stream.codes,
-                &stream.ops,
-                &stream.lhs,
-                &stream.rhs,
-                DEFAULT_EPSILON,
-                &mut values,
-            );
-            for (k, (v, r)) in values.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    v.to_bits(),
-                    r.to_bits(),
-                    "{isa} finalize diverged from portable at event {k}"
-                );
-            }
-            SimdRow {
-                isa: isa.label(),
-                lane_width: isa.lane_width(),
-                events_per_sec,
-                speedup: events_per_sec / portable.max(1e-12),
-            }
-        })
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let measure_mode = args.iter().any(|a| a == "--bench");
@@ -703,33 +511,14 @@ fn main() {
         fpir_rows.push(row);
     }
 
-    println!();
-    println!(
-        "{:<10} {:>10} {:>18} {:>22}   (active: {})",
-        "simd",
-        "lanes",
-        "finalize ev/s",
-        "speedup vs scalar",
-        SimdIsa::active(),
-    );
-    let simd_rows = measure_simd(measure_mode);
-    for row in &simd_rows {
-        println!(
-            "{:<10} {:>10} {:>18.0} {:>21.2}x",
-            row.isa, row.lane_width, row.events_per_sec, row.speedup,
-        );
-    }
-
     if let Some(path) = json_path {
         let body: Vec<String> = rows.iter().map(Row::to_json).collect();
         let fpir_body: Vec<String> = fpir_rows.iter().map(FpirRow::to_json).collect();
-        let simd_body: Vec<String> = simd_rows.iter().map(SimdRow::to_json).collect();
         let json = format!(
-            "{{\n  \"schema\": 2,\n  \"bench\": \"objective_engine\",\n  \"measured\": {},\n  \"functions\": [\n{}\n  ],\n  \"fpir\": [\n{}\n  ],\n  \"simd\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"schema\": 2,\n  \"bench\": \"objective_engine\",\n  \"measured\": {},\n  \"functions\": [\n{}\n  ],\n  \"fpir\": [\n{}\n  ]\n}}\n",
             measure_mode,
             body.join(",\n"),
-            fpir_body.join(",\n"),
-            simd_body.join(",\n")
+            fpir_body.join(",\n")
         );
         std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");

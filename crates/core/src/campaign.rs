@@ -81,7 +81,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use coverme_runtime::Program;
+use coverme_runtime::{Program, LANE_WIDTH};
 
 use crate::corpus::CorpusStore;
 use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SchedulerPolicy, SearchState};
@@ -881,16 +881,7 @@ impl CampaignReport {
                     out.push_str("      \"backend\": \"");
                     out.push_str(report.backend);
                     out.push_str("\",\n");
-                    out.push_str("      \"simd_isa\": \"");
-                    out.push_str(report.simd_isa);
-                    out.push_str("\",\n");
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "lane_width",
-                        report.lane_width as f64,
-                        true,
-                    );
+                    push_json_number(&mut out, "      ", "lane_width", LANE_WIDTH as f64, true);
                     push_json_number(
                         &mut out,
                         "      ",
@@ -2580,9 +2571,8 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for key in [
-            "\"schema\": \"coverme-campaign-report/7\"",
+            "\"schema\": \"coverme-campaign-report/8\"",
             "\"backend\": \"",
-            "\"simd_isa\": \"",
             "\"lane_width\":",
             "\"suite_branch_coverage_percent\":",
             "\"total_evaluations\":",

@@ -519,8 +519,6 @@ mod tests {
             epochs: Vec::new(),
             warm_replayed: 0,
             backend: "interp",
-            simd_isa: "portable",
-            lane_width: 8,
             wall_time: Duration::from_millis(1),
         }
     }

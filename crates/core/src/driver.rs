@@ -286,13 +286,9 @@ pub struct CoverMeConfig {
     /// interpreter otherwise). Every mode is bit-exact, so this is purely
     /// a performance knob — the one `--backend` exposes on the CLI.
     pub backend: coverme_runtime::BackendMode,
-    /// Forced SIMD ISA for the backend's lane kernels (`None`, the
-    /// default, follows the process-wide
-    /// [`SimdIsa::active`](coverme_runtime::SimdIsa::active) selection:
-    /// `COVERME_SIMD`, then runtime feature detection). Every ISA is
-    /// bit-exact — a throughput knob exactly like
-    /// [`backend`](Self::backend), and like it excluded from
-    /// [`search_key`](Self::search_key).
+    /// Ignored: the lane kernels have one instruction set. Kept for the
+    /// end-to-end benchmark harness (`perfbench/`), which sets it through
+    /// [`with_simd`](Self::with_simd).
     pub simd: Option<coverme_runtime::SimdIsa>,
     /// Corpus warm start (off by default): prior inputs and infeasibility
     /// verdicts replayed before the first round (see [`WarmStart`]). With
@@ -485,8 +481,8 @@ impl CoverMeConfig {
         self
     }
 
-    /// Forces the SIMD ISA of the backend's lane kernels (bit-exact under
-    /// every ISA; see [`CoverMeConfig::simd`]).
+    /// Sets the ignored [`simd`](Self::simd) field. Kept for the benchmark
+    /// harness.
     pub fn with_simd(mut self, isa: coverme_runtime::SimdIsa) -> Self {
         self.simd = Some(isa);
         self
@@ -511,10 +507,9 @@ impl CoverMeConfig {
     /// pattern), `ε`, the zero threshold, the pen/infeasible policies,
     /// `polish`, `record_search_coverage`, the eval allowance and the
     /// shard/sync split. Knobs pinned result-invisible by the property
-    /// suites stay out: `cache`, `backend`, `simd` (every ISA's kernels
-    /// are bit-identical), epoch slicing, `time_budget`
-    /// (wall-clock never decides a *complete* run's content),
-    /// `warm_start`/`cancel` themselves.
+    /// suites stay out: `cache`, `backend`, the ignored `simd`, epoch
+    /// slicing, `time_budget` (wall-clock never decides a *complete* run's
+    /// content), `warm_start`/`cancel` themselves.
     ///
     /// Two runs of the same program fingerprint with equal search keys
     /// are bit-identical, which is what lets a corpus warm start credit
@@ -778,12 +773,9 @@ impl<'a, P: Program> SearchState<'a, P> {
         } else {
             config.cache
         };
-        let mut engine = ObjectiveEngine::new(program, config.epsilon)
+        let engine = ObjectiveEngine::new(program, config.epsilon)
             .cache_mode(cache_mode)
             .backend_mode(config.backend);
-        if let Some(isa) = config.simd {
-            engine = engine.simd(isa);
-        }
         let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
         let schedule = config
             .starting_points
@@ -1218,8 +1210,6 @@ impl<'a, P: Program> SearchState<'a, P> {
             epochs: self.epochs,
             warm_replayed: self.warm_replayed,
             backend: self.engine.backend_name(),
-            simd_isa: self.engine.simd_isa().label(),
-            lane_width: self.engine.lane_width(),
             started: self.started,
             finished,
         }
@@ -1433,21 +1423,6 @@ mod tests {
         let b = CoverMe::new(quick_config()).run(&paper_example());
         assert_eq!(a.inputs, b.inputs);
         assert_eq!(a.coverage.covered_count(), b.coverage.covered_count());
-    }
-
-    #[test]
-    fn search_key_ignores_the_simd_isa() {
-        // Every ISA computes bit-identical results, so a forced lane width
-        // must not fragment the corpus: the schedule identity is the same
-        // with and without the knob, and the same across ISAs.
-        let base = quick_config();
-        for isa in coverme_runtime::SimdIsa::supported() {
-            assert_eq!(
-                base.clone().with_simd(isa).search_key(),
-                base.search_key(),
-                "forcing {isa} changed the search key"
-            );
-        }
     }
 
     #[test]

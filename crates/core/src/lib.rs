@@ -99,5 +99,5 @@ pub use sync::SyncPlan;
 pub use coverme_optim::{FnObjective, LocalMethod, Objective};
 pub use coverme_runtime::{
     BackendMode, BranchId, BranchSet, Cmp, CoverageMap, ExecCtx, FnProgram, Program, RunOutcome,
-    SimdIsa, SIMD_ENV_VAR,
+    SimdIsa,
 };

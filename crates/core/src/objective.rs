@@ -19,8 +19,7 @@
 //!   step) through [`Objective::eval_batch`] in one call. Values are
 //!   bit-for-bit those of sequential scalar evaluation, in the same order,
 //!   at any batch size — the batch API is a throughput seam, never a
-//!   semantic one — and it is where a SIMD or parallel backend slots in
-//!   later;
+//!   semantic one — and it is where the lane backend slots in;
 //! * **bit-exact memoization** — a direct-mapped memo table keyed on the
 //!   input's [`f64::to_bits`] patterns. Programs under test are
 //!   deterministic functions of their input bits (a [`Program`] contract),
@@ -51,7 +50,7 @@
 use coverme_optim::Objective;
 use coverme_runtime::{
     BackendMode, BranchSet, ExecBackend, ExecCtx, InterpBackend, LaneEval, Program, RunOutcome,
-    SimdIsa,
+    SimdIsa, LANE_WIDTH, MIN_LANE_BATCH,
 };
 
 use crate::representing::Evaluation;
@@ -255,14 +254,11 @@ pub struct ObjectiveEngine<P> {
     /// The execution backend every evaluation dispatches through: the
     /// generic [`InterpBackend`] ([`Program::execute`] + lane context), or
     /// whatever the program offered via [`Program::backend`] — e.g. the
-    /// FPIR instruction tape. Batches of at least
-    /// [`ExecBackend::min_batch`] points go through the backend's lane
-    /// path; smaller batches and scalar calls keep the eager fast path,
-    /// whose per-call overhead they already amortize.
+    /// FPIR instruction tape. Batches of at least [`MIN_LANE_BATCH`]
+    /// points go through the backend's lane path; smaller batches and
+    /// scalar calls keep the eager fast path, whose per-call overhead they
+    /// already amortize.
     backend: Box<dyn ExecBackend>,
-    /// Forced SIMD ISA, re-applied whenever the backend is re-resolved;
-    /// `None` follows the process-wide [`SimdIsa::active`] selection.
-    simd_override: Option<SimdIsa>,
     /// Bookkeeping of the batch points that missed the cache and were
     /// packed into lanes: output index plus (when caching) the slot/key to
     /// seed after the finalize. Reused across batches, allocation-free in
@@ -331,7 +327,6 @@ impl<P: Program> ObjectiveEngine<P> {
             telemetry: EngineTelemetry::default(),
             mode: BackendMode::Auto,
             backend,
-            simd_override: None,
             lane_misses: Vec::new(),
             miss_indices: Vec::new(),
             lane_evals: Vec::new(),
@@ -347,32 +342,13 @@ impl<P: Program> ObjectiveEngine<P> {
     pub fn backend_mode(mut self, mode: BackendMode) -> Self {
         self.mode = mode;
         self.backend = resolve_backend(&self.program, mode, self.epsilon, self.ctx.saturated());
-        if let Some(isa) = self.simd_override {
-            self.backend.set_simd(isa);
-        }
         self
     }
 
-    /// Forces the SIMD ISA of the backend's lane kernels (the
-    /// `--simd`/`COVERME_SIMD` knob, resolved per engine). Bit-exact under
-    /// every ISA — purely a throughput knob, like
-    /// [`backend_mode`](Self::backend_mode) — and sticky across later
-    /// backend re-resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this machine cannot execute `isa` (CLI front ends
-    /// validate with [`SimdIsa::is_supported`] first).
-    pub fn simd(mut self, isa: SimdIsa) -> Self {
-        self.simd_override = Some(isa);
-        self.backend.set_simd(isa);
+    /// A no-op: the lane kernels have one instruction set. Kept for the
+    /// end-to-end benchmark harness (`perfbench/`).
+    pub fn simd(self, _isa: SimdIsa) -> Self {
         self
-    }
-
-    /// The SIMD ISA the backend's lane kernels dispatch to (recorded in
-    /// reports next to the backend name).
-    pub fn simd_isa(&self) -> SimdIsa {
-        self.backend.simd_isa()
     }
 
     /// The name of the execution backend actually in use (`"interp"`,
@@ -381,12 +357,6 @@ impl<P: Program> ObjectiveEngine<P> {
     /// reports `"interp"`.
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
-    }
-
-    /// Number of evaluations the backend's batched path processes in
-    /// lockstep (recorded in reports next to the backend name).
-    pub fn lane_width(&self) -> usize {
-        self.backend.lane_width()
     }
 
     /// Sets the memoization policy (see [`CacheMode`]; the default is
@@ -506,7 +476,7 @@ impl<P: Program> ObjectiveEngine<P> {
 
     /// Evaluates a whole batch through the execution backend's lane path:
     /// points are probed against the memo cache first, the misses are
-    /// packed into [`ExecBackend::lane_width`]-wide groups, and every full
+    /// packed into [`LANE_WIDTH`]-wide groups, and every full
     /// group runs through [`ExecBackend::run_lanes`] (for the interpreter
     /// backend: one deferred-penalty execution per lane — a pen-code gather
     /// per conditional instead of a distance computation — plus one
@@ -544,7 +514,7 @@ impl<P: Program> ObjectiveEngine<P> {
             self.telemetry.evals += 1;
             self.lane_misses.push(LaneMiss { index, keyed });
             self.miss_indices.push(index);
-            if self.miss_indices.len() == self.backend.lane_width() {
+            if self.miss_indices.len() == LANE_WIDTH {
                 // Flushing group by group (not once per batch) keeps the
                 // memo protocol identical to the historical lane path: a
                 // point duplicated in a *later* group hits on the value
@@ -629,14 +599,14 @@ impl<P: Program> Objective for ObjectiveEngine<P> {
     }
 
     /// The batch seam, dispatched through the execution backend: batches of
-    /// at least [`ExecBackend::min_batch`] points go through
+    /// at least [`MIN_LANE_BATCH`] points go through
     /// [`eval_lanes`](ObjectiveEngine::eval_lanes) (the backend's batched
     /// lane path); smaller batches — where the per-batch setup would
     /// outweigh the batched savings — keep the scalar fast path. Either way
     /// the values are bit-for-bit those of sequential scalar evaluation, in
     /// the same order.
     fn eval_batch(&mut self, points: &[Vec<f64>], values: &mut Vec<f64>) {
-        if points.len() >= self.backend.min_batch() {
+        if points.len() >= MIN_LANE_BATCH {
             return ObjectiveEngine::eval_lanes(self, points, values);
         }
         values.reserve(points.len());
@@ -647,7 +617,7 @@ impl<P: Program> Objective for ObjectiveEngine<P> {
     }
 
     fn preferred_batch(&self) -> usize {
-        self.backend.lane_width()
+        LANE_WIDTH
     }
 }
 

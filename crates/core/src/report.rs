@@ -4,7 +4,7 @@ pub mod schema;
 
 use std::time::Duration;
 
-use coverme_runtime::{BranchId, CoverageMap, CoverageSummary};
+use coverme_runtime::{BranchId, CoverageMap, CoverageSummary, LANE_WIDTH};
 
 /// What happened in one minimization round (one iteration of the outer loop
 /// of Algorithm 1).
@@ -120,13 +120,6 @@ pub struct TestReport {
     /// (see [`coverme_runtime::ExecBackend::name`]) — `"interp"` or
     /// `"tape"`; bit-exact either way, recorded for telemetry.
     pub backend: &'static str,
-    /// Label of the SIMD ISA the backend's lane kernels dispatched to
-    /// (see [`coverme_runtime::SimdIsa::label`]) — `"portable"`, `"sse2"`
-    /// or `"avx2"`; bit-exact either way, recorded for telemetry.
-    pub simd_isa: &'static str,
-    /// The backend's SIMD lane width (batch evaluations are packed into
-    /// groups of this size). An ISA property: 16 under AVX2, 8 otherwise.
-    pub lane_width: usize,
     /// Wall-clock time of the run.
     pub wall_time: Duration,
 }
@@ -217,7 +210,7 @@ impl TestReport {
     }
 
     /// The standalone-run JSON artifact (schema
-    /// [`schema::RUN_REPORT`] = `coverme-run-report/4`) — what
+    /// [`schema::RUN_REPORT`] = `coverme-run-report/5`) — what
     /// `coverme run --json` writes and `coverme serve` streams for
     /// single-program jobs. `entry` is the entry-function name, `path`
     /// the source file the run tested. A warm-started run additionally
@@ -234,8 +227,7 @@ impl TestReport {
         out.push_str(&format!("  \"entry\": \"{entry}\",\n"));
         out.push_str(&format!("  \"outcome\": \"{}\",\n", self.outcome_label()));
         out.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
-        out.push_str(&format!("  \"simd_isa\": \"{}\",\n", self.simd_isa));
-        out.push_str(&format!("  \"lane_width\": {},\n", self.lane_width));
+        out.push_str(&format!("  \"lane_width\": {LANE_WIDTH},\n"));
         out.push_str(&format!(
             "  \"branches\": {},\n",
             self.coverage.total_branches()
@@ -346,8 +338,6 @@ mod tests {
             }],
             warm_replayed: 0,
             backend: "interp",
-            simd_isa: "portable",
-            lane_width: 8,
             wall_time: Duration::from_millis(5),
         }
     }

@@ -136,11 +136,6 @@ pub struct ShardOutcome {
     pub warm_replayed: usize,
     /// Name of the execution backend the shard's engine ran.
     pub backend: &'static str,
-    /// Label of the SIMD ISA the backend's lane kernels dispatched to
-    /// (see [`coverme_runtime::SimdIsa::label`]).
-    pub simd_isa: &'static str,
-    /// The backend's SIMD lane width.
-    pub lane_width: usize,
     /// When the shard started running.
     pub started: Instant,
     /// When the shard finished.
@@ -166,8 +161,6 @@ impl ShardOutcome {
             epochs: self.epochs,
             warm_replayed: self.warm_replayed,
             backend: self.backend,
-            simd_isa: self.simd_isa,
-            lane_width: self.lane_width,
             wall_time: self.finished.duration_since(self.started),
         }
     }
@@ -294,8 +287,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
     // Every shard of a search runs the same program under the same
     // configuration, so they all resolved the same backend.
     let backend = outcomes[0].backend;
-    let simd_isa = outcomes[0].simd_isa;
-    let lane_width = outcomes[0].lane_width;
 
     MergedSearch {
         report: TestReport {
@@ -311,8 +302,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
             epochs,
             warm_replayed,
             backend,
-            simd_isa,
-            lane_width,
             wall_time: finished.duration_since(started),
         },
         tracker,

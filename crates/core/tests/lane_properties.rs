@@ -27,7 +27,7 @@ use proptest::prelude::*;
 
 use coverme::objective::ObjectiveEngine;
 use coverme::{BranchId, BranchSet, Cmp, ExecCtx, FnProgram, Objective, RepresentingFunction};
-use coverme_runtime::{LaneCtx, SimdIsa, DEFAULT_EPSILON, LANE_WIDTH};
+use coverme_runtime::{LaneCtx, DEFAULT_EPSILON, LANE_WIDTH};
 
 /// Specification of one conditional site of a generated program.
 #[derive(Debug, Clone)]
@@ -236,112 +236,6 @@ proptest! {
             let foo_r = RepresentingFunction::new(&program, snapshot.clone());
             prop_assert_eq!(value.to_bits(), foo_r.eval(point).to_bits());
             prop_assert_eq!(*value, 1.0);
-        }
-    }
-
-    /// ISA sweep: every SIMD dispatch this machine supports — portable,
-    /// and SSE2/AVX2 where present — finalizes the same batch to the same
-    /// bits, on random snapshots and on the fully-masked snapshot, with
-    /// special-value inputs. The vector kernels trade speed, never
-    /// semantics; the engine's `simd()` override and the raw `LaneCtx`
-    /// must both honor that.
-    #[test]
-    fn every_simd_isa_finalizes_bit_identically(
-        specs in program_strategy(),
-        mask in 0..4096u64,
-        xs in prop::collection::vec(point_strategy(), 1..32),
-        fully_masked in any::<bool>(),
-    ) {
-        let num_sites = specs.len();
-        let program = build_program(specs);
-        let snapshot = if fully_masked {
-            let mut s = BranchSet::with_sites(num_sites);
-            for site in 0..num_sites {
-                s.insert(BranchId::true_of(site as u32));
-                s.insert(BranchId::false_of(site as u32));
-            }
-            s
-        } else {
-            snapshot_from_mask(num_sites, mask)
-        };
-        let points: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
-
-        let eval_under = |isa: SimdIsa| {
-            let mut engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON)
-                .with_cache(false)
-                .simd(isa);
-            engine.retarget(&snapshot);
-            let mut values = Vec::new();
-            engine.eval_lanes(&points, &mut values);
-            values
-        };
-        let isas = SimdIsa::supported();
-        prop_assert!(isas.contains(&SimdIsa::Portable));
-        let reference = eval_under(SimdIsa::Portable);
-        prop_assert_eq!(reference.len(), points.len());
-        for &isa in &isas {
-            let values = eval_under(isa);
-            for (index, (r, v)) in reference.iter().zip(&values).enumerate() {
-                prop_assert_eq!(
-                    r.to_bits(), v.to_bits(),
-                    "{} diverged from portable at point {} ({} vs {})",
-                    isa, index, v, r
-                );
-            }
-            // The raw LaneCtx path (no engine, no cache) agrees too.
-            let mut raw = LaneCtx::new(snapshot.clone())
-                .with_epsilon(DEFAULT_EPSILON)
-                .with_simd(isa);
-            let mut raw_values = Vec::new();
-            raw.eval_batch(&program, &points, &mut raw_values);
-            for (r, v) in reference.iter().zip(&raw_values) {
-                prop_assert_eq!(r.to_bits(), v.to_bits());
-            }
-        }
-    }
-
-    /// The memo cache is ISA-blind: entries warmed by an engine pinned to
-    /// one ISA are hits — with the same bits — for the identical points
-    /// evaluated under any other ISA, because the cached values themselves
-    /// are bit-identical.
-    #[test]
-    fn cache_entries_warmed_under_one_isa_serve_every_other(
-        specs in program_strategy(),
-        mask in 0..4096u64,
-        xs in prop::collection::vec(-50.0..50.0f64, 4..16),
-    ) {
-        let num_sites = specs.len();
-        let program = build_program(specs);
-        let snapshot = snapshot_from_mask(num_sites, mask);
-        let points: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
-
-        let mut reference = ObjectiveEngine::new(&program, DEFAULT_EPSILON)
-            .with_cache(false)
-            .simd(SimdIsa::Portable);
-        reference.retarget(&snapshot);
-
-        for &isa in &SimdIsa::supported() {
-            // One cached engine per ISA: the scalar warm-up fills the memo
-            // cache, the lane batch must agree with the uncached portable
-            // engine bit for bit while serving hits.
-            let mut cached = ObjectiveEngine::new(&program, DEFAULT_EPSILON)
-                .with_cache(true)
-                .simd(isa);
-            cached.retarget(&snapshot);
-            for point in &points {
-                cached.eval_scalar(point);
-            }
-            let hits_before = cached.telemetry().cache_hits;
-            let mut values = Vec::new();
-            cached.eval_lanes(&points, &mut values);
-            for (point, value) in points.iter().zip(&values) {
-                prop_assert_eq!(
-                    reference.eval_scalar(point).to_bits(),
-                    value.to_bits(),
-                    "cached {} engine diverged at {:?}", isa, point
-                );
-            }
-            prop_assert!(cached.telemetry().cache_hits > hits_before);
         }
     }
 

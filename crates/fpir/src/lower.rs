@@ -11,11 +11,11 @@
 //! * [`Tape::execute`] — the scalar path, driving any [`ExecCtx`] mode
 //!   (observe, eager representing, deferred) exactly like the interpreter;
 //! * the lane executor inside [`TapeBackend`] — runs up to
-//!   [`SimdIsa::lane_width`] evaluations with per-lane program counters,
+//!   [`LANE_WIDTH`] evaluations with per-lane program counters,
 //!   executing each basic block's ops in lockstep across the lanes
 //!   currently parked on it, gathering deferred-penalty events from a
-//!   shared [`pen_code_table`] and finalizing through the vectorized
-//!   [`resolve_pen_lanes_with`] kernels of the backend's SIMD ISA.
+//!   shared [`pen_code_table`] and finalizing through
+//!   [`resolve_pen_lanes`].
 //!
 //! On top of the lockstep walk, lowering precomputes a **straight-line-SoA
 //! plan** ([`SoaPlan`], private) per basic block: blocks whose ops are all
@@ -61,8 +61,8 @@ use std::sync::Arc;
 
 use coverme_runtime::simd::{self, VecBin};
 use coverme_runtime::{
-    pen_code, pen_code_table, resolve_pen_lanes_with, BackendMode, BranchSet, Cmp, ExecBackend,
-    ExecCtx, LaneEval, Program, RunOutcome, SimdIsa, LANE_WIDTH,
+    pen_code, pen_code_table, resolve_pen_lanes, BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx,
+    LaneEval, Program, RunOutcome, LANE_WIDTH,
 };
 
 use crate::ast::{BinOp, Block as AstBlock, Expr, Module, Stmt, Ty, UnOp};
@@ -420,6 +420,8 @@ impl Tape {
 
     /// Number of blocks the straight-line-SoA compile step vectorized
     /// (diagnostics; divergent/int-typed blocks stay on the scalar walk).
+    /// The end-to-end benchmark harness (`perfbench/`) reports it as
+    /// `fpir.soa_blocks`.
     pub fn num_soa_blocks(&self) -> usize {
         self.soa.iter().filter(|p| p.is_some()).count()
     }
@@ -1017,7 +1019,7 @@ impl SoaScratch {
     /// Runs the plan's vector ops over the first `lanes` slots of each
     /// column. Every op's destination column sits strictly above its
     /// sources, so splitting the buffer at the destination is safe.
-    fn run(&mut self, plan: &SoaPlan, isa: SimdIsa, lanes: usize) {
+    fn run(&mut self, plan: &SoaPlan, lanes: usize) {
         for op in &plan.ops {
             match *op {
                 SoaOp::Splat { dst, value } => {
@@ -1032,13 +1034,12 @@ impl SoaScratch {
                 SoaOp::Neg { dst, src } => {
                     let (d, s) = (soa_col(dst), soa_col(src));
                     let (head, tail) = self.buf.split_at_mut(d);
-                    simd::vec_neg(isa, &head[s..s + lanes], &mut tail[..lanes]);
+                    simd::vec_neg(&head[s..s + lanes], &mut tail[..lanes]);
                 }
                 SoaOp::Bin { op, dst, a, b } => {
                     let (d, ca, cb) = (soa_col(dst), soa_col(a), soa_col(b));
                     let (head, tail) = self.buf.split_at_mut(d);
                     simd::vec_bin(
-                        isa,
                         op,
                         &head[ca..ca + lanes],
                         &head[cb..cb + lanes],
@@ -1671,7 +1672,6 @@ impl LaneVm {
 /// an `Int` in any lane; the caller then runs the scalar walk.
 fn run_block_soa(
     plan: &SoaPlan,
-    isa: SimdIsa,
     scratch: &mut SoaScratch,
     vms: &mut [LaneVm],
     active: &[usize],
@@ -1688,7 +1688,7 @@ fn run_block_soa(
             }
         }
     }
-    scratch.run(plan, isa, lanes);
+    scratch.run(plan, lanes);
     for &(reg, vreg) in &plan.writes {
         let column = soa_col(vreg);
         for (slot, &index) in active.iter().enumerate() {
@@ -1708,13 +1708,7 @@ fn run_block_soa(
 /// lane-inner walk otherwise — then the terminator per lane. Lanes whose
 /// paths diverge simply wait their turn; lanes on the same path stay in
 /// lockstep the whole run.
-fn run_lane_chunk(
-    tape: &Tape,
-    pen_codes: &[u8],
-    vms: &mut [LaneVm],
-    isa: SimdIsa,
-    scratch: &mut SoaScratch,
-) {
+fn run_lane_chunk(tape: &Tape, pen_codes: &[u8], vms: &mut [LaneVm], scratch: &mut SoaScratch) {
     // The round's active-lane set, built once so the op-outer loop touches
     // only the lanes actually parked on this block — when lanes diverge
     // (data-dependent loop trip counts), rescanning every lane per op is
@@ -1748,7 +1742,7 @@ fn run_lane_chunk(
         let ran_soa = live >= 2
             && tape.soa[pc]
                 .as_ref()
-                .is_some_and(|plan| run_block_soa(plan, isa, scratch, vms, &active[..live]));
+                .is_some_and(|plan| run_block_soa(plan, scratch, vms, &active[..live]));
         if !ran_soa {
             for op in &block.ops {
                 for &index in &active[..live] {
@@ -1766,17 +1760,13 @@ fn run_lane_chunk(
 /// The compiled execution backend for FPIR programs: scalar evaluations
 /// run the tape against the caller's [`ExecCtx`], batched evaluations run
 /// [`LANE_WIDTH`] tape VMs in lockstep and finalize the deferred penalties
-/// through the SIMD kernels. Installed automatically by
+/// through the lane kernels. Installed automatically by
 /// [`IrProgram`]'s [`Program::backend`] under
 /// [`BackendMode::Auto`]/[`BackendMode::Tape`].
 #[derive(Debug, Clone)]
 pub struct TapeBackend {
     tape: Arc<Tape>,
     epsilon: f64,
-    /// The SIMD ISA the block kernels and the finalize dispatch to.
-    isa: SimdIsa,
-    /// Effective lane count per chunk (`isa.lane_width()`, cached).
-    width: usize,
     pen_codes: Vec<u8>,
     vms: Vec<LaneVm>,
     /// Lane buffer for the straight-line-SoA block kernels.
@@ -1793,12 +1783,9 @@ impl TapeBackend {
     /// Wraps a lowered tape with default (unset) tuning; the objective
     /// engine injects `ε` and the saturation snapshot on installation.
     pub fn new(tape: Tape) -> TapeBackend {
-        let isa = SimdIsa::active();
         TapeBackend {
             tape: Arc::new(tape),
             epsilon: coverme_runtime::DEFAULT_EPSILON,
-            isa,
-            width: isa.lane_width(),
             pen_codes: Vec::new(),
             vms: Vec::new(),
             soa_scratch: SoaScratch::default(),
@@ -1821,16 +1808,6 @@ impl ExecBackend for TapeBackend {
         "tape"
     }
 
-    fn simd_isa(&self) -> SimdIsa {
-        self.isa
-    }
-
-    fn set_simd(&mut self, isa: SimdIsa) {
-        assert!(isa.is_supported(), "SIMD ISA {isa} unsupported here");
-        self.isa = isa;
-        self.width = isa.lane_width();
-    }
-
     fn set_epsilon(&mut self, epsilon: f64) {
         self.epsilon = epsilon;
     }
@@ -1851,10 +1828,10 @@ impl ExecBackend for TapeBackend {
         out: &mut Vec<LaneEval>,
     ) {
         out.reserve(indices.len());
-        if self.vms.len() < self.width {
-            self.vms.resize_with(self.width, LaneVm::new);
+        if self.vms.len() < LANE_WIDTH {
+            self.vms.resize_with(LANE_WIDTH, LaneVm::new);
         }
-        for chunk in indices.chunks(self.width) {
+        for chunk in indices.chunks(LANE_WIDTH) {
             let lanes = chunk.len();
             let tape = Arc::clone(&self.tape);
             for (vm, &index) in self.vms[..lanes].iter_mut().zip(chunk) {
@@ -1864,7 +1841,6 @@ impl ExecBackend for TapeBackend {
                 &tape,
                 &self.pen_codes,
                 &mut self.vms[..lanes],
-                self.isa,
                 &mut self.soa_scratch,
             );
             self.codes.clear();
@@ -1878,8 +1854,7 @@ impl ExecBackend for TapeBackend {
                 self.rhs.push(vm.pend_rhs);
             }
             self.values.clear();
-            resolve_pen_lanes_with(
-                self.isa,
+            resolve_pen_lanes(
                 &self.codes,
                 &self.ops,
                 &self.lhs,
@@ -2093,8 +2068,7 @@ mod tests {
         assert_eq!(auto.name(), "tape");
         let forced = p.backend(BackendMode::Tape).expect("tape available");
         assert_eq!(forced.name(), "tape");
-        assert_eq!(forced.lane_width(), forced.simd_isa().lane_width());
-        assert!(forced.lane_width() <= LANE_WIDTH);
+        assert_eq!(forced.lane_width(), LANE_WIDTH);
     }
 
     #[test]
@@ -2178,7 +2152,7 @@ mod tests {
     }
 
     #[test]
-    fn soa_lane_path_is_bit_identical_across_isas() {
+    fn soa_lane_path_matches_the_eager_scalar_path() {
         let p = compile(
             r#"
             double f(double x, double y) {
@@ -2226,24 +2200,19 @@ mod tests {
                 ctx.representing_value().to_bits()
             })
             .collect();
-        for isa in SimdIsa::supported() {
-            let mut backend = p.backend(BackendMode::Tape).expect("tape available");
-            backend.set_simd(isa);
-            backend.set_epsilon(DEFAULT_EPSILON);
-            backend.retarget(&saturated);
-            assert_eq!(backend.simd_isa(), isa);
-            assert_eq!(backend.lane_width(), isa.lane_width());
-            let mut evals = Vec::new();
-            backend.run_lanes(&p, &points, &indices, &mut evals);
-            assert_eq!(evals.len(), points.len());
-            for ((eval, &expect), point) in evals.iter().zip(&reference).zip(&points) {
-                assert_eq!(eval.outcome, RunOutcome::Done);
-                assert_eq!(
-                    eval.value.to_bits(),
-                    expect,
-                    "{isa} diverged from eager scalar on {point:?}"
-                );
-            }
+        let mut backend = p.backend(BackendMode::Tape).expect("tape available");
+        backend.set_epsilon(DEFAULT_EPSILON);
+        backend.retarget(&saturated);
+        let mut evals = Vec::new();
+        backend.run_lanes(&p, &points, &indices, &mut evals);
+        assert_eq!(evals.len(), points.len());
+        for ((eval, &expect), point) in evals.iter().zip(&reference).zip(&points) {
+            assert_eq!(eval.outcome, RunOutcome::Done);
+            assert_eq!(
+                eval.value.to_bits(),
+                expect,
+                "lane path diverged from eager scalar on {point:?}"
+            );
         }
     }
 

@@ -15,17 +15,14 @@
 //!
 //! For low dimensions the classic star is small (`2` candidates in 1-D,
 //! `4` in 2-D) — too small to fill the lanes of a data-parallel engine.
-//! [`probe_scales`](CompassSearch::probe_scales) widens the star *freely*:
-//! each sweep probes the same `2n` directions at `k` step scales
+//! [`probe_scales`](CompassSearch::probe_scales) widens the star: each
+//! sweep probes the same `2n` directions at `k` step scales
 //! (`h, h/2, h/4, …`) in one batch, which both fills lanes and lets a
 //! single sweep discover the contraction a classic search would need `k`
-//! sweeps for. By default the scale count is keyed off the objective's
-//! [`preferred_batch`](Objective::preferred_batch): `max(2, batch / 4)` —
-//! `2` for scalar objectives and 8-lane engines (exactly the historical
-//! default), `4` on a 16-lane AVX2 engine, so wider hardware gets a deeper
-//! star instead of half-empty lanes. Set `probe_scales(1)` to recover the
-//! textbook algorithm, bit for bit, or any explicit `k` to pin the star
-//! regardless of the engine.
+//! sweeps for. The default is `2`, on every objective: the star depth is
+//! part of the algorithm, so it never depends on the objective's
+//! [`preferred_batch`](Objective::preferred_batch) hint. Set
+//! `probe_scales(1)` to recover the textbook algorithm, bit for bit.
 
 use crate::objective::{FnObjective, Objective};
 use crate::result::{Minimum, OptimStats};
@@ -45,11 +42,9 @@ pub struct CompassSearch {
     /// Maximum number of probe sweeps.
     pub max_iterations: usize,
     /// Number of step scales probed per sweep (`1` = the classic star; `k`
-    /// probes `h·contraction^j` for `j < k`, all in one batch). `None`
-    /// (the default) sizes the star off the objective's
-    /// [`preferred_batch`](Objective::preferred_batch) as
-    /// `max(2, batch / 4)`. See the [module docs](self).
-    pub probe_scales: Option<usize>,
+    /// probes `h·contraction^j` for `j < k`, all in one batch). The
+    /// default is `2`. See the [module docs](self).
+    pub probe_scales: usize,
 }
 
 impl Default for CompassSearch {
@@ -60,7 +55,7 @@ impl Default for CompassSearch {
             contraction: 0.5,
             expansion: 2.0,
             max_iterations: 2000,
-            probe_scales: None,
+            probe_scales: 2,
         }
     }
 }
@@ -83,16 +78,15 @@ impl CompassSearch {
         self
     }
 
-    /// Pins the number of step scales probed per sweep (candidate-set
-    /// sizing for lane-parallel engines; `1` keeps the classic star),
-    /// overriding the engine-width default.
+    /// Sets the number of step scales probed per sweep (`1` keeps the
+    /// classic star).
     ///
     /// # Panics
     ///
     /// Panics if `scales` is zero.
     pub fn probe_scales(mut self, scales: usize) -> Self {
         assert!(scales > 0, "at least one probe scale is required");
-        self.probe_scales = Some(scales);
+        self.probe_scales = scales;
         self
     }
 
@@ -130,14 +124,7 @@ impl CompassSearch {
             evals += 1;
             sanitize(f.eval_scalar(&point))
         };
-        // Auto scale count: key the star depth off the engine's lane width
-        // so a wider SIMD ISA gets a deeper (lane-filling) star. `max(2, …)`
-        // keeps scalar objectives and 8-lane engines on the historical
-        // two-scale default.
-        let scales = self
-            .probe_scales
-            .unwrap_or_else(|| (f.preferred_batch() / 4).max(2))
-            .max(1);
+        let scales = self.probe_scales.max(1);
         let mut step = self.initial_step;
         let mut iterations = 0usize;
         let mut converged = false;
@@ -293,10 +280,9 @@ mod tests {
 
     #[test]
     fn default_star_is_two_scales_and_one_scale_stays_classic() {
-        // The engine-keyed default resolves to the historical two-scale
-        // star for plain closures; probe_scales(1) recovers the textbook
-        // algorithm, which must find the same minimum.
-        assert_eq!(CompassSearch::default().probe_scales, None);
+        // The default is the two-scale star; probe_scales(1) recovers the
+        // textbook algorithm, which must find the same minimum.
+        assert_eq!(CompassSearch::default().probe_scales, 2);
         let mut classic_f = |p: &[f64]| (p[0] - 4.0).powi(2);
         let classic = CompassSearch::new()
             .probe_scales(1)
@@ -310,17 +296,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one probe scale")]
-    fn rejects_zero_probe_scales() {
-        let _ = CompassSearch::new().probe_scales(0);
-    }
-
-    #[test]
     fn auto_star_depth_tracks_the_engine_lane_width() {
-        // A wide-lane engine gets a deeper star (preferred_batch 16 -> 4
-        // scales: each sweep's 1-D star is 2·1·4 = 8 probes), narrow and
-        // scalar engines keep the historical 2 scales. The star size is
-        // visible through the first sweep's eval count.
+        // The star depth is the constant two scales whatever lane width
+        // the engine advertises: each 1-D sweep's star is 2·1·2 = 4 probes
+        // on a scalar, an 8-lane and a 16-lane engine alike. The star size
+        // is visible through the first sweep's batch length.
         struct Counting {
             batch: usize,
             first_batch_len: Option<usize>,
@@ -339,14 +319,20 @@ mod tests {
                 self.batch
             }
         }
-        for (batch, scales) in [(1, 2), (8, 2), (16, 4)] {
+        for batch in [1, 8, 16] {
             let mut f = Counting {
                 batch,
                 first_batch_len: None,
             };
             let m = CompassSearch::new().minimize_objective(&mut f, &[0.0]);
             assert!(m.value < 1e-8);
-            assert_eq!(f.first_batch_len, Some(2 * scales));
+            assert_eq!(f.first_batch_len, Some(4), "batch {batch}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one probe scale")]
+    fn rejects_zero_probe_scales() {
+        let _ = CompassSearch::new().probe_scales(0);
     }
 }

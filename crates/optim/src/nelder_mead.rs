@@ -21,14 +21,10 @@
 //! lane-parallel engines: `k` jittered starting simplices are generated
 //! deterministically, **all** their vertices are evaluated in one batch
 //! (`k·(n+1)` candidates — enough to fill lanes even in 1-D), and the
-//! simplex holding the best vertex seeds the classic loop. With restarts
-//! enabled (`k > 1`) the count is rounded **up** so the seed batch covers
-//! a whole number of the engine's [`preferred_batch`] lanes — extra
-//! deterministic simplices instead of idle lanes, and a wider ISA simply
-//! seeds from more starts. The default (`1`) evaluates exactly the classic
-//! starting simplex, bit for bit, on every engine.
-//!
-//! [`preferred_batch`]: Objective::preferred_batch
+//! simplex holding the best vertex seeds the classic loop. The count is
+//! used as configured, whatever the objective's
+//! [`preferred_batch`](Objective::preferred_batch) hint says. The default
+//! (`1`) evaluates exactly the classic starting simplex, bit for bit.
 
 use crate::objective::{FnObjective, Objective};
 use crate::result::{Minimum, OptimStats};
@@ -56,9 +52,7 @@ pub struct NelderMead {
     pub max_iterations: usize,
     /// Number of jittered starting simplices generated and evaluated as one
     /// batch; the best-seeded simplex runs the classic loop. `1` (the
-    /// default) is exactly the classic single-simplex start; any larger
-    /// count is rounded up so the seed batch fills a whole number of
-    /// [`Objective::preferred_batch`] lanes.
+    /// default) is exactly the classic single-simplex start.
     pub restarts: usize,
 }
 
@@ -154,18 +148,8 @@ impl NelderMead {
         // Starting simplices: the classic one (x0 plus one perturbed vertex
         // per dimension) first, then `restarts - 1` deterministically
         // jittered ones, all evaluated as a single batch of
-        // `restarts · (n + 1)` candidates. With restarts enabled, round the
-        // count up until that batch covers a whole number of the engine's
-        // preferred-batch lanes — more deterministic seeds instead of idle
-        // lanes. `restarts == 1` stays the classic start on every engine.
+        // `restarts · (n + 1)` candidates.
         let restarts = self.restarts.max(1);
-        let restarts = if restarts > 1 && f.preferred_batch() > 1 {
-            let lanes = f.preferred_batch();
-            let vertices = (restarts * (n + 1)).div_ceil(lanes) * lanes;
-            vertices.div_ceil(n + 1)
-        } else {
-            restarts
-        };
         let build_simplex = |origin: &[f64], step_scale: f64| -> Vec<Vec<f64>> {
             let mut simplex = Vec::with_capacity(n + 1);
             simplex.push(origin.to_vec());
@@ -444,16 +428,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one starting simplex")]
-    fn rejects_zero_restarts() {
-        let _ = NelderMead::new().restarts(0);
-    }
-
-    #[test]
     fn restart_batch_rounds_up_to_fill_engine_lanes() {
-        // On a 16-lane engine, restarts(3) in 1-D would seed 6 vertices;
-        // the count rounds up to 8 restarts so the one-shot seed batch is
-        // exactly 16. A single restart stays the classic 2-vertex start.
+        // The restart count is used as configured, never rounded up to the
+        // engine's lane width: on a 16-lane engine, restarts(3) in 1-D seeds
+        // exactly 6 vertices. A single restart stays the classic 2-vertex
+        // start.
         struct Wide {
             first_batch_len: Option<usize>,
         }
@@ -478,13 +457,19 @@ mod tests {
             .restarts(3)
             .minimize_objective(&mut f, &[0.5]);
         assert!(m.value < 1e-8);
-        assert_eq!(f.first_batch_len, Some(16));
+        assert_eq!(f.first_batch_len, Some(6));
 
         let mut single = Wide {
             first_batch_len: None,
         };
         let _ = NelderMead::new().minimize_objective(&mut single, &[0.5]);
         assert_eq!(single.first_batch_len, Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one starting simplex")]
+    fn rejects_zero_restarts() {
+        let _ = NelderMead::new().restarts(0);
     }
 
     #[test]

@@ -59,11 +59,10 @@ pub trait Objective {
     /// the lane width of a data-parallel engine, `1` for plain scalar
     /// objectives (the default).
     ///
-    /// This is a *hint*, never a semantic knob: minimizers may use it to
-    /// size candidate sets they are free to size (a sampling chunk, a seed
-    /// schedule slice) to a multiple of it, but sets whose cardinality the
-    /// search algorithm owns (a simplex, a probe star) are submitted as-is,
-    /// and results must not depend on the hint's value.
+    /// This is a *hint*, never a semantic knob: no minimizer in this crate
+    /// reads it, and search results must not depend on its value. Callers
+    /// that stream free-sized candidate sets through
+    /// [`eval_batch`](Objective::eval_batch) may use it as a chunk size.
     fn preferred_batch(&self) -> usize {
         1
     }
@@ -149,5 +148,43 @@ mod tests {
         assert_eq!(takes_objective(&mut objective), 3.0);
         // The original is still usable afterwards.
         assert_eq!(objective.eval_scalar(&[0.0]), 1.0);
+    }
+
+    #[test]
+    fn preferred_batch_never_changes_search_results() {
+        // The same objective behind wrappers that advertise different
+        // lane widths: compass and Nelder–Mead (with batched restarts)
+        // must return the same minimum — point, value and evaluations.
+        use crate::compass::CompassSearch;
+        use crate::nelder_mead::NelderMead;
+        use crate::result::Minimum;
+
+        struct Advertising(usize);
+        impl Objective for Advertising {
+            fn eval_scalar(&mut self, x: &[f64]) -> f64 {
+                (x[0] - 1.5).powi(2) + ((x[1] + 0.25) * 3.0).powi(2)
+            }
+            fn preferred_batch(&self) -> usize {
+                self.0
+            }
+        }
+        let searches: [fn(&mut Advertising) -> Minimum; 2] = [
+            |f| CompassSearch::new().minimize_objective(f, &[4.0, 2.0]),
+            |f| {
+                NelderMead::new()
+                    .restarts(3)
+                    .minimize_objective(f, &[4.0, 2.0])
+            },
+        ];
+        for search in searches {
+            let reference = search(&mut Advertising(1));
+            for batch in [8, 16] {
+                let m = search(&mut Advertising(batch));
+                let bits = |m: &Minimum| m.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&m), bits(&reference), "batch {batch}");
+                assert_eq!(m.value.to_bits(), reference.value.to_bits());
+                assert_eq!(m.stats, reference.stats, "batch {batch}");
+            }
+        }
     }
 }

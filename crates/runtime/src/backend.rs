@@ -26,7 +26,7 @@
 
 use crate::branch::BranchSet;
 use crate::context::{ExecCtx, RunOutcome};
-use crate::lane::{LaneCtx, MIN_LANE_BATCH};
+use crate::lane::{LaneCtx, LANE_WIDTH, MIN_LANE_BATCH};
 use crate::program::Program;
 use crate::simd::SimdIsa;
 
@@ -73,7 +73,9 @@ impl std::fmt::Display for BackendMode {
     }
 }
 
-/// Value and classification of one lane of a batched evaluation.
+/// Value and classification of one lane of a batched evaluation. The
+/// end-to-end benchmark harness (`perfbench/`) reads it through its
+/// tracing backend, so its shape is part of that harness's contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneEval {
     /// The resolved representing-function value. Meaningless (and discarded
@@ -92,28 +94,26 @@ pub trait ExecBackend: std::fmt::Debug + Send {
     /// Stable backend name recorded in reports and bench artifacts.
     fn name(&self) -> &'static str;
 
-    /// Number of evaluations the batched path processes in lockstep — a
-    /// property of the backend's SIMD ISA ([`SimdIsa::lane_width`]).
+    /// Number of evaluations the batched path processes in lockstep:
+    /// [`LANE_WIDTH`] for every backend. Kept for the end-to-end benchmark
+    /// harness (`perfbench/`), whose tracing backend forwards it.
     fn lane_width(&self) -> usize {
-        self.simd_isa().lane_width()
+        LANE_WIDTH
     }
 
-    /// The SIMD ISA the backend's lane finalize dispatches to. Recorded in
-    /// reports so artifacts say which kernels produced them.
-    fn simd_isa(&self) -> SimdIsa;
+    /// The instruction set of the lane kernels: always
+    /// [`SimdIsa::Portable`]. Kept for the benchmark harness.
+    fn simd_isa(&self) -> SimdIsa {
+        SimdIsa::Portable
+    }
 
-    /// Overrides the backend's SIMD ISA (the `--simd`/`COVERME_SIMD`
-    /// knob, resolved per engine instance). Called only between batches,
-    /// never with lanes in flight.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if the machine cannot execute `isa` — CLI
-    /// front ends validate with [`SimdIsa::is_supported`] first.
-    fn set_simd(&mut self, isa: SimdIsa);
+    /// A no-op: there is one instruction set. Kept for the benchmark
+    /// harness.
+    fn set_simd(&mut self, _isa: SimdIsa) {}
 
-    /// Smallest batch for which the lane path beats scalar evaluation;
-    /// dispatchers fall back to scalar calls below it.
+    /// Smallest batch the lane path takes: [`MIN_LANE_BATCH`], which the
+    /// objective engine reads directly. Kept for the benchmark harness,
+    /// whose tracing backend forwards it.
     fn min_batch(&self) -> usize {
         MIN_LANE_BATCH
     }
@@ -135,7 +135,9 @@ pub trait ExecBackend: std::fmt::Debug + Send {
     /// Evaluates the representing function at `points[i]` for every `i` in
     /// `indices`, appending one [`LaneEval`] per index (in order) to `out`.
     /// This is the deferred-penalty batch path: no coverage, no trace, just
-    /// the value and the run classification.
+    /// the value and the run classification. The benchmark harness's
+    /// tracing backend wraps it to count lane calls, so its signature is
+    /// part of that harness's contract.
     fn run_lanes(
         &mut self,
         program: &dyn Program,
@@ -187,15 +189,6 @@ impl ExecBackend for InterpBackend {
         "interp"
     }
 
-    fn simd_isa(&self) -> SimdIsa {
-        self.lane.simd_isa()
-    }
-
-    fn set_simd(&mut self, isa: SimdIsa) {
-        let lane = std::mem::take(&mut self.lane);
-        self.lane = lane.with_simd(isa);
-    }
-
     fn set_epsilon(&mut self, epsilon: f64) {
         let lane = std::mem::take(&mut self.lane);
         self.lane = lane.with_epsilon(epsilon);
@@ -217,7 +210,7 @@ impl ExecBackend for InterpBackend {
         out: &mut Vec<LaneEval>,
     ) {
         out.reserve(indices.len());
-        for chunk in indices.chunks(self.lane.width()) {
+        for chunk in indices.chunks(LANE_WIDTH) {
             self.outcomes.clear();
             for &index in chunk {
                 let outcome = self.lane.record(program, &points[index]);
@@ -275,7 +268,7 @@ mod tests {
         backend.set_epsilon(DEFAULT_EPSILON);
         backend.retarget(&saturated);
         assert_eq!(backend.name(), "interp");
-        assert_eq!(backend.lane_width(), backend.simd_isa().lane_width());
+        assert_eq!(backend.lane_width(), LANE_WIDTH);
         assert_eq!(backend.min_batch(), MIN_LANE_BATCH);
 
         let points: Vec<Vec<f64>> = (0..19).map(|i| vec![i as f64 * 0.61 - 7.0]).collect();

@@ -24,25 +24,18 @@
 //! 2. **finalize** — the harvested pending events sit in structure-of-array
 //!    lane buffers (`[f64; LANE_WIDTH]` operand arrays, one code byte per
 //!    lane), and the one distance per lane that actually determines the
-//!    value is computed for all lanes by the [`crate::simd`] vector
-//!    kernels of the context's [`SimdIsa`] — real packed SSE2/AVX2
-//!    instructions when the machine has them, the scalar reference loop
-//!    otherwise.
+//!    value is computed for all lanes by the [`crate::simd`] lane kernels.
 //!
-//! How many lanes one finalize packs is an ISA property
-//! ([`SimdIsa::lane_width`]): 8 on the portable and SSE2 paths (the
-//! historical width), 16 under AVX2. [`LANE_WIDTH`] is the compile-time
-//! *capacity* of the SoA buffers — the maximum any ISA selects.
+//! One finalize packs [`LANE_WIDTH`] lanes, on every machine.
 //!
 //! Bit-exactness with the scalar path is non-negotiable and holds by
 //! construction: the finalize performs exactly the [`distance`] call
 //! (same operands, same `ε`, same operation order) the last live `pen` of
-//! an eager execution performs — the vector kernels mirror the scalar
+//! an eager execution performs — the lane kernel mirrors the scalar
 //! select structure operation for operation — and dropping the overwritten
 //! earlier calls cannot change the bits of the surviving one. The property
 //! suites (`lane_properties` in `coverme-core`) pin this on generated
-//! programs, snapshots, and NaN/inf inputs at every batch size and under
-//! every forced ISA.
+//! programs, snapshots, and NaN/inf inputs at every batch size.
 //!
 //! [`distance`]: crate::distance
 
@@ -50,25 +43,19 @@ use crate::branch::{BranchSet, Direction};
 use crate::context::{pen_code, ExecCtx, PendingPen, RunOutcome};
 use crate::distance::Cmp;
 use crate::program::Program;
-use crate::simd::{self, SimdIsa};
+use crate::simd;
 
-/// Capacity of a [`LaneCtx`]'s SoA lane buffers: the widest lane count any
-/// [`SimdIsa`] selects (16, the AVX2 width). The *effective* number of
-/// lanes packed per lockstep finalize is [`SimdIsa::lane_width`] of the
-/// context's ISA — 8 on the portable/SSE2 paths, 16 under AVX2. Batch
-/// producers that size a candidate stream freely learn the effective width
-/// through `Objective::preferred_batch` in `coverme-optim`; fixed-size
-/// sets (a probe star, a simplex) are evaluated as-is in partially filled
-/// chunks.
-pub const LANE_WIDTH: usize = 16;
+/// Number of lanes one lockstep finalize packs: the size of a
+/// [`LaneCtx`]'s SoA buffers and of the tape backend's lane chunks. Batch
+/// producers that size a candidate stream freely learn it through
+/// `Objective::preferred_batch` in `coverme-optim`; fixed-size sets (a
+/// probe star, a simplex) are evaluated as-is in partially filled chunks.
+pub const LANE_WIDTH: usize = 8;
 
 /// Smallest batch for which the lane path beats the scalar fast path.
 /// Below this, per-batch setup (harvest + finalize) outweighs the deferred
 /// per-branch savings, so batch dispatchers fall back to scalar evaluation.
-/// Retuned against the vector kernels: the SIMD finalize lowers per-batch
-/// cost further, so the historical threshold of 4 still holds with margin —
-/// record (a full program execution per lane) dominates below it on every
-/// ISA.
+/// Record (a full program execution per lane) dominates below it.
 pub const MIN_LANE_BATCH: usize = 4;
 
 /// The lane-parallel evaluation context. See the [module docs](self).
@@ -91,18 +78,12 @@ pub struct LaneCtx {
     rhs: [f64; LANE_WIDTH],
     /// Number of recorded, not-yet-finalized lanes.
     lanes: usize,
-    /// The SIMD ISA the finalize dispatches to.
-    isa: SimdIsa,
-    /// Effective lane count per chunk (`isa.lane_width()`, cached).
-    width: usize,
 }
 
 impl LaneCtx {
     /// Creates a lane context evaluating against the given saturation
-    /// snapshot with the default `ε`, on the process's active SIMD ISA
-    /// ([`SimdIsa::active`]).
+    /// snapshot with the default `ε`.
     pub fn new(saturated: BranchSet) -> LaneCtx {
-        let isa = SimdIsa::active();
         LaneCtx {
             ctx: ExecCtx::representing(saturated).deferred_pen(),
             codes: [pen_code::IDLE; LANE_WIDTH],
@@ -110,8 +91,6 @@ impl LaneCtx {
             lhs: [0.0; LANE_WIDTH],
             rhs: [0.0; LANE_WIDTH],
             lanes: 0,
-            isa,
-            width: isa.lane_width(),
         }
     }
 
@@ -125,35 +104,9 @@ impl LaneCtx {
         self
     }
 
-    /// Overrides the SIMD ISA this context finalizes with (per instance —
-    /// no global state, so parallel tests can pin different ISAs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine cannot execute `isa`, or if lanes were
-    /// recorded but not yet finalized.
-    pub fn with_simd(mut self, isa: SimdIsa) -> LaneCtx {
-        assert!(isa.is_supported(), "SIMD ISA {isa} unsupported here");
-        assert_eq!(self.lanes, 0, "ISA change with unfinalized lanes pending");
-        self.isa = isa;
-        self.width = isa.lane_width();
-        self
-    }
-
     /// The `ε` in use.
     pub fn epsilon(&self) -> f64 {
         self.ctx.epsilon()
-    }
-
-    /// The SIMD ISA the finalize dispatches to.
-    pub fn simd_isa(&self) -> SimdIsa {
-        self.isa
-    }
-
-    /// Effective number of lanes one lockstep finalize packs
-    /// ([`SimdIsa::lane_width`] of the context's ISA).
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// The saturation snapshot the lanes evaluate against.
@@ -179,7 +132,7 @@ impl LaneCtx {
 
     /// Whether every lane slot is filled (the caller should finalize).
     pub fn is_full(&self) -> bool {
-        self.lanes == self.width
+        self.lanes == LANE_WIDTH
     }
 
     /// Whether no lane is recorded.
@@ -196,9 +149,9 @@ impl LaneCtx {
     ///
     /// # Panics
     ///
-    /// Panics if all [`width`](Self::width) lanes are already filled.
+    /// Panics if all [`LANE_WIDTH`] lanes are already filled.
     pub fn record<P: Program + ?Sized>(&mut self, program: &P, input: &[f64]) -> RunOutcome {
-        assert!(self.lanes < self.width, "all lanes filled; finalize first");
+        assert!(self.lanes < LANE_WIDTH, "all lanes filled; finalize first");
         self.ctx.reset();
         program.execute(input, &mut self.ctx);
         let PendingPen { code, op, lhs, rhs } = self.ctx.pending_pen();
@@ -211,34 +164,18 @@ impl LaneCtx {
         self.ctx.run_outcome()
     }
 
-    /// Read-only view of the recorded, not-yet-finalized pending events as
-    /// SoA slices `(codes, ops, lhs, rhs)`, in record order. This is the
-    /// harvest the finalize consumes; the bench harness uses it to collect
-    /// real event streams and re-finalize them under every ISA.
-    pub fn pending_lanes(&self) -> (&[u8], &[Cmp], &[f64], &[f64]) {
-        let lanes = self.lanes;
-        (
-            &self.codes[..lanes],
-            &self.ops[..lanes],
-            &self.lhs[..lanes],
-            &self.rhs[..lanes],
-        )
-    }
-
     /// Resolves every recorded lane in one lockstep pass, appending one
     /// value per lane (in record order) to `values`, and clears the lanes.
     ///
-    /// Delegates to [`resolve_pen_lanes_with`] on the context's ISA:
-    /// chunks whose lanes agree on the pen code and comparison run the
-    /// packed distance kernel over the SoA operand arrays; divergent
-    /// chunks fall back to the scalar per-lane resolve. Either path
-    /// computes exactly the `distance` call the eager path would have
-    /// kept, bit for bit.
+    /// Delegates to [`resolve_pen_lanes`]: runs whose lanes agree on the
+    /// pen code and comparison go through the distance lane kernel over the
+    /// SoA operand arrays; divergent lanes fall back to the scalar per-lane
+    /// resolve. Either path computes exactly the `distance` call the eager
+    /// path would have kept, bit for bit.
     pub fn finalize_into(&mut self, values: &mut Vec<f64>) {
         let epsilon = self.epsilon();
         let lanes = self.lanes;
-        resolve_pen_lanes_with(
-            self.isa,
+        resolve_pen_lanes(
             &self.codes[..lanes],
             &self.ops[..lanes],
             &self.lhs[..lanes],
@@ -250,7 +187,7 @@ impl LaneCtx {
     }
 
     /// Evaluates `FOO_R` over a whole batch: points are packed into
-    /// [`width`](Self::width)-wide chunks, each chunk recorded lane by
+    /// [`LANE_WIDTH`]-wide chunks, each chunk recorded lane by
     /// lane and finalized in lockstep. One value per point is appended to
     /// `values` in input order; `values` is not cleared.
     ///
@@ -265,7 +202,7 @@ impl LaneCtx {
     ) {
         assert_eq!(self.lanes, 0, "eval_batch with unfinalized lanes pending");
         values.reserve(points.len());
-        for chunk in points.chunks(self.width) {
+        for chunk in points.chunks(LANE_WIDTH) {
             for point in chunk {
                 self.record(program, point);
             }
@@ -314,45 +251,22 @@ pub fn resolve_pen(code: u8, op: Cmp, lhs: f64, rhs: f64, epsilon: f64) -> f64 {
     PendingPen { code, op, lhs, rhs }.resolve(epsilon)
 }
 
-/// Resolves a structure-of-arrays batch of pending penalty events on the
-/// process's active SIMD ISA ([`SimdIsa::active`]), appending one value
-/// per event (in order) to `values`. See [`resolve_pen_lanes_with`].
+/// Resolves a structure-of-arrays batch of pending penalty events,
+/// appending one value per event (in order) to `values`.
+///
+/// The batch is scanned for maximal *uniform runs* — consecutive lanes
+/// carrying the same pen code and comparison operator, the common case
+/// since a batch usually probes one program around one target. Each run
+/// of at least [`MIN_LANE_BATCH`] lanes becomes a single
+/// [`simd::distance_lanes`] kernel call over the operand slices. Shorter
+/// or divergent runs resolve lane by lane. Both paths compute exactly
+/// [`crate::distance`] on the recorded operands, so values are
+/// bit-identical to scalar resolution whichever path runs.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths disagree or a code is [`pen_code::KEEP`].
 pub fn resolve_pen_lanes(
-    codes: &[u8],
-    ops: &[Cmp],
-    lhs: &[f64],
-    rhs: &[f64],
-    epsilon: f64,
-    values: &mut Vec<f64>,
-) {
-    resolve_pen_lanes_with(SimdIsa::active(), codes, ops, lhs, rhs, epsilon, values);
-}
-
-/// Resolves a structure-of-arrays batch of pending penalty events with the
-/// given ISA's kernels, appending one value per event (in order) to
-/// `values`.
-///
-/// The batch is scanned for maximal *uniform runs* — consecutive lanes
-/// carrying the same pen code and comparison operator, the common case
-/// since a batch usually probes one program around one target. Each run
-/// of at least [`MIN_LANE_BATCH`] lanes becomes a single packed
-/// [`simd::distance_lanes`] kernel call over the operand slices, so the
-/// non-inlinable `#[target_feature]` call cost amortizes over the whole
-/// run (a full finalize group, or an entire harvested event stream).
-/// Shorter or divergent runs resolve lane by lane. Both paths compute
-/// exactly [`crate::distance`] on the recorded operands, so values are
-/// bit-identical to scalar resolution whichever path (and whichever ISA)
-/// runs.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree or a code is [`pen_code::KEEP`].
-pub fn resolve_pen_lanes_with(
-    isa: SimdIsa,
     codes: &[u8],
     ops: &[Cmp],
     lhs: &[f64],
@@ -382,11 +296,10 @@ pub fn resolve_pen_lanes_with(
                 pen_code::IDLE => out.fill(1.0),
                 pen_code::OPEN => out.fill(0.0),
                 pen_code::FALSE_SATURATED => {
-                    simd::distance_lanes(isa, op, &lhs[start..end], &rhs[start..end], epsilon, out);
+                    simd::distance_lanes(op, &lhs[start..end], &rhs[start..end], epsilon, out);
                 }
                 pen_code::TRUE_SATURATED => {
                     simd::distance_lanes(
-                        isa,
                         op.negate(),
                         &lhs[start..end],
                         &rhs[start..end],
@@ -454,21 +367,19 @@ mod tests {
     fn lane_values_match_eager_execution_bit_for_bit() {
         let program = paper_example();
         for saturated in snapshots() {
-            for isa in SimdIsa::supported() {
-                let mut lane = LaneCtx::new(saturated.clone()).with_simd(isa);
-                let points: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 * 0.61 - 7.0]).collect();
-                let mut values = Vec::new();
-                lane.eval_batch(&program, &points, &mut values);
-                assert_eq!(values.len(), points.len());
-                for (point, value) in points.iter().zip(&values) {
-                    let mut eager = ExecCtx::representing(saturated.clone());
-                    program.execute(point, &mut eager);
-                    assert_eq!(
-                        value.to_bits(),
-                        eager.representing_value().to_bits(),
-                        "isa {isa}, snapshot {saturated:?}, point {point:?}"
-                    );
-                }
+            let mut lane = LaneCtx::new(saturated.clone());
+            let points: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 * 0.61 - 7.0]).collect();
+            let mut values = Vec::new();
+            lane.eval_batch(&program, &points, &mut values);
+            assert_eq!(values.len(), points.len());
+            for (point, value) in points.iter().zip(&values) {
+                let mut eager = ExecCtx::representing(saturated.clone());
+                program.execute(point, &mut eager);
+                assert_eq!(
+                    value.to_bits(),
+                    eager.representing_value().to_bits(),
+                    "snapshot {saturated:?}, point {point:?}"
+                );
             }
         }
     }
@@ -506,11 +417,6 @@ mod tests {
         lane.record(&program, &[0.5]);
         lane.record(&program, &[2.0]);
         assert_eq!(lane.lanes(), 2);
-        let (codes, ops, lhs, rhs) = lane.pending_lanes();
-        assert_eq!(codes.len(), 2);
-        assert_eq!(ops.len(), 2);
-        assert_eq!(lhs.len(), 2);
-        assert_eq!(rhs.len(), 2);
         let mut values = Vec::new();
         lane.finalize_into(&mut values);
         assert_eq!(values, vec![0.0, 0.0]);
@@ -534,22 +440,10 @@ mod tests {
     fn partially_filled_last_chunk_is_finalized() {
         let program = paper_example();
         let mut lane = LaneCtx::new(BranchSet::new());
-        let points: Vec<Vec<f64>> = (0..lane.width() + 3).map(|i| vec![i as f64]).collect();
+        let points: Vec<Vec<f64>> = (0..LANE_WIDTH + 3).map(|i| vec![i as f64]).collect();
         let mut values = Vec::new();
         lane.eval_batch(&program, &points, &mut values);
-        assert_eq!(values.len(), lane.width() + 3);
-    }
-
-    #[test]
-    fn effective_width_tracks_the_isa() {
-        let lane = LaneCtx::new(BranchSet::new());
-        assert_eq!(lane.width(), lane.simd_isa().lane_width());
-        assert!(lane.width() <= LANE_WIDTH);
-        for isa in SimdIsa::supported() {
-            let lane = LaneCtx::new(BranchSet::new()).with_simd(isa);
-            assert_eq!(lane.simd_isa(), isa);
-            assert_eq!(lane.width(), isa.lane_width());
-        }
+        assert_eq!(values.len(), LANE_WIDTH + 3);
     }
 
     #[test]
@@ -557,7 +451,7 @@ mod tests {
     fn overfilling_the_lanes_panics() {
         let program = paper_example();
         let mut lane = LaneCtx::new(BranchSet::new());
-        for i in 0..=lane.width() {
+        for i in 0..=LANE_WIDTH {
             lane.record(&program, &[i as f64]);
         }
     }
@@ -579,9 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_isa_resolution_is_bit_identical_across_isas() {
+    fn mixed_stream_resolution_matches_the_scalar_resolve() {
         // A mixed stream of pending events (every code, every op, special
-        // operands) resolves to the same bits under every supported ISA.
+        // operands) resolves to the bits of the per-lane scalar resolve,
+        // through both the uniform-run kernel and the lane-by-lane path.
         let ops_pool = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge];
         let operands = [0.0, -0.0, 1.0, f64::NAN, f64::INFINITY, -3.5, 1e300];
         let mut codes = Vec::new();
@@ -598,30 +493,20 @@ mod tests {
             for &a in &operands {
                 for &b in &operands {
                     codes.push(code);
-                    ops.push(ops_pool[k % ops_pool.len()]);
+                    // Runs of one op long enough for the kernel path.
+                    ops.push(ops_pool[(k / MIN_LANE_BATCH) % ops_pool.len()]);
                     lhs.push(a);
                     rhs.push(b);
                     k += 1;
                 }
             }
         }
-        let mut reference = Vec::new();
-        resolve_pen_lanes_with(
-            SimdIsa::Portable,
-            &codes,
-            &ops,
-            &lhs,
-            &rhs,
-            DEFAULT_EPSILON,
-            &mut reference,
-        );
-        for isa in SimdIsa::supported() {
-            let mut values = Vec::new();
-            resolve_pen_lanes_with(isa, &codes, &ops, &lhs, &rhs, DEFAULT_EPSILON, &mut values);
-            assert_eq!(values.len(), reference.len());
-            for (k, (v, r)) in values.iter().zip(&reference).enumerate() {
-                assert_eq!(v.to_bits(), r.to_bits(), "{isa} lane {k}");
-            }
+        let mut values = Vec::new();
+        resolve_pen_lanes(&codes, &ops, &lhs, &rhs, DEFAULT_EPSILON, &mut values);
+        assert_eq!(values.len(), codes.len());
+        for (k, value) in values.iter().enumerate() {
+            let expect = resolve_pen(codes[k], ops[k], lhs[k], rhs[k], DEFAULT_EPSILON);
+            assert_eq!(value.to_bits(), expect.to_bits(), "lane {k}");
         }
     }
 }

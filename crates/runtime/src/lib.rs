@@ -44,9 +44,7 @@
 //! assert_eq!(ctx.trace().len(), 2);
 //! ```
 
-// `unsafe` is denied crate-wide and allowed in exactly one module: the
-// feature-gated SIMD intrinsic kernels of `simd`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
@@ -66,10 +64,9 @@ pub use context::{pen_code, ExecCtx, ExecMode, RunOutcome};
 pub use coverage::{CoverageMap, CoverageSummary};
 pub use distance::{distance, Cmp, DEFAULT_EPSILON};
 pub use lane::{
-    pen_code_table, resolve_pen, resolve_pen_lanes, resolve_pen_lanes_with, LaneCtx, LANE_WIDTH,
-    MIN_LANE_BATCH,
+    pen_code_table, resolve_pen, resolve_pen_lanes, LaneCtx, LANE_WIDTH, MIN_LANE_BATCH,
 };
 pub use pen::{pen, SiteSaturation};
 pub use program::{fingerprint_bytes, fingerprint_seed, native_fingerprint, FnProgram, Program};
-pub use simd::{SimdIsa, SIMD_ENV_VAR};
+pub use simd::SimdIsa;
 pub use trace::{TakenBranch, Trace};

@@ -42,9 +42,6 @@
 //!                        back to interp here — the knob exists for parity
 //!                        with the coverme CLI, whose flags this example
 //!                        shares via coverme_repro::args)
-//!   --simd ISA           SIMD kernels: portable, sse2, avx2 (default:
-//!                        autodetect; env COVERME_SIMD) — bit-identical
-//!                        results at different lane widths
 //!   --json PATH          also write the CampaignReport as JSON to PATH
 //!                        (per-function coverage, evals, cache hits and
 //!                        evals/sec — the artifact the nightly CI job and
@@ -85,8 +82,6 @@ usage: cargo run --release --example fdlibm_campaign -- [options] [names...]
   --seed S             campaign master seed (default 42)
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp, tape
-  --simd ISA           SIMD kernels: portable, sse2, avx2 (default: autodetect;
-                       env COVERME_SIMD); values/coverage ISA-independent
   --json PATH          also write the CampaignReport as JSON to PATH
                        (atomic: tmp file + rename)
   --help               print this message
@@ -116,7 +111,6 @@ fn main() {
             name => names.push(name.to_string()),
         }
     }
-    parser.settle_simd(&options);
     let compares = [
         compare_shards.is_some(),
         compare_sync.is_some(),

@@ -32,17 +32,6 @@ tape-lane-vs-interp-lane ratio additionally carries an **absolute floor**
 is 1.5x the interpreted lane path on the corpus, independent of what the
 baseline happens to record.
 
-The artifact also carries a ``simd`` table: per-ISA throughput of the
-lane-finalize kernels on one harvested pending-event stream, normalized
-to the portable scalar kernel (``simd_speedup_vs_scalar_lane``). Each ISA
-present in **both** artifacts is gated with the relative tolerance; the
-``avx2`` row additionally carries an absolute floor (default 1.3x,
-``--simd-floor``) — the vectorized finalize's acceptance bar. ISAs the
-current machine cannot run simply have no row and are not compared;
-``--require-simd ISA`` (repeatable) turns a missing row into a failure,
-for CI steps that forced a specific dispatch and must not silently skip
-the gate.
-
 Campaign search-efficiency gate
 -------------------------------
 With ``--campaign-baseline`` and ``--campaign-current`` the gate also
@@ -90,11 +79,6 @@ FPIR_REPORTED_METRICS = (
     "tape_evals_per_sec",
     "tape_lane_evals_per_sec",
 )
-
-# Per-ISA finalize-kernel ratio gated on the simd table (relative
-# tolerance when the baseline has the ISA; the avx2 row additionally has
-# the absolute --simd-floor).
-SIMD_GATED_METRIC = "simd_speedup_vs_scalar_lane"
 
 UPDATE_INSTRUCTIONS = """\
 If this regression is intended (e.g. the engine traded single-path speed
@@ -195,22 +179,6 @@ def main():
         default=1.5,
         help="absolute floor on tape_lane_speedup_vs_interp_lane for every "
         "fpir row (default 1.5 = the tape backend's acceptance bar)",
-    )
-    parser.add_argument(
-        "--simd-floor",
-        type=float,
-        default=1.3,
-        help="absolute floor on simd_speedup_vs_scalar_lane for the avx2 "
-        "row when present (default 1.3 = the vectorized finalize's "
-        "acceptance bar)",
-    )
-    parser.add_argument(
-        "--require-simd",
-        action="append",
-        default=[],
-        metavar="ISA",
-        help="fail unless the current artifact carries a simd row for this "
-        "ISA (repeatable); use on CI steps that forced a dispatch",
     )
     parser.add_argument(
         "--campaign-baseline",
@@ -335,51 +303,6 @@ def main():
             for metric in FPIR_REPORTED_METRICS
         )
         print(f"  {name:>12} (absolute, not gated: {context})")
-
-    # SIMD finalize axis: ISAs present in both artifacts are held to the
-    # relative tolerance; the avx2 row also carries the absolute floor.
-    # An ISA this machine lacks has no row — legitimate, unless the step
-    # explicitly required it.
-    baseline_simd = {row["isa"]: row for row in baseline.get("simd", [])}
-    current_simd = {row["isa"]: row for row in current.get("simd", [])}
-    for isa in args.require_simd:
-        if isa not in current_simd:
-            failures.append(
-                f"simd: required ISA {isa} has no row in the current run "
-                "(forced dispatch did not take, or the bench predates the "
-                "simd table)"
-            )
-    if current_simd:
-        print(
-            f"bench_gate: simd finalize axis — tolerance {args.tolerance:.0%}, "
-            f"absolute avx2 floor {args.simd_floor:.2f}x"
-        )
-    for isa, row in sorted(current_simd.items()):
-        value = row[SIMD_GATED_METRIC]
-        floor = 0.0
-        base_row = baseline_simd.get(isa)
-        if base_row is not None:
-            floor = base_row[SIMD_GATED_METRIC] * (1.0 - args.tolerance)
-        if isa == "avx2":
-            floor = max(floor, args.simd_floor)
-        status = "ok" if value >= floor else "REGRESSED"
-        print(
-            f"  {isa:>12} {SIMD_GATED_METRIC:<34} current {value:6.2f}x"
-            f"  floor {floor:6.2f}x  {status}  "
-            f"({row['lane_width']} lanes, "
-            f"{row['finalize_events_per_sec'] / 1e6:.1f}M events/s)"
-        )
-        if value < floor:
-            failures.append(
-                f"simd {isa}: {SIMD_GATED_METRIC} {value:.2f}x is below "
-                f"the floor {floor:.2f}x"
-            )
-    skipped_isas = sorted(set(baseline_simd) - set(current_simd))
-    if skipped_isas:
-        print(
-            "bench_gate: note: baseline simd ISAs this machine did not "
-            f"run (skipped): {', '.join(skipped_isas)}"
-        )
 
     if failures:
         print("\nbench_gate: FAIL — evaluation throughput regressed:", file=sys.stderr)

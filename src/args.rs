@@ -19,10 +19,7 @@
 
 use std::time::Duration;
 
-use coverme::{
-    BackendMode, CoverMeConfig, InfeasiblePolicy, LocalMethod, SchedulerPolicy, SimdIsa,
-    SIMD_ENV_VAR,
-};
+use coverme::{BackendMode, CoverMeConfig, InfeasiblePolicy, LocalMethod, SchedulerPolicy};
 
 /// Every option the front ends share, with the front ends' historical
 /// defaults (`n_start` 80, seed 42, unsharded, Powell, auto backend).
@@ -40,13 +37,6 @@ pub struct CommonOptions {
     pub local_method: LocalMethod,
     /// Execution backend (`--backend auto|interp|tape`).
     pub backend: BackendMode,
-    /// Forced SIMD dispatch (`--simd portable|sse2|avx2`; default: the
-    /// process-wide choice, i.e. `COVERME_SIMD` or CPU autodetection).
-    /// Every ISA produces bit-identical values, coverage, and chosen
-    /// inputs — this knob trades speed, never results. (Cache-hit
-    /// *telemetry* can shift with the ISA's lane width, since wider lane
-    /// groups flush cache misses in larger batches.)
-    pub simd: Option<SimdIsa>,
     /// Wall-clock budget (`--time-budget SECS`).
     pub time_budget: Option<Duration>,
     /// Global evaluation budget (`--budget N`).
@@ -76,7 +66,6 @@ impl Default for CommonOptions {
             sync_epochs: 0,
             local_method: LocalMethod::Powell,
             backend: BackendMode::Auto,
-            simd: None,
             time_budget: None,
             budget_evals: None,
             scheduler: SchedulerPolicy::Fixed,
@@ -103,9 +92,6 @@ impl CommonOptions {
             .with_sync_epochs(self.sync_epochs)
             .with_scheduler(self.scheduler)
             .with_infeasible_policy(self.infeasible_policy);
-        if let Some(isa) = self.simd {
-            config = config.with_simd(isa);
-        }
         if let Some(budget) = self.time_budget {
             config = config.with_time_budget(budget);
         }
@@ -125,8 +111,6 @@ pub const COMMON_USAGE: &str = "\
   --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp, tape
-  --simd ISA           SIMD kernels: portable, sse2, avx2 (default: autodetect;
-                       env COVERME_SIMD); values/coverage ISA-independent
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --time-budget SECS   wall-clock budget
   --budget N           global evaluation budget (drives --scheduler bandit)
@@ -211,20 +195,6 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
                     ))
                 });
             }
-            "--simd" => {
-                let value = self.value_for("--simd");
-                let isa = SimdIsa::parse(&value).unwrap_or_else(|| {
-                    self.usage_error(&format!(
-                        "--simd got unknown ISA {value} (portable, sse2, avx2)"
-                    ))
-                });
-                if !isa.is_supported() {
-                    self.usage_error(&format!(
-                        "--simd {value}: ISA not supported on this machine"
-                    ));
-                }
-                options.simd = Some(isa);
-            }
             "--time-budget" => {
                 let secs: f64 = self.parsed("--time-budget");
                 options.time_budget = Some(Duration::from_secs_f64(secs));
@@ -256,28 +226,6 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
             _ => return false,
         }
         true
-    }
-
-    /// Settles the process-wide SIMD dispatch once the flags are parsed: a
-    /// malformed or unsupported `COVERME_SIMD` aborts with a usage error
-    /// (exit 2) instead of silently falling back to autodetection, and an
-    /// explicit `--simd` is forced process-wide so components that consult
-    /// [`SimdIsa::active`] directly — the serve daemon's `hello`/`stats`
-    /// payloads, default-constructed backends — agree with the flag.
-    pub fn settle_simd(&self, options: &CommonOptions) {
-        match SimdIsa::from_env() {
-            Err(message) => self.usage_error(&message),
-            Ok(Some(isa)) if !isa.is_supported() => self.usage_error(&format!(
-                "{SIMD_ENV_VAR}={}: ISA not supported on this machine",
-                isa.label()
-            )),
-            Ok(_) => {}
-        }
-        if let Some(isa) = options.simd {
-            if let Err(message) = SimdIsa::force(isa) {
-                self.usage_error(&message);
-            }
-        }
     }
 }
 
@@ -398,8 +346,6 @@ mod tests {
             "nm",
             "--backend",
             "tape",
-            "--simd",
-            "portable",
             "--time-budget",
             "1.5",
             "--budget",
@@ -424,7 +370,6 @@ mod tests {
         assert_eq!(options.sync_epochs, 2);
         assert_eq!(options.local_method, LocalMethod::NelderMead);
         assert_eq!(options.backend, BackendMode::Tape);
-        assert_eq!(options.simd, Some(SimdIsa::Portable));
         assert_eq!(options.time_budget, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(options.budget_evals, Some(50_000));
         assert_eq!(options.scheduler, SchedulerPolicy::Bandit);
@@ -502,19 +447,5 @@ mod tests {
         assert_eq!(config.backend, BackendMode::Interp);
         assert_eq!(config.shards, 2);
         assert_eq!(config.n_start, 80);
-    }
-
-    #[test]
-    fn simd_knob_reaches_the_search_config_without_perturbing_its_key() {
-        let options = CommonOptions {
-            simd: Some(SimdIsa::Portable),
-            ..CommonOptions::default()
-        };
-        let config = options.search_config();
-        assert_eq!(config.simd, Some(SimdIsa::Portable));
-        // The ISA trades speed, never results, so it must not fragment the
-        // corpus: forcing a lane width leaves the search key alone.
-        let default_key = CommonOptions::default().search_config().search_key();
-        assert_eq!(config.search_key(), default_key);
     }
 }

@@ -57,8 +57,6 @@ options:
   --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp, tape
-  --simd ISA           SIMD kernels: portable, sse2, avx2 (default: autodetect;
-                       env COVERME_SIMD); values/coverage ISA-independent
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --time-budget SECS   wall-clock budget
   --budget N           global evaluation budget (drives --scheduler bandit)
@@ -173,7 +171,6 @@ fn parse_options(args: impl Iterator<Item = String>) -> (Vec<String>, Options) {
             operand => operands.push(operand.to_string()),
         }
     }
-    parser.settle_simd(&options.common);
     (operands, options)
 }
 

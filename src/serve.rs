@@ -30,7 +30,7 @@
 //! `shutting-down`, `error` (with `line`/`column` for malformed frames),
 //! `rejected` (admission control), and for an admitted job the stream
 //! `accepted` → `function`* → `report` → `done`, where `report` embeds the
-//! same `coverme-campaign-report/7` document `coverme campaign --json`
+//! same `coverme-campaign-report/8` document `coverme campaign --json`
 //! writes, compacted onto one line.
 //!
 //! Hostile input never takes the daemon down: malformed frames get a
@@ -51,6 +51,7 @@ use coverme::{
     Program, SchedulerPolicy,
 };
 use coverme_fpir::{check, instrument, parse as parse_fpir, IrProgram};
+use coverme_runtime::LANE_WIDTH;
 
 /// Hard cap on one request frame, in bytes. A line longer than this is
 /// answered with an `error` event and the connection is closed — a frame
@@ -286,7 +287,6 @@ fn handle_connection(server: &Server, stream: TcpStream) {
     };
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(write_half);
-    let isa = coverme_runtime::SimdIsa::active();
     let hello = event_line(
         "hello",
         vec![
@@ -299,12 +299,8 @@ fn handle_connection(server: &Server, stream: TcpStream) {
                 JsonValue::Number(server.options.max_jobs as f64),
             ),
             (
-                "simd_isa".to_string(),
-                JsonValue::String(isa.label().to_string()),
-            ),
-            (
                 "lane_width".to_string(),
-                JsonValue::Number(isa.lane_width() as f64),
+                JsonValue::Number(LANE_WIDTH as f64),
             ),
         ],
     );
@@ -431,7 +427,6 @@ fn dispatch(server: &Server, request: &JsonValue, writer: &mut impl Write) -> bo
 
 fn stats_event(server: &Server) -> String {
     let shared = server.shared.lock().expect("server lock poisoned");
-    let isa = coverme_runtime::SimdIsa::active();
     let mut members = vec![
         (
             "active_jobs".to_string(),
@@ -442,12 +437,8 @@ fn stats_event(server: &Server) -> String {
             JsonValue::Number(server.pool.total as f64),
         ),
         (
-            "simd_isa".to_string(),
-            JsonValue::String(isa.label().to_string()),
-        ),
-        (
             "lane_width".to_string(),
-            JsonValue::Number(isa.lane_width() as f64),
+            JsonValue::Number(LANE_WIDTH as f64),
         ),
     ];
     if let Some(store) = &server.options.corpus {

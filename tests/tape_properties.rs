@@ -16,7 +16,7 @@
 use coverme::{BackendMode, CacheMode, ObjectiveEngine};
 use coverme_fpir::generate::{generate_source, ENTRY_NAME};
 use coverme_fpir::{compile, lower, IrProgram};
-use coverme_runtime::{BranchId, BranchSet, ExecCtx, Program, RunOutcome, SimdIsa};
+use coverme_runtime::{BranchId, BranchSet, ExecCtx, Program, RunOutcome};
 
 /// How many generated programs each property sweeps. The acceptance bar
 /// for this suite is 200; keep it there or above.
@@ -182,93 +182,6 @@ fn tape_engine_matches_interp_engine_bitwise() {
     // The hazard programs must actually abort somewhere in the sweep, or
     // the outcome comparison above never exercised the abort paths.
     assert!(aborted > 0, "no evaluation ever aborted across the corpus");
-}
-
-#[test]
-fn every_simd_isa_agrees_on_the_generated_corpus() {
-    // The ISA axis of the differential sweep: the same tape engine pinned
-    // to each dispatch this machine supports (portable always, SSE2/AVX2
-    // where present) must produce bit-identical values, outcome
-    // classifications and coverage sets — the straight-line-SoA step and
-    // the vectorized finalize trade speed, never semantics. Portable is
-    // the reference; snapshots include a random mid-search saturation so
-    // the deferred-penalty masks differ per lane.
-    let isas = SimdIsa::supported();
-    assert!(isas.contains(&SimdIsa::Portable));
-    let mut aborted = 0u64;
-    for seed in 0..PROGRAMS {
-        let num_sites = compile_seed(seed).num_sites();
-        let mut engines: Vec<(SimdIsa, ObjectiveEngine<IrProgram>)> = isas
-            .iter()
-            .map(|&isa| {
-                (
-                    isa,
-                    ObjectiveEngine::new(compile_seed(seed), 1.0)
-                        .cache_mode(CacheMode::Off)
-                        .backend_mode(BackendMode::Tape)
-                        .simd(isa),
-                )
-            })
-            .collect();
-        let arity = engines[0].1.arity();
-        let mut rng = Rng(seed ^ 0x15A_0003);
-        for snapshot in 0..2 {
-            if snapshot > 0 {
-                let saturated = random_saturation(&mut rng, num_sites);
-                for (_, engine) in &mut engines {
-                    engine.retarget(&saturated);
-                }
-            }
-            let points: Vec<Vec<f64>> = (0..6).map(|_| rng.point(arity)).collect();
-            for (index, point) in points.iter().enumerate() {
-                let (_, reference_engine) = &mut engines[0];
-                let reference = reference_engine.eval_full(point);
-                if reference.outcome != RunOutcome::Done {
-                    aborted += 1;
-                }
-                for (isa, engine) in engines.iter_mut().skip(1) {
-                    let full = engine.eval_full(point);
-                    assert_eq!(
-                        full.value.to_bits(),
-                        reference.value.to_bits(),
-                        "seed {seed}, snapshot {snapshot}, point {index}: \
-                         {isa} value {:e} != portable {:e}",
-                        full.value,
-                        reference.value,
-                    );
-                    assert_eq!(
-                        full.outcome, reference.outcome,
-                        "seed {seed}, point {index}: {isa} outcome diverged"
-                    );
-                    assert_eq!(
-                        full.covered, reference.covered,
-                        "seed {seed}, point {index}: {isa} coverage diverged"
-                    );
-                }
-            }
-            let mut reference_values = Vec::new();
-            engines[0].1.eval_lanes(&points, &mut reference_values);
-            let mut values = Vec::new();
-            for (isa, engine) in engines.iter_mut().skip(1) {
-                values.clear();
-                engine.eval_lanes(&points, &mut values);
-                for (index, (r, v)) in reference_values.iter().zip(&values).enumerate() {
-                    assert_eq!(
-                        r.to_bits(),
-                        v.to_bits(),
-                        "seed {seed}, snapshot {snapshot}, lane {index}: \
-                         {isa} {v:e} != portable {r:e}"
-                    );
-                }
-            }
-        }
-    }
-    // The hazard programs must abort under every ISA, or the outcome
-    // comparison never exercised the Timeout/Trap ordering.
-    assert!(
-        aborted > 0,
-        "no evaluation ever aborted across the ISA sweep"
-    );
 }
 
 #[test]
