@@ -353,7 +353,7 @@ impl<P: Program> ObjectiveEngine<P> {
 
     /// The name of the execution backend actually in use (`"interp"`,
     /// `"tape"`, …) — the effective backend, not the requested mode: an
-    /// engine asked for [`BackendMode::Tape`] on a program without a tape
+    /// engine asked for [`BackendMode::Auto`] on a program without a tape
     /// reports `"interp"`.
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
@@ -477,11 +477,11 @@ impl<P: Program> ObjectiveEngine<P> {
     /// Evaluates a whole batch through the execution backend's lane path:
     /// points are probed against the memo cache first, the misses are
     /// packed into [`LANE_WIDTH`]-wide groups, and every full
-    /// group runs through [`ExecBackend::run_lanes`] (for the interpreter
-    /// backend: one deferred-penalty execution per lane — a pen-code gather
-    /// per conditional instead of a distance computation — plus one
-    /// lockstep finalize; for the tape backend: all lanes through the
-    /// compiled tape). Values land at their input positions in `values`
+    /// group runs through [`ExecBackend::run_lanes`]: one deferred-penalty
+    /// execution per lane — a pen-code gather per conditional instead of a
+    /// distance computation — plus one lockstep finalize, whichever backend
+    /// executes the lanes (the program itself or its compiled tape).
+    /// Values land at their input positions in `values`
     /// (appended, not cleared), bit-for-bit equal to sequential
     /// [`eval_scalar`](Self::eval_scalar) answers.
     ///

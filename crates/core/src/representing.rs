@@ -132,7 +132,9 @@ impl<P: Program> RepresentingFunction<P> {
     /// [`eval`](Self::eval) calls return.
     pub fn eval_batch(&self, points: &[Vec<f64>], values: &mut Vec<f64>) {
         let mut lanes = self.lanes.borrow_mut();
-        lanes.eval_batch(&self.program, points, values);
+        lanes.eval_batch(points, values, |input, ctx| {
+            self.program.execute(input, ctx)
+        });
     }
 
     /// Evaluates `FOO_R(x)` keeping the covered branches and the decision

@@ -26,7 +26,9 @@
 use proptest::prelude::*;
 
 use coverme::objective::ObjectiveEngine;
-use coverme::{BranchId, BranchSet, Cmp, ExecCtx, FnProgram, Objective, RepresentingFunction};
+use coverme::{
+    BranchId, BranchSet, Cmp, ExecCtx, FnProgram, Objective, Program, RepresentingFunction,
+};
 use coverme_runtime::{LaneCtx, DEFAULT_EPSILON, LANE_WIDTH};
 
 /// Specification of one conditional site of a generated program.
@@ -170,7 +172,7 @@ proptest! {
         // The raw LaneCtx agrees too (no engine, no cache in the way).
         let mut raw = LaneCtx::new(snapshot.clone()).with_epsilon(DEFAULT_EPSILON);
         let mut raw_values = Vec::new();
-        raw.eval_batch(&program, &points, &mut raw_values);
+        raw.eval_batch(&points, &mut raw_values, |x, ctx| program.execute(x, ctx));
         for (raw_value, lane_value) in raw_values.iter().zip(&lane_values) {
             prop_assert_eq!(raw_value.to_bits(), lane_value.to_bits());
         }

@@ -1,37 +1,21 @@
 //! Lowering instrumented FPIR modules to a flat, register-based
-//! instruction tape, plus the tape executors.
+//! instruction tape, plus its executor.
 //!
 //! The tree-walking [`interp`](crate::interp) re-traverses the AST on every
 //! evaluation — fine for one run, wasteful for the 100k+ evaluations a
 //! search performs per function. This pass compiles the type-checked,
 //! instrumented module **once** into a [`Tape`]: straight-line basic blocks
 //! of register ops with explicit terminators (jumps, instrumented branch
-//! sites, calls, returns, traps). Two executors run the tape:
-//!
-//! * [`Tape::execute`] — the scalar path, driving any [`ExecCtx`] mode
-//!   (observe, eager representing, deferred) exactly like the interpreter;
-//! * the lane executor inside [`TapeBackend`] — runs up to
-//!   [`LANE_WIDTH`] evaluations with per-lane program counters,
-//!   executing each basic block's ops in lockstep across the lanes
-//!   currently parked on it, gathering deferred-penalty events from a
-//!   shared [`pen_code_table`] and finalizing through
-//!   [`resolve_pen_lanes`].
-//!
-//! On top of the lockstep walk, lowering precomputes a **straight-line-SoA
-//! plan** ([`SoaPlan`], private) per basic block: blocks whose ops are all
-//! double-typed arithmetic/moves/math-calls get their register file
-//! transposed into structure-of-arrays columns and executed as vector ops
-//! ([`simd::vec_bin`]/[`simd::vec_neg`]) across every lane parked on the
-//! block. Blocks that mix integer slots, or chunks where fewer than two
-//! lanes are parked together, fall back to the per-lane op walk. The plan
-//! is a pure execution detail: it is excluded from [`Tape::serialize`] and
-//! the fingerprint, and the SoA kernels are bit-identical to the scalar
-//! walk, so corpus keys and artifacts cannot observe it.
+//! sites, calls, returns, traps). [`Tape::execute`] runs it against any
+//! [`ExecCtx`] mode (observe, eager representing, deferred) exactly like
+//! the interpreter. [`TapeBackend`] uses it for scalar evaluations and, as
+//! the lane execution of the shared [`LaneCtx`] protocol, for batches.
 //!
 //! # Bit-exactness
 //!
 //! The tape is a *throughput* representation, never a semantic one: values
-//! (bit-for-bit), coverage, traces, [`RunOutcome`] classification and step
+//! (bit-for-bit), coverage, traces,
+//! [`RunOutcome`](coverme_runtime::RunOutcome) classification and step
 //! accounting all match the interpreter exactly. Two mechanics make the
 //! step accounting work:
 //!
@@ -59,10 +43,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use coverme_runtime::simd::{self, VecBin};
 use coverme_runtime::{
-    pen_code, pen_code_table, resolve_pen_lanes, BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx,
-    LaneEval, Program, RunOutcome, LANE_WIDTH,
+    BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx, LaneCtx, LaneEval, Program,
 };
 
 use crate::ast::{BinOp, Block as AstBlock, Expr, Module, Stmt, Ty, UnOp};
@@ -70,7 +52,7 @@ use crate::instrument::as_comparison;
 use crate::interp::{int_compare, IrProgram, MAX_DEPTH};
 
 /// A runtime register value. Mirrors the interpreter's `Value` exactly —
-/// same tag dynamics, same conversions — so the executors inherit its
+/// same tag dynamics, same conversions — so the executor inherits its
 /// semantics by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Slot {
@@ -261,8 +243,8 @@ enum Op {
 enum Term {
     /// Unconditional jump.
     Jump(usize),
-    /// An instrumented conditional: report through the context (scalar) or
-    /// the pen-code table (lanes), then branch on `op(lhs, rhs)`.
+    /// An instrumented conditional: report through the context, then
+    /// branch on `op(lhs, rhs)`.
     BranchSite {
         site: u32,
         op: Cmp,
@@ -372,14 +354,9 @@ pub struct Tape {
     entry: usize,
     funcs: Vec<TapeFunc>,
     blocks: Vec<TapeBlock>,
-    /// Per-block straight-line-SoA plans (see [`SoaPlan`]) — derived data
-    /// computed from `blocks`, deliberately excluded from the listing and
-    /// the fingerprint: the plan never changes semantics, so adding or
-    /// improving it must not invalidate corpus warm-start keys.
-    soa: Vec<Option<SoaPlan>>,
 }
 
-/// A call frame of a tape executor.
+/// A call frame of the tape executor.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     base: usize,
@@ -418,12 +395,11 @@ impl Tape {
         self.blocks.len()
     }
 
-    /// Number of blocks the straight-line-SoA compile step vectorized
-    /// (diagnostics; divergent/int-typed blocks stay on the scalar walk).
-    /// The end-to-end benchmark harness (`perfbench/`) reports it as
+    /// Always 0: the tape has no vectorized blocks. Kept for the
+    /// end-to-end benchmark harness (`perfbench/`), which reports it as
     /// `fpir.soa_blocks`.
     pub fn num_soa_blocks(&self) -> usize {
-        self.soa.iter().filter(|p| p.is_some()).count()
+        0
     }
 
     /// Serializes the tape to its stable textual listing (the same text
@@ -804,281 +780,6 @@ fn eval_binary(op: BinOp, l: Slot, r: Slot) -> Slot {
     }
 }
 
-/// One vector operation of a block's straight-line-SoA plan, over SoA
-/// virtual registers (columns of the lane scratch buffer). Each op writes
-/// a *fresh* vreg strictly greater than every vreg it reads — the SSA-ish
-/// discipline that lets the executor split the flat scratch buffer at the
-/// destination column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SoaOp {
-    /// Broadcast a constant into every lane.
-    Splat { dst: u16, value: f64 },
-    /// Lane-wise copy (`Move`/`CoerceDouble` of an already-double value).
-    Copy { dst: u16, src: u16 },
-    /// Lane-wise IEEE negate.
-    Neg { dst: u16, src: u16 },
-    /// Lane-wise IEEE arithmetic through the [`simd`] kernels.
-    Bin {
-        op: VecBin,
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    /// A one-argument `double -> double` builtin, applied per lane (libm
-    /// calls do not vectorize; the win is the fused gather around them).
-    Call1 { which: Builtin, dst: u16, src: u16 },
-    /// `pow`, the only two-argument `double -> double` builtin.
-    Call2 { dst: u16, a: u16, b: u16 },
-}
-
-/// The straight-line-SoA compile step's per-block artifact: a block whose
-/// ops form a pure `double -> double` dataflow (const/move/neg/arith/math
-/// builtins — no int-producing op anywhere) gets its op list re-emitted as
-/// vector ops over lane columns. At runtime, when two or more live lanes
-/// are parked on the block, their registers are gathered into SoA buffers,
-/// the vector ops run once for all lanes, and the results scatter back —
-/// replacing the op-outer/lane-inner scalar walk and its per-op `Slot` tag
-/// dispatch.
-///
-/// Bit-exactness: every vector op computes exactly the `eval_binary`/
-/// `exec_op` double-path formula (IEEE basic ops are correctly rounded;
-/// builtins reuse the identical scalar math), and the plan only runs when
-/// the runtime gather proves every live-in register holds a `Slot::Double`
-/// in every active lane — any `Int` falls the whole block back to the
-/// scalar walk. Fuel stays charged at the block header and terminators are
-/// untouched, so Timeout-before-Trap classification order is preserved.
-#[derive(Debug, Clone)]
-struct SoaPlan {
-    /// Tape registers read before written, with their gather columns. All
-    /// must hold `Slot::Double` at block entry for the plan to run.
-    live_in: Vec<(u16, u16)>,
-    /// Tape registers the block writes, with the column holding each
-    /// register's final value (scattered back as `Slot::Double`).
-    writes: Vec<(u16, u16)>,
-    ops: Vec<SoaOp>,
-    num_vregs: u16,
-}
-
-/// Ceiling on a plan's virtual registers, bounding the scratch buffer.
-const MAX_SOA_VREGS: usize = 256;
-
-/// Vreg allocation state of [`plan_block`].
-struct SoaPlanner {
-    /// Current column of each tape register touched so far.
-    vreg_of: HashMap<u16, u16>,
-    live_in: Vec<(u16, u16)>,
-    /// Tape registers written at least once, in first-write order.
-    wrote: Vec<u16>,
-    ops: Vec<SoaOp>,
-    next: u16,
-}
-
-impl SoaPlanner {
-    fn alloc(&mut self) -> Option<u16> {
-        if self.next as usize >= MAX_SOA_VREGS {
-            return None;
-        }
-        let vreg = self.next;
-        self.next += 1;
-        Some(vreg)
-    }
-
-    /// Column holding `reg`'s current value; first read of a block-foreign
-    /// register records it as a live-in gather.
-    fn read(&mut self, reg: u16) -> Option<u16> {
-        if let Some(&vreg) = self.vreg_of.get(&reg) {
-            return Some(vreg);
-        }
-        let vreg = self.alloc()?;
-        self.vreg_of.insert(reg, vreg);
-        self.live_in.push((reg, vreg));
-        Some(vreg)
-    }
-
-    /// Fresh column for a write to `reg`.
-    fn write(&mut self, reg: u16) -> Option<u16> {
-        let vreg = self.alloc()?;
-        self.vreg_of.insert(reg, vreg);
-        if !self.wrote.contains(&reg) {
-            self.wrote.push(reg);
-        }
-        Some(vreg)
-    }
-}
-
-/// Attempts to compile one block's op list into a [`SoaPlan`]. Returns
-/// `None` — block stays on the scalar walk — when any op can produce an
-/// `Int` (consts, coercions, truthiness, comparisons, bit ops, `%`, the
-/// word-surgery builtins, `scalbn`'s int exponent), or when the block is
-/// too short for the gather/scatter to amortize.
-fn plan_block(block: &TapeBlock) -> Option<SoaPlan> {
-    // A single op cannot pay for its own gather + scatter.
-    if block.ops.len() < 2 {
-        return None;
-    }
-    let mut p = SoaPlanner {
-        vreg_of: HashMap::new(),
-        live_in: Vec::new(),
-        wrote: Vec::new(),
-        ops: Vec::new(),
-        next: 0,
-    };
-    for op in &block.ops {
-        match *op {
-            Op::ConstDouble { dst, value } => {
-                let dst = p.write(dst)?;
-                p.ops.push(SoaOp::Splat { dst, value });
-            }
-            // A move of a double is a copy; `double r` of a double is the
-            // identity (`as_f64` of `Slot::Double` returns the payload).
-            // The gather validation guarantees the double-ness.
-            Op::Move { dst, src } | Op::CoerceDouble { dst, src } => {
-                let src = p.read(src)?;
-                let dst = p.write(dst)?;
-                p.ops.push(SoaOp::Copy { dst, src });
-            }
-            Op::Unary {
-                op: UnOp::Neg,
-                dst,
-                src,
-            } => {
-                let src = p.read(src)?;
-                let dst = p.write(dst)?;
-                p.ops.push(SoaOp::Neg { dst, src });
-            }
-            Op::Binary { op, dst, lhs, rhs } => {
-                let op = match op {
-                    BinOp::Add => VecBin::Add,
-                    BinOp::Sub => VecBin::Sub,
-                    BinOp::Mul => VecBin::Mul,
-                    BinOp::Div => VecBin::Div,
-                    // Rem, comparisons, bit ops, shifts produce Ints.
-                    _ => return None,
-                };
-                let a = p.read(lhs)?;
-                let b = p.read(rhs)?;
-                let dst = p.write(dst)?;
-                p.ops.push(SoaOp::Bin { op, dst, a, b });
-            }
-            Op::Builtin { which, dst, a, b } => match which {
-                Builtin::Sqrt
-                | Builtin::Fabs
-                | Builtin::Floor
-                | Builtin::Sin
-                | Builtin::Cos
-                | Builtin::Exp
-                | Builtin::Log => {
-                    let src = p.read(a)?;
-                    let dst = p.write(dst)?;
-                    p.ops.push(SoaOp::Call1 { which, dst, src });
-                }
-                Builtin::Pow => {
-                    let a = p.read(a)?;
-                    let b = p.read(b)?;
-                    let dst = p.write(dst)?;
-                    p.ops.push(SoaOp::Call2 { dst, a, b });
-                }
-                // Word surgery consumes/produces Ints; scalbn's exponent
-                // goes through `as_i64`.
-                _ => return None,
-            },
-            // ConstInt / CoerceInt / Truth / BitNot / Not produce Ints.
-            _ => return None,
-        }
-    }
-    let writes: Vec<(u16, u16)> = p.wrote.iter().map(|&reg| (reg, p.vreg_of[&reg])).collect();
-    Some(SoaPlan {
-        live_in: p.live_in,
-        writes,
-        ops: p.ops,
-        num_vregs: p.next,
-    })
-}
-
-/// Column offset of a vreg in the flat SoA scratch buffer.
-#[inline(always)]
-fn soa_col(vreg: u16) -> usize {
-    vreg as usize * LANE_WIDTH
-}
-
-/// Reusable flat lane buffer for [`SoaPlan`] execution: `num_vregs`
-/// columns of [`LANE_WIDTH`] doubles.
-#[derive(Debug, Clone, Default)]
-struct SoaScratch {
-    buf: Vec<f64>,
-}
-
-impl SoaScratch {
-    fn ensure(&mut self, num_vregs: u16) {
-        let need = num_vregs as usize * LANE_WIDTH;
-        if self.buf.len() < need {
-            self.buf.resize(need, 0.0);
-        }
-    }
-
-    /// Runs the plan's vector ops over the first `lanes` slots of each
-    /// column. Every op's destination column sits strictly above its
-    /// sources, so splitting the buffer at the destination is safe.
-    fn run(&mut self, plan: &SoaPlan, lanes: usize) {
-        for op in &plan.ops {
-            match *op {
-                SoaOp::Splat { dst, value } => {
-                    let d = soa_col(dst);
-                    self.buf[d..d + lanes].fill(value);
-                }
-                SoaOp::Copy { dst, src } => {
-                    let (d, s) = (soa_col(dst), soa_col(src));
-                    let (head, tail) = self.buf.split_at_mut(d);
-                    tail[..lanes].copy_from_slice(&head[s..s + lanes]);
-                }
-                SoaOp::Neg { dst, src } => {
-                    let (d, s) = (soa_col(dst), soa_col(src));
-                    let (head, tail) = self.buf.split_at_mut(d);
-                    simd::vec_neg(&head[s..s + lanes], &mut tail[..lanes]);
-                }
-                SoaOp::Bin { op, dst, a, b } => {
-                    let (d, ca, cb) = (soa_col(dst), soa_col(a), soa_col(b));
-                    let (head, tail) = self.buf.split_at_mut(d);
-                    simd::vec_bin(
-                        op,
-                        &head[ca..ca + lanes],
-                        &head[cb..cb + lanes],
-                        &mut tail[..lanes],
-                    );
-                }
-                SoaOp::Call1 { which, dst, src } => {
-                    let (d, s) = (soa_col(dst), soa_col(src));
-                    let (head, tail) = self.buf.split_at_mut(d);
-                    let src = &head[s..s + lanes];
-                    let out = &mut tail[..lanes];
-                    // Formula-for-formula `Builtin::eval`'s double paths.
-                    for k in 0..lanes {
-                        out[k] = match which {
-                            Builtin::Sqrt => src[k].sqrt(),
-                            Builtin::Fabs => src[k].abs(),
-                            Builtin::Floor => src[k].floor(),
-                            Builtin::Sin => src[k].sin(),
-                            Builtin::Cos => src[k].cos(),
-                            Builtin::Exp => src[k].exp(),
-                            Builtin::Log => src[k].ln(),
-                            _ => unreachable!("planner admits double->double builtins only"),
-                        };
-                    }
-                }
-                SoaOp::Call2 { dst, a, b } => {
-                    let (d, ca, cb) = (soa_col(dst), soa_col(a), soa_col(b));
-                    let (head, tail) = self.buf.split_at_mut(d);
-                    let (a, b) = (&head[ca..ca + lanes], &head[cb..cb + lanes]);
-                    let out = &mut tail[..lanes];
-                    for k in 0..lanes {
-                        out[k] = a[k].powf(b[k]);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Lowers an instrumented program to its instruction tape.
 ///
 /// # Errors
@@ -1103,10 +804,6 @@ pub fn lower(program: &IrProgram) -> Result<Tape, LowerError> {
         funcs.push(lowered);
     }
     let entry = func_ids[inst.entry.as_str()] as usize;
-    // The straight-line-SoA compile step: derived per-block vector plans.
-    // Computed last so it sees the final block graph; never serialized, so
-    // the listing and fingerprint (corpus keys!) are unaffected.
-    let soa: Vec<Option<SoaPlan>> = blocks.iter().map(plan_block).collect();
     Ok(Tape {
         name: inst.entry.clone(),
         arity: program.arity(),
@@ -1115,7 +812,6 @@ pub fn lower(program: &IrProgram) -> Result<Tape, LowerError> {
         entry,
         funcs,
         blocks,
-        soa,
     })
 }
 
@@ -1514,286 +1210,24 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     }
 }
 
-/// One lane of the batched tape executor: an independent virtual machine
-/// with its own program counter, frames and registers, plus the lane's
-/// pending deferred-penalty event.
-#[derive(Debug, Clone)]
-struct LaneVm {
-    pc: usize,
-    base: usize,
-    steps: usize,
-    alive: bool,
-    outcome: RunOutcome,
-    regs: Vec<Slot>,
-    frames: Vec<Frame>,
-    pend_code: u8,
-    pend_op: Cmp,
-    pend_lhs: f64,
-    pend_rhs: f64,
-}
-
-impl LaneVm {
-    fn new() -> LaneVm {
-        LaneVm {
-            pc: 0,
-            base: 0,
-            steps: 0,
-            alive: false,
-            outcome: RunOutcome::Done,
-            regs: Vec::new(),
-            frames: Vec::new(),
-            pend_code: pen_code::IDLE,
-            pend_op: Cmp::Eq,
-            pend_lhs: 0.0,
-            pend_rhs: 0.0,
-        }
-    }
-
-    fn reset(&mut self, tape: &Tape, input: &[f64]) {
-        let entry = &tape.funcs[tape.entry];
-        self.regs.clear();
-        self.regs.resize(entry.num_regs as usize, Slot::Double(0.0));
-        for (reg, &v) in self.regs.iter_mut().zip(input) {
-            *reg = Slot::Double(v);
-        }
-        self.frames.clear();
-        self.frames.push(Frame {
-            base: 0,
-            ret_block: usize::MAX,
-            ret_dst: None,
-        });
-        self.base = 0;
-        self.pc = entry.entry_block;
-        self.steps = 0;
-        self.alive = true;
-        self.outcome = RunOutcome::Done;
-        self.pend_code = pen_code::IDLE;
-        self.pend_op = Cmp::Eq;
-        self.pend_lhs = 0.0;
-        self.pend_rhs = 0.0;
-    }
-
-    /// Applies a block terminator to this lane.
-    fn step_term(&mut self, tape: &Tape, pen_codes: &[u8], term: &Term) {
-        match *term {
-            Term::Jump(target) => self.pc = target,
-            Term::BranchTruth {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                self.pc = if self.regs[self.base + cond as usize].truthy() {
-                    on_true
-                } else {
-                    on_false
-                };
-            }
-            Term::BranchSite {
-                site,
-                op,
-                lhs,
-                rhs,
-                on_true,
-                on_false,
-            } => {
-                let a = self.regs[self.base + lhs as usize].as_f64();
-                let b = self.regs[self.base + rhs as usize].as_f64();
-                // The deferred-context protocol: a fully-saturated (KEEP)
-                // site cannot change the accumulator, every other code
-                // overwrites the pending event.
-                let code = pen_codes
-                    .get(site as usize)
-                    .copied()
-                    .unwrap_or(pen_code::OPEN);
-                if code != pen_code::KEEP {
-                    self.pend_code = code;
-                    self.pend_op = op;
-                    self.pend_lhs = a;
-                    self.pend_rhs = b;
-                }
-                self.pc = if op.eval(a, b) { on_true } else { on_false };
-            }
-            Term::Call {
-                func,
-                ref args,
-                dst,
-                ret,
-            } => {
-                if self.frames.len() > MAX_DEPTH {
-                    self.alive = false;
-                    self.outcome = RunOutcome::Trap;
-                    return;
-                }
-                let callee = &tape.funcs[func as usize];
-                let new_base = self.regs.len();
-                self.regs
-                    .resize(new_base + callee.num_regs as usize, Slot::Double(0.0));
-                for (index, (&arg, &ty)) in args.iter().zip(&callee.params).enumerate() {
-                    let value = self.regs[self.base + arg as usize].coerce(ty);
-                    self.regs[new_base + index] = value;
-                }
-                self.frames.push(Frame {
-                    base: new_base,
-                    ret_block: ret,
-                    ret_dst: dst,
-                });
-                self.base = new_base;
-                self.pc = callee.entry_block;
-            }
-            Term::Return { value } => {
-                let result = match value {
-                    Some(reg) => self.regs[self.base + reg as usize],
-                    None => Slot::Double(0.0),
-                };
-                let frame = self.frames.pop().expect("at least the entry frame");
-                self.regs.truncate(frame.base);
-                match self.frames.last() {
-                    Some(caller) => {
-                        self.base = caller.base;
-                        if let Some(dst) = frame.ret_dst {
-                            self.regs[self.base + dst as usize] = result;
-                        }
-                        self.pc = frame.ret_block;
-                    }
-                    None => self.alive = false,
-                }
-            }
-            Term::Trap => {
-                self.alive = false;
-                self.outcome = RunOutcome::Trap;
-            }
-        }
-    }
-}
-
-/// Gathers a plan's live-in registers from the active lanes into the SoA
-/// scratch, runs the vector ops, and scatters the written registers back.
-/// Returns `false` — without touching any register — when a live-in holds
-/// an `Int` in any lane; the caller then runs the scalar walk.
-fn run_block_soa(
-    plan: &SoaPlan,
-    scratch: &mut SoaScratch,
-    vms: &mut [LaneVm],
-    active: &[usize],
-) -> bool {
-    scratch.ensure(plan.num_vregs);
-    let lanes = active.len();
-    for &(reg, vreg) in &plan.live_in {
-        let column = soa_col(vreg);
-        for (slot, &index) in active.iter().enumerate() {
-            let vm = &vms[index];
-            match vm.regs[vm.base + reg as usize] {
-                Slot::Double(v) => scratch.buf[column + slot] = v,
-                Slot::Int(_) => return false,
-            }
-        }
-    }
-    scratch.run(plan, lanes);
-    for &(reg, vreg) in &plan.writes {
-        let column = soa_col(vreg);
-        for (slot, &index) in active.iter().enumerate() {
-            let vm = &mut vms[index];
-            let base = vm.base;
-            vm.regs[base + reg as usize] = Slot::Double(scratch.buf[column + slot]);
-        }
-    }
-    true
-}
-
-/// Runs a chunk of lanes to completion. Each scheduling round picks the
-/// lowest live program counter and advances every lane parked on that
-/// block together: the fuel charge, then the block body — through the
-/// block's [`SoaPlan`] vector ops when two or more lanes are parked here
-/// and every live-in register is a double, through the scalar op-outer/
-/// lane-inner walk otherwise — then the terminator per lane. Lanes whose
-/// paths diverge simply wait their turn; lanes on the same path stay in
-/// lockstep the whole run.
-fn run_lane_chunk(tape: &Tape, pen_codes: &[u8], vms: &mut [LaneVm], scratch: &mut SoaScratch) {
-    // The round's active-lane set, built once so the op-outer loop touches
-    // only the lanes actually parked on this block — when lanes diverge
-    // (data-dependent loop trip counts), rescanning every lane per op is
-    // what ate the lockstep advantage.
-    debug_assert!(vms.len() <= LANE_WIDTH);
-    let mut active = [0usize; LANE_WIDTH];
-    loop {
-        let mut next: Option<usize> = None;
-        for vm in vms.iter() {
-            if vm.alive {
-                next = Some(next.map_or(vm.pc, |pc| pc.min(vm.pc)));
-            }
-        }
-        let Some(pc) = next else { break };
-        let block = &tape.blocks[pc];
-        // Fuel first (a lane that times out here must not run the ops),
-        // then collect the survivors.
-        let mut live = 0;
-        for (index, vm) in vms.iter_mut().enumerate() {
-            if vm.alive && vm.pc == pc {
-                vm.steps += block.cost as usize;
-                if vm.steps > tape.fuel {
-                    vm.alive = false;
-                    vm.outcome = RunOutcome::Timeout;
-                } else {
-                    active[live] = index;
-                    live += 1;
-                }
-            }
-        }
-        let ran_soa = live >= 2
-            && tape.soa[pc]
-                .as_ref()
-                .is_some_and(|plan| run_block_soa(plan, scratch, vms, &active[..live]));
-        if !ran_soa {
-            for op in &block.ops {
-                for &index in &active[..live] {
-                    let vm = &mut vms[index];
-                    exec_op(op, vm.base, &mut vm.regs);
-                }
-            }
-        }
-        for &index in &active[..live] {
-            vms[index].step_term(tape, pen_codes, &block.term);
-        }
-    }
-}
-
 /// The compiled execution backend for FPIR programs: scalar evaluations
-/// run the tape against the caller's [`ExecCtx`], batched evaluations run
-/// [`LANE_WIDTH`] tape VMs in lockstep and finalize the deferred penalties
-/// through the lane kernels. Installed automatically by
-/// [`IrProgram`]'s [`Program::backend`] under
-/// [`BackendMode::Auto`]/[`BackendMode::Tape`].
+/// run the tape against the caller's [`ExecCtx`], and batches run it once
+/// per lane through the shared deferred-penalty [`LaneCtx`] protocol.
+/// Installed automatically by [`IrProgram`]'s [`Program::backend`] under
+/// [`BackendMode::Auto`].
 #[derive(Debug, Clone)]
 pub struct TapeBackend {
     tape: Arc<Tape>,
-    epsilon: f64,
-    pen_codes: Vec<u8>,
-    vms: Vec<LaneVm>,
-    /// Lane buffer for the straight-line-SoA block kernels.
-    soa_scratch: SoaScratch,
-    // SoA scratch for the finalize kernels.
-    codes: Vec<u8>,
-    ops: Vec<Cmp>,
-    lhs: Vec<f64>,
-    rhs: Vec<f64>,
-    values: Vec<f64>,
+    lane: LaneCtx,
 }
 
 impl TapeBackend {
-    /// Wraps a lowered tape with default (unset) tuning; the objective
-    /// engine injects `ε` and the saturation snapshot on installation.
+    /// Wraps a lowered tape with the default `ε` and the empty saturation
+    /// snapshot; the objective engine injects both on installation.
     pub fn new(tape: Tape) -> TapeBackend {
         TapeBackend {
             tape: Arc::new(tape),
-            epsilon: coverme_runtime::DEFAULT_EPSILON,
-            pen_codes: Vec::new(),
-            vms: Vec::new(),
-            soa_scratch: SoaScratch::default(),
-            codes: Vec::new(),
-            ops: Vec::new(),
-            lhs: Vec::new(),
-            rhs: Vec::new(),
-            values: Vec::new(),
+            lane: LaneCtx::new(BranchSet::new()),
         }
     }
 
@@ -1809,11 +1243,12 @@ impl ExecBackend for TapeBackend {
     }
 
     fn set_epsilon(&mut self, epsilon: f64) {
-        self.epsilon = epsilon;
+        let lane = std::mem::take(&mut self.lane);
+        self.lane = lane.with_epsilon(epsilon);
     }
 
     fn retarget(&mut self, saturated: &BranchSet) {
-        self.pen_codes = pen_code_table(saturated);
+        self.lane.retarget(saturated.clone());
     }
 
     fn run(&mut self, _program: &dyn Program, input: &[f64], ctx: &mut ExecCtx) {
@@ -1827,48 +1262,9 @@ impl ExecBackend for TapeBackend {
         indices: &[usize],
         out: &mut Vec<LaneEval>,
     ) {
-        out.reserve(indices.len());
-        if self.vms.len() < LANE_WIDTH {
-            self.vms.resize_with(LANE_WIDTH, LaneVm::new);
-        }
-        for chunk in indices.chunks(LANE_WIDTH) {
-            let lanes = chunk.len();
-            let tape = Arc::clone(&self.tape);
-            for (vm, &index) in self.vms[..lanes].iter_mut().zip(chunk) {
-                vm.reset(&tape, &points[index]);
-            }
-            run_lane_chunk(
-                &tape,
-                &self.pen_codes,
-                &mut self.vms[..lanes],
-                &mut self.soa_scratch,
-            );
-            self.codes.clear();
-            self.ops.clear();
-            self.lhs.clear();
-            self.rhs.clear();
-            for vm in &self.vms[..lanes] {
-                self.codes.push(vm.pend_code);
-                self.ops.push(vm.pend_op);
-                self.lhs.push(vm.pend_lhs);
-                self.rhs.push(vm.pend_rhs);
-            }
-            self.values.clear();
-            resolve_pen_lanes(
-                &self.codes,
-                &self.ops,
-                &self.lhs,
-                &self.rhs,
-                self.epsilon,
-                &mut self.values,
-            );
-            for (vm, &value) in self.vms[..lanes].iter().zip(&self.values) {
-                out.push(LaneEval {
-                    value,
-                    outcome: vm.outcome,
-                });
-            }
-        }
+        let tape = &self.tape;
+        self.lane
+            .run_lanes(points, indices, out, |input, ctx| tape.execute(input, ctx));
     }
 
     fn clone_box(&self) -> Box<dyn ExecBackend> {
@@ -1877,15 +1273,15 @@ impl ExecBackend for TapeBackend {
 }
 
 /// Builds the backend [`IrProgram::backend`] hands out: `None` for
-/// [`BackendMode::Interp`], the lowered tape for `Auto`/`Tape` (or `None`
-/// when lowering bails, which transparently keeps the interpreter).
+/// [`BackendMode::Interp`], the lowered tape for `Auto` (or `None` when
+/// lowering bails, which transparently keeps the interpreter).
 pub(crate) fn program_backend(
     program: &IrProgram,
     mode: BackendMode,
 ) -> Option<Box<dyn ExecBackend>> {
     match mode {
         BackendMode::Interp => None,
-        BackendMode::Auto | BackendMode::Tape => lower(program)
+        BackendMode::Auto => lower(program)
             .ok()
             .map(|tape| Box::new(TapeBackend::new(tape)) as Box<dyn ExecBackend>),
     }
@@ -1895,7 +1291,7 @@ pub(crate) fn program_backend(
 mod tests {
     use super::*;
     use crate::compile;
-    use coverme_runtime::{BranchId, InterpBackend, DEFAULT_EPSILON};
+    use coverme_runtime::{BranchId, InterpBackend, RunOutcome, DEFAULT_EPSILON, LANE_WIDTH};
 
     /// Runs `program` both ways on `input` in observe mode and asserts the
     /// full observable state matches: coverage, trace, outcome.
@@ -2036,8 +1432,9 @@ mod tests {
             .into_iter()
             .collect();
         let mut tape_backend = p
-            .backend(BackendMode::Tape)
+            .backend(BackendMode::Auto)
             .expect("tape backend available");
+        assert_eq!(tape_backend.name(), "tape");
         let mut interp_backend: Box<dyn ExecBackend> = Box::new(InterpBackend::new());
         for backend in [&mut tape_backend, &mut interp_backend] {
             backend.set_epsilon(DEFAULT_EPSILON);
@@ -2066,9 +1463,7 @@ mod tests {
         assert!(p.backend(BackendMode::Interp).is_none());
         let auto = p.backend(BackendMode::Auto).expect("auto resolves to tape");
         assert_eq!(auto.name(), "tape");
-        let forced = p.backend(BackendMode::Tape).expect("tape available");
-        assert_eq!(forced.name(), "tape");
-        assert_eq!(forced.lane_width(), LANE_WIDTH);
+        assert_eq!(auto.lane_width(), LANE_WIDTH);
     }
 
     #[test]
@@ -2104,55 +1499,7 @@ mod tests {
     }
 
     #[test]
-    fn soa_plans_cover_arithmetic_blocks_without_leaking_into_the_listing() {
-        let p = compile(
-            r#"
-            double f(double x, double y) {
-                double a = x * y + 2.0;
-                double b = sqrt(fabs(a)) - x / 3.0;
-                double c = sin(b) * cos(a) + exp(x * 0.001);
-                if (c <= 1.0) { return c + a; }
-                return c - b;
-            }
-            "#,
-            "f",
-        )
-        .unwrap();
-        let tape = lower(&p).unwrap();
-        assert!(
-            tape.num_soa_blocks() > 0,
-            "straight-line double arithmetic should plan at least one SoA block"
-        );
-        // The plan is a pure execution detail: listings (and therefore the
-        // fingerprint/corpus keys built from them) never mention it.
-        assert!(!tape.serialize().contains("soa"));
-    }
-
-    #[test]
-    fn soa_planner_bails_on_integer_blocks() {
-        let p = compile(
-            r#"
-            double f(double x) {
-                int hx = high_word(x) & 0x7fffffff;
-                int k = hx >> 20;
-                int j = k - 1023;
-                double z = from_words(hx, low_word(x));
-                return z + j;
-            }
-            "#,
-            "f",
-        )
-        .unwrap();
-        let tape = lower(&p).unwrap();
-        assert_eq!(
-            tape.num_soa_blocks(),
-            0,
-            "int-producing ops must disable the SoA plan for the block"
-        );
-    }
-
-    #[test]
-    fn soa_lane_path_matches_the_eager_scalar_path() {
+    fn arithmetic_lane_path_matches_the_eager_scalar_path() {
         let p = compile(
             r#"
             double f(double x, double y) {
@@ -2167,8 +1514,6 @@ mod tests {
             "f",
         )
         .unwrap();
-        let tape = lower(&p).unwrap();
-        assert!(tape.num_soa_blocks() > 0);
         let saturated: BranchSet = [BranchId::false_of(0), BranchId::true_of(1)]
             .into_iter()
             .collect();
@@ -2200,7 +1545,8 @@ mod tests {
                 ctx.representing_value().to_bits()
             })
             .collect();
-        let mut backend = p.backend(BackendMode::Tape).expect("tape available");
+        let mut backend = p.backend(BackendMode::Auto).expect("tape available");
+        assert_eq!(backend.name(), "tape");
         backend.set_epsilon(DEFAULT_EPSILON);
         backend.retarget(&saturated);
         let mut evals = Vec::new();

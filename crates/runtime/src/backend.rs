@@ -11,12 +11,17 @@
 //! * [`InterpBackend`] reproduces the historical behavior exactly: scalar
 //!   evaluations call [`Program::execute`] (whatever executor the program
 //!   embeds — the fdlibm ports run native Rust, `coverme-fpir` programs run
-//!   their tree-walking interpreter), and batches go through the
-//!   deferred-penalty [`LaneCtx`] record/finalize protocol.
+//!   their tree-walking interpreter), and batches go through
+//!   [`LaneCtx::run_lanes`] with `Program::execute` as the lane execution.
 //! * A program can provide its own backend through
 //!   [`Program::backend`](crate::Program::backend) — the FPIR front end
 //!   lowers its AST to a flat instruction tape and returns a tape backend
-//!   whose lane path runs all lanes through the tape in lockstep.
+//!   that runs the tape for scalar evaluations and hands the same tape
+//!   execution to [`LaneCtx::run_lanes`] for batches.
+//!
+//! There is one lane protocol: whatever the backend, a batch is recorded
+//! lane by lane through the deferred-penalty [`LaneCtx`] and finalized in
+//! lockstep; backends differ only in the closure that executes a lane.
 //!
 //! Whatever the backend, the contract is **bit-exactness**: values,
 //! coverage, traces, [`RunOutcome`] classification and cache visibility
@@ -40,10 +45,6 @@ pub enum BackendMode {
     /// Force the historical backend: [`Program::execute`] per evaluation,
     /// [`LaneCtx`] for batches. Every program supports this.
     Interp,
-    /// Force the compiled tape backend. Programs without a tape (native
-    /// fdlibm ports, hand-written closures) fall back to
-    /// [`BackendMode::Interp`].
-    Tape,
 }
 
 impl BackendMode {
@@ -52,7 +53,6 @@ impl BackendMode {
         match self {
             BackendMode::Auto => "auto",
             BackendMode::Interp => "interp",
-            BackendMode::Tape => "tape",
         }
     }
 
@@ -61,7 +61,6 @@ impl BackendMode {
         match s {
             "auto" => Some(BackendMode::Auto),
             "interp" => Some(BackendMode::Interp),
-            "tape" => Some(BackendMode::Tape),
             _ => None,
         }
     }
@@ -157,14 +156,11 @@ impl Clone for Box<dyn ExecBackend> {
 }
 
 /// The historical backend: [`Program::execute`] for scalar evaluations,
-/// the deferred-penalty [`LaneCtx`] for batches. Works for every program.
+/// and for each lane of a batch run through [`LaneCtx::run_lanes`]. Works
+/// for every program.
 #[derive(Debug, Clone)]
 pub struct InterpBackend {
     lane: LaneCtx,
-    /// Per-chunk outcome scratch, aligned with the lane record order.
-    outcomes: Vec<RunOutcome>,
-    /// Per-chunk value scratch the finalize writes into.
-    values: Vec<f64>,
 }
 
 impl InterpBackend {
@@ -172,8 +168,6 @@ impl InterpBackend {
     pub fn new() -> InterpBackend {
         InterpBackend {
             lane: LaneCtx::new(BranchSet::new()),
-            outcomes: Vec::new(),
-            values: Vec::new(),
         }
     }
 }
@@ -209,20 +203,9 @@ impl ExecBackend for InterpBackend {
         indices: &[usize],
         out: &mut Vec<LaneEval>,
     ) {
-        out.reserve(indices.len());
-        for chunk in indices.chunks(LANE_WIDTH) {
-            self.outcomes.clear();
-            for &index in chunk {
-                let outcome = self.lane.record(program, &points[index]);
-                self.outcomes.push(outcome);
-            }
-            self.values.clear();
-            self.lane.finalize_into(&mut self.values);
-            debug_assert_eq!(self.values.len(), self.outcomes.len());
-            for (&value, &outcome) in self.values.iter().zip(&self.outcomes) {
-                out.push(LaneEval { value, outcome });
-            }
-        }
+        self.lane.run_lanes(points, indices, out, |input, ctx| {
+            program.execute(input, ctx)
+        });
     }
 
     fn clone_box(&self) -> Box<dyn ExecBackend> {
@@ -252,11 +235,12 @@ mod tests {
 
     #[test]
     fn mode_labels_round_trip() {
-        for mode in [BackendMode::Auto, BackendMode::Interp, BackendMode::Tape] {
+        for mode in [BackendMode::Auto, BackendMode::Interp] {
             assert_eq!(BackendMode::parse(mode.label()), Some(mode));
             assert_eq!(mode.to_string(), mode.label());
         }
         assert_eq!(BackendMode::parse("nope"), None);
+        assert_eq!(BackendMode::parse("tape"), None);
         assert_eq!(BackendMode::default(), BackendMode::Auto);
     }
 

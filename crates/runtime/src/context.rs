@@ -25,12 +25,9 @@ use crate::trace::{TakenBranch, Trace};
 /// per-branch work of a deferred execution is a single gather into this
 /// table plus a branch-free overwrite of the pending-event slot.
 ///
-/// Public so out-of-crate lane executors (the FPIR tape backend) can speak
-/// the same deferred protocol: gather the site's code from a table built by
-/// [`pen_code_table`](crate::lane::pen_code_table), overwrite the lane's
-/// pending event unless the code is [`KEEP`](pen_code::KEEP), and resolve
-/// pending events through
-/// [`resolve_pen_lanes`](crate::lane::resolve_pen_lanes).
+/// Public because a pending event carries its code out of the context:
+/// [`resolve_pen_lanes`](crate::lane::resolve_pen_lanes) resolves lane
+/// buffers of them.
 pub mod pen_code {
     /// Neither side saturated: `pen` would return `0`.
     pub const OPEN: u8 = 0;

@@ -4,10 +4,11 @@
 //! The candidates a minimizer submits in one batch — a Nelder–Mead simplex,
 //! a compass probe star, a shard's start schedule — are independent, so
 //! their evaluations can execute in lockstep. Programs under test are
-//! native code (hand-instrumented Rust ports, or the FPIR interpreter), so
-//! their *control flow* cannot be run one-instruction-per-lane the way a
-//! SIMT interpreter would; what fuses across lanes instead is the
-//! instrumentation itself, split into two phases:
+//! native code (hand-instrumented Rust ports, the FPIR interpreter or the
+//! compiled FPIR tape), so their *control flow* is not run
+//! one-instruction-per-lane the way a SIMT interpreter would; what fuses
+//! across lanes instead is the instrumentation itself, split into two
+//! phases:
 //!
 //! 1. **record** — each lane executes the program once through a shared
 //!    deferred-penalty [`ExecCtx`] ([`ExecCtx::deferred_pen`]). Per
@@ -26,7 +27,10 @@
 //!    lane), and the one distance per lane that actually determines the
 //!    value is computed for all lanes by the [`crate::simd`] lane kernels.
 //!
-//! One finalize packs [`LANE_WIDTH`] lanes, on every machine.
+//! One finalize packs [`LANE_WIDTH`] lanes, on every machine. The record
+//! phase takes the execution as a closure, so every backend — the
+//! interpreter/native one and the FPIR tape — batches through this one
+//! protocol ([`LaneCtx::run_lanes`]).
 //!
 //! Bit-exactness with the scalar path is non-negotiable and holds by
 //! construction: the finalize performs exactly the [`distance`] call
@@ -39,14 +43,14 @@
 //!
 //! [`distance`]: crate::distance
 
-use crate::branch::{BranchSet, Direction};
+use crate::backend::LaneEval;
+use crate::branch::BranchSet;
 use crate::context::{pen_code, ExecCtx, PendingPen, RunOutcome};
 use crate::distance::Cmp;
-use crate::program::Program;
 use crate::simd;
 
 /// Number of lanes one lockstep finalize packs: the size of a
-/// [`LaneCtx`]'s SoA buffers and of the tape backend's lane chunks. Batch
+/// [`LaneCtx`]'s SoA buffers and of every backend's lane chunks. Batch
 /// producers that size a candidate stream freely learn it through
 /// `Objective::preferred_batch` in `coverme-optim`; fixed-size sets (a
 /// probe star, a simplex) are evaluated as-is in partially filled chunks.
@@ -76,6 +80,10 @@ pub struct LaneCtx {
     lhs: [f64; LANE_WIDTH],
     /// Right comparison operand per recorded lane.
     rhs: [f64; LANE_WIDTH],
+    /// How each recorded lane's execution ended.
+    outcomes: [RunOutcome; LANE_WIDTH],
+    /// Value scratch [`run_lanes`](Self::run_lanes) finalizes into.
+    values: Vec<f64>,
     /// Number of recorded, not-yet-finalized lanes.
     lanes: usize,
 }
@@ -90,6 +98,8 @@ impl LaneCtx {
             ops: [Cmp::Eq; LANE_WIDTH],
             lhs: [0.0; LANE_WIDTH],
             rhs: [0.0; LANE_WIDTH],
+            outcomes: [RunOutcome::Done; LANE_WIDTH],
+            values: Vec::with_capacity(LANE_WIDTH),
             lanes: 0,
         }
     }
@@ -140,9 +150,12 @@ impl LaneCtx {
         self.lanes == 0
     }
 
-    /// Records one lane: executes `program` on `input` through the deferred
-    /// context and harvests the surviving pending event into the lane
-    /// buffers. Returns how the execution ended so a dispatcher can handle
+    /// Records one lane: runs `execute` once against the deferred context
+    /// and harvests the surviving pending event into the lane buffers.
+    /// `execute` is the program's execution on the lane's input — a
+    /// [`Program::execute`](crate::Program::execute) call, or any other
+    /// executor that reports branches through the [`ExecCtx`] (the FPIR
+    /// tape). Returns how the execution ended so a dispatcher can handle
     /// aborted runs (substitute a sentinel value, skip memoization) — the
     /// lane itself is recorded either way, keeping lane/value indices
     /// aligned.
@@ -150,18 +163,19 @@ impl LaneCtx {
     /// # Panics
     ///
     /// Panics if all [`LANE_WIDTH`] lanes are already filled.
-    pub fn record<P: Program + ?Sized>(&mut self, program: &P, input: &[f64]) -> RunOutcome {
+    pub fn record(&mut self, execute: impl FnOnce(&mut ExecCtx)) -> RunOutcome {
         assert!(self.lanes < LANE_WIDTH, "all lanes filled; finalize first");
         self.ctx.reset();
-        program.execute(input, &mut self.ctx);
+        execute(&mut self.ctx);
         let PendingPen { code, op, lhs, rhs } = self.ctx.pending_pen();
         let lane = self.lanes;
         self.codes[lane] = code;
         self.ops[lane] = op;
         self.lhs[lane] = lhs;
         self.rhs[lane] = rhs;
+        self.outcomes[lane] = self.ctx.run_outcome();
         self.lanes += 1;
-        self.ctx.run_outcome()
+        self.outcomes[lane]
     }
 
     /// Resolves every recorded lane in one lockstep pass, appending one
@@ -186,25 +200,61 @@ impl LaneCtx {
         self.lanes = 0;
     }
 
-    /// Evaluates `FOO_R` over a whole batch: points are packed into
-    /// [`LANE_WIDTH`]-wide chunks, each chunk recorded lane by
-    /// lane and finalized in lockstep. One value per point is appended to
-    /// `values` in input order; `values` is not cleared.
+    /// Evaluates `FOO_R` at `points[i]` for every `i` in `indices`,
+    /// appending one [`LaneEval`] per index (in order) to `out`: the indices
+    /// are packed into [`LANE_WIDTH`]-wide chunks, each chunk recorded lane
+    /// by lane through `execute(point, ctx)` and finalized in lockstep. This
+    /// is the whole batched path of every [`ExecBackend`](crate::ExecBackend).
     ///
     /// # Panics
     ///
     /// Panics if lanes were recorded but not yet finalized.
-    pub fn eval_batch<P: Program + ?Sized>(
+    pub fn run_lanes(
         &mut self,
-        program: &P,
+        points: &[Vec<f64>],
+        indices: &[usize],
+        out: &mut Vec<LaneEval>,
+        mut execute: impl FnMut(&[f64], &mut ExecCtx),
+    ) {
+        assert_eq!(self.lanes, 0, "run_lanes with unfinalized lanes pending");
+        out.reserve(indices.len());
+        for chunk in indices.chunks(LANE_WIDTH) {
+            for &index in chunk {
+                self.record(|ctx| execute(&points[index], ctx));
+            }
+            let mut values = std::mem::take(&mut self.values);
+            values.clear();
+            self.finalize_into(&mut values);
+            out.extend(
+                values
+                    .iter()
+                    .zip(&self.outcomes)
+                    .map(|(&value, &outcome)| LaneEval { value, outcome }),
+            );
+            self.values = values;
+        }
+    }
+
+    /// Evaluates `FOO_R` over a whole batch of points, executing each
+    /// through `execute(point, ctx)`: points are packed into
+    /// [`LANE_WIDTH`]-wide chunks, each chunk recorded lane by lane and
+    /// finalized in lockstep. One value per point is appended to `values`
+    /// in input order; `values` is not cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lanes were recorded but not yet finalized.
+    pub fn eval_batch(
+        &mut self,
         points: &[Vec<f64>],
         values: &mut Vec<f64>,
+        mut execute: impl FnMut(&[f64], &mut ExecCtx),
     ) {
         assert_eq!(self.lanes, 0, "eval_batch with unfinalized lanes pending");
         values.reserve(points.len());
         for chunk in points.chunks(LANE_WIDTH) {
             for point in chunk {
-                self.record(program, point);
+                self.record(|ctx| execute(point, ctx));
             }
             self.finalize_into(values);
         }
@@ -215,29 +265,6 @@ impl Default for LaneCtx {
     fn default() -> LaneCtx {
         LaneCtx::new(BranchSet::new())
     }
-}
-
-/// Builds the per-site `pen` dispatch table for a saturation snapshot: one
-/// [`pen_code`] byte per site, indexed by site id. Sites past the table's
-/// end are [`pen_code::OPEN`] (a lookup should default to `OPEN`, exactly
-/// like the deferred [`ExecCtx`] does).
-///
-/// This is the table an out-of-crate lane executor gathers from per
-/// conditional; it matches the deferred context's internal table bit for
-/// bit (same `|=` accumulation, so a site saturated on both sides lands on
-/// [`pen_code::KEEP`]).
-pub fn pen_code_table(saturated: &BranchSet) -> Vec<u8> {
-    let mut codes = Vec::new();
-    if let Some(max_site) = saturated.iter().map(|b| b.site).max() {
-        codes.resize(max_site as usize + 1, pen_code::OPEN);
-        for branch in saturated.iter() {
-            codes[branch.site as usize] |= match branch.direction {
-                Direction::True => pen_code::TRUE_SATURATED,
-                Direction::False => pen_code::FALSE_SATURATED,
-            };
-        }
-    }
-    codes
 }
 
 /// Resolves one pending penalty event — the scalar counterpart of
@@ -329,7 +356,7 @@ mod tests {
     use super::*;
     use crate::branch::BranchId;
     use crate::distance::DEFAULT_EPSILON;
-    use crate::program::FnProgram;
+    use crate::program::{FnProgram, Program};
 
     /// The paper's Fig. 3 program with `square` inlined.
     fn paper_example() -> FnProgram<impl Fn(&[f64], &mut ExecCtx)> {
@@ -370,7 +397,7 @@ mod tests {
             let mut lane = LaneCtx::new(saturated.clone());
             let points: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64 * 0.61 - 7.0]).collect();
             let mut values = Vec::new();
-            lane.eval_batch(&program, &points, &mut values);
+            lane.eval_batch(&points, &mut values, |x, ctx| program.execute(x, ctx));
             assert_eq!(values.len(), points.len());
             for (point, value) in points.iter().zip(&values) {
                 let mut eager = ExecCtx::representing(saturated.clone());
@@ -414,8 +441,8 @@ mod tests {
         let program = paper_example();
         let mut lane = LaneCtx::new(BranchSet::new());
         assert!(lane.is_empty());
-        lane.record(&program, &[0.5]);
-        lane.record(&program, &[2.0]);
+        lane.record(|ctx| program.execute(&[0.5], ctx));
+        lane.record(|ctx| program.execute(&[2.0], ctx));
         assert_eq!(lane.lanes(), 2);
         let mut values = Vec::new();
         lane.finalize_into(&mut values);
@@ -428,11 +455,11 @@ mod tests {
         let program = paper_example();
         let mut lane = LaneCtx::new(BranchSet::new());
         let mut values = Vec::new();
-        lane.eval_batch(&program, &[vec![0.3]], &mut values);
+        lane.eval_batch(&[vec![0.3]], &mut values, |x, ctx| program.execute(x, ctx));
         assert_eq!(values, vec![0.0]);
         lane.retarget([BranchId::false_of(1)].into_iter().collect());
         values.clear();
-        lane.eval_batch(&program, &[vec![0.3]], &mut values);
+        lane.eval_batch(&[vec![0.3]], &mut values, |x, ctx| program.execute(x, ctx));
         assert!(values[0] > 0.0);
     }
 
@@ -442,7 +469,7 @@ mod tests {
         let mut lane = LaneCtx::new(BranchSet::new());
         let points: Vec<Vec<f64>> = (0..LANE_WIDTH + 3).map(|i| vec![i as f64]).collect();
         let mut values = Vec::new();
-        lane.eval_batch(&program, &points, &mut values);
+        lane.eval_batch(&points, &mut values, |x, ctx| program.execute(x, ctx));
         assert_eq!(values.len(), LANE_WIDTH + 3);
     }
 
@@ -452,7 +479,7 @@ mod tests {
         let program = paper_example();
         let mut lane = LaneCtx::new(BranchSet::new());
         for i in 0..=LANE_WIDTH {
-            lane.record(&program, &[i as f64]);
+            lane.record(|ctx| program.execute(&[i as f64], ctx));
         }
     }
 
@@ -465,7 +492,7 @@ mod tests {
         for epsilon in [DEFAULT_EPSILON, 0.25, 2.0] {
             let mut lane = LaneCtx::new(saturated.clone()).with_epsilon(epsilon);
             let mut values = Vec::new();
-            lane.eval_batch(&program, &[vec![2.0]], &mut values);
+            lane.eval_batch(&[vec![2.0]], &mut values, |x, ctx| program.execute(x, ctx));
             let mut eager = ExecCtx::representing(saturated.clone()).with_epsilon(epsilon);
             program.execute(&[2.0], &mut eager);
             assert_eq!(values[0].to_bits(), eager.representing_value().to_bits());

@@ -63,9 +63,7 @@ pub use branch::{BranchId, BranchSet, Direction, SiteId};
 pub use context::{pen_code, ExecCtx, ExecMode, RunOutcome};
 pub use coverage::{CoverageMap, CoverageSummary};
 pub use distance::{distance, Cmp, DEFAULT_EPSILON};
-pub use lane::{
-    pen_code_table, resolve_pen, resolve_pen_lanes, LaneCtx, LANE_WIDTH, MIN_LANE_BATCH,
-};
+pub use lane::{resolve_pen, resolve_pen_lanes, LaneCtx, LANE_WIDTH, MIN_LANE_BATCH};
 pub use pen::{pen, SiteSaturation};
 pub use program::{fingerprint_bytes, fingerprint_seed, native_fingerprint, FnProgram, Program};
 pub use simd::SimdIsa;

@@ -52,8 +52,8 @@ pub trait Program {
     /// interpreter backend" — [`Program::execute`] per evaluation, the lane
     /// context for batches. Programs that carry a compiled form (the FPIR
     /// instruction tape) return their own backend for
-    /// [`BackendMode::Auto`]/[`BackendMode::Tape`]; whatever is returned
-    /// must be observably bit-identical to [`Program::execute`].
+    /// [`BackendMode::Auto`]; whatever is returned must be observably
+    /// bit-identical to [`Program::execute`].
     fn backend(&self, mode: BackendMode) -> Option<Box<dyn ExecBackend>> {
         let _ = mode;
         None

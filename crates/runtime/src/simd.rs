@@ -1,20 +1,17 @@
-//! The lane kernels: elementwise loops over structure-of-array `f64`
-//! slices.
+//! The lane kernel: an elementwise branch-distance loop over
+//! structure-of-array `f64` slices.
 //!
-//! The lane backend's finalize (one branch distance per lane over SoA
-//! operand buffers, [`crate::lane`]) and the FPIR tape's straight-line SoA
-//! block kernels are the two data-parallel loops of the system. Both run
-//! the plain loops below on every architecture; the compiler vectorizes
-//! what it can.
+//! The lane finalize ([`crate::lane`]) computes one branch distance per
+//! lane over SoA operand buffers; that is the one data-parallel loop of
+//! the system. It runs the plain loop below on every architecture; the
+//! compiler vectorizes what it can.
 //!
 //! # Bit-exactness
 //!
-//! Every kernel computes exactly the scalar formula on each lane: the
-//! distance kernel is written as select chains that mirror
-//! [`crate::distance`] operation for operation (NaN rule, `square`'s
-//! overflow saturation), and the arithmetic kernels are the correctly
-//! rounded IEEE operations themselves. The unit tests below pin each
-//! kernel against the scalar reference over NaN/inf operand pools.
+//! The kernel computes exactly the scalar formula on each lane: it is
+//! written as select chains that mirror [`crate::distance`] operation for
+//! operation (NaN rule, `square`'s overflow saturation). The unit tests
+//! below pin it against the scalar reference over NaN/inf operand pools.
 
 use crate::distance::Cmp;
 use crate::lane::LANE_WIDTH;
@@ -128,51 +125,6 @@ pub fn distance_lanes(op: Cmp, a: &[f64], b: &[f64], epsilon: f64, out: &mut [f6
     }
 }
 
-/// An elementwise binary vector operation over `f64` lanes. Only the four
-/// IEEE arithmetic ops appear here — they are correctly rounded, so the
-/// lane results equal the scalar ones bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VecBin {
-    /// `a + b`
-    Add,
-    /// `a - b`
-    Sub,
-    /// `a * b`
-    Mul,
-    /// `a / b`
-    Div,
-}
-
-/// Elementwise `out[k] = a[k] <op> b[k]`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn vec_bin(op: VecBin, a: &[f64], b: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    assert!(a.len() == n && b.len() == n, "SoA slice lengths disagree");
-    let lanes = out.iter_mut().zip(a.iter().zip(b));
-    match op {
-        VecBin::Add => lanes.for_each(|(o, (x, y))| *o = x + y),
-        VecBin::Sub => lanes.for_each(|(o, (x, y))| *o = x - y),
-        VecBin::Mul => lanes.for_each(|(o, (x, y))| *o = x * y),
-        VecBin::Div => lanes.for_each(|(o, (x, y))| *o = x / y),
-    }
-}
-
-/// Elementwise IEEE negate (`out[k] = -a[k]`, a sign-bit flip — also on
-/// NaN).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree.
-pub fn vec_neg(a: &[f64], out: &mut [f64]) {
-    assert!(a.len() == out.len(), "SoA slice lengths disagree");
-    for (o, x) in out.iter_mut().zip(a) {
-        *o = -x;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,38 +214,6 @@ mod tests {
                 let expect = distance(Cmp::Le, a[k], b[k], DEFAULT_EPSILON);
                 assert_eq!(out[k].to_bits(), expect.to_bits(), "len {len} k {k}");
             }
-        }
-    }
-
-    #[test]
-    fn vector_arithmetic_matches_scalar_bit_for_bit() {
-        let (mut a, mut b) = pairs();
-        // An odd extra lane so any vectorized tail runs too.
-        a.push(3.5);
-        b.push(-0.0);
-        for op in [VecBin::Add, VecBin::Sub, VecBin::Mul, VecBin::Div] {
-            let mut out = vec![0.0; a.len()];
-            vec_bin(op, &a, &b, &mut out);
-            for k in 0..a.len() {
-                let expect = match op {
-                    VecBin::Add => a[k] + b[k],
-                    VecBin::Sub => a[k] - b[k],
-                    VecBin::Mul => a[k] * b[k],
-                    VecBin::Div => a[k] / b[k],
-                };
-                assert_eq!(
-                    out[k].to_bits(),
-                    expect.to_bits(),
-                    "{op:?} on ({}, {})",
-                    a[k],
-                    b[k]
-                );
-            }
-        }
-        let mut out = vec![0.0; a.len()];
-        vec_neg(&a, &mut out);
-        for k in 0..a.len() {
-            assert_eq!(out[k].to_bits(), (-a[k]).to_bits(), "neg {}", a[k]);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! exit-2-with-usage convention. This module is the single copy both now
 //! share: an [`ArgParser`] that owns the iterator mechanics and the error
 //! convention, a [`CommonOptions`] struct holding every flag the front
-//! ends have in common (including the `--backend auto|interp|tape`
+//! ends have in common (including the `--backend auto|interp`
 //! execution-backend knob, plumbed through
 //! [`CoverMeConfig::backend`](coverme::CoverMeConfig)), and the
 //! [`write_json_atomic`] artifact writer.
@@ -35,7 +35,7 @@ pub struct CommonOptions {
     pub sync_epochs: usize,
     /// Local minimizer (`--local powell|nm|compass|none`).
     pub local_method: LocalMethod,
-    /// Execution backend (`--backend auto|interp|tape`).
+    /// Execution backend (`--backend auto|interp`).
     pub backend: BackendMode,
     /// Wall-clock budget (`--time-budget SECS`).
     pub time_budget: Option<Duration>,
@@ -110,7 +110,7 @@ pub const COMMON_USAGE: &str = "\
   --shards N           shards per function (default 1 = unsharded)
   --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
   --local METHOD       local minimizer: powell (default), nm, compass, none
-  --backend MODE       execution backend: auto (default), interp, tape
+  --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --time-budget SECS   wall-clock budget
   --budget N           global evaluation budget (drives --scheduler bandit)
@@ -191,7 +191,7 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
                 let value = self.value_for("--backend");
                 options.backend = BackendMode::parse(&value).unwrap_or_else(|| {
                     self.usage_error(&format!(
-                        "--backend got unknown mode {value} (auto, interp, tape)"
+                        "--backend got unknown mode {value} (auto, interp)"
                     ))
                 });
             }
@@ -345,7 +345,7 @@ mod tests {
             "--local",
             "nm",
             "--backend",
-            "tape",
+            "interp",
             "--time-budget",
             "1.5",
             "--budget",
@@ -369,7 +369,7 @@ mod tests {
         assert_eq!(options.shards, 3);
         assert_eq!(options.sync_epochs, 2);
         assert_eq!(options.local_method, LocalMethod::NelderMead);
-        assert_eq!(options.backend, BackendMode::Tape);
+        assert_eq!(options.backend, BackendMode::Interp);
         assert_eq!(options.time_budget, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(options.budget_evals, Some(50_000));
         assert_eq!(options.scheduler, SchedulerPolicy::Bandit);

@@ -6,7 +6,7 @@
 //! checked-in corpus in `examples/fpir/`) and drives the same search
 //! machinery the library exposes — sharding, cross-shard sync, the
 //! streaming campaign scheduler, the execution-backend layer
-//! (`--backend auto|interp|tape`), and the persistent corpus store
+//! (`--backend auto|interp`), and the persistent corpus store
 //! (`--corpus DIR`, see `coverme::corpus`).
 //!
 //! ```text
@@ -56,7 +56,7 @@ options:
   --shards N           shards per function (default 1 = unsharded)
   --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
   --local METHOD       local minimizer: powell (default), nm, compass, none
-  --backend MODE       execution backend: auto (default), interp, tape
+  --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --time-budget SECS   wall-clock budget
   --budget N           global evaluation budget (drives --scheduler bandit)
