@@ -740,6 +740,13 @@ pub struct SearchState<'a, P: Program> {
 /// `n_start` budget discovering the same timeout `n_iter`-fold per round.
 /// A few in a row are tolerated because abort regions can be input-dependent
 /// and later starting points may land outside them.
+///
+/// Patience counts rounds, not executions. A round whose every probe aborts
+/// is cheap: the local minimizers stop on a flat [`ABORTED_VALUE`] plateau
+/// after `O(n)` executions each, so the rounds themselves need no
+/// execution cap.
+///
+/// [`ABORTED_VALUE`]: crate::ABORTED_VALUE
 pub const ABORT_PATIENCE: usize = 4;
 
 impl<'a, P: Program> SearchState<'a, P> {
@@ -1576,19 +1583,46 @@ mod tests {
     #[test]
     fn always_aborting_program_degrades_instead_of_burning_the_budget() {
         let program = always_aborting();
-        let mut state = SearchState::new(&quick_config().with_n_start(500), &program, 0);
-        let outcome = state.run_to_exhaustion();
-        assert_eq!(outcome, EpochOutcome::Degraded);
-        assert_eq!(state.rounds_run(), ABORT_PATIENCE);
-        let report = state.finish().into_report("SPIN");
-        assert!(report.inputs.is_empty(), "aborted rounds accept nothing");
-        assert!(report.infeasible.is_empty(), "no blame off garbage traces");
-        assert!(report
-            .rounds
-            .iter()
-            .all(|r| r.outcome == RoundOutcome::Aborted));
-        assert!(report.timeouts > 0, "telemetry counts the timeouts");
-        assert_eq!(report.traps, 0);
+        // Every probe of an all-aborted search is `+∞`, so each local
+        // minimization stops after O(n) executions. The bounds are the
+        // measured totals over the ABORT_PATIENCE rounds; a minimizer that
+        // walks the `+∞` plateau instead spends 2,550 (Powell), 38,502
+        // (Nelder–Mead) and 1,710 (compass).
+        for (method, max_evaluations) in [
+            (LocalMethod::Powell, 150),
+            (LocalMethod::NelderMead, 102),
+            (LocalMethod::Compass, 174),
+        ] {
+            let config = quick_config().with_n_start(500).with_local_method(method);
+            let mut state = SearchState::new(&config, &program, 0);
+            let outcome = state.run_to_exhaustion();
+            let name = method.name();
+            assert_eq!(outcome, EpochOutcome::Degraded, "{name}");
+            assert_eq!(state.rounds_run(), ABORT_PATIENCE, "{name}");
+            let report = state.finish().into_report("SPIN");
+            assert!(
+                report.evaluations <= max_evaluations,
+                "{name}: {} evaluations",
+                report.evaluations
+            );
+            assert!(
+                report.inputs.is_empty(),
+                "{name}: aborted rounds accept nothing"
+            );
+            assert!(
+                report.infeasible.is_empty(),
+                "{name}: no blame off garbage traces"
+            );
+            assert!(
+                report
+                    .rounds
+                    .iter()
+                    .all(|r| r.outcome == RoundOutcome::Aborted),
+                "{name}"
+            );
+            assert!(report.timeouts > 0, "{name}: telemetry counts the timeouts");
+            assert_eq!(report.traps, 0, "{name}");
+        }
     }
 
     #[test]

@@ -59,7 +59,10 @@ use crate::representing::Evaluation;
 /// exhaustion or a runtime trap, see [`RunOutcome`]). An aborted run's
 /// accumulator is a truncated garbage distance; `+∞` is deterministic,
 /// never mistaken for a zero, and steers every minimizer away from the
-/// region. Aborted evaluations are also never memoized — a cache entry
+/// region. `+∞` also carries no descent information: a local minimizer
+/// that has seen nothing else stops, so an aborted round costs `O(n)`
+/// executions per local minimization, not the minimizer's full iteration
+/// budget. Aborted evaluations are also never memoized — a cache entry
 /// must represent a real `FOO_R(x)` value.
 pub const ABORTED_VALUE: f64 = f64::INFINITY;
 

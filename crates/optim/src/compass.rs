@@ -23,6 +23,12 @@
 //! part of the algorithm, so it never depends on the objective's
 //! [`preferred_batch`](Objective::preferred_batch) hint. Set
 //! `probe_scales(1)` to recover the textbook algorithm, bit for bit.
+//!
+//! `+∞` carries no descent information; a search that has seen nothing else
+//! stops. A sweep in which the incumbent and every probe are `+∞` (every
+//! execution aborted or was NaN) converges at once instead of contracting
+//! the step down to [`min_step`](CompassSearch::min_step): no probe of a
+//! flat `+∞` plateau can ever improve on the incumbent.
 
 use crate::objective::{FnObjective, Objective};
 use crate::result::{Minimum, OptimStats};
@@ -180,8 +186,10 @@ impl CompassSearch {
                 }
                 None => {
                     // Every probed scale failed; resume below the finest.
+                    // With a `+∞` incumbent, "failed" means every probe
+                    // was `+∞` too.
                     step = contracted_step;
-                    if step < self.min_step {
+                    if step < self.min_step || value == f64::INFINITY {
                         converged = true;
                         break;
                     }
@@ -262,6 +270,49 @@ mod tests {
     fn rejects_empty_input() {
         let mut f = |_: &[f64]| 0.0;
         let _ = CompassSearch::new().minimize(&mut f, &[]);
+    }
+
+    #[test]
+    fn all_infinite_sweep_converges_after_one_star() {
+        // `+∞` everywhere, and NaN everywhere (sanitized to `+∞`): the
+        // incumbent plus one star of 2n·probe_scales probes is the whole
+        // search, at the default depth and at the classic one.
+        let x0 = [3.0, -1.0];
+        for plateau in [f64::INFINITY, f64::NAN] {
+            for scales in [1, 2, 3] {
+                let mut count = 0usize;
+                let mut f = |_: &[f64]| {
+                    count += 1;
+                    plateau
+                };
+                let m = CompassSearch::new()
+                    .probe_scales(scales)
+                    .minimize(&mut f, &x0);
+                let expected = 1 + 2 * x0.len() * scales;
+                assert_eq!(m.stats.evaluations, expected, "{plateau} × {scales}");
+                assert_eq!(count, expected, "{plateau} × {scales}");
+                assert!(m.stats.converged);
+                assert_eq!(m.stats.iterations, 1);
+                assert_eq!(m.x, x0);
+            }
+        }
+    }
+
+    #[test]
+    fn one_finite_probe_keeps_the_search_moving() {
+        // From x = 0 with step 1 the star probes ±1 and ±0.5; only x = 1 is
+        // finite, so the search is not all-`+∞` and walks on to 3.
+        let mut f = |p: &[f64]| {
+            if p[0] >= 0.75 {
+                (p[0] - 3.0).powi(2)
+            } else {
+                f64::INFINITY
+            }
+        };
+        let m = CompassSearch::new().minimize(&mut f, &[0.0]);
+        assert!(m.value < 1e-8, "value {}", m.value);
+        assert!(m.stats.converged);
+        assert!(m.stats.evaluations > 5);
     }
 
     #[test]

@@ -152,6 +152,12 @@ pub(crate) fn derive_rng(seed: u64, stream: u64) -> SplitMix64 {
 /// The crate-wide NaN policy: an undefined objective value is treated as
 /// `+inf` so a single bad evaluation can never capture a search. Every
 /// minimizer funnels objective values through this one helper.
+///
+/// `+∞` carries no descent information; a search that has seen nothing else
+/// stops. Powell's line search, Nelder–Mead and compass search each end as
+/// soon as every value they hold is `+∞`, without moving their point, so an
+/// objective that is `+∞` (or NaN) everywhere costs `O(n)` evaluations per
+/// local minimization.
 pub(crate) fn sanitize_value(v: f64) -> f64 {
     if v.is_nan() {
         f64::INFINITY

@@ -16,6 +16,13 @@
 //! protocol: it owns the single scratch buffer that maps an abscissa `t` to
 //! the point `x + t·d`, so callers like Powell's method never materialize
 //! per-evaluation points.
+//!
+//! `+∞` carries no descent information; a search that has seen nothing else
+//! stops. When the bracket's three points are all `+∞` (every execution
+//! along the line aborted, or its value was NaN), [`minimize_along`]
+//! returns the bracket's interior point at `+∞` instead of running Brent,
+//! whose `fu <= fx` rule would otherwise accept every `+∞` probe and walk
+//! the plateau down to the abscissa tolerance.
 
 use crate::objective::Objective;
 use crate::sanitize_value;
@@ -359,12 +366,21 @@ where
 
 /// Convenience wrapper: bracket from `(0, step)` then run Brent.
 ///
-/// This is the call Powell's method makes for each direction sweep.
+/// This is the call Powell's method makes for each direction sweep. A
+/// bracket that saw only `+∞` ends the search after its own evaluations
+/// (see the [module docs](self)).
 pub fn minimize_along<F>(f: &mut F, step: f64, tol: f64) -> LineMinimum
 where
     F: FnMut(f64) -> f64,
 {
     let br = bracket(f, 0.0, step, 200);
+    if [br.fa, br.fb, br.fc].iter().all(|&v| v == f64::INFINITY) {
+        return LineMinimum {
+            t: br.b,
+            value: f64::INFINITY,
+            evaluations: br.evaluations,
+        };
+    }
     let mut result = brent(f, &br, tol, 100);
     result.evaluations += br.evaluations;
     // Guard: never return a point worse than the bracket's best interior point.
@@ -496,6 +512,41 @@ mod tests {
         let mut f = |t: f64| if t < 0.0 { f64::NAN } else { (t - 1.0).powi(2) };
         let m = minimize_along(&mut f, 0.5, 1e-9);
         assert!((m.t - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn all_infinite_bracket_stops_after_three_evaluations() {
+        // `+∞` everywhere, and NaN everywhere (sanitized to `+∞`): the
+        // bracket's three points are the whole search.
+        for plateau in [f64::INFINITY, f64::NAN] {
+            let mut count = 0usize;
+            let mut f = |_: f64| {
+                count += 1;
+                plateau
+            };
+            let m = minimize_along(&mut f, 1.0, 1e-8);
+            assert_eq!(m.evaluations, 3, "plateau {plateau}");
+            assert_eq!(count, 3, "plateau {plateau}");
+            assert_eq!(m.value, f64::INFINITY);
+            assert_eq!(m.t, 1.0, "the bracket's interior point");
+        }
+    }
+
+    #[test]
+    fn one_finite_bracket_point_keeps_the_brent_search() {
+        // Only the third bracket point (t = 1 + φ) is finite: the bracket
+        // is not all-`+∞`, so Brent still runs and finds the minimum at 3.
+        let mut f = |t: f64| {
+            if t >= 2.0 {
+                (t - 3.0).powi(2)
+            } else {
+                f64::INFINITY
+            }
+        };
+        let m = minimize_along(&mut f, 1.0, 1e-9);
+        assert!((m.t - 3.0).abs() < 1e-4, "t {}", m.t);
+        assert!(m.value < 1e-8, "value {}", m.value);
+        assert!(m.evaluations > 3);
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! used as configured, whatever the objective's
 //! [`preferred_batch`](Objective::preferred_batch) hint says. The default
 //! (`1`) evaluates exactly the classic starting simplex, bit for bit.
+//!
+//! `+∞` carries no descent information; a search that has seen nothing else
+//! stops. A simplex whose best vertex is `+∞` (every vertex aborted or was
+//! NaN) has converged: the classic spread test cannot say so, because
+//! `∞ − ∞` is NaN, and the strict comparisons of the reflect/contract rules
+//! never move the best vertex on such a plateau anyway.
 
 use crate::objective::{FnObjective, Objective};
 use crate::result::{Minimum, OptimStats};
@@ -200,7 +206,11 @@ impl NelderMead {
             let worst = order[n];
             let second_worst = order[n - 1];
 
-            // Convergence checks.
+            // Convergence checks; an all-`+∞` simplex has nowhere to go.
+            if values[best] == f64::INFINITY {
+                converged = true;
+                break;
+            }
             let f_spread = values[worst] - values[best];
             let x_spread = simplex
                 .iter()
@@ -392,6 +402,43 @@ mod tests {
     fn rejects_empty_input() {
         let mut f = |_: &[f64]| 0.0;
         let _ = NelderMead::new().minimize(&mut f, &[]);
+    }
+
+    #[test]
+    fn all_infinite_simplex_converges_on_the_starting_simplex() {
+        // `+∞` everywhere, and NaN everywhere (sanitized to `+∞`): the
+        // starting simplex's n + 1 evaluations are the whole search.
+        let x0 = [1.5, -2.0, 4.0];
+        for plateau in [f64::INFINITY, f64::NAN] {
+            let mut count = 0usize;
+            let mut f = |_: &[f64]| {
+                count += 1;
+                plateau
+            };
+            let m = NelderMead::new().restarts(1).minimize(&mut f, &x0);
+            assert_eq!(m.stats.evaluations, x0.len() + 1, "plateau {plateau}");
+            assert_eq!(count, x0.len() + 1, "plateau {plateau}");
+            assert!(m.stats.converged);
+            assert_eq!(m.x, x0, "simplex vertex 0");
+            assert_eq!(m.value, f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn one_finite_vertex_keeps_the_simplex_moving() {
+        // Vertex 0 (x = 0) is `+∞`, vertex 1 (x = 0.1) is finite: the
+        // simplex is not all-`+∞`, so it walks on to the minimum at 2.
+        let mut f = |p: &[f64]| {
+            if p[0] > 0.05 {
+                (p[0] - 2.0).powi(2)
+            } else {
+                f64::INFINITY
+            }
+        };
+        let m = NelderMead::new().restarts(1).minimize(&mut f, &[0.0]);
+        assert!((m.x[0] - 2.0).abs() < 1e-3, "x {}", m.x[0]);
+        assert!(m.value < 1e-6, "value {}", m.value);
+        assert!(m.stats.evaluations > 2);
     }
 
     #[test]

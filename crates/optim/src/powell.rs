@@ -124,8 +124,14 @@ impl Powell {
                 }
             }
 
-            // Convergence: relative decrease over the whole sweep.
-            let decrease = start_value - value;
+            // Convergence: relative decrease over the whole sweep. Equal
+            // values are no decrease even when both are `+∞`, where the
+            // subtraction would be NaN.
+            let decrease = if start_value == value {
+                0.0
+            } else {
+                start_value - value
+            };
             if 2.0 * decrease.abs() <= self.f_tolerance * (start_value.abs() + value.abs() + 1e-25)
             {
                 converged = true;
@@ -276,6 +282,28 @@ mod tests {
     fn rejects_empty_input() {
         let mut f = |_: &[f64]| 0.0;
         let _ = Powell::new().minimize(&mut f, &[]);
+    }
+
+    #[test]
+    fn all_infinite_objective_converges_after_one_sweep() {
+        // `+∞` everywhere, and NaN everywhere (sanitized to `+∞`): one
+        // evaluation at x0, then n line searches that each stop at their
+        // 3-point bracket, and the sweep's zero decrease converges.
+        let x0 = [0.5, -7.0, 2.0];
+        for plateau in [f64::INFINITY, f64::NAN] {
+            let mut count = 0usize;
+            let mut f = |_: &[f64]| {
+                count += 1;
+                plateau
+            };
+            let m = Powell::new().minimize(&mut f, &x0);
+            assert_eq!(m.stats.evaluations, 1 + 3 * x0.len(), "plateau {plateau}");
+            assert_eq!(count, 1 + 3 * x0.len(), "plateau {plateau}");
+            assert!(m.stats.converged);
+            assert_eq!(m.stats.iterations, 1);
+            assert_eq!(m.x, x0);
+            assert_eq!(m.value, f64::INFINITY);
+        }
     }
 
     #[test]
