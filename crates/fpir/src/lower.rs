@@ -16,8 +16,8 @@
 //! The tape is a *throughput* representation, never a semantic one: values
 //! (bit-for-bit), coverage, traces,
 //! [`RunOutcome`](coverme_runtime::RunOutcome) classification and step
-//! accounting all match the interpreter exactly. Two mechanics make the
-//! step accounting work:
+//! accounting all match the interpreter exactly. Three mechanics let the
+//! tape do less work than the tree walk without moving a single fuel step:
 //!
 //! * **Burn folding.** The interpreter burns one fuel step per statement
 //!   and per expression node, checking the budget after each burn. The
@@ -34,6 +34,19 @@
 //!   operand only when it is evaluated; the tape lowers them to branches,
 //!   so the right operand's cost sits in a block that is only entered (and
 //!   therefore only charged) when the interpreter would evaluate it.
+//! * **Constant folding.** An op that writes a fresh expression temporary
+//!   from sources that are all folded constants (literals, and unary ops,
+//!   casts, non-logical binaries and builtins over them) runs once at
+//!   lowering time; its result goes into the function's initial register
+//!   image and no op is emitted. This is exact: ops are pure and total, an
+//!   expression temporary has exactly one writer and is read only after
+//!   it, so every read sees the folded value, and the folded node's burn
+//!   stays in its block's `cost`. Variables, parameters, call results and
+//!   `&&`/`||` results are never folded: they can have several writers.
+//!
+//! Every frame starts as a copy of its function's image. [`TapeBackend`]
+//! keeps one register file and frame stack across executions, cleared but
+//! not freed, so a search's millions of runs do not allocate.
 //!
 //! Lowering is conservative: anything the (type-checked) module should
 //! rule out but this pass cannot mirror statically — unknown variables,
@@ -284,13 +297,17 @@ struct TapeBlock {
     term: Term,
 }
 
-/// A lowered function: parameter signature plus its slice of the block
-/// graph (blocks are globally indexed across the whole tape).
+/// A lowered function: parameter signature, initial register image and
+/// its slice of the block graph (blocks are globally indexed across the
+/// whole tape).
 #[derive(Debug, Clone)]
 struct TapeFunc {
     name: String,
     params: Vec<Ty>,
-    num_regs: u32,
+    /// The register window every frame of this function starts from:
+    /// folded constants in their registers, `Slot::Double(0.0)` everywhere
+    /// else. Its length is the function's register count.
+    init: Vec<Slot>,
     entry_block: usize,
 }
 
@@ -364,6 +381,16 @@ struct Frame {
     ret_dst: Option<u16>,
 }
 
+/// The executor's working memory: the register file (one window per live
+/// frame) and the frame stack. Each execution clears both but keeps their
+/// capacity, so a reused scratch stops allocating once it has seen the
+/// deepest call stack.
+#[derive(Debug, Clone, Default)]
+struct TapeScratch {
+    regs: Vec<Slot>,
+    frames: Vec<Frame>,
+}
+
 impl Tape {
     /// Entry function name.
     pub fn name(&self) -> &str {
@@ -431,6 +458,13 @@ impl Tape {
     ///
     /// Panics if `input.len()` differs from [`Tape::arity`].
     pub fn execute(&self, input: &[f64], ctx: &mut ExecCtx) {
+        self.execute_in(input, ctx, &mut TapeScratch::default());
+    }
+
+    /// [`execute`](Self::execute) on a caller-owned scratch. Nothing of a
+    /// previous execution survives: the scratch is cleared on entry and
+    /// every frame starts as a copy of its function's image.
+    fn execute_in(&self, input: &[f64], ctx: &mut ExecCtx, scratch: &mut TapeScratch) {
         assert_eq!(
             input.len(),
             self.arity,
@@ -439,16 +473,19 @@ impl Tape {
             self.arity,
             input.len()
         );
+        let TapeScratch { regs, frames } = scratch;
+        regs.clear();
+        frames.clear();
         let entry = &self.funcs[self.entry];
-        let mut regs: Vec<Slot> = vec![Slot::Double(0.0); entry.num_regs as usize];
+        regs.extend_from_slice(&entry.init);
         for (reg, &v) in regs.iter_mut().zip(input) {
             *reg = Slot::Double(v);
         }
-        let mut frames = vec![Frame {
+        frames.push(Frame {
             base: 0,
             ret_block: usize::MAX,
             ret_dst: None,
-        }];
+        });
         let mut base = 0usize;
         let mut pc = entry.entry_block;
         let mut steps = 0usize;
@@ -460,7 +497,7 @@ impl Tape {
                 return;
             }
             for op in &block.ops {
-                exec_op(op, base, &mut regs);
+                exec_op(op, base, regs);
             }
             match block.term {
                 Term::Jump(target) => pc = target,
@@ -503,7 +540,7 @@ impl Tape {
                     }
                     let callee = &self.funcs[func as usize];
                     let new_base = regs.len();
-                    regs.resize(new_base + callee.num_regs as usize, Slot::Double(0.0));
+                    regs.extend_from_slice(&callee.init);
                     for (index, (&arg, &ty)) in args.iter().zip(&callee.params).enumerate() {
                         let value = regs[base + arg as usize].coerce(ty);
                         regs[new_base + index] = value;
@@ -562,9 +599,19 @@ impl std::fmt::Display for Tape {
                 "fn{index} {}({}) regs={} entry=b{}",
                 func.name,
                 params.join(","),
-                func.num_regs,
+                func.init.len(),
                 func.entry_block
             )?;
+            // The image, minus slots holding the `+0.0` default. With the
+            // ops this pins the image exactly, so the fingerprint sees
+            // every folded constant.
+            for (reg, slot) in func.init.iter().enumerate() {
+                match *slot {
+                    Slot::Double(value) if value.to_bits() == 0 => {}
+                    Slot::Double(value) => writeln!(f, "  r{reg} = const.f {value:?}")?,
+                    Slot::Int(value) => writeln!(f, "  r{reg} = const.i {value}")?,
+                }
+            }
         }
         for (index, block) in self.blocks.iter().enumerate() {
             writeln!(f, "b{index}: cost={}", block.cost)?;
@@ -666,6 +713,15 @@ fn format_term(term: &Term) -> String {
         Term::Return { value: Some(reg) } => format!("ret r{reg}"),
         Term::Return { value: None } => "ret".to_string(),
         Term::Trap => "trap".to_string(),
+    }
+}
+
+/// The op that converts `src` to `ty` into `dst`.
+fn coerce_op(ty: Ty, dst: u16, src: u16) -> Op {
+    match ty {
+        Ty::Int => Op::CoerceInt { dst, src },
+        Ty::Double => Op::CoerceDouble { dst, src },
+        Ty::Void => Op::Move { dst, src },
     }
 }
 
@@ -823,7 +879,11 @@ struct FuncLowerer<'m, 'b> {
     /// Flat lexically-scoped symbol stack: name, register, declared type.
     symbols: Vec<(&'m str, u16, Ty)>,
     scopes: Vec<usize>,
-    next_reg: u32,
+    /// The function's initial register image, one slot per allocated
+    /// register.
+    init: Vec<Slot>,
+    /// Which registers hold a folded constant in `init`.
+    folded: Vec<bool>,
     current: usize,
 }
 
@@ -846,7 +906,8 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
             blocks,
             symbols: Vec::new(),
             scopes: Vec::new(),
-            next_reg: 0,
+            init: Vec::new(),
+            folded: Vec::new(),
             current: entry_block,
         };
         for param in &func.params {
@@ -860,19 +921,19 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         Ok(TapeFunc {
             name: func.name.clone(),
             params: func.params.iter().map(|p| p.ty).collect(),
-            num_regs: lowerer.next_reg,
+            init: lowerer.init,
             entry_block,
         })
     }
 
     fn alloc_reg(&mut self) -> Result<u16, LowerError> {
-        if self.next_reg > u16::MAX as u32 {
+        let Ok(reg) = u16::try_from(self.init.len()) else {
             return Err(LowerError::TooManyRegisters {
                 function: self.func_name.to_string(),
             });
-        }
-        let reg = self.next_reg as u16;
-        self.next_reg += 1;
+        };
+        self.init.push(Slot::Double(0.0));
+        self.folded.push(false);
         Ok(reg)
     }
 
@@ -893,6 +954,20 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         self.blocks[self.current].ops.push(op);
     }
 
+    /// Emits `op`, which writes the fresh expression temporary `dst` —
+    /// unless every register in `sources` holds a folded constant: then
+    /// `op` runs once, now, its result goes into the initial image and
+    /// nothing is emitted. Exact because ops are pure and total, and `dst`
+    /// has no other writer, so every read of it sees this value.
+    fn emit_or_fold(&mut self, dst: u16, sources: &[u16], op: Op) {
+        if sources.iter().all(|&src| self.folded[src as usize]) {
+            exec_op(&op, 0, &mut self.init);
+            self.folded[dst as usize] = true;
+        } else {
+            self.emit(op);
+        }
+    }
+
     /// Adds interpreter fuel burns to the current block's header charge.
     fn add_cost(&mut self, steps: u32) {
         self.blocks[self.current].cost += steps;
@@ -908,14 +983,6 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
             .rev()
             .find(|(n, _, _)| *n == name)
             .map(|&(_, reg, ty)| (reg, ty))
-    }
-
-    fn emit_coerce(&mut self, ty: Ty, dst: u16, src: u16) {
-        match ty {
-            Ty::Int => self.emit(Op::CoerceInt { dst, src }),
-            Ty::Double => self.emit(Op::CoerceDouble { dst, src }),
-            Ty::Void => self.emit(Op::Move { dst, src }),
-        }
     }
 
     fn lower_ast_block(&mut self, block: &'m AstBlock) -> Result<(), LowerError> {
@@ -947,7 +1014,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 match init {
                     Some(init) => {
                         let value = self.lower_expr(init)?;
-                        self.emit_coerce(slot_ty, dst, value);
+                        self.emit(coerce_op(slot_ty, dst, value));
                     }
                     None => {
                         // No initializer: no eval burn, zero of the
@@ -971,7 +1038,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 };
                 // The interpreter coerces to the slot's current tag, which
                 // (invariantly, post-typecheck) is the declared type.
-                self.emit_coerce(ty, reg, v);
+                self.emit(coerce_op(ty, reg, v));
                 Ok(())
             }
             Stmt::If {
@@ -1077,12 +1144,12 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         match expr {
             Expr::Int(value) => {
                 let dst = self.alloc_reg()?;
-                self.emit(Op::ConstInt { dst, value: *value });
+                self.emit_or_fold(dst, &[], Op::ConstInt { dst, value: *value });
                 Ok(dst)
             }
             Expr::Float(value) => {
                 let dst = self.alloc_reg()?;
-                self.emit(Op::ConstDouble { dst, value: *value });
+                self.emit_or_fold(dst, &[], Op::ConstDouble { dst, value: *value });
                 Ok(dst)
             }
             Expr::Var(name) => match self.lookup(name) {
@@ -1098,13 +1165,13 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
             Expr::Unary { op, expr } => {
                 let src = self.lower_expr(expr)?;
                 let dst = self.alloc_reg()?;
-                self.emit(Op::Unary { op: *op, dst, src });
+                self.emit_or_fold(dst, &[src], Op::Unary { op: *op, dst, src });
                 Ok(dst)
             }
             Expr::Cast { ty, expr } => {
                 let src = self.lower_expr(expr)?;
                 let dst = self.alloc_reg()?;
-                self.emit_coerce(*ty, dst, src);
+                self.emit_or_fold(dst, &[src], coerce_op(*ty, dst, src));
                 Ok(dst)
             }
             Expr::Binary { op, lhs, rhs } => match op {
@@ -1114,12 +1181,13 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                     let l = self.lower_expr(lhs)?;
                     let r = self.lower_expr(rhs)?;
                     let dst = self.alloc_reg()?;
-                    self.emit(Op::Binary {
+                    let op = Op::Binary {
                         op: *op,
                         dst,
                         lhs: l,
                         rhs: r,
-                    });
+                    };
+                    self.emit_or_fold(dst, &[l, r], op);
                     Ok(dst)
                 }
             },
@@ -1176,7 +1244,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 let dst = self.alloc_reg()?;
                 let a = arg_regs[0];
                 let b = if builtin_arity > 1 { arg_regs[1] } else { a };
-                self.emit(Op::Builtin { which, dst, a, b });
+                self.emit_or_fold(dst, &[a, b], Op::Builtin { which, dst, a, b });
                 return Ok(dst);
             }
             // Under-applied builtin: the interpreter would panic indexing
@@ -1212,13 +1280,15 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
 
 /// The compiled execution backend for FPIR programs: scalar evaluations
 /// run the tape against the caller's [`ExecCtx`], and batches run it once
-/// per lane through the shared deferred-penalty [`LaneCtx`] protocol.
+/// per lane through the shared deferred-penalty [`LaneCtx`] protocol. Both
+/// reuse the backend's one register file and frame stack.
 /// Installed automatically by [`IrProgram`]'s [`Program::backend`] under
 /// [`BackendMode::Auto`].
 #[derive(Debug, Clone)]
 pub struct TapeBackend {
     tape: Arc<Tape>,
     lane: LaneCtx,
+    scratch: TapeScratch,
 }
 
 impl TapeBackend {
@@ -1228,6 +1298,7 @@ impl TapeBackend {
         TapeBackend {
             tape: Arc::new(tape),
             lane: LaneCtx::new(BranchSet::new()),
+            scratch: TapeScratch::default(),
         }
     }
 
@@ -1252,7 +1323,7 @@ impl ExecBackend for TapeBackend {
     }
 
     fn run(&mut self, _program: &dyn Program, input: &[f64], ctx: &mut ExecCtx) {
-        self.tape.execute(input, ctx);
+        self.tape.execute_in(input, ctx, &mut self.scratch);
     }
 
     fn run_lanes(
@@ -1262,9 +1333,10 @@ impl ExecBackend for TapeBackend {
         indices: &[usize],
         out: &mut Vec<LaneEval>,
     ) {
-        let tape = &self.tape;
-        self.lane
-            .run_lanes(points, indices, out, |input, ctx| tape.execute(input, ctx));
+        let (tape, scratch) = (&self.tape, &mut self.scratch);
+        self.lane.run_lanes(points, indices, out, |input, ctx| {
+            tape.execute_in(input, ctx, scratch)
+        });
     }
 
     fn clone_box(&self) -> Box<dyn ExecBackend> {
@@ -1471,7 +1543,7 @@ mod tests {
         let p = compile(
             r#"
             double f(double x) {
-                if (x <= 1.0) { x = sqrt(x) + 2.0; }
+                if (x <= 1.0) { x = sqrt(x) + sqrt(16.0); }
                 while (x > 0.0 && x < 9.0) { x = x * 2.0; }
                 return x;
             }
@@ -1483,7 +1555,13 @@ mod tests {
         let listing = tape.serialize();
         assert!(listing.contains("tape f arity=1"));
         assert!(listing.contains("branch.site s0 le"));
-        assert!(listing.contains("sqrt"));
+        // `sqrt(16.0)` is folded: the image lists the literal and the
+        // result, and the only `sqrt` left in a block is `sqrt(x)`.
+        let (image, blocks) = listing.split_at(listing.find("b0:").unwrap());
+        assert!(image.contains("= const.f 16.0"), "{listing}");
+        assert!(image.contains("= const.f 4.0"), "{listing}");
+        assert!(!blocks.contains("const.f"), "{listing}");
+        assert_eq!(blocks.matches(" sqrt ").count(), 1, "{listing}");
         assert!(listing.contains("branch.truth"));
         assert!(listing.contains("jump b"));
         assert!(listing.contains("ret"));
@@ -1559,6 +1637,87 @@ mod tests {
                 expect,
                 "lane path diverged from eager scalar on {point:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_stops_growing_at_the_deepest_frame_stack() {
+        let p = compile(
+            "double f(double x) { if (x > 0.0) { return f(x); } return x; }",
+            "f",
+        )
+        .unwrap();
+        let tape = lower(&p).unwrap();
+        // Positive inputs recurse until the depth limit traps.
+        let sweep = |scratch: &mut TapeScratch, inputs: &[f64]| {
+            for &x in inputs {
+                tape.execute_in(&[x], &mut ExecCtx::observe(), scratch);
+            }
+            (scratch.regs.capacity(), scratch.frames.capacity())
+        };
+        let mut scratch = TapeScratch::default();
+        let capacity = sweep(&mut scratch, &[1.0]);
+        assert!(capacity.1 > MAX_DEPTH);
+        let mixed = [1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -2.0];
+        assert_eq!(sweep(&mut scratch, &mixed), capacity);
+    }
+
+    #[test]
+    fn fingerprints_see_folded_constants() {
+        let fingerprints: Vec<(u64, u64)> = ["4.0", "9.0"]
+            .iter()
+            .map(|literal| {
+                let source = format!(
+                    "double f(double x) {{ if (x < sqrt({literal})) {{ return x; }} return 0.0; }}"
+                );
+                let p = compile(&source, "f").unwrap();
+                (lower(&p).unwrap().fingerprint64(), p.fingerprint())
+            })
+            .collect();
+        assert_eq!(fingerprints[0].0, fingerprints[0].1);
+        assert_ne!(fingerprints[0], fingerprints[1]);
+    }
+
+    #[test]
+    fn folding_moves_no_fuel_burn() {
+        // Constant subexpressions in a loop body and in a helper: folding
+        // drops their ops but not their burns, so at every fuel value the
+        // budget trips at the same observable as in the interpreter.
+        let hand = compile(
+            r#"
+            double scale(double a) { return a * sqrt(4.0) + (double) low_word(22.538); }
+            double f(double x) {
+                double acc = 0.0;
+                int i = 0;
+                while (i < 5) {
+                    acc = acc + (double) 20 * 0.5 - exp(-(1.0 + 2.0));
+                    if (acc > x) { acc = scale(acc); }
+                    i = i + 1;
+                }
+                return acc;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        assert!(lower(&hand).unwrap().to_string().contains("const.i 20"));
+        let mut programs = vec![(hand, vec![vec![-1.0], vec![40.0], vec![1e9]])];
+        for seed in 0..10 {
+            let source = crate::generate::generate_source(seed);
+            let p = compile(&source, crate::generate::ENTRY_NAME).unwrap();
+            let inputs = [0.5, -3.0]
+                .iter()
+                .map(|&v| vec![v; Program::arity(&p)])
+                .collect();
+            programs.push((p, inputs));
+        }
+        for (program, inputs) in &programs {
+            for fuel in 1..=300 {
+                let starved = program.clone().with_fuel(fuel);
+                for input in inputs {
+                    assert_observably_equal(&starved, input);
+                }
+            }
         }
     }
 

@@ -14,9 +14,6 @@
 //! * [`powell`] — Powell's direction-set method with Brent line search,
 //! * [`nelder_mead`] — the Nelder–Mead simplex method,
 //! * [`compass`] — compass (coordinate pattern) search,
-//! * [`annealing`] — classic simulated annealing, used for ablations,
-//! * [`multistart`] — a multi-start driver that restarts any local method
-//!   from random points,
 //! * [`line_search`] — 1-D bracketing, golden-section and Brent minimization
 //!   used by Powell.
 //!
@@ -50,11 +47,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod annealing;
 pub mod basinhopping;
 pub mod compass;
 pub mod line_search;
-pub mod multistart;
 pub mod nelder_mead;
 pub mod objective;
 pub mod powell;
@@ -62,10 +57,8 @@ pub mod result;
 pub mod rng;
 pub mod sampling;
 
-pub use annealing::SimulatedAnnealing;
 pub use basinhopping::{BasinHopping, HopDecision, HopEvent};
 pub use compass::CompassSearch;
-pub use multistart::MultiStart;
 pub use nelder_mead::NelderMead;
 pub use objective::{FnObjective, Objective};
 pub use powell::Powell;

@@ -113,9 +113,9 @@ impl StartingPointStrategy {
     }
 
     /// Draws `count` starting points in one call — the batch counterpart of
-    /// [`sample`](Self::sample), used by schedule builders (multistart
-    /// seeds, a sharded search's shared starting-point schedule) that want
-    /// the whole candidate set up front. Consumes exactly the draws `count`
+    /// [`sample`](Self::sample), used by schedule builders (a sharded
+    /// search's shared starting-point schedule) that want the whole
+    /// candidate set up front. Consumes exactly the draws `count`
     /// sequential [`sample`](Self::sample) calls would, so the generated
     /// points are bit-identical to sampling one at a time.
     pub fn sample_batch(&self, rng: &mut SplitMix64, dim: usize, count: usize) -> Vec<Vec<f64>> {

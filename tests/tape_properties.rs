@@ -15,8 +15,10 @@
 
 use coverme::{BackendMode, CacheMode, ObjectiveEngine};
 use coverme_fpir::generate::{generate_source, ENTRY_NAME};
-use coverme_fpir::{compile, lower, IrProgram};
-use coverme_runtime::{BranchId, BranchSet, ExecCtx, Program, RunOutcome, LANE_WIDTH};
+use coverme_fpir::{compile, lower, IrProgram, TapeBackend};
+use coverme_runtime::{
+    BranchId, BranchSet, ExecBackend, ExecCtx, Program, RunOutcome, DEFAULT_EPSILON, LANE_WIDTH,
+};
 
 /// How many generated programs each property sweeps. The acceptance bar
 /// for this suite is 200; keep it there or above.
@@ -233,6 +235,109 @@ fn tape_is_cache_transparent() {
         total_hits += cached.telemetry().cache_hits;
     }
     assert!(total_hits > 0, "the cache never served a hit — dead test");
+}
+
+/// Feeds `inputs` to one long-lived tape backend in windows of three,
+/// alternating its scalar `run` and its batched `run_lanes`, and checks
+/// every execution against a fresh interpreter run at one saturation
+/// snapshot. Returns how many runs ended `[Done, Timeout, Trap]`.
+fn assert_reused_backend_agrees(
+    program: &IrProgram,
+    inputs: &[Vec<f64>],
+    rng: &mut Rng,
+    label: &str,
+) -> [usize; 3] {
+    let saturated = random_saturation(rng, program.num_sites());
+    let tape = lower(program).unwrap_or_else(|e| panic!("{label}: lowering failed: {e}"));
+    let mut backend = TapeBackend::new(tape);
+    backend.set_epsilon(DEFAULT_EPSILON);
+    backend.retarget(&saturated);
+    let mut outcomes = [0; 3];
+    let mut lanes = Vec::new();
+    for (window, chunk) in inputs.chunks(3).enumerate() {
+        let batched = window % 2 == 1;
+        if batched {
+            let indices: Vec<usize> = (0..chunk.len()).collect();
+            lanes.clear();
+            backend.run_lanes(program, chunk, &indices, &mut lanes);
+        }
+        for (index, input) in chunk.iter().enumerate() {
+            let at = format!("{label}, window {window}, input {input:?}");
+            let mut reference = ExecCtx::representing(saturated.clone());
+            program.execute(input, &mut reference);
+            let outcome = reference.run_outcome();
+            let value = reference.representing_value().to_bits();
+            if batched {
+                let lane = lanes[index];
+                assert_eq!(lane.outcome, outcome, "{at}: lane outcome diverged");
+                if outcome == RunOutcome::Done {
+                    assert_eq!(lane.value.to_bits(), value, "{at}: lane value diverged");
+                }
+            } else {
+                let mut ctx = ExecCtx::representing(saturated.clone());
+                backend.run(program, input, &mut ctx);
+                assert_eq!(ctx.run_outcome(), outcome, "{at}: outcome diverged");
+                assert_eq!(
+                    ctx.covered(),
+                    reference.covered(),
+                    "{at}: coverage diverged"
+                );
+                assert_eq!(
+                    ctx.representing_value().to_bits(),
+                    value,
+                    "{at}: value diverged"
+                );
+            }
+            outcomes[outcome as usize] += 1;
+        }
+    }
+    outcomes
+}
+
+#[test]
+fn a_reused_register_file_carries_no_state_between_executions() {
+    // A backend keeps its register file and frame stack across runs. Here
+    // the deepest frame stack (a recursion trap), a timeout inside a
+    // helper and clean runs follow each other through one backend, so
+    // anything an execution left behind would show in the next.
+    let hand = compile(
+        r#"
+        double spin(double a) { while (a > 0.0) { a = a + 1.0; } return a; }
+        double dive(double a) { return dive(a + 1.0); }
+        double f(double x) {
+            if (x > 100.0) { return dive(x); }
+            if (x > 10.0) { return spin(x); }
+            double y = sqrt(4.0) * x + (double) 20;
+            if (y < 3.0) { return y; }
+            return -y;
+        }
+        "#,
+        "f",
+    )
+    .unwrap()
+    .with_fuel(FUEL);
+    let inputs: Vec<Vec<f64>> = [
+        200.0, 1.0, 50.0, -9.0, 150.0, 0.5, 20.0, -1.0, 300.0, -7.0, 11.0, 2.0, 101.0, 12.0, -0.5,
+    ]
+    .iter()
+    .map(|&v| vec![v])
+    .collect();
+    let mut rng = Rng(0x2E05E);
+    let [done, timeouts, traps] = assert_reused_backend_agrees(&hand, &inputs, &mut rng, "hand");
+    assert_eq!((done, timeouts, traps), (7, 4, 4));
+    let mut totals = [0; 3];
+    for seed in 0..PROGRAMS {
+        let program = compile_seed(seed);
+        let arity = Program::arity(&program);
+        let mut rng = Rng(seed ^ 0x2E05E);
+        let inputs: Vec<Vec<f64>> = (0..12).map(|_| rng.point(arity)).collect();
+        let counts =
+            assert_reused_backend_agrees(&program, &inputs, &mut rng, &format!("seed {seed}"));
+        for (total, count) in totals.iter_mut().zip(counts) {
+            *total += count;
+        }
+    }
+    assert!(totals[0] > 0 && totals[1] + totals[2] > 0, "{totals:?}");
 }
 
 /// Loads one `examples/fpir/` corpus file, inferring the entry from the
