@@ -6,23 +6,18 @@
 //! independently. A [`Campaign`] runs its functions on one executor: a queue
 //! of **tasks** — one slice of one *(function, shard)* search
 //! ([`SearchState::run_rounds`]) — claimed by one worker loop on a pool of
-//! scoped threads ([`std::thread::scope`]). What a returned task triggers
-//! is the only difference between the two schedules:
+//! scoped threads ([`std::thread::scope`]).
 //!
-//! * **Fixed** (the default): every function runs its `n_start` schedule.
-//!   With `shards = 1` and sync off every function is a single task
-//!   running one [`CoverMe`](crate::CoverMe) search to exhaustion, exactly
-//!   the paper's setup; with `shards > 1` the budget splits across shard
-//!   units ([`crate::shard`]), and with `sync_epochs > 1` each shard's slice
-//!   is cut into epochs ([`crate::sync`]). When the last shard of a
-//!   function's epoch returns, the shards exchange
-//!   [`SaturationDelta`](crate::saturation::SaturationDelta)s (commutative,
-//!   so arrival order cannot matter) and the next epoch is enqueued, or the
-//!   function is finalized.
-//! * **Bandit** ([`SchedulerPolicy::Bandit`]): a global evaluation pool is
-//!   granted in installments, one shard per function. When every
-//!   outstanding grant has returned, a deterministic UCB allocator grants
-//!   the next round.
+//! There is one schedule, the paper's: every function runs its own
+//! `n_start` schedule. With `shards = 1` and sync off every function is a
+//! single task running one [`CoverMe`](crate::CoverMe) search to
+//! exhaustion, exactly the paper's setup; with `shards > 1` the schedule
+//! splits across shard units ([`crate::shard`]), and with `sync_epochs > 1`
+//! each shard's slice is cut into epochs ([`crate::sync`]). When the last
+//! shard of a function's epoch returns, the shards exchange
+//! [`SaturationDelta`](crate::saturation::SaturationDelta)s (commutative, so
+//! arrival order cannot matter) and the next epoch is enqueued, or the
+//! function is finalized.
 //!
 //! [`CoverMe::run`](crate::CoverMe::run) is a one-function run of the same
 //! executor on the calling thread, and
@@ -33,10 +28,8 @@
 //!              tasks (function, shard, rounds)
 //!   queue ──▶ worker loop ──▶ SearchState::run_rounds ──▶ settle
 //!     ▲                                                     │
-//!     │     fixed:  last shard of the epoch back? exchange  │
-//!     └──── deltas, enqueue the next epoch — or finalize ◀──┤
-//!           bandit: every grant back? allocate the next   ◀─┘
-//!           round — or finalize everything left
+//!     │     last shard of the epoch back? exchange deltas,  │
+//!     └──── enqueue the next epoch — or finalize ◀──────────┘
 //! ```
 //!
 //! Because tasks are claimed from one shared queue seeded in
@@ -60,9 +53,8 @@
 //!   occurrence (never from scheduling or its inventory position, so a
 //!   subset campaign reproduces the full campaign's rows); each task's work
 //!   is a deterministic function of `(seed, shards, sync_epochs, budget)`;
-//!   delta exchange is commutative; and bandit grants are decided only when
-//!   no grant is outstanding — so a campaign without a deadline produces
-//!   identical searches whether it runs on 1 worker or 64.
+//!   and delta exchange is commutative — so a campaign without a deadline
+//!   produces identical searches whether it runs on 1 worker or 64.
 //! * **Graceful budget expiry.** With a wall-clock budget set, workers check
 //!   the deadline *before* claiming a task — an expired deadline never
 //!   starts a zero-budget search that would be counted as completed — and
@@ -84,7 +76,7 @@ use std::time::{Duration, Instant};
 use coverme_runtime::{Program, LANE_WIDTH};
 
 use crate::corpus::CorpusStore;
-use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SchedulerPolicy, SearchState};
+use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SearchState};
 use crate::report::TestReport;
 use crate::saturation::SaturationDelta;
 use crate::shard::{merge_shards, ShardOutcome};
@@ -196,29 +188,6 @@ impl CampaignConfig {
         self
     }
 
-    /// The campaign's per-function shard count: the requested count clamped
-    /// so every shard keeps at least
-    /// [`MIN_ROUNDS_PER_SHARD`](crate::shard::MIN_ROUNDS_PER_SHARD)
-    /// starting points (see [`CoverMeConfig::effective_shards`]), or 1
-    /// under the bandit, which runs every function as one shard.
-    pub fn effective_shards(&self) -> usize {
-        if self.bandit_pool().is_some() {
-            1
-        } else {
-            self.base.effective_shards()
-        }
-    }
-
-    /// The global evaluation pool when this campaign runs the bandit
-    /// ([`SchedulerPolicy::Bandit`] with a base `budget`). A bandit without
-    /// a pool has nothing to allocate and runs the fixed schedule (the CLI
-    /// rejects that combination).
-    fn bandit_pool(&self) -> Option<usize> {
-        self.base
-            .budget
-            .filter(|_| self.base.scheduler == SchedulerPolicy::Bandit)
-    }
-
     /// The worker count this configuration resolves to for `inventory_len`
     /// functions: the explicit count, or autodetected parallelism (≥ 2),
     /// never more than there are work units (functions × shards).
@@ -231,23 +200,9 @@ impl CampaignConfig {
         } else {
             self.workers
         };
-        let units = inventory_len.saturating_mul(self.effective_shards());
+        let units = inventory_len.saturating_mul(self.base.effective_shards());
         requested.clamp(1, units.max(1))
     }
-}
-
-/// Per-function accounting of the bandit scheduler's eval-budget grants
-/// (see [`SchedulerPolicy::Bandit`]): how much of the global pool the
-/// function received, in how many installments. Only present on reports
-/// produced by a bandit campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BudgetLedger {
-    /// Evaluations granted to this function from the global pool (the sum
-    /// over all ledgers never exceeds the pool; a function may *spend*
-    /// slightly more than granted because rounds are atomic).
-    pub granted: usize,
-    /// Number of separate grants (installments) the function received.
-    pub grants: usize,
 }
 
 /// How far the campaign got with one function before reporting it.
@@ -310,9 +265,6 @@ pub struct FunctionResult {
     /// Whether the function ran to completion, was cut by the deadline
     /// with partial progress kept, or never started.
     pub status: FunctionStatus,
-    /// The bandit scheduler's grant ledger for this function; `None` on
-    /// fixed-schedule campaigns.
-    pub budget: Option<BudgetLedger>,
 }
 
 impl FunctionResult {
@@ -420,11 +372,6 @@ pub struct CampaignReport {
     /// Effective per-function sync-epoch count of the schedule (1 = sync
     /// off, the pre-sync behavior).
     pub sync_epochs: usize,
-    /// The scheduler that allocated evaluations across functions.
-    pub scheduler: SchedulerPolicy,
-    /// The global evaluation pool of a bandit campaign, or the per-search
-    /// eval cap of a fixed campaign (`None` = unbounded, the default).
-    pub eval_budget: Option<usize>,
     /// Wall-clock time of the whole campaign.
     pub wall_time: Duration,
 }
@@ -621,7 +568,7 @@ impl CampaignReport {
     /// has no serde); numbers use Rust's shortest-roundtrip `Display`,
     /// non-finite rates are clamped to 0.
     pub fn to_json(&self) -> String {
-        self.write_json(None, None)
+        self.write_json(None)
     }
 
     /// Like [`to_json`](Self::to_json), but additionally records a sync-off
@@ -640,33 +587,10 @@ impl CampaignReport {
             sync_off.results.len(),
             "sync baseline must come from the same inventory"
         );
-        self.write_json(Some(sync_off), None)
+        self.write_json(Some(sync_off))
     }
 
-    /// Like [`to_json`](Self::to_json), but additionally records a
-    /// fixed-scheduler baseline run of the same inventory: per function
-    /// `evals_fixed` / `covered_branches_fixed` columns, plus suite-level
-    /// fixed eval totals — the side-by-side the nightly
-    /// `--compare-budget` artifact tracks the budget-economics claim with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline describes a different inventory (result
-    /// counts differ).
-    pub fn to_json_with_budget_baseline(&self, fixed: &CampaignReport) -> String {
-        assert_eq!(
-            self.results.len(),
-            fixed.results.len(),
-            "budget baseline must come from the same inventory"
-        );
-        self.write_json(None, Some(fixed))
-    }
-
-    fn write_json(
-        &self,
-        sync_off: Option<&CampaignReport>,
-        fixed: Option<&CampaignReport>,
-    ) -> String {
+    fn write_json(&self, sync_off: Option<&CampaignReport>) -> String {
         let mut out = String::with_capacity(4096 + 256 * self.results.len());
         out.push_str("{\n");
         push_json_field(
@@ -679,34 +603,12 @@ impl CampaignReport {
         push_json_number(&mut out, "  ", "workers", self.workers as f64, true);
         push_json_number(&mut out, "  ", "shards", self.shards as f64, true);
         push_json_number(&mut out, "  ", "sync_epochs", self.sync_epochs as f64, true);
-        out.push_str("  \"scheduler\": \"");
-        out.push_str(self.scheduler.label());
-        out.push_str("\",\n");
-        if let Some(budget) = self.eval_budget {
-            push_json_number(&mut out, "  ", "eval_budget", budget as f64, true);
-        }
         if let Some(baseline) = sync_off {
             push_json_number(
                 &mut out,
                 "  ",
                 "total_evaluations_sync_off",
                 baseline.total_evaluations() as f64,
-                true,
-            );
-        }
-        if let Some(baseline) = fixed {
-            push_json_number(
-                &mut out,
-                "  ",
-                "total_evaluations_fixed",
-                baseline.total_evaluations() as f64,
-                true,
-            );
-            push_json_number(
-                &mut out,
-                "  ",
-                "suite_branch_coverage_percent_fixed",
-                baseline.suite_branch_coverage_percent(),
                 true,
             );
         }
@@ -841,40 +743,6 @@ impl CampaignReport {
                         true,
                     );
                 }
-            }
-            if let Some(baseline) = fixed {
-                push_json_number(
-                    &mut out,
-                    "      ",
-                    "evals_fixed",
-                    baseline.results[index].evaluations() as f64,
-                    true,
-                );
-                if let Some(fixed_report) = &baseline.results[index].report {
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "covered_branches_fixed",
-                        fixed_report.coverage.covered_count() as f64,
-                        true,
-                    );
-                }
-            }
-            if let Some(ledger) = &result.budget {
-                push_json_number(
-                    &mut out,
-                    "      ",
-                    "budget_granted",
-                    ledger.granted as f64,
-                    true,
-                );
-                push_json_number(
-                    &mut out,
-                    "      ",
-                    "budget_grants",
-                    ledger.grants as f64,
-                    true,
-                );
             }
             match &result.report {
                 Some(report) => {
@@ -1129,22 +997,13 @@ impl Campaign {
         F: FnMut(&CampaignEvent),
     {
         let started = Instant::now();
-        let pool = self.config.bandit_pool();
-        let shards = self.config.effective_shards();
+        let shards = self.config.base.effective_shards();
         let workers = self.config.effective_workers(inventory.len());
         let mut template = self.config.base.clone();
         // The worker grid is sized with the effective shard count; the
         // per-shard stride must agree with it.
         template.shards = shards;
         template.cancel = self.config.cancel.clone();
-        if pool.is_some() {
-            // A bandit function may overdraw its fixed schedule, and its
-            // allowance is installed per grant: the pool itself never
-            // reaches a single state.
-            template.sync_epochs = 0;
-            template.n_start = template.n_start.saturating_mul(BANDIT_OVERDRAFT);
-            template.budget = None;
-        }
         let plan = SyncPlan::new(&template);
 
         // Seed derivation input per function: how many *earlier* inventory
@@ -1186,12 +1045,8 @@ impl Campaign {
             })
             .collect();
 
-        let schedule = match pool {
-            Some(pool) => Schedule::Bandit(Pool::new(pool, inventory.len())),
-            None => Schedule::Fixed(plan),
-        };
         let deadline = self.config.time_budget.map(|budget| started + budget);
-        let executor = Executor::new(inventory, &configs, schedule, deadline);
+        let executor = Executor::new(inventory, &configs, plan, deadline);
         let results = executor.run_on(workers, &mut on_event);
         self.record_corpus(&fingerprints, &configs, &results);
         CampaignReport {
@@ -1199,12 +1054,6 @@ impl Campaign {
             workers,
             shards,
             sync_epochs: plan.epochs(),
-            scheduler: if pool.is_some() {
-                SchedulerPolicy::Bandit
-            } else {
-                SchedulerPolicy::Fixed
-            },
-            eval_budget: self.config.base.budget,
             wall_time: started.elapsed(),
         }
     }
@@ -1281,7 +1130,7 @@ fn standalone<P: Program>(
     let executor = Executor::new(
         std::slice::from_ref(program),
         std::slice::from_ref(&config),
-        Schedule::Fixed(plan),
+        plan,
         None,
     );
     run(executor, plan.shards())
@@ -1290,88 +1139,12 @@ fn standalone<P: Program>(
         .expect("a search without a campaign deadline always reports")
 }
 
-/// Grants handed out per allocation round after the seeding round. A
-/// constant (never derived from the worker count) so grant histories — and
-/// therefore every search — are identical across worker counts.
-const GRANTS_PER_ROUND: usize = 8;
-
-/// Inflation factor on the per-function `n_start` schedule under the
-/// bandit: a function that keeps earning grants may run up to this many
-/// times the fixed schedule. The starting-point schedule is sampled
-/// sequentially, so the fixed schedule's points are a bit-identical prefix
-/// of the inflated one.
-const BANDIT_OVERDRAFT: usize = 4;
-
-/// Exploration weight of the UCB score: how strongly rarely-granted
-/// functions are favored over proven earners.
-const UCB_EXPLORATION: f64 = 0.5;
-
 /// One task: run up to `rounds` rounds of one (function, shard) search.
 #[derive(Debug, Clone, Copy)]
 struct Task {
     function: usize,
     shard: usize,
     rounds: usize,
-}
-
-/// What a returned task triggers — the one thing the fixed schedule and
-/// the bandit do differently.
-enum Schedule {
-    /// Every function runs its whole `n_start` schedule, cut into the
-    /// plan's sync epochs. When the last shard of a function's epoch
-    /// returns, the shards exchange saturation deltas
-    /// ([`exchange_deltas`] — commutative, so arrival order cannot matter)
-    /// and the next epoch is enqueued, or the function is finalized.
-    Fixed(SyncPlan),
-    /// The bandit (see [`SchedulerPolicy::Bandit`]): one shard per
-    /// function, run grant by grant. When every outstanding grant has
-    /// returned, [`Shared::allocate`] grants the next round.
-    Bandit(Pool),
-}
-
-/// The bandit's global evaluation pool.
-struct Pool {
-    /// The per-installment grant size: an eighth of a function's fair
-    /// share of the pool, floored at 1000 evaluations so tiny pools still
-    /// buy a meaningful slice of search.
-    grant_evals: usize,
-    /// Evaluations of the pool not yet granted.
-    unallocated: usize,
-    /// Total grants handed out (the `t` of the UCB exploration term).
-    total_grants: usize,
-    /// Grants of the current round not yet returned; the allocator runs
-    /// when it reaches 0 — the round barrier that makes grant decisions
-    /// independent of worker count.
-    outstanding: usize,
-}
-
-impl Pool {
-    fn new(pool: usize, functions: usize) -> Pool {
-        Pool {
-            grant_evals: (pool / functions.max(1).saturating_mul(8)).max(1000),
-            unallocated: pool,
-            total_grants: 0,
-            outstanding: 0,
-        }
-    }
-}
-
-/// One function's bandit grant ledger.
-#[derive(Debug, Default)]
-struct Grant {
-    /// Evaluations granted from the pool so far.
-    granted: usize,
-    /// Number of grant installments.
-    grants: usize,
-    /// Covered-branch count at the moment of the last grant.
-    covered_before: usize,
-    /// Evaluation count at the moment of the last grant.
-    evals_before: usize,
-    /// Marginal coverage per evaluation over the last completed grant.
-    rate: f64,
-    /// Parked with [`EpochOutcome::BudgetExhausted`] — a re-grant
-    /// candidate.
-    paused: bool,
 }
 
 /// Scheduling state of one function.
@@ -1386,20 +1159,17 @@ struct FunctionRun<'inv, P: Program> {
     pending: usize,
     /// The sync epoch in flight.
     epoch: usize,
-    /// The bandit's grant ledger; `None` under the fixed schedule.
-    grant: Option<Grant>,
     /// Whether the function was finalized and its event emitted.
     finished: bool,
 }
 
 impl<'inv, P: Program> FunctionRun<'inv, P> {
-    fn new(shards: usize, grant: Option<Grant>) -> Self {
+    fn new(shards: usize) -> Self {
         FunctionRun {
             states: (0..shards).map(|_| None).collect(),
             published: vec![None; shards],
             pending: shards,
             epoch: 0,
-            grant,
             finished: false,
         }
     }
@@ -1422,10 +1192,6 @@ impl<'inv, P: Program> FunctionRun<'inv, P> {
             shards: self.states.len(),
             states: self.states.iter_mut().filter_map(Option::take).collect(),
             cut_short,
-            budget: self.grant.as_ref().map(|grant| BudgetLedger {
-                granted: grant.granted,
-                grants: grant.grants,
-            }),
         }
     }
 }
@@ -1440,7 +1206,6 @@ struct Finished<'inv, P: Program> {
     states: Vec<SearchState<'inv, P>>,
     /// Whether the function stopped before its full budget.
     cut_short: bool,
-    budget: Option<BudgetLedger>,
 }
 
 impl<P: Program> Finished<'_, P> {
@@ -1471,7 +1236,6 @@ impl<P: Program> Finished<'_, P> {
                 report,
                 shards_run,
                 status,
-                budget: self.budget,
             },
         }
     }
@@ -1481,7 +1245,8 @@ impl<P: Program> Finished<'_, P> {
 struct Shared<'inv, P: Program> {
     queue: VecDeque<Task>,
     functions: Vec<FunctionRun<'inv, P>>,
-    schedule: Schedule,
+    /// Every function's shard grid and epoch cuts.
+    plan: SyncPlan,
     /// Functions not yet finalized; workers exit when it reaches 0.
     unfinished: usize,
     /// Set when a worker observes the campaign deadline expired; stops all
@@ -1495,171 +1260,41 @@ impl<'inv, P: Program> Shared<'inv, P> {
         self.functions[index].finalize(index, false)
     }
 
-    /// Parks a returned task's state and runs what its return triggers.
-    /// Returns the functions that finished.
-    fn settle(
-        &mut self,
-        task: Task,
-        state: SearchState<'inv, P>,
-        outcome: EpochOutcome,
-        inventory: &[P],
-    ) -> Vec<Finished<'inv, P>> {
+    /// Parks a returned task's state; when it was the function's last task
+    /// of the epoch, exchanges the shards' saturation deltas
+    /// ([`exchange_deltas`] — commutative, so arrival order cannot matter)
+    /// and enqueues the next epoch, or finalizes the function.
+    fn settle(&mut self, task: Task, state: SearchState<'inv, P>) -> Option<Finished<'inv, P>> {
         let function = task.function;
-        let mut finished = Vec::new();
         let run = &mut self.functions[function];
-        match &mut self.schedule {
-            Schedule::Fixed(plan) => {
-                run.states[task.shard] = Some(state);
-                run.pending -= 1;
-                if run.pending > 0 {
-                    return finished;
-                }
-                // Rendezvous: the function's last task of the epoch is back.
-                run.epoch += 1;
-                let active: Vec<usize> = (0..run.states.len())
-                    .filter(|&shard| run.states[shard].as_ref().is_some_and(|s| !s.is_finished()))
-                    .collect();
-                if run.epoch < plan.epochs() && !active.is_empty() {
-                    // If the deadline raced the rendezvous, the states stay
-                    // parked for the deadline pass.
-                    if !self.expired {
-                        exchange_deltas(&mut run.states, &mut run.published);
-                        run.pending = active.len();
-                        for shard in active {
-                            let rounds = plan.rounds_in_epoch(shard, run.epoch);
-                            self.queue.push_back(Task {
-                                function,
-                                shard,
-                                rounds,
-                            });
-                        }
-                    }
-                } else {
-                    finished.push(self.finalize(function));
-                }
-            }
-            Schedule::Bandit(pool) => {
-                let grant = run.grant.as_mut().expect("bandit functions carry a ledger");
-                // Marginal coverage per eval over the grant that just
-                // completed — the reward the next allocation round scores.
-                let covered_now = state.tracker().covered().len();
-                let evals_now = state.evaluations();
-                let gained = covered_now.saturating_sub(grant.covered_before);
-                let spent = evals_now.saturating_sub(grant.evals_before).max(1);
-                grant.rate = gained as f64 / spent as f64;
-                // Settle the ledger against actual spend so `granted` always
-                // means "consumed from the pool": the final round in flight
-                // can overshoot the allowance (a round is never cut
-                // mid-minimization), so the overage is charged to the pool
-                // now; an underspend on natural completion is refunded.
-                // Either way Σ granted + unallocated stays exactly the pool.
-                if evals_now > grant.granted {
-                    let charged = (evals_now - grant.granted).min(pool.unallocated);
-                    pool.unallocated -= charged;
-                    grant.granted += charged;
-                }
-                let exhausted = outcome == EpochOutcome::BudgetExhausted;
-                if exhausted {
-                    grant.paused = true;
-                } else {
-                    let refund = grant.granted.saturating_sub(evals_now);
-                    pool.unallocated += refund;
-                    grant.granted -= refund;
-                }
-                run.states[0] = Some(state);
-                pool.outstanding -= 1;
-                let round_over = pool.outstanding == 0;
-                if !exhausted {
-                    // Natural completion: Complete, or Partial for
-                    // degraded/deadline cuts.
-                    finished.push(self.finalize(function));
-                }
-                if round_over {
-                    self.allocate(inventory, &mut finished);
-                }
-            }
+        run.states[task.shard] = Some(state);
+        run.pending -= 1;
+        if run.pending > 0 {
+            return None;
         }
-        finished
-    }
-
-    /// The bandit's round barrier: grants the top [`GRANTS_PER_ROUND`]
-    /// paused candidates by UCB score — scaled marginal coverage per eval
-    /// plus an exploration bonus, ties broken on a seeded name hash, then
-    /// inventory index — or, when the pool is dry or no candidate remains,
-    /// finalizes everything left (paused functions spent their share:
-    /// Complete; never-granted ones: Skipped). Runs only when no grant is
-    /// outstanding, so its decisions are a pure function of accumulated
-    /// telemetry — never of worker count or arrival order.
-    fn allocate(&mut self, inventory: &[P], finished: &mut Vec<Finished<'inv, P>>) {
-        let Schedule::Bandit(pool) = &mut self.schedule else {
-            unreachable!("only the bandit allocates");
-        };
-        let paused = |run: &FunctionRun<'inv, P>| {
-            !run.finished && run.grant.as_ref().is_some_and(|grant| grant.paused)
-        };
-        let mut candidates: Vec<usize> = (0..self.functions.len())
-            .filter(|&index| paused(&self.functions[index]))
+        // Rendezvous: the function's last task of the epoch is back.
+        run.epoch += 1;
+        let active: Vec<usize> = (0..run.states.len())
+            .filter(|&shard| run.states[shard].as_ref().is_some_and(|s| !s.is_finished()))
             .collect();
-        if pool.unallocated > 0 && !candidates.is_empty() {
-            let (total, grant_evals) = (pool.total_grants, pool.grant_evals);
-            let functions = &self.functions;
-            let score = |index: usize| -> f64 {
-                let grant = functions[index].grant.as_ref().expect("bandit ledger");
-                // Scale the marginal rate to "branches expected from one
-                // more grant" so it is commensurate with the O(1)
-                // exploration term.
-                let exploit = grant.rate * grant_evals as f64;
-                let explore = UCB_EXPLORATION
-                    * (((total + 1) as f64).ln() / grant.grants.max(1) as f64).sqrt();
-                exploit + explore
-            };
-            candidates.sort_by(|&a, &b| {
-                score(b)
-                    .partial_cmp(&score(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| {
-                        bandit_tiebreak(inventory[a].name())
-                            .cmp(&bandit_tiebreak(inventory[b].name()))
-                    })
-                    .then(a.cmp(&b))
-            });
-            let mut granted_any = false;
-            for &index in candidates.iter().take(GRANTS_PER_ROUND) {
-                let amount = pool.grant_evals.min(pool.unallocated);
-                if amount == 0 {
-                    break;
+        if run.epoch < self.plan.epochs() && !active.is_empty() {
+            // If the deadline raced the rendezvous, the states stay parked
+            // for the deadline pass.
+            if !self.expired {
+                exchange_deltas(&mut run.states, &mut run.published);
+                run.pending = active.len();
+                for shard in active {
+                    let rounds = self.plan.rounds_in_epoch(shard, run.epoch);
+                    self.queue.push_back(Task {
+                        function,
+                        shard,
+                        rounds,
+                    });
                 }
-                pool.unallocated -= amount;
-                pool.total_grants += 1;
-                pool.outstanding += 1;
-                let run = &mut self.functions[index];
-                let state = run.states[0].as_mut().expect("a paused function is parked");
-                let grant = run.grant.as_mut().expect("bandit ledger");
-                grant.granted += amount;
-                grant.grants += 1;
-                grant.covered_before = state.tracker().covered().len();
-                grant.evals_before = state.evaluations();
-                grant.paused = false;
-                state.extend_budget(amount);
-                self.queue.push_back(Task {
-                    function: index,
-                    shard: 0,
-                    rounds: usize::MAX,
-                });
-                granted_any = true;
             }
-            if granted_any {
-                return;
-            }
-        }
-        // No further grants possible: the campaign is over. Paused
-        // functions spent their share of the pool — that is a completed
-        // bandit outcome, not a truncation; never-granted functions are
-        // skipped.
-        for index in 0..self.functions.len() {
-            if !self.functions[index].finished {
-                finished.push(self.finalize(index));
-            }
+            None
+        } else {
+            Some(self.finalize(function))
         }
     }
 }
@@ -1682,62 +1317,33 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
     fn new(
         inventory: &'inv [P],
         configs: &'c [CoverMeConfig],
-        mut schedule: Schedule,
+        plan: SyncPlan,
         deadline: Option<Instant>,
     ) -> Self {
+        // Epoch-0 tasks for every (function, shard) pair, function-major so
+        // the suite streams front to back and a trailing heavy function
+        // still fans out over idle workers.
         let mut queue = VecDeque::new();
-        let functions = match &mut schedule {
-            Schedule::Fixed(plan) => {
-                // Epoch-0 tasks for every (function, shard) pair,
-                // function-major so the suite streams front to back and a
-                // trailing heavy function still fans out over idle workers.
-                for function in 0..inventory.len() {
-                    for shard in 0..plan.shards() {
-                        let rounds = plan.rounds_in_epoch(shard, 0);
-                        queue.push_back(Task {
-                            function,
-                            shard,
-                            rounds,
-                        });
-                    }
-                }
-                (0..inventory.len())
-                    .map(|_| FunctionRun::new(plan.shards(), None))
-                    .collect()
+        for function in 0..inventory.len() {
+            for shard in 0..plan.shards() {
+                let rounds = plan.rounds_in_epoch(shard, 0);
+                queue.push_back(Task {
+                    function,
+                    shard,
+                    rounds,
+                });
             }
-            Schedule::Bandit(pool) => {
-                // Seeding round: one grant per function, inventory order,
-                // while the pool lasts.
-                let runs = (0..inventory.len())
-                    .map(|function| {
-                        let mut grant = Grant::default();
-                        let amount = pool.grant_evals.min(pool.unallocated);
-                        if amount > 0 {
-                            pool.unallocated -= amount;
-                            grant.granted = amount;
-                            grant.grants = 1;
-                            queue.push_back(Task {
-                                function,
-                                shard: 0,
-                                rounds: usize::MAX,
-                            });
-                        }
-                        FunctionRun::new(1, Some(grant))
-                    })
-                    .collect();
-                pool.outstanding = queue.len();
-                pool.total_grants = queue.len();
-                runs
-            }
-        };
+        }
         Executor {
             inventory,
             configs,
             deadline,
             shared: Mutex::new(Shared {
                 queue,
-                functions,
-                schedule,
+                functions: (0..inventory.len())
+                    .map(|_| FunctionRun::new(plan.shards()))
+                    .collect(),
+                plan,
                 unfinished: inventory.len(),
                 expired: false,
             }),
@@ -1765,19 +1371,6 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
             let CampaignEvent::FunctionFinished { index, result } = event;
             results[index] = Some(result);
         };
-        // A bandit pool too small for a single grant seeds no task whose
-        // return would run the allocator: run it once up front, which
-        // finalizes everything as skipped.
-        let mut opening = Vec::new();
-        {
-            let mut shared = self.lock();
-            if matches!(&shared.schedule, Schedule::Bandit(pool) if pool.outstanding == 0) {
-                shared.allocate(self.inventory, &mut opening);
-            }
-        }
-        for finished in opening {
-            deliver(finished.into_event(self.inventory));
-        }
         drive(&self, &mut deliver);
         // The deadline pass: functions the expiry cut mid-search keep the
         // progress their parked states completed (partial), functions that
@@ -1801,11 +1394,10 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         self.run(on_event, |executor, deliver| run_worker(executor, deliver))
     }
 
-    /// Claims the next task and checks its state out of its slot, with the
-    /// function's grant under the bandit. Blocks while the queue is empty
-    /// and other workers still hold tasks; returns `None` once every
-    /// function is finalized or the deadline expired.
-    fn claim(&self) -> Option<(Task, Option<SearchState<'inv, P>>, Option<usize>)> {
+    /// Claims the next task and checks its state out of its slot. Blocks
+    /// while the queue is empty and other workers still hold tasks; returns
+    /// `None` once every function is finalized or the deadline expired.
+    fn claim(&self) -> Option<(Task, Option<SearchState<'inv, P>>)> {
         let mut shared = self.lock();
         loop {
             if shared.expired || shared.unfinished == 0 {
@@ -1817,9 +1409,8 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
                 return None;
             }
             if let Some(task) = shared.queue.pop_front() {
-                let run = &mut shared.functions[task.function];
-                let allowance = run.grant.as_ref().map(|grant| grant.granted);
-                return Some((task, run.states[task.shard].take(), allowance));
+                let state = shared.functions[task.function].states[task.shard].take();
+                return Some((task, state));
             }
             shared = self.ready.wait(shared).expect("executor lock poisoned");
         }
@@ -1827,13 +1418,9 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
 
     /// Creates a shard's search state on its first task — outside the
     /// lock, since schedule regeneration is O(n_start) RNG draws — with
-    /// the time budget clamped to what the campaign deadline leaves and,
-    /// under the bandit, the function's first grant as its allowance.
-    fn new_state(&self, task: Task, allowance: Option<usize>) -> SearchState<'inv, P> {
+    /// the time budget clamped to what the campaign deadline leaves.
+    fn new_state(&self, task: Task) -> SearchState<'inv, P> {
         let mut config = Cow::Borrowed(&self.configs[task.function]);
-        if allowance.is_some() {
-            config.to_mut().budget = allowance;
-        }
         match budget_state(self.deadline, Instant::now()) {
             BudgetState::Remaining(left) => {
                 let budget = config.time_budget.map_or(left, |budget| budget.min(left));
@@ -1850,13 +1437,8 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
     }
 
     /// Hands a task's state back and runs what its return triggers.
-    fn settle(
-        &self,
-        task: Task,
-        state: SearchState<'inv, P>,
-        outcome: EpochOutcome,
-    ) -> Vec<Finished<'inv, P>> {
-        let finished = self.lock().settle(task, state, outcome, self.inventory);
+    fn settle(&self, task: Task, state: SearchState<'inv, P>) -> Option<Finished<'inv, P>> {
+        let finished = self.lock().settle(task, state);
         self.ready.notify_all();
         finished
     }
@@ -1898,25 +1480,13 @@ impl<P: Program + Sync> Executor<'_, '_, P> {
 /// The one worker loop: claim a task, run its slice *outside* the lock,
 /// hand the state back, and emit every function that finished.
 fn run_worker<P: Program>(executor: &Executor<'_, '_, P>, emit: &mut dyn FnMut(CampaignEvent)) {
-    while let Some((task, parked, allowance)) = executor.claim() {
-        let mut state = parked.unwrap_or_else(|| executor.new_state(task, allowance));
-        let outcome = state.run_rounds(task.rounds);
-        for finished in executor.settle(task, state, outcome) {
+    while let Some((task, parked)) = executor.claim() {
+        let mut state = parked.unwrap_or_else(|| executor.new_state(task));
+        state.run_rounds(task.rounds);
+        if let Some(finished) = executor.settle(task, state) {
             emit(finished.into_event(executor.inventory));
         }
     }
-}
-
-/// Deterministic tie-break key for equal UCB scores: FNV-1a over the
-/// function name — stable across runs and platforms, uncorrelated with
-/// inventory order.
-fn bandit_tiebreak(name: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in name.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// Derives a function's seed from the campaign seed, the function name and
@@ -2571,7 +2141,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for key in [
-            "\"schema\": \"coverme-campaign-report/8\"",
+            "\"schema\": \"coverme-campaign-report/9\"",
             "\"backend\": \"",
             "\"lane_width\":",
             "\"suite_branch_coverage_percent\":",
@@ -2650,136 +2220,7 @@ mod tests {
         // The minimum-rounds floor caps how finely a small budget splits,
         // and the unit grid follows the effective count.
         let starved = CampaignConfig::new().with_base(quick_base()).with_shards(4);
-        assert_eq!(starved.effective_shards(), 2); // n_start 40 / 16
+        assert_eq!(starved.base.effective_shards(), 2); // n_start 40 / 16
         assert_eq!(starved.clone().with_workers(8).effective_workers(1), 2);
-    }
-
-    fn bandit_config(budget: usize, workers: usize) -> CampaignConfig {
-        CampaignConfig::new()
-            .with_base(
-                quick_base()
-                    .with_scheduler(SchedulerPolicy::Bandit)
-                    .with_budget(budget),
-            )
-            .with_workers(workers)
-    }
-
-    #[test]
-    fn bandit_reports_identical_across_thread_counts() {
-        let programs = inventory();
-        let runs: Vec<CampaignReport> = [1, 2, 4]
-            .iter()
-            .map(|&workers| Campaign::new(bandit_config(30_000, workers)).run(&programs))
-            .collect();
-        assert_eq!(fingerprint(&runs[0]), fingerprint(&runs[1]));
-        assert_eq!(fingerprint(&runs[0]), fingerprint(&runs[2]));
-        // The grant histories must agree too, not just the search results.
-        for run in &runs[1..] {
-            for (a, b) in runs[0].results.iter().zip(&run.results) {
-                assert_eq!(a.budget, b.budget, "{}", a.name);
-            }
-        }
-        assert_eq!(runs[0].scheduler, SchedulerPolicy::Bandit);
-        assert_eq!(runs[0].eval_budget, Some(30_000));
-    }
-
-    #[test]
-    fn bandit_ledger_conserves_the_pool() {
-        let programs = inventory();
-        let pool = 20_000;
-        let report = Campaign::new(bandit_config(pool, 2)).run(&programs);
-        let granted: usize = report
-            .results
-            .iter()
-            .map(|r| r.budget.expect("bandit attaches a ledger").granted)
-            .sum();
-        assert!(granted <= pool, "granted {granted} > pool {pool}");
-        // The ledger is settled against actual spend, so a function's
-        // evaluations exceed its granted total only when the pool ran
-        // completely dry while its last round was in flight.
-        for result in &report.results {
-            let ledger = result.budget.unwrap();
-            let evals = result.report.as_ref().map_or(0, |r| r.evaluations);
-            assert!(
-                evals <= ledger.granted || granted == pool,
-                "{} spent {evals} of {} granted with pool to spare",
-                result.name,
-                ledger.granted
-            );
-            assert!(ledger.grants > 0 || ledger.granted == 0);
-        }
-    }
-
-    #[test]
-    fn bandit_with_ample_budget_matches_fixed_coverage() {
-        let programs = inventory();
-        let fixed = Campaign::new(
-            CampaignConfig::new()
-                .with_base(quick_base())
-                .with_workers(2),
-        )
-        .run(&programs);
-        let bandit = Campaign::new(bandit_config(500_000, 2)).run(&programs);
-        for (a, b) in fixed.results.iter().zip(&bandit.results) {
-            let (a, b) = (a.report.as_ref().unwrap(), b.report.as_ref().unwrap());
-            assert!(
-                b.coverage.covered_count() >= a.coverage.covered_count(),
-                "{}: bandit covered {} < fixed {}",
-                a.program,
-                b.coverage.covered_count(),
-                a.coverage.covered_count()
-            );
-        }
-        assert!(bandit
-            .results
-            .iter()
-            .all(|r| r.status != FunctionStatus::Skipped));
-    }
-
-    #[test]
-    fn bandit_zero_pool_skips_everything() {
-        let programs = inventory();
-        let report = Campaign::new(bandit_config(0, 2)).run(&programs);
-        assert_eq!(report.results.len(), programs.len());
-        for result in &report.results {
-            assert_eq!(result.status, FunctionStatus::Skipped, "{}", result.name);
-            assert_eq!(result.budget, Some(BudgetLedger::default()));
-        }
-    }
-
-    #[test]
-    fn bandit_without_budget_falls_back_to_fixed() {
-        let programs = inventory();
-        let fallback = Campaign::new(
-            CampaignConfig::new()
-                .with_base(quick_base().with_scheduler(SchedulerPolicy::Bandit))
-                .with_workers(2),
-        )
-        .run(&programs);
-        let fixed = Campaign::new(
-            CampaignConfig::new()
-                .with_base(quick_base())
-                .with_workers(2),
-        )
-        .run(&programs);
-        assert_eq!(fingerprint(&fallback), fingerprint(&fixed));
-        assert_eq!(fallback.scheduler, SchedulerPolicy::Fixed);
-    }
-
-    #[test]
-    fn bandit_json_carries_scheduler_and_ledger_keys() {
-        let programs = inventory();
-        let json = Campaign::new(bandit_config(30_000, 2))
-            .run(&programs)
-            .to_json();
-        for key in [
-            "\"scheduler\": \"bandit\"",
-            "\"eval_budget\": 30000",
-            "\"coverage_per_megaeval\":",
-            "\"budget_granted\":",
-            "\"budget_grants\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
     }
 }

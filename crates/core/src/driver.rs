@@ -87,34 +87,6 @@ pub enum InfeasiblePolicy {
     Disabled,
 }
 
-/// How a campaign ([`crate::Campaign`]) spends its evaluation budget across
-/// functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Every function gets the configured `n_start` schedule — the
-    /// original campaign behavior, bit-identical to earlier releases.
-    #[default]
-    Fixed,
-    /// A global evaluation budget ([`CoverMeConfig::budget`]) is allocated
-    /// across functions by a deterministic UCB-style bandit over per-epoch
-    /// marginal-coverage-per-eval telemetry: functions still gaining
-    /// branches earn further grants (up to an `n_start` overdraft),
-    /// plateaued functions stop early. See `crate::campaign` for the
-    /// policy details.
-    Bandit,
-}
-
-impl SchedulerPolicy {
-    /// Stable lowercase label (used by the campaign JSON artifact and the
-    /// `--scheduler` CLI flag).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerPolicy::Fixed => "fixed",
-            SchedulerPolicy::Bandit => "bandit",
-        }
-    }
-}
-
 /// A shared cooperative-cancellation flag. Cloning shares the flag;
 /// [`cancel`](Self::cancel) makes every search and campaign carrying a
 /// clone stop at its next round boundary with
@@ -229,19 +201,13 @@ pub struct CoverMeConfig {
     pub zero_threshold: f64,
     /// Optional wall-clock budget for the whole run.
     pub time_budget: Option<Duration>,
-    /// Optional evaluation allowance. For a standalone run this caps the
-    /// search's representing-function evaluations: the search finishes with
-    /// [`EpochOutcome::BudgetExhausted`] before starting any round once the
-    /// allowance is spent (the last round may overshoot the cap by its own
-    /// evaluations — rounds are atomic). For a campaign with the
-    /// [`SchedulerPolicy::Bandit`] scheduler, the *base* config's value is
-    /// the global budget the bandit allocates across functions. `None`
-    /// (the default) means unlimited, bit-identical to earlier releases.
+    /// Optional per-search evaluation allowance: each search (each shard of
+    /// a sharded one, and each function of a campaign) finishes with
+    /// [`EpochOutcome::BudgetExhausted`] before starting any round once its
+    /// representing-function evaluations reach the allowance. The last
+    /// round may overshoot it by its own evaluations — rounds are atomic.
+    /// `None` (the default) means unlimited.
     pub budget: Option<usize>,
-    /// Campaign scheduling policy (ignored by standalone runs). The
-    /// default [`SchedulerPolicy::Fixed`] reproduces earlier releases
-    /// bit-for-bit.
-    pub scheduler: SchedulerPolicy,
     /// Extension (off by default, not part of the paper's algorithm): also
     /// record the coverage of every intermediate evaluation performed by the
     /// minimizer, not just of the returned minimum points.
@@ -316,7 +282,6 @@ impl Default for CoverMeConfig {
             zero_threshold: 0.0,
             time_budget: None,
             budget: None,
-            scheduler: SchedulerPolicy::Fixed,
             record_search_coverage: false,
             shards: 1,
             sync_epochs: 0,
@@ -405,12 +370,6 @@ impl CoverMeConfig {
     /// Sets the evaluation allowance (see [`CoverMeConfig::budget`]).
     pub fn with_budget(mut self, evaluations: usize) -> Self {
         self.budget = Some(evaluations);
-        self
-    }
-
-    /// Sets the campaign scheduling policy (see [`SchedulerPolicy`]).
-    pub fn with_scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.scheduler = policy;
         self
     }
 
@@ -643,10 +602,7 @@ pub enum EpochOutcome {
     /// finished and the state holds everything completed so far.
     DeadlineExpired,
     /// The evaluation allowance ([`CoverMeConfig::budget`]) is spent; the
-    /// search is finished *unless* a scheduler raises the allowance with
-    /// [`SearchState::extend_budget`], which clears exactly this outcome
-    /// and makes the state resumable again — the pause point the bandit
-    /// campaign scheduler reallocates at.
+    /// search is finished.
     BudgetExhausted,
     /// Too many consecutive rounds aborted — the program kept timing out or
     /// trapping on every minimum the backend returned (see
@@ -678,8 +634,7 @@ impl EpochOutcome {
 /// a state to exhaustion in one call is bit-identical to running it in
 /// any sequence of smaller slices (pinned by
 /// `tests/sync_properties.rs`), which is what makes epochs free:
-/// the executor's sync epochs ([`crate::sync`]) and bandit grants
-/// ([`crate::campaign`]) are pure pause points.
+/// the executor's sync epochs ([`crate::sync`]) are pure pause points.
 ///
 /// Between slices a state can exchange saturation knowledge with sibling
 /// shards: [`extract_delta`](Self::extract_delta) publishes its tracker
@@ -872,29 +827,6 @@ impl<'a, P: Program> SearchState<'a, P> {
     pub fn absorb_delta(&mut self, delta: &SaturationDelta) -> bool {
         self.pending_absorbed += 1;
         self.tracker.apply_delta(delta)
-    }
-
-    /// Raises the evaluation allowance by `extra` evaluations and, when the
-    /// state had finished with [`EpochOutcome::BudgetExhausted`], clears
-    /// that outcome so the search resumes on the next `run_rounds` call.
-    /// Other finished outcomes (saturated, exhausted, degraded, deadline)
-    /// are final and stay untouched. A state created without an allowance
-    /// gains one equal to its spend so far plus `extra`. A grant always
-    /// buys at least `extra` further evaluations: rounds are atomic, so a
-    /// final round may have overshot the old allowance — that overshoot is
-    /// forgiven rather than silently consuming the new grant (a bandit
-    /// grant must never pause again after zero work).
-    pub fn extend_budget(&mut self, extra: usize) {
-        let base = self
-            .config
-            .budget
-            .unwrap_or(self.evaluations)
-            .max(self.evaluations);
-        self.config.budget = Some(base.saturating_add(extra));
-        if self.finished == Some(EpochOutcome::BudgetExhausted) {
-            self.finished = None;
-            self.finished_at = None;
-        }
     }
 
     /// Runs the search to completion in one slice — the sequential driver
@@ -1378,6 +1310,21 @@ mod tests {
     }
 
     #[test]
+    fn search_keys_are_stable_across_releases() {
+        // Corpus entries are stamped with the search key, so these literals
+        // must not change: a key that drifts silently turns every stored
+        // entry cold.
+        assert_eq!(CoverMeConfig::default().search_key(), 0x6e2f_29f4_d987_bbf3);
+        let tuned = CoverMeConfig::default()
+            .with_seed(42)
+            .with_n_start(80)
+            .with_budget(5_000)
+            .with_shards(2)
+            .with_sync_epochs(4);
+        assert_eq!(tuned.search_key(), 0x6dd0_b851_32ac_64c0);
+    }
+
+    #[test]
     fn saturates_the_paper_example_fully() {
         let report = CoverMe::new(quick_config()).run(&paper_example());
         assert_eq!(report.branch_coverage_percent(), 100.0, "{report}");
@@ -1658,35 +1605,39 @@ mod tests {
         assert_eq!(state.rounds_run(), 1);
         let spent = state.evaluations();
         assert!(spent >= 1);
-        // Re-running without a grant re-reports the outcome and does no work.
+        // The outcome is final: re-running re-reports it and does no work.
+        assert!(state.is_finished());
         assert_eq!(state.run_to_exhaustion(), EpochOutcome::BudgetExhausted);
         assert_eq!(state.evaluations(), spent);
-        // A generous grant resumes the search from where it paused.
-        state.extend_budget(1_000_000);
-        assert!(!state.is_finished());
-        let outcome = state.run_rounds(1);
-        assert!(state.rounds_run() >= 2, "grant bought at least one round");
-        assert_ne!(outcome, EpochOutcome::BudgetExhausted);
+        assert_eq!(state.rounds_run(), 1);
     }
 
     #[test]
     fn budget_slicing_is_bit_identical_to_one_shot_runs() {
-        // Running under a trickle of grants must visit exactly the same
-        // rounds as one unbudgeted run — the prefix-stability the bandit
-        // scheduler relies on.
+        // A budgeted search run one round per slice must visit exactly the
+        // rounds of the same search run in one slice, and stop at the same
+        // allowance check.
         let program = infeasible_example();
         let base = quick_config()
             .with_n_start(24)
-            .with_infeasible_policy(InfeasiblePolicy::Disabled);
-        let mut free = SearchState::new(&base, &program, 0);
-        free.run_to_exhaustion();
+            .with_infeasible_policy(InfeasiblePolicy::Disabled)
+            .with_budget(400);
+        let mut whole = SearchState::new(&base, &program, 0);
+        let outcome = whole.run_to_exhaustion();
+        assert_eq!(
+            outcome,
+            EpochOutcome::BudgetExhausted,
+            "the allowance binds"
+        );
 
-        let mut dripped = SearchState::new(&base.clone().with_budget(1), &program, 0);
-        while dripped.run_to_exhaustion() == EpochOutcome::BudgetExhausted {
-            dripped.extend_budget(1);
+        let mut sliced = SearchState::new(&base, &program, 0);
+        let mut last = sliced.run_rounds(1);
+        while last == EpochOutcome::Paused {
+            last = sliced.run_rounds(1);
         }
-        assert_eq!(free.rounds(), dripped.rounds());
-        assert_eq!(free.evaluations(), dripped.evaluations());
+        assert_eq!(last, outcome);
+        assert_eq!(whole.rounds(), sliced.rounds());
+        assert_eq!(whole.evaluations(), sliced.evaluations());
     }
 
     #[test]

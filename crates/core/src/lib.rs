@@ -79,13 +79,12 @@ pub mod shard;
 pub mod sync;
 
 pub use campaign::{
-    BudgetLedger, Campaign, CampaignConfig, CampaignEvent, CampaignReport, FunctionResult,
-    FunctionStatus,
+    Campaign, CampaignConfig, CampaignEvent, CampaignReport, FunctionResult, FunctionStatus,
 };
 pub use corpus::{CorpusEntry, CorpusStats, CorpusStore};
 pub use driver::{
-    CancelToken, CoverMe, CoverMeConfig, EpochOutcome, InfeasiblePolicy, PenPolicy,
-    SchedulerPolicy, SearchState, WarmStart, ABORT_PATIENCE,
+    CancelToken, CoverMe, CoverMeConfig, EpochOutcome, InfeasiblePolicy, PenPolicy, SearchState,
+    WarmStart, ABORT_PATIENCE,
 };
 pub use objective::{CacheMode, EngineTelemetry, ObjectiveEngine, ABORTED_VALUE};
 pub use report::{EpochTelemetry, RoundOutcome, RoundRecord, TestReport};

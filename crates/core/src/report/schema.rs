@@ -59,7 +59,7 @@ pub const RUN_REPORT: SchemaId = SchemaId {
 /// ([`CampaignReport::write_json`](crate::CampaignReport)).
 pub const CAMPAIGN_REPORT: SchemaId = SchemaId {
     kind: "coverme-campaign-report",
-    version: 8,
+    version: 9,
 };
 
 /// One persisted function entry of the corpus store
@@ -746,7 +746,7 @@ mod tests {
     #[test]
     fn labels_match_the_emitted_schemas() {
         assert_eq!(RUN_REPORT.label(), "coverme-run-report/5");
-        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/8");
+        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/9");
         assert!(RUN_REPORT.matches("coverme-run-report/5"));
         assert!(!RUN_REPORT.matches("coverme-run-report/4"));
     }

@@ -350,7 +350,7 @@ mod tests {
             .iterations(20)
             .seed(3)
             .target_value(0.0)
-            .minimize(&mut objective, &[10.0]);
+            .minimize_objective(&mut coverme_optim::FnObjective(&mut objective), &[10.0]);
         assert_eq!(result.value, 0.0);
     }
 }

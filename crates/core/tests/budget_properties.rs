@@ -1,20 +1,17 @@
-//! Property-based tests for the eval-budget economics layer: the bandit
-//! campaign scheduler (`SchedulerPolicy::Bandit`), the global evaluation
-//! budget (`CoverMeConfig::budget`), and generalized infeasibility blame
+//! Property-based tests for the per-search evaluation allowance
+//! (`CoverMeConfig::budget`) and generalized infeasibility blame
 //! (`InfeasiblePolicy::Generalized`).
 //!
-//! The PR promises:
+//! The properties:
 //!
-//! * the bandit is **deterministic per `(seed, budget)`** — the allocator
-//!   decides only at round barriers from completed-work telemetry, so the
-//!   worker count cannot change a single grant, input, or covered branch;
-//! * the bandit **conserves the pool**: the sum of granted evaluations
-//!   never exceeds the global budget, and no function spends more than it
-//!   was granted;
-//! * the new knobs at their defaults (`scheduler = fixed`, no budget) are
-//!   **bit-identical to the pre-budget path**: a campaign constructed
-//!   through the new configuration surface reproduces a knob-free
-//!   campaign exactly;
+//! * a campaign under an allowance is **deterministic per
+//!   `(seed, budget)`** — the worker count cannot change a single input,
+//!   covered branch or evaluation count — and **honors the allowance**:
+//!   every function starts its last round with fewer evaluations spent
+//!   than the allowance (rounds are atomic, so only that last round may
+//!   overshoot it). `coverme serve` tiers rely on this to meter tenants;
+//! * an allowance the search never reaches is **bit-identical to no
+//!   allowance**: the check before each round perturbs nothing;
 //! * saturation deltas from searches running **generalized blame** stay
 //!   commutative and idempotent, so sync rendezvous and shard merges
 //!   remain arrival-order-free under the new policy.
@@ -26,7 +23,7 @@ use proptest::prelude::*;
 
 use coverme::{
     Campaign, CampaignConfig, CampaignReport, CoverMeConfig, InfeasiblePolicy, SaturationTracker,
-    SchedulerPolicy, ShardOutcome,
+    ShardOutcome,
 };
 use coverme_runtime::{Cmp, ExecCtx, FnProgram, Program};
 
@@ -130,114 +127,61 @@ fn fingerprint(report: &CampaignReport) -> Fingerprint {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The bandit's grant history and search results are a pure function
-    /// of `(seed, budget)` — never of the worker count.
+    /// A campaign under a per-search allowance is identical on 1 and 3
+    /// workers, and every function starts its last round below the
+    /// allowance. Polish is off so that a round's cost is exactly its
+    /// minimizer's evaluations plus the final full evaluation.
     #[test]
-    fn bandit_deterministic_at_any_worker_count(
+    fn allowance_is_deterministic_and_checked_before_every_round(
         suite in suite_strategy(),
         seed in 0..1000u64,
-        pool in 5_000..60_000usize,
+        budget in 100..4_000usize,
     ) {
         let programs = build_inventory(suite);
         let run = |workers: usize| {
             Campaign::new(
                 CampaignConfig::new()
-                    .with_base(
-                        base_config(seed)
-                            .with_scheduler(SchedulerPolicy::Bandit)
-                            .with_budget(pool),
-                    )
+                    .with_base(base_config(seed).with_polish(false).with_budget(budget))
                     .with_workers(workers),
             )
             .run(&programs)
         };
         let one = run(1);
-        for workers in [2usize, 4] {
-            let many = run(workers);
-            prop_assert_eq!(
-                fingerprint(&one),
-                fingerprint(&many),
-                "workers = {}",
-                workers
-            );
-            for (a, b) in one.results.iter().zip(&many.results) {
-                prop_assert_eq!(a.budget, b.budget, "{} grant history", a.name);
-                prop_assert_eq!(a.status, b.status, "{} status", a.name);
-            }
-        }
-    }
-
-    /// The pool is conserved: granted totals never exceed the budget, and
-    /// no function spends evaluations it was not granted.
-    #[test]
-    fn bandit_conserves_the_global_budget(
-        suite in suite_strategy(),
-        seed in 0..1000u64,
-        pool in 2_000..40_000usize,
-    ) {
-        let programs = build_inventory(suite);
-        let report = Campaign::new(
-            CampaignConfig::new()
-                .with_base(
-                    base_config(seed)
-                        .with_scheduler(SchedulerPolicy::Bandit)
-                        .with_budget(pool),
-                )
-                .with_workers(2),
-        )
-        .run(&programs);
-        let granted_total: usize = report
-            .results
-            .iter()
-            .map(|r| r.budget.expect("bandit attaches a ledger").granted)
-            .sum();
-        prop_assert!(
-            granted_total <= pool,
-            "granted {} exceeds the pool {}",
-            granted_total,
-            pool
-        );
-        for result in &report.results {
-            let ledger = result.budget.expect("bandit attaches a ledger");
-            let evals = result.report.as_ref().map_or(0, |r| r.evaluations);
-            // The ledger is settled against actual spend; only a final
-            // round in flight while the pool ran completely dry may leave
-            // spend above the granted total.
+        let three = run(3);
+        prop_assert_eq!(fingerprint(&one), fingerprint(&three));
+        for result in &one.results {
+            let report = result.report.as_ref().expect("no deadline, nothing skipped");
+            let last = report.rounds.last().expect("an allowance admits one round");
+            let before_last = report.evaluations - (last.evaluations + 1);
             prop_assert!(
-                evals <= ledger.granted || granted_total == pool,
-                "{} spent {} of {} granted with pool to spare",
+                before_last < budget,
+                "{} started its last round at {} of {} evaluations",
                 result.name,
-                evals,
-                ledger.granted
+                before_last,
+                budget
             );
-            prop_assert!(ledger.grants > 0 || ledger.granted == 0);
         }
     }
 
-    /// The new knobs at their defaults reproduce the pre-budget campaign
-    /// bit for bit: fixed scheduling is the exact code path earlier
-    /// releases ran.
+    /// An allowance the search never reaches reproduces the unbudgeted
+    /// campaign bit for bit: the check before each round perturbs nothing.
     #[test]
     fn default_knobs_are_bit_identical_to_the_prebudget_path(
         suite in suite_strategy(),
         seed in 0..1000u64,
     ) {
         let programs = build_inventory(suite);
-        let knobless = Campaign::new(
+        let unbudgeted = Campaign::new(
             CampaignConfig::new().with_base(base_config(seed)).with_workers(2),
         )
         .run(&programs);
-        let explicit = Campaign::new(
+        let unreached = Campaign::new(
             CampaignConfig::new()
-                .with_base(base_config(seed).with_scheduler(SchedulerPolicy::Fixed))
+                .with_base(base_config(seed).with_budget(usize::MAX))
                 .with_workers(2),
         )
         .run(&programs);
-        prop_assert_eq!(fingerprint(&knobless), fingerprint(&explicit));
-        // And no ledger appears on the fixed path — the report shape is
-        // unchanged, not just its values.
-        prop_assert!(explicit.results.iter().all(|r| r.budget.is_none()));
-        prop_assert_eq!(explicit.scheduler, SchedulerPolicy::Fixed);
+        prop_assert_eq!(fingerprint(&unbudgeted), fingerprint(&unreached));
     }
 
     /// Deltas from searches running generalized infeasibility blame stay

@@ -13,7 +13,7 @@
 //! to stop as soon as a minimum point that saturates a new branch is found.
 
 use crate::derive_rng;
-use crate::objective::{FnObjective, Objective};
+use crate::objective::Objective;
 use crate::result::Minimum;
 use crate::sampling::PerturbationKind;
 use crate::LocalMethod;
@@ -120,14 +120,6 @@ impl BasinHopping {
     }
 
     /// Minimizes `f` starting from `x0` without a callback.
-    pub fn minimize<F>(&self, f: &mut F, x0: &[f64]) -> Minimum
-    where
-        F: FnMut(&[f64]) -> f64,
-    {
-        self.minimize_with_callback(f, x0, |_| HopDecision::Continue)
-    }
-
-    /// Trait-based twin of [`minimize`](Self::minimize).
     pub fn minimize_objective<O>(&self, f: &mut O, x0: &[f64]) -> Minimum
     where
         O: Objective + ?Sized,
@@ -140,25 +132,10 @@ impl BasinHopping {
     ///
     /// Returning [`HopDecision::Stop`] from the callback terminates the
     /// search immediately, mirroring the way CoverMe's backend terminates
-    /// once all branches are saturated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0` is empty.
-    pub fn minimize_with_callback<F, C>(&self, f: &mut F, x0: &[f64], callback: C) -> Minimum
-    where
-        F: FnMut(&[f64]) -> f64,
-        C: FnMut(&HopEvent<'_>) -> HopDecision,
-    {
-        self.minimize_objective_with_callback(&mut FnObjective(f), x0, callback)
-    }
-
-    /// Trait-based twin of
-    /// [`minimize_with_callback`](Self::minimize_with_callback): the hop
-    /// loop itself. The Markov chain is sequential — every hop perturbs the
-    /// current local minimum — so candidates flow through the local method
-    /// one at a time; batch-capable objectives still amortize inside the
-    /// local minimizations.
+    /// once all branches are saturated. The Markov chain is sequential —
+    /// every hop perturbs the current local minimum — so candidates flow
+    /// through the local method one at a time; batch-capable objectives
+    /// still amortize inside the local minimizations.
     ///
     /// # Panics
     ///
@@ -268,6 +245,7 @@ impl BasinHopping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FnObjective;
 
     /// The global-optimization example of Fig. 2(b) in the paper.
     fn fig2b(x: f64) -> f64 {
@@ -284,7 +262,7 @@ mod tests {
         let m = BasinHopping::new()
             .iterations(30)
             .seed(7)
-            .minimize(&mut f, &[-8.0]);
+            .minimize_objective(&mut FnObjective(&mut f), &[-8.0]);
         assert!(m.value < 1e-8, "value {} at {:?}", m.value, m.x);
         // The roots are x in {-3, 1, 2}.
         let x = m.x[0];
@@ -306,7 +284,7 @@ mod tests {
             .iterations(60)
             .perturbation(PerturbationKind::Uniform { half_width: 3.0 })
             .seed(11)
-            .minimize(&mut f, &[3.0]);
+            .minimize_objective(&mut FnObjective(&mut f), &[3.0]);
         assert!((m.x[0] + 2.0).abs() < 1e-2, "stuck at {:?}", m.x);
     }
 
@@ -325,7 +303,7 @@ mod tests {
             .iterations(1000)
             .target_value(0.0)
             .seed(3)
-            .minimize(&mut f, &[0.0]);
+            .minimize_objective(&mut FnObjective(&mut f), &[0.0]);
         assert_eq!(m.value, 0.0);
         // Early stop: far fewer evaluations than 1000 iterations would need.
         assert!(count < 2000, "no early stop: {count} evaluations");
@@ -339,7 +317,7 @@ mod tests {
         let m = BasinHopping::new()
             .iterations(50)
             .seed(1)
-            .minimize_with_callback(&mut f, &[0.0], |event| {
+            .minimize_objective_with_callback(&mut FnObjective(&mut f), &[0.0], |event| {
                 hops += 1;
                 if event.iteration >= 2 {
                     HopDecision::Stop
@@ -358,7 +336,7 @@ mod tests {
         let _ = BasinHopping::new()
             .iterations(25)
             .seed(9)
-            .minimize_with_callback(&mut f, &[10.0], |event| {
+            .minimize_objective_with_callback(&mut FnObjective(&mut f), &[10.0], |event| {
                 assert!(event.best_value <= last_best + 1e-15);
                 last_best = event.best_value;
                 HopDecision::Continue
@@ -372,7 +350,7 @@ mod tests {
             BasinHopping::new()
                 .iterations(10)
                 .seed(seed)
-                .minimize(&mut f, &[6.0])
+                .minimize_objective(&mut FnObjective(&mut f), &[6.0])
         };
         let a = run(42);
         let b = run(42);
@@ -384,7 +362,9 @@ mod tests {
     #[test]
     fn zero_iterations_is_just_local_minimization() {
         let mut f = |p: &[f64]| (p[0] - 2.0).powi(2);
-        let m = BasinHopping::new().iterations(0).minimize(&mut f, &[0.0]);
+        let m = BasinHopping::new()
+            .iterations(0)
+            .minimize_objective(&mut FnObjective(&mut f), &[0.0]);
         assert!((m.x[0] - 2.0).abs() < 1e-5);
     }
 
@@ -402,7 +382,7 @@ mod tests {
                 .local_method(method)
                 .perturbation(PerturbationKind::Uniform { half_width: 2.0 })
                 .seed(5)
-                .minimize(&mut f, &[-6.0]);
+                .minimize_objective(&mut FnObjective(&mut f), &[-6.0]);
             assert!(
                 m.value < 0.5,
                 "{} made no progress: {}",
@@ -416,6 +396,6 @@ mod tests {
     #[should_panic(expected = "zero-dimensional")]
     fn rejects_empty_input() {
         let mut f = |_: &[f64]| 0.0;
-        let _ = BasinHopping::new().minimize(&mut f, &[]);
+        let _ = BasinHopping::new().minimize_objective(&mut FnObjective(&mut f), &[]);
     }
 }

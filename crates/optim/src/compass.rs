@@ -30,7 +30,7 @@
 //! the step down to [`min_step`](CompassSearch::min_step): no probe of a
 //! flat `+∞` plateau can ever improve on the incumbent.
 
-use crate::objective::{FnObjective, Objective};
+use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
 use crate::sanitize_value as sanitize;
 
@@ -96,20 +96,8 @@ impl CompassSearch {
         self
     }
 
-    /// Minimizes `f` starting from `x0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0` is empty.
-    pub fn minimize<F>(&self, f: &mut F, x0: &[f64]) -> Minimum
-    where
-        F: FnMut(&[f64]) -> f64,
-    {
-        self.minimize_objective(&mut FnObjective(f), x0)
-    }
-
-    /// Trait-based twin of [`minimize`](Self::minimize): every sweep's `2n`
-    /// probe star goes through [`Objective::eval_batch`] in one call.
+    /// Minimizes `f` starting from `x0`. Every sweep's `2n` probe star
+    /// goes through [`Objective::eval_batch`] in one call.
     ///
     /// # Panics
     ///
@@ -212,11 +200,12 @@ impl CompassSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FnObjective;
 
     #[test]
     fn minimizes_sphere() {
         let mut f = |p: &[f64]| p.iter().map(|x| x * x).sum::<f64>();
-        let m = CompassSearch::new().minimize(&mut f, &[2.0, -3.0]);
+        let m = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &[2.0, -3.0]);
         assert!(m.value < 1e-8, "value {}", m.value);
     }
 
@@ -225,7 +214,7 @@ mod tests {
         // |x - 2| + |y + 1| is non-smooth at the optimum; compass search
         // handles it without derivatives or interpolation.
         let mut f = |p: &[f64]| (p[0] - 2.0).abs() + (p[1] + 1.0).abs();
-        let m = CompassSearch::new().minimize(&mut f, &[10.0, 10.0]);
+        let m = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &[10.0, 10.0]);
         assert!(m.value < 1e-6, "value {}", m.value);
         assert!((m.x[0] - 2.0).abs() < 1e-6);
         assert!((m.x[1] + 1.0).abs() < 1e-6);
@@ -240,7 +229,7 @@ mod tests {
                 (p[0] - 1.0).powi(2)
             }
         };
-        let m = CompassSearch::new().minimize(&mut f, &[8.0]);
+        let m = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &[8.0]);
         assert_eq!(m.value, 0.0);
     }
 
@@ -251,7 +240,7 @@ mod tests {
             count += 1;
             (p[0] - 4.0).powi(2)
         };
-        let m = CompassSearch::new().minimize(&mut f, &[0.0]);
+        let m = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &[0.0]);
         assert!(m.stats.converged);
         assert_eq!(m.stats.evaluations, count);
     }
@@ -261,7 +250,7 @@ mod tests {
         let mut f = |p: &[f64]| (p[0] - 4.0).powi(2);
         let m = CompassSearch::new()
             .max_iterations(2)
-            .minimize(&mut f, &[1000.0]);
+            .minimize_objective(&mut FnObjective(&mut f), &[1000.0]);
         assert!(m.stats.iterations <= 2);
     }
 
@@ -269,7 +258,7 @@ mod tests {
     #[should_panic(expected = "zero-dimensional")]
     fn rejects_empty_input() {
         let mut f = |_: &[f64]| 0.0;
-        let _ = CompassSearch::new().minimize(&mut f, &[]);
+        let _ = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &[]);
     }
 
     #[test]
@@ -287,7 +276,7 @@ mod tests {
                 };
                 let m = CompassSearch::new()
                     .probe_scales(scales)
-                    .minimize(&mut f, &x0);
+                    .minimize_objective(&mut FnObjective(&mut f), &x0);
                 let expected = 1 + 2 * x0.len() * scales;
                 assert_eq!(m.stats.evaluations, expected, "{plateau} × {scales}");
                 assert_eq!(count, expected, "{plateau} × {scales}");
@@ -309,7 +298,7 @@ mod tests {
                 f64::INFINITY
             }
         };
-        let m = CompassSearch::new().minimize(&mut f, &[0.0]);
+        let m = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &[0.0]);
         assert!(m.value < 1e-8, "value {}", m.value);
         assert!(m.stats.converged);
         assert!(m.stats.evaluations > 5);
@@ -318,11 +307,12 @@ mod tests {
     #[test]
     fn multi_scale_star_finds_the_same_minimum() {
         let mut classic_f = |p: &[f64]| (p[0] - 2.0).abs() + (p[1] + 1.0).abs();
-        let classic = CompassSearch::new().minimize(&mut classic_f, &[10.0, 10.0]);
+        let classic = CompassSearch::new()
+            .minimize_objective(&mut FnObjective(&mut classic_f), &[10.0, 10.0]);
         let mut wide_f = |p: &[f64]| (p[0] - 2.0).abs() + (p[1] + 1.0).abs();
         let wide = CompassSearch::new()
             .probe_scales(2)
-            .minimize(&mut wide_f, &[10.0, 10.0]);
+            .minimize_objective(&mut FnObjective(&mut wide_f), &[10.0, 10.0]);
         assert!(wide.value < 1e-6, "value {}", wide.value);
         assert!(classic.value < 1e-6);
         // The wider star spends fewer sweeps: each sweep covers two scales.
@@ -337,9 +327,9 @@ mod tests {
         let mut classic_f = |p: &[f64]| (p[0] - 4.0).powi(2);
         let classic = CompassSearch::new()
             .probe_scales(1)
-            .minimize(&mut classic_f, &[0.0]);
+            .minimize_objective(&mut FnObjective(&mut classic_f), &[0.0]);
         let mut wide_f = |p: &[f64]| (p[0] - 4.0).powi(2);
-        let wide = CompassSearch::new().minimize(&mut wide_f, &[0.0]);
+        let wide = CompassSearch::new().minimize_objective(&mut FnObjective(&mut wide_f), &[0.0]);
         assert!(classic.value < 1e-8);
         assert!(wide.value < 1e-8);
         // Each two-scale sweep covers what two classic sweeps would.

@@ -21,24 +21,22 @@
 //! the [`Objective`] protocol ([`objective`]): a scalar entry point plus a
 //! batch entry point that evaluates a slice of candidates in one call, so
 //! an evaluation engine can reuse its execution context and memoization
-//! cache across calls. Bare `FnMut(&[f64]) -> f64` closures remain
-//! first-class via [`FnObjective`] — every minimizer keeps a closure-based
-//! `minimize` entry point that forwards to its trait-based
-//! `minimize_objective` twin — so any representing function produced by the
-//! `coverme` crate (or any other numeric function) can be plugged in.
+//! cache across calls. Bare `FnMut(&[f64]) -> f64` closures plug in through
+//! the [`FnObjective`] adapter, so any representing function produced by the
+//! `coverme` crate (or any other numeric function) can be minimized.
 //!
 //! # Example
 //!
 //! ```
-//! use coverme_optim::{BasinHopping, LocalMethod};
+//! use coverme_optim::{BasinHopping, FnObjective, LocalMethod};
 //!
 //! // f(x, y) = (x - 3)^2 + (y - 5)^2, the running example of the paper (Eq. 1).
-//! let mut f = |p: &[f64]| (p[0] - 3.0).powi(2) + (p[1] - 5.0).powi(2);
+//! let mut f = FnObjective(|p: &[f64]| (p[0] - 3.0).powi(2) + (p[1] - 5.0).powi(2));
 //! let result = BasinHopping::new()
 //!     .local_method(LocalMethod::Powell)
 //!     .iterations(5)
 //!     .seed(42)
-//!     .minimize(&mut f, &[0.0, 0.0]);
+//!     .minimize_objective(&mut f, &[0.0, 0.0]);
 //! assert!(result.value < 1e-8);
 //! assert!((result.x[0] - 3.0).abs() < 1e-4);
 //! assert!((result.x[1] - 5.0).abs() < 1e-4);
@@ -90,15 +88,6 @@ impl LocalMethod {
     /// Each method is run with its default options; construct the concrete
     /// structs ([`Powell`], [`NelderMead`], [`CompassSearch`]) directly for
     /// fine-grained control.
-    pub fn minimize<F>(&self, f: &mut F, x0: &[f64]) -> Minimum
-    where
-        F: FnMut(&[f64]) -> f64,
-    {
-        self.minimize_objective(&mut FnObjective(f), x0)
-    }
-
-    /// Trait-based twin of [`minimize`](Self::minimize): runs the selected
-    /// local minimizer on any [`Objective`].
     pub fn minimize_objective<O>(&self, f: &mut O, x0: &[f64]) -> Minimum
     where
         O: Objective + ?Sized,
@@ -162,6 +151,7 @@ pub(crate) fn sanitize_value(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FnObjective;
 
     #[test]
     fn local_method_names_are_stable() {
@@ -178,7 +168,7 @@ mod tests {
             calls += 1;
             p[0] * p[0]
         };
-        let m = LocalMethod::None.minimize(&mut f, &[2.0]);
+        let m = LocalMethod::None.minimize_objective(&mut FnObjective(&mut f), &[2.0]);
         assert_eq!(m.value, 4.0);
         assert_eq!(m.stats.evaluations, 1);
         assert_eq!(calls, 1);
@@ -197,7 +187,7 @@ mod tests {
             LocalMethod::Compass,
         ] {
             let mut f = |p: &[f64]| (p[0] - 1.5).powi(2) + (p[1] + 2.0).powi(2);
-            let m = method.minimize(&mut f, &[10.0, 10.0]);
+            let m = method.minimize_objective(&mut FnObjective(&mut f), &[10.0, 10.0]);
             assert!(
                 m.value < 1e-6,
                 "{} failed: value {}",

@@ -32,7 +32,7 @@
 //! `∞ − ∞` is NaN, and the strict comparisons of the reflect/contract rules
 //! never move the best vertex on such a plateau anyway.
 
-use crate::objective::{FnObjective, Objective};
+use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
 use crate::rng::SplitMix64;
 use crate::sanitize_value as sanitize;
@@ -112,20 +112,8 @@ impl NelderMead {
     /// Minimizes `f` starting from `x0`.
     ///
     /// NaN objective values are treated as `+inf` so a single undefined
-    /// evaluation cannot capture the simplex.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0` is empty.
-    pub fn minimize<F>(&self, f: &mut F, x0: &[f64]) -> Minimum
-    where
-        F: FnMut(&[f64]) -> f64,
-    {
-        self.minimize_objective(&mut FnObjective(f), x0)
-    }
-
-    /// Trait-based twin of [`minimize`](Self::minimize); see the [module
-    /// docs](self) for which candidate sets are submitted as batches.
+    /// evaluation cannot capture the simplex. See the [module docs](self)
+    /// for which candidate sets are submitted as batches.
     ///
     /// # Panics
     ///
@@ -339,11 +327,12 @@ fn distance(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FnObjective;
 
     #[test]
     fn minimizes_sphere() {
         let mut f = |p: &[f64]| p.iter().map(|x| x * x).sum::<f64>();
-        let m = NelderMead::new().minimize(&mut f, &[3.0, -4.0, 5.0]);
+        let m = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &[3.0, -4.0, 5.0]);
         assert!(m.value < 1e-8, "value {}", m.value);
         assert!(m.x.iter().all(|v| v.abs() < 1e-3));
     }
@@ -353,7 +342,7 @@ mod tests {
         let mut f = |p: &[f64]| 100.0 * (p[1] - p[0] * p[0]).powi(2) + (1.0 - p[0]).powi(2);
         let m = NelderMead::new()
             .max_iterations(5000)
-            .minimize(&mut f, &[-1.2, 1.0]);
+            .minimize_objective(&mut FnObjective(&mut f), &[-1.2, 1.0]);
         assert!(m.value < 1e-6, "value {}", m.value);
         assert!((m.x[0] - 1.0).abs() < 1e-2);
     }
@@ -361,14 +350,14 @@ mod tests {
     #[test]
     fn handles_one_dimension() {
         let mut f = |p: &[f64]| (p[0] - 7.0).powi(2);
-        let m = NelderMead::new().minimize(&mut f, &[0.0]);
+        let m = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &[0.0]);
         assert!((m.x[0] - 7.0).abs() < 1e-4);
     }
 
     #[test]
     fn reports_convergence_on_easy_problem() {
         let mut f = |p: &[f64]| p[0] * p[0];
-        let m = NelderMead::new().minimize(&mut f, &[1.0]);
+        let m = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &[1.0]);
         assert!(m.stats.converged);
         assert!(m.stats.evaluations > 0);
     }
@@ -378,7 +367,7 @@ mod tests {
         let mut f = |p: &[f64]| 100.0 * (p[1] - p[0] * p[0]).powi(2) + (1.0 - p[0]).powi(2);
         let m = NelderMead::new()
             .max_iterations(3)
-            .minimize(&mut f, &[-1.2, 1.0]);
+            .minimize_objective(&mut FnObjective(&mut f), &[-1.2, 1.0]);
         assert!(m.stats.iterations <= 3);
         assert!(!m.stats.converged);
     }
@@ -393,7 +382,7 @@ mod tests {
                 (p[0] - 2.0).powi(2)
             }
         };
-        let m = NelderMead::new().minimize(&mut f, &[5.0]);
+        let m = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &[5.0]);
         assert!((m.x[0] - 2.0).abs() < 1e-3);
     }
 
@@ -401,7 +390,7 @@ mod tests {
     #[should_panic(expected = "zero-dimensional")]
     fn rejects_empty_input() {
         let mut f = |_: &[f64]| 0.0;
-        let _ = NelderMead::new().minimize(&mut f, &[]);
+        let _ = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &[]);
     }
 
     #[test]
@@ -415,7 +404,9 @@ mod tests {
                 count += 1;
                 plateau
             };
-            let m = NelderMead::new().restarts(1).minimize(&mut f, &x0);
+            let m = NelderMead::new()
+                .restarts(1)
+                .minimize_objective(&mut FnObjective(&mut f), &x0);
             assert_eq!(m.stats.evaluations, x0.len() + 1, "plateau {plateau}");
             assert_eq!(count, x0.len() + 1, "plateau {plateau}");
             assert!(m.stats.converged);
@@ -435,7 +426,9 @@ mod tests {
                 f64::INFINITY
             }
         };
-        let m = NelderMead::new().restarts(1).minimize(&mut f, &[0.0]);
+        let m = NelderMead::new()
+            .restarts(1)
+            .minimize_objective(&mut FnObjective(&mut f), &[0.0]);
         assert!((m.x[0] - 2.0).abs() < 1e-3, "x {}", m.x[0]);
         assert!(m.value < 1e-6, "value {}", m.value);
         assert!(m.stats.evaluations > 2);
@@ -446,9 +439,11 @@ mod tests {
         assert_eq!(NelderMead::default().restarts, 1);
         let f = |p: &[f64]| (p[0] + 1e16) - 1e16 + (p[0] - 3.0).powi(2);
         let mut a_f = f;
-        let a = NelderMead::new().minimize(&mut a_f, &[0.5]);
+        let a = NelderMead::new().minimize_objective(&mut FnObjective(&mut a_f), &[0.5]);
         let mut b_f = f;
-        let b = NelderMead::new().restarts(1).minimize(&mut b_f, &[0.5]);
+        let b = NelderMead::new()
+            .restarts(1)
+            .minimize_objective(&mut FnObjective(&mut b_f), &[0.5]);
         assert_eq!(a.x[0].to_bits(), b.x[0].to_bits());
         assert_eq!(a.value.to_bits(), b.value.to_bits());
         assert_eq!(a.stats.evaluations, b.stats.evaluations);
@@ -463,14 +458,18 @@ mod tests {
             ((x - 5.0).powi(2) + 0.5).min((x + 5.0).powi(2))
         };
         let mut a_f = well;
-        let a = NelderMead::new().restarts(8).minimize(&mut a_f, &[4.0]);
+        let a = NelderMead::new()
+            .restarts(8)
+            .minimize_objective(&mut FnObjective(&mut a_f), &[4.0]);
         let mut b_f = well;
-        let b = NelderMead::new().restarts(8).minimize(&mut b_f, &[4.0]);
+        let b = NelderMead::new()
+            .restarts(8)
+            .minimize_objective(&mut FnObjective(&mut b_f), &[4.0]);
         // Deterministic jitter: identical runs give identical results.
         assert_eq!(a.x[0].to_bits(), b.x[0].to_bits());
         assert_eq!(a.stats.evaluations, b.stats.evaluations);
         // The batch is charged for every restart vertex.
-        let single = NelderMead::new().minimize(&mut { well }, &[4.0]);
+        let single = NelderMead::new().minimize_objective(&mut FnObjective(well), &[4.0]);
         assert!(a.stats.evaluations > single.stats.evaluations);
     }
 
@@ -533,7 +532,7 @@ mod tests {
         };
         // From a start near a basin the simplex reaches one of the roots
         // {-3, 1, 2}.
-        let m = NelderMead::new().minimize(&mut f, &[0.5]);
+        let m = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &[0.5]);
         assert!(m.value < 1e-8, "value {}", m.value);
     }
 }

@@ -21,9 +21,8 @@
 //!   values produced are bit-for-bit the ones sequential evaluation yields,
 //!   in the same order.
 //!
-//! Closures still work everywhere: every minimizer keeps its historical
-//! `minimize` entry point, which wraps the closure in [`FnObjective`] and
-//! forwards to the trait-based `minimize_objective`.
+//! Closures still work everywhere: wrap one in [`FnObjective`] and pass it
+//! to any minimizer's `minimize_objective`.
 
 /// A minimization objective `f: R^n -> R`.
 ///
@@ -86,9 +85,8 @@ impl<O: Objective + ?Sized> Objective for &mut O {
 
 /// Adapter turning an `FnMut(&[f64]) -> f64` closure into an [`Objective`].
 ///
-/// This is what keeps the historical closure protocol alive: the
-/// `minimize(f, x0)` entry points wrap `f` in `FnObjective` and forward to
-/// the trait-based search loop.
+/// `minimize_objective(&mut FnObjective(f), x0)` runs any minimizer on a
+/// plain closure.
 #[derive(Debug, Clone)]
 pub struct FnObjective<F>(pub F);
 

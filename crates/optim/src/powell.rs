@@ -7,7 +7,7 @@
 //! conjugate directions without any derivative information.
 
 use crate::line_search::minimize_along_ray;
-use crate::objective::{FnObjective, Objective};
+use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
 use crate::sanitize_value as sanitize;
 
@@ -53,20 +53,8 @@ impl Powell {
         self
     }
 
-    /// Minimizes `f` starting from `x0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0` is empty.
-    pub fn minimize<F>(&self, f: &mut F, x0: &[f64]) -> Minimum
-    where
-        F: FnMut(&[f64]) -> f64,
-    {
-        self.minimize_objective(&mut FnObjective(f), x0)
-    }
-
-    /// Trait-based twin of [`minimize`](Self::minimize): the sweep loop
-    /// itself, written against the [`Objective`] protocol. Powell's method
+    /// Minimizes `f` starting from `x0`: the sweep loop, written against
+    /// the [`Objective`] protocol. Powell's method
     /// is inherently sequential — every line search depends on the previous
     /// one — so it uses the scalar entry point throughout; batch-capable
     /// engines still win here through their per-call fast path.
@@ -217,11 +205,12 @@ fn normalized(v: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FnObjective;
 
     #[test]
     fn minimizes_sphere() {
         let mut f = |p: &[f64]| p.iter().map(|x| x * x).sum::<f64>();
-        let m = Powell::new().minimize(&mut f, &[3.0, -4.0, 5.0, 1.0]);
+        let m = Powell::new().minimize_objective(&mut FnObjective(&mut f), &[3.0, -4.0, 5.0, 1.0]);
         assert!(m.value < 1e-10, "value {}", m.value);
     }
 
@@ -229,7 +218,7 @@ mod tests {
     fn minimizes_shifted_quadratic() {
         // The paper's Eq. (1) example: minimum at (3, 5).
         let mut f = |p: &[f64]| (p[0] - 3.0).powi(2) + (p[1] - 5.0).powi(2);
-        let m = Powell::new().minimize(&mut f, &[-10.0, 40.0]);
+        let m = Powell::new().minimize_objective(&mut FnObjective(&mut f), &[-10.0, 40.0]);
         assert!((m.x[0] - 3.0).abs() < 1e-5);
         assert!((m.x[1] - 5.0).abs() < 1e-5);
     }
@@ -239,7 +228,7 @@ mod tests {
         let mut f = |p: &[f64]| 100.0 * (p[1] - p[0] * p[0]).powi(2) + (1.0 - p[0]).powi(2);
         let m = Powell::new()
             .max_iterations(500)
-            .minimize(&mut f, &[-1.2, 1.0]);
+            .minimize_objective(&mut FnObjective(&mut f), &[-1.2, 1.0]);
         assert!(m.value < 1e-8, "value {}", m.value);
     }
 
@@ -255,14 +244,14 @@ mod tests {
                 (p[0] - 1.0).powi(2) + eps
             }
         };
-        let m = Powell::new().minimize(&mut f, &[-6.0]);
+        let m = Powell::new().minimize_objective(&mut FnObjective(&mut f), &[-6.0]);
         assert!(m.value <= eps, "value {}", m.value);
     }
 
     #[test]
     fn converges_flag_set_on_smooth_problem() {
         let mut f = |p: &[f64]| (p[0] + 2.0).powi(2);
-        let m = Powell::new().minimize(&mut f, &[10.0]);
+        let m = Powell::new().minimize_objective(&mut FnObjective(&mut f), &[10.0]);
         assert!(m.stats.converged);
     }
 
@@ -273,7 +262,7 @@ mod tests {
             count += 1;
             p[0] * p[0]
         };
-        let m = Powell::new().minimize(&mut f, &[2.0]);
+        let m = Powell::new().minimize_objective(&mut FnObjective(&mut f), &[2.0]);
         assert_eq!(count, m.stats.evaluations);
     }
 
@@ -281,7 +270,7 @@ mod tests {
     #[should_panic(expected = "zero-dimensional")]
     fn rejects_empty_input() {
         let mut f = |_: &[f64]| 0.0;
-        let _ = Powell::new().minimize(&mut f, &[]);
+        let _ = Powell::new().minimize_objective(&mut FnObjective(&mut f), &[]);
     }
 
     #[test]
@@ -296,7 +285,7 @@ mod tests {
                 count += 1;
                 plateau
             };
-            let m = Powell::new().minimize(&mut f, &x0);
+            let m = Powell::new().minimize_objective(&mut FnObjective(&mut f), &x0);
             assert_eq!(m.stats.evaluations, 1 + 3 * x0.len(), "plateau {plateau}");
             assert_eq!(count, 1 + 3 * x0.len(), "plateau {plateau}");
             assert!(m.stats.converged);
@@ -311,7 +300,7 @@ mod tests {
         let mut f = |p: &[f64]| (p[0] - 1.0).powi(2) * ((p[0] - 1.0).powi(2) + 0.7);
         let start = 25.0_f64;
         let f0 = f(&[start]);
-        let m = Powell::new().minimize(&mut f, &[start]);
+        let m = Powell::new().minimize_objective(&mut FnObjective(&mut f), &[start]);
         assert!(m.value <= f0);
     }
 }

@@ -28,12 +28,8 @@
 //!   --compare-sync E     run sync-off then sync-on with E epochs at the
 //!                        same shard count and print the per-function
 //!                        evaluation savings
-//!   --compare-budget N   run the fixed scheduler then the bandit at a
-//!                        global budget of N evaluations and print coverage
-//!                        and evals side by side
-//!   --time-budget SECS   wall-clock budget; unstarted functions are skipped
-//!   --budget N           global evaluation budget for --scheduler bandit
-//!   --scheduler POLICY   campaign eval allocation: fixed (default), bandit
+//!   --time-budget SECS   wall-clock budget in seconds; unstarted
+//!                        functions are skipped
 //!   --n-start N          starting points per function (default 80)
 //!   --seed S             campaign master seed (default 42)
 //!   --local METHOD       local minimizer: powell (default), nm, compass, none
@@ -57,7 +53,7 @@
 //! Unknown flags and flags missing their value abort with a usage message
 //! (exit 2) rather than being misread as benchmark names.
 
-use coverme::{Campaign, CampaignConfig, CampaignEvent, CampaignReport, SchedulerPolicy};
+use coverme::{Campaign, CampaignConfig, CampaignEvent, CampaignReport};
 use coverme_fdlibm::{all, by_name};
 use coverme_repro::args::{write_json_atomic, ArgParser, CommonOptions};
 
@@ -72,11 +68,8 @@ usage: cargo run --release --example fdlibm_campaign -- [options] [names...]
                        under COVERME_ASSERT_SPEEDUP=1)
   --compare-sync E     run sync-off then sync-on with E epochs and print
                        the per-function evaluation savings
-  --compare-budget N   run the fixed scheduler then the bandit at a global
-                       budget of N evaluations, side by side
-  --time-budget SECS   wall-clock budget; unstarted functions are skipped
-  --budget N           global evaluation budget for --scheduler bandit
-  --scheduler POLICY   campaign eval allocation: fixed (default), bandit
+  --time-budget SECS   wall-clock budget in seconds; unstarted functions
+                       are skipped
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --n-start N          starting points per function (default 80)
   --seed S             campaign master seed (default 42)
@@ -92,7 +85,6 @@ fn main() {
     let mut options = CommonOptions::default();
     let mut compare_shards: Option<usize> = None;
     let mut compare_sync: Option<usize> = None;
-    let mut compare_budget: Option<usize> = None;
     let mut names: Vec<String> = Vec::new();
 
     while let Some(arg) = parser.next_arg() {
@@ -102,7 +94,6 @@ fn main() {
         match arg.as_str() {
             "--compare-shards" => compare_shards = Some(parser.parsed("--compare-shards")),
             "--compare-sync" => compare_sync = Some(parser.parsed("--compare-sync")),
-            "--compare-budget" => compare_budget = Some(parser.parsed("--compare-budget")),
             "--all" => {}
             // Anything else dash-prefixed is a flag typo, not a function
             // name; reject it (exit 2) instead of running a surprise
@@ -111,24 +102,11 @@ fn main() {
             name => names.push(name.to_string()),
         }
     }
-    let compares = [
-        compare_shards.is_some(),
-        compare_sync.is_some(),
-        compare_budget.is_some(),
-    ];
-    if compares.iter().filter(|&&set| set).count() > 1 {
-        parser.usage_error(
-            "--compare-shards, --compare-sync and --compare-budget are mutually exclusive",
-        );
+    if compare_shards.is_some() && compare_sync.is_some() {
+        parser.usage_error("--compare-shards and --compare-sync are mutually exclusive");
     }
-    if options.stream && compares.contains(&true) {
+    if options.stream && (compare_shards.is_some() || compare_sync.is_some()) {
         parser.usage_error("--stream applies to single-run mode only");
-    }
-    if options.scheduler == SchedulerPolicy::Bandit
-        && options.budget_evals.is_none()
-        && compare_budget.is_none()
-    {
-        parser.usage_error("--scheduler bandit needs --budget N (the pool it allocates)");
     }
 
     let inventory = if names.is_empty() {
@@ -154,18 +132,13 @@ fn main() {
         let effective_sync = config.base.effective_sync_epochs();
         println!(
             "campaign: {} functions, {} workers, {} shard(s)/function, \
-             {} sync epoch(s), n_start = {}, seed = {}, scheduler = {}{}",
+             {} sync epoch(s), n_start = {}, seed = {}",
             inventory.len(),
             effective,
             base.shards.max(1),
             effective_sync,
             options.n_start,
             options.seed,
-            base.scheduler.label(),
-            match base.budget_evals {
-                Some(pool) => format!(", budget = {pool}"),
-                None => String::new(),
-            },
         );
         let campaign = Campaign::new(config);
         if stream {
@@ -181,8 +154,8 @@ fn main() {
         }
     };
 
-    match (compare_shards, compare_sync, compare_budget) {
-        (None, None, None) => {
+    match (compare_shards, compare_sync) {
+        (None, None) => {
             let report = run(options.clone(), options.stream);
             if !options.stream {
                 print!("{report}");
@@ -191,7 +164,7 @@ fn main() {
                 write_json_atomic(path, &report.to_json());
             }
         }
-        (None, Some(epochs), None) => {
+        (None, Some(epochs)) => {
             // Feedback-recovery measurement: sync-off vs sync-on at the
             // same shard count and budget. The JSON artifact carries the
             // sync-on report with sync-off eval columns alongside, so the
@@ -256,7 +229,7 @@ fn main() {
                 write_json_atomic(path, &synced.to_json_with_sync_baseline(&blind));
             }
         }
-        (Some(sharded), None, None) => {
+        (Some(sharded), None) => {
             let baseline = run(
                 CommonOptions {
                     shards: 1,
@@ -327,73 +300,6 @@ fn main() {
                     "sharding {sharded} ways did not speed the campaign up \
                      ({t1:.3}s -> {tn:.3}s)"
                 );
-            }
-        }
-        (None, None, Some(pool)) => {
-            // Budget-economics measurement: the fixed scheduler's full
-            // n_start schedule vs the bandit allocating a global pool of
-            // `pool` evaluations, same seed and options otherwise. The JSON
-            // artifact carries the bandit report with fixed-scheduler
-            // columns alongside (`evals_fixed`, `covered_branches_fixed`),
-            // so the nightly run tracks the budget savings over time.
-            let fixed = run(
-                CommonOptions {
-                    scheduler: SchedulerPolicy::Fixed,
-                    budget_evals: None,
-                    ..options.clone()
-                },
-                false,
-            );
-            print!("{fixed}");
-            let bandit = run(
-                CommonOptions {
-                    scheduler: SchedulerPolicy::Bandit,
-                    budget_evals: Some(pool),
-                    ..options.clone()
-                },
-                false,
-            );
-            print!("{bandit}");
-            println!("budget economics (fixed -> bandit at {pool} evals):");
-            println!(
-                "{:<22} {:>12} {:>12} {:>9} {:>12}",
-                "function", "evals fixed", "evals bandit", "saved", "coverage"
-            );
-            for (f, b) in fixed.results.iter().zip(&bandit.results) {
-                let (Some(f), Some(b)) = (f.report.as_ref(), b.report.as_ref()) else {
-                    continue;
-                };
-                let saved = if f.evaluations > 0 {
-                    100.0 * (f.evaluations as f64 - b.evaluations as f64) / f.evaluations as f64
-                } else {
-                    0.0
-                };
-                let coverage = if b.coverage.covered_count() == f.coverage.covered_count() {
-                    format!("{:>11.1}%", b.branch_coverage_percent())
-                } else {
-                    format!(
-                        "{:>5} vs {:<5}",
-                        b.coverage.covered_count(),
-                        f.coverage.covered_count()
-                    )
-                };
-                println!(
-                    "{:<22} {:>12} {:>12} {:>8.1}% {:>12}",
-                    b.program, f.evaluations, b.evaluations, saved, coverage
-                );
-            }
-            println!(
-                "{:<22} {:>12} {:>12} {:>8.1}%  ({:.1}% vs {:.1}% coverage)",
-                "suite",
-                fixed.total_evaluations(),
-                bandit.total_evaluations(),
-                100.0 * (fixed.total_evaluations() as f64 - bandit.total_evaluations() as f64)
-                    / fixed.total_evaluations().max(1) as f64,
-                bandit.suite_branch_coverage_percent(),
-                fixed.suite_branch_coverage_percent(),
-            );
-            if let Some(path) = &options.json_path {
-                write_json_atomic(path, &bandit.to_json_with_budget_baseline(&fixed));
             }
         }
         _ => unreachable!("rejected above"),

@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use coverme::{BackendMode, CoverMeConfig, InfeasiblePolicy, LocalMethod, SchedulerPolicy};
+use coverme::{BackendMode, CoverMeConfig, InfeasiblePolicy, LocalMethod};
 
 /// Every option the front ends share, with the front ends' historical
 /// defaults (`n_start` 80, seed 42, unsharded, Powell, auto backend).
@@ -39,10 +39,6 @@ pub struct CommonOptions {
     pub backend: BackendMode,
     /// Wall-clock budget (`--time-budget SECS`).
     pub time_budget: Option<Duration>,
-    /// Global evaluation budget (`--budget N`).
-    pub budget_evals: Option<usize>,
-    /// Campaign scheduling policy (`--scheduler fixed|bandit`).
-    pub scheduler: SchedulerPolicy,
     /// Infeasibility heuristic (`--infeasible last|all|off`).
     pub infeasible_policy: InfeasiblePolicy,
     /// Machine-readable report path (`--json PATH`, written atomically).
@@ -67,8 +63,6 @@ impl Default for CommonOptions {
             local_method: LocalMethod::Powell,
             backend: BackendMode::Auto,
             time_budget: None,
-            budget_evals: None,
-            scheduler: SchedulerPolicy::Fixed,
             infeasible_policy: InfeasiblePolicy::LastConditional,
             json_path: None,
             stream: false,
@@ -90,13 +84,9 @@ impl CommonOptions {
             .with_backend(self.backend)
             .with_shards(self.shards)
             .with_sync_epochs(self.sync_epochs)
-            .with_scheduler(self.scheduler)
             .with_infeasible_policy(self.infeasible_policy);
         if let Some(budget) = self.time_budget {
             config = config.with_time_budget(budget);
-        }
-        if let Some(evals) = self.budget_evals {
-            config = config.with_budget(evals);
         }
         config
     }
@@ -112,9 +102,7 @@ pub const COMMON_USAGE: &str = "\
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
-  --time-budget SECS   wall-clock budget
-  --budget N           global evaluation budget (drives --scheduler bandit)
-  --scheduler POLICY   campaign eval allocation: fixed (default), bandit
+  --time-budget SECS   wall-clock budget in seconds
   --json PATH          write a machine-readable report to PATH (atomic)
   --stream             print progress as it happens
   --workers N          campaign worker threads (default: auto)
@@ -198,14 +186,6 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
             "--time-budget" => {
                 let secs: f64 = self.parsed("--time-budget");
                 options.time_budget = Some(Duration::from_secs_f64(secs));
-            }
-            "--budget" => options.budget_evals = Some(self.parsed("--budget")),
-            "--scheduler" => {
-                options.scheduler = match self.value_for("--scheduler").as_str() {
-                    "fixed" => SchedulerPolicy::Fixed,
-                    "bandit" => SchedulerPolicy::Bandit,
-                    other => self.usage_error(&format!("--scheduler got unknown policy {other}")),
-                };
             }
             "--infeasible" => {
                 options.infeasible_policy = match self.value_for("--infeasible").as_str() {
@@ -348,10 +328,6 @@ mod tests {
             "interp",
             "--time-budget",
             "1.5",
-            "--budget",
-            "50000",
-            "--scheduler",
-            "bandit",
             "--infeasible",
             "all",
             "--json",
@@ -371,32 +347,10 @@ mod tests {
         assert_eq!(options.local_method, LocalMethod::NelderMead);
         assert_eq!(options.backend, BackendMode::Interp);
         assert_eq!(options.time_budget, Some(Duration::from_secs_f64(1.5)));
-        assert_eq!(options.budget_evals, Some(50_000));
-        assert_eq!(options.scheduler, SchedulerPolicy::Bandit);
         assert_eq!(options.infeasible_policy, InfeasiblePolicy::Generalized);
         assert_eq!(options.json_path.as_deref(), Some("out.json"));
         assert!(options.stream);
         assert_eq!(options.workers, 4);
-    }
-
-    #[test]
-    fn budget_knobs_reach_the_search_config() {
-        let mut p = parser(&["--budget", "50000", "--scheduler", "bandit"]);
-        let mut options = CommonOptions::default();
-        while let Some(arg) = p.next_arg() {
-            assert!(p.accept_common(&arg, &mut options), "unhandled {arg}");
-        }
-        let config = options.search_config();
-        assert_eq!(config.budget, Some(50_000));
-        assert_eq!(config.scheduler, SchedulerPolicy::Bandit);
-        // Defaults keep every new knob off, reproducing earlier releases.
-        let defaults = CommonOptions::default().search_config();
-        assert_eq!(defaults.budget, None);
-        assert_eq!(defaults.scheduler, SchedulerPolicy::Fixed);
-        assert_eq!(
-            defaults.infeasible_policy,
-            InfeasiblePolicy::LastConditional
-        );
     }
 
     #[test]

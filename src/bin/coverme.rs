@@ -58,9 +58,7 @@ options:
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
-  --time-budget SECS   wall-clock budget
-  --budget N           global evaluation budget (drives --scheduler bandit)
-  --scheduler POLICY   campaign eval allocation: fixed (default), bandit
+  --time-budget SECS   wall-clock budget in seconds
   --json PATH          write a machine-readable report to PATH (atomic)
   --stream             per-round (run) / per-function (campaign) progress
   --workers N          worker threads (default: auto); serve: shared pool size
@@ -68,7 +66,8 @@ options:
 serve options:
   --port N             listen port (default 0 = ephemeral, printed on start)
   --max-jobs N         concurrently running campaigns (default 4)
-  --tier NAME=EVALS    per-tenant evaluation pool (repeatable)
+  --tier NAME=EVALS    per-tenant evaluation pool, split evenly over each
+                       job's functions (repeatable)
 submit options:
   --connect HOST:PORT  daemon address (required)
   --tenant NAME        tenant to submit as (default: default)
@@ -504,11 +503,6 @@ fn main() {
     let set = SubcommandSet::new("coverme", USAGE, COMMANDS);
     let command = set.resolve(args.next());
     let (operands, options) = parse_options(args);
-    if options.common.scheduler == coverme::SchedulerPolicy::Bandit
-        && options.common.budget_evals.is_none()
-    {
-        usage_error("--scheduler bandit needs --budget N (the pool it allocates)");
-    }
     match command {
         "run" => {
             let [path] = operands.as_slice() else {

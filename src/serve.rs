@@ -30,7 +30,7 @@
 //! `shutting-down`, `error` (with `line`/`column` for malformed frames),
 //! `rejected` (admission control), and for an admitted job the stream
 //! `accepted` → `function`* → `report` → `done`, where `report` embeds the
-//! same `coverme-campaign-report/8` document `coverme campaign --json`
+//! same `coverme-campaign-report/9` document `coverme campaign --json`
 //! writes, compacted onto one line.
 //!
 //! Hostile input never takes the daemon down: malformed frames get a
@@ -47,8 +47,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use coverme::report::schema::{self, JsonValue};
 use coverme::{
-    BudgetLedger, Campaign, CampaignConfig, CampaignEvent, CancelToken, CorpusStore, CoverMeConfig,
-    Program, SchedulerPolicy,
+    Campaign, CampaignConfig, CampaignEvent, CancelToken, CorpusStore, CoverMeConfig, Program,
 };
 use coverme_fpir::{check, instrument, parse as parse_fpir, IrProgram};
 use coverme_runtime::LANE_WIDTH;
@@ -70,9 +69,10 @@ pub struct ServeOptions {
     pub workers: usize,
     /// The persistent corpus store, if one is attached.
     pub corpus: Option<Arc<CorpusStore>>,
-    /// Per-tenant evaluation pools: a tenant listed here may spend at most
-    /// this many evaluations across all its jobs (metered through the same
-    /// [`BudgetLedger`] rows the bandit scheduler accounts grants with);
+    /// Per-tenant evaluation pools: a tenant listed here is admitted while
+    /// its finished jobs have spent less than this many evaluations, and
+    /// each of its jobs splits the remaining pool evenly across the job's
+    /// functions as per-search allowances ([`CoverMeConfig::budget`]);
     /// unlisted tenants are unmetered.
     pub tiers: Vec<(String, usize)>,
     /// Template search configuration applied to every job (jobs may
@@ -138,11 +138,19 @@ struct Shared {
     active_jobs: usize,
     next_job: u64,
     shutting_down: bool,
-    /// Per-tenant spend accounting: `granted` accumulates the evaluations
-    /// the tenant's finished jobs actually spent, `grants` counts jobs.
-    tenants: HashMap<String, BudgetLedger>,
+    /// Per-tenant spend accounting.
+    tenants: HashMap<String, TenantUsage>,
     /// Cancel tokens of in-flight jobs, so shutdown can interrupt them.
     active_cancels: Vec<CancelToken>,
+}
+
+/// What one tenant's finished jobs consumed.
+#[derive(Debug, Default)]
+struct TenantUsage {
+    /// Evaluations the jobs actually spent.
+    spent: usize,
+    /// Jobs run.
+    jobs: usize,
 }
 
 struct Server {
@@ -465,15 +473,12 @@ fn stats_event(server: &Server) -> String {
     let mut tenants: Vec<(String, JsonValue)> = shared
         .tenants
         .iter()
-        .map(|(name, ledger)| {
+        .map(|(name, usage)| {
             (
                 name.clone(),
                 JsonValue::Object(vec![
-                    (
-                        "spent".to_string(),
-                        JsonValue::Number(ledger.granted as f64),
-                    ),
-                    ("jobs".to_string(), JsonValue::Number(ledger.grants as f64)),
+                    ("spent".to_string(), JsonValue::Number(usage.spent as f64)),
+                    ("jobs".to_string(), JsonValue::Number(usage.jobs as f64)),
                 ]),
             )
         })
@@ -508,6 +513,16 @@ impl Drop for JobTicket<'_> {
 enum JobInventory {
     Fpir(Vec<IrProgram>),
     Fdlibm(Vec<coverme_fdlibm::suite::Benchmark>),
+}
+
+impl JobInventory {
+    /// Number of functions the job searches.
+    fn functions(&self) -> usize {
+        match self {
+            JobInventory::Fpir(programs) => programs.len(),
+            JobInventory::Fdlibm(benchmarks) => benchmarks.len(),
+        }
+    }
 }
 
 fn resolve_inventory(request: &JsonValue) -> Result<JobInventory, String> {
@@ -613,7 +628,7 @@ fn handle_campaign(server: &Server, request: &JsonValue, writer: &mut impl Write
             drop(shared);
             return send(writer, &line).is_err();
         }
-        let spent = shared.tenants.get(&tenant).map_or(0, |l| l.granted);
+        let spent = shared.tenants.get(&tenant).map_or(0, |usage| usage.spent);
         let budget = match tier {
             Some(pool) if spent >= pool => {
                 let line = rejected_event(&format!(
@@ -647,8 +662,10 @@ fn handle_campaign(server: &Server, request: &JsonValue, writer: &mut impl Write
     };
 
     // Per-job search template: the daemon's base knobs, the job's
-    // overrides, the tenant's remaining pool as a bandit budget, the
-    // job's cancel token, and the shared corpus.
+    // overrides, an even share of the tenant's remaining pool as each
+    // function's allowance, the job's cancel token, and the shared corpus.
+    // Rounds are atomic, so a job may overshoot the remaining pool by at
+    // most one round per function.
     let mut base = server.options.base.clone();
     if let Some(seed) = request.get("seed").and_then(JsonValue::as_usize) {
         base = base.with_seed(seed as u64);
@@ -657,9 +674,7 @@ fn handle_campaign(server: &Server, request: &JsonValue, writer: &mut impl Write
         base = base.with_n_start(n_start);
     }
     if let Some(pool) = budget {
-        base = base
-            .with_budget(pool)
-            .with_scheduler(SchedulerPolicy::Bandit);
+        base = base.with_budget((pool / inventory.functions().max(1)).max(1));
     }
     let mut config = CampaignConfig::new()
         .with_base(base)
@@ -692,9 +707,9 @@ fn handle_campaign(server: &Server, request: &JsonValue, writer: &mut impl Write
     // Meter the tenant's actual spend (admission reads this next time).
     {
         let mut shared = server.shared.lock().expect("server lock poisoned");
-        let ledger = shared.tenants.entry(tenant).or_default();
-        ledger.granted += report.as_ref().map_or(0, |(evals, _)| *evals);
-        ledger.grants += 1;
+        let usage = shared.tenants.entry(tenant).or_default();
+        usage.spent += report.as_ref().map_or(0, |(evals, _)| *evals);
+        usage.jobs += 1;
     }
     let Some((_, report_json)) = report else {
         return true; // client vanished mid-stream; job already unwound

@@ -5,8 +5,9 @@
 //! `src/serve.rs`): malformed frames get a *positioned* `error` event and
 //! the connection survives; an oversized or truncated frame gets an
 //! `error` and a clean close; a client disconnecting mid-campaign cancels
-//! its job and returns its worker slots; and `shutdown` drains every
-//! handler before `serve` returns. Never a panic, never a leaked worker —
+//! its job and returns its worker slots; `shutdown` drains every handler
+//! before `serve` returns; and a tenant's tier admits jobs only while its
+//! metered spend is below the pool. Never a panic, never a leaked worker —
 //! every test ends with a clean shutdown join, which would hang (and fail
 //! the suite) if a job ticket leaked pool slots.
 
@@ -14,6 +15,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
+use coverme_repro::coverme::report::schema::{self, JsonValue};
 use coverme_repro::coverme::CoverMeConfig;
 use coverme_repro::optim::rng::SplitMix64;
 use coverme_repro::serve::{serve, submit_job, ServeOptions, MAX_FRAME};
@@ -213,5 +215,71 @@ fn admission_rejects_over_capacity_and_shutdown_rejects_everything() {
     .expect("submits");
     let reason = rejected.expect_err("admission must reject at capacity");
     assert!(reason.contains("at capacity"), "got: {reason}");
+    shutdown_and_join(&addr, handle);
+}
+
+#[test]
+fn tiers_meter_tenants_with_a_per_function_allowance() {
+    // One Powell round costs at least its starting evaluation, a 3-point
+    // bracket and the final full evaluation, so a one-function job under
+    // this pool always spends all of it.
+    const POOL: usize = 4;
+    let mut options = tiny_options();
+    options.tiers = vec![("small".into(), POOL)];
+    let (addr, handle) = start_server(options);
+    let job = |tenant: &str| {
+        let mut accepted = None;
+        let request = format!(
+            "{{\"op\": \"campaign\", \"tenant\": \"{tenant}\", \"suite\": \"fdlibm\", \
+             \"functions\": [\"tanh\"]}}"
+        );
+        let outcome = submit_job(&addr, &request, |event| {
+            if event.get("event").and_then(JsonValue::as_str) == Some("accepted") {
+                accepted = Some(event.clone());
+            }
+        })
+        .expect("campaign submits");
+        (accepted, outcome)
+    };
+
+    let (accepted, outcome) = job("small");
+    let accepted = accepted.expect("first small job admitted");
+    assert_eq!(
+        accepted.get("budget").and_then(JsonValue::as_usize),
+        Some(POOL)
+    );
+    let report = outcome.expect("accepted").expect("report arrived");
+    let spent = schema::parse(&report)
+        .expect("report parses")
+        .get("total_evaluations")
+        .and_then(JsonValue::as_usize)
+        .expect("total_evaluations");
+    assert!(spent >= POOL, "the job spent only {spent}");
+
+    let mut stats = None;
+    submit_job(&addr, "{\"op\": \"stats\"}", |event| {
+        stats = Some(event.clone())
+    })
+    .expect("stats submits")
+    .expect("stats answered");
+    let small = stats
+        .as_ref()
+        .and_then(|stats| stats.get("tenants"))
+        .and_then(|tenants| tenants.get("small"))
+        .expect("small is metered");
+    assert_eq!(
+        small.get("spent").and_then(JsonValue::as_usize),
+        Some(spent)
+    );
+    assert_eq!(small.get("jobs").and_then(JsonValue::as_usize), Some(1));
+
+    let (accepted, outcome) = job("small");
+    assert!(accepted.is_none(), "an exhausted tier admits nothing");
+    let reason = outcome.expect_err("second small job is rejected");
+    assert!(reason.contains("exhausted its"), "got: {reason}");
+
+    let (accepted, outcome) = job("other");
+    assert!(accepted.is_some(), "unlisted tenants are unmetered");
+    assert!(outcome.expect("accepted").is_some(), "report arrived");
     shutdown_and_join(&addr, handle);
 }
