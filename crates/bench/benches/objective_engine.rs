@@ -10,29 +10,17 @@
 //!   `CacheMode::Auto` (reused retargeted context, no coverage; memoized
 //!   only for branch-dense programs), on an all-distinct input stream —
 //!   the honest floor, since distinct points cannot hit the cache;
-//! * **lane** — the same stream through the lane backend
-//!   (`Objective::eval_batch`) in chunks of the engine's
-//!   `Objective::preferred_batch` (the lane width): deferred-pen
-//!   recording per conditional, lockstep finalize per lane group;
-//! * **star** — the lane backend fed compass-probe-star-shaped batches of
-//!   4 candidates, the smallest batch the engine routes to the lanes
-//!   ([`coverme_runtime::MIN_LANE_BATCH`]) and the shape NM/compass submit
-//!   on the suite's 2-ary functions;
 //! * **hot** — a forced-on cache re-evaluating a small working set, the
 //!   shape of polish probes and of Powell re-searching lines from an
 //!   unmoved incumbent (real searches measure 16–34% of their calls as
 //!   cache hits).
 //!
 //! A second table covers the FPIR corpus (`examples/fpir/`), where the
-//! execution-backend layer has a real choice to make: **interp** and
-//! **interp lane** run the AST interpreter (scalar / lane-batched),
-//! **tape** and **tape lane** run the compiled instruction tape — the
-//! lane column being the shared deferred-penalty lane path (one tape
-//! execution per lane plus the `resolve_pen_lanes` finalize). The
-//! machine-independent ratios
-//! `tape_speedup_vs_interp` and `tape_lane_speedup_vs_interp_lane` feed
-//! the CI gate, which additionally enforces an absolute 1.5x floor on the
-//! lane ratio — the backend's reason to exist.
+//! execution-backend layer has a real choice to make: **interp** runs the
+//! AST interpreter, **tape** the compiled instruction tape. The
+//! machine-independent ratio `tape_speedup_vs_interp` feeds the CI gate,
+//! which additionally enforces an absolute 1.5x floor on it — the tape
+//! backend's reason to exist.
 //!
 //! Every measurement is best-of-R with a fresh engine per repetition, so
 //! repetitions cannot warm each other's caches.
@@ -53,7 +41,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use coverme::objective::ObjectiveEngine;
-use coverme::{BackendMode, BranchId, BranchSet, Objective};
+use coverme::{BackendMode, BranchId, BranchSet};
 use coverme_fdlibm::by_name;
 use coverme_fpir::{compile, IrProgram};
 use coverme_runtime::{ExecCtx, Program, DEFAULT_EPSILON};
@@ -117,22 +105,12 @@ struct Row {
     sites: usize,
     legacy: f64,
     engine: f64,
-    lane: f64,
-    star: f64,
     hot: f64,
 }
 
 impl Row {
     fn engine_speedup(&self) -> f64 {
         self.engine / self.legacy.max(1e-12)
-    }
-
-    fn lane_speedup(&self) -> f64 {
-        self.lane / self.engine.max(1e-12)
-    }
-
-    fn star_speedup(&self) -> f64 {
-        self.star / self.engine.max(1e-12)
     }
 
     fn to_json(&self) -> String {
@@ -143,24 +121,16 @@ impl Row {
                 "      \"sites\": {},\n",
                 "      \"legacy_evals_per_sec\": {:.0},\n",
                 "      \"engine_evals_per_sec\": {:.0},\n",
-                "      \"lane_evals_per_sec\": {:.0},\n",
-                "      \"star_evals_per_sec\": {:.0},\n",
                 "      \"hot_evals_per_sec\": {:.0},\n",
-                "      \"engine_speedup_vs_legacy\": {:.4},\n",
-                "      \"lane_speedup_vs_engine\": {:.4},\n",
-                "      \"star_speedup_vs_engine\": {:.4}\n",
+                "      \"engine_speedup_vs_legacy\": {:.4}\n",
                 "    }}"
             ),
             self.name,
             self.sites,
             self.legacy,
             self.engine,
-            self.lane,
-            self.star,
             self.hot,
             self.engine_speedup(),
-            self.lane_speedup(),
-            self.star_speedup(),
         )
     }
 }
@@ -213,35 +183,6 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
         points.len(),
     );
 
-    // Lane path: the same stream chunked at the engine's preferred batch
-    // granularity (the lane width) — the chunk size a free batch producer
-    // should pick.
-    let lane = evs(
-        best_of(reps, fresh_engine, |engine| {
-            let chunk_size = engine.preferred_batch();
-            let mut values = Vec::with_capacity(chunk_size);
-            for chunk in points.chunks(chunk_size) {
-                values.clear();
-                engine.eval_batch(chunk, &mut values);
-                black_box(&values);
-            }
-        }),
-        points.len(),
-    );
-
-    // Probe-star shape: batches of 4, the smallest lane-dispatched batch.
-    let star = evs(
-        best_of(reps, fresh_engine, |engine| {
-            let mut values = Vec::with_capacity(4);
-            for chunk in points.chunks(4) {
-                values.clear();
-                engine.eval_batch(chunk, &mut values);
-                black_box(&values);
-            }
-        }),
-        points.len(),
-    );
-
     // Hot working set through a forced-on cache: almost every call is a
     // hit after the first pass.
     let hot_set: Vec<Vec<f64>> = points.iter().take(8).cloned().collect();
@@ -270,11 +211,7 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
     // Whatever the timings, the paths must agree bit for bit.
     let mut check_engine = ObjectiveEngine::new(&benchmark, epsilon).with_cache(true);
     check_engine.retarget(&saturated);
-    let mut lane_engine = ObjectiveEngine::new(&benchmark, epsilon).with_cache(false);
-    lane_engine.retarget(&saturated);
-    let mut lane_values = Vec::new();
-    lane_engine.eval_lanes(&points[..16.min(points.len())], &mut lane_values);
-    for (x, lane_value) in points.iter().zip(&lane_values) {
+    for x in points.iter().take(16) {
         let mut ctx = ExecCtx::representing(saturated.clone())
             .with_epsilon(epsilon)
             .without_trace();
@@ -284,11 +221,6 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
             ctx.representing_value().to_bits(),
             "engine diverged from the legacy path on {name} at {x:?}"
         );
-        assert_eq!(
-            lane_value.to_bits(),
-            ctx.representing_value().to_bits(),
-            "lane path diverged from the legacy path on {name} at {x:?}"
-        );
     }
 
     Row {
@@ -296,8 +228,6 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
         sites,
         legacy,
         engine,
-        lane,
-        star,
         hot,
     }
 }
@@ -318,23 +248,12 @@ struct FpirRow {
     name: &'static str,
     sites: usize,
     interp: f64,
-    interp_lane: f64,
     tape: f64,
-    tape_lane: f64,
 }
 
 impl FpirRow {
     fn tape_speedup(&self) -> f64 {
         self.tape / self.interp.max(1e-12)
-    }
-
-    fn tape_lane_speedup(&self) -> f64 {
-        self.tape_lane / self.interp_lane.max(1e-12)
-    }
-
-    /// The lane-path gain: lane-batched tape over scalar tape.
-    fn tape_lane_speedup_vs_tape(&self) -> f64 {
-        self.tape_lane / self.tape.max(1e-12)
     }
 
     fn to_json(&self) -> String {
@@ -344,23 +263,15 @@ impl FpirRow {
                 "      \"function\": \"{}\",\n",
                 "      \"sites\": {},\n",
                 "      \"interp_evals_per_sec\": {:.0},\n",
-                "      \"interp_lane_evals_per_sec\": {:.0},\n",
                 "      \"tape_evals_per_sec\": {:.0},\n",
-                "      \"tape_lane_evals_per_sec\": {:.0},\n",
-                "      \"tape_speedup_vs_interp\": {:.4},\n",
-                "      \"tape_lane_speedup_vs_interp_lane\": {:.4},\n",
-                "      \"tape_lane_speedup_vs_tape\": {:.4}\n",
+                "      \"tape_speedup_vs_interp\": {:.4}\n",
                 "    }}"
             ),
             self.name,
             self.sites,
             self.interp,
-            self.interp_lane,
             self.tape,
-            self.tape_lane,
             self.tape_speedup(),
-            self.tape_lane_speedup(),
-            self.tape_lane_speedup_vs_tape(),
         )
     }
 }
@@ -392,30 +303,13 @@ fn measure_fpir(name: &'static str, measure_mode: bool) -> FpirRow {
         }
         black_box(sink);
     };
-    let lane_pass = |engine: &mut ObjectiveEngine<IrProgram>| {
-        let chunk_size = engine.preferred_batch();
-        let mut values = Vec::with_capacity(chunk_size);
-        for chunk in points.chunks(chunk_size) {
-            values.clear();
-            engine.eval_batch(chunk, &mut values);
-            black_box(&values);
-        }
-    };
 
     let interp = evs(
         best_of(reps, fresh(BackendMode::Interp), scalar_pass),
         points.len(),
     );
-    let interp_lane = evs(
-        best_of(reps, fresh(BackendMode::Interp), lane_pass),
-        points.len(),
-    );
     let tape = evs(
         best_of(reps, fresh(BackendMode::Auto), scalar_pass),
-        points.len(),
-    );
-    let tape_lane = evs(
-        best_of(reps, fresh(BackendMode::Auto), lane_pass),
         points.len(),
     );
 
@@ -423,13 +317,11 @@ fn measure_fpir(name: &'static str, measure_mode: bool) -> FpirRow {
     let mut tape_engine = fresh(BackendMode::Auto)();
     let mut interp_engine = fresh(BackendMode::Interp)();
     assert_eq!(tape_engine.backend_name(), "tape", "{name}: no tape");
-    let mut tape_values = Vec::new();
-    tape_engine.eval_lanes(&points[..16.min(points.len())], &mut tape_values);
-    for (x, tape_value) in points.iter().zip(&tape_values) {
+    for x in points.iter().take(16) {
         assert_eq!(
-            tape_value.to_bits(),
+            tape_engine.eval_scalar(x).to_bits(),
             interp_engine.eval_scalar(x).to_bits(),
-            "tape lane path diverged from the interpreter on {name} at {x:?}"
+            "tape diverged from the interpreter on {name} at {x:?}"
         );
     }
 
@@ -437,9 +329,7 @@ fn measure_fpir(name: &'static str, measure_mode: bool) -> FpirRow {
         name,
         sites,
         interp,
-        interp_lane,
         tape,
-        tape_lane,
     }
 }
 
@@ -452,62 +342,41 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--json needs a path").clone());
 
     println!(
-        "{:<8} {:>6} {:>13} {:>13} {:>13} {:>13} {:>13} {:>9} {:>9}",
-        "function",
-        "sites",
-        "legacy ev/s",
-        "engine ev/s",
-        "lane ev/s",
-        "star ev/s",
-        "hot ev/s",
-        "engine x",
-        "lane x"
+        "{:<8} {:>6} {:>13} {:>13} {:>13} {:>9}",
+        "function", "sites", "legacy ev/s", "engine ev/s", "hot ev/s", "engine x"
     );
 
     let mut rows = Vec::new();
     for name in FUNCTIONS {
         let row = measure(name, measure_mode);
         println!(
-            "{:<8} {:>6} {:>13.0} {:>13.0} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x {:>8.2}x",
+            "{:<8} {:>6} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x",
             row.name,
             row.sites,
             row.legacy,
             row.engine,
-            row.lane,
-            row.star,
             row.hot,
             row.engine_speedup(),
-            row.lane_speedup(),
         );
         rows.push(row);
     }
 
     println!();
     println!(
-        "{:<12} {:>6} {:>13} {:>15} {:>13} {:>15} {:>8} {:>11}",
-        "fpir",
-        "sites",
-        "interp ev/s",
-        "interp lane",
-        "tape ev/s",
-        "tape lane",
-        "tape x",
-        "tape lane x"
+        "{:<12} {:>6} {:>13} {:>13} {:>8}",
+        "fpir", "sites", "interp ev/s", "tape ev/s", "tape x"
     );
 
     let mut fpir_rows = Vec::new();
     for name in FPIR_FUNCTIONS {
         let row = measure_fpir(name, measure_mode);
         println!(
-            "{:<12} {:>6} {:>13.0} {:>15.0} {:>13.0} {:>15.0} {:>7.2}x {:>10.2}x",
+            "{:<12} {:>6} {:>13.0} {:>13.0} {:>7.2}x",
             row.name,
             row.sites,
             row.interp,
-            row.interp_lane,
             row.tape,
-            row.tape_lane,
             row.tape_speedup(),
-            row.tape_lane_speedup(),
         );
         fpir_rows.push(row);
     }

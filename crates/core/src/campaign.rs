@@ -73,7 +73,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use coverme_runtime::{Program, LANE_WIDTH};
+use coverme_runtime::Program;
 
 use crate::corpus::CorpusStore;
 use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SearchState};
@@ -749,7 +749,6 @@ impl CampaignReport {
                     out.push_str("      \"backend\": \"");
                     out.push_str(report.backend);
                     out.push_str("\",\n");
-                    push_json_number(&mut out, "      ", "lane_width", LANE_WIDTH as f64, true);
                     push_json_number(
                         &mut out,
                         "      ",
@@ -2141,9 +2140,8 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for key in [
-            "\"schema\": \"coverme-campaign-report/9\"",
+            "\"schema\": \"coverme-campaign-report/10\"",
             "\"backend\": \"",
-            "\"lane_width\":",
             "\"suite_branch_coverage_percent\":",
             "\"total_evaluations\":",
             "\"total_cache_hits\":",

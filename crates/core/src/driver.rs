@@ -252,9 +252,9 @@ pub struct CoverMeConfig {
     /// interpreter otherwise). Every mode is bit-exact, so this is purely
     /// a performance knob — the one `--backend` exposes on the CLI.
     pub backend: coverme_runtime::BackendMode,
-    /// Ignored: the lane kernels have one instruction set. Kept for the
-    /// end-to-end benchmark harness (`perfbench/`), which sets it through
-    /// [`with_simd`](Self::with_simd).
+    /// Ignored. No product code reads it; the end-to-end benchmark harness
+    /// (`perfbench/`) sets it through [`with_simd`](Self::with_simd), and
+    /// the benchmark-archetype change deletes both.
     pub simd: Option<coverme_runtime::SimdIsa>,
     /// Corpus warm start (off by default): prior inputs and infeasibility
     /// verdicts replayed before the first round (see [`WarmStart`]). With
@@ -440,8 +440,9 @@ impl CoverMeConfig {
         self
     }
 
-    /// Sets the ignored [`simd`](Self::simd) field. Kept for the benchmark
-    /// harness.
+    /// Sets the ignored [`simd`](Self::simd) field. No product code calls
+    /// it; kept for the benchmark harness until the benchmark-archetype
+    /// change.
     pub fn with_simd(mut self, isa: coverme_runtime::SimdIsa) -> Self {
         self.simd = Some(isa);
         self
@@ -625,7 +626,7 @@ impl EpochOutcome {
 /// any round boundary and resume later with no behavior change.
 ///
 /// A `SearchState` owns everything one shard's search needs: its
-/// [`ObjectiveEngine`] (scalar fast path, lane backend, memo cache), the
+/// [`ObjectiveEngine`] (scalar fast path, execution backend, memo cache), the
 /// regenerated starting-point schedule (the shard's RNG stream — per-round
 /// minimizer seeds are derived from the global round index, never from
 /// scheduling), its [`SaturationTracker`], coverage, accepted inputs and

@@ -1,5 +1,4 @@
-//! The objective engine: batched, cache-aware evaluation of representing
-//! functions.
+//! The objective engine: cache-aware evaluation of representing functions.
 //!
 //! CoverMe's inner loop is millions of `FOO_R(x)` evaluations. Historically
 //! every one of them built a fresh [`ExecCtx`] — cloning the saturation
@@ -13,13 +12,19 @@
 //!   affects `r`, which `pen` computes from the saturation snapshot alone).
 //!   A round boundary swaps the snapshot in place
 //!   ([`ExecCtx::retarget`], one clone per round) instead of per call;
-//! * **a batch entry point** — the engine speaks the
-//!   [`Objective`] protocol of `coverme-optim`, so minimizers submit whole
-//!   candidate sets (a Nelder–Mead simplex, a compass probe star, a shrink
-//!   step) through [`Objective::eval_batch`] in one call. Values are
-//!   bit-for-bit those of sequential scalar evaluation, in the same order,
-//!   at any batch size — the batch API is a throughput seam, never a
-//!   semantic one — and it is where the lane backend slots in;
+//! * **one point at a time** — the engine speaks the [`Objective`]
+//!   protocol of `coverme-optim`, and a batch (a Nelder–Mead simplex, a
+//!   compass probe star, a shrink step submitted through
+//!   [`Objective::eval_batch`]) is a per-point loop with exactly
+//!   [`eval_scalar`](ObjectiveEngine::eval_scalar)'s memo probe, abort
+//!   handling and telemetry. Every value and count is therefore the one a
+//!   scalar loop produces, whatever the batch size or grouping — as in the
+//!   paper's Algorithm 1, which evaluates `FOO_R` one point at a time. A
+//!   batch point that misses the cache executes through
+//!   [`ExecBackend::run_lanes`] with a single index, which is `run` on the
+//!   backend's own eager context (same snapshot, same `ε`), so the
+//!   benchmark harness's tracing backend can count batch points apart
+//!   from scalar calls;
 //! * **bit-exact memoization** — a direct-mapped memo table keyed on the
 //!   input's [`f64::to_bits`] patterns. Programs under test are
 //!   deterministic functions of their input bits (a [`Program`] contract),
@@ -50,7 +55,7 @@
 use coverme_optim::Objective;
 use coverme_runtime::{
     BackendMode, BranchSet, ExecBackend, ExecCtx, InterpBackend, LaneEval, Program, RunOutcome,
-    SimdIsa, LANE_WIDTH, MIN_LANE_BATCH,
+    SimdIsa,
 };
 
 use crate::representing::Evaluation;
@@ -231,8 +236,8 @@ impl Cache {
     }
 }
 
-/// The batched, cache-aware evaluation engine for one program's
-/// representing function. See the [module docs](self).
+/// The cache-aware evaluation engine for one program's representing
+/// function. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ObjectiveEngine<P> {
     program: P,
@@ -255,37 +260,14 @@ pub struct ObjectiveEngine<P> {
     /// engine was configured with; the default is [`BackendMode::Auto`]).
     mode: BackendMode,
     /// The execution backend every evaluation dispatches through: the
-    /// generic [`InterpBackend`] ([`Program::execute`] + lane context), or
-    /// whatever the program offered via [`Program::backend`] — e.g. the
-    /// FPIR instruction tape. Batches of at least [`MIN_LANE_BATCH`]
-    /// points go through the backend's lane path; smaller batches and
-    /// scalar calls keep the eager fast path, whose per-call overhead they
-    /// already amortize.
+    /// generic [`InterpBackend`] ([`Program::execute`]), or whatever the
+    /// program offered via [`Program::backend`] — e.g. the FPIR
+    /// instruction tape. Scalar and full evaluations run against the
+    /// engine's contexts; batch points run against the backend's own
+    /// context, which the engine keeps on the same snapshot and `ε`.
     backend: Box<dyn ExecBackend>,
-    /// Bookkeeping of the batch points that missed the cache and were
-    /// packed into lanes: output index plus (when caching) the slot/key to
-    /// seed after the finalize. Reused across batches, allocation-free in
-    /// steady state.
-    lane_misses: Vec<LaneMiss>,
-    /// The miss indices handed to [`ExecBackend::run_lanes`], aligned with
-    /// `lane_misses`.
-    miss_indices: Vec<usize>,
-    /// Scratch buffer the backend's lane path writes into before the values
-    /// are scattered back to their output positions.
-    lane_evals: Vec<LaneEval>,
-}
-
-/// One cache-missing point of an in-flight lane batch. The value and run
-/// outcome arrive from the backend as a [`LaneEval`] at flush time: a
-/// non-`Done` lane's value is replaced by [`ABORTED_VALUE`] at scatter time
-/// and never memoized — the same substitution the scalar path performs.
-#[derive(Debug, Clone, Copy)]
-struct LaneMiss {
-    /// Position of the point within the submitted batch.
-    index: usize,
-    /// Cache slot and key to seed with the finalized value, when the
-    /// engine memoizes.
-    keyed: Option<(usize, CacheKey)>,
+    /// Reused output buffer of [`ExecBackend::run_lanes`].
+    lane_out: Vec<LaneEval>,
 }
 
 /// Resolves the execution backend for a program: the program's own offer
@@ -330,9 +312,7 @@ impl<P: Program> ObjectiveEngine<P> {
             telemetry: EngineTelemetry::default(),
             mode: BackendMode::Auto,
             backend,
-            lane_misses: Vec::new(),
-            miss_indices: Vec::new(),
-            lane_evals: Vec::new(),
+            lane_out: Vec::new(),
         };
         engine.cache_mode(CacheMode::Auto)
     }
@@ -348,8 +328,8 @@ impl<P: Program> ObjectiveEngine<P> {
         self
     }
 
-    /// A no-op: the lane kernels have one instruction set. Kept for the
-    /// end-to-end benchmark harness (`perfbench/`).
+    /// A no-op. No product code calls it; the end-to-end benchmark harness
+    /// (`perfbench/`) does, and the benchmark-archetype change deletes it.
     pub fn simd(self, _isa: SimdIsa) -> Self {
         self
     }
@@ -448,6 +428,39 @@ impl<P: Program> ObjectiveEngine<P> {
     /// Evaluates `FOO_R(x)` on the allocation-free fast path, consulting
     /// the memoization cache first.
     pub fn eval_scalar(&mut self, x: &[f64]) -> f64 {
+        self.eval_memoized(x, |engine| {
+            engine.ctx.reset();
+            engine.backend.run(&engine.program, x, &mut engine.ctx);
+            LaneEval {
+                value: engine.ctx.representing_value(),
+                outcome: engine.ctx.run_outcome(),
+            }
+        })
+    }
+
+    /// Evaluates `FOO_R` at every point of `points`, in order, appending one
+    /// value per point to `values`. Each point gets exactly
+    /// [`eval_scalar`](Self::eval_scalar)'s memo probe, abort handling and
+    /// telemetry; a miss executes through [`ExecBackend::run_lanes`] with
+    /// the point's single index (see the [module docs](self)).
+    pub fn eval_batch(&mut self, points: &[Vec<f64>], values: &mut Vec<f64>) {
+        values.reserve(points.len());
+        for (index, point) in points.iter().enumerate() {
+            let value = self.eval_memoized(point, |engine| {
+                engine.lane_out.clear();
+                engine
+                    .backend
+                    .run_lanes(&engine.program, points, &[index], &mut engine.lane_out);
+                engine.lane_out[0]
+            });
+            values.push(value);
+        }
+    }
+
+    /// The memoized evaluation shared by the scalar and batch paths: probe
+    /// the cache, otherwise `execute` the program once, substitute
+    /// [`ABORTED_VALUE`] for an aborted run and memoize a completed one.
+    fn eval_memoized(&mut self, x: &[f64], execute: impl FnOnce(&mut Self) -> LaneEval) -> f64 {
         self.telemetry.calls += 1;
         // Hash once; probe and (on a miss) insert share the slot index.
         let keyed = self.cache.as_ref().map(|cache| {
@@ -461,100 +474,17 @@ impl<P: Program> ObjectiveEngine<P> {
             }
         }
         self.telemetry.evals += 1;
-        self.ctx.reset();
-        self.backend.run(&self.program, x, &mut self.ctx);
-        let outcome = self.ctx.run_outcome();
+        let LaneEval { value, outcome } = execute(self);
         if !outcome.is_done() {
             // Aborted run: the accumulator is garbage. Substitute the
             // deterministic sentinel and keep it out of the memo table.
             self.telemetry.classify(outcome);
             return ABORTED_VALUE;
         }
-        let value = self.ctx.representing_value();
         if let (Some(cache), Some((slot, key))) = (&mut self.cache, keyed) {
             cache.insert_at(slot, key, value, self.epoch);
         }
         value
-    }
-
-    /// Evaluates a whole batch through the execution backend's lane path:
-    /// points are probed against the memo cache first, the misses are
-    /// packed into [`LANE_WIDTH`]-wide groups, and every full
-    /// group runs through [`ExecBackend::run_lanes`]: one deferred-penalty
-    /// execution per lane — a pen-code gather per conditional instead of a
-    /// distance computation — plus one lockstep finalize, whichever backend
-    /// executes the lanes (the program itself or its compiled tape).
-    /// Values land at their input positions in `values`
-    /// (appended, not cleared), bit-for-bit equal to sequential
-    /// [`eval_scalar`](Self::eval_scalar) answers.
-    ///
-    /// One observable difference from the scalar *loop* exists in the
-    /// telemetry only: a point duplicated within one lane group is
-    /// evaluated per occurrence (its first value is not yet cached when the
-    /// second occurrence is probed), so `evals`/`cache_hits` may split
-    /// differently — `calls`, the values, and every search result are
-    /// identical.
-    pub fn eval_lanes(&mut self, points: &[Vec<f64>], values: &mut Vec<f64>) {
-        self.telemetry.calls += points.len() as u64;
-        let base = values.len();
-        values.resize(base + points.len(), 0.0);
-        self.lane_misses.clear();
-        self.miss_indices.clear();
-        for (index, point) in points.iter().enumerate() {
-            // Memo probe per lane before packing, same single-hash protocol
-            // as the scalar path.
-            let keyed = self.cache.as_ref().map(|cache| {
-                let key = cache_key(point);
-                (cache.slot_of(&key), key)
-            });
-            if let (Some(cache), Some((slot, key))) = (&self.cache, &keyed) {
-                if let Some(value) = cache.get_at(*slot, key, self.epoch) {
-                    self.telemetry.cache_hits += 1;
-                    values[base + index] = value;
-                    continue;
-                }
-            }
-            self.telemetry.evals += 1;
-            self.lane_misses.push(LaneMiss { index, keyed });
-            self.miss_indices.push(index);
-            if self.miss_indices.len() == LANE_WIDTH {
-                // Flushing group by group (not once per batch) keeps the
-                // memo protocol identical to the historical lane path: a
-                // point duplicated in a *later* group hits on the value
-                // this flush seeds.
-                self.flush_lanes(points, values, base);
-            }
-        }
-        self.flush_lanes(points, values, base);
-    }
-
-    /// Runs the in-flight miss group through the backend's lane path,
-    /// scatters the values to their batch positions, and seeds the memo
-    /// cache with each clean miss.
-    fn flush_lanes(&mut self, points: &[Vec<f64>], values: &mut [f64], base: usize) {
-        if self.lane_misses.is_empty() {
-            return;
-        }
-        self.lane_evals.clear();
-        self.backend.run_lanes(
-            &self.program,
-            points,
-            &self.miss_indices,
-            &mut self.lane_evals,
-        );
-        debug_assert_eq!(self.lane_evals.len(), self.lane_misses.len());
-        for (miss, eval) in self.lane_misses.drain(..).zip(self.lane_evals.iter()) {
-            self.telemetry.classify(eval.outcome);
-            if !eval.outcome.is_done() {
-                values[base + miss.index] = ABORTED_VALUE;
-                continue;
-            }
-            values[base + miss.index] = eval.value;
-            if let (Some(cache), Some((slot, key))) = (&mut self.cache, miss.keyed) {
-                cache.insert_at(slot, key, eval.value, self.epoch);
-            }
-        }
-        self.miss_indices.clear();
     }
 
     /// Evaluates `FOO_R(x)` keeping the covered branches and the decision
@@ -601,26 +531,8 @@ impl<P: Program> Objective for ObjectiveEngine<P> {
         ObjectiveEngine::eval_scalar(self, x)
     }
 
-    /// The batch seam, dispatched through the execution backend: batches of
-    /// at least [`MIN_LANE_BATCH`] points go through
-    /// [`eval_lanes`](ObjectiveEngine::eval_lanes) (the backend's batched
-    /// lane path); smaller batches — where the per-batch setup would
-    /// outweigh the batched savings — keep the scalar fast path. Either way
-    /// the values are bit-for-bit those of sequential scalar evaluation, in
-    /// the same order.
     fn eval_batch(&mut self, points: &[Vec<f64>], values: &mut Vec<f64>) {
-        if points.len() >= MIN_LANE_BATCH {
-            return ObjectiveEngine::eval_lanes(self, points, values);
-        }
-        values.reserve(points.len());
-        for point in points {
-            let value = ObjectiveEngine::eval_scalar(self, point);
-            values.push(value);
-        }
-    }
-
-    fn preferred_batch(&self) -> usize {
-        LANE_WIDTH
+        ObjectiveEngine::eval_batch(self, points, values)
     }
 }
 
@@ -766,6 +678,33 @@ mod tests {
             assert_eq!(scalar_engine.eval_scalar(point).to_bits(), value.to_bits());
         }
         assert_eq!(batched_engine.telemetry(), scalar_engine.telemetry());
+    }
+
+    #[test]
+    fn batch_points_follow_the_snapshot_and_epsilon_across_a_backend_swap() {
+        // Batch points execute against the backend's own context; a
+        // backend chosen after a retarget must still see the engine's
+        // snapshot and `ε`.
+        let epsilon = 0.25;
+        let points: Vec<Vec<f64>> = (0..11).map(|i| vec![i as f64 * 0.73 - 4.0]).collect();
+        // With 0T and both sides of site 1 saturated, `r` is the strict
+        // distance to `x > 1`, which carries `ε`.
+        let saturated: BranchSet = [
+            BranchId::true_of(0),
+            BranchId::true_of(1),
+            BranchId::false_of(1),
+        ]
+        .into_iter()
+        .collect();
+        let mut engine = ObjectiveEngine::new(paper_example(), epsilon);
+        engine.retarget(&saturated);
+        let mut engine = engine.backend_mode(BackendMode::Interp);
+        let mut values = Vec::new();
+        engine.eval_batch(&points, &mut values);
+        for (point, value) in points.iter().zip(&values) {
+            assert_eq!(engine.eval_scalar(point).to_bits(), value.to_bits());
+        }
+        assert!(values.iter().any(|&value| value > 0.0));
     }
 
     #[test]

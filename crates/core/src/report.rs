@@ -4,7 +4,7 @@ pub mod schema;
 
 use std::time::Duration;
 
-use coverme_runtime::{BranchId, CoverageMap, CoverageSummary, LANE_WIDTH};
+use coverme_runtime::{BranchId, CoverageMap, CoverageSummary};
 
 /// What happened in one minimization round (one iteration of the outer loop
 /// of Algorithm 1).
@@ -210,7 +210,7 @@ impl TestReport {
     }
 
     /// The standalone-run JSON artifact (schema
-    /// [`schema::RUN_REPORT`] = `coverme-run-report/5`) — what
+    /// [`schema::RUN_REPORT`] = `coverme-run-report/6`) — what
     /// `coverme run --json` writes and `coverme serve` streams for
     /// single-program jobs. `entry` is the entry-function name, `path`
     /// the source file the run tested. A warm-started run additionally
@@ -227,7 +227,6 @@ impl TestReport {
         out.push_str(&format!("  \"entry\": \"{entry}\",\n"));
         out.push_str(&format!("  \"outcome\": \"{}\",\n", self.outcome_label()));
         out.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
-        out.push_str(&format!("  \"lane_width\": {LANE_WIDTH},\n"));
         out.push_str(&format!(
             "  \"branches\": {},\n",
             self.coverage.total_branches()

@@ -52,14 +52,14 @@ impl SchemaId {
 /// [`TestReport::to_run_json`](crate::TestReport::to_run_json)).
 pub const RUN_REPORT: SchemaId = SchemaId {
     kind: "coverme-run-report",
-    version: 5,
+    version: 6,
 };
 
 /// The campaign report
 /// ([`CampaignReport::write_json`](crate::CampaignReport)).
 pub const CAMPAIGN_REPORT: SchemaId = SchemaId {
     kind: "coverme-campaign-report",
-    version: 9,
+    version: 10,
 };
 
 /// One persisted function entry of the corpus store
@@ -730,7 +730,7 @@ mod tests {
 
     #[test]
     fn envelope_dispatch() {
-        let env = open_envelope(r#"{"schema": "coverme-run-report/5", "evals": 7}"#).unwrap();
+        let env = open_envelope(r#"{"schema": "coverme-run-report/6", "evals": 7}"#).unwrap();
         assert!(env.is(RUN_REPORT));
         assert!(env.expect(RUN_REPORT).is_ok());
         assert!(env
@@ -745,10 +745,10 @@ mod tests {
 
     #[test]
     fn labels_match_the_emitted_schemas() {
-        assert_eq!(RUN_REPORT.label(), "coverme-run-report/5");
-        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/9");
-        assert!(RUN_REPORT.matches("coverme-run-report/5"));
-        assert!(!RUN_REPORT.matches("coverme-run-report/4"));
+        assert_eq!(RUN_REPORT.label(), "coverme-run-report/6");
+        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/10");
+        assert!(RUN_REPORT.matches("coverme-run-report/6"));
+        assert!(!RUN_REPORT.matches("coverme-run-report/5"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::cell::RefCell;
 
-use coverme_runtime::{BranchSet, ExecCtx, LaneCtx, Program, RunOutcome, Trace};
+use coverme_runtime::{BranchSet, ExecCtx, Program, RunOutcome, Trace};
 
 /// The result of evaluating the representing function on one input.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,9 +38,11 @@ pub struct Evaluation {
 
 /// The representing function of a program against a saturation snapshot.
 ///
-/// The snapshot is immutable for the lifetime of the value: CoverMe builds a
-/// fresh `RepresentingFunction` for every minimization round, exactly as the
-/// paper rebuilds `FOO_R`'s behaviour whenever `Saturate` changes.
+/// The snapshot is immutable for the lifetime of the value, exactly as the
+/// paper rebuilds `FOO_R`'s behaviour whenever `Saturate` changes. Searches
+/// evaluate `FOO_R` through the [`ObjectiveEngine`](crate::ObjectiveEngine);
+/// this type is the direct Definition 4.2 reference the engine's tests
+/// check it against.
 #[derive(Debug, Clone)]
 pub struct RepresentingFunction<P> {
     program: P,
@@ -53,12 +55,6 @@ pub struct RepresentingFunction<P> {
     /// either. Interior mutability keeps `eval(&self)` compatible with the
     /// borrowing [`objective`](Self::objective) adapter.
     scratch: RefCell<ExecCtx>,
-    /// Reusable lane context for [`eval_batch`](Self::eval_batch): the
-    /// instrumented body set up for lane evaluation — a deferred-penalty
-    /// recording context over this snapshot plus the SoA lane buffers the
-    /// lockstep finalize consumes. Built once per `RepresentingFunction`,
-    /// like `scratch`.
-    lanes: RefCell<LaneCtx>,
 }
 
 impl<P: Program> RepresentingFunction<P> {
@@ -68,13 +64,11 @@ impl<P: Program> RepresentingFunction<P> {
         let scratch = ExecCtx::representing(saturated.clone())
             .without_trace()
             .without_coverage();
-        let lanes = LaneCtx::new(saturated.clone());
         RepresentingFunction {
             program,
             saturated,
             epsilon: coverme_runtime::DEFAULT_EPSILON,
             scratch: RefCell::new(scratch),
-            lanes: RefCell::new(lanes),
         }
     }
 
@@ -86,8 +80,6 @@ impl<P: Program> RepresentingFunction<P> {
             .with_epsilon(epsilon)
             .without_trace()
             .without_coverage();
-        let lanes = self.lanes.get_mut();
-        *lanes = LaneCtx::new(self.saturated.clone()).with_epsilon(epsilon);
         self
     }
 
@@ -122,19 +114,6 @@ impl<P: Program> RepresentingFunction<P> {
         ctx.reset();
         self.program.execute(input, &mut ctx);
         ctx.representing_value()
-    }
-
-    /// Evaluates `FOO_R` over a batch of independent points through the
-    /// lane backend ([`coverme_runtime::LaneCtx`]): each point records one
-    /// deferred-penalty execution, and the penalties of every lane group
-    /// resolve in one lockstep finalize. One value per point is appended to
-    /// `values` in input order, bit-for-bit equal to what per-point
-    /// [`eval`](Self::eval) calls return.
-    pub fn eval_batch(&self, points: &[Vec<f64>], values: &mut Vec<f64>) {
-        let mut lanes = self.lanes.borrow_mut();
-        lanes.eval_batch(points, values, |input, ctx| {
-            self.program.execute(input, ctx)
-        });
     }
 
     /// Evaluates `FOO_R(x)` keeping the covered branches and the decision
@@ -313,24 +292,6 @@ mod tests {
 
     fn snapshot_for_stability() -> BranchSet {
         [BranchId::false_of(1)].into_iter().collect()
-    }
-
-    #[test]
-    fn eval_batch_matches_scalar_eval_bit_for_bit() {
-        let saturated: BranchSet = [BranchId::true_of(0), BranchId::false_of(1)]
-            .into_iter()
-            .collect();
-        let foo_r = RepresentingFunction::new(paper_example(), saturated);
-        let points: Vec<Vec<f64>> = (0..21)
-            .map(|i| vec![i as f64 * 0.93 - 9.0])
-            .chain([vec![f64::NAN], vec![f64::INFINITY]])
-            .collect();
-        let mut values = Vec::new();
-        foo_r.eval_batch(&points, &mut values);
-        assert_eq!(values.len(), points.len());
-        for (point, value) in points.iter().zip(&values) {
-            assert_eq!(value.to_bits(), foo_r.eval(point).to_bits(), "{point:?}");
-        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! * the scalar fast path, the batch entry point, and the legacy
 //!   full-`Evaluation` path agree **bit for bit** on the same inputs, for
-//!   any saturation snapshot;
+//!   any saturation snapshot, and a batch costs exactly what a per-point
+//!   scalar loop costs (calls, executions, cache hits, aborts);
 //! * memoization never changes anything observable: a CoverMe search with
 //!   the cache on produces the identical report — inputs, coverage,
 //!   infeasible verdicts, round records, evaluation counts — as with the
@@ -13,17 +14,21 @@
 //!   snapshot swaps, cached values still equal freshly computed ones.
 //!
 //! Checked on randomly generated straight-line programs (affine conditions
-//! over one input, with data flow between sites), the same family
-//! `tests/shard_properties.rs` uses.
+//! over one input, with data flow between sites and NaN-poisoning false
+//! branches), and on `ieee754_pow`, the suite's most branch-dense function.
+
+// `x - x` / `0/0` idioms deliberately materialize NaN from a runtime value,
+// the same way the Fdlibm ports do.
+#![allow(clippy::eq_op)]
 
 use proptest::prelude::*;
 
 use coverme::objective::{CacheMode, ObjectiveEngine};
 use coverme::{
-    BranchId, BranchSet, Cmp, CoverMe, CoverMeConfig, ExecCtx, FnProgram, Objective,
+    BranchId, BranchSet, Cmp, CoverMe, CoverMeConfig, ExecCtx, FnProgram, Program,
     RepresentingFunction,
 };
-use coverme_runtime::DEFAULT_EPSILON;
+use coverme_runtime::{Direction, Trace, DEFAULT_EPSILON};
 
 /// Specification of one conditional site of a generated program.
 #[derive(Debug, Clone)]
@@ -35,11 +40,14 @@ struct SiteSpec {
     constant: f64,
     /// Whether taking the true branch perturbs `x` before later sites.
     mutates: bool,
+    /// Whether taking the false branch poisons `x` with `0/0` (NaN), so
+    /// downstream comparisons exercise the NaN distance paths.
+    poisons: bool,
 }
 
 /// A generated straight-line program: a sequence of conditionals over a
 /// single double input, with the true branches feeding modified values to
-/// later sites.
+/// later sites and poisoning false branches feeding them NaN.
 fn build_program(specs: Vec<SiteSpec>) -> FnProgram<impl Fn(&[f64], &mut ExecCtx)> {
     let num_sites = specs.len();
     FnProgram::new(
@@ -50,8 +58,12 @@ fn build_program(specs: Vec<SiteSpec>) -> FnProgram<impl Fn(&[f64], &mut ExecCtx
             let mut x = input[0];
             for (site, spec) in specs.iter().enumerate() {
                 let lhs = spec.coeff * x + spec.offset;
-                if ctx.branch(site as u32, spec.op, lhs, spec.constant) && spec.mutates {
-                    x = x * 0.5 + 1.0;
+                if ctx.branch(site as u32, spec.op, lhs, spec.constant) {
+                    if spec.mutates {
+                        x = x * 0.5 + 1.0;
+                    }
+                } else if spec.poisons {
+                    x = (x - x) / (x - x);
                 }
             }
         },
@@ -76,18 +88,35 @@ fn site_strategy() -> impl Strategy<Value = SiteSpec> {
         -10.0..10.0f64,
         -10.0..10.0f64,
         any::<bool>(),
+        any::<bool>(),
     )
-        .prop_map(|(op, coeff, offset, constant, mutates)| SiteSpec {
+        .prop_map(|(op, coeff, offset, constant, mutates, poisons)| SiteSpec {
             op,
             coeff,
             offset,
             constant,
             mutates,
+            poisons,
         })
 }
 
 fn program_strategy() -> impl Strategy<Value = Vec<SiteSpec>> {
     prop::collection::vec(site_strategy(), 1..5)
+}
+
+/// Input points: finite values plus the IEEE specials (roughly 4:6 odds of
+/// a special per draw, picked by discriminant since the vendored proptest
+/// subset has no weighted `prop_oneof!`).
+fn point_strategy() -> impl Strategy<Value = f64> {
+    (0..10u8, -50.0..50.0f64).prop_map(|(kind, finite)| match kind {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 1e300,
+        5 => 5e-324,
+        _ => finite,
+    })
 }
 
 /// A saturation snapshot over `num_sites` conditionals, derived from a
@@ -105,45 +134,98 @@ fn snapshot_from_mask(num_sites: usize, mask: u64) -> BranchSet {
     snapshot
 }
 
+/// A trace as comparable bits: site, direction, operator, operand patterns.
+fn trace_bits(trace: &Trace) -> Vec<(u32, Direction, Cmp, u64, u64)> {
+    trace
+        .iter()
+        .map(|e| (e.site, e.direction, e.op, e.lhs.to_bits(), e.rhs.to_bits()))
+        .collect()
+}
+
+/// Checks every evaluation path on `batch` against `snapshot`.
+///
+/// Two cache-on engines are warmed with the same `warm`-point prefix, then
+/// one takes the whole batch through [`Objective::eval_batch`] and its twin
+/// takes it point by point through `eval_scalar`. The values must agree bit
+/// for bit with each other, with the engine's full path and with the
+/// legacy [`RepresentingFunction`] paths, and the twins' telemetry must be
+/// equal: a batch is exactly a scalar loop, so duplicates inside one batch
+/// hit the cache the way consecutive scalar calls do.
+fn check_paths_agree<P: Program>(
+    program: &P,
+    snapshot: &BranchSet,
+    batch: &[Vec<f64>],
+    warm: usize,
+) {
+    let engine = || {
+        let mut engine = ObjectiveEngine::new(program, DEFAULT_EPSILON).cache_mode(CacheMode::On);
+        engine.retarget(snapshot);
+        engine
+    };
+    let mut batch_engine = engine();
+    let mut scalar_engine = engine();
+    for point in &batch[..warm] {
+        let warmed = batch_engine.eval_scalar(point);
+        prop_assert_eq!(warmed.to_bits(), scalar_engine.eval_scalar(point).to_bits());
+    }
+    let mut batched = Vec::new();
+    batch_engine.eval_batch(batch, &mut batched);
+    let scalar: Vec<f64> = batch.iter().map(|p| scalar_engine.eval_scalar(p)).collect();
+    prop_assert_eq!(batched.len(), batch.len());
+    prop_assert_eq!(batch_engine.telemetry(), scalar_engine.telemetry());
+
+    let foo_r = RepresentingFunction::new(program, snapshot.clone());
+    for ((point, value), batched_value) in batch.iter().zip(&scalar).zip(&batched) {
+        let full = batch_engine.eval_full(point);
+        let legacy_fast = foo_r.eval(point);
+        let legacy_full = foo_r.eval_full(point);
+        prop_assert_eq!(value.to_bits(), batched_value.to_bits(), "at {:?}", point);
+        prop_assert_eq!(value.to_bits(), full.value.to_bits());
+        prop_assert_eq!(value.to_bits(), legacy_fast.to_bits());
+        prop_assert_eq!(value.to_bits(), legacy_full.value.to_bits());
+        // The full paths agree on coverage and trace too (operands by bit
+        // pattern: NaN operands are equal to themselves only that way).
+        prop_assert_eq!(&full.covered, &legacy_full.covered);
+        prop_assert_eq!(trace_bits(&full.trace), trace_bits(&legacy_full.trace));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The three evaluation paths — engine scalar, engine batch, legacy
-    /// full `Evaluation` — agree bit for bit on the same inputs, for any
-    /// saturation snapshot.
+    /// The evaluation paths — engine scalar, engine batch, engine full,
+    /// legacy fast and legacy full `Evaluation` — agree bit for bit at
+    /// every batch size, for any saturation snapshot, on NaN/±inf inputs;
+    /// a fully masked snapshot (both branches of every site saturated)
+    /// keeps `r` at its initial `1`. Batches carry adjacent duplicates
+    /// (inside one 8-point group, where a lane path would have probed
+    /// both before inserting either) and arrive after a warm prefix, and
+    /// still cost exactly what the scalar loop costs.
     #[test]
     fn scalar_batch_and_full_paths_agree_bit_for_bit(
         specs in program_strategy(),
         mask in 0..256u64,
-        points in prop::collection::vec(-50.0..50.0f64, 1..12),
+        masked in any::<bool>(),
+        xs in prop::collection::vec(point_strategy(), 1..32),
+        dups in prop::collection::vec(0..40usize, 1..8),
+        warm in 0..40usize,
     ) {
         let num_sites = specs.len();
         let program = build_program(specs);
+        let mask = if masked { u64::MAX } else { mask };
         let snapshot = snapshot_from_mask(num_sites, mask);
-
-        let foo_r = RepresentingFunction::new(&program, snapshot.clone());
-        let mut scalar_engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON);
-        scalar_engine.retarget(&snapshot);
-        let mut batch_engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON);
-        batch_engine.retarget(&snapshot);
-
-        let batch: Vec<Vec<f64>> = points.iter().map(|&x| vec![x]).collect();
-        let mut batched = Vec::new();
-        batch_engine.eval_batch(&batch, &mut batched);
-        prop_assert_eq!(batched.len(), batch.len());
-
-        for (point, batched_value) in batch.iter().zip(&batched) {
-            let scalar = scalar_engine.eval_scalar(point);
-            let full = batch_engine.eval_full(point);
-            let legacy_fast = foo_r.eval(point);
-            let legacy_full = foo_r.eval_full(point);
-            prop_assert_eq!(scalar.to_bits(), batched_value.to_bits());
-            prop_assert_eq!(scalar.to_bits(), full.value.to_bits());
-            prop_assert_eq!(scalar.to_bits(), legacy_fast.to_bits());
-            prop_assert_eq!(scalar.to_bits(), legacy_full.value.to_bits());
-            // The full paths agree on coverage and trace too.
-            prop_assert_eq!(&full.covered, &legacy_full.covered);
-            prop_assert_eq!(&full.trace, &legacy_full.trace);
+        let mut batch: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
+        for dup in dups {
+            let at = dup % batch.len();
+            batch.insert(at + 1, batch[at].clone());
+        }
+        let warm = warm.min(batch.len());
+        check_paths_agree(&program, &snapshot, &batch, warm);
+        if masked {
+            let foo_r = RepresentingFunction::new(&program, snapshot);
+            for point in &batch {
+                prop_assert_eq!(foo_r.eval(point), 1.0);
+            }
         }
     }
 
@@ -192,6 +274,40 @@ proptest! {
     }
 }
 
+/// The same check on a real Fdlibm benchmark: `ieee754_pow` (30 sites)
+/// against a half-saturated snapshot, on a grid of special values plus
+/// adjacent duplicates, after a warm prefix.
+#[test]
+fn scalar_batch_and_full_paths_agree_on_pow() {
+    let benchmark = coverme_fdlibm::by_name("pow").expect("pow is in the suite");
+    let num_sites = Program::num_sites(&benchmark);
+    let mut saturated = BranchSet::with_sites(num_sites);
+    for site in (0..num_sites).step_by(2) {
+        saturated.insert(BranchId::true_of(site as u32));
+    }
+    let specials = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        2.0,
+        1e300,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    let mut batch: Vec<Vec<f64>> = Vec::new();
+    for &x in &specials {
+        for &y in &specials {
+            batch.push(vec![x, y]);
+            if y == 2.0 {
+                batch.push(vec![x, y]);
+            }
+        }
+    }
+    check_paths_agree(&benchmark, &saturated, &batch, 20);
+}
+
 /// Telemetry bookkeeping stays consistent on real searches: calls split
 /// exactly into executions and cache hits, and the report's counters match
 /// what the engine saw.
@@ -205,6 +321,7 @@ fn search_telemetry_is_internally_consistent() {
                 offset: 0.0,
                 constant: 1.0,
                 mutates: true,
+                poisons: false,
             },
             SiteSpec {
                 op: Cmp::Eq,
@@ -212,6 +329,7 @@ fn search_telemetry_is_internally_consistent() {
                 offset: 2.0,
                 constant: 4.0,
                 mutates: false,
+                poisons: false,
             },
         ];
         build_program(specs)

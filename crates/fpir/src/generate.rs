@@ -1,7 +1,7 @@
 //! Seeded random generation of well-typed FPIR modules.
 //!
 //! The differential test suites need *many* programs, not a handful of
-//! hand-written ones: scalar-vs-lane bit-identity, cache transparency and
+//! hand-written ones: interpreter-vs-tape bit-identity, cache transparency and
 //! outcome classification are invariants over the whole language, and the
 //! hand corpus only exercises the corners someone thought of. This module
 //! generates modules that are well-typed **by construction** — fresh names

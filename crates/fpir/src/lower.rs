@@ -7,9 +7,9 @@
 //! instrumented module **once** into a [`Tape`]: straight-line basic blocks
 //! of register ops with explicit terminators (jumps, instrumented branch
 //! sites, calls, returns, traps). [`Tape::execute`] runs it against any
-//! [`ExecCtx`] mode (observe, eager representing, deferred) exactly like
-//! the interpreter. [`TapeBackend`] uses it for scalar evaluations and, as
-//! the lane execution of the shared [`LaneCtx`] protocol, for batches.
+//! [`ExecCtx`] mode (observe or representing) exactly like the
+//! interpreter, and [`TapeBackend`] runs it for every evaluation of a
+//! search.
 //!
 //! # Bit-exactness
 //!
@@ -56,9 +56,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use coverme_runtime::{
-    BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx, LaneCtx, LaneEval, Program,
-};
+use coverme_runtime::backend::run_each;
+use coverme_runtime::{BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx, LaneEval, Program};
 
 use crate::ast::{BinOp, Block as AstBlock, Expr, Module, Stmt, Ty, UnOp};
 use crate::instrument::as_comparison;
@@ -422,9 +421,9 @@ impl Tape {
         self.blocks.len()
     }
 
-    /// Always 0: the tape has no vectorized blocks. Kept for the
-    /// end-to-end benchmark harness (`perfbench/`), which reports it as
-    /// `fpir.soa_blocks`.
+    /// Always 0: the tape has no vectorized blocks. No product code calls
+    /// it; the end-to-end benchmark harness (`perfbench/`) reports it as
+    /// `fpir.soa_blocks`, and the benchmark-archetype change deletes it.
     pub fn num_soa_blocks(&self) -> usize {
         0
     }
@@ -1278,26 +1277,26 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     }
 }
 
-/// The compiled execution backend for FPIR programs: scalar evaluations
-/// run the tape against the caller's [`ExecCtx`], and batches run it once
-/// per lane through the shared deferred-penalty [`LaneCtx`] protocol. Both
-/// reuse the backend's one register file and frame stack.
-/// Installed automatically by [`IrProgram`]'s [`Program::backend`] under
-/// [`BackendMode::Auto`].
+/// The compiled execution backend for FPIR programs: every evaluation runs
+/// the tape against the caller's [`ExecCtx`], reusing the backend's one
+/// register file and frame stack. Installed automatically by
+/// [`IrProgram`]'s [`Program::backend`] under [`BackendMode::Auto`].
 #[derive(Debug, Clone)]
 pub struct TapeBackend {
     tape: Arc<Tape>,
-    lane: LaneCtx,
+    /// The context behind [`ExecBackend::run_lanes`].
+    lanes: ExecCtx,
     scratch: TapeScratch,
 }
 
 impl TapeBackend {
-    /// Wraps a lowered tape with the default `ε` and the empty saturation
-    /// snapshot; the objective engine injects both on installation.
+    /// Wraps a lowered tape.
     pub fn new(tape: Tape) -> TapeBackend {
         TapeBackend {
             tape: Arc::new(tape),
-            lane: LaneCtx::new(BranchSet::new()),
+            lanes: ExecCtx::representing(BranchSet::new())
+                .without_trace()
+                .without_coverage(),
             scratch: TapeScratch::default(),
         }
     }
@@ -1314,12 +1313,11 @@ impl ExecBackend for TapeBackend {
     }
 
     fn set_epsilon(&mut self, epsilon: f64) {
-        let lane = std::mem::take(&mut self.lane);
-        self.lane = lane.with_epsilon(epsilon);
+        self.lanes = self.lanes.clone().with_epsilon(epsilon);
     }
 
     fn retarget(&mut self, saturated: &BranchSet) {
-        self.lane.retarget(saturated.clone());
+        self.lanes.retarget(saturated.clone());
     }
 
     fn run(&mut self, _program: &dyn Program, input: &[f64], ctx: &mut ExecCtx) {
@@ -1334,7 +1332,7 @@ impl ExecBackend for TapeBackend {
         out: &mut Vec<LaneEval>,
     ) {
         let (tape, scratch) = (&self.tape, &mut self.scratch);
-        self.lane.run_lanes(points, indices, out, |input, ctx| {
+        run_each(&mut self.lanes, points, indices, out, |input, ctx| {
             tape.execute_in(input, ctx, scratch)
         });
     }
@@ -1363,7 +1361,7 @@ pub(crate) fn program_backend(
 mod tests {
     use super::*;
     use crate::compile;
-    use coverme_runtime::{BranchId, InterpBackend, RunOutcome, DEFAULT_EPSILON, LANE_WIDTH};
+    use coverme_runtime::{BranchId, InterpBackend, RunOutcome, DEFAULT_EPSILON};
 
     /// Runs `program` both ways on `input` in observe mode and asserts the
     /// full observable state matches: coverage, trace, outcome.
@@ -1535,7 +1533,7 @@ mod tests {
         assert!(p.backend(BackendMode::Interp).is_none());
         let auto = p.backend(BackendMode::Auto).expect("auto resolves to tape");
         assert_eq!(auto.name(), "tape");
-        assert_eq!(auto.lane_width(), LANE_WIDTH);
+        assert_eq!(auto.lane_width(), 1);
     }
 
     #[test]

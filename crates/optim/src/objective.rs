@@ -54,14 +54,13 @@ pub trait Objective {
         }
     }
 
-    /// Batch-size granularity this objective evaluates most efficiently —
-    /// the lane width of a data-parallel engine, `1` for plain scalar
-    /// objectives (the default).
+    /// Batch-size granularity hint; `1` unless an implementation says
+    /// otherwise, and no implementation in this workspace does.
     ///
-    /// This is a *hint*, never a semantic knob: no minimizer in this crate
-    /// reads it, and search results must not depend on its value. Callers
-    /// that stream free-sized candidate sets through
-    /// [`eval_batch`](Objective::eval_batch) may use it as a chunk size.
+    /// Never a semantic knob: no minimizer reads it, and search results
+    /// must not depend on its value. No product code calls it either; the
+    /// end-to-end benchmark harness (`perfbench/`) forwards it through its
+    /// timing wrapper, and the benchmark-archetype change deletes it.
     fn preferred_batch(&self) -> usize {
         1
     }

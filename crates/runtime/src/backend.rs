@@ -1,39 +1,43 @@
 //! The execution-backend layer: how representing-function evaluations are
 //! actually carried out.
 //!
-//! Historically the execution strategy was smeared across three places —
-//! the scalar fast path executed the program directly against a long-lived
-//! [`ExecCtx`], the lane path went through [`LaneCtx`], and the objective
-//! engine hard-coded the dispatch between them (an inline
-//! `MIN_LANE_BATCH` branch). [`ExecBackend`] makes that choice an explicit,
-//! swappable layer:
+//! Every evaluation — scalar, batched or full — is one eager execution:
+//! [`ExecBackend::run`] against an [`ExecCtx`] the caller owns, or, for a
+//! batch point, [`ExecBackend::run_lanes`] with a single index, which runs
+//! the same execution on the backend's own eager representing context:
 //!
-//! * [`InterpBackend`] reproduces the historical behavior exactly: scalar
-//!   evaluations call [`Program::execute`] (whatever executor the program
-//!   embeds — the fdlibm ports run native Rust, `coverme-fpir` programs run
-//!   their tree-walking interpreter), and batches go through
-//!   [`LaneCtx::run_lanes`] with `Program::execute` as the lane execution.
+//! * [`InterpBackend`] calls [`Program::execute`] (whatever executor the
+//!   program embeds — the fdlibm ports run native Rust, `coverme-fpir`
+//!   programs run their tree-walking interpreter). Works for every
+//!   program.
 //! * A program can provide its own backend through
 //!   [`Program::backend`](crate::Program::backend) — the FPIR front end
 //!   lowers its AST to a flat instruction tape and returns a tape backend
-//!   that runs the tape for scalar evaluations and hands the same tape
-//!   execution to [`LaneCtx::run_lanes`] for batches.
-//!
-//! There is one lane protocol: whatever the backend, a batch is recorded
-//! lane by lane through the deferred-penalty [`LaneCtx`] and finalized in
-//! lockstep; backends differ only in the closure that executes a lane.
+//!   that runs the tape instead of walking the tree.
 //!
 //! Whatever the backend, the contract is **bit-exactness**: values,
 //! coverage, traces, [`RunOutcome`] classification and cache visibility
 //! must be indistinguishable from [`Program::execute`] under an eager
 //! [`ExecCtx`]. The backend seam is a throughput knob, never a semantic
 //! one.
+//!
+//! The trait still carries names of the deleted lane path that the
+//! end-to-end benchmark harness (`perfbench/`) links:
+//! [`lane_width`](ExecBackend::lane_width),
+//! [`simd_isa`](ExecBackend::simd_isa), [`set_simd`](ExecBackend::set_simd)
+//! and [`min_batch`](ExecBackend::min_batch), plus [`SimdIsa`]. No product
+//! code calls them. [`run_lanes`](ExecBackend::run_lanes) (with
+//! [`LaneEval`], [`set_epsilon`](ExecBackend::set_epsilon) and
+//! [`retarget`](ExecBackend::retarget)) is no lane kernel either: it loops
+//! `run` through [`run_each`], and the objective engine sends batch points
+//! through it one index at a time so that the harness's tracing backend
+//! counts them apart from scalar calls. The benchmark-archetype change,
+//! which may edit `perfbench/`, deletes all of them and sends batch points
+//! through `run`.
 
 use crate::branch::BranchSet;
 use crate::context::{ExecCtx, RunOutcome};
-use crate::lane::{LaneCtx, LANE_WIDTH, MIN_LANE_BATCH};
 use crate::program::Program;
-use crate::simd::SimdIsa;
 
 /// Which execution backend an evaluation pipeline should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,8 +46,8 @@ pub enum BackendMode {
     /// tape) use it, everything else runs the interpreter/native backend.
     #[default]
     Auto,
-    /// Force the historical backend: [`Program::execute`] per evaluation,
-    /// [`LaneCtx`] for batches. Every program supports this.
+    /// Force the historical backend: [`Program::execute`] per evaluation.
+    /// Every program supports this.
     Interp,
 }
 
@@ -72,15 +76,57 @@ impl std::fmt::Display for BackendMode {
     }
 }
 
-/// Value and classification of one lane of a batched evaluation. The
-/// end-to-end benchmark harness (`perfbench/`) reads it through its
-/// tracing backend, so its shape is part of that harness's contract.
+/// A single-variant instruction-set type of the deleted lane kernels. No
+/// product code calls it; the benchmark harness (`perfbench/`) links it by
+/// name, and the benchmark-archetype change deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdIsa {
+    /// Plain scalar code, the only kind there is.
+    Portable,
+}
+
+impl SimdIsa {
+    /// Stable lowercase label (`"portable"`). Benchmark-harness shim.
+    pub fn label(self) -> &'static str {
+        "portable"
+    }
+
+    /// Parses a label (the inverse of [`label`](Self::label)).
+    /// Benchmark-harness shim.
+    pub fn parse(s: &str) -> Option<SimdIsa> {
+        (s == "portable").then_some(SimdIsa::Portable)
+    }
+
+    /// Always `true`. Benchmark-harness shim.
+    pub fn is_supported(self) -> bool {
+        true
+    }
+
+    /// Always 1: there are no lanes. Benchmark-harness shim.
+    pub fn lane_width(self) -> usize {
+        1
+    }
+
+    /// Accepts the only ISA there is; a no-op. Benchmark-harness shim.
+    pub fn force(_isa: SimdIsa) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Always [`SimdIsa::Portable`]. Benchmark-harness shim.
+    pub fn active() -> SimdIsa {
+        SimdIsa::Portable
+    }
+}
+
+/// Value and classification of one point of a
+/// [`run_lanes`](ExecBackend::run_lanes) call. The benchmark-archetype
+/// change deletes it with `run_lanes`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneEval {
-    /// The resolved representing-function value. Meaningless (and discarded
-    /// by consumers) when `outcome` is not [`RunOutcome::Done`].
+    /// The representing-function value. Meaningless (and discarded by
+    /// consumers) when `outcome` is not [`RunOutcome::Done`].
     pub value: f64,
-    /// How the lane's execution ended.
+    /// How the execution ended.
     pub outcome: RunOutcome,
 }
 
@@ -93,50 +139,54 @@ pub trait ExecBackend: std::fmt::Debug + Send {
     /// Stable backend name recorded in reports and bench artifacts.
     fn name(&self) -> &'static str;
 
-    /// Number of evaluations the batched path processes in lockstep:
-    /// [`LANE_WIDTH`] for every backend. Kept for the end-to-end benchmark
-    /// harness (`perfbench/`), whose tracing backend forwards it.
+    /// Always 1: there are no lanes. No product code calls it; the
+    /// benchmark harness's tracing backend forwards it, and the
+    /// benchmark-archetype change deletes it.
     fn lane_width(&self) -> usize {
-        LANE_WIDTH
+        1
     }
 
-    /// The instruction set of the lane kernels: always
-    /// [`SimdIsa::Portable`]. Kept for the benchmark harness.
+    /// Always [`SimdIsa::Portable`]. No product code calls it; kept for
+    /// the benchmark harness until the benchmark-archetype change.
     fn simd_isa(&self) -> SimdIsa {
         SimdIsa::Portable
     }
 
-    /// A no-op: there is one instruction set. Kept for the benchmark
-    /// harness.
+    /// A no-op. No product code calls it; kept for the benchmark harness
+    /// until the benchmark-archetype change.
     fn set_simd(&mut self, _isa: SimdIsa) {}
 
-    /// Smallest batch the lane path takes: [`MIN_LANE_BATCH`], which the
-    /// objective engine reads directly. Kept for the benchmark harness,
-    /// whose tracing backend forwards it.
+    /// Always 1: every batch runs point by point. No product code calls
+    /// it; kept for the benchmark harness until the benchmark-archetype
+    /// change.
     fn min_batch(&self) -> usize {
-        MIN_LANE_BATCH
+        1
     }
 
-    /// Sets the `ε` used by branch distances. Called once when the backend
-    /// is installed into an evaluation pipeline.
+    /// Sets the `ε` of the context behind [`run_lanes`](Self::run_lanes)
+    /// (the [`ExecCtx`] passed to [`run`](Self::run) carries its own `ε`).
+    /// Deleted with `run_lanes` by the benchmark-archetype change.
     fn set_epsilon(&mut self, epsilon: f64);
 
-    /// Points the backend at a new saturation snapshot. Called on round
-    /// boundaries, never with lanes in flight.
+    /// Points the context behind [`run_lanes`](Self::run_lanes) at a new
+    /// saturation snapshot. Deleted with `run_lanes` by the
+    /// benchmark-archetype change.
     fn retarget(&mut self, saturated: &BranchSet);
 
-    /// Executes `program` on `input` against `ctx` — the scalar/full path.
-    /// `ctx` may be in any mode (eager representing, observe, …); the
-    /// backend must report branches through it exactly as
-    /// [`Program::execute`] would.
+    /// Executes `program` on `input` against `ctx`. `ctx` may be in any
+    /// mode (eager representing, observe, …); the backend must report
+    /// branches through it exactly as [`Program::execute`] would.
     fn run(&mut self, program: &dyn Program, input: &[f64], ctx: &mut ExecCtx);
 
     /// Evaluates the representing function at `points[i]` for every `i` in
-    /// `indices`, appending one [`LaneEval`] per index (in order) to `out`.
-    /// This is the deferred-penalty batch path: no coverage, no trace, just
-    /// the value and the run classification. The benchmark harness's
-    /// tracing backend wraps it to count lane calls, so its signature is
-    /// part of that harness's contract.
+    /// `indices`, appending one [`LaneEval`] per index (in order) to `out`,
+    /// against the snapshot and `ε` last given to
+    /// [`retarget`](Self::retarget) and [`set_epsilon`](Self::set_epsilon).
+    /// Implementations loop [`run`](Self::run) through [`run_each`], so a
+    /// point's value is bit-identical to `run` on an eager context. The
+    /// objective engine calls it with one index per batch point; the
+    /// benchmark harness's tracing backend counts those calls. The
+    /// benchmark-archetype change deletes it.
     fn run_lanes(
         &mut self,
         program: &dyn Program,
@@ -155,19 +205,46 @@ impl Clone for Box<dyn ExecBackend> {
     }
 }
 
-/// The historical backend: [`Program::execute`] for scalar evaluations,
-/// and for each lane of a batch run through [`LaneCtx::run_lanes`]. Works
-/// for every program.
+/// The shared body of every backend's
+/// [`run_lanes`](ExecBackend::run_lanes): runs `execute` (the backend's
+/// [`run`](ExecBackend::run)) on `points[i]` against `ctx` for every `i` in
+/// `indices`, one point at a time, appending one [`LaneEval`] per index.
+/// `ctx` is the backend's eager representing context without trace or
+/// coverage, kept current by [`set_epsilon`](ExecBackend::set_epsilon) and
+/// [`retarget`](ExecBackend::retarget). Deleted with `run_lanes` by the
+/// benchmark-archetype change.
+pub fn run_each(
+    ctx: &mut ExecCtx,
+    points: &[Vec<f64>],
+    indices: &[usize],
+    out: &mut Vec<LaneEval>,
+    mut execute: impl FnMut(&[f64], &mut ExecCtx),
+) {
+    for &index in indices {
+        ctx.reset();
+        execute(&points[index], ctx);
+        out.push(LaneEval {
+            value: ctx.representing_value(),
+            outcome: ctx.run_outcome(),
+        });
+    }
+}
+
+/// The historical backend: [`Program::execute`] per evaluation. Works for
+/// every program.
 #[derive(Debug, Clone)]
 pub struct InterpBackend {
-    lane: LaneCtx,
+    /// The context behind [`run_lanes`](ExecBackend::run_lanes).
+    lanes: ExecCtx,
 }
 
 impl InterpBackend {
-    /// Creates the backend against the empty saturation snapshot.
+    /// Creates the backend.
     pub fn new() -> InterpBackend {
         InterpBackend {
-            lane: LaneCtx::new(BranchSet::new()),
+            lanes: ExecCtx::representing(BranchSet::new())
+                .without_trace()
+                .without_coverage(),
         }
     }
 }
@@ -184,12 +261,11 @@ impl ExecBackend for InterpBackend {
     }
 
     fn set_epsilon(&mut self, epsilon: f64) {
-        let lane = std::mem::take(&mut self.lane);
-        self.lane = lane.with_epsilon(epsilon);
+        self.lanes = self.lanes.clone().with_epsilon(epsilon);
     }
 
     fn retarget(&mut self, saturated: &BranchSet) {
-        self.lane.retarget(saturated.clone());
+        self.lanes.retarget(saturated.clone());
     }
 
     fn run(&mut self, program: &dyn Program, input: &[f64], ctx: &mut ExecCtx) {
@@ -203,7 +279,7 @@ impl ExecBackend for InterpBackend {
         indices: &[usize],
         out: &mut Vec<LaneEval>,
     ) {
-        self.lane.run_lanes(points, indices, out, |input, ctx| {
+        run_each(&mut self.lanes, points, indices, out, |input, ctx| {
             program.execute(input, ctx)
         });
     }
@@ -246,25 +322,39 @@ mod tests {
 
     #[test]
     fn interp_backend_lanes_match_eager_execution() {
+        // `run_lanes` loops `run` on the backend's own context; it must answer
+        // exactly what `run` does on an eager context.
         let program = paper_example();
         let saturated: BranchSet = [BranchId::false_of(1)].into_iter().collect();
         let mut backend = InterpBackend::new();
         backend.set_epsilon(DEFAULT_EPSILON);
         backend.retarget(&saturated);
         assert_eq!(backend.name(), "interp");
-        assert_eq!(backend.lane_width(), LANE_WIDTH);
-        assert_eq!(backend.min_batch(), MIN_LANE_BATCH);
+        assert_eq!(backend.lane_width(), 1);
+        assert_eq!(backend.min_batch(), 1);
 
         let points: Vec<Vec<f64>> = (0..19).map(|i| vec![i as f64 * 0.61 - 7.0]).collect();
-        let indices: Vec<usize> = (0..points.len()).collect();
+        let indices: Vec<usize> = (0..points.len()).rev().step_by(2).collect();
         let mut evals = Vec::new();
-        backend.run_lanes(&paper_example(), &points, &indices, &mut evals);
-        assert_eq!(evals.len(), points.len());
-        for (point, eval) in points.iter().zip(&evals) {
+        backend.run_lanes(&program, &points, &indices, &mut evals);
+        assert_eq!(evals.len(), indices.len());
+        for (&index, eval) in indices.iter().zip(&evals) {
             let mut eager = ExecCtx::representing(saturated.clone());
-            program.execute(point, &mut eager);
+            backend.run(&program, &points[index], &mut eager);
             assert_eq!(eval.value.to_bits(), eager.representing_value().to_bits());
             assert_eq!(eval.outcome, RunOutcome::Done);
+        }
+    }
+
+    #[test]
+    fn simd_isa_labels_round_trip_and_reject_unknowns() {
+        let isa = SimdIsa::active();
+        assert_eq!(SimdIsa::parse(isa.label()), Some(isa));
+        assert_eq!(isa.lane_width(), 1);
+        assert!(isa.is_supported());
+        assert_eq!(SimdIsa::force(isa), Ok(()));
+        for gone in ["sse2", "avx2", "avx512", ""] {
+            assert_eq!(SimdIsa::parse(gone), None);
         }
     }
 

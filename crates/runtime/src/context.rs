@@ -16,75 +16,9 @@
 //! program on `x`, and read [`ExecCtx::representing_value`].
 
 use crate::branch::{BranchId, BranchSet, Direction, SiteId};
-use crate::distance::{distance, Cmp, DEFAULT_EPSILON};
+use crate::distance::{Cmp, DEFAULT_EPSILON};
 use crate::pen::{pen, SiteSaturation};
 use crate::trace::{TakenBranch, Trace};
-
-/// Per-site `pen` dispatch codes of the deferred-penalty (lane) execution
-/// mode. The saturation snapshot is indexed into one `u8` per site, so the
-/// per-branch work of a deferred execution is a single gather into this
-/// table plus a branch-free overwrite of the pending-event slot.
-///
-/// Public because a pending event carries its code out of the context:
-/// [`resolve_pen_lanes`](crate::lane::resolve_pen_lanes) resolves lane
-/// buffers of them.
-pub mod pen_code {
-    /// Neither side saturated: `pen` would return `0`.
-    pub const OPEN: u8 = 0;
-    /// Only the false side saturated: `pen` would return
-    /// `distance(op, a, b)` (the unsaturated true side is the target).
-    pub const FALSE_SATURATED: u8 = 1;
-    /// Only the true side saturated: `pen` would return
-    /// `distance(op.negate(), a, b)`.
-    pub const TRUE_SATURATED: u8 = 2;
-    /// Both sides saturated: `pen` keeps the previous `r`, so the event
-    /// cannot influence the final value and is dropped at record time.
-    pub const KEEP: u8 = 3;
-    /// Sentinel for "no live event recorded yet": the accumulator keeps its
-    /// initial value `1`. Never stored in the per-site table.
-    pub const IDLE: u8 = 4;
-}
-
-/// The deferred-penalty state of one execution: the last branch event whose
-/// site was not fully saturated. Because `pen` either *overwrites* `r` with
-/// a value that does not depend on the previous `r` (cases (a)/(b) of
-/// Definition 4.2) or keeps it unchanged (case (c)), the final value of `r`
-/// is a function of this one event alone — which is what lets the lane
-/// backend skip the distance computation at every conditional and finalize
-/// once per execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PendingPen {
-    /// One of the [`pen_code`] constants ([`pen_code::KEEP`] excluded).
-    pub code: u8,
-    /// Comparison operator of the event.
-    pub op: Cmp,
-    /// Left operand at the moment of the comparison.
-    pub lhs: f64,
-    /// Right operand at the moment of the comparison.
-    pub rhs: f64,
-}
-
-impl PendingPen {
-    pub(crate) const IDLE: PendingPen = PendingPen {
-        code: pen_code::IDLE,
-        op: Cmp::Eq,
-        lhs: 0.0,
-        rhs: 0.0,
-    };
-
-    /// Resolves the pending event into the final accumulator value,
-    /// computing exactly the `distance` call the last live `pen` would have
-    /// made (bit-for-bit: same function, same operands, same `ε`).
-    pub(crate) fn resolve(self, epsilon: f64) -> f64 {
-        match self.code {
-            pen_code::IDLE => 1.0,
-            pen_code::OPEN => 0.0,
-            pen_code::FALSE_SATURATED => distance(self.op, self.lhs, self.rhs, epsilon),
-            pen_code::TRUE_SATURATED => distance(self.op.negate(), self.lhs, self.rhs, epsilon),
-            code => unreachable!("pen code {code} is never pending"),
-        }
-    }
-}
 
 /// How one execution of a program under test ended.
 ///
@@ -166,18 +100,6 @@ pub struct ExecCtx {
     /// unused) on per-execution contexts, whose construction must stay
     /// allocation-light. Sites past the end of the table are unsaturated.
     site_saturation: Vec<SiteSaturation>,
-    /// Whether this context runs in the deferred-penalty mode of the lane
-    /// backend: `branch` records only the last live event (one gather into
-    /// [`pen_codes`](Self::pen_codes) plus a pending-slot overwrite) and the
-    /// distance is computed once at the end instead of at every
-    /// conditional. See [`deferred_pen`](Self::deferred_pen).
-    defer_pen: bool,
-    /// Per-site [`pen_code`] table of the deferred mode, rebuilt whenever
-    /// the snapshot changes. Sites past the end are unsaturated
-    /// ([`pen_code::OPEN`]).
-    pen_codes: Vec<u8>,
-    /// Last live branch event of the current deferred execution.
-    pending: PendingPen,
     /// How the current execution ended. [`RunOutcome::Done`] unless the
     /// executor marked the run aborted; reset to `Done` by
     /// [`reset`](Self::reset).
@@ -197,9 +119,6 @@ impl ExecCtx {
             record_trace: true,
             record_coverage: true,
             site_saturation: Vec::new(),
-            defer_pen: false,
-            pen_codes: Vec::new(),
-            pending: PendingPen::IDLE,
             outcome: RunOutcome::Done,
         }
     }
@@ -219,43 +138,8 @@ impl ExecCtx {
             record_trace: true,
             record_coverage: true,
             site_saturation: Vec::new(),
-            defer_pen: false,
-            pen_codes: Vec::new(),
-            pending: PendingPen::IDLE,
             outcome: RunOutcome::Done,
         }
-    }
-
-    /// Switches a representing-mode context into the deferred-penalty mode
-    /// used by the lane backend ([`crate::LaneCtx`]). In this mode `branch`
-    /// does the least possible work — one gather into the per-site pen-code
-    /// table and a branch-free overwrite of the pending-event slot — and
-    /// the single distance that determines `r` is computed once per
-    /// execution ([`deferred_value`](Self::deferred_value)) instead of at
-    /// every conditional. Implies [`without_trace`](Self::without_trace)
-    /// and [`without_coverage`](Self::without_coverage): a deferred context
-    /// serves value-only evaluations.
-    ///
-    /// The value is bit-for-bit the one an ordinary representing execution
-    /// computes, because `pen` (Definition 4.2) either overwrites `r` with
-    /// a value independent of the previous `r` or keeps `r` unchanged —
-    /// so only the last event at a not-fully-saturated site matters, and
-    /// its distance is computed by the same [`distance`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context is not in representing mode.
-    pub fn deferred_pen(mut self) -> ExecCtx {
-        assert_eq!(
-            self.mode,
-            ExecMode::Representing,
-            "deferred pen requires a representing-mode context"
-        );
-        self.defer_pen = true;
-        self.record_trace = false;
-        self.record_coverage = false;
-        self.rebuild_pen_codes();
-        self
     }
 
     /// Overrides the `ε` used by the branch distances.
@@ -303,27 +187,6 @@ impl ExecCtx {
     /// performing the injected `r = pen(site, op, a, b)` assignment.
     #[inline]
     pub fn branch(&mut self, site: SiteId, op: Cmp, a: f64, b: f64) -> bool {
-        if self.defer_pen {
-            // Lane fast path: the only per-branch work is a gather into the
-            // pen-code table and (for sites that can still influence `r`)
-            // an overwrite of the pending-event slot. The distance itself
-            // is deferred to the finalize, because later live events
-            // overwrite it anyway.
-            let code = self
-                .pen_codes
-                .get(site as usize)
-                .copied()
-                .unwrap_or(pen_code::OPEN);
-            if code != pen_code::KEEP {
-                self.pending = PendingPen {
-                    code,
-                    op,
-                    lhs: a,
-                    rhs: b,
-                };
-            }
-            return op.eval(a, b);
-        }
         // The assignment to r happens *before* the conditional in the
         // instrumented program, so update r first.
         if self.mode == ExecMode::Representing {
@@ -421,37 +284,9 @@ impl ExecCtx {
     ///
     /// For a representing-mode context this is `FOO_R(x)` once the program
     /// has finished executing on `x`; for an observe-mode context it stays
-    /// at its initial value `1`. On a [`deferred_pen`](Self::deferred_pen)
-    /// context the value is resolved from the pending event (one `distance`
-    /// call) — bit-identical to what the eager accumulation computes.
+    /// at its initial value `1`.
     pub fn representing_value(&self) -> f64 {
-        if self.defer_pen {
-            self.pending.resolve(self.epsilon)
-        } else {
-            self.r
-        }
-    }
-
-    /// The pending last live event of a deferred-penalty execution; used by
-    /// the lane backend to harvest one lane into its SoA buffers.
-    pub(crate) fn pending_pen(&self) -> PendingPen {
-        self.pending
-    }
-
-    /// Rebuilds the per-site pen-code table of the deferred mode from the
-    /// current saturation snapshot.
-    fn rebuild_pen_codes(&mut self) {
-        self.pen_codes.clear();
-        if let Some(max_site) = self.saturated.iter().map(|b| b.site).max() {
-            self.pen_codes.resize(max_site as usize + 1, pen_code::OPEN);
-            for branch in self.saturated.iter() {
-                let entry = &mut self.pen_codes[branch.site as usize];
-                *entry |= match branch.direction {
-                    Direction::True => pen_code::TRUE_SATURATED,
-                    Direction::False => pen_code::FALSE_SATURATED,
-                };
-            }
-        }
+        self.r
     }
 
     /// Branches covered by this execution (empty if coverage recording is
@@ -488,9 +323,6 @@ impl ExecCtx {
                 }
             }
         }
-        if self.defer_pen {
-            self.rebuild_pen_codes();
-        }
     }
 
     /// The ordered decision trace of this execution (empty if disabled).
@@ -508,18 +340,9 @@ impl ExecCtx {
     /// reuse one allocation across many executions.
     #[inline]
     pub fn reset(&mut self) {
-        if self.defer_pen {
-            // A deferred context records neither coverage nor trace and
-            // never folds `r`; only the pending event and the run outcome
-            // carry state.
-            self.pending = PendingPen::IDLE;
-            self.outcome = RunOutcome::Done;
-            return;
-        }
         self.covered.clear();
         self.trace.clear();
         self.r = 1.0;
-        self.pending = PendingPen::IDLE;
         self.outcome = RunOutcome::Done;
     }
 }
@@ -706,12 +529,6 @@ mod tests {
         assert_eq!(ctx.run_outcome(), RunOutcome::Done);
         ctx.mark_trap();
         assert_eq!(ctx.run_outcome(), RunOutcome::Trap);
-        // Deferred contexts reset the outcome too (early-return branch).
-        let mut deferred = ExecCtx::representing(BranchSet::new()).deferred_pen();
-        deferred.mark_timeout();
-        assert_eq!(deferred.run_outcome(), RunOutcome::Timeout);
-        deferred.reset();
-        assert_eq!(deferred.run_outcome(), RunOutcome::Done);
     }
 
     #[test]

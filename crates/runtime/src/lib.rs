@@ -52,19 +52,15 @@ pub mod branch;
 pub mod context;
 pub mod coverage;
 pub mod distance;
-pub mod lane;
 pub mod pen;
 pub mod program;
-pub mod simd;
 pub mod trace;
 
-pub use backend::{BackendMode, ExecBackend, InterpBackend, LaneEval};
+pub use backend::{BackendMode, ExecBackend, InterpBackend, LaneEval, SimdIsa};
 pub use branch::{BranchId, BranchSet, Direction, SiteId};
-pub use context::{pen_code, ExecCtx, ExecMode, RunOutcome};
+pub use context::{ExecCtx, ExecMode, RunOutcome};
 pub use coverage::{CoverageMap, CoverageSummary};
 pub use distance::{distance, Cmp, DEFAULT_EPSILON};
-pub use lane::{resolve_pen, resolve_pen_lanes, LaneCtx, LANE_WIDTH, MIN_LANE_BATCH};
 pub use pen::{pen, SiteSaturation};
 pub use program::{fingerprint_bytes, fingerprint_seed, native_fingerprint, FnProgram, Program};
-pub use simd::SimdIsa;
 pub use trace::{TakenBranch, Trace};

@@ -11,26 +11,18 @@ What is gated
 CI runners differ wildly in absolute speed, so raw evals/sec cannot be
 compared against a baseline recorded on another machine. What *is* stable
 is throughput **normalized to the same-machine legacy path**: the speedup
-ratios ``engine_speedup_vs_legacy``, ``lane_speedup_vs_engine`` and
-``star_speedup_vs_engine`` divide out the machine, and a >15% drop in any
-of them means the corresponding evaluation path really got slower relative
-to the work it wraps — the regression the gate exists to catch. Absolute
+ratio ``engine_speedup_vs_legacy`` divides out the machine, and a >15%
+drop means the engine's evaluation path really got slower relative to the
+work it wraps — the regression the gate exists to catch. Absolute
 evals/sec are printed for context but never gated.
 
-The lane/star ratios are gated only for branch-dense functions (at least
-``--min-gated-sites`` conditional sites, default 20): that is where the
-lane backend's deferred-penalty savings dominate and the ratio is robust
-across microarchitectures. On 4–5-site functions the lane advantage hovers
-near 1x and swings with auto-vectorization luck, so those rows are
-reported without being enforced.
-
 The schema-2 artifact adds an ``fpir`` table measured across the
-execution-backend axis (interpreter vs compiled tape, scalar vs lane).
-Its two ratios are gated with the same relative tolerance, and the
-tape-lane-vs-interp-lane ratio additionally carries an **absolute floor**
-(default 1.5x, ``--tape-lane-floor``): the tape backend's acceptance bar
-is 1.5x the interpreted lane path on the corpus, independent of what the
-baseline happens to record.
+execution-backend axis (interpreter vs compiled tape). Its ratio
+``tape_speedup_vs_interp`` is gated with the same relative tolerance and
+additionally carries an **absolute floor** (default 1.5x,
+``--tape-floor``): the tape backend's acceptance bar is 1.5x the
+interpreter on the corpus, independent of what the baseline happens to
+record.
 
 Campaign search-efficiency gate
 -------------------------------
@@ -53,31 +45,19 @@ import argparse
 import json
 import sys
 
-# (metric, gated only for branch-dense functions?)
-GATED_METRICS = (
-    ("engine_speedup_vs_legacy", False),
-    ("lane_speedup_vs_engine", True),
-    ("star_speedup_vs_engine", True),
-)
+GATED_METRICS = ("engine_speedup_vs_legacy",)
 REPORTED_METRICS = (
     "legacy_evals_per_sec",
     "engine_evals_per_sec",
-    "lane_evals_per_sec",
-    "star_evals_per_sec",
     "hot_evals_per_sec",
 )
 
-# Backend-axis ratios gated on the fpir table (relative tolerance; the
-# lane ratio additionally has the absolute --tape-lane-floor).
-FPIR_GATED_METRICS = (
-    "tape_speedup_vs_interp",
-    "tape_lane_speedup_vs_interp_lane",
-)
+# Backend-axis ratio gated on the fpir table: relative tolerance plus the
+# absolute --tape-floor.
+FPIR_GATED_METRICS = ("tape_speedup_vs_interp",)
 FPIR_REPORTED_METRICS = (
     "interp_evals_per_sec",
-    "interp_lane_evals_per_sec",
     "tape_evals_per_sec",
-    "tape_lane_evals_per_sec",
 )
 
 UPDATE_INSTRUCTIONS = """\
@@ -167,18 +147,11 @@ def main():
         help="allowed relative drop per gated metric (default 0.15 = 15%%)",
     )
     parser.add_argument(
-        "--min-gated-sites",
-        type=int,
-        default=20,
-        help="fewest conditional sites for the lane/star ratios to be "
-        "enforced rather than just reported (default 20)",
-    )
-    parser.add_argument(
-        "--tape-lane-floor",
+        "--tape-floor",
         type=float,
         default=1.5,
-        help="absolute floor on tape_lane_speedup_vs_interp_lane for every "
-        "fpir row (default 1.5 = the tape backend's acceptance bar)",
+        help="absolute floor on tape_speedup_vs_interp for every fpir row "
+        "(default 1.5 = the tape backend's acceptance bar)",
     )
     parser.add_argument(
         "--campaign-baseline",
@@ -228,32 +201,22 @@ def main():
     current_rows = {row["function"]: row for row in current["functions"]}
 
     failures = campaign_failures
-    metric_names = ", ".join(metric for metric, _ in GATED_METRICS)
-    print(
-        f"bench_gate: tolerance {args.tolerance:.0%} on {metric_names} "
-        f"(lane/star enforced at >= {args.min_gated_sites} sites)"
-    )
+    print(f"bench_gate: tolerance {args.tolerance:.0%} on {', '.join(GATED_METRICS)}")
     for name, base_row in sorted(baseline_rows.items()):
         row = current_rows.get(name)
         if row is None:
             failures.append(f"{name}: missing from the current benchmark run")
             continue
-        for metric, dense_only in GATED_METRICS:
+        for metric in GATED_METRICS:
             base_value = base_row[metric]
             value = row[metric]
             floor = base_value * (1.0 - args.tolerance)
-            enforced = not dense_only or row.get("sites", 0) >= args.min_gated_sites
-            if not enforced:
-                status = "report-only"
-            elif value >= floor:
-                status = "ok"
-            else:
-                status = "REGRESSED"
+            status = "ok" if value >= floor else "REGRESSED"
             print(
                 f"  {name:>8} {metric:<26} baseline {base_value:6.2f}x"
                 f"  current {value:6.2f}x  floor {floor:6.2f}x  {status}"
             )
-            if enforced and value < floor:
+            if value < floor:
                 drop = 1.0 - value / base_value if base_value else 1.0
                 failures.append(
                     f"{name}: {metric} dropped {drop:.0%} "
@@ -270,7 +233,7 @@ def main():
         print(f"bench_gate: note: functions not in the baseline (ignored): {', '.join(extra)}")
 
     # Backend axis (schema 2): relative tolerance against the baseline plus
-    # the absolute tape-lane floor on every current row.
+    # the absolute tape floor on every current row.
     baseline_fpir = {row["function"]: row for row in baseline.get("fpir", [])}
     current_fpir = {row["function"]: row for row in current.get("fpir", [])}
     if baseline_fpir and not current_fpir:
@@ -278,7 +241,7 @@ def main():
     if current_fpir:
         print(
             f"bench_gate: fpir backend axis — tolerance {args.tolerance:.0%}, "
-            f"absolute tape-lane floor {args.tape_lane_floor:.2f}x"
+            f"absolute tape floor {args.tape_floor:.2f}x"
         )
     for name, row in sorted(current_fpir.items()):
         base_row = baseline_fpir.get(name)
@@ -287,8 +250,7 @@ def main():
             floor = 0.0
             if base_row is not None:
                 floor = base_row[metric] * (1.0 - args.tolerance)
-            if metric == "tape_lane_speedup_vs_interp_lane":
-                floor = max(floor, args.tape_lane_floor)
+            floor = max(floor, args.tape_floor)
             status = "ok" if value >= floor else "REGRESSED"
             print(
                 f"  {name:>12} {metric:<34} current {value:6.2f}x"

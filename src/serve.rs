@@ -30,7 +30,7 @@
 //! `shutting-down`, `error` (with `line`/`column` for malformed frames),
 //! `rejected` (admission control), and for an admitted job the stream
 //! `accepted` → `function`* → `report` → `done`, where `report` embeds the
-//! same `coverme-campaign-report/9` document `coverme campaign --json`
+//! same `coverme-campaign-report/10` document `coverme campaign --json`
 //! writes, compacted onto one line.
 //!
 //! Hostile input never takes the daemon down: malformed frames get a
@@ -50,7 +50,6 @@ use coverme::{
     Campaign, CampaignConfig, CampaignEvent, CancelToken, CorpusStore, CoverMeConfig, Program,
 };
 use coverme_fpir::{check, instrument, parse as parse_fpir, IrProgram};
-use coverme_runtime::LANE_WIDTH;
 
 /// Hard cap on one request frame, in bytes. A line longer than this is
 /// answered with an `error` event and the connection is closed — a frame
@@ -306,10 +305,6 @@ fn handle_connection(server: &Server, stream: TcpStream) {
                 "max_jobs".to_string(),
                 JsonValue::Number(server.options.max_jobs as f64),
             ),
-            (
-                "lane_width".to_string(),
-                JsonValue::Number(LANE_WIDTH as f64),
-            ),
         ],
     );
     if send(&mut writer, &hello).is_err() {
@@ -443,10 +438,6 @@ fn stats_event(server: &Server) -> String {
         (
             "workers".to_string(),
             JsonValue::Number(server.pool.total as f64),
-        ),
-        (
-            "lane_width".to_string(),
-            JsonValue::Number(LANE_WIDTH as f64),
         ),
     ];
     if let Some(store) = &server.options.corpus {

@@ -6,8 +6,8 @@
 //! instrument, interpret, objective engine — and the suite pins the three
 //! invariants the engine promises:
 //!
-//! 1. the scalar and lane-batched evaluation paths are **bit-identical**,
-//!    at every saturation snapshot;
+//! 1. the scalar and batched evaluation paths are **bit-identical**, at
+//!    every saturation snapshot;
 //! 2. memoization is invisible: cache on and cache off produce bit-identical
 //!    values;
 //! 3. every run is classified ([`RunOutcome`]), aborted runs surface the
@@ -76,37 +76,37 @@ fn random_saturation(rng: &mut Rng, num_sites: usize) -> BranchSet {
 }
 
 #[test]
-fn scalar_and_lane_paths_are_bit_identical_across_saturation_snapshots() {
+fn scalar_and_batch_paths_are_bit_identical_across_saturation_snapshots() {
     for seed in 0..PROGRAMS {
         let program = compile_seed(seed);
         let num_sites = program.num_sites();
         let arity = Program::arity(&program);
         let mut scalar_engine = ObjectiveEngine::new(program, 1.0).cache_mode(CacheMode::Off);
-        let lane_program = compile_seed(seed);
-        let mut lane_engine = ObjectiveEngine::new(lane_program, 1.0).cache_mode(CacheMode::Off);
+        let batch_program = compile_seed(seed);
+        let mut batch_engine = ObjectiveEngine::new(batch_program, 1.0).cache_mode(CacheMode::Off);
 
         let mut rng = Rng(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5);
-        let mut lane_values = Vec::new();
+        let mut batch_values = Vec::new();
         // Snapshot 0 is the empty saturation set the search starts from.
         for snapshot in 0..3 {
             if snapshot > 0 {
                 let saturated = random_saturation(&mut rng, num_sites);
                 scalar_engine.retarget(&saturated);
-                lane_engine.retarget(&saturated);
+                batch_engine.retarget(&saturated);
             }
             let points: Vec<Vec<f64>> = (0..6).map(|_| rng.point(arity)).collect();
             let scalar: Vec<f64> = points
                 .iter()
                 .map(|p| scalar_engine.eval_scalar(p))
                 .collect();
-            // `eval_lanes` appends to its output; clear between batches.
-            lane_values.clear();
-            lane_engine.eval_lanes(&points, &mut lane_values);
-            for (index, (s, l)) in scalar.iter().zip(&lane_values).enumerate() {
+            // `eval_batch` appends to its output; clear between batches.
+            batch_values.clear();
+            batch_engine.eval_batch(&points, &mut batch_values);
+            for (index, (s, l)) in scalar.iter().zip(&batch_values).enumerate() {
                 assert_eq!(
                     s.to_bits(),
                     l.to_bits(),
-                    "seed {seed}, snapshot {snapshot}, point {index}: scalar {s:e} != lane {l:e}"
+                    "seed {seed}, snapshot {snapshot}, point {index}: scalar {s:e} != batch {l:e}"
                 );
             }
         }
