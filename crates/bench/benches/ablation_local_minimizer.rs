@@ -1,4 +1,4 @@
-//! Ablation 1 (DESIGN.md): which local minimizer should Basinhopping use?
+//! Ablation: which local minimizer should Basinhopping use?
 //! Runs CoverMe on s_tanh with Powell, Nelder-Mead and compass search.
 
 use criterion::{criterion_group, criterion_main, Criterion};

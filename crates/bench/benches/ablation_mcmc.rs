@@ -1,4 +1,4 @@
-//! Ablation 4 (DESIGN.md): MCMC parameters — number of Monte-Carlo
+//! Ablation: MCMC parameters — number of Monte-Carlo
 //! iterations per start and the perturbation distribution.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,4 +1,4 @@
-//! Ablation 2/3 (DESIGN.md): saturation vs covered-only pen, and the
+//! Ablation: saturation vs covered-only pen, and the
 //! near-miss polish step.
 
 use criterion::{criterion_group, criterion_main, Criterion};

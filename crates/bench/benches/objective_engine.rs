@@ -40,7 +40,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use coverme::objective::ObjectiveEngine;
+use coverme::objective::{CacheMode, ObjectiveEngine};
 use coverme::{BackendMode, BranchId, BranchSet};
 use coverme_fdlibm::by_name;
 use coverme_fpir::{compile, IrProgram};
@@ -191,7 +191,8 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
         best_of(
             reps,
             || {
-                let mut engine = ObjectiveEngine::new(&benchmark, epsilon).with_cache(true);
+                let mut engine =
+                    ObjectiveEngine::new(&benchmark, epsilon).cache_mode(CacheMode::On);
                 engine.retarget(&saturated);
                 engine
             },
@@ -209,7 +210,7 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
     );
 
     // Whatever the timings, the paths must agree bit for bit.
-    let mut check_engine = ObjectiveEngine::new(&benchmark, epsilon).with_cache(true);
+    let mut check_engine = ObjectiveEngine::new(&benchmark, epsilon).cache_mode(CacheMode::On);
     check_engine.retarget(&saturated);
     for x in points.iter().take(16) {
         let mut ctx = ExecCtx::representing(saturated.clone())
@@ -290,7 +291,7 @@ fn measure_fpir(name: &'static str, measure_mode: bool) -> FpirRow {
         let saturated = saturated.clone();
         move || {
             let mut engine = ObjectiveEngine::new(program.clone(), epsilon)
-                .with_cache(false)
+                .cache_mode(CacheMode::Off)
                 .backend_mode(mode);
             engine.retarget(&saturated);
             engine

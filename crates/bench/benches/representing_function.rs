@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use coverme::objective::ObjectiveEngine;
+use coverme::objective::{CacheMode, ObjectiveEngine};
 use coverme::{BranchSet, RepresentingFunction};
 use coverme_fdlibm::by_name;
 use coverme_runtime::DEFAULT_EPSILON;
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
             bench.iter(|| black_box(foo_r.eval(black_box(&input))))
         });
 
-        let mut engine = ObjectiveEngine::new(b, DEFAULT_EPSILON).with_cache(false);
+        let mut engine = ObjectiveEngine::new(b, DEFAULT_EPSILON).cache_mode(CacheMode::Off);
         group.bench_function(format!("{name}/engine"), |bench| {
             bench.iter(|| black_box(engine.eval_scalar(black_box(&input))))
         });

@@ -4,14 +4,9 @@
 //! Usage: `table2_branch_coverage [--format table|series] [benchmark ...]`
 //! Set `COVERME_FULL=1` for the paper's full budgets, and `COVERME_SHARDS=N`
 //! to split each function's `n_start` budget across N shard units of the
-//! campaign schedule (deterministic per shard count), with
-//! `COVERME_SYNC_EPOCHS=E` to sync saturation across those shards at E
-//! deterministic epoch barriers.
+//! campaign schedule (deterministic per shard count).
 
-use coverme_bench::{
-    mean, pct, run_afl, run_campaign, run_rand, shards_from_env, sync_epochs_from_env,
-    HarnessBudget,
-};
+use coverme_bench::{mean, pct, run_afl, run_campaign, run_rand, shards_from_env, HarnessBudget};
 use coverme_fdlibm::{all, by_name};
 
 fn main() {
@@ -52,13 +47,7 @@ fn main() {
     // results in benchmark order); the baselines then run per benchmark with
     // their budgets derived from each function's CoverMe time, as in the
     // paper.
-    let campaign = run_campaign(
-        &benchmarks,
-        budget,
-        2024,
-        shards_from_env(),
-        sync_epochs_from_env(),
-    );
+    let campaign = run_campaign(&benchmarks, budget, 2024, shards_from_env());
     for (b, result) in benchmarks.iter().zip(&campaign.results) {
         let coverme = result.report.as_ref().expect("campaign has no time budget");
         let rand = run_rand(b, budget, coverme.wall_time, 2024);

@@ -1,12 +1,8 @@
 //! Regenerates Table 5: line coverage (block-coverage proxy for the native
 //! ports) for CoverMe vs Rand vs AFL. Set `COVERME_FULL=1` for the paper's
-//! full budgets and `COVERME_SHARDS=N` to shard each function's search
-//! (`COVERME_SYNC_EPOCHS=E` syncs saturation across shards at E barriers).
+//! full budgets and `COVERME_SHARDS=N` to shard each function's search.
 
-use coverme_bench::{
-    mean, pct, run_afl, run_campaign, run_rand, shards_from_env, sync_epochs_from_env,
-    HarnessBudget,
-};
+use coverme_bench::{mean, pct, run_afl, run_campaign, run_rand, shards_from_env, HarnessBudget};
 use coverme_fdlibm::{all, by_name};
 
 fn main() {
@@ -25,13 +21,7 @@ fn main() {
     let (mut r, mut a, mut c) = (Vec::new(), Vec::new(), Vec::new());
     // CoverMe runs as one parallel campaign; baselines follow per benchmark
     // with budgets derived from each function's CoverMe time.
-    let campaign = run_campaign(
-        &benchmarks,
-        budget,
-        5,
-        shards_from_env(),
-        sync_epochs_from_env(),
-    );
+    let campaign = run_campaign(&benchmarks, budget, 5, shards_from_env());
     for (b, result) in benchmarks.iter().zip(&campaign.results) {
         let coverme = result.report.as_ref().expect("campaign has no time budget");
         let rand = run_rand(b, budget, coverme.wall_time, 5);

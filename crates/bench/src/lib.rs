@@ -82,18 +82,6 @@ pub fn shards_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// Per-function cross-shard sync-epoch count for the campaign harnesses,
-/// from the `COVERME_SYNC_EPOCHS` environment variable (default 0 = sync
-/// off, the pre-sync behavior). Only meaningful together with
-/// `COVERME_SHARDS > 1`; results stay deterministic per
-/// `(seed, shards, sync_epochs)` at any worker count.
-pub fn sync_epochs_from_env() -> usize {
-    std::env::var("COVERME_SYNC_EPOCHS")
-        .ok()
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(0)
-}
-
 /// One row of the CoverMe-vs-baselines comparison.
 #[derive(Debug, Clone)]
 pub struct ComparisonRow {
@@ -129,13 +117,9 @@ pub fn run_coverme(benchmark: &Benchmark, budget: HarnessBudget, seed: u64) -> T
 /// benchmark, fanned across worker threads with per-function seeds derived
 /// from `seed`, and each function's `n_start` budget split across `shards`
 /// shard units of the campaign's two-level schedule (`shards <= 1` is the
-/// unsharded paper setup). With `sync_epochs > 1` the shard units of each
-/// function additionally rendezvous at deterministic epoch barriers and
-/// exchange saturation deltas (see `coverme::sync`), recovering the
-/// sequential run's directed-search feedback at high shard counts. The
-/// report's results are in `benchmarks` order, so table harnesses can zip
-/// them back against the benchmark list and hand each function's
-/// wall-clock time to the baseline budgets.
+/// unsharded paper setup). The report's results are in `benchmarks` order,
+/// so table harnesses can zip them back against the benchmark list and
+/// hand each function's wall-clock time to the baseline budgets.
 ///
 /// Caveat on those times: per-function `wall_time` is measured inside a
 /// worker while sibling searches run on other cores. The campaign never
@@ -150,11 +134,8 @@ pub fn run_campaign(
     budget: HarnessBudget,
     seed: u64,
     shards: usize,
-    sync_epochs: usize,
 ) -> CampaignReport {
-    let base = paper_config(budget, seed)
-        .with_shards(shards)
-        .with_sync_epochs(sync_epochs);
+    let base = paper_config(budget, seed).with_shards(shards);
     Campaign::new(CampaignConfig::new().with_base(base)).run(benchmarks)
 }
 
@@ -265,20 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn sync_epochs_env_parses_and_defaults_to_off() {
-        std::env::set_var("COVERME_SYNC_EPOCHS", "4");
-        assert_eq!(sync_epochs_from_env(), 4);
-        std::env::set_var("COVERME_SYNC_EPOCHS", "junk");
-        assert_eq!(sync_epochs_from_env(), 0);
-        std::env::remove_var("COVERME_SYNC_EPOCHS");
-        assert_eq!(sync_epochs_from_env(), 0, "default is sync off");
-    }
-
-    #[test]
     fn sharded_campaign_keeps_tanh_coverage() {
         let benchmarks = vec![by_name("tanh").unwrap()];
-        let unsharded = run_campaign(&benchmarks, HarnessBudget::Quick, 3, 1, 0);
-        let sharded = run_campaign(&benchmarks, HarnessBudget::Quick, 3, 4, 0);
+        let unsharded = run_campaign(&benchmarks, HarnessBudget::Quick, 3, 1);
+        let sharded = run_campaign(&benchmarks, HarnessBudget::Quick, 3, 4);
         let a = unsharded.results[0].report.as_ref().unwrap();
         let b = sharded.results[0].report.as_ref().unwrap();
         assert!(
@@ -286,27 +257,6 @@ mod tests {
             "4 shards covered {} < {}",
             b.coverage.covered_count(),
             a.coverage.covered_count()
-        );
-    }
-
-    #[test]
-    fn synced_campaign_keeps_tanh_coverage() {
-        // Sync-on must not lose coverage against sync-off at equal budget.
-        // (Evaluation *savings* only appear on functions whose union
-        // saturates within the budget — the early-exit mechanism; tanh
-        // does not saturate under the quick budget, so only the coverage
-        // invariant is pinned here. The nightly --compare-sync run tracks
-        // the savings on the functions that do.)
-        let benchmarks = vec![by_name("tanh").unwrap()];
-        let blind = run_campaign(&benchmarks, HarnessBudget::Quick, 3, 4, 0);
-        let synced = run_campaign(&benchmarks, HarnessBudget::Quick, 3, 4, 4);
-        let off = blind.results[0].report.as_ref().unwrap();
-        let on = synced.results[0].report.as_ref().unwrap();
-        assert!(
-            on.coverage.covered_count() >= off.coverage.covered_count(),
-            "sync lost coverage: {} < {}",
-            on.coverage.covered_count(),
-            off.coverage.covered_count()
         );
     }
 

@@ -4,20 +4,16 @@
 //! The paper evaluates CoverMe one Fdlibm function at a time; reproducing a
 //! whole table is embarrassingly parallel because every function is searched
 //! independently. A [`Campaign`] runs its functions on one executor: a queue
-//! of **tasks** — one slice of one *(function, shard)* search
-//! ([`SearchState::run_rounds`]) — claimed by one worker loop on a pool of
-//! scoped threads ([`std::thread::scope`]).
+//! of **tasks** — one *(function, shard)* search run to exhaustion
+//! ([`SearchState::run_to_exhaustion`]) — claimed by one worker loop on a
+//! pool of scoped threads ([`std::thread::scope`]).
 //!
 //! There is one schedule, the paper's: every function runs its own
-//! `n_start` schedule. With `shards = 1` and sync off every function is a
-//! single task running one [`CoverMe`](crate::CoverMe) search to
-//! exhaustion, exactly the paper's setup; with `shards > 1` the schedule
-//! splits across shard units ([`crate::shard`]), and with `sync_epochs > 1`
-//! each shard's slice is cut into epochs ([`crate::sync`]). When the last
-//! shard of a function's epoch returns, the shards exchange
-//! [`SaturationDelta`](crate::saturation::SaturationDelta)s (commutative, so
-//! arrival order cannot matter) and the next epoch is enqueued, or the
-//! function is finalized.
+//! `n_start` schedule. With `shards = 1` every function is a single task
+//! running one [`CoverMe`](crate::CoverMe) search to exhaustion, exactly the
+//! paper's setup; with `shards > 1` the schedule splits across shard units
+//! ([`crate::shard`]), and when the last shard of a function returns, the
+//! shard snapshots are merged and the function is finalized.
 //!
 //! [`CoverMe::run`](crate::CoverMe::run) is a one-function run of the same
 //! executor on the calling thread, and
@@ -25,11 +21,10 @@
 //! one worker per shard:
 //!
 //! ```text
-//!              tasks (function, shard, rounds)
-//!   queue ──▶ worker loop ──▶ SearchState::run_rounds ──▶ settle
-//!     ▲                                                     │
-//!     │     last shard of the epoch back? exchange deltas,  │
-//!     └──── enqueue the next epoch — or finalize ◀──────────┘
+//!              tasks (function, shard)
+//!   queue ──▶ worker loop ──▶ SearchState::run_to_exhaustion ──▶ settle
+//!                                                                   │
+//!        last shard of the function back? merge and finalize ◀──────┘
 //! ```
 //!
 //! Because tasks are claimed from one shared queue seeded in
@@ -52,8 +47,8 @@
 //!   from the campaign seed, the *function name* and its duplicate-name
 //!   occurrence (never from scheduling or its inventory position, so a
 //!   subset campaign reproduces the full campaign's rows); each task's work
-//!   is a deterministic function of `(seed, shards, sync_epochs, budget)`;
-//!   and delta exchange is commutative — so a campaign without a deadline
+//!   is a deterministic function of `(seed, shards, budget)`; and the shard
+//!   merge is order-independent — so a campaign without a deadline
 //!   produces identical searches whether it runs on 1 worker or 64.
 //! * **Graceful budget expiry.** With a wall-clock budget set, workers check
 //!   the deadline *before* claiming a task — an expired deadline never
@@ -61,8 +56,7 @@
 //!   searches created mid-campaign have their own time budget clamped to
 //!   the time remaining. Functions none of whose shards ran are reported as
 //!   [`FunctionStatus::Skipped`]; functions the deadline cut mid-search
-//!   keep everything their shards completed (the parked [`SearchState`]s
-//!   are finalized at the last completed epoch) and are reported as
+//!   keep everything their shards completed and are reported as
 //!   [`FunctionStatus::Partial`] instead of being dropped.
 //! * **Work conservation.** Tasks are claimed from a shared queue guarded
 //!   by a condvar, so a slow function does not serialize the suite behind
@@ -78,9 +72,7 @@ use coverme_runtime::Program;
 use crate::corpus::CorpusStore;
 use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SearchState};
 use crate::report::TestReport;
-use crate::saturation::SaturationDelta;
 use crate::shard::{merge_shards, ShardOutcome};
-use crate::sync::{exchange_deltas, SyncPlan};
 
 /// Configuration of a parallel campaign.
 ///
@@ -160,14 +152,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the per-function sync-epoch count on the template configuration
-    /// (convenience for `base.sync_epochs`; `0`/`1` = off, see
-    /// [`crate::sync`]).
-    pub fn with_sync_epochs(mut self, sync_epochs: usize) -> Self {
-        self.base.sync_epochs = sync_epochs;
-        self
-    }
-
     /// Sets the campaign wall-clock budget.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
@@ -212,9 +196,8 @@ pub enum FunctionStatus {
     /// exhaustion) — the result a budget-less campaign always produces.
     Complete,
     /// The campaign deadline cut the search: some shards never ran, or a
-    /// shard's wall-clock budget expired mid-slice. The report merges
-    /// everything that did complete (the parked search states are
-    /// finalized at the last completed epoch) instead of dropping it.
+    /// shard's wall-clock budget expired mid-search. The report merges
+    /// everything that did complete instead of dropping it.
     Partial,
     /// The deadline expired before any of the function's shards started;
     /// there is no report.
@@ -237,7 +220,7 @@ impl FunctionStatus {
 /// the streaming seam `fdlibm_campaign --stream` prints rows from.
 #[derive(Debug, Clone)]
 pub enum CampaignEvent {
-    /// A function's last epoch completed (or the deadline finalized its
+    /// A function's last shard completed (or the deadline finalized its
     /// partial progress) and its merged result is ready. Events arrive in
     /// *completion* order, not inventory order; `index` is the function's
     /// inventory position.
@@ -369,9 +352,6 @@ pub struct CampaignReport {
     pub workers: usize,
     /// Per-function shard count of the schedule.
     pub shards: usize,
-    /// Effective per-function sync-epoch count of the schedule (1 = sync
-    /// off, the pre-sync behavior).
-    pub sync_epochs: usize,
     /// Wall-clock time of the whole campaign.
     pub wall_time: Duration,
 }
@@ -568,29 +548,6 @@ impl CampaignReport {
     /// has no serde); numbers use Rust's shortest-roundtrip `Display`,
     /// non-finite rates are clamped to 0.
     pub fn to_json(&self) -> String {
-        self.write_json(None)
-    }
-
-    /// Like [`to_json`](Self::to_json), but additionally records a sync-off
-    /// baseline run of the same inventory: per function an
-    /// `evals_sync_off` column next to `evals`, and suite-level sync-off
-    /// eval totals — the columns the `BENCH_campaign.json`
-    /// artifact tracks the feedback-recovery claim with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline describes a different inventory (result
-    /// counts differ).
-    pub fn to_json_with_sync_baseline(&self, sync_off: &CampaignReport) -> String {
-        assert_eq!(
-            self.results.len(),
-            sync_off.results.len(),
-            "sync baseline must come from the same inventory"
-        );
-        self.write_json(Some(sync_off))
-    }
-
-    fn write_json(&self, sync_off: Option<&CampaignReport>) -> String {
         let mut out = String::with_capacity(4096 + 256 * self.results.len());
         out.push_str("{\n");
         push_json_field(
@@ -602,16 +559,6 @@ impl CampaignReport {
         );
         push_json_number(&mut out, "  ", "workers", self.workers as f64, true);
         push_json_number(&mut out, "  ", "shards", self.shards as f64, true);
-        push_json_number(&mut out, "  ", "sync_epochs", self.sync_epochs as f64, true);
-        if let Some(baseline) = sync_off {
-            push_json_number(
-                &mut out,
-                "  ",
-                "total_evaluations_sync_off",
-                baseline.total_evaluations() as f64,
-                true,
-            );
-        }
         push_json_number(
             &mut out,
             "  ",
@@ -726,24 +673,6 @@ impl CampaignReport {
                 result.shards_run as f64,
                 true,
             );
-            if let Some(baseline) = sync_off {
-                push_json_number(
-                    &mut out,
-                    "      ",
-                    "evals_sync_off",
-                    baseline.results[index].evaluations() as f64,
-                    true,
-                );
-                if let Some(off_report) = &baseline.results[index].report {
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "covered_branches_sync_off",
-                        off_report.coverage.covered_count() as f64,
-                        true,
-                    );
-                }
-            }
             match &result.report {
                 Some(report) => {
                     out.push_str("      \"backend\": \"");
@@ -778,13 +707,6 @@ impl CampaignReport {
                         true,
                     );
                     push_json_number(&mut out, "      ", "evals", report.evaluations as f64, true);
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "epochs_run",
-                        report.epochs.len() as f64,
-                        true,
-                    );
                     push_json_number(
                         &mut out,
                         "      ",
@@ -897,9 +819,6 @@ impl CampaignReport {
         if self.shards > 1 {
             line.push_str(&format!(" × {} shards", self.shards));
         }
-        if self.sync_epochs > 1 {
-            line.push_str(&format!(" × {} sync epochs", self.sync_epochs));
-        }
         line.push_str(&format!(
             " in {:.2?} — {} evals ({} cache hits, {:.0} evals/s aggregate)",
             self.wall_time,
@@ -1003,7 +922,6 @@ impl Campaign {
         // per-shard stride must agree with it.
         template.shards = shards;
         template.cancel = self.config.cancel.clone();
-        let plan = SyncPlan::new(&template);
 
         // Seed derivation input per function: how many *earlier* inventory
         // entries share its name. 0 for every uniquely named function, so a
@@ -1045,14 +963,13 @@ impl Campaign {
             .collect();
 
         let deadline = self.config.time_budget.map(|budget| started + budget);
-        let executor = Executor::new(inventory, &configs, plan, deadline);
+        let executor = Executor::new(inventory, &configs, shards, deadline);
         let results = executor.run_on(workers, &mut on_event);
         self.record_corpus(&fingerprints, &configs, &results);
         CampaignReport {
             results,
             workers,
             shards,
-            sync_epochs: plan.epochs(),
             wall_time: started.elapsed(),
         }
     }
@@ -1121,43 +1038,37 @@ fn standalone<P: Program>(
     program: &P,
     run: impl FnOnce(Executor<'_, '_, P>, usize) -> Vec<FunctionResult>,
 ) -> TestReport {
+    let shards = config.effective_shards();
     let config = CoverMeConfig {
-        shards: config.effective_shards(),
+        shards,
         ..config.clone()
     };
-    let plan = SyncPlan::new(&config);
     let executor = Executor::new(
         std::slice::from_ref(program),
         std::slice::from_ref(&config),
-        plan,
+        shards,
         None,
     );
-    run(executor, plan.shards())
+    run(executor, shards)
         .pop()
         .and_then(|result| result.report)
         .expect("a search without a campaign deadline always reports")
 }
 
-/// One task: run up to `rounds` rounds of one (function, shard) search.
+/// One task: run one (function, shard) search to exhaustion.
 #[derive(Debug, Clone, Copy)]
 struct Task {
     function: usize,
     shard: usize,
-    rounds: usize,
 }
 
 /// Scheduling state of one function.
 struct FunctionRun<'inv, P: Program> {
-    /// One slot per shard; `None` until the shard's first task creates the
-    /// state (and while a worker has it checked out).
+    /// One slot per shard; `None` until the shard's task returns its
+    /// finished state.
     states: Vec<Option<SearchState<'inv, P>>>,
-    /// Each shard's last published saturation delta (see
-    /// [`exchange_deltas`]).
-    published: Vec<Option<SaturationDelta>>,
-    /// Tasks of the current sync epoch not yet returned.
+    /// Tasks not yet returned.
     pending: usize,
-    /// The sync epoch in flight.
-    epoch: usize,
     /// Whether the function was finalized and its event emitted.
     finished: bool,
 }
@@ -1166,9 +1077,7 @@ impl<'inv, P: Program> FunctionRun<'inv, P> {
     fn new(shards: usize) -> Self {
         FunctionRun {
             states: (0..shards).map(|_| None).collect(),
-            published: vec![None; shards],
             pending: shards,
-            epoch: 0,
             finished: false,
         }
     }
@@ -1244,65 +1153,33 @@ impl<P: Program> Finished<'_, P> {
 struct Shared<'inv, P: Program> {
     queue: VecDeque<Task>,
     functions: Vec<FunctionRun<'inv, P>>,
-    /// Every function's shard grid and epoch cuts.
-    plan: SyncPlan,
     /// Functions not yet finalized; workers exit when it reaches 0.
     unfinished: usize,
     /// Set when a worker observes the campaign deadline expired; stops all
-    /// claiming, leaving parked states for the deadline pass.
+    /// claiming, leaving unfinished functions for the deadline pass.
     expired: bool,
 }
 
 impl<'inv, P: Program> Shared<'inv, P> {
-    fn finalize(&mut self, index: usize) -> Finished<'inv, P> {
-        self.unfinished -= 1;
-        self.functions[index].finalize(index, false)
-    }
-
-    /// Parks a returned task's state; when it was the function's last task
-    /// of the epoch, exchanges the shards' saturation deltas
-    /// ([`exchange_deltas`] — commutative, so arrival order cannot matter)
-    /// and enqueues the next epoch, or finalizes the function.
+    /// Parks a returned task's finished state; when it was the function's
+    /// last task, finalizes the function.
     fn settle(&mut self, task: Task, state: SearchState<'inv, P>) -> Option<Finished<'inv, P>> {
-        let function = task.function;
-        let run = &mut self.functions[function];
+        let run = &mut self.functions[task.function];
         run.states[task.shard] = Some(state);
         run.pending -= 1;
         if run.pending > 0 {
             return None;
         }
-        // Rendezvous: the function's last task of the epoch is back.
-        run.epoch += 1;
-        let active: Vec<usize> = (0..run.states.len())
-            .filter(|&shard| run.states[shard].as_ref().is_some_and(|s| !s.is_finished()))
-            .collect();
-        if run.epoch < self.plan.epochs() && !active.is_empty() {
-            // If the deadline raced the rendezvous, the states stay parked
-            // for the deadline pass.
-            if !self.expired {
-                exchange_deltas(&mut run.states, &mut run.published);
-                run.pending = active.len();
-                for shard in active {
-                    let rounds = self.plan.rounds_in_epoch(shard, run.epoch);
-                    self.queue.push_back(Task {
-                        function,
-                        shard,
-                        rounds,
-                    });
-                }
-            }
-            None
-        } else {
-            Some(self.finalize(function))
-        }
+        self.unfinished -= 1;
+        Some(run.finalize(task.function, false))
     }
 }
 
 /// The one search executor behind every campaign and every standalone
-/// search: a queue of `(function, shard, rounds)` tasks, one worker loop
-/// ([`run_worker`]), the rendezvous a returned task triggers
-/// ([`Shared::settle`]), and one pass that finalizes the functions a
-/// deadline cut ([`Executor::run`]).
+/// search: a queue of `(function, shard)` tasks, one worker loop
+/// ([`run_worker`]), the settling of a returned task ([`Shared::settle`]),
+/// and one pass that finalizes the functions a deadline cut
+/// ([`Executor::run`]).
 struct Executor<'c, 'inv, P: Program> {
     inventory: &'inv [P],
     /// Per-function search configurations.
@@ -1316,23 +1193,15 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
     fn new(
         inventory: &'inv [P],
         configs: &'c [CoverMeConfig],
-        plan: SyncPlan,
+        shards: usize,
         deadline: Option<Instant>,
     ) -> Self {
-        // Epoch-0 tasks for every (function, shard) pair, function-major so
-        // the suite streams front to back and a trailing heavy function
-        // still fans out over idle workers.
-        let mut queue = VecDeque::new();
-        for function in 0..inventory.len() {
-            for shard in 0..plan.shards() {
-                let rounds = plan.rounds_in_epoch(shard, 0);
-                queue.push_back(Task {
-                    function,
-                    shard,
-                    rounds,
-                });
-            }
-        }
+        // One task per (function, shard) pair, function-major so the suite
+        // streams front to back and a trailing heavy function still fans
+        // out over idle workers.
+        let queue = (0..inventory.len())
+            .flat_map(|function| (0..shards).map(move |shard| Task { function, shard }))
+            .collect();
         Executor {
             inventory,
             configs,
@@ -1340,9 +1209,8 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
             shared: Mutex::new(Shared {
                 queue,
                 functions: (0..inventory.len())
-                    .map(|_| FunctionRun::new(plan.shards()))
+                    .map(|_| FunctionRun::new(shards))
                     .collect(),
-                plan,
                 unfinished: inventory.len(),
                 expired: false,
             }),
@@ -1372,8 +1240,8 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         };
         drive(&self, &mut deliver);
         // The deadline pass: functions the expiry cut mid-search keep the
-        // progress their parked states completed (partial), functions that
-        // never started are skipped. Emitted as events too, in inventory
+        // progress their returned shards completed (partial), functions
+        // that never started are skipped. Emitted as events too, in inventory
         // order, so a streaming consumer sees every row exactly once.
         let inventory = self.inventory;
         let shared = self.shared.into_inner().expect("executor lock poisoned");
@@ -1393,10 +1261,10 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         self.run(on_event, |executor, deliver| run_worker(executor, deliver))
     }
 
-    /// Claims the next task and checks its state out of its slot. Blocks
-    /// while the queue is empty and other workers still hold tasks; returns
-    /// `None` once every function is finalized or the deadline expired.
-    fn claim(&self) -> Option<(Task, Option<SearchState<'inv, P>>)> {
+    /// Claims the next task. Blocks while the queue is empty and other
+    /// workers still hold tasks; returns `None` once every function is
+    /// finalized or the deadline expired.
+    fn claim(&self) -> Option<Task> {
         let mut shared = self.lock();
         loop {
             if shared.expired || shared.unfinished == 0 {
@@ -1408,16 +1276,15 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
                 return None;
             }
             if let Some(task) = shared.queue.pop_front() {
-                let state = shared.functions[task.function].states[task.shard].take();
-                return Some((task, state));
+                return Some(task);
             }
             shared = self.ready.wait(shared).expect("executor lock poisoned");
         }
     }
 
-    /// Creates a shard's search state on its first task — outside the
-    /// lock, since schedule regeneration is O(n_start) RNG draws — with
-    /// the time budget clamped to what the campaign deadline leaves.
+    /// Creates a task's search state — outside the lock, since schedule
+    /// regeneration is O(n_start) RNG draws — with the time budget clamped
+    /// to what the campaign deadline leaves.
     fn new_state(&self, task: Task) -> SearchState<'inv, P> {
         let mut config = Cow::Borrowed(&self.configs[task.function]);
         match budget_state(self.deadline, Instant::now()) {
@@ -1428,14 +1295,15 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
             // The deadline expired between the claim check and state
             // creation: a zero budget makes the state record a
             // DeadlineExpired outcome on its first round check instead of
-            // running the whole slice unbounded.
+            // running the whole search unbounded.
             BudgetState::Expired => config.to_mut().time_budget = Some(Duration::ZERO),
             BudgetState::Unlimited => {}
         }
         SearchState::new(&config, &self.inventory[task.function], task.shard)
     }
 
-    /// Hands a task's state back and runs what its return triggers.
+    /// Hands a task's finished state back and finalizes its function when
+    /// it was the last shard.
     fn settle(&self, task: Task, state: SearchState<'inv, P>) -> Option<Finished<'inv, P>> {
         let finished = self.lock().settle(task, state);
         self.ready.notify_all();
@@ -1476,12 +1344,12 @@ impl<P: Program + Sync> Executor<'_, '_, P> {
     }
 }
 
-/// The one worker loop: claim a task, run its slice *outside* the lock,
+/// The one worker loop: claim a task, run its search *outside* the lock,
 /// hand the state back, and emit every function that finished.
 fn run_worker<P: Program>(executor: &Executor<'_, '_, P>, emit: &mut dyn FnMut(CampaignEvent)) {
-    while let Some((task, parked)) = executor.claim() {
-        let mut state = parked.unwrap_or_else(|| executor.new_state(task));
-        state.run_rounds(task.rounds);
+    while let Some(task) = executor.claim() {
+        let mut state = executor.new_state(task);
+        state.run_to_exhaustion();
         if let Some(finished) = executor.settle(task, state) {
             emit(finished.into_event(executor.inventory));
         }
@@ -1648,17 +1516,7 @@ mod tests {
         // includes redundant accepted inputs, which a sharded merge drops.
         let shapes = [
             ("unsharded", quick_base()),
-            (
-                "sharded, sync off",
-                quick_base().with_n_start(48).with_shards(3),
-            ),
-            (
-                "sharded, sync on",
-                quick_base()
-                    .with_n_start(64)
-                    .with_shards(3)
-                    .with_sync_epochs(4),
-            ),
+            ("sharded", quick_base().with_n_start(48).with_shards(3)),
         ];
         let programs = inventory();
         for (shape, base) in shapes {
@@ -1684,7 +1542,6 @@ mod tests {
                         assert_eq!(campaign.coverage, standalone.coverage, "{context}");
                         assert_eq!(campaign.evaluations, standalone.evaluations, "{context}");
                         assert_eq!(campaign.rounds, standalone.rounds, "{context}");
-                        assert_eq!(campaign.epochs, standalone.epochs, "{context}");
                     }
                 }
             }
@@ -1761,25 +1618,6 @@ mod tests {
         )
         .run(&programs);
         assert_eq!(fingerprint(&report), fingerprint(&collected));
-    }
-
-    #[test]
-    fn synced_campaign_identical_across_thread_counts() {
-        let programs = inventory();
-        let runs: Vec<CampaignReport> = [1, 2, 5]
-            .iter()
-            .map(|&workers| {
-                let config = CampaignConfig::new()
-                    .with_base(quick_base().with_n_start(64))
-                    .with_shards(3)
-                    .with_sync_epochs(4)
-                    .with_workers(workers);
-                Campaign::new(config).run(&programs)
-            })
-            .collect();
-        assert_eq!(fingerprint(&runs[0]), fingerprint(&runs[1]));
-        assert_eq!(fingerprint(&runs[0]), fingerprint(&runs[2]));
-        assert_eq!(runs[0].sync_epochs, 4);
     }
 
     #[test]
@@ -1883,35 +1721,6 @@ mod tests {
         assert!(partial.inputs.is_empty(), "aborted rounds accept nothing");
         assert!(report.total_timeouts() > 0);
         assert!(report.to_json().contains("\"status\": \"partial\""));
-    }
-
-    #[test]
-    fn sync_json_baseline_adds_eval_columns() {
-        let programs = inventory();
-        let blind = Campaign::new(
-            CampaignConfig::new()
-                .with_base(quick_base().with_n_start(64))
-                .with_shards(3)
-                .with_workers(2),
-        )
-        .run(&programs);
-        let synced = Campaign::new(
-            CampaignConfig::new()
-                .with_base(quick_base().with_n_start(64))
-                .with_shards(3)
-                .with_sync_epochs(4)
-                .with_workers(2),
-        )
-        .run(&programs);
-        let json = synced.to_json_with_sync_baseline(&blind);
-        assert_eq!(
-            json.matches("\"evals_sync_off\":").count(),
-            programs.len(),
-            "{json}"
-        );
-        assert!(json.contains("\"total_evaluations_sync_off\":"));
-        assert!(json.contains("\"sync_epochs\": 4"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
@@ -2140,7 +1949,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for key in [
-            "\"schema\": \"coverme-campaign-report/10\"",
+            "\"schema\": \"coverme-campaign-report/11\"",
             "\"backend\": \"",
             "\"suite_branch_coverage_percent\":",
             "\"total_evaluations\":",

@@ -516,7 +516,6 @@ mod tests {
             cache_hits: 0,
             timeouts: 0,
             traps: 0,
-            epochs: Vec::new(),
             warm_replayed: 0,
             backend: "interp",
             wall_time: Duration::from_millis(1),

@@ -19,29 +19,29 @@
 //! of starting points (`n_start`) is exhausted, or when an optional wall
 //! clock budget runs out.
 //!
-//! This module owns the loop itself — the epoch-resumable [`SearchState`]
-//! — and its configuration. It does not schedule: [`CoverMe::run`] and
+//! This module owns the loop itself — the resumable [`SearchState`] — and
+//! its configuration. It does not schedule: [`CoverMe::run`] and
 //! [`CoverMe::run_parallel`] are one-function runs of the campaign's
 //! executor ([`crate::campaign`]), so a standalone search and a campaign
 //! row share one code path. With `shards > 1` the starting-point budget is
 //! split across shard searches whose snapshots are merged afterwards (see
 //! [`crate::shard`]): `run` executes the shards on the calling thread,
 //! `run_parallel` on one worker thread per shard, with identical reports.
+//! A search's results depend on `(seed, shards, budget)` only — never on
+//! the worker count or on how its rounds are sliced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coverme_optim::rng::SplitMix64;
-use coverme_optim::{
-    BasinHopping, FnObjective, LocalMethod, PerturbationKind, StartingPointStrategy,
-};
+use coverme_optim::{BasinHopping, LocalMethod, PerturbationKind, StartingPointStrategy};
 use coverme_runtime::{CoverageMap, Program, DEFAULT_EPSILON};
 
 use crate::objective::{CacheMode, ObjectiveEngine};
 
-use crate::report::{EpochTelemetry, RoundOutcome, RoundRecord, TestReport};
-use crate::saturation::{SaturationDelta, SaturationTracker};
+use crate::report::{RoundOutcome, RoundRecord, TestReport};
+use crate::saturation::SaturationTracker;
 use crate::shard::{AcceptedInput, ShardOutcome};
 
 /// How `pen` decides that a conditional site no longer needs attention.
@@ -75,9 +75,9 @@ pub enum InfeasiblePolicy {
     /// still-uncovered untaken sibling along the path is then deemed
     /// infeasible in one verdict (see
     /// [`SaturationTracker::blame_uncovered_path`]). Verdicts stay
-    /// refutable: real coverage from any shard drops them at delta
-    /// application and merge time exactly as under `LastConditional`, so
-    /// sync and shard merges remain commutative. This is what lets a
+    /// refutable: real coverage from any shard drops them at merge time
+    /// exactly as under `LastConditional`, so shard merges remain
+    /// order-independent. This is what lets a
     /// search with several infeasible branches on one path genuinely
     /// saturate instead of exhausting `n_start` re-blaming the same anchor
     /// once per failed round.
@@ -208,26 +208,10 @@ pub struct CoverMeConfig {
     /// round may overshoot it by its own evaluations — rounds are atomic.
     /// `None` (the default) means unlimited.
     pub budget: Option<usize>,
-    /// Extension (off by default, not part of the paper's algorithm): also
-    /// record the coverage of every intermediate evaluation performed by the
-    /// minimizer, not just of the returned minimum points.
-    pub record_search_coverage: bool,
     /// Number of shards the `n_start` budget is split across (see
     /// [`crate::shard`]). `0` and `1` both mean unsharded; the merged result
     /// is deterministic for a fixed shard count regardless of scheduling.
     pub shards: usize,
-    /// Number of sync epochs a sharded search is cut into (see
-    /// [`crate::sync`]). `0` and `1` both mean *off*: every shard runs its
-    /// whole strided slice blind and snapshots merge only at the end —
-    /// bit-identical to the pre-sync behavior. With `E > 1` the shards
-    /// rendezvous at `E - 1` deterministic barriers (keyed on
-    /// `(seed, shards, sync_epochs)`, never on scheduling) and exchange
-    /// [`SaturationDelta`](crate::saturation::SaturationDelta)s, so each
-    /// shard's later rounds stop chasing branches a sibling already
-    /// saturated — recovering the sequential run's directed-search
-    /// feedback at high shard counts. Ignored when the search is
-    /// unsharded.
-    pub sync_epochs: usize,
     /// Extension (on by default): when a round's minimum is positive but the
     /// backend clearly converged near a point (e.g. `x* = 1.9999999999997`
     /// for an exact-equality branch), probe a handful of "rounded"
@@ -243,8 +227,7 @@ pub struct CoverMeConfig {
     /// `f64::to_bits` patterns and invalidated whenever the saturation
     /// snapshot changes — so search results are identical under every
     /// mode; the knob exists for tuning and for the property tests that
-    /// pin that invariant. Forced off under `record_search_coverage`,
-    /// which needs every evaluation to really execute.
+    /// pin that invariant.
     pub cache: CacheMode,
     /// Execution backend selection (see
     /// [`BackendMode`](coverme_runtime::BackendMode); the default `Auto`
@@ -282,9 +265,7 @@ impl Default for CoverMeConfig {
             zero_threshold: 0.0,
             time_budget: None,
             budget: None,
-            record_search_coverage: false,
             shards: 1,
-            sync_epochs: 0,
             polish: true,
             cache: CacheMode::Auto,
             backend: coverme_runtime::BackendMode::Auto,
@@ -373,12 +354,6 @@ impl CoverMeConfig {
         self
     }
 
-    /// Enables recording coverage of intermediate search evaluations.
-    pub fn with_record_search_coverage(mut self, enabled: bool) -> Self {
-        self.record_search_coverage = enabled;
-        self
-    }
-
     /// Sets the number of shards the `n_start` budget is split across
     /// (`0` and `1` both mean unsharded).
     pub fn with_shards(mut self, shards: usize) -> Self {
@@ -395,28 +370,6 @@ impl CoverMeConfig {
     pub fn effective_shards(&self) -> usize {
         let widest = (self.n_start / crate::shard::MIN_ROUNDS_PER_SHARD).max(1);
         self.shards.clamp(1, widest)
-    }
-
-    /// Sets the number of sync epochs of a sharded search (`0` and `1`
-    /// both mean off — no cross-shard exchange before the final merge).
-    pub fn with_sync_epochs(mut self, sync_epochs: usize) -> Self {
-        self.sync_epochs = sync_epochs;
-        self
-    }
-
-    /// The sync-epoch count a run of this configuration actually uses: `1`
-    /// (single epoch, no barriers) when sync is off or the search is
-    /// unsharded, otherwise the requested count capped so an epoch window
-    /// holds at least one round per shard on average. A pure function of
-    /// the configuration, so determinism per
-    /// `(seed, shards, sync_epochs)` is kept.
-    pub fn effective_sync_epochs(&self) -> usize {
-        let shards = self.effective_shards();
-        if shards <= 1 || self.sync_epochs <= 1 {
-            return 1;
-        }
-        let widest = (self.n_start / shards).max(1);
-        self.sync_epochs.min(widest)
     }
 
     /// Enables or disables the rounding-based polish step applied to
@@ -465,11 +418,13 @@ impl CoverMeConfig {
     /// schedule and its processing: `seed`, `n_start`, `n_iter`, the
     /// local method, sampling strategies (with their parameters, by bit
     /// pattern), `ε`, the zero threshold, the pen/infeasible policies,
-    /// `polish`, `record_search_coverage`, the eval allowance and the
-    /// shard/sync split. Knobs pinned result-invisible by the property
-    /// suites stay out: `cache`, `backend`, the ignored `simd`, epoch
-    /// slicing, `time_budget` (wall-clock never decides a *complete* run's
-    /// content), `warm_start`/`cancel` themselves.
+    /// `polish`, the eval allowance and the shard split. Knobs pinned
+    /// result-invisible by the property suites stay out: `cache`,
+    /// `backend`, the ignored `simd`, `run_rounds` slicing, `time_budget`
+    /// (wall-clock never decides a *complete* run's content),
+    /// `warm_start`/`cancel` themselves. Two constant `0` words stand where
+    /// deleted knobs used to be mixed, so keys recorded by earlier releases
+    /// stay valid.
     ///
     /// Two runs of the same program fingerprint with equal search keys
     /// are bit-identical, which is what lets a corpus warm start credit
@@ -536,9 +491,9 @@ impl CoverMeConfig {
             Some(allowance) => allowance as u64,
         });
         mix(u64::from(self.polish));
-        mix(u64::from(self.record_search_coverage));
+        mix(0);
         mix(self.shards.max(1) as u64);
-        mix(self.sync_epochs as u64);
+        mix(0);
         hash
     }
 }
@@ -570,8 +525,7 @@ impl CoverMe {
     /// A one-function run of the campaign executor ([`crate::campaign`])
     /// on the calling thread, with the configuration's own seed: with
     /// `shards > 1` the shards run one after another and their snapshots
-    /// are merged ([`crate::shard`]), exchanging saturation deltas at the
-    /// sync epochs ([`crate::sync`]). The report is identical to what
+    /// are merged ([`crate::shard`]). The report is identical to what
     /// [`run_parallel`](Self::run_parallel) produces, just without the
     /// wall-clock speedup.
     pub fn run<P: Program>(&self, program: &P) -> TestReport {
@@ -593,8 +547,7 @@ pub enum EpochOutcome {
     /// The round quota of this slice is spent; the search has more rounds
     /// to run and can be resumed with another `run_rounds` call.
     Paused,
-    /// Every branch is saturated (possibly thanks to absorbed sibling
-    /// deltas); the search is finished.
+    /// Every branch is saturated; the search is finished.
     Saturated,
     /// The shard's strided slice of the starting-point schedule is
     /// exhausted; the search is finished.
@@ -621,7 +574,7 @@ impl EpochOutcome {
     }
 }
 
-/// The epoch-resumable search loop of Algorithm 1 — the per-round body of
+/// The resumable search loop of Algorithm 1 — the per-round body of
 /// the sequential driver extracted into a state machine that can pause at
 /// any round boundary and resume later with no behavior change.
 ///
@@ -634,15 +587,9 @@ impl EpochOutcome {
 /// rounds of the shard's strided slice and reports why it stopped; running
 /// a state to exhaustion in one call is bit-identical to running it in
 /// any sequence of smaller slices (pinned by
-/// `tests/sync_properties.rs`), which is what makes epochs free:
-/// the executor's sync epochs ([`crate::sync`]) are pure pause points.
-///
-/// Between slices a state can exchange saturation knowledge with sibling
-/// shards: [`extract_delta`](Self::extract_delta) publishes its tracker
-/// state, [`absorb_delta`](Self::absorb_delta) merges a sibling's. The
-/// next round's `retarget` then minimizes against the unioned snapshot,
-/// so the shard stops chasing branches a sibling already saturated —
-/// and exits entirely once the union saturates everything.
+/// `tests/shard_properties.rs`). The campaign executor runs every state to
+/// exhaustion in one slice; `coverme run --stream` slices it one round at
+/// a time to report rounds as they land.
 #[derive(Debug)]
 pub struct SearchState<'a, P: Program> {
     config: CoverMeConfig,
@@ -661,10 +608,6 @@ pub struct SearchState<'a, P: Program> {
     /// mod `shards`).
     cursor: usize,
     evaluations: usize,
-    epochs: Vec<EpochTelemetry>,
-    /// Deltas absorbed since the previous `run_rounds` slice, credited to
-    /// the next slice's telemetry entry.
-    pending_absorbed: usize,
     started: Instant,
     /// Set once, when a slice first reports a finished outcome.
     finished_at: Option<Instant>,
@@ -675,8 +618,7 @@ pub struct SearchState<'a, P: Program> {
     /// finishes with [`EpochOutcome::Degraded`].
     abort_streak: usize,
     /// Whether a configured warm start is still waiting to be replayed
-    /// (consumed at the top of the first `run_rounds` slice, so replay
-    /// evaluations land in that slice's epoch telemetry).
+    /// (consumed at the top of the first `run_rounds` slice).
     warm_pending: bool,
     /// Corpus inputs replayed by the warm start (0 for a cold search).
     warm_replayed: usize,
@@ -728,16 +670,8 @@ impl<'a, P: Program> SearchState<'a, P> {
             PenPolicy::Saturation => SaturationTracker::new(num_sites),
             PenPolicy::CoveredOnly => SaturationTracker::new(num_sites).covered_only(),
         };
-        // Under `record_search_coverage` the cache is forced off: that
-        // extension records the coverage of every intermediate evaluation,
-        // and the engine evaluates through the full path per call anyway.
-        let cache_mode = if config.record_search_coverage {
-            CacheMode::Off
-        } else {
-            config.cache
-        };
         let engine = ObjectiveEngine::new(program, config.epsilon)
-            .cache_mode(cache_mode)
+            .cache_mode(config.cache)
             .backend_mode(config.backend);
         let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
         let schedule = config
@@ -757,8 +691,6 @@ impl<'a, P: Program> SearchState<'a, P> {
             schedule,
             cursor: shard_index,
             evaluations: 0,
-            epochs: Vec::new(),
-            pending_absorbed: 0,
             started: Instant::now(),
             finished_at: None,
             finished: None,
@@ -814,22 +746,6 @@ impl<'a, P: Program> SearchState<'a, P> {
         &self.tracker
     }
 
-    /// Publishes the state's saturation knowledge for sibling shards (see
-    /// [`SaturationDelta`]).
-    pub fn extract_delta(&self) -> SaturationDelta {
-        self.tracker.delta()
-    }
-
-    /// Merges a sibling shard's published saturation knowledge into this
-    /// state. The next round's snapshot is the union, and the engine's
-    /// memo cache invalidates itself on the changed snapshot (a retarget
-    /// epoch bump), so no stale value survives. Returns whether the
-    /// tracker changed.
-    pub fn absorb_delta(&mut self, delta: &SaturationDelta) -> bool {
-        self.pending_absorbed += 1;
-        self.tracker.apply_delta(delta)
-    }
-
     /// Runs the search to completion in one slice — the sequential driver
     /// loop of Algorithm 1, restricted to the shard's strided slice.
     pub fn run_to_exhaustion(&mut self) -> EpochOutcome {
@@ -846,16 +762,14 @@ impl<'a, P: Program> SearchState<'a, P> {
         if let Some(outcome) = self.finished {
             return outcome;
         }
-        let evals_before = self.evaluations;
         if self.warm_pending {
-            // Replay inside the slice (not in `new`) so the replayed
-            // evaluations land in this slice's epoch telemetry — the sync
-            // suite pins `sum(epochs.evaluations) == evaluations`.
+            // Replay inside the first slice (not in `new`), so constructing
+            // a state never executes the program.
             self.warm_pending = false;
             self.replay_warm_start();
         }
         let mut ran = 0usize;
-        let outcome = loop {
+        loop {
             if self.cursor >= self.config.n_start {
                 break self.finish_slice(EpochOutcome::Exhausted);
             }
@@ -900,17 +814,7 @@ impl<'a, P: Program> SearchState<'a, P> {
             }
             self.run_one_round();
             ran += 1;
-        };
-        let absorbed = std::mem::take(&mut self.pending_absorbed);
-        if ran > 0 || absorbed > 0 || self.epochs.is_empty() {
-            self.epochs.push(EpochTelemetry {
-                epoch: self.epochs.len(),
-                rounds: ran,
-                evaluations: self.evaluations - evals_before,
-                deltas_absorbed: absorbed,
-            });
         }
-        outcome
     }
 
     /// Marks the search finished with `outcome` (idempotent timestamps).
@@ -1023,24 +927,7 @@ impl<'a, P: Program> SearchState<'a, P> {
             )
             .target_value(config.zero_threshold);
 
-        let result = if config.record_search_coverage {
-            let engine = &mut self.engine;
-            let coverage = &mut self.coverage;
-            let tracker = &mut self.tracker;
-            let mut objective = FnObjective(move |x: &[f64]| {
-                let evaluation = engine.eval_full(x);
-                // An aborted evaluation's coverage and trace come from a
-                // truncated execution — record nothing from it.
-                if evaluation.outcome.is_done() {
-                    coverage.record_set(&evaluation.covered);
-                    tracker.record_trace(&evaluation.trace);
-                }
-                evaluation.value
-            });
-            hopper.minimize_objective(&mut objective, &x0)
-        } else {
-            hopper.minimize_objective(&mut self.engine, &x0)
-        };
+        let result = hopper.minimize_objective(&mut self.engine, &x0);
         self.evaluations += result.stats.evaluations;
 
         // Line 11-12: accept the minimum point if FOO_R(x*) = 0, update
@@ -1131,9 +1018,9 @@ impl<'a, P: Program> SearchState<'a, P> {
     }
 
     /// Consumes the state into the shard's snapshot. Valid at any point —
-    /// a state finalized mid-search (e.g. when a campaign deadline
-    /// expired while it was parked at an epoch boundary) yields the
-    /// partial outcome of everything completed so far.
+    /// a state finalized mid-search (e.g. when a deadline or a cancel
+    /// stopped it) yields the partial outcome of everything completed so
+    /// far.
     pub fn finish(self) -> ShardOutcome {
         let finished = self.finished_at.unwrap_or_else(Instant::now);
         ShardOutcome {
@@ -1147,7 +1034,6 @@ impl<'a, P: Program> SearchState<'a, P> {
             cache_hits: self.engine.telemetry().cache_hits as usize,
             timeouts: self.engine.telemetry().timeouts as usize,
             traps: self.engine.telemetry().traps as usize,
-            epochs: self.epochs,
             warm_replayed: self.warm_replayed,
             backend: self.engine.backend_name(),
             started: self.started,
@@ -1320,9 +1206,8 @@ mod tests {
             .with_seed(42)
             .with_n_start(80)
             .with_budget(5_000)
-            .with_shards(2)
-            .with_sync_epochs(4);
-        assert_eq!(tuned.search_key(), 0x6dd0_b851_32ac_64c0);
+            .with_shards(2);
+        assert_eq!(tuned.search_key(), 0xe9bb_d475_5e69_8d44);
     }
 
     #[test]
@@ -1385,14 +1270,6 @@ mod tests {
         let config = quick_config().with_pen_policy(PenPolicy::CoveredOnly);
         let report = CoverMe::new(config).run(&paper_example());
         assert_eq!(report.branch_coverage_percent(), 100.0);
-    }
-
-    #[test]
-    fn search_coverage_extension_never_reports_less() {
-        let plain = CoverMe::new(quick_config()).run(&paper_example());
-        let extended =
-            CoverMe::new(quick_config().with_record_search_coverage(true)).run(&paper_example());
-        assert!(extended.coverage.covered_count() >= plain.coverage.covered_count());
     }
 
     #[test]

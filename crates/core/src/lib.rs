@@ -24,7 +24,8 @@
 //!    `n_start` budget is split into strided slices with deterministic
 //!    per-round seeds, and the per-shard saturation/coverage snapshots are
 //!    merged. Campaigns schedule functions × shards as one work queue, so a
-//!    trailing heavy function fans out over otherwise idle workers;
+//!    trailing heavy function fans out over otherwise idle workers; results
+//!    depend on `(seed, shards, budget)` only, never on the worker count;
 //! 6. run every evaluation through the **objective engine**
 //!    ([`ObjectiveEngine`]): an allocation-free scalar fast path (one
 //!    reusable `ExecCtx`, no trace, no covered-set inserts), a batch entry
@@ -32,13 +33,11 @@
 //!    memoization cache keyed on input bit patterns, with per-function
 //!    evals / cache-hit / evals-per-second telemetry surfaced in
 //!    [`TestReport`] and [`CampaignReport`];
-//! 7. drive all of the above through an **epoch-resumable state machine**
+//! 7. drive all of the above through a **resumable state machine**
 //!    ([`SearchState`]): one shard's loop pauses at any round boundary
-//!    with no behavior change, shards exchange commutative
-//!    [`SaturationDelta`]s at deterministic barriers ([`sync`]) so later
-//!    rounds stop chasing branches a sibling already saturated, and the
-//!    campaign scheduler streams each function's merged row the moment it
-//!    finishes ([`CampaignEvent`], `Campaign::run_with`).
+//!    with no behavior change (`coverme run --stream` reports rounds that
+//!    way), and the campaign executor streams each function's merged row
+//!    the moment it finishes ([`CampaignEvent`], `Campaign::run_with`).
 //!
 //! # Quick start
 //!
@@ -76,7 +75,6 @@ pub mod report;
 pub mod representing;
 pub mod saturation;
 pub mod shard;
-pub mod sync;
 
 pub use campaign::{
     Campaign, CampaignConfig, CampaignEvent, CampaignReport, FunctionResult, FunctionStatus,
@@ -87,11 +85,10 @@ pub use driver::{
     WarmStart, ABORT_PATIENCE,
 };
 pub use objective::{CacheMode, EngineTelemetry, ObjectiveEngine, ABORTED_VALUE};
-pub use report::{EpochTelemetry, RoundOutcome, RoundRecord, TestReport};
+pub use report::{RoundOutcome, RoundRecord, TestReport};
 pub use representing::{Evaluation, RepresentingFunction};
-pub use saturation::{SaturationDelta, SaturationTracker};
+pub use saturation::SaturationTracker;
 pub use shard::{merge_shards, run_shard, AcceptedInput, MergedSearch, ShardOutcome};
-pub use sync::SyncPlan;
 
 // Re-export the pieces users need to define programs without adding an
 // explicit dependency on the runtime crate.

@@ -358,21 +358,10 @@ impl<P: Program> ObjectiveEngine<P> {
         self
     }
 
-    /// Convenience for [`cache_mode`](Self::cache_mode):
-    /// `true` → [`CacheMode::On`], `false` → [`CacheMode::Off`].
-    pub fn with_cache(self, enabled: bool) -> Self {
-        self.cache_mode(if enabled {
-            CacheMode::On
-        } else {
-            CacheMode::Off
-        })
-    }
-
     /// Overrides the memo-table slot count (rounded up to a power of two;
     /// see [`DEFAULT_CACHE_SLOTS`]). Order-independent with the mode
     /// builders: the count is remembered and honored by any later
-    /// [`cache_mode`](Self::cache_mode)/[`with_cache`](Self::with_cache)
-    /// call too.
+    /// [`cache_mode`](Self::cache_mode) call too.
     pub fn cache_capacity(mut self, slots: usize) -> Self {
         self.cache_slots = slots;
         if self.cache.is_some() {
@@ -488,8 +477,8 @@ impl<P: Program> ObjectiveEngine<P> {
     }
 
     /// Evaluates `FOO_R(x)` keeping the covered branches and the decision
-    /// trace — the slow path the driver uses on accepted minima (the 0-hit
-    /// path) and under `record_search_coverage`. Always executes the
+    /// trace — the slow path the driver uses on each round's minimum, on
+    /// polished candidates and on warm-start replays. Always executes the
     /// program (the trace cannot come from the cache) and is counted as an
     /// evaluation; the scalar cache is seeded with the value so a later
     /// fast-path probe of the same point is free.
@@ -617,7 +606,8 @@ mod tests {
 
     #[test]
     fn cache_hits_skip_executions_without_changing_values() {
-        let mut engine = ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).with_cache(true);
+        let mut engine =
+            ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).cache_mode(CacheMode::On);
         engine.retarget(&snapshot_1f());
         let first = engine.eval_scalar(&[0.3]);
         let t = engine.telemetry();
@@ -631,7 +621,8 @@ mod tests {
 
     #[test]
     fn retarget_to_a_new_snapshot_invalidates_the_cache() {
-        let mut engine = ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).with_cache(true);
+        let mut engine =
+            ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).cache_mode(CacheMode::On);
         // Against the empty snapshot FOO_R ≡ 0.
         assert_eq!(engine.eval_scalar(&[0.3]), 0.0);
         assert_eq!(engine.cache_len(), 1);
@@ -644,7 +635,8 @@ mod tests {
 
     #[test]
     fn retarget_to_the_same_snapshot_keeps_the_cache() {
-        let mut engine = ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).with_cache(true);
+        let mut engine =
+            ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).cache_mode(CacheMode::On);
         engine.retarget(&snapshot_1f());
         let _ = engine.eval_scalar(&[0.3]);
         assert_eq!(engine.cache_len(), 1);
@@ -656,7 +648,8 @@ mod tests {
 
     #[test]
     fn eval_full_seeds_the_scalar_cache() {
-        let mut engine = ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).with_cache(true);
+        let mut engine =
+            ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).cache_mode(CacheMode::On);
         engine.retarget(&snapshot_1f());
         let full = engine.eval_full(&[2.0]);
         let scalar = engine.eval_scalar(&[2.0]);
@@ -709,8 +702,10 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits_but_agrees() {
-        let mut cached = ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).with_cache(true);
-        let mut uncached = ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).with_cache(false);
+        let mut cached =
+            ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).cache_mode(CacheMode::On);
+        let mut uncached =
+            ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON).cache_mode(CacheMode::Off);
         cached.retarget(&snapshot_1f());
         uncached.retarget(&snapshot_1f());
         for x in [0.3, 0.3, 2.0, 2.0, -0.5] {
@@ -727,7 +722,7 @@ mod tests {
     #[test]
     fn cache_capacity_bounds_the_table() {
         let mut engine = ObjectiveEngine::new(paper_example(), DEFAULT_EPSILON)
-            .with_cache(true)
+            .cache_mode(CacheMode::On)
             .cache_capacity(2);
         for i in 0..10 {
             let _ = engine.eval_scalar(&[i as f64]);
@@ -749,7 +744,7 @@ mod tests {
         let program = paper_example();
         let foo_r = RepresentingFunction::new(&program, snapshot_1f());
         let mut engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON)
-            .with_cache(true)
+            .cache_mode(CacheMode::On)
             .cache_capacity(1);
         engine.retarget(&snapshot_1f());
         for x in [0.3, 2.0, 0.3, -0.5, 2.0, 0.3] {
@@ -775,7 +770,7 @@ mod tests {
             }
         });
         let saturated: BranchSet = [BranchId::true_of(0)].into_iter().collect();
-        let mut engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON).with_cache(true);
+        let mut engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON).cache_mode(CacheMode::On);
         engine.retarget(&saturated);
         let pos = engine.eval_scalar(&[0.0]);
         let neg = engine.eval_scalar(&[-0.0]);
@@ -792,7 +787,7 @@ mod tests {
             }
         });
         // Forcing the cache on cannot override the arity gate.
-        let mut engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON).with_cache(true);
+        let mut engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON).cache_mode(CacheMode::On);
         let x = vec![0.1; 6];
         let a = engine.eval_scalar(&x);
         let b = engine.eval_scalar(&x);
@@ -821,7 +816,7 @@ mod tests {
     #[test]
     fn aborted_scalar_evals_return_the_sentinel_and_skip_the_cache() {
         let mut engine =
-            ObjectiveEngine::new(sometimes_aborting(), DEFAULT_EPSILON).with_cache(true);
+            ObjectiveEngine::new(sometimes_aborting(), DEFAULT_EPSILON).cache_mode(CacheMode::On);
         engine.retarget(&snapshot_1f());
         assert_eq!(engine.eval_scalar(&[-1.0]), ABORTED_VALUE);
         assert_eq!(engine.cache_len(), 0, "aborted value must not be memoized");
@@ -860,7 +855,7 @@ mod tests {
     #[test]
     fn eval_full_tags_aborted_runs_and_skips_the_seed() {
         let mut engine =
-            ObjectiveEngine::new(sometimes_aborting(), DEFAULT_EPSILON).with_cache(true);
+            ObjectiveEngine::new(sometimes_aborting(), DEFAULT_EPSILON).cache_mode(CacheMode::On);
         engine.retarget(&snapshot_1f());
         let aborted = engine.eval_full(&[-2.0]);
         assert_eq!(aborted.outcome, RunOutcome::Timeout);

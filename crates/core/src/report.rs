@@ -57,26 +57,6 @@ pub struct RoundRecord {
     pub outcome: RoundOutcome,
 }
 
-/// Per-epoch work telemetry of an epoch-resumable search (see
-/// [`crate::driver::SearchState`]). One entry per `run_rounds` slice a
-/// shard executed; a run-to-exhaustion search has exactly one. Campaign
-/// merges aggregate entries of the same epoch index across shards, so a
-/// synced run shows how the work (and the evaluation spend) distributed
-/// over its sync epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EpochTelemetry {
-    /// Epoch index within the shard's schedule (0-based).
-    pub epoch: usize,
-    /// Rounds executed in this epoch.
-    pub rounds: usize,
-    /// Representing-function evaluations spent in this epoch (including
-    /// cache-served calls).
-    pub evaluations: usize,
-    /// Sibling-shard saturation deltas absorbed at the barrier *before*
-    /// this epoch ran (0 for the first epoch and for unsynced runs).
-    pub deltas_absorbed: usize,
-}
-
 /// The complete result of a CoverMe run on one program.
 #[derive(Debug, Clone)]
 pub struct TestReport {
@@ -106,9 +86,6 @@ pub struct TestReport {
     /// call target — before completing (classified
     /// [`coverme_runtime::RunOutcome::Trap`]).
     pub traps: usize,
-    /// Per-epoch work telemetry, aggregated across shards by epoch index
-    /// (entries are in epoch order). Unsynced runs have a single epoch.
-    pub epochs: Vec<EpochTelemetry>,
     /// Corpus inputs replayed before the search's first round when the
     /// run warm-started from a [`crate::corpus::CorpusStore`] entry (the
     /// replayed evaluations are included in
@@ -211,48 +188,58 @@ impl TestReport {
 
     /// The standalone-run JSON artifact (schema
     /// [`schema::RUN_REPORT`] = `coverme-run-report/6`) — what
-    /// `coverme run --json` writes and `coverme serve` streams for
-    /// single-program jobs. `entry` is the entry-function name, `path`
-    /// the source file the run tested. A warm-started run additionally
+    /// `coverme run --json` writes. `entry` is the entry-function name,
+    /// `path` the source file the run tested; both are escaped, so any
+    /// file name yields a valid document. A warm-started run additionally
     /// carries `corpus_warm_start` / `warm_replayed` members; a cold run's
     /// document is byte-identical to earlier releases.
     pub fn to_run_json(&self, entry: &str, path: &str) -> String {
+        use schema::{push_bool, push_escaped, push_number};
+        const INDENT: &str = "  ";
         let mut out = String::with_capacity(512);
         out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema\": \"{}\",\n",
-            schema::RUN_REPORT.label()
-        ));
-        out.push_str(&format!("  \"file\": \"{}\",\n", path.replace('\\', "/")));
-        out.push_str(&format!("  \"entry\": \"{entry}\",\n"));
-        out.push_str(&format!("  \"outcome\": \"{}\",\n", self.outcome_label()));
-        out.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
-        out.push_str(&format!(
-            "  \"branches\": {},\n",
-            self.coverage.total_branches()
-        ));
-        out.push_str(&format!(
-            "  \"covered_branches\": {},\n",
-            self.coverage.covered_count()
-        ));
-        out.push_str(&format!(
-            "  \"branch_coverage_percent\": {},\n",
-            self.branch_coverage_percent()
-        ));
-        out.push_str(&format!("  \"inputs\": {},\n", self.inputs.len()));
-        out.push_str(&format!("  \"rounds\": {},\n", self.rounds.len()));
-        out.push_str(&format!("  \"evals\": {},\n", self.evaluations));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"timeouts\": {},\n", self.timeouts));
-        out.push_str(&format!("  \"traps\": {},\n", self.traps));
+        push_escaped(
+            &mut out,
+            INDENT,
+            "schema",
+            &schema::RUN_REPORT.label(),
+            true,
+        );
+        push_escaped(&mut out, INDENT, "file", path, true);
+        push_escaped(&mut out, INDENT, "entry", entry, true);
+        push_escaped(&mut out, INDENT, "outcome", self.outcome_label(), true);
+        push_escaped(&mut out, INDENT, "backend", self.backend, true);
+        let number = |out: &mut String, key: &str, value: f64| {
+            push_number(out, INDENT, key, value, true);
+        };
+        number(&mut out, "branches", self.coverage.total_branches() as f64);
+        number(
+            &mut out,
+            "covered_branches",
+            self.coverage.covered_count() as f64,
+        );
+        number(
+            &mut out,
+            "branch_coverage_percent",
+            self.branch_coverage_percent(),
+        );
+        number(&mut out, "inputs", self.inputs.len() as f64);
+        number(&mut out, "rounds", self.rounds.len() as f64);
+        number(&mut out, "evals", self.evaluations as f64);
+        number(&mut out, "cache_hits", self.cache_hits as f64);
+        number(&mut out, "timeouts", self.timeouts as f64);
+        number(&mut out, "traps", self.traps as f64);
         if self.warm_replayed > 0 {
-            out.push_str("  \"corpus_warm_start\": true,\n");
-            out.push_str(&format!("  \"warm_replayed\": {},\n", self.warm_replayed));
+            push_bool(&mut out, INDENT, "corpus_warm_start", true, true);
+            number(&mut out, "warm_replayed", self.warm_replayed as f64);
         }
-        out.push_str(&format!(
-            "  \"wall_time_s\": {}\n",
-            self.wall_time.as_secs_f64()
-        ));
+        push_number(
+            &mut out,
+            INDENT,
+            "wall_time_s",
+            self.wall_time.as_secs_f64(),
+            false,
+        );
         out.push_str("}\n");
         out
     }
@@ -329,12 +316,6 @@ mod tests {
             cache_hits: 3,
             timeouts: 1,
             traps: 0,
-            epochs: vec![EpochTelemetry {
-                epoch: 0,
-                rounds: 2,
-                evaluations: 22,
-                deltas_absorbed: 0,
-            }],
             warm_replayed: 0,
             backend: "interp",
             wall_time: Duration::from_millis(5),

@@ -12,8 +12,9 @@
 //!   order-preserving value model ([`JsonValue`]) — the repository
 //!   vendors no serde, so the wire protocol and the corpus store read
 //!   documents through this parser;
-//! * compact and pretty writers whose output [`parse`] round-trips
-//!   exactly (pinned by property tests in `tests/schema_properties.rs`);
+//! * a compact writer ([`write_compact`]) whose output [`parse`]
+//!   round-trips exactly (pinned by property tests in
+//!   `tests/schema_properties.rs`);
 //! * the emission helpers (`push_number` / `push_bool` / `push_escaped`)
 //!   the hand-built report writers share, so every artifact escapes and
 //!   formats numbers identically.
@@ -59,7 +60,7 @@ pub const RUN_REPORT: SchemaId = SchemaId {
 /// ([`CampaignReport::write_json`](crate::CampaignReport)).
 pub const CAMPAIGN_REPORT: SchemaId = SchemaId {
     kind: "coverme-campaign-report",
-    version: 10,
+    version: 11,
 };
 
 /// One persisted function entry of the corpus store
@@ -746,7 +747,7 @@ mod tests {
     #[test]
     fn labels_match_the_emitted_schemas() {
         assert_eq!(RUN_REPORT.label(), "coverme-run-report/6");
-        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/10");
+        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/11");
         assert!(RUN_REPORT.matches("coverme-run-report/6"));
         assert!(!RUN_REPORT.matches("coverme-run-report/5"));
     }

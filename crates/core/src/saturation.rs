@@ -28,7 +28,7 @@
 use coverme_runtime::{BranchId, BranchSet, Trace};
 
 /// Tracks covered, infeasible and (derived) saturated branches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaturationTracker {
     num_sites: usize,
     covered: BranchSet,
@@ -41,68 +41,6 @@ pub struct SaturationTracker {
     /// Whether the descendant condition participates in saturation at all
     /// (the `PenPolicy::CoveredOnly` ablation turns it off).
     use_descendants: bool,
-    /// Monotone mutation counter, bumped by every state-changing call. Lets
-    /// the cross-shard sync layer ([`crate::sync`]) skip re-broadcasting a
-    /// shard's state when nothing changed since its last published
-    /// [`SaturationDelta`]. Excluded from equality: two trackers that
-    /// reached the same state along different paths compare equal.
-    version: u64,
-}
-
-/// Two trackers are equal when their *state* is equal — the mutation
-/// counter (`version`) is bookkeeping for delta exchange, not state, so
-/// trackers that converged along different merge orders still compare
-/// equal (the commutativity property the sync layer relies on).
-impl PartialEq for SaturationTracker {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_sites == other.num_sites
-            && self.covered == other.covered
-            && self.infeasible == other.infeasible
-            && self.descendants == other.descendants
-            && self.learn_descendants == other.learn_descendants
-            && self.use_descendants == other.use_descendants
-    }
-}
-
-/// A publishable snapshot of one tracker's monotone saturation knowledge —
-/// what a shard hands its siblings at a sync barrier (see [`crate::sync`]).
-///
-/// The payload is the full covered/infeasible/descendant state, not a diff:
-/// every component merges by set union, so applying a delta is
-/// **commutative** (any barrier may apply its peers' deltas in any order),
-/// **idempotent** (re-applying a stale delta is a no-op), and monotone
-/// (knowledge is never retracted — except infeasible verdicts refuted by
-/// real coverage, which [`SaturationTracker::apply_delta`] drops against
-/// the *post-union* covered set, an order-independent rule: the final
-/// infeasible set is always `union(infeasible) \ union(covered)` over
-/// whatever deltas were applied).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaturationDelta {
-    /// The publishing tracker's [`SaturationTracker::version`] at
-    /// extraction time. Consumers use it to recognize an unchanged
-    /// re-broadcast; it does not participate in `apply_delta`.
-    pub version: u64,
-    num_sites: usize,
-    covered: BranchSet,
-    infeasible: BranchSet,
-    descendants: Vec<BranchSet>,
-}
-
-impl SaturationDelta {
-    /// Number of conditional sites of the program this delta describes.
-    pub fn num_sites(&self) -> usize {
-        self.num_sites
-    }
-
-    /// Branches the publishing shard has covered.
-    pub fn covered(&self) -> &BranchSet {
-        &self.covered
-    }
-
-    /// Branches the publishing shard has deemed infeasible.
-    pub fn infeasible(&self) -> &BranchSet {
-        &self.infeasible
-    }
 }
 
 impl SaturationTracker {
@@ -116,7 +54,6 @@ impl SaturationTracker {
             descendants: vec![BranchSet::new(); num_sites * 2],
             learn_descendants: true,
             use_descendants: true,
-            version: 0,
         }
     }
 
@@ -142,7 +79,6 @@ impl SaturationTracker {
             descendants,
             learn_descendants: false,
             use_descendants: true,
-            version: 0,
         }
     }
 
@@ -167,7 +103,6 @@ impl SaturationTracker {
     /// covered and (when enabled) learns descendant pairs from the order of
     /// the trace.
     pub fn record_trace(&mut self, trace: &Trace) {
-        self.version += 1;
         let taken: Vec<BranchId> = trace.covered_branches().collect();
         for &branch in &taken {
             self.covered.insert(branch);
@@ -192,14 +127,12 @@ impl SaturationTracker {
 
     /// Records coverage without a trace (no descendant learning).
     pub fn record_covered(&mut self, covered: &BranchSet) {
-        self.version += 1;
         self.covered.union_with(covered);
     }
 
     /// Marks a branch as deemed-infeasible. Such branches are treated as
     /// covered when deciding saturation, so the search stops pursuing them.
     pub fn mark_infeasible(&mut self, branch: BranchId) {
-        self.version += 1;
         self.infeasible.insert(branch);
     }
 
@@ -214,9 +147,9 @@ impl SaturationTracker {
     /// [`mark_infeasible`](Self::mark_infeasible) would; branches already
     /// covered or already deemed infeasible are skipped, so re-blaming is
     /// idempotent. Soundness under merging is unchanged: verdicts still
-    /// travel through [`delta`](Self::delta)/[`apply_delta`](Self::apply_delta)
-    /// as plain infeasible bits and are refuted against the post-union
-    /// covered set, keeping delta application commutative and idempotent.
+    /// travel through [`merge_from`](Self::merge_from) as plain infeasible
+    /// bits and are refuted against the post-union covered set, keeping the
+    /// merge order-independent and idempotent.
     ///
     /// Returns the branches blamed this call, in trace order.
     pub fn blame_uncovered_path(&mut self, trace: &Trace) -> Vec<BranchId> {
@@ -231,80 +164,7 @@ impl SaturationTracker {
                 blamed.push(untaken);
             }
         }
-        if !blamed.is_empty() {
-            self.version += 1;
-        }
         blamed
-    }
-
-    /// The tracker's monotone mutation counter: bumped by every
-    /// state-changing call ([`record_trace`](Self::record_trace),
-    /// [`mark_infeasible`](Self::mark_infeasible), merges, delta applies).
-    /// A shard whose version is unchanged since its last published delta
-    /// has nothing new to broadcast.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Extracts the tracker's monotone knowledge as a [`SaturationDelta`]
-    /// stamped with the current [`version`](Self::version) — what a shard
-    /// publishes at a sync barrier. Extraction is a snapshot (clones the
-    /// bitsets); it does not mutate the tracker.
-    pub fn delta(&self) -> SaturationDelta {
-        SaturationDelta {
-            version: self.version,
-            num_sites: self.num_sites,
-            covered: self.covered.clone(),
-            infeasible: self.infeasible.clone(),
-            descendants: self.descendants.clone(),
-        }
-    }
-
-    /// Merges a sibling shard's published delta into this tracker: covered,
-    /// infeasible and learned-descendant sets union in, then any
-    /// infeasible verdict the unioned coverage refutes is dropped. Returns
-    /// whether the tracker's state changed.
-    ///
-    /// Applying a set of deltas is commutative and idempotent (see
-    /// [`SaturationDelta`]), which is what lets the sync barrier apply
-    /// peers' deltas in whatever order workers delivered them and still
-    /// produce a deterministic result per `(seed, shards, sync_epochs)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta describes a program with a different number of
-    /// conditional sites.
-    pub fn apply_delta(&mut self, delta: &SaturationDelta) -> bool {
-        assert_eq!(
-            self.num_sites, delta.num_sites,
-            "cannot apply a saturation delta from a different program"
-        );
-        let before = (self.covered.clone(), self.infeasible.clone());
-        self.covered.union_with(&delta.covered);
-        self.infeasible.union_with(&delta.infeasible);
-        let mut descendants_changed = false;
-        for (mine, theirs) in self.descendants.iter_mut().zip(&delta.descendants) {
-            let len_before = mine.len();
-            mine.union_with(theirs);
-            descendants_changed |= mine.len() != len_before;
-        }
-        // Order-independent refutation: against the *post-union* covered
-        // set, so `union(infeasible) \ union(covered)` falls out no matter
-        // how many deltas were applied first.
-        let refuted: Vec<BranchId> = self
-            .infeasible
-            .iter()
-            .filter(|b| self.covered.contains(*b))
-            .collect();
-        for branch in refuted {
-            self.infeasible.remove(branch);
-        }
-        let changed =
-            descendants_changed || before.0 != self.covered || before.1 != self.infeasible;
-        if changed {
-            self.version += 1;
-        }
-        changed
     }
 
     /// Merges another tracker of the same program into this one, as when the
@@ -319,6 +179,10 @@ impl SaturationTracker {
     ///   shard actually covered is dropped from the infeasible set: real
     ///   coverage refutes the heuristic's verdict.
     ///
+    /// Refutation runs against the *post-union* covered set, so merging a
+    /// set of trackers is order-independent and idempotent: the infeasible
+    /// set always ends as `union(infeasible) \ union(covered)`.
+    ///
     /// The learning/ablation flags of `self` are kept; all shards of one
     /// search share a configuration, so they agree anyway.
     ///
@@ -330,7 +194,6 @@ impl SaturationTracker {
             self.num_sites, other.num_sites,
             "cannot merge saturation trackers of different programs"
         );
-        self.version += 1;
         self.covered.union_with(&other.covered);
         self.infeasible.union_with(&other.infeasible);
         for (mine, theirs) in self.descendants.iter_mut().zip(&other.descendants) {
@@ -576,25 +439,9 @@ mod tests {
         assert!(!tracker.is_saturated(BranchId::true_of(99)));
     }
 
-    #[test]
-    fn delta_apply_matches_merge_from() {
-        let mut a = SaturationTracker::new(2);
-        a.record_trace(&trace_of(&[(0, true), (1, false)]));
-        a.mark_infeasible(BranchId::true_of(1));
-        let mut b = SaturationTracker::new(2);
-        b.record_trace(&trace_of(&[(0, false)]));
-
-        let mut via_merge = b.clone();
-        via_merge.merge_from(&a);
-        let mut via_delta = b.clone();
-        assert!(via_delta.apply_delta(&a.delta()));
-        assert_eq!(via_merge, via_delta);
-    }
-
-    #[test]
-    fn delta_apply_is_commutative_and_idempotent() {
-        // Three shards with overlapping knowledge, including an infeasible
-        // verdict one peer refutes by real coverage.
+    /// Three shard trackers with overlapping knowledge, including an
+    /// infeasible verdict one peer refutes by real coverage.
+    fn overlapping_shards() -> [SaturationTracker; 3] {
         let mut a = SaturationTracker::new(2);
         a.record_trace(&trace_of(&[(0, true), (1, false)]));
         a.mark_infeasible(BranchId::true_of(1));
@@ -603,16 +450,29 @@ mod tests {
         b.mark_infeasible(BranchId::false_of(1));
         let mut c = SaturationTracker::new(2);
         c.record_trace(&trace_of(&[(0, true), (1, true)]));
+        [a, b, c]
+    }
 
-        let deltas = [a.delta(), b.delta(), c.delta()];
-        let base = SaturationTracker::new(2);
+    #[test]
+    fn merge_from_is_symmetric() {
+        let [a, b, _] = overlapping_shards();
+        let mut ab = a.clone();
+        ab.merge_from(&b);
+        let mut ba = b.clone();
+        ba.merge_from(&a);
+        assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn merge_from_is_order_independent_and_idempotent() {
+        let shards = overlapping_shards();
         let orders: [[usize; 3]; 3] = [[0, 1, 2], [2, 1, 0], [1, 2, 0]];
         let merged: Vec<SaturationTracker> = orders
             .iter()
             .map(|order| {
-                let mut t = base.clone();
+                let mut t = SaturationTracker::new(2);
                 for &i in order {
-                    t.apply_delta(&deltas[i]);
+                    t.merge_from(&shards[i]);
                 }
                 t
             })
@@ -623,10 +483,10 @@ mod tests {
         // order.
         assert!(!merged[0].infeasible().contains(BranchId::true_of(1)));
 
-        // Idempotent: re-applying every delta changes nothing.
+        // Idempotent: merging every shard again changes nothing.
         let mut again = merged[0].clone();
-        for delta in &deltas {
-            assert!(!again.apply_delta(delta), "stale delta mutated state");
+        for shard in &shards {
+            again.merge_from(shard);
         }
         assert_eq!(again, merged[0]);
     }
@@ -644,14 +504,14 @@ mod tests {
         assert!(tracker.infeasible().contains(BranchId::false_of(0)));
         assert!(tracker.infeasible().contains(BranchId::true_of(2)));
         assert!(!tracker.infeasible().contains(BranchId::false_of(1)));
-        // Re-blaming the same path is a no-op (and bumps no version).
-        let version = tracker.version();
+        // Re-blaming the same path is a no-op.
+        let before = tracker.clone();
         assert!(tracker.blame_uncovered_path(&failed).is_empty());
-        assert_eq!(tracker.version(), version);
+        assert_eq!(tracker, before);
     }
 
     #[test]
-    fn generalized_blame_stays_commutative_under_delta_exchange() {
+    fn generalized_blame_stays_order_independent_under_merge() {
         // Shard A blames a whole path; shard B covers one of the blamed
         // branches for real. Merging in either order refutes exactly that
         // verdict.
@@ -663,36 +523,24 @@ mod tests {
         b.record_trace(&trace_of(&[(0, false)]));
 
         let mut ab = SaturationTracker::new(2);
-        ab.apply_delta(&a.delta());
-        ab.apply_delta(&b.delta());
+        ab.merge_from(&a);
+        ab.merge_from(&b);
         let mut ba = SaturationTracker::new(2);
-        ba.apply_delta(&b.delta());
-        ba.apply_delta(&a.delta());
+        ba.merge_from(&b);
+        ba.merge_from(&a);
         assert_eq!(ab, ba);
         assert!(!ab.infeasible().contains(BranchId::false_of(0)), "refuted");
         assert!(ab.infeasible().contains(BranchId::false_of(1)));
     }
 
     #[test]
-    fn version_tracks_mutations_but_not_equality() {
+    fn equality_ignores_mutation_history() {
         let mut a = SaturationTracker::new(1);
-        let v0 = a.version();
         a.record_trace(&trace_of(&[(0, true)]));
-        assert!(a.version() > v0);
         let mut b = SaturationTracker::new(1);
         b.record_trace(&trace_of(&[(0, true)]));
         b.record_trace(&trace_of(&[(0, true)]));
         // Different mutation histories, same state: equal.
         assert_eq!(a, b);
-        let delta = a.delta();
-        assert_eq!(delta.version, a.version());
-        assert!(delta.covered().contains(BranchId::true_of(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "different program")]
-    fn apply_delta_rejects_mismatched_site_counts() {
-        let mut a = SaturationTracker::new(1);
-        a.apply_delta(&SaturationTracker::new(2).delta());
     }
 }

@@ -57,22 +57,21 @@
 //! earlier-kept input covers. The merge is a pure function of the shard
 //! snapshots, so it inherits their determinism.
 //!
-//! The shard loop itself lives in the epoch-resumable
-//! [`SearchState`](crate::driver::SearchState); [`run_shard`] runs one
-//! state to exhaustion in a single slice. The executor of
-//! [`crate::campaign`] — behind campaigns, [`CoverMe::run`](crate::CoverMe::run)
-//! and [`CoverMe::run_parallel`](crate::CoverMe::run_parallel) alike —
-//! drives the same states epoch by epoch, optionally exchanging saturation
-//! deltas at the [`crate::sync`] barriers, on any number of workers; all of
-//! them merge to the identical report for a fixed `(seed, shards,
-//! sync_epochs)`.
+//! The shard loop itself lives in the resumable [`SearchState`];
+//! [`run_shard`] runs one state to exhaustion in a single slice. The
+//! executor of [`crate::campaign`] — behind campaigns,
+//! [`CoverMe::run`](crate::CoverMe::run) and
+//! [`CoverMe::run_parallel`](crate::CoverMe::run_parallel) alike — runs the
+//! same states the same way, one task per shard, on any number of workers;
+//! all of them merge to the identical report for a fixed
+//! `(seed, shards, budget)`.
 
 use std::time::Instant;
 
 use coverme_runtime::{BranchSet, CoverageMap, Program};
 
 use crate::driver::{CoverMeConfig, SearchState};
-use crate::report::{EpochTelemetry, RoundRecord, TestReport};
+use crate::report::{RoundRecord, TestReport};
 use crate::saturation::SaturationTracker;
 
 /// The fewest starting points a shard should own for splitting to be
@@ -127,10 +126,6 @@ pub struct ShardOutcome {
     /// Evaluations whose execution trapped mid-run (see
     /// [`coverme_runtime::RunOutcome::Trap`]).
     pub traps: usize,
-    /// Per-epoch work telemetry: one entry per `run_rounds` slice the
-    /// shard's [`SearchState`] executed (a run-to-exhaustion shard has
-    /// exactly one).
-    pub epochs: Vec<EpochTelemetry>,
     /// Corpus inputs the shard's warm start replayed (see
     /// [`CoverMeConfig::warm_start`]; 0 for a cold search).
     pub warm_replayed: usize,
@@ -158,7 +153,6 @@ impl ShardOutcome {
             cache_hits: self.cache_hits,
             timeouts: self.timeouts,
             traps: self.traps,
-            epochs: self.epochs,
             warm_replayed: self.warm_replayed,
             backend: self.backend,
             wall_time: self.finished.duration_since(self.started),
@@ -180,12 +174,10 @@ pub struct MergedSearch {
 /// shards: the local search loop of Algorithm 1 restricted to the strided
 /// slice of rounds the shard owns (see the [module docs](self)).
 ///
-/// A thin wrapper over the epoch-resumable [`SearchState`]: create the
+/// A thin wrapper over the resumable [`SearchState`]: create the
 /// state, run it to exhaustion in a single slice, convert it into the
 /// shard snapshot. With `config.shards <= 1` this is exactly the
-/// sequential driver loop; cross-shard sync lives one layer up
-/// ([`crate::sync`] and the campaign executor), which pause the same state
-/// machine at epoch boundaries instead.
+/// sequential driver loop.
 ///
 /// # Panics
 ///
@@ -254,24 +246,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
 
     let mut rounds: Vec<RoundRecord> = outcomes.iter().flat_map(|o| o.rounds.clone()).collect();
     rounds.sort_by_key(|r| r.round);
-    // Per-epoch telemetry aggregates across shards by epoch index (shards
-    // that early-exited simply stop contributing to later epochs).
-    let mut epochs: Vec<EpochTelemetry> = Vec::new();
-    for outcome in &outcomes {
-        for entry in &outcome.epochs {
-            if epochs.len() <= entry.epoch {
-                epochs.resize_with(entry.epoch + 1, EpochTelemetry::default);
-            }
-            let slot = &mut epochs[entry.epoch];
-            slot.epoch = entry.epoch;
-            slot.rounds += entry.rounds;
-            slot.evaluations += entry.evaluations;
-            slot.deltas_absorbed += entry.deltas_absorbed;
-        }
-    }
-    for (index, slot) in epochs.iter_mut().enumerate() {
-        slot.epoch = index;
-    }
     let evaluations = outcomes.iter().map(|o| o.evaluations).sum();
     let cache_hits = outcomes.iter().map(|o| o.cache_hits).sum();
     let timeouts = outcomes.iter().map(|o| o.timeouts).sum();
@@ -299,7 +273,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
             cache_hits,
             timeouts,
             traps,
-            epochs,
             warm_replayed,
             backend,
             wall_time: finished.duration_since(started),
@@ -458,6 +431,32 @@ mod tests {
         let cfg = config(2);
         let a = run_shard(&cfg, &program, 0);
         let _ = merge_shards(program.name(), vec![a.clone(), a]);
+    }
+
+    #[test]
+    fn raw_shard_counts_are_normalized_like_everywhere_else() {
+        // shards = 4 with n_start = 32 clamps to 2 effective shards; the
+        // states must stride by the clamped count too (regression: they
+        // used to stride by the raw count, silently dropping half the
+        // rounds). Branch 1T is infeasible and the heuristic is off, so no
+        // shard saturates early and every scheduled round runs.
+        let program = FnProgram::new("FOO_INF", 1, 2, |input: &[f64], ctx: &mut ExecCtx| {
+            let mut x = input[0];
+            if ctx.branch(0, Cmp::Le, x, 1.0) {
+                x += 1.0;
+            }
+            ctx.branch(1, Cmp::Eq, x * x, -1.0);
+        });
+        let cfg = CoverMeConfig::default()
+            .with_n_start(32)
+            .with_n_iter(3)
+            .with_seed(5)
+            .with_shards(4)
+            .with_infeasible_policy(InfeasiblePolicy::Disabled);
+        let sequential = CoverMe::new(cfg.clone()).run(&program);
+        assert_eq!(sequential.rounds.len(), 32, "every scheduled round ran");
+        let parallel = CoverMe::new(cfg).run_parallel(&program);
+        assert_eq!(parallel.rounds, sequential.rounds);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!   overshoot it). `coverme serve` tiers rely on this to meter tenants;
 //! * an allowance the search never reaches is **bit-identical to no
 //!   allowance**: the check before each round perturbs nothing;
-//! * saturation deltas from searches running **generalized blame** stay
-//!   commutative and idempotent, so sync rendezvous and shard merges
-//!   remain arrival-order-free under the new policy.
+//! * shard merges of searches running **generalized blame** stay
+//!   order-independent and idempotent under the new policy.
 //!
 //! Programs are the same randomly generated straight-line conditionals the
-//! sync suite uses.
+//! shard suite uses.
 
 use proptest::prelude::*;
 
@@ -184,11 +183,10 @@ proptest! {
         prop_assert_eq!(fingerprint(&unbudgeted), fingerprint(&unreached));
     }
 
-    /// Deltas from searches running generalized infeasibility blame stay
-    /// commutative and idempotent, so every rendezvous and merge stays
-    /// arrival-order-free under the new policy.
+    /// Merging the shard trackers of searches running generalized
+    /// infeasibility blame stays order-independent and idempotent.
     #[test]
-    fn generalized_blame_deltas_commute(
+    fn generalized_blame_merges_commute(
         specs in prop::collection::vec(site_strategy(), 1..5),
         seed in 0..1000u64,
     ) {
@@ -199,22 +197,20 @@ proptest! {
         let outcomes: Vec<ShardOutcome> = (0..3)
             .map(|i| coverme::shard::run_shard(&cfg, &program, i))
             .collect();
-        let deltas: Vec<_> = outcomes.iter().map(|o| o.tracker.delta()).collect();
-
-        let apply_in = |order: &[usize]| {
+        let merge_in = |order: &[usize]| {
             let mut tracker = SaturationTracker::new(program.num_sites());
             for &i in order {
-                tracker.apply_delta(&deltas[i]);
+                tracker.merge_from(&outcomes[i].tracker);
             }
             tracker
         };
-        let abc = apply_in(&[0, 1, 2]);
-        prop_assert_eq!(&abc, &apply_in(&[2, 1, 0]));
-        prop_assert_eq!(&abc, &apply_in(&[1, 2, 0]));
-        // Idempotent: a second pass of every delta changes nothing.
+        let abc = merge_in(&[0, 1, 2]);
+        prop_assert_eq!(&abc, &merge_in(&[2, 1, 0]));
+        prop_assert_eq!(&abc, &merge_in(&[1, 2, 0]));
+        // Idempotent: a second pass of every shard changes nothing.
         let mut again = abc.clone();
-        for delta in &deltas {
-            prop_assert!(!again.apply_delta(delta), "stale delta mutated state");
+        for outcome in &outcomes {
+            again.merge_from(&outcome.tracker);
         }
         prop_assert_eq!(&again, &abc);
     }

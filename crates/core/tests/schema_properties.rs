@@ -231,3 +231,20 @@ fn corpus_off_campaign_documents_are_pinned() {
     let envelope = open_envelope(&first).expect("document parses");
     assert!(envelope.expect(CAMPAIGN_REPORT).is_ok());
 }
+
+/// The run document escapes the file path and entry name it splices in:
+/// a path holding a quote, a backslash and a control character still
+/// yields a valid document whose `file` and `entry` parse back verbatim.
+#[test]
+fn run_documents_escape_hostile_paths_and_entries() {
+    let report = CoverMe::new(toy_config()).run(&toy_program());
+    let path = "dir\\odd\"name\u{1}.fpir";
+    let entry = "ma\"in\n";
+    let doc = schema::parse(&report.to_run_json(entry, path)).expect("document parses");
+    assert_eq!(doc.get("file").and_then(JsonValue::as_str), Some(path));
+    assert_eq!(doc.get("entry").and_then(JsonValue::as_str), Some(entry));
+    assert_eq!(
+        doc.get("evals").and_then(JsonValue::as_usize),
+        Some(report.evaluations)
+    );
+}

@@ -8,7 +8,15 @@
 //!   budget never covers fewer branches than the unsharded search,
 //! * the merged snapshot is the union of the shard snapshots: covered
 //!   branches and coverage maps union exactly, infeasible verdicts union
-//!   minus what real coverage refuted.
+//!   minus what real coverage refuted — and the merge is order-independent
+//!   and idempotent;
+//! * `run_shard` is exactly a reference run-to-completion round loop
+//!   written against the public engine, minimizer and tracker API, and
+//!   cutting a shard's schedule into `run_rounds` slices changes nothing;
+//! * results are deterministic per `(seed, shards, budget)` at any worker
+//!   count — `CoverMe::run` on the calling thread, `CoverMe::run_parallel`
+//!   on one worker per shard and campaigns on any number of workers (all
+//!   one executor) agree, warm-started or cold.
 //!
 //! These are checked on randomly generated straight-line programs (affine
 //! conditions over one input, with data flow between sites), not just the
@@ -17,7 +25,12 @@
 use proptest::prelude::*;
 
 use coverme::shard::{merge_shards, run_shard};
-use coverme::{CoverMe, CoverMeConfig};
+use coverme::{
+    Campaign, CampaignConfig, CoverMe, CoverMeConfig, InfeasiblePolicy, ObjectiveEngine,
+    RoundOutcome, RoundRecord, SaturationTracker, SearchState, ShardOutcome, WarmStart,
+};
+use coverme_optim::rng::SplitMix64;
+use coverme_optim::BasinHopping;
 use coverme_runtime::{BranchSet, Cmp, CoverageMap, ExecCtx, FnProgram, Program};
 
 /// Specification of one conditional site of a generated program.
@@ -91,6 +104,106 @@ fn config(seed: u64, shards: usize) -> CoverMeConfig {
         .with_n_iter(5)
         .with_seed(seed)
         .with_shards(shards)
+}
+
+/// A reference implementation of one shard's search: the
+/// run-to-completion round loop of Algorithm 1 written directly against
+/// the public engine/minimizer/tracker API. Kept `polish`-free — the
+/// polish helper is internal — so comparisons run both sides with polish
+/// disabled.
+fn reference_shard_rounds<P: Program>(
+    config: &CoverMeConfig,
+    program: &P,
+    shard_index: usize,
+) -> (Vec<RoundRecord>, usize, Vec<Vec<f64>>) {
+    assert!(!config.polish, "reference loop does not implement polish");
+    let shards = config.shards.max(1);
+    let mut tracker = SaturationTracker::new(program.num_sites());
+    let mut coverage = coverme_runtime::CoverageMap::new(program.num_sites());
+    let mut engine = ObjectiveEngine::new(program, config.epsilon).cache_mode(config.cache);
+    let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
+    let schedule: Vec<Vec<f64>> =
+        config
+            .starting_points
+            .sample_batch(&mut start_rng, program.arity(), config.n_start);
+    let mut rounds = Vec::new();
+    let mut inputs = Vec::new();
+    let mut evaluations = 0usize;
+    for round in (shard_index..config.n_start).step_by(shards) {
+        if tracker.all_saturated() {
+            break;
+        }
+        let x0 = schedule[round].clone();
+        let snapshot = tracker.saturated_set();
+        let saturated_before = snapshot.len();
+        engine.retarget(&snapshot);
+        let hopper = BasinHopping::new()
+            .iterations(config.n_iter)
+            .local_method(config.local_method)
+            .perturbation(config.perturbation)
+            .temperature(1.0)
+            .seed(
+                config
+                    .seed
+                    .wrapping_add(round as u64)
+                    .wrapping_mul(0x9E37_79B9),
+            )
+            .target_value(config.zero_threshold);
+        let result = hopper.minimize_objective(&mut engine, &x0);
+        evaluations += result.stats.evaluations;
+        let minimum_point = result.x.clone();
+        let evaluation = engine.eval_full(&minimum_point);
+        evaluations += 1;
+        let outcome = if evaluation.value <= config.zero_threshold {
+            let newly = coverage.record_set(&evaluation.covered);
+            tracker.record_trace(&evaluation.trace);
+            inputs.push(minimum_point.clone());
+            if newly > 0 {
+                RoundOutcome::NewInput
+            } else {
+                RoundOutcome::RedundantInput
+            }
+        } else {
+            match config.infeasible_policy {
+                InfeasiblePolicy::LastConditional => {
+                    if let Some(last) = evaluation.trace.last() {
+                        let blamed = last.untaken_branch();
+                        tracker.mark_infeasible(blamed);
+                        RoundOutcome::DeemedInfeasible(blamed)
+                    } else {
+                        RoundOutcome::NoProgress
+                    }
+                }
+                InfeasiblePolicy::Generalized => {
+                    if let Some(last) = evaluation.trace.last() {
+                        let anchor = last.untaken_branch();
+                        if tracker.covered().contains(anchor)
+                            || tracker.infeasible().contains(anchor)
+                        {
+                            let blamed = tracker.blame_uncovered_path(&evaluation.trace);
+                            RoundOutcome::DeemedInfeasiblePath(anchor, blamed.len())
+                        } else {
+                            tracker.mark_infeasible(anchor);
+                            RoundOutcome::DeemedInfeasible(anchor)
+                        }
+                    } else {
+                        RoundOutcome::NoProgress
+                    }
+                }
+                InfeasiblePolicy::Disabled => RoundOutcome::NoProgress,
+            }
+        };
+        rounds.push(RoundRecord {
+            round,
+            start: x0,
+            minimum: minimum_point,
+            value: evaluation.value,
+            evaluations: result.stats.evaluations,
+            saturated_before,
+            outcome,
+        });
+    }
+    (rounds, evaluations, inputs)
 }
 
 proptest! {
@@ -204,5 +317,163 @@ proptest! {
             check.record(&ctx);
         }
         prop_assert_eq!(check.covered_count(), report.coverage.covered_count());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The `SearchState`-backed `run_shard` produces exactly the rounds,
+    /// evaluation counts and accepted inputs of the reference
+    /// run-to-completion loop.
+    #[test]
+    fn run_shard_matches_the_reference_shard_loop(
+        specs in program_strategy(),
+        seed in 0..1000u64,
+        shards in 1..4usize,
+    ) {
+        let program = build_program(specs);
+        let cfg = config(seed, shards).with_polish(false);
+        for shard in 0..shards {
+            let outcome = run_shard(&cfg, &program, shard);
+            let (rounds, evaluations, inputs) =
+                reference_shard_rounds(&cfg, &program, shard);
+            prop_assert_eq!(&outcome.rounds, &rounds, "shard {}", shard);
+            prop_assert_eq!(outcome.evaluations, evaluations);
+            let accepted: Vec<Vec<f64>> =
+                outcome.accepted.iter().map(|a| a.input.clone()).collect();
+            prop_assert_eq!(accepted, inputs);
+        }
+    }
+
+    /// Pausing is free: cutting a shard's schedule into arbitrary
+    /// `run_rounds` slices produces the same outcome as one
+    /// run-to-exhaustion call — rounds, inputs, coverage, evaluations.
+    #[test]
+    fn run_rounds_slicing_is_behavior_free(
+        specs in program_strategy(),
+        seed in 0..1000u64,
+        chunks in prop::collection::vec(1..7usize, 1..32),
+    ) {
+        let program = build_program(specs);
+        let cfg = config(seed, 1);
+        let whole = run_shard(&cfg, &program, 0);
+
+        let mut state = SearchState::new(&cfg, &program, 0);
+        let mut chunk_iter = chunks.iter().cycle();
+        loop {
+            let outcome = state.run_rounds(*chunk_iter.next().expect("cycle"));
+            if outcome.is_finished() {
+                break;
+            }
+        }
+        let sliced = state.finish();
+        prop_assert_eq!(&sliced.rounds, &whole.rounds);
+        prop_assert_eq!(&sliced.coverage, &whole.coverage);
+        prop_assert_eq!(sliced.evaluations, whole.evaluations);
+        prop_assert_eq!(&sliced.tracker, &whole.tracker);
+    }
+
+    /// Merging the trackers real searches produce is order-independent
+    /// and idempotent, so the merged snapshot cannot depend on which
+    /// shard finished first.
+    #[test]
+    fn merges_of_real_shard_outcomes_commute(
+        specs in program_strategy(),
+        seed in 0..1000u64,
+    ) {
+        let program = build_program(specs);
+        let cfg = config(seed, 3);
+        let outcomes: Vec<ShardOutcome> =
+            (0..3).map(|i| run_shard(&cfg, &program, i)).collect();
+
+        let merge_in = |order: &[usize]| {
+            let mut tracker = SaturationTracker::new(program.num_sites());
+            for &i in order {
+                tracker.merge_from(&outcomes[i].tracker);
+            }
+            tracker
+        };
+        let abc = merge_in(&[0, 1, 2]);
+        prop_assert_eq!(&abc, &merge_in(&[2, 1, 0]));
+        prop_assert_eq!(&abc, &merge_in(&[1, 2, 0]));
+        // Idempotent: a second pass of every shard changes nothing.
+        let mut again = abc.clone();
+        for outcome in &outcomes {
+            again.merge_from(&outcome.tracker);
+        }
+        prop_assert_eq!(&again, &abc);
+    }
+
+    /// Sharded searches are deterministic per `(seed, shards)` at any
+    /// worker count: `CoverMe::run` on the calling thread,
+    /// `CoverMe::run_parallel` on one worker per shard, and campaigns at
+    /// several worker counts all produce the same report.
+    #[test]
+    fn sharded_results_deterministic_at_any_worker_count(
+        specs in program_strategy(),
+        seed in 0..1000u64,
+        shards in 2..4usize,
+    ) {
+        let program = build_program(specs.clone());
+        let cfg = config(seed, shards);
+        let sequential = CoverMe::new(cfg.clone()).run(&program);
+        let parallel = CoverMe::new(cfg.clone()).run_parallel(&program);
+        prop_assert_eq!(&sequential.inputs, &parallel.inputs);
+        prop_assert_eq!(&sequential.coverage, &parallel.coverage);
+        prop_assert_eq!(sequential.evaluations, parallel.evaluations);
+        prop_assert_eq!(&sequential.rounds, &parallel.rounds);
+
+        // The campaign derives its own per-function seed, so compare the
+        // campaign against itself across worker counts.
+        let programs = vec![build_program(specs)];
+        let run_campaign = |workers: usize| {
+            Campaign::new(
+                CampaignConfig::new()
+                    .with_base(cfg.clone())
+                    .with_workers(workers),
+            )
+            .run(&programs)
+        };
+        let one = run_campaign(1);
+        for workers in [2usize, 5] {
+            let many = run_campaign(workers);
+            let (a, b) = (
+                one.results[0].report.as_ref().expect("ran"),
+                many.results[0].report.as_ref().expect("ran"),
+            );
+            prop_assert_eq!(&a.inputs, &b.inputs, "workers = {}", workers);
+            prop_assert_eq!(&a.coverage, &b.coverage);
+            prop_assert_eq!(a.evaluations, b.evaluations);
+        }
+    }
+
+    /// A corpus warm start replays inside each shard's first `run_rounds`
+    /// slice, before any scheduled round: sharded warm runs stay
+    /// deterministic between `CoverMe::run` and `CoverMe::run_parallel`.
+    #[test]
+    fn warm_started_sharded_runs_stay_deterministic(
+        specs in program_strategy(),
+        seed in 0..1000u64,
+        shards in 2..4usize,
+    ) {
+        let program = build_program(specs);
+        // Harvest replay material from a cold run of a different schedule
+        // (different seed → different search key, so no schedule credit:
+        // this pins the pure replay path).
+        let donor = CoverMe::new(config(seed ^ 0x55, shards)).run(&program);
+        let warm = WarmStart {
+            inputs: donor.inputs.clone(),
+            infeasible: donor.infeasible.clone(),
+            prior_coverage: None,
+        };
+        let cfg = config(seed, shards).with_warm_start(warm);
+        let sequential = CoverMe::new(cfg.clone()).run(&program);
+        let parallel = CoverMe::new(cfg).run_parallel(&program);
+        prop_assert_eq!(&sequential.inputs, &parallel.inputs);
+        prop_assert_eq!(&sequential.coverage, &parallel.coverage);
+        prop_assert_eq!(sequential.evaluations, parallel.evaluations);
+        prop_assert_eq!(sequential.warm_replayed, parallel.warm_replayed);
+        prop_assert!(sequential.warm_replayed > 0 || donor.inputs.is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //! inputs, and the argument-reduction case splits — because that structure
 //! is what makes the functions hard coverage targets. The polynomial
 //! kernels inside unconditional straight-line regions are simplified where
-//! exact coefficients do not influence control flow; `DESIGN.md` documents
-//! this substitution.
+//! exact coefficients do not influence control flow; that substitution
+//! leaves every branch of the original C source in place.
 //!
 //! Every conditional is reported through
 //! [`coverme_runtime::ExecCtx::branch`] (or the integer-promotion helpers),

@@ -14,8 +14,8 @@
 //! * [`powell`] — Powell's direction-set method with Brent line search,
 //! * [`nelder_mead`] — the Nelder–Mead simplex method,
 //! * [`compass`] — compass (coordinate pattern) search,
-//! * [`line_search`] — 1-D bracketing, golden-section and Brent minimization
-//!   used by Powell.
+//! * [`line_search`] — 1-D bracketing and Brent minimization used by
+//!   Powell.
 //!
 //! All minimizers operate on plain `&[f64]` points and objectives speaking
 //! the [`Objective`] protocol ([`objective`]): a scalar entry point plus a

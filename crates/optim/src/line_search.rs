@@ -2,9 +2,9 @@
 //!
 //! Powell's direction-set method repeatedly minimizes the objective along a
 //! line `t ↦ f(x + t·d)`. This module provides the classic toolbox for that
-//! inner problem: initial bracketing of a minimum ([`bracket`]),
-//! golden-section search ([`golden_section`]) and Brent's method
-//! ([`brent`]), which combines golden sections with parabolic interpolation.
+//! inner problem: initial bracketing of a minimum ([`bracket`]) and Brent's
+//! method ([`brent`]), which combines golden-section steps with parabolic
+//! interpolation.
 //!
 //! The implementations follow the standard formulations in *Numerical
 //! Recipes* (Press et al.), which is also the reference the paper cites for
@@ -192,66 +192,6 @@ fn sign_preserving_max(value: f64, floor: f64) -> f64 {
         floor
     } else {
         -floor
-    }
-}
-
-/// Golden-section search inside a bracket.
-///
-/// Robust but linearly convergent; used as a fallback and in tests as a
-/// reference implementation for [`brent`].
-pub fn golden_section<F>(f: &mut F, bracket: &Bracket, tol: f64, max_iters: usize) -> LineMinimum
-where
-    F: FnMut(f64) -> f64,
-{
-    const R: f64 = 0.618_033_988_749_895;
-    const C: f64 = 1.0 - R;
-
-    let mut evals = 0;
-    let (a, b) = (bracket.a.min(bracket.c), bracket.a.max(bracket.c));
-    let mut x0 = a;
-    let mut x3 = b;
-    let (mut x1, mut x2);
-    if (b - bracket.b).abs() > (bracket.b - a).abs() {
-        x1 = bracket.b;
-        x2 = bracket.b + C * (b - bracket.b);
-    } else {
-        x2 = bracket.b;
-        x1 = bracket.b - C * (bracket.b - a);
-    }
-    let mut f1 = f(x1);
-    let mut f2 = f(x2);
-    evals += 2;
-
-    let mut iters = 0;
-    while (x3 - x0).abs() > tol * (x1.abs() + x2.abs()).max(1e-12) && iters < max_iters {
-        iters += 1;
-        if f2 < f1 {
-            x0 = x1;
-            x1 = x2;
-            x2 = R * x2 + C * x3;
-            f1 = f2;
-            f2 = f(x2);
-        } else {
-            x3 = x2;
-            x2 = x1;
-            x1 = R * x1 + C * x0;
-            f2 = f1;
-            f1 = f(x1);
-        }
-        evals += 1;
-    }
-    if f1 < f2 {
-        LineMinimum {
-            t: x1,
-            value: f1,
-            evaluations: evals,
-        }
-    } else {
-        LineMinimum {
-            t: x2,
-            value: f2,
-            evaluations: evals,
-        }
     }
 }
 
@@ -469,15 +409,6 @@ mod tests {
         let m = brent(&mut f, &br, 1e-10, 200);
         assert!((m.t - 2.5).abs() < 1e-6);
         assert!((m.value - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn golden_section_agrees_with_brent() {
-        let mut f = |t: f64| (t + 4.0).powi(2) * ((t + 4.0).powi(2) + 0.3);
-        let br = bracket(&mut f, 0.0, 1.0, 200);
-        let g = golden_section(&mut f, &br, 1e-10, 500);
-        let b = brent(&mut f, &br, 1e-10, 500);
-        assert!((g.t - b.t).abs() < 1e-4, "golden {} vs brent {}", g.t, b.t);
     }
 
     #[test]

@@ -108,7 +108,8 @@ impl CoverageMap {
 
     /// Block coverage in percent: the entry block plus one block per branch
     /// arm. Used as the line-coverage proxy for natively ported benchmarks
-    /// (Table 5); documented as a substitution in `DESIGN.md`.
+    /// (Table 5): a Rust port has no C source lines to count, so every
+    /// block a branch arm guards stands in for its lines.
     pub fn block_coverage_percent(&self) -> f64 {
         let total = 1 + self.total_branches();
         let covered = 1 + self.covered_count();

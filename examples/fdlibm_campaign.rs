@@ -3,16 +3,14 @@
 //! example) — and print a per-function coverage table plus the suite
 //! aggregate (a mini version of Table 2).
 //!
-//! The campaign schedules epoch tasks over (function, shard) pairs: with
+//! The campaign schedules one task per (function, shard) pair: with
 //! `--shards 1` (the default) that is one CoverMe search per function; with
 //! `--shards N` each function's `n_start` budget additionally splits across
 //! N shard units whose saturation snapshots are merged, so a heavy trailing
 //! function (`pow`, 114 branches) fans out over idle workers instead of
-//! serializing on one thread. `--sync-epochs E` makes the shards of each
-//! function rendezvous at E deterministic barriers and exchange saturation
-//! deltas, so later rounds stop chasing branches a sibling already covered.
-//! Searches are deterministic per `(seed, shards, sync_epochs)`: the same
-//! seed produces the same table regardless of the worker count. `--stream`
+//! serializing on one thread. Searches are deterministic per
+//! `(seed, shards, budget)`: the same seed produces the same table
+//! regardless of the worker count. `--stream`
 //! prints each function's row the moment it finishes instead of after the
 //! whole suite.
 //!
@@ -20,14 +18,10 @@
 //! cargo run --release --example fdlibm_campaign [options] [names...]
 //!   --workers N          worker threads (default: auto, at least 2)
 //!   --shards N           shards per function (default 1 = unsharded)
-//!   --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
 //!   --stream             print rows as functions finish (streaming)
 //!   --compare-shards N   run unsharded then with N shards and print the
 //!                        per-function wall-clock speedup (asserted only
 //!                        under COVERME_ASSERT_SPEEDUP=1)
-//!   --compare-sync E     run sync-off then sync-on with E epochs at the
-//!                        same shard count and print the per-function
-//!                        evaluation savings
 //!   --time-budget SECS   wall-clock budget in seconds; unstarted
 //!                        functions are skipped
 //!   --n-start N          starting points per function (default 80)
@@ -44,9 +38,7 @@
 //!                        the BENCH_campaign.json perf snapshot store);
 //!                        written atomically (tmp file + rename) so an
 //!                        interrupted run cannot leave truncated JSON.
-//!                        With --compare-shards the sharded run is written;
-//!                        with --compare-sync the sync-on report is written
-//!                        with sync-off eval columns alongside
+//!                        With --compare-shards the sharded run is written
 //!   names...             benchmark names (default: the full 40-function suite)
 //! ```
 //!
@@ -61,13 +53,10 @@ const USAGE: &str = "\
 usage: cargo run --release --example fdlibm_campaign -- [options] [names...]
   --workers N          worker threads (default: auto, at least 2)
   --shards N           shards per function (default 1 = unsharded)
-  --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
   --stream             print rows as functions finish (streaming)
   --compare-shards N   run unsharded then with N shards and print the
                        per-function wall-clock speedup (asserted only
                        under COVERME_ASSERT_SPEEDUP=1)
-  --compare-sync E     run sync-off then sync-on with E epochs and print
-                       the per-function evaluation savings
   --time-budget SECS   wall-clock budget in seconds; unstarted functions
                        are skipped
   --infeasible POLICY  infeasibility blame: last (default), all, off
@@ -84,7 +73,6 @@ fn main() {
     let mut parser = ArgParser::new("fdlibm_campaign", USAGE, std::env::args().skip(1));
     let mut options = CommonOptions::default();
     let mut compare_shards: Option<usize> = None;
-    let mut compare_sync: Option<usize> = None;
     let mut names: Vec<String> = Vec::new();
 
     while let Some(arg) = parser.next_arg() {
@@ -93,7 +81,6 @@ fn main() {
         }
         match arg.as_str() {
             "--compare-shards" => compare_shards = Some(parser.parsed("--compare-shards")),
-            "--compare-sync" => compare_sync = Some(parser.parsed("--compare-sync")),
             "--all" => {}
             // Anything else dash-prefixed is a flag typo, not a function
             // name; reject it (exit 2) instead of running a surprise
@@ -102,10 +89,7 @@ fn main() {
             name => names.push(name.to_string()),
         }
     }
-    if compare_shards.is_some() && compare_sync.is_some() {
-        parser.usage_error("--compare-shards and --compare-sync are mutually exclusive");
-    }
-    if options.stream && (compare_shards.is_some() || compare_sync.is_some()) {
+    if options.stream && compare_shards.is_some() {
         parser.usage_error("--stream applies to single-run mode only");
     }
 
@@ -129,14 +113,12 @@ fn main() {
             config = config.with_time_budget(budget);
         }
         let effective = config.effective_workers(inventory.len());
-        let effective_sync = config.base.effective_sync_epochs();
         println!(
             "campaign: {} functions, {} workers, {} shard(s)/function, \
-             {} sync epoch(s), n_start = {}, seed = {}",
+             n_start = {}, seed = {}",
             inventory.len(),
             effective,
             base.shards.max(1),
-            effective_sync,
             options.n_start,
             options.seed,
         );
@@ -154,8 +136,8 @@ fn main() {
         }
     };
 
-    match (compare_shards, compare_sync) {
-        (None, None) => {
+    match compare_shards {
+        None => {
             let report = run(options.clone(), options.stream);
             if !options.stream {
                 print!("{report}");
@@ -164,76 +146,10 @@ fn main() {
                 write_json_atomic(path, &report.to_json());
             }
         }
-        (None, Some(epochs)) => {
-            // Feedback-recovery measurement: sync-off vs sync-on at the
-            // same shard count and budget. The JSON artifact carries the
-            // sync-on report with sync-off eval columns alongside, so the
-            // nightly run tracks the evaluation savings over time.
-            let blind = run(
-                CommonOptions {
-                    sync_epochs: 0,
-                    ..options.clone()
-                },
-                false,
-            );
-            print!("{blind}");
-            let synced = run(
-                CommonOptions {
-                    sync_epochs: epochs,
-                    ..options.clone()
-                },
-                false,
-            );
-            print!("{synced}");
-            println!(
-                "sync savings (0 -> {epochs} epochs, {} shards):",
-                options.shards
-            );
-            println!(
-                "{:<22} {:>12} {:>12} {:>9} {:>10}",
-                "function", "evals off", "evals on", "saved", "coverage"
-            );
-            for (off, on) in blind.results.iter().zip(&synced.results) {
-                let (Some(off), Some(on)) = (off.report.as_ref(), on.report.as_ref()) else {
-                    continue;
-                };
-                let saved = if off.evaluations > 0 {
-                    100.0 * (off.evaluations as f64 - on.evaluations as f64)
-                        / off.evaluations as f64
-                } else {
-                    0.0
-                };
-                let coverage = if on.coverage.covered_count() == off.coverage.covered_count() {
-                    format!("{:>9.1}%", on.branch_coverage_percent())
-                } else {
-                    format!(
-                        "{:>4} vs {:<4}",
-                        on.coverage.covered_count(),
-                        off.coverage.covered_count()
-                    )
-                };
-                println!(
-                    "{:<22} {:>12} {:>12} {:>8.1}% {:>10}",
-                    on.program, off.evaluations, on.evaluations, saved, coverage
-                );
-            }
-            println!(
-                "{:<22} {:>12} {:>12} {:>8.1}%",
-                "suite",
-                blind.total_evaluations(),
-                synced.total_evaluations(),
-                100.0 * (blind.total_evaluations() as f64 - synced.total_evaluations() as f64)
-                    / blind.total_evaluations().max(1) as f64
-            );
-            if let Some(path) = &options.json_path {
-                write_json_atomic(path, &synced.to_json_with_sync_baseline(&blind));
-            }
-        }
-        (Some(sharded), None) => {
+        Some(sharded) => {
             let baseline = run(
                 CommonOptions {
                     shards: 1,
-                    sync_epochs: 0,
                     ..options.clone()
                 },
                 false,
@@ -269,11 +185,9 @@ fn main() {
                     if tn > 0.0 { t1 / tn } else { f64::INFINITY },
                     b.branch_coverage_percent(),
                 );
-                // Monotonicity only holds for full-budget, sync-off runs: a
-                // deadline can cut the two runs at different points, and a
-                // synced shard minimizes against a larger snapshot than the
-                // blind run's, so its trajectory is not comparable.
-                if options.time_budget.is_none() && options.sync_epochs == 0 {
+                // Monotonicity only holds for full-budget runs: a deadline
+                // can cut the two runs at different points.
+                if options.time_budget.is_none() {
                     assert!(
                         b.coverage.covered_count() >= a.coverage.covered_count(),
                         "{}: sharding lost coverage ({} < {})",
@@ -302,6 +216,5 @@ fn main() {
                 );
             }
         }
-        _ => unreachable!("rejected above"),
     }
 }

@@ -31,8 +31,6 @@ pub struct CommonOptions {
     pub seed: u64,
     /// Shards per function (`--shards`; 1 = unsharded).
     pub shards: usize,
-    /// Cross-shard saturation sync epochs (`--sync-epochs`; 0 = off).
-    pub sync_epochs: usize,
     /// Local minimizer (`--local powell|nm|compass|none`).
     pub local_method: LocalMethod,
     /// Execution backend (`--backend auto|interp`).
@@ -59,7 +57,6 @@ impl Default for CommonOptions {
             n_start: 80,
             seed: 42,
             shards: 1,
-            sync_epochs: 0,
             local_method: LocalMethod::Powell,
             backend: BackendMode::Auto,
             time_budget: None,
@@ -83,7 +80,6 @@ impl CommonOptions {
             .with_local_method(self.local_method)
             .with_backend(self.backend)
             .with_shards(self.shards)
-            .with_sync_epochs(self.sync_epochs)
             .with_infeasible_policy(self.infeasible_policy);
         if let Some(budget) = self.time_budget {
             config = config.with_time_budget(budget);
@@ -98,7 +94,6 @@ pub const COMMON_USAGE: &str = "\
   --n-start N          starting points per function (default 80)
   --seed S             master seed (default 42)
   --shards N           shards per function (default 1 = unsharded)
-  --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
@@ -165,7 +160,6 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
             "--n-start" => options.n_start = self.parsed("--n-start"),
             "--seed" => options.seed = self.parsed("--seed"),
             "--shards" => options.shards = self.parsed("--shards"),
-            "--sync-epochs" => options.sync_epochs = self.parsed("--sync-epochs"),
             "--local" => {
                 options.local_method = match self.value_for("--local").as_str() {
                     "powell" => LocalMethod::Powell,
@@ -320,8 +314,6 @@ mod tests {
             "7",
             "--shards",
             "3",
-            "--sync-epochs",
-            "2",
             "--local",
             "nm",
             "--backend",
@@ -343,7 +335,6 @@ mod tests {
         assert_eq!(options.n_start, 17);
         assert_eq!(options.seed, 7);
         assert_eq!(options.shards, 3);
-        assert_eq!(options.sync_epochs, 2);
         assert_eq!(options.local_method, LocalMethod::NelderMead);
         assert_eq!(options.backend, BackendMode::Interp);
         assert_eq!(options.time_budget, Some(Duration::from_secs_f64(1.5)));

@@ -4,8 +4,8 @@
 //! The paper's tool is invoked on C source; this reproduction's equivalent
 //! front door takes FPIR mini-language files (see `coverme-fpir` and the
 //! checked-in corpus in `examples/fpir/`) and drives the same search
-//! machinery the library exposes — sharding, cross-shard sync, the
-//! streaming campaign scheduler, the execution-backend layer
+//! machinery the library exposes — sharding, the streaming campaign
+//! scheduler, the execution-backend layer
 //! (`--backend auto|interp`), and the persistent corpus store
 //! (`--corpus DIR`, see `coverme::corpus`).
 //!
@@ -54,7 +54,6 @@ options:
   --n-start N          starting points per function (default 80)
   --seed S             master seed (default 42)
   --shards N           shards per function (default 1 = unsharded)
-  --sync-epochs E      cross-shard saturation sync epochs (default 0 = off)
   --local METHOD       local minimizer: powell (default), nm, compass, none
   --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
@@ -259,7 +258,7 @@ fn cmd_run(path: &str, options: &Options) {
         if config.effective_shards() > 1 {
             usage_error("--stream run mode is unsharded; drop --shards");
         }
-        // Drive the epoch-resumable state round by round so each record
+        // Drive the resumable state round by round so each record
         // prints the moment it lands.
         let mut state = SearchState::new(&config, &program, 0);
         let mut printed = 0usize;

@@ -30,7 +30,7 @@
 //! `shutting-down`, `error` (with `line`/`column` for malformed frames),
 //! `rejected` (admission control), and for an admitted job the stream
 //! `accepted` → `function`* → `report` → `done`, where `report` embeds the
-//! same `coverme-campaign-report/10` document `coverme campaign --json`
+//! same `coverme-campaign-report/11` document `coverme campaign --json`
 //! writes, compacted onto one line.
 //!
 //! Hostile input never takes the daemon down: malformed frames get a
