@@ -6,14 +6,9 @@
 //! * **legacy** — what `RepresentingFunction::eval` did before the engine
 //!   landed: a fresh representing-mode `ExecCtx` per call (cloning the
 //!   saturation snapshot), coverage recorded, trace skipped;
-//! * **engine** — `ObjectiveEngine::eval_scalar` with the default
-//!   `CacheMode::Auto` (reused retargeted context, no coverage; memoized
-//!   only for branch-dense programs), on an all-distinct input stream —
-//!   the honest floor, since distinct points cannot hit the cache;
-//! * **hot** — a forced-on cache re-evaluating a small working set, the
-//!   shape of polish probes and of Powell re-searching lines from an
-//!   unmoved incumbent (real searches measure 16–34% of their calls as
-//!   cache hits).
+//! * **engine** — `ObjectiveEngine::eval_scalar` (reused retargeted
+//!   context, no coverage, one execution per call) on an all-distinct
+//!   input stream.
 //!
 //! A second table covers the FPIR corpus (`examples/fpir/`), where the
 //! execution-backend layer has a real choice to make: **interp** runs the
@@ -22,8 +17,7 @@
 //! which additionally enforces an absolute 1.5x floor on it — the tape
 //! backend's reason to exist.
 //!
-//! Every measurement is best-of-R with a fresh engine per repetition, so
-//! repetitions cannot warm each other's caches.
+//! Every measurement is best-of-R with a fresh engine per repetition.
 //!
 //! Run modes follow the vendored criterion convention:
 //!
@@ -40,15 +34,15 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use coverme::objective::{CacheMode, ObjectiveEngine};
+use coverme::objective::ObjectiveEngine;
 use coverme::{BackendMode, BranchId, BranchSet};
 use coverme_fdlibm::by_name;
 use coverme_fpir::{compile, IrProgram};
 use coverme_runtime::{ExecCtx, Program, DEFAULT_EPSILON};
 
-/// The benchmarked functions: the suite's most branch-dense members (the
-/// auto-cache tier and its runners-up) plus two cheap-but-typical ones so
-/// the gate also watches the small-program regime.
+/// The benchmarked functions: the suite's most branch-dense members plus
+/// two cheap-but-typical ones so the gate also watches the small-program
+/// regime.
 const FUNCTIONS: &[&str] = &["pow", "fmod", "expm1", "exp", "tanh", "sin"];
 
 /// The FPIR corpus members benchmarked across the backend axis. `spin` is
@@ -105,7 +99,6 @@ struct Row {
     sites: usize,
     legacy: f64,
     engine: f64,
-    hot: f64,
 }
 
 impl Row {
@@ -121,7 +114,6 @@ impl Row {
                 "      \"sites\": {},\n",
                 "      \"legacy_evals_per_sec\": {:.0},\n",
                 "      \"engine_evals_per_sec\": {:.0},\n",
-                "      \"hot_evals_per_sec\": {:.0},\n",
                 "      \"engine_speedup_vs_legacy\": {:.4}\n",
                 "    }}"
             ),
@@ -129,7 +121,6 @@ impl Row {
             self.sites,
             self.legacy,
             self.engine,
-            self.hot,
             self.engine_speedup(),
         )
     }
@@ -165,8 +156,7 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
         points.len(),
     );
 
-    // Engine fast path, default (Auto) cache policy, all-distinct points:
-    // the miss path is the whole story.
+    // Engine fast path, all-distinct points.
     let fresh_engine = || {
         let mut engine = ObjectiveEngine::new(&benchmark, epsilon);
         engine.retarget(&saturated);
@@ -183,35 +173,8 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
         points.len(),
     );
 
-    // Hot working set through a forced-on cache: almost every call is a
-    // hit after the first pass.
-    let hot_set: Vec<Vec<f64>> = points.iter().take(8).cloned().collect();
-    let hot_passes = if measure_mode { 2000 } else { 4 };
-    let hot = evs(
-        best_of(
-            reps,
-            || {
-                let mut engine =
-                    ObjectiveEngine::new(&benchmark, epsilon).cache_mode(CacheMode::On);
-                engine.retarget(&saturated);
-                engine
-            },
-            |engine| {
-                let mut sink = 0.0;
-                for _ in 0..hot_passes {
-                    for x in &hot_set {
-                        sink += engine.eval_scalar(black_box(x));
-                    }
-                }
-                black_box(sink);
-            },
-        ),
-        hot_set.len() * hot_passes,
-    );
-
     // Whatever the timings, the paths must agree bit for bit.
-    let mut check_engine = ObjectiveEngine::new(&benchmark, epsilon).cache_mode(CacheMode::On);
-    check_engine.retarget(&saturated);
+    let mut check_engine = fresh_engine();
     for x in points.iter().take(16) {
         let mut ctx = ExecCtx::representing(saturated.clone())
             .with_epsilon(epsilon)
@@ -229,7 +192,6 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
         sites,
         legacy,
         engine,
-        hot,
     }
 }
 
@@ -290,9 +252,7 @@ fn measure_fpir(name: &'static str, measure_mode: bool) -> FpirRow {
         let program = load_fpir(name);
         let saturated = saturated.clone();
         move || {
-            let mut engine = ObjectiveEngine::new(program.clone(), epsilon)
-                .cache_mode(CacheMode::Off)
-                .backend_mode(mode);
+            let mut engine = ObjectiveEngine::new(program.clone(), epsilon).backend_mode(mode);
             engine.retarget(&saturated);
             engine
         }
@@ -343,20 +303,19 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--json needs a path").clone());
 
     println!(
-        "{:<8} {:>6} {:>13} {:>13} {:>13} {:>9}",
-        "function", "sites", "legacy ev/s", "engine ev/s", "hot ev/s", "engine x"
+        "{:<8} {:>6} {:>13} {:>13} {:>9}",
+        "function", "sites", "legacy ev/s", "engine ev/s", "engine x"
     );
 
     let mut rows = Vec::new();
     for name in FUNCTIONS {
         let row = measure(name, measure_mode);
         println!(
-            "{:<8} {:>6} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x",
+            "{:<8} {:>6} {:>13.0} {:>13.0} {:>8.2}x",
             row.name,
             row.sites,
             row.legacy,
             row.engine,
-            row.hot,
             row.engine_speedup(),
         );
         rows.push(row);

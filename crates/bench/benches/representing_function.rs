@@ -1,14 +1,13 @@
 //! Micro-benchmark: cost of one representing-function evaluation (the unit
 //! of work every minimization step pays) on representative benchmarks —
 //! the legacy `RepresentingFunction::eval` path next to the objective
-//! engine's scalar fast path (distinct inputs, so the engine's cache
-//! misses every time; `benches/objective_engine.rs` measures the full
-//! throughput picture including batches and cache hits).
+//! engine's scalar fast path (`benches/objective_engine.rs` measures the
+//! throughput picture across functions and backends).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use coverme::objective::{CacheMode, ObjectiveEngine};
+use coverme::objective::ObjectiveEngine;
 use coverme::{BranchSet, RepresentingFunction};
 use coverme_fdlibm::by_name;
 use coverme_runtime::DEFAULT_EPSILON;
@@ -24,7 +23,7 @@ fn bench(c: &mut Criterion) {
             bench.iter(|| black_box(foo_r.eval(black_box(&input))))
         });
 
-        let mut engine = ObjectiveEngine::new(b, DEFAULT_EPSILON).cache_mode(CacheMode::Off);
+        let mut engine = ObjectiveEngine::new(b, DEFAULT_EPSILON);
         group.bench_function(format!("{name}/engine"), |bench| {
             bench.iter(|| black_box(engine.eval_scalar(black_box(&input))))
         });

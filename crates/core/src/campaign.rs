@@ -271,20 +271,13 @@ impl FunctionResult {
         self.report.as_ref().map_or(0, |report| report.evaluations)
     }
 
-    /// Evaluations served from the objective engine's memoization cache
-    /// (0 if skipped).
-    pub fn cache_hits(&self) -> usize {
-        self.report.as_ref().map_or(0, |report| report.cache_hits)
-    }
-
     /// Evaluation throughput of the search in evals/sec, if it ran.
     pub fn evals_per_second(&self) -> Option<f64> {
         self.report.as_ref().map(TestReport::evals_per_second)
     }
 
     /// Productive evaluation throughput in evals/sec, if the search ran —
-    /// evaluations spent in aborted (timeout/trap) rounds are excluded
-    /// from the numerator, so a function that mostly spins does not
+    /// aborted (timeout/trap) executions are excluded from the numerator, so a function that mostly spins does not
     /// inflate the table (see
     /// [`TestReport::effective_evals_per_second`]).
     pub fn effective_evals_per_second(&self) -> Option<f64> {
@@ -293,8 +286,8 @@ impl FunctionResult {
             .map(TestReport::effective_evals_per_second)
     }
 
-    /// Evaluations this search's aborted (timeout/trap) rounds consumed
-    /// (0 if skipped).
+    /// Executions of this search that aborted — timeouts plus traps (0 if
+    /// skipped).
     pub fn aborted_evaluations(&self) -> usize {
         self.report
             .as_ref()
@@ -317,15 +310,14 @@ impl FunctionResult {
         match &self.report {
             Some(report) => {
                 let mut row = format!(
-                    "{:<22} {:>9} {:>9} {:>12.1} {:>10} {:>10} {:>9.0} {:>10.3}",
+                    "{:<22} {:>9} {:>9} {:>12.1} {:>10} {:>9.0} {:>10.3}",
                     self.name,
                     report.coverage.total_branches(),
                     report.inputs.len(),
                     report.branch_coverage_percent(),
                     report.evaluations,
-                    report.cache_hits,
-                    // Productive throughput: evals burnt in aborted
-                    // (timeout/trap) rounds don't count toward the rate.
+                    // Productive throughput: aborted (timeout/trap)
+                    // executions don't count toward the rate.
                     report.effective_evals_per_second(),
                     report.wall_time.as_secs_f64()
                 );
@@ -335,8 +327,8 @@ impl FunctionResult {
                 row
             }
             None => format!(
-                "{:<22} {:>9} {:>9} {:>12} {:>10} {:>10} {:>9} {:>10}",
-                self.name, "-", "-", "skipped", "-", "-", "-", "-"
+                "{:<22} {:>9} {:>9} {:>12} {:>10} {:>9} {:>10}",
+                self.name, "-", "-", "skipped", "-", "-", "-"
             ),
         }
     }
@@ -444,16 +436,10 @@ impl CampaignReport {
         }
     }
 
-    /// Total representing-function evaluations across completed functions
-    /// (objective calls, including cache hits).
+    /// Total representing-function evaluations across completed functions,
+    /// each one program execution.
     pub fn total_evaluations(&self) -> usize {
         self.results.iter().map(FunctionResult::evaluations).sum()
-    }
-
-    /// Total evaluations the objective engines answered from their
-    /// memoization caches across completed functions.
-    pub fn total_cache_hits(&self) -> usize {
-        self.results.iter().map(FunctionResult::cache_hits).sum()
     }
 
     /// Total evaluations that ran out of fuel across completed functions
@@ -491,8 +477,7 @@ impl CampaignReport {
 
     /// Aggregate *productive* throughput: like
     /// [`suite_evals_per_second`](Self::suite_evals_per_second) with the
-    /// evaluations of aborted (timeout/trap) rounds excluded from the
-    /// numerator.
+    /// aborted (timeout/trap) executions excluded from the numerator.
     pub fn suite_effective_evals_per_second(&self) -> f64 {
         let seconds = self.wall_time.as_secs_f64();
         if seconds <= 0.0 {
@@ -599,13 +584,6 @@ impl CampaignReport {
         push_json_number(
             &mut out,
             "  ",
-            "total_cache_hits",
-            self.total_cache_hits() as f64,
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
             "total_timeouts",
             self.total_timeouts() as f64,
             true,
@@ -707,13 +685,6 @@ impl CampaignReport {
                         true,
                     );
                     push_json_number(&mut out, "      ", "evals", report.evaluations as f64, true);
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "cache_hits",
-                        report.cache_hits as f64,
-                        true,
-                    );
                     push_json_number(&mut out, "      ", "timeouts", report.timeouts as f64, true);
                     push_json_number(&mut out, "      ", "traps", report.traps as f64, true);
                     push_json_number(
@@ -788,15 +759,8 @@ impl CampaignReport {
     /// [`FunctionResult::table_row`] for streaming output.
     pub fn table_header() -> String {
         format!(
-            "{:<22} {:>9} {:>9} {:>12} {:>10} {:>10} {:>9} {:>10}",
-            "function",
-            "#branches",
-            "#inputs",
-            "coverage(%)",
-            "evals",
-            "hits",
-            "evals/s",
-            "time(s)"
+            "{:<22} {:>9} {:>9} {:>12} {:>10} {:>9} {:>10}",
+            "function", "#branches", "#inputs", "coverage(%)", "evals", "evals/s", "time(s)"
         )
     }
 
@@ -820,10 +784,9 @@ impl CampaignReport {
             line.push_str(&format!(" × {} shards", self.shards));
         }
         line.push_str(&format!(
-            " in {:.2?} — {} evals ({} cache hits, {:.0} evals/s aggregate)",
+            " in {:.2?} — {} evals ({:.0} evals/s aggregate)",
             self.wall_time,
             self.total_evaluations(),
-            self.total_cache_hits(),
             self.suite_evals_per_second(),
         ));
         line
@@ -1913,25 +1876,19 @@ mod tests {
     #[test]
     fn report_surfaces_evaluation_telemetry() {
         let programs = inventory();
-        // Force memoization on: the toy programs are far below the Auto
-        // threshold, and this test is about the telemetry plumbing.
-        let base = quick_base().with_cache(crate::objective::CacheMode::On);
-        let report =
-            Campaign::new(CampaignConfig::new().with_base(base).with_workers(2)).run(&programs);
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(quick_base())
+                .with_workers(2),
+        )
+        .run(&programs);
         assert!(report.total_evaluations() > 0);
         let summed: usize = report.results.iter().map(FunctionResult::evaluations).sum();
         assert_eq!(report.total_evaluations(), summed);
-        // The quick toy searches revisit points (line searches re-probe the
-        // incumbent), so the cache must have fired at least once.
-        assert!(
-            report.total_cache_hits() > 0,
-            "no cache hit in {} evals",
-            summed
-        );
         assert!(report.suite_evals_per_second() > 0.0);
         let text = report.to_string();
         assert!(text.contains("evals/s"));
-        assert!(text.contains("cache hits"));
+        assert!(!text.contains("cache hits"));
     }
 
     #[test]
@@ -1949,21 +1906,20 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for key in [
-            "\"schema\": \"coverme-campaign-report/11\"",
+            "\"schema\": \"coverme-campaign-report/12\"",
             "\"backend\": \"",
             "\"suite_branch_coverage_percent\":",
             "\"total_evaluations\":",
-            "\"total_cache_hits\":",
             "\"total_timeouts\":",
             "\"total_traps\":",
             "\"suite_evals_per_second\":",
             "\"evals_per_second\":",
-            "\"cache_hits\":",
             "\"timeouts\":",
             "\"traps\":",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
+        assert!(!json.contains("cache_hits"), "{json}");
         // No non-finite numbers may leak into the document (match value
         // position only — `infeasible_blamed` is a legitimate key).
         assert!(

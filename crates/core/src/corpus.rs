@@ -513,7 +513,6 @@ mod tests {
             infeasible,
             rounds: Vec::new(),
             evaluations: 321,
-            cache_hits: 0,
             timeouts: 0,
             traps: 0,
             warm_replayed: 0,

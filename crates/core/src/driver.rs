@@ -4,7 +4,7 @@
 //! ([`crate::objective::ObjectiveEngine`]) at the current saturation
 //! snapshot, minimizes the representing function with Basinhopping (MCMC
 //! over a local minimizer) — every evaluation flowing through the engine's
-//! allocation-free scalar fast path and bit-exact memoization cache — and
+//! allocation-free scalar fast path, one program execution per call — and
 //! interprets the result:
 //!
 //! * `FOO_R(x*) = 0` — `x*` is a genuine test input that saturates a new
@@ -220,14 +220,9 @@ pub struct CoverMeConfig {
     /// incompleteness the paper's Remark 6.1 describes; the
     /// `ablation_pen_policy` bench measures its effect.
     pub polish: bool,
-    /// Memoization policy of the objective engine (see
-    /// [`crate::objective::CacheMode`]; the default `Auto` caches only
-    /// branch-dense programs, where a hit saves more execution than the
-    /// probe costs). The cache is bit-exact — keyed on the input's
-    /// `f64::to_bits` patterns and invalidated whenever the saturation
-    /// snapshot changes — so search results are identical under every
-    /// mode; the knob exists for tuning and for the property tests that
-    /// pin that invariant.
+    /// Ignored. No product code reads it; the end-to-end benchmark harness
+    /// (`perfbench/`) passes it to [`ObjectiveEngine::cache_mode`], and the
+    /// benchmark-archetype change deletes both.
     pub cache: CacheMode,
     /// Execution backend selection (see
     /// [`BackendMode`](coverme_runtime::BackendMode); the default `Auto`
@@ -267,7 +262,7 @@ impl Default for CoverMeConfig {
             budget: None,
             shards: 1,
             polish: true,
-            cache: CacheMode::Auto,
+            cache: CacheMode,
             backend: coverme_runtime::BackendMode::Auto,
             simd: None,
             warm_start: None,
@@ -379,12 +374,6 @@ impl CoverMeConfig {
         self
     }
 
-    /// Sets the objective engine's memoization policy.
-    pub fn with_cache(mut self, mode: CacheMode) -> Self {
-        self.cache = mode;
-        self
-    }
-
     /// Selects the execution backend (see
     /// [`BackendMode`](coverme_runtime::BackendMode)). Bit-exact under
     /// every mode; `Auto` (the default) prefers the compiled tape.
@@ -419,8 +408,8 @@ impl CoverMeConfig {
     /// local method, sampling strategies (with their parameters, by bit
     /// pattern), `ε`, the zero threshold, the pen/infeasible policies,
     /// `polish`, the eval allowance and the shard split. Knobs pinned
-    /// result-invisible by the property suites stay out: `cache`,
-    /// `backend`, the ignored `simd`, `run_rounds` slicing, `time_budget`
+    /// result-invisible by the property suites stay out: `backend`, the
+    /// ignored `cache` and `simd`, `run_rounds` slicing, `time_budget`
     /// (wall-clock never decides a *complete* run's content),
     /// `warm_start`/`cancel` themselves. Two constant `0` words stand where
     /// deleted knobs used to be mixed, so keys recorded by earlier releases
@@ -579,7 +568,7 @@ impl EpochOutcome {
 /// any round boundary and resume later with no behavior change.
 ///
 /// A `SearchState` owns everything one shard's search needs: its
-/// [`ObjectiveEngine`] (scalar fast path, execution backend, memo cache), the
+/// [`ObjectiveEngine`] (scalar fast path, execution backend), the
 /// regenerated starting-point schedule (the shard's RNG stream — per-round
 /// minimizer seeds are derived from the global round index, never from
 /// scheduling), its [`SaturationTracker`], coverage, accepted inputs and
@@ -670,9 +659,7 @@ impl<'a, P: Program> SearchState<'a, P> {
             PenPolicy::Saturation => SaturationTracker::new(num_sites),
             PenPolicy::CoveredOnly => SaturationTracker::new(num_sites).covered_only(),
         };
-        let engine = ObjectiveEngine::new(program, config.epsilon)
-            .cache_mode(config.cache)
-            .backend_mode(config.backend);
+        let engine = ObjectiveEngine::new(program, config.epsilon).backend_mode(config.backend);
         let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
         let schedule = config
             .starting_points
@@ -905,8 +892,8 @@ impl<'a, P: Program> SearchState<'a, P> {
         let x0 = self.schedule[round].clone();
 
         // Step 2: the representing function against the current snapshot —
-        // the engine swaps it in place (and keeps its cache when the
-        // snapshot is unchanged since the previous round).
+        // the engine swaps it in place (a no-op when the snapshot is
+        // unchanged since the previous round).
         let snapshot = self.tracker.saturated_set();
         let saturated_before = snapshot.len();
         self.engine.retarget(&snapshot);
@@ -1031,7 +1018,6 @@ impl<'a, P: Program> SearchState<'a, P> {
             accepted: self.accepted,
             rounds: self.rounds,
             evaluations: self.evaluations,
-            cache_hits: self.engine.telemetry().cache_hits as usize,
             timeouts: self.engine.telemetry().timeouts as usize,
             traps: self.engine.telemetry().traps as usize,
             warm_replayed: self.warm_replayed,
@@ -1059,8 +1045,7 @@ impl<'a, P: Program> SearchState<'a, P> {
 /// Returns the polished point and its evaluation (`None` if no candidate
 /// reached the threshold) together with the number of representing-function
 /// evaluations spent, which is owed on both paths. Candidate probes run
-/// through the engine's scalar fast path — the re-probe of the incumbent
-/// (and any repeated rounded candidate) is a cache hit.
+/// through the engine's scalar fast path, one execution each.
 fn polish_minimum<P: Program>(
     engine: &mut ObjectiveEngine<P>,
     x: &[f64],
@@ -1452,11 +1437,11 @@ mod tests {
 
     #[test]
     fn reported_evaluations_match_engine_calls() {
-        // With the memo cache off every engine call is one execution, and
-        // every execution — line-search probes, the final full evaluation,
-        // polish probes that find nothing — is owed to `evaluations`.
+        // Every engine call is one execution, and every execution —
+        // line-search probes, the final full evaluation, polish probes that
+        // find nothing — is owed to `evaluations`.
         fn check<P: Program>(program: &P) {
-            let config = quick_config().with_cache(CacheMode::Off);
+            let config = quick_config();
             let mut state = SearchState::new(&config, program, 0);
             state.run_to_exhaustion();
             assert_eq!(

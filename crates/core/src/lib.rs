@@ -29,10 +29,10 @@
 //! 6. run every evaluation through the **objective engine**
 //!    ([`ObjectiveEngine`]): an allocation-free scalar fast path (one
 //!    reusable `ExecCtx`, no trace, no covered-set inserts), a batch entry
-//!    point minimizers feed whole candidate sets through, and a bit-exact
-//!    memoization cache keyed on input bit patterns, with per-function
-//!    evals / cache-hit / evals-per-second telemetry surfaced in
-//!    [`TestReport`] and [`CampaignReport`];
+//!    point minimizers feed whole candidate sets through, and one program
+//!    execution per evaluation, with per-function evals / aborts /
+//!    evals-per-second telemetry surfaced in [`TestReport`] and
+//!    [`CampaignReport`];
 //! 7. drive all of the above through a **resumable state machine**
 //!    ([`SearchState`]): one shard's loop pauses at any round boundary
 //!    with no behavior change (`coverme run --stream` reports rounds that
@@ -84,7 +84,7 @@ pub use driver::{
     CancelToken, CoverMe, CoverMeConfig, EpochOutcome, InfeasiblePolicy, PenPolicy, SearchState,
     WarmStart, ABORT_PATIENCE,
 };
-pub use objective::{CacheMode, EngineTelemetry, ObjectiveEngine, ABORTED_VALUE};
+pub use objective::{EngineTelemetry, ObjectiveEngine, ABORTED_VALUE};
 pub use report::{RoundOutcome, RoundRecord, TestReport};
 pub use representing::{Evaluation, RepresentingFunction};
 pub use saturation::SaturationTracker;

@@ -70,14 +70,9 @@ pub struct TestReport {
     pub infeasible: Vec<BranchId>,
     /// Per-round records, in order.
     pub rounds: Vec<RoundRecord>,
-    /// Total objective (representing function) evaluations — objective
-    /// calls, including the ones the engine's memoization cache answered
-    /// without executing the program.
+    /// Total objective (representing function) evaluations. Each one is
+    /// exactly one program execution.
     pub evaluations: usize,
-    /// Evaluations the objective engine served from its bit-exact
-    /// memoization cache (see `coverme::objective`): answered calls that
-    /// cost no program execution.
-    pub cache_hits: usize,
     /// Evaluations whose execution ran out of fuel before completing
     /// (classified [`coverme_runtime::RunOutcome::Timeout`]); each returned
     /// the abort sentinel and fed no coverage or saturation update.
@@ -160,7 +155,7 @@ impl TestReport {
     }
 
     /// Throughput of evaluations that ran to completion: aborted
-    /// (timeout/trap) evaluations are excluded from the numerator, so a
+    /// (timeout/trap) executions are excluded from the numerator, so a
     /// spin-heavy FPIR corpus does not report misleading evals/sec. This is
     /// what the campaign table prints.
     pub fn effective_evals_per_second(&self) -> f64 {
@@ -187,7 +182,7 @@ impl TestReport {
     }
 
     /// The standalone-run JSON artifact (schema
-    /// [`schema::RUN_REPORT`] = `coverme-run-report/6`) — what
+    /// [`schema::RUN_REPORT`] = `coverme-run-report/7`) — what
     /// `coverme run --json` writes. `entry` is the entry-function name,
     /// `path` the source file the run tested; both are escaped, so any
     /// file name yields a valid document. A warm-started run additionally
@@ -226,7 +221,6 @@ impl TestReport {
         number(&mut out, "inputs", self.inputs.len() as f64);
         number(&mut out, "rounds", self.rounds.len() as f64);
         number(&mut out, "evals", self.evaluations as f64);
-        number(&mut out, "cache_hits", self.cache_hits as f64);
         number(&mut out, "timeouts", self.timeouts as f64);
         number(&mut out, "traps", self.traps as f64);
         if self.warm_replayed > 0 {
@@ -250,7 +244,7 @@ impl std::fmt::Display for TestReport {
         writeln!(
             f,
             "{}: {:.1}% branch coverage ({} / {} branches) with {} inputs in {:.2?} \
-             ({} evals, {} cache hits)",
+             ({} evals)",
             self.program,
             self.branch_coverage_percent(),
             self.coverage.covered_count(),
@@ -258,7 +252,6 @@ impl std::fmt::Display for TestReport {
             self.inputs.len(),
             self.wall_time,
             self.evaluations,
-            self.cache_hits,
         )?;
         if self.aborted_evaluations() > 0 {
             writeln!(
@@ -313,7 +306,6 @@ mod tests {
                 },
             ],
             evaluations: 22,
-            cache_hits: 3,
             timeouts: 1,
             traps: 0,
             warm_replayed: 0,
@@ -338,7 +330,6 @@ mod tests {
         assert!(text.contains("deemed infeasible"));
         assert!(text.contains("1F"));
         assert!(text.contains("22 evals"));
-        assert!(text.contains("3 cache hits"));
         assert!(text.contains("1 timeouts, 0 traps"));
     }
 

@@ -53,14 +53,14 @@ impl SchemaId {
 /// [`TestReport::to_run_json`](crate::TestReport::to_run_json)).
 pub const RUN_REPORT: SchemaId = SchemaId {
     kind: "coverme-run-report",
-    version: 6,
+    version: 7,
 };
 
 /// The campaign report
 /// ([`CampaignReport::write_json`](crate::CampaignReport)).
 pub const CAMPAIGN_REPORT: SchemaId = SchemaId {
     kind: "coverme-campaign-report",
-    version: 11,
+    version: 12,
 };
 
 /// One persisted function entry of the corpus store
@@ -731,7 +731,7 @@ mod tests {
 
     #[test]
     fn envelope_dispatch() {
-        let env = open_envelope(r#"{"schema": "coverme-run-report/6", "evals": 7}"#).unwrap();
+        let env = open_envelope(r#"{"schema": "coverme-run-report/7", "evals": 7}"#).unwrap();
         assert!(env.is(RUN_REPORT));
         assert!(env.expect(RUN_REPORT).is_ok());
         assert!(env
@@ -746,10 +746,10 @@ mod tests {
 
     #[test]
     fn labels_match_the_emitted_schemas() {
-        assert_eq!(RUN_REPORT.label(), "coverme-run-report/6");
-        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/11");
-        assert!(RUN_REPORT.matches("coverme-run-report/6"));
-        assert!(!RUN_REPORT.matches("coverme-run-report/5"));
+        assert_eq!(RUN_REPORT.label(), "coverme-run-report/7");
+        assert_eq!(CAMPAIGN_REPORT.label(), "coverme-campaign-report/12");
+        assert!(RUN_REPORT.matches("coverme-run-report/7"));
+        assert!(!RUN_REPORT.matches("coverme-run-report/6"));
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct Evaluation {
     /// How the execution ended. Anything but [`RunOutcome::Done`] means the
     /// run aborted (fuel exhausted, runtime fault): `value` is a truncated
     /// accumulator, `covered` and `trace` describe a path that was never
-    /// completed, and none of them may feed coverage, saturation or
-    /// memoization updates.
+    /// completed, and none of them may feed coverage or saturation
+    /// updates.
     pub outcome: RunOutcome,
 }
 

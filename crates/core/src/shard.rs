@@ -113,12 +113,9 @@ pub struct ShardOutcome {
     pub accepted: Vec<AcceptedInput>,
     /// Per-round records; `round` fields are global round indices.
     pub rounds: Vec<RoundRecord>,
-    /// Representing-function evaluations spent by the shard (objective
-    /// calls, including the ones the engine answered from its cache).
+    /// Representing-function evaluations spent by the shard, each one
+    /// program execution.
     pub evaluations: usize,
-    /// Objective calls the engine served from its memoization cache
-    /// without executing the program.
-    pub cache_hits: usize,
     /// Evaluations whose execution ran out of fuel (see
     /// [`coverme_runtime::RunOutcome::Timeout`]); they returned the abort
     /// sentinel and fed no coverage or saturation update.
@@ -150,7 +147,6 @@ impl ShardOutcome {
             infeasible: self.tracker.infeasible().iter().collect(),
             rounds: self.rounds,
             evaluations: self.evaluations,
-            cache_hits: self.cache_hits,
             timeouts: self.timeouts,
             traps: self.traps,
             warm_replayed: self.warm_replayed,
@@ -247,7 +243,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
     let mut rounds: Vec<RoundRecord> = outcomes.iter().flat_map(|o| o.rounds.clone()).collect();
     rounds.sort_by_key(|r| r.round);
     let evaluations = outcomes.iter().map(|o| o.evaluations).sum();
-    let cache_hits = outcomes.iter().map(|o| o.cache_hits).sum();
     let timeouts = outcomes.iter().map(|o| o.timeouts).sum();
     let traps = outcomes.iter().map(|o| o.traps).sum();
     let warm_replayed = outcomes.iter().map(|o| o.warm_replayed).sum();
@@ -270,7 +265,6 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
             infeasible,
             rounds,
             evaluations,
-            cache_hits,
             timeouts,
             traps,
             warm_replayed,

@@ -179,8 +179,8 @@ fn toy_config() -> CoverMeConfig {
 }
 
 /// With no corpus attached, the run document is deterministic byte for
-/// byte, carries none of the corpus members, and opens as
-/// `coverme-run-report/2` — i.e. it is exactly what the pre-corpus
+/// byte, carries none of the corpus members, and opens as the current
+/// `coverme-run-report` schema — i.e. it is exactly what the pre-corpus
 /// emitter produced.
 #[test]
 fn corpus_off_run_documents_are_pinned() {
@@ -212,7 +212,8 @@ fn corpus_off_run_documents_are_pinned() {
 }
 
 /// Same pin for the campaign surface: no corpus → no corpus members, a
-/// deterministic document, and the `coverme-campaign-report/5` envelope.
+/// deterministic document, and the current `coverme-campaign-report`
+/// envelope.
 #[test]
 fn corpus_off_campaign_documents_are_pinned() {
     let config = CampaignConfig::new()

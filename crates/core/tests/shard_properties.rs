@@ -120,7 +120,7 @@ fn reference_shard_rounds<P: Program>(
     let shards = config.shards.max(1);
     let mut tracker = SaturationTracker::new(program.num_sites());
     let mut coverage = coverme_runtime::CoverageMap::new(program.num_sites());
-    let mut engine = ObjectiveEngine::new(program, config.epsilon).cache_mode(config.cache);
+    let mut engine = ObjectiveEngine::new(program, config.epsilon);
     let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
     let schedule: Vec<Vec<f64>> =
         config

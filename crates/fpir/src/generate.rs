@@ -1,8 +1,8 @@
 //! Seeded random generation of well-typed FPIR modules.
 //!
 //! The differential test suites need *many* programs, not a handful of
-//! hand-written ones: interpreter-vs-tape bit-identity, cache transparency and
-//! outcome classification are invariants over the whole language, and the
+//! hand-written ones: interpreter-vs-tape bit-identity, scalar-vs-batch
+//! bit-identity and outcome classification are invariants over the whole language, and the
 //! hand corpus only exercises the corners someone thought of. This module
 //! generates modules that are well-typed **by construction** — fresh names
 //! (no redeclarations, no builtin shadowing), int-only operators applied to

@@ -20,8 +20,7 @@
 //! All minimizers operate on plain `&[f64]` points and objectives speaking
 //! the [`Objective`] protocol ([`objective`]): a scalar entry point plus a
 //! batch entry point that evaluates a slice of candidates in one call, so
-//! an evaluation engine can reuse its execution context and memoization
-//! cache across calls. Bare `FnMut(&[f64]) -> f64` closures plug in through
+//! an evaluation engine can reuse its execution context across calls. Bare `FnMut(&[f64]) -> f64` closures plug in through
 //! the [`FnObjective`] adapter, so any representing function produced by the
 //! `coverme` crate (or any other numeric function) can be minimized.
 //!

@@ -3,8 +3,8 @@
 //! Historically the minimizers took bare `FnMut(&[f64]) -> f64` closures.
 //! That protocol has no room for an evaluation engine that amortizes setup
 //! across calls: a closure can only be asked for one value at a time, so a
-//! caller that owns a reusable execution context, a memoization cache, or a
-//! SIMD/parallel backend cannot expose any of it to the search loop.
+//! caller that owns a reusable execution context or a SIMD/parallel
+//! backend cannot expose any of it to the search loop.
 //!
 //! [`Objective`] is the richer protocol. It has two entry points:
 //!

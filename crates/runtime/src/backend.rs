@@ -16,8 +16,8 @@
 //!   that runs the tape instead of walking the tree.
 //!
 //! Whatever the backend, the contract is **bit-exactness**: values,
-//! coverage, traces, [`RunOutcome`] classification and cache visibility
-//! must be indistinguishable from [`Program::execute`] under an eager
+//! coverage, traces and [`RunOutcome`] classification must be
+//! indistinguishable from [`Program::execute`] under an eager
 //! [`ExecCtx`]. The backend seam is a throughput knob, never a semantic
 //! one.
 //!

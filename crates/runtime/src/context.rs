@@ -30,7 +30,7 @@ use crate::trace::{TakenBranch, Trace};
 /// real path. An executor classifies each run by marking the context
 /// ([`ExecCtx::mark_timeout`]/[`ExecCtx::mark_trap`]); consumers read the
 /// classification back with [`ExecCtx::run_outcome`] and must exclude
-/// aborted runs from coverage, saturation and memoization updates.
+/// aborted runs from coverage and saturation updates.
 ///
 /// Hand-instrumented native programs (fdlibm) never mark, so their contexts
 /// always report [`RunOutcome::Done`].

@@ -33,7 +33,7 @@
 //!                        coverme CLI, whose flags this example shares via
 //!                        coverme_repro::args)
 //!   --json PATH          also write the CampaignReport as JSON to PATH
-//!                        (per-function coverage, evals, cache hits and
+//!                        (per-function coverage, evals, timeouts, traps and
 //!                        evals/sec — the artifact the nightly CI job and
 //!                        the BENCH_campaign.json perf snapshot store);
 //!                        written atomically (tmp file + rename) so an

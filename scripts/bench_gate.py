@@ -49,7 +49,6 @@ GATED_METRICS = ("engine_speedup_vs_legacy",)
 REPORTED_METRICS = (
     "legacy_evals_per_sec",
     "engine_evals_per_sec",
-    "hot_evals_per_sec",
 )
 
 # Backend-axis ratio gated on the fpir table: relative tolerance plus the
@@ -119,8 +118,7 @@ def gate_campaign(args, failures):
     )
     print(
         f"  suite    (context: coverage {current['suite_branch_coverage_percent']:.1f}% "
-        f"over {current['total_evaluations']} evals, scheduler "
-        f"{current.get('scheduler', 'fixed')}; baseline "
+        f"over {current['total_evaluations']} evals; baseline "
         f"{baseline['suite_branch_coverage_percent']:.1f}% over "
         f"{baseline['total_evaluations']} evals)"
     )

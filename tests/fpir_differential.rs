@@ -8,18 +8,17 @@
 //!
 //! 1. the scalar and batched evaluation paths are **bit-identical**, at
 //!    every saturation snapshot;
-//! 2. memoization is invisible: cache on and cache off produce bit-identical
-//!    values;
+//! 2. entry points of any arity evaluate correctly;
 //! 3. every run is classified ([`RunOutcome`]), aborted runs surface the
 //!    [`ABORTED_VALUE`] sentinel, and nothing in the pipeline panics.
 //!
 //! Failures print the offending seed; `generate_source(seed)` reproduces
 //! the exact program.
 
-use coverme::{CacheMode, CoverMe, CoverMeConfig, ObjectiveEngine, ABORTED_VALUE};
+use coverme::{CoverMe, CoverMeConfig, ObjectiveEngine, RepresentingFunction, ABORTED_VALUE};
 use coverme_fpir::generate::{generate_source, ENTRY_NAME};
 use coverme_fpir::{compile, IrProgram};
-use coverme_runtime::{BranchId, BranchSet, Program, RunOutcome};
+use coverme_runtime::{BranchId, BranchSet, Program, RunOutcome, DEFAULT_EPSILON};
 
 /// How many generated programs each property sweeps. The acceptance bar for
 /// this suite is 200; keep it there or above.
@@ -81,9 +80,8 @@ fn scalar_and_batch_paths_are_bit_identical_across_saturation_snapshots() {
         let program = compile_seed(seed);
         let num_sites = program.num_sites();
         let arity = Program::arity(&program);
-        let mut scalar_engine = ObjectiveEngine::new(program, 1.0).cache_mode(CacheMode::Off);
-        let batch_program = compile_seed(seed);
-        let mut batch_engine = ObjectiveEngine::new(batch_program, 1.0).cache_mode(CacheMode::Off);
+        let mut scalar_engine = ObjectiveEngine::new(program, 1.0);
+        let mut batch_engine = ObjectiveEngine::new(compile_seed(seed), 1.0);
 
         let mut rng = Rng(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xA5A5);
         let mut batch_values = Vec::new();
@@ -114,39 +112,11 @@ fn scalar_and_batch_paths_are_bit_identical_across_saturation_snapshots() {
 }
 
 #[test]
-fn memoization_is_invisible_to_objective_values() {
-    let mut total_hits = 0u64;
-    for seed in 0..PROGRAMS {
-        let mut cached = ObjectiveEngine::new(compile_seed(seed), 1.0).cache_mode(CacheMode::On);
-        let mut bare = ObjectiveEngine::new(compile_seed(seed), 1.0).cache_mode(CacheMode::Off);
-        let arity = cached.arity();
-
-        let mut rng = Rng(seed ^ 0xC0FF_EE00);
-        let mut points: Vec<Vec<f64>> = (0..5).map(|_| rng.point(arity)).collect();
-        // Revisit every point so the cache actually answers queries.
-        points.extend(points.clone());
-        for (index, point) in points.iter().enumerate() {
-            let with_cache = cached.eval_scalar(point);
-            let without = bare.eval_scalar(point);
-            assert_eq!(
-                with_cache.to_bits(),
-                without.to_bits(),
-                "seed {seed}, point {index}: cached {with_cache:e} != uncached {without}"
-            );
-        }
-        total_hits += cached.telemetry().cache_hits;
-    }
-    assert!(total_hits > 0, "the cache never served a hit — dead test");
-}
-
-#[test]
-fn wide_arity_entry_points_bypass_the_memo_cache_but_stay_correct() {
-    // The memo cache keys inputs as a fixed `[u64; MAX_CACHED_ARITY]`
-    // array (4 words). FPIR entry points can take more parameters than
-    // that, and such a program must fall back to uncached evaluation —
-    // every point re-executes, zero hits — rather than aliasing distinct
-    // points onto one truncated key. This pins both halves: correct
-    // values, and a cache that never pretends to answer.
+fn wide_arity_entry_points_evaluate_correctly() {
+    // FPIR entry points can take more parameters than any Fdlibm function
+    // (at most 2). A 5-input program must evaluate through the engine's
+    // compiled tape exactly as the reference interpreter does, and its
+    // fifth input must matter.
     let source = "\
 double wide(double a, double b, double c, double d, double e) {
     double acc = a * 2.0 + b;
@@ -159,38 +129,46 @@ double wide(double a, double b, double c, double d, double e) {
     return acc;
 }";
     let program = compile(source, "wide").expect("wide.fpir compiles");
-    let arity = Program::arity(&program);
-    assert!(
-        arity > coverme::objective::MAX_CACHED_ARITY,
-        "test program must exceed the cache key width (arity {arity})"
-    );
-    let mut cached = ObjectiveEngine::new(program, 1.0).cache_mode(CacheMode::On);
-    let mut bare =
-        ObjectiveEngine::new(compile(source, "wide").unwrap(), 1.0).cache_mode(CacheMode::Off);
+    assert_eq!(Program::arity(&program), 5);
+    // Both sides of site 0 and the true side of site 1 are saturated, so
+    // `FOO_R` is the distance to `d <= e`, which reads the fifth input.
+    let saturated: BranchSet = [
+        BranchId::true_of(0),
+        BranchId::false_of(0),
+        BranchId::true_of(1),
+    ]
+    .into_iter()
+    .collect();
+    let reference = RepresentingFunction::new(&program, saturated.clone());
+    let mut engine = ObjectiveEngine::new(&program, DEFAULT_EPSILON);
+    assert_eq!(engine.backend_name(), "tape");
+    engine.retarget(&saturated);
     let mut rng = Rng(0x31DE_CAFE);
     // Points that agree on their first four coordinates and differ only in
-    // the fifth — exactly the aliasing a truncated key would collapse.
+    // the fifth.
     let shared: Vec<f64> = rng.point(4);
-    let mut points: Vec<Vec<f64>> = (0..6)
+    let points: Vec<Vec<f64>> = (0..6)
         .map(|_| {
             let mut p = shared.clone();
             p.push((rng.next_f64() - 0.5) * 40.0);
             p
         })
         .collect();
-    points.extend(points.clone()); // revisits: a working cache would hit here
+    let mut values = Vec::new();
     for (index, point) in points.iter().enumerate() {
-        let with_cache = cached.eval_scalar(point);
-        let without = bare.eval_scalar(point);
+        let ours = engine.eval_scalar(point);
+        let expected = reference.eval(point);
         assert_eq!(
-            with_cache.to_bits(),
-            without.to_bits(),
-            "point {index}: cached {with_cache:e} != uncached {without:e}"
+            ours.to_bits(),
+            expected.to_bits(),
+            "point {index}: engine {ours:e} != reference {expected:e}"
         );
+        values.push(ours.to_bits());
     }
-    let telemetry = cached.telemetry();
-    assert_eq!(telemetry.cache_hits, 0, "wide arity must never cache");
-    assert_eq!(telemetry.evals, points.len() as u64);
+    values.sort_unstable();
+    values.dedup();
+    assert!(values.len() > 1, "the fifth input never changed FOO_R");
+    assert_eq!(engine.telemetry().calls, points.len() as u64);
 }
 
 #[test]
