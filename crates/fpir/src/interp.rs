@@ -31,12 +31,14 @@
 //! objective engine, the search driver) must discard them.
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 use coverme_runtime::{BackendMode, ExecBackend, ExecCtx, Program};
 
 use crate::ast::{BinOp, Block, Expr, FunctionDef, Stmt, Ty, UnOp};
 use crate::error::{CompileError, ErrorKind};
 use crate::instrument::{as_comparison, InstrumentedModule};
+use crate::lower::{lower, Tape};
 
 /// Default step fuel per top-level call. A search performs 100k+ evaluations
 /// per function, so the old 2M-step ceiling meant a single looping program
@@ -111,6 +113,11 @@ pub struct IrProgram {
     arity: usize,
     line_count: usize,
     fuel: usize,
+    /// The lowered tape (`None` when lowering bails), built on first use
+    /// and shared by every backend, clone and fingerprint of this program.
+    /// The fuel is part of the tape, so [`with_fuel`](Self::with_fuel)
+    /// drops it.
+    tape: OnceLock<Option<Arc<Tape>>>,
 }
 
 impl IrProgram {
@@ -132,6 +139,7 @@ impl IrProgram {
             line_count: lines.len(),
             inst,
             fuel: DEFAULT_FUEL,
+            tape: OnceLock::new(),
         })
     }
 
@@ -145,12 +153,21 @@ impl IrProgram {
     pub fn with_fuel(mut self, fuel: usize) -> IrProgram {
         assert!(fuel > 0, "fuel must be positive");
         self.fuel = fuel;
+        self.tape = OnceLock::new();
         self
     }
 
     /// The per-execution step fuel in effect.
     pub fn fuel(&self) -> usize {
         self.fuel
+    }
+
+    /// The program's tape, lowered on the first call; `None` when the
+    /// program stays on the interpreter.
+    pub(crate) fn tape(&self) -> Option<Arc<Tape>> {
+        self.tape
+            .get_or_init(|| lower(self).ok().map(Arc::new))
+            .clone()
     }
 
     /// The instrumented module backing this program.
@@ -226,11 +243,9 @@ impl Program for IrProgram {
         // source changes the lowered tape and invalidates stale entries.
         // The rare program the tape cannot mirror falls back to the native
         // shape hash, exactly like a closure-backed port.
-        match crate::lower::lower(self) {
-            Ok(tape) => tape.fingerprint64(),
-            Err(_) => {
-                coverme_runtime::native_fingerprint(self.name(), self.arity, self.num_sites())
-            }
+        match self.tape() {
+            Some(tape) => tape.fingerprint64(),
+            None => coverme_runtime::native_fingerprint(self.name(), self.arity, self.num_sites()),
         }
     }
 }

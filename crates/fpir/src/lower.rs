@@ -9,14 +9,49 @@
 //! sites, calls, returns, traps). [`Tape::execute`] runs it against any
 //! [`ExecCtx`] mode (observe or representing) exactly like the
 //! interpreter, and [`TapeBackend`] runs it for every evaluation of a
-//! search.
+//! search. [`IrProgram`] lowers itself once and shares that tape between
+//! its backends and its fingerprint.
+//!
+//! # Static tags
+//!
+//! The interpreter's `Value` carries a runtime tag, `Int` or `Double`, and
+//! every operation tests it. The tape carries none: a register is an
+//! untyped `u64` (an `i64`, or an `f64`'s bits), and each register has a
+//! static tag fixed at lowering — the tag the interpreter's `Value` holds
+//! there on every execution. The tags come from:
+//!
+//! * variables and parameters: the declared type, to which the interpreter
+//!   coerces every store;
+//! * literals and casts: their own type;
+//! * builtins: their result type (`high_word` and `low_word` are `int`,
+//!   the rest `double`);
+//! * comparisons, `!`, `~`, `%`, the bitwise operators, the shifts, `&&`
+//!   and `||`: `int`;
+//! * `+ - * /` and `-x`: `int` when every operand is, else `double`;
+//! * call results: the callee's declared return type, where `void` is
+//!   `double` (the interpreter's "no value" is `0.0`).
+//!
+//! Ops and terminators specialize on these tags (`fadd`/`iadd`,
+//! `fcmp`/`icmp`, `fsite`/`isite`, `ftruth`/`itruth`), and every change of
+//! tag — the interpreter's promotions and coercions — is an explicit
+//! `itof`/`ftoi` op. The executor takes one match per op and tests no tag.
+//!
+//! The interpreter hands a caller the returned value with whatever tag the
+//! `return` expression has, and `double` `0.0` when the callee falls off
+//! its end. So the declared return tag is checked at every `return` that
+//! the function's block graph can reach, falling off the end included. A
+//! mismatch in a function that some call site reads — a `double` function
+//! returning an `int` expression, an `int` function that can fall off its
+//! end — is a [`LowerError::ReturnTagMismatch`], and the program keeps the
+//! interpreter. The entry function's value is never read, so its returns
+//! only matter when it is called too.
 //!
 //! # Bit-exactness
 //!
 //! The tape is a *throughput* representation, never a semantic one: values
 //! (bit-for-bit), coverage, traces,
 //! [`RunOutcome`](coverme_runtime::RunOutcome) classification and step
-//! accounting all match the interpreter exactly. Three mechanics let the
+//! accounting all match the interpreter exactly. Four mechanics let the
 //! tape do less work than the tree walk without moving a single fuel step:
 //!
 //! * **Burn folding.** The interpreter burns one fuel step per statement
@@ -36,13 +71,21 @@
 //!   therefore only charged) when the interpreter would evaluate it.
 //! * **Constant folding.** An op that writes a fresh expression temporary
 //!   from sources that are all folded constants (literals, and unary ops,
-//!   casts, non-logical binaries and builtins over them) runs once at
-//!   lowering time; its result goes into the function's initial register
-//!   image and no op is emitted. This is exact: ops are pure and total, an
-//!   expression temporary has exactly one writer and is read only after
-//!   it, so every read sees the folded value, and the folded node's burn
-//!   stays in its block's `cost`. Variables, parameters, call results and
-//!   `&&`/`||` results are never folded: they can have several writers.
+//!   conversions, casts, non-logical binaries and builtins over them) runs
+//!   once at lowering time; its result goes into the function's initial
+//!   register image and no op is emitted. This is exact: ops are pure and
+//!   total, an expression temporary has exactly one writer and is read
+//!   only after it, so every read sees the folded value, and the folded
+//!   node's burn stays in its block's `cost`.
+//! * **Folding into producers.** A store of an expression temporary into a
+//!   variable of the same tag copies nothing: the op that produced the
+//!   temporary writes the variable instead, so `x = x + 1.0;` is one
+//!   `fadd` into `x`. This is exact because that op is the last one
+//!   emitted before the store and the store is the temporary's only
+//!   reader.
+//!
+//! Variables, parameters, call results and `&&`/`||` results are neither
+//! folded nor retargeted: they can have several writers.
 //!
 //! Every frame starts as a copy of its function's image. [`TapeBackend`]
 //! keeps one register file and frame stack across executions, cleared but
@@ -50,8 +93,9 @@
 //!
 //! Lowering is conservative: anything the (type-checked) module should
 //! rule out but this pass cannot mirror statically — unknown variables,
-//! register overflow — aborts with a [`LowerError`] and the program simply
-//! keeps using the interpreter backend.
+//! register overflow, a return tag that differs from the declared one —
+//! aborts with a [`LowerError`] and the program simply keeps using the
+//! interpreter backend.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,53 +103,61 @@ use std::sync::Arc;
 use coverme_runtime::backend::run_each;
 use coverme_runtime::{BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx, LaneEval, Program};
 
-use crate::ast::{BinOp, Block as AstBlock, Expr, Module, Stmt, Ty, UnOp};
+use crate::ast::{BinOp, Block as AstBlock, Expr, FunctionDef, Module, Param, Stmt, Ty, UnOp};
 use crate::instrument::as_comparison;
 use crate::interp::{int_compare, IrProgram, MAX_DEPTH};
 
-/// A runtime register value. Mirrors the interpreter's `Value` exactly —
-/// same tag dynamics, same conversions — so the executor inherits its
-/// semantics by construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Slot {
-    Int(i64),
-    Double(f64),
+/// A register's static tag: the variant of the interpreter's `Value` the
+/// register holds on every execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Int,
+    Double,
 }
 
-impl Slot {
-    fn as_f64(self) -> f64 {
-        match self {
-            Slot::Int(v) => v as f64,
-            Slot::Double(v) => v,
-        }
-    }
-
-    fn as_i64(self) -> i64 {
-        match self {
-            Slot::Int(v) => v,
-            Slot::Double(v) => {
-                if v.is_nan() {
-                    0
-                } else {
-                    v.trunc().clamp(i64::MIN as f64, i64::MAX as f64) as i64
-                }
-            }
-        }
-    }
-
-    fn truthy(self) -> bool {
-        match self {
-            Slot::Int(v) => v != 0,
-            Slot::Double(v) => v != 0.0,
-        }
-    }
-
-    fn coerce(self, ty: Ty) -> Slot {
+impl Tag {
+    /// The runtime tag of a value of declared type `ty`. `void` is
+    /// `double`: the interpreter's "no value" is `0.0`.
+    fn of(ty: Ty) -> Tag {
         match ty {
-            Ty::Int => Slot::Int(self.as_i64()),
-            Ty::Double => Slot::Double(self.as_f64()),
-            Ty::Void => self,
+            Ty::Int => Tag::Int,
+            Ty::Double | Ty::Void => Tag::Double,
         }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Tag::Int => "int",
+            Tag::Double => "double",
+        }
+    }
+}
+
+/// Reads a `double` register.
+#[inline(always)]
+fn load_f(frame: &[u64], reg: u16) -> f64 {
+    f64::from_bits(frame[reg as usize])
+}
+
+/// Reads an `int` register.
+#[inline(always)]
+fn load_i(frame: &[u64], reg: u16) -> i64 {
+    frame[reg as usize] as i64
+}
+
+/// Writes a C truth value (`int` 0 or 1).
+#[inline(always)]
+fn store_bool(frame: &mut [u64], reg: u16, holds: bool) {
+    frame[reg as usize] = u64::from(holds);
+}
+
+/// The interpreter's `double` → `int` conversion: C truncation toward
+/// zero, saturating at the `i64` range, NaN to 0.
+fn f_to_i(v: f64) -> i64 {
+    if v.is_nan() {
+        0
+    } else {
+        v.trunc().clamp(i64::MIN as f64, i64::MAX as f64) as i64
     }
 }
 
@@ -168,76 +220,190 @@ impl Builtin {
         }
     }
 
-    /// Applies the builtin — formula-for-formula the interpreter's
-    /// `eval_builtin`.
-    fn eval(self, a: Slot, b: Slot) -> Slot {
+    /// The tags the builtin reads its operands at — the interpreter's
+    /// `as_f64`/`as_i64` per argument. A unary builtin's second operand is
+    /// its first.
+    fn operand_tags(self) -> (Tag, Tag) {
         match self {
-            Builtin::Sqrt => Slot::Double(a.as_f64().sqrt()),
-            Builtin::Fabs => Slot::Double(a.as_f64().abs()),
-            Builtin::Floor => Slot::Double(a.as_f64().floor()),
-            Builtin::Sin => Slot::Double(a.as_f64().sin()),
-            Builtin::Cos => Slot::Double(a.as_f64().cos()),
-            Builtin::Exp => Slot::Double(a.as_f64().exp()),
-            Builtin::Log => Slot::Double(a.as_f64().ln()),
-            Builtin::Pow => Slot::Double(a.as_f64().powf(b.as_f64())),
-            Builtin::HighWord => Slot::Int(i64::from((a.as_f64().to_bits() >> 32) as u32 as i32)),
-            Builtin::LowWord => Slot::Int(i64::from(a.as_f64().to_bits() as u32)),
-            Builtin::FromWords => {
-                let hi = (a.as_i64() as u32 as u64) << 32;
-                let lo = b.as_i64() as u32 as u64;
-                Slot::Double(f64::from_bits(hi | lo))
+            Builtin::FromWords => (Tag::Int, Tag::Int),
+            Builtin::WithHighWord | Builtin::WithLowWord | Builtin::Scalbn => {
+                (Tag::Double, Tag::Int)
             }
+            _ => (Tag::Double, Tag::Double),
+        }
+    }
+
+    fn result_tag(self) -> Tag {
+        match self {
+            Builtin::HighWord | Builtin::LowWord => Tag::Int,
+            _ => Tag::Double,
+        }
+    }
+
+    /// Applies the builtin to operands of [`operand_tags`](Self::operand_tags)
+    /// — formula-for-formula the interpreter's `eval_builtin`.
+    fn eval(self, frame: &[u64], a: u16, b: u16) -> u64 {
+        let d = |reg| load_f(frame, reg);
+        let n = |reg| load_i(frame, reg);
+        match self {
+            Builtin::Sqrt => d(a).sqrt().to_bits(),
+            Builtin::Fabs => d(a).abs().to_bits(),
+            Builtin::Floor => d(a).floor().to_bits(),
+            Builtin::Sin => d(a).sin().to_bits(),
+            Builtin::Cos => d(a).cos().to_bits(),
+            Builtin::Exp => d(a).exp().to_bits(),
+            Builtin::Log => d(a).ln().to_bits(),
+            Builtin::Pow => d(a).powf(d(b)).to_bits(),
+            Builtin::HighWord => i64::from((d(a).to_bits() >> 32) as u32 as i32) as u64,
+            Builtin::LowWord => i64::from(d(a).to_bits() as u32) as u64,
+            Builtin::FromWords => ((n(a) as u32 as u64) << 32) | (n(b) as u32 as u64),
             Builtin::WithHighWord => {
-                let bits = (a.as_f64().to_bits() & 0x0000_0000_ffff_ffff)
-                    | ((b.as_i64() as u32 as u64) << 32);
-                Slot::Double(f64::from_bits(bits))
+                (d(a).to_bits() & 0x0000_0000_ffff_ffff) | ((n(b) as u32 as u64) << 32)
             }
-            Builtin::WithLowWord => {
-                let bits =
-                    (a.as_f64().to_bits() & 0xffff_ffff_0000_0000) | (b.as_i64() as u32 as u64);
-                Slot::Double(f64::from_bits(bits))
-            }
-            Builtin::Scalbn => {
-                Slot::Double(a.as_f64() * 2f64.powi(b.as_i64().clamp(-2100, 2100) as i32))
-            }
+            Builtin::WithLowWord => (d(a).to_bits() & 0xffff_ffff_0000_0000) | (n(b) as u32 as u64),
+            Builtin::Scalbn => (d(a) * 2f64.powi(n(b).clamp(-2100, 2100) as i32)).to_bits(),
         }
     }
 }
 
-/// A straight-line register operation.
-#[derive(Debug, Clone, PartialEq)]
+/// A straight-line register operation. `i…` ops read and write `int`
+/// registers and `f…` ops `double` ones; comparisons, `!` and truth tests
+/// write an `int` 0 or 1.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
-    ConstInt {
+    /// All-zero bits: `int` 0 or `double` `+0.0`, the value of a
+    /// declaration without initializer.
+    Zero {
         dst: u16,
-        value: i64,
     },
-    ConstDouble {
+    /// An `int` constant: the short-circuited value of `&&`/`||`.
+    IConst {
         dst: u16,
-        value: f64,
+        value: i32,
     },
     Move {
         dst: u16,
         src: u16,
     },
-    CoerceInt {
+    /// `int` → `double`.
+    IToF {
         dst: u16,
         src: u16,
     },
-    CoerceDouble {
+    /// `double` → `int`, see [`f_to_i`].
+    FToI {
         dst: u16,
         src: u16,
     },
-    Truth {
+    /// `src != 0`.
+    IBool {
         dst: u16,
         src: u16,
     },
-    Unary {
-        op: UnOp,
+    FBool {
         dst: u16,
         src: u16,
     },
-    Binary {
-        op: BinOp,
+    /// `!src`.
+    INot {
+        dst: u16,
+        src: u16,
+    },
+    FNot {
+        dst: u16,
+        src: u16,
+    },
+    INeg {
+        dst: u16,
+        src: u16,
+    },
+    FNeg {
+        dst: u16,
+        src: u16,
+    },
+    /// `~src`.
+    IBitNot {
+        dst: u16,
+        src: u16,
+    },
+    IAdd {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    ISub {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IMul {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IDiv {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IRem {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IAnd {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IOr {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IXor {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IShl {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    IShr {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    FAdd {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    FSub {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    FMul {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    FDiv {
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    ICmp {
+        cmp: Cmp,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+    },
+    FCmp {
+        cmp: Cmp,
         dst: u16,
         lhs: u16,
         rhs: u16,
@@ -250,14 +416,59 @@ enum Op {
     },
 }
 
+impl Op {
+    /// Converts the other tag's `src` into `dst` of tag `to`.
+    fn conversion(to: Tag, dst: u16, src: u16) -> Op {
+        match to {
+            Tag::Int => Op::FToI { dst, src },
+            Tag::Double => Op::IToF { dst, src },
+        }
+    }
+
+    /// The register the op writes.
+    fn dst_mut(&mut self) -> &mut u16 {
+        match self {
+            Op::Zero { dst }
+            | Op::IConst { dst, .. }
+            | Op::Move { dst, .. }
+            | Op::IToF { dst, .. }
+            | Op::FToI { dst, .. }
+            | Op::IBool { dst, .. }
+            | Op::FBool { dst, .. }
+            | Op::INot { dst, .. }
+            | Op::FNot { dst, .. }
+            | Op::INeg { dst, .. }
+            | Op::FNeg { dst, .. }
+            | Op::IBitNot { dst, .. }
+            | Op::IAdd { dst, .. }
+            | Op::ISub { dst, .. }
+            | Op::IMul { dst, .. }
+            | Op::IDiv { dst, .. }
+            | Op::IRem { dst, .. }
+            | Op::IAnd { dst, .. }
+            | Op::IOr { dst, .. }
+            | Op::IXor { dst, .. }
+            | Op::IShl { dst, .. }
+            | Op::IShr { dst, .. }
+            | Op::FAdd { dst, .. }
+            | Op::FSub { dst, .. }
+            | Op::FMul { dst, .. }
+            | Op::FDiv { dst, .. }
+            | Op::ICmp { dst, .. }
+            | Op::FCmp { dst, .. }
+            | Op::Builtin { dst, .. } => dst,
+        }
+    }
+}
+
 /// How a basic block hands off control.
 #[derive(Debug, Clone, PartialEq)]
 enum Term {
     /// Unconditional jump.
     Jump(usize),
-    /// An instrumented conditional: report through the context, then
-    /// branch on `op(lhs, rhs)`.
-    BranchSite {
+    /// An instrumented conditional on `double` operands: report through
+    /// the context, then branch on `op(lhs, rhs)`.
+    FSite {
         site: u32,
         op: Cmp,
         lhs: u16,
@@ -265,24 +476,63 @@ enum Term {
         on_true: usize,
         on_false: usize,
     },
-    /// An uninstrumented conditional: branch on truthiness.
-    BranchTruth {
+    /// The same on `int` operands, which the report promotes to `double`
+    /// (Sect. 5.3 of the paper).
+    ISite {
+        site: u32,
+        op: Cmp,
+        lhs: u16,
+        rhs: u16,
+        on_true: usize,
+        on_false: usize,
+    },
+    /// An uninstrumented conditional on a `double`: branch on `cond != 0`.
+    FTruth {
         cond: u16,
         on_true: usize,
         on_false: usize,
     },
-    /// Call a tape function; execution resumes at `ret` with the result
-    /// (coerced per the interpreter's void-call rule) in `dst`.
+    /// The same on an `int`.
+    ITruth {
+        cond: u16,
+        on_true: usize,
+        on_false: usize,
+    },
+    /// Call a tape function on `args`, already converted to its parameter
+    /// tags; execution resumes at `ret` with the result in `dst`.
     Call {
         func: u32,
         args: Vec<u16>,
-        dst: Option<u16>,
+        dst: u16,
         ret: usize,
     },
-    /// Return from the current frame.
+    /// Return from the current frame; no value is `double` `0.0`.
     Return { value: Option<u16> },
     /// Abort the run as a trap (statically-unresolvable call target).
     Trap,
+}
+
+impl Term {
+    /// The blocks control can pass to, including a call's return block.
+    fn successors(&self) -> [Option<usize>; 2] {
+        match *self {
+            Term::Jump(target) => [Some(target), None],
+            Term::FSite {
+                on_true, on_false, ..
+            }
+            | Term::ISite {
+                on_true, on_false, ..
+            }
+            | Term::FTruth {
+                on_true, on_false, ..
+            }
+            | Term::ITruth {
+                on_true, on_false, ..
+            } => [Some(on_true), Some(on_false)],
+            Term::Call { ret, .. } => [Some(ret), None],
+            Term::Return { .. } | Term::Trap => [None, None],
+        }
+    }
 }
 
 /// A basic block: a fused fuel burn, straight-line ops, one terminator.
@@ -292,21 +542,25 @@ struct TapeBlock {
     /// the segment of control flow it models; charged (and checked) once
     /// at the block header.
     cost: u32,
-    ops: Vec<Op>,
+    /// The block's ops: `Tape::ops[start..end]`.
+    start: u32,
+    end: u32,
     term: Term,
 }
 
-/// A lowered function: parameter signature, initial register image and
-/// its slice of the block graph (blocks are globally indexed across the
-/// whole tape).
+/// A lowered function: its register tags, initial register image and its
+/// slice of the block graph (blocks are globally indexed across the whole
+/// tape).
 #[derive(Debug, Clone)]
 struct TapeFunc {
     name: String,
-    params: Vec<Ty>,
+    /// The parameters are the first `num_params` registers.
+    num_params: usize,
+    /// Each register's static tag.
+    tags: Vec<Tag>,
     /// The register window every frame of this function starts from:
-    /// folded constants in their registers, `Slot::Double(0.0)` everywhere
-    /// else. Its length is the function's register count.
-    init: Vec<Slot>,
+    /// folded constants in their registers, zero bits everywhere else.
+    init: Vec<u64>,
     entry_block: usize,
 }
 
@@ -335,6 +589,17 @@ pub enum LowerError {
         /// The declared name.
         name: String,
     },
+    /// A called function can return a value whose runtime tag differs from
+    /// its declared return type: a `return` of an `int` expression in a
+    /// `double` function, or an `int` function that can fall off its end
+    /// (which returns `double` `0.0`). The caller's register would need a
+    /// tag per path.
+    ReturnTagMismatch {
+        /// The called function.
+        function: String,
+        /// Its declared return type.
+        declared: Ty,
+    },
 }
 
 impl std::fmt::Display for LowerError {
@@ -350,6 +615,12 @@ impl std::fmt::Display for LowerError {
                 write!(
                     f,
                     "unsupported declaration `{name}` in function `{function}`"
+                )
+            }
+            LowerError::ReturnTagMismatch { function, declared } => {
+                write!(
+                    f,
+                    "function `{function}` can return a value that is not {declared}"
                 )
             }
         }
@@ -370,6 +641,8 @@ pub struct Tape {
     entry: usize,
     funcs: Vec<TapeFunc>,
     blocks: Vec<TapeBlock>,
+    /// Every block's ops, block after block.
+    ops: Vec<Op>,
 }
 
 /// A call frame of the tape executor.
@@ -377,7 +650,7 @@ pub struct Tape {
 struct Frame {
     base: usize,
     ret_block: usize,
-    ret_dst: Option<u16>,
+    ret_dst: u16,
 }
 
 /// The executor's working memory: the register file (one window per live
@@ -386,7 +659,7 @@ struct Frame {
 /// deepest call stack.
 #[derive(Debug, Clone, Default)]
 struct TapeScratch {
-    regs: Vec<Slot>,
+    regs: Vec<u64>,
     frames: Vec<Frame>,
 }
 
@@ -477,13 +750,14 @@ impl Tape {
         frames.clear();
         let entry = &self.funcs[self.entry];
         regs.extend_from_slice(&entry.init);
+        // The entry parameters are `double` registers (`lower` checks it).
         for (reg, &v) in regs.iter_mut().zip(input) {
-            *reg = Slot::Double(v);
+            *reg = v.to_bits();
         }
         frames.push(Frame {
             base: 0,
             ret_block: usize::MAX,
-            ret_dst: None,
+            ret_dst: 0,
         });
         let mut base = 0usize;
         let mut pc = entry.entry_block;
@@ -495,23 +769,35 @@ impl Tape {
                 ctx.mark_timeout();
                 return;
             }
-            for op in &block.ops {
-                exec_op(op, base, regs);
+            let frame = &mut regs[base..];
+            for op in &self.ops[block.start as usize..block.end as usize] {
+                exec_op(op, frame);
             }
             match block.term {
                 Term::Jump(target) => pc = target,
-                Term::BranchTruth {
+                Term::FTruth {
                     cond,
                     on_true,
                     on_false,
                 } => {
-                    pc = if regs[base + cond as usize].truthy() {
+                    pc = if load_f(frame, cond) != 0.0 {
                         on_true
                     } else {
                         on_false
-                    };
+                    }
                 }
-                Term::BranchSite {
+                Term::ITruth {
+                    cond,
+                    on_true,
+                    on_false,
+                } => {
+                    pc = if load_i(frame, cond) != 0 {
+                        on_true
+                    } else {
+                        on_false
+                    }
+                }
+                Term::FSite {
                     site,
                     op,
                     lhs,
@@ -519,8 +805,18 @@ impl Tape {
                     on_true,
                     on_false,
                 } => {
-                    let a = regs[base + lhs as usize].as_f64();
-                    let b = regs[base + rhs as usize].as_f64();
+                    let holds = ctx.branch(site, op, load_f(frame, lhs), load_f(frame, rhs));
+                    pc = if holds { on_true } else { on_false };
+                }
+                Term::ISite {
+                    site,
+                    op,
+                    lhs,
+                    rhs,
+                    on_true,
+                    on_false,
+                } => {
+                    let (a, b) = (load_i(frame, lhs) as f64, load_i(frame, rhs) as f64);
                     pc = if ctx.branch(site, op, a, b) {
                         on_true
                     } else {
@@ -540,9 +836,8 @@ impl Tape {
                     let callee = &self.funcs[func as usize];
                     let new_base = regs.len();
                     regs.extend_from_slice(&callee.init);
-                    for (index, (&arg, &ty)) in args.iter().zip(&callee.params).enumerate() {
-                        let value = regs[base + arg as usize].coerce(ty);
-                        regs[new_base + index] = value;
+                    for (index, &arg) in args.iter().enumerate() {
+                        regs[new_base + index] = regs[base + arg as usize];
                     }
                     frames.push(Frame {
                         base: new_base,
@@ -553,19 +848,14 @@ impl Tape {
                     pc = callee.entry_block;
                 }
                 Term::Return { value } => {
-                    let result = match value {
-                        Some(reg) => regs[base + reg as usize],
-                        None => Slot::Double(0.0),
-                    };
-                    let frame = frames.pop().expect("at least the entry frame");
-                    regs.truncate(frame.base);
+                    let result = value.map_or(0, |reg| frame[reg as usize]);
+                    let done = frames.pop().expect("at least the entry frame");
+                    regs.truncate(done.base);
                     match frames.last() {
                         Some(caller) => {
                             base = caller.base;
-                            if let Some(dst) = frame.ret_dst {
-                                regs[base + dst as usize] = result;
-                            }
-                            pc = frame.ret_block;
+                            regs[base + done.ret_dst as usize] = result;
+                            pc = done.ret_block;
                         }
                         None => return,
                     }
@@ -592,7 +882,10 @@ impl std::fmt::Display for Tape {
             self.blocks.len()
         )?;
         for (index, func) in self.funcs.iter().enumerate() {
-            let params: Vec<String> = func.params.iter().map(|t| t.to_string()).collect();
+            let params: Vec<&str> = func.tags[..func.num_params]
+                .iter()
+                .map(|tag| tag.name())
+                .collect();
             writeln!(
                 f,
                 "fn{index} {}({}) regs={} entry=b{}",
@@ -601,20 +894,20 @@ impl std::fmt::Display for Tape {
                 func.init.len(),
                 func.entry_block
             )?;
-            // The image, minus slots holding the `+0.0` default. With the
-            // ops this pins the image exactly, so the fingerprint sees
-            // every folded constant.
-            for (reg, slot) in func.init.iter().enumerate() {
-                match *slot {
-                    Slot::Double(value) if value.to_bits() == 0 => {}
-                    Slot::Double(value) => writeln!(f, "  r{reg} = const.f {value:?}")?,
-                    Slot::Int(value) => writeln!(f, "  r{reg} = const.i {value}")?,
+            // The image, minus registers holding zero bits. With the ops
+            // this pins the image exactly, so the fingerprint sees every
+            // folded constant.
+            for (reg, (&bits, &tag)) in func.init.iter().zip(&func.tags).enumerate() {
+                match tag {
+                    _ if bits == 0 => {}
+                    Tag::Double => writeln!(f, "  r{reg} = const.f {:?}", f64::from_bits(bits))?,
+                    Tag::Int => writeln!(f, "  r{reg} = const.i {}", bits as i64)?,
                 }
             }
         }
         for (index, block) in self.blocks.iter().enumerate() {
             writeln!(f, "b{index}: cost={}", block.cost)?;
-            for op in &block.ops {
+            for op in &self.ops[block.start as usize..block.end as usize] {
                 writeln!(f, "  {}", format_op(op))?;
             }
             writeln!(f, "  {}", format_term(&block.term))?;
@@ -634,53 +927,47 @@ fn cmp_str(cmp: Cmp) -> &'static str {
     }
 }
 
-fn bin_str(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::Div => "div",
-        BinOp::Rem => "rem",
-        BinOp::BitAnd => "and",
-        BinOp::BitOr => "or",
-        BinOp::BitXor => "xor",
-        BinOp::Shl => "shl",
-        BinOp::Shr => "shr",
-        BinOp::Cmp(cmp) => cmp_str(cmp),
-        BinOp::LogicalAnd => "land",
-        BinOp::LogicalOr => "lor",
-    }
-}
-
 fn format_op(op: &Op) -> String {
+    let unary = |name: &str, dst: u16, src: u16| format!("r{dst} = {name} r{src}");
+    let binary =
+        |name: &str, dst: u16, lhs: u16, rhs: u16| format!("r{dst} = {name} r{lhs}, r{rhs}");
     match *op {
-        Op::ConstInt { dst, value } => format!("r{dst} = const.i {value}"),
-        Op::ConstDouble { dst, value } => format!("r{dst} = const.f {value:?}"),
+        Op::Zero { dst } => format!("r{dst} = zero"),
+        Op::IConst { dst, value } => format!("r{dst} = const.i {value}"),
         Op::Move { dst, src } => format!("r{dst} = r{src}"),
-        Op::CoerceInt { dst, src } => format!("r{dst} = int r{src}"),
-        Op::CoerceDouble { dst, src } => format!("r{dst} = double r{src}"),
-        Op::Truth { dst, src } => format!("r{dst} = truth r{src}"),
-        Op::Unary { op, dst, src } => {
-            let name = match op {
-                UnOp::Neg => "neg",
-                UnOp::BitNot => "bnot",
-                UnOp::Not => "not",
-            };
-            format!("r{dst} = {name} r{src}")
-        }
-        Op::Binary { op, dst, lhs, rhs } => {
-            format!("r{dst} = {} r{lhs}, r{rhs}", bin_str(op))
-        }
-        Op::Builtin { which, dst, a, b } => {
-            format!("r{dst} = {} r{a}, r{b}", which.name())
-        }
+        Op::IToF { dst, src } => unary("itof", dst, src),
+        Op::FToI { dst, src } => unary("ftoi", dst, src),
+        Op::IBool { dst, src } => unary("ibool", dst, src),
+        Op::FBool { dst, src } => unary("fbool", dst, src),
+        Op::INot { dst, src } => unary("inot", dst, src),
+        Op::FNot { dst, src } => unary("fnot", dst, src),
+        Op::INeg { dst, src } => unary("ineg", dst, src),
+        Op::FNeg { dst, src } => unary("fneg", dst, src),
+        Op::IBitNot { dst, src } => unary("ibitnot", dst, src),
+        Op::IAdd { dst, lhs, rhs } => binary("iadd", dst, lhs, rhs),
+        Op::ISub { dst, lhs, rhs } => binary("isub", dst, lhs, rhs),
+        Op::IMul { dst, lhs, rhs } => binary("imul", dst, lhs, rhs),
+        Op::IDiv { dst, lhs, rhs } => binary("idiv", dst, lhs, rhs),
+        Op::IRem { dst, lhs, rhs } => binary("irem", dst, lhs, rhs),
+        Op::IAnd { dst, lhs, rhs } => binary("iand", dst, lhs, rhs),
+        Op::IOr { dst, lhs, rhs } => binary("ior", dst, lhs, rhs),
+        Op::IXor { dst, lhs, rhs } => binary("ixor", dst, lhs, rhs),
+        Op::IShl { dst, lhs, rhs } => binary("ishl", dst, lhs, rhs),
+        Op::IShr { dst, lhs, rhs } => binary("ishr", dst, lhs, rhs),
+        Op::FAdd { dst, lhs, rhs } => binary("fadd", dst, lhs, rhs),
+        Op::FSub { dst, lhs, rhs } => binary("fsub", dst, lhs, rhs),
+        Op::FMul { dst, lhs, rhs } => binary("fmul", dst, lhs, rhs),
+        Op::FDiv { dst, lhs, rhs } => binary("fdiv", dst, lhs, rhs),
+        Op::ICmp { cmp, dst, lhs, rhs } => binary(&format!("icmp.{}", cmp_str(cmp)), dst, lhs, rhs),
+        Op::FCmp { cmp, dst, lhs, rhs } => binary(&format!("fcmp.{}", cmp_str(cmp)), dst, lhs, rhs),
+        Op::Builtin { which, dst, a, b } => binary(which.name(), dst, a, b),
     }
 }
 
 fn format_term(term: &Term) -> String {
     match term {
         Term::Jump(target) => format!("jump b{target}"),
-        Term::BranchSite {
+        Term::FSite {
             site,
             op,
             lhs,
@@ -688,14 +975,30 @@ fn format_term(term: &Term) -> String {
             on_true,
             on_false,
         } => format!(
-            "branch.site s{site} {} r{lhs}, r{rhs} ? b{on_true} : b{on_false}",
+            "fsite s{site} {} r{lhs}, r{rhs} ? b{on_true} : b{on_false}",
             cmp_str(*op)
         ),
-        Term::BranchTruth {
+        Term::ISite {
+            site,
+            op,
+            lhs,
+            rhs,
+            on_true,
+            on_false,
+        } => format!(
+            "isite s{site} {} r{lhs}, r{rhs} ? b{on_true} : b{on_false}",
+            cmp_str(*op)
+        ),
+        Term::FTruth {
             cond,
             on_true,
             on_false,
-        } => format!("branch.truth r{cond} ? b{on_true} : b{on_false}"),
+        } => format!("ftruth r{cond} ? b{on_true} : b{on_false}"),
+        Term::ITruth {
+            cond,
+            on_true,
+            on_false,
+        } => format!("itruth r{cond} ? b{on_true} : b{on_false}"),
         Term::Call {
             func,
             args,
@@ -703,11 +1006,7 @@ fn format_term(term: &Term) -> String {
             ret,
         } => {
             let args: Vec<String> = args.iter().map(|r| format!("r{r}")).collect();
-            let dst = match dst {
-                Some(d) => format!("r{d}"),
-                None => "_".to_string(),
-            };
-            format!("{dst} = call fn{func}({}) ret b{ret}", args.join(", "))
+            format!("r{dst} = call fn{func}({}) ret b{ret}", args.join(", "))
         }
         Term::Return { value: Some(reg) } => format!("ret r{reg}"),
         Term::Return { value: None } => "ret".to_string(),
@@ -715,123 +1014,85 @@ fn format_term(term: &Term) -> String {
     }
 }
 
-/// The op that converts `src` to `ty` into `dst`.
-fn coerce_op(ty: Ty, dst: u16, src: u16) -> Op {
-    match ty {
-        Ty::Int => Op::CoerceInt { dst, src },
-        Ty::Double => Op::CoerceDouble { dst, src },
-        Ty::Void => Op::Move { dst, src },
-    }
-}
-
-/// Applies one straight-line op on the register window at `base`.
+/// Applies one straight-line op on a frame's register window.
 #[inline]
-fn exec_op(op: &Op, base: usize, regs: &mut [Slot]) {
+fn exec_op(op: &Op, frame: &mut [u64]) {
     match *op {
-        Op::ConstInt { dst, value } => regs[base + dst as usize] = Slot::Int(value),
-        Op::ConstDouble { dst, value } => regs[base + dst as usize] = Slot::Double(value),
-        Op::Move { dst, src } => {
-            let v = regs[base + src as usize];
-            regs[base + dst as usize] = v;
+        Op::Zero { dst } => frame[dst as usize] = 0,
+        Op::IConst { dst, value } => frame[dst as usize] = i64::from(value) as u64,
+        Op::Move { dst, src } => frame[dst as usize] = frame[src as usize],
+        Op::IToF { dst, src } => frame[dst as usize] = (load_i(frame, src) as f64).to_bits(),
+        Op::FToI { dst, src } => frame[dst as usize] = f_to_i(load_f(frame, src)) as u64,
+        Op::IBool { dst, src } => store_bool(frame, dst, load_i(frame, src) != 0),
+        Op::FBool { dst, src } => store_bool(frame, dst, load_f(frame, src) != 0.0),
+        Op::INot { dst, src } => store_bool(frame, dst, load_i(frame, src) == 0),
+        Op::FNot { dst, src } => store_bool(frame, dst, load_f(frame, src) == 0.0),
+        Op::INeg { dst, src } => frame[dst as usize] = load_i(frame, src).wrapping_neg() as u64,
+        Op::FNeg { dst, src } => frame[dst as usize] = (-load_f(frame, src)).to_bits(),
+        Op::IBitNot { dst, src } => frame[dst as usize] = !frame[src as usize],
+        Op::IAdd { dst, lhs, rhs } => {
+            frame[dst as usize] = load_i(frame, lhs).wrapping_add(load_i(frame, rhs)) as u64;
         }
-        Op::CoerceInt { dst, src } => {
-            let v = regs[base + src as usize].as_i64();
-            regs[base + dst as usize] = Slot::Int(v);
+        Op::ISub { dst, lhs, rhs } => {
+            frame[dst as usize] = load_i(frame, lhs).wrapping_sub(load_i(frame, rhs)) as u64;
         }
-        Op::CoerceDouble { dst, src } => {
-            let v = regs[base + src as usize].as_f64();
-            regs[base + dst as usize] = Slot::Double(v);
+        Op::IMul { dst, lhs, rhs } => {
+            frame[dst as usize] = load_i(frame, lhs).wrapping_mul(load_i(frame, rhs)) as u64;
         }
-        Op::Truth { dst, src } => {
-            let v = regs[base + src as usize].truthy();
-            regs[base + dst as usize] = Slot::Int(i64::from(v));
-        }
-        Op::Unary { op, dst, src } => {
-            let v = regs[base + src as usize];
-            regs[base + dst as usize] = match op {
-                UnOp::Neg => match v {
-                    Slot::Int(i) => Slot::Int(i.wrapping_neg()),
-                    Slot::Double(d) => Slot::Double(-d),
-                },
-                UnOp::BitNot => Slot::Int(!v.as_i64()),
-                UnOp::Not => Slot::Int(i64::from(!v.truthy())),
+        Op::IDiv { dst, lhs, rhs } => {
+            let divisor = load_i(frame, rhs);
+            frame[dst as usize] = if divisor == 0 {
+                0
+            } else {
+                load_i(frame, lhs).wrapping_div(divisor) as u64
             };
         }
-        Op::Binary { op, dst, lhs, rhs } => {
-            let l = regs[base + lhs as usize];
-            let r = regs[base + rhs as usize];
-            regs[base + dst as usize] = eval_binary(op, l, r);
-        }
-        Op::Builtin { which, dst, a, b } => {
-            let a = regs[base + a as usize];
-            let b = regs[base + b as usize];
-            regs[base + dst as usize] = which.eval(a, b);
-        }
-    }
-}
-
-/// Non-short-circuit binary evaluation — arm-for-arm the interpreter's
-/// `eval_binary` tail.
-fn eval_binary(op: BinOp, l: Slot, r: Slot) -> Slot {
-    let both_int = matches!((l, r), (Slot::Int(_), Slot::Int(_)));
-    match op {
-        BinOp::Add => {
-            if both_int {
-                Slot::Int(l.as_i64().wrapping_add(r.as_i64()))
+        Op::IRem { dst, lhs, rhs } => {
+            let divisor = load_i(frame, rhs);
+            frame[dst as usize] = if divisor == 0 {
+                0
             } else {
-                Slot::Double(l.as_f64() + r.as_f64())
-            }
-        }
-        BinOp::Sub => {
-            if both_int {
-                Slot::Int(l.as_i64().wrapping_sub(r.as_i64()))
-            } else {
-                Slot::Double(l.as_f64() - r.as_f64())
-            }
-        }
-        BinOp::Mul => {
-            if both_int {
-                Slot::Int(l.as_i64().wrapping_mul(r.as_i64()))
-            } else {
-                Slot::Double(l.as_f64() * r.as_f64())
-            }
-        }
-        BinOp::Div => {
-            if both_int {
-                let divisor = r.as_i64();
-                if divisor == 0 {
-                    Slot::Int(0)
-                } else {
-                    Slot::Int(l.as_i64().wrapping_div(divisor))
-                }
-            } else {
-                Slot::Double(l.as_f64() / r.as_f64())
-            }
-        }
-        BinOp::Rem => {
-            let divisor = r.as_i64();
-            if divisor == 0 {
-                Slot::Int(0)
-            } else {
-                Slot::Int(l.as_i64().wrapping_rem(divisor))
-            }
-        }
-        BinOp::BitAnd => Slot::Int(l.as_i64() & r.as_i64()),
-        BinOp::BitOr => Slot::Int(l.as_i64() | r.as_i64()),
-        BinOp::BitXor => Slot::Int(l.as_i64() ^ r.as_i64()),
-        BinOp::Shl => Slot::Int(l.as_i64().wrapping_shl(r.as_i64() as u32 & 63)),
-        BinOp::Shr => Slot::Int(l.as_i64().wrapping_shr(r.as_i64() as u32 & 63)),
-        BinOp::Cmp(cmp) => {
-            let holds = if both_int {
-                int_compare(cmp, l.as_i64(), r.as_i64())
-            } else {
-                cmp.eval(l.as_f64(), r.as_f64())
+                load_i(frame, lhs).wrapping_rem(divisor) as u64
             };
-            Slot::Int(i64::from(holds))
         }
-        BinOp::LogicalAnd | BinOp::LogicalOr => {
-            unreachable!("short-circuit operators are lowered to control flow")
+        Op::IAnd { dst, lhs, rhs } => {
+            frame[dst as usize] = frame[lhs as usize] & frame[rhs as usize]
         }
+        Op::IOr { dst, lhs, rhs } => {
+            frame[dst as usize] = frame[lhs as usize] | frame[rhs as usize]
+        }
+        Op::IXor { dst, lhs, rhs } => {
+            frame[dst as usize] = frame[lhs as usize] ^ frame[rhs as usize]
+        }
+        Op::IShl { dst, lhs, rhs } => {
+            let shift = load_i(frame, rhs) as u32 & 63;
+            frame[dst as usize] = load_i(frame, lhs).wrapping_shl(shift) as u64;
+        }
+        Op::IShr { dst, lhs, rhs } => {
+            let shift = load_i(frame, rhs) as u32 & 63;
+            frame[dst as usize] = load_i(frame, lhs).wrapping_shr(shift) as u64;
+        }
+        Op::FAdd { dst, lhs, rhs } => {
+            frame[dst as usize] = (load_f(frame, lhs) + load_f(frame, rhs)).to_bits();
+        }
+        Op::FSub { dst, lhs, rhs } => {
+            frame[dst as usize] = (load_f(frame, lhs) - load_f(frame, rhs)).to_bits();
+        }
+        Op::FMul { dst, lhs, rhs } => {
+            frame[dst as usize] = (load_f(frame, lhs) * load_f(frame, rhs)).to_bits();
+        }
+        Op::FDiv { dst, lhs, rhs } => {
+            frame[dst as usize] = (load_f(frame, lhs) / load_f(frame, rhs)).to_bits();
+        }
+        Op::ICmp { cmp, dst, lhs, rhs } => store_bool(
+            frame,
+            dst,
+            int_compare(cmp, load_i(frame, lhs), load_i(frame, rhs)),
+        ),
+        Op::FCmp { cmp, dst, lhs, rhs } => {
+            store_bool(frame, dst, cmp.eval(load_f(frame, lhs), load_f(frame, rhs)))
+        }
+        Op::Builtin { which, dst, a, b } => frame[dst as usize] = which.eval(frame, a, b),
     }
 }
 
@@ -852,13 +1113,41 @@ pub fn lower(program: &IrProgram) -> Result<Tape, LowerError> {
         // rebind to a later definition.
         func_ids.entry(func.name.as_str()).or_insert(index as u32);
     }
-    let mut blocks = Vec::new();
-    let mut funcs = Vec::with_capacity(module.functions.len());
-    for func in &module.functions {
-        let lowered = FuncLowerer::lower_function(module, &func_ids, func, &mut blocks)?;
-        funcs.push(lowered);
-    }
     let entry = func_ids[inst.entry.as_str()] as usize;
+    // Inputs enter as `double` registers; the instrumentation pass admits
+    // no other entry parameter.
+    if let Some(param) = module.functions[entry]
+        .params
+        .iter()
+        .find(|p| p.ty != Ty::Double)
+    {
+        return Err(LowerError::UnsupportedDecl {
+            function: inst.entry.clone(),
+            name: param.name.clone(),
+        });
+    }
+    let mut blocks = Vec::new();
+    let mut ops = Vec::new();
+    let mut funcs = Vec::with_capacity(module.functions.len());
+    let mut mismatched = Vec::with_capacity(module.functions.len());
+    for func in &module.functions {
+        let (lowered, mismatch) =
+            FuncLowerer::lower_function(module, &func_ids, func, &mut blocks, &mut ops)?;
+        funcs.push(lowered);
+        mismatched.push(mismatch);
+    }
+    // A return tag matters only where a call site reads it.
+    for block in &blocks {
+        if let Term::Call { func, .. } = block.term {
+            if mismatched[func as usize] {
+                let callee = &module.functions[func as usize];
+                return Err(LowerError::ReturnTagMismatch {
+                    function: callee.name.clone(),
+                    declared: callee.ret,
+                });
+            }
+        }
+    }
     Ok(Tape {
         name: inst.entry.clone(),
         arity: program.arity(),
@@ -867,90 +1156,172 @@ pub fn lower(program: &IrProgram) -> Result<Tape, LowerError> {
         entry,
         funcs,
         blocks,
+        ops,
     })
+}
+
+/// The tag of `param` of `func`. A `void` parameter (which type checking
+/// rejects) would keep its argument's tag in the interpreter, so it has
+/// none.
+fn param_tag(func: &FunctionDef, param: &Param) -> Result<Tag, LowerError> {
+    match param.ty {
+        Ty::Void => Err(LowerError::UnsupportedDecl {
+            function: func.name.clone(),
+            name: param.name.clone(),
+        }),
+        ty => Ok(Tag::of(ty)),
+    }
 }
 
 /// Per-function lowering state.
 struct FuncLowerer<'m, 'b> {
+    module: &'m Module,
     func_name: &'m str,
     func_ids: &'b HashMap<&'m str, u32>,
     blocks: &'b mut Vec<TapeBlock>,
-    /// Flat lexically-scoped symbol stack: name, register, declared type.
-    symbols: Vec<(&'m str, u16, Ty)>,
+    ops: &'b mut Vec<Op>,
+    /// Flat lexically-scoped symbol stack: name and register.
+    symbols: Vec<(&'m str, u16)>,
     scopes: Vec<usize>,
-    /// The function's initial register image, one slot per allocated
-    /// register.
-    init: Vec<Slot>,
+    /// Each register's static tag.
+    tags: Vec<Tag>,
+    /// The function's initial register image, one entry per register.
+    init: Vec<u64>,
     /// Which registers hold a folded constant in `init`.
     folded: Vec<bool>,
+    /// Which registers are expression temporaries: one writer, one reader.
+    temp: Vec<bool>,
+    /// The tag every `return` must hand the caller.
+    ret_tag: Tag,
+    /// Blocks that end in a `return` of another tag.
+    mismatched_returns: Vec<usize>,
     current: usize,
 }
 
 impl<'m, 'b> FuncLowerer<'m, 'b> {
+    /// Lowers `func` onto the shared block and op lists. Also returns
+    /// whether a `return` of a tag other than the declared one is
+    /// reachable.
     fn lower_function(
-        _module: &'m Module,
+        module: &'m Module,
         func_ids: &'b HashMap<&'m str, u32>,
-        func: &'m crate::ast::FunctionDef,
+        func: &'m FunctionDef,
         blocks: &'b mut Vec<TapeBlock>,
-    ) -> Result<TapeFunc, LowerError> {
+        ops: &'b mut Vec<Op>,
+    ) -> Result<(TapeFunc, bool), LowerError> {
         let entry_block = blocks.len();
-        blocks.push(TapeBlock {
-            cost: 0,
-            ops: Vec::new(),
-            term: Term::Return { value: None },
-        });
         let mut lowerer = FuncLowerer {
+            module,
             func_name: &func.name,
             func_ids,
             blocks,
+            ops,
             symbols: Vec::new(),
             scopes: Vec::new(),
+            tags: Vec::new(),
             init: Vec::new(),
             folded: Vec::new(),
+            temp: Vec::new(),
+            ret_tag: Tag::of(func.ret),
+            mismatched_returns: Vec::new(),
             current: entry_block,
         };
+        let entry = lowerer.new_block();
+        lowerer.enter(entry);
         for param in &func.params {
-            let reg = lowerer.alloc_reg()?;
-            lowerer.symbols.push((&param.name, reg, param.ty));
+            let tag = param_tag(func, param)?;
+            let reg = lowerer.alloc_reg(tag, false)?;
+            lowerer.symbols.push((&param.name, reg));
         }
         lowerer.lower_ast_block(&func.body)?;
         // Falling off the end of a function returns "no value" (the caller
         // substitutes 0.0), exactly like the interpreter's `Flow::Normal`.
-        lowerer.terminate(Term::Return { value: None });
-        Ok(TapeFunc {
-            name: func.name.clone(),
-            params: func.params.iter().map(|p| p.ty).collect(),
-            init: lowerer.init,
-            entry_block,
-        })
+        lowerer.lower_return(None);
+        let mismatch = lowerer.reaches_a_mismatched_return(entry_block);
+        Ok((
+            TapeFunc {
+                name: func.name.clone(),
+                num_params: func.params.len(),
+                tags: lowerer.tags,
+                init: lowerer.init,
+                entry_block,
+            },
+            mismatch,
+        ))
     }
 
-    fn alloc_reg(&mut self) -> Result<u16, LowerError> {
+    /// Whether a block in `mismatched_returns` is reachable from the
+    /// function's entry. Lowering leaves a block after every `return`,
+    /// so most functions end in a dead fall-off block.
+    fn reaches_a_mismatched_return(&self, entry_block: usize) -> bool {
+        if self.mismatched_returns.is_empty() {
+            return false;
+        }
+        let mut seen = vec![false; self.blocks.len() - entry_block];
+        let mut stack = vec![entry_block];
+        seen[0] = true;
+        while let Some(block) = stack.pop() {
+            if self.mismatched_returns.contains(&block) {
+                return true;
+            }
+            for next in self.blocks[block].term.successors().into_iter().flatten() {
+                if !std::mem::replace(&mut seen[next - entry_block], true) {
+                    stack.push(next);
+                }
+            }
+        }
+        false
+    }
+
+    fn alloc_reg(&mut self, tag: Tag, temp: bool) -> Result<u16, LowerError> {
         let Ok(reg) = u16::try_from(self.init.len()) else {
             return Err(LowerError::TooManyRegisters {
                 function: self.func_name.to_string(),
             });
         };
-        self.init.push(Slot::Double(0.0));
+        self.tags.push(tag);
+        self.init.push(0);
         self.folded.push(false);
+        self.temp.push(temp);
         Ok(reg)
+    }
+
+    fn tag(&self, reg: u16) -> Tag {
+        self.tags[reg as usize]
     }
 
     fn new_block(&mut self) -> usize {
         let id = self.blocks.len();
         self.blocks.push(TapeBlock {
             cost: 0,
-            ops: Vec::new(),
-            // Placeholder; overwritten by `terminate`. An unterminated
-            // unreachable block (after a `return`) keeps this harmless
-            // no-value return.
+            start: 0,
+            end: 0,
+            // Placeholder; every block is terminated before it is left.
             term: Term::Return { value: None },
         });
         id
     }
 
+    /// Makes `block` the one ops go to. Every block is entered once, and
+    /// only the block entered last receives ops, so each block's ops are
+    /// one contiguous run of `ops`.
+    fn enter(&mut self, block: usize) {
+        let at = self.ops.len() as u32;
+        let entered = &mut self.blocks[block];
+        entered.start = at;
+        entered.end = at;
+        self.current = block;
+    }
+
     fn emit(&mut self, op: Op) {
-        self.blocks[self.current].ops.push(op);
+        let block = &mut self.blocks[self.current];
+        debug_assert_eq!(
+            block.end as usize,
+            self.ops.len(),
+            "ops of a block interleaved"
+        );
+        self.ops.push(op);
+        block.end += 1;
     }
 
     /// Emits `op`, which writes the fresh expression temporary `dst` —
@@ -960,11 +1331,50 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     /// has no other writer, so every read of it sees this value.
     fn emit_or_fold(&mut self, dst: u16, sources: &[u16], op: Op) {
         if sources.iter().all(|&src| self.folded[src as usize]) {
-            exec_op(&op, 0, &mut self.init);
+            exec_op(&op, &mut self.init);
             self.folded[dst as usize] = true;
         } else {
             self.emit(op);
         }
+    }
+
+    /// A folded constant of `tag` with the given bits.
+    fn constant(&mut self, tag: Tag, bits: u64) -> Result<u16, LowerError> {
+        let dst = self.alloc_reg(tag, true)?;
+        self.init[dst as usize] = bits;
+        self.folded[dst as usize] = true;
+        Ok(dst)
+    }
+
+    /// `src` read at `tag`: `src` itself, or a temporary holding its
+    /// conversion — the interpreter's `as_f64`/`as_i64`.
+    fn convert(&mut self, src: u16, tag: Tag) -> Result<u16, LowerError> {
+        if self.tag(src) == tag {
+            return Ok(src);
+        }
+        let dst = self.alloc_reg(tag, true)?;
+        self.emit_or_fold(dst, &[src], Op::conversion(tag, dst, src));
+        Ok(dst)
+    }
+
+    /// Stores `src` into the variable register `dst`, converting to its
+    /// tag. A same-tag expression temporary produced by the last op is not
+    /// copied: that op writes `dst` instead.
+    fn store(&mut self, dst: u16, src: u16) {
+        let (to, from) = (self.tag(dst), self.tag(src));
+        if to != from {
+            self.emit(Op::conversion(to, dst, src));
+            return;
+        }
+        let block = &self.blocks[self.current];
+        if self.temp[src as usize] && block.end > block.start {
+            let producer = self.ops.last_mut().expect("the block has ops").dst_mut();
+            if *producer == src {
+                *producer = dst;
+                return;
+            }
+        }
+        self.emit(Op::Move { dst, src });
     }
 
     /// Adds interpreter fuel burns to the current block's header charge.
@@ -976,12 +1386,42 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         self.blocks[self.current].term = term;
     }
 
-    fn lookup(&self, name: &str) -> Option<(u16, Ty)> {
+    /// Terminates the current block with a `return`, noting a tag other
+    /// than the declared one.
+    fn lower_return(&mut self, value: Option<u16>) {
+        let tag = value.map_or(Tag::Double, |reg| self.tag(reg));
+        if tag != self.ret_tag {
+            self.mismatched_returns.push(self.current);
+        }
+        self.terminate(Term::Return { value });
+    }
+
+    /// A conditional branch on the truth of `cond`.
+    fn truth(&self, cond: u16, on_true: usize, on_false: usize) -> Term {
+        match self.tag(cond) {
+            Tag::Int => Term::ITruth {
+                cond,
+                on_true,
+                on_false,
+            },
+            Tag::Double => Term::FTruth {
+                cond,
+                on_true,
+                on_false,
+            },
+        }
+    }
+
+    fn lookup(&self, name: &str) -> Result<u16, LowerError> {
         self.symbols
             .iter()
             .rev()
-            .find(|(n, _, _)| *n == name)
-            .map(|&(_, reg, ty)| (reg, ty))
+            .find(|(n, _)| *n == name)
+            .map(|&(_, reg)| reg)
+            .ok_or_else(|| LowerError::UnknownVariable {
+                function: self.func_name.to_string(),
+                name: name.to_string(),
+            })
     }
 
     fn lower_ast_block(&mut self, block: &'m AstBlock) -> Result<(), LowerError> {
@@ -999,9 +1439,9 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         self.add_cost(1);
         match stmt {
             Stmt::Decl { ty, name, init, .. } => {
-                let slot_ty = match ty {
-                    Ty::Int => Ty::Int,
-                    Ty::Double => Ty::Double,
+                let tag = match ty {
+                    Ty::Int => Tag::Int,
+                    Ty::Double => Tag::Double,
                     Ty::Void => {
                         return Err(LowerError::UnsupportedDecl {
                             function: self.func_name.to_string(),
@@ -1009,35 +1449,25 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                         })
                     }
                 };
-                let dst = self.alloc_reg()?;
+                let dst = self.alloc_reg(tag, false)?;
                 match init {
                     Some(init) => {
                         let value = self.lower_expr(init)?;
-                        self.emit(coerce_op(slot_ty, dst, value));
+                        self.store(dst, value);
                     }
-                    None => {
-                        // No initializer: no eval burn, zero of the
-                        // declared representation.
-                        match slot_ty {
-                            Ty::Int => self.emit(Op::ConstInt { dst, value: 0 }),
-                            _ => self.emit(Op::ConstDouble { dst, value: 0.0 }),
-                        }
-                    }
+                    // No initializer: no eval burn, zero of the declared
+                    // representation.
+                    None => self.emit(Op::Zero { dst }),
                 }
-                self.symbols.push((name, dst, slot_ty));
+                self.symbols.push((name, dst));
                 Ok(())
             }
             Stmt::Assign { name, value, .. } => {
                 let v = self.lower_expr(value)?;
-                let Some((reg, ty)) = self.lookup(name) else {
-                    return Err(LowerError::UnknownVariable {
-                        function: self.func_name.to_string(),
-                        name: name.clone(),
-                    });
-                };
                 // The interpreter coerces to the slot's current tag, which
                 // (invariantly, post-typecheck) is the declared type.
-                self.emit(coerce_op(ty, reg, v));
+                let reg = self.lookup(name)?;
+                self.store(reg, v);
                 Ok(())
             }
             Stmt::If {
@@ -1051,15 +1481,15 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 let else_bb = self.new_block();
                 let join = self.new_block();
                 self.lower_condition(cond, *site, then_bb, else_bb)?;
-                self.current = then_bb;
+                self.enter(then_bb);
                 self.lower_ast_block(then_block)?;
                 self.terminate(Term::Jump(join));
-                self.current = else_bb;
+                self.enter(else_bb);
                 if let Some(else_block) = else_block {
                     self.lower_ast_block(else_block)?;
                 }
                 self.terminate(Term::Jump(join));
-                self.current = join;
+                self.enter(join);
                 Ok(())
             }
             Stmt::While {
@@ -1069,9 +1499,9 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 let body_bb = self.new_block();
                 let exit = self.new_block();
                 self.terminate(Term::Jump(head));
-                self.current = head;
+                self.enter(head);
                 self.lower_condition(cond, *site, body_bb, exit)?;
-                self.current = body_bb;
+                self.enter(body_bb);
                 self.lower_ast_block(body)?;
                 // The interpreter burns one latch step after each completed
                 // body iteration, before re-evaluating the condition. The
@@ -1080,7 +1510,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 // exact.
                 self.add_cost(1);
                 self.terminate(Term::Jump(head));
-                self.current = exit;
+                self.enter(exit);
                 Ok(())
             }
             Stmt::Return { value, .. } => {
@@ -1088,10 +1518,11 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                     Some(expr) => Some(self.lower_expr(expr)?),
                     None => None,
                 };
-                self.terminate(Term::Return { value: reg });
+                self.lower_return(reg);
                 // Anything lowered after a return lands in an unreachable
                 // continuation block.
-                self.current = self.new_block();
+                let next = self.new_block();
+                self.enter(next);
                 Ok(())
             }
             Stmt::ExprStmt { expr, .. } => {
@@ -1104,8 +1535,8 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     /// Lowers a conditional's condition into the current block(s) and
     /// terminates with the branch. Mirrors `eval_condition`: instrumented
     /// comparisons burn only their operand subtrees and report through the
-    /// site; everything else evaluates the full expression and branches on
-    /// truthiness.
+    /// site (as doubles); everything else evaluates the full expression and
+    /// branches on truthiness.
     fn lower_condition(
         &mut self,
         cond: &'m Expr,
@@ -1113,25 +1544,33 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         on_true: usize,
         on_false: usize,
     ) -> Result<(), LowerError> {
-        if let (Some(site), Some((op, lhs, rhs))) = (site, as_comparison(cond)) {
+        let term = if let (Some(site), Some((op, lhs, rhs))) = (site, as_comparison(cond)) {
             let lhs = self.lower_expr(lhs)?;
             let rhs = self.lower_expr(rhs)?;
-            self.terminate(Term::BranchSite {
-                site,
-                op,
-                lhs,
-                rhs,
-                on_true,
-                on_false,
-            });
+            if self.tag(lhs) == Tag::Int && self.tag(rhs) == Tag::Int {
+                Term::ISite {
+                    site,
+                    op,
+                    lhs,
+                    rhs,
+                    on_true,
+                    on_false,
+                }
+            } else {
+                Term::FSite {
+                    site,
+                    op,
+                    lhs: self.convert(lhs, Tag::Double)?,
+                    rhs: self.convert(rhs, Tag::Double)?,
+                    on_true,
+                    on_false,
+                }
+            }
         } else {
             let cond = self.lower_expr(cond)?;
-            self.terminate(Term::BranchTruth {
-                cond,
-                on_true,
-                on_false,
-            });
-        }
+            self.truth(cond, on_true, on_false)
+        };
+        self.terminate(term);
         Ok(())
     }
 
@@ -1141,37 +1580,38 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     fn lower_expr(&mut self, expr: &'m Expr) -> Result<u16, LowerError> {
         self.add_cost(1);
         match expr {
-            Expr::Int(value) => {
-                let dst = self.alloc_reg()?;
-                self.emit_or_fold(dst, &[], Op::ConstInt { dst, value: *value });
-                Ok(dst)
-            }
-            Expr::Float(value) => {
-                let dst = self.alloc_reg()?;
-                self.emit_or_fold(dst, &[], Op::ConstDouble { dst, value: *value });
-                Ok(dst)
-            }
-            Expr::Var(name) => match self.lookup(name) {
-                // Reading a variable is just its register: the language has
-                // no assignment expressions, so nothing can clobber the
-                // register between this read and the consuming op.
-                Some((reg, _)) => Ok(reg),
-                None => Err(LowerError::UnknownVariable {
-                    function: self.func_name.to_string(),
-                    name: name.clone(),
-                }),
-            },
+            Expr::Int(value) => self.constant(Tag::Int, *value as u64),
+            Expr::Float(value) => self.constant(Tag::Double, value.to_bits()),
+            // Reading a variable is just its register: the language has no
+            // assignment expressions, so nothing can clobber the register
+            // between this read and the consuming op.
+            Expr::Var(name) => self.lookup(name),
             Expr::Unary { op, expr } => {
                 let src = self.lower_expr(expr)?;
-                let dst = self.alloc_reg()?;
-                self.emit_or_fold(dst, &[src], Op::Unary { op: *op, dst, src });
+                let (src, tag) = match op {
+                    UnOp::BitNot => (self.convert(src, Tag::Int)?, Tag::Int),
+                    UnOp::Neg => (src, self.tag(src)),
+                    UnOp::Not => (src, Tag::Int),
+                };
+                let dst = self.alloc_reg(tag, true)?;
+                let op = match (op, self.tag(src)) {
+                    (UnOp::Neg, Tag::Int) => Op::INeg { dst, src },
+                    (UnOp::Neg, Tag::Double) => Op::FNeg { dst, src },
+                    (UnOp::Not, Tag::Int) => Op::INot { dst, src },
+                    (UnOp::Not, Tag::Double) => Op::FNot { dst, src },
+                    (UnOp::BitNot, _) => Op::IBitNot { dst, src },
+                };
+                self.emit_or_fold(dst, &[src], op);
                 Ok(dst)
             }
             Expr::Cast { ty, expr } => {
                 let src = self.lower_expr(expr)?;
-                let dst = self.alloc_reg()?;
-                self.emit_or_fold(dst, &[src], coerce_op(*ty, dst, src));
-                Ok(dst)
+                match ty {
+                    Ty::Int => self.convert(src, Tag::Int),
+                    Ty::Double => self.convert(src, Tag::Double),
+                    // The interpreter's `coerce(Void)` keeps the value.
+                    Ty::Void => Ok(src),
+                }
             }
             Expr::Binary { op, lhs, rhs } => match op {
                 BinOp::LogicalAnd => self.lower_logical(lhs, rhs, true),
@@ -1179,19 +1619,56 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 _ => {
                     let l = self.lower_expr(lhs)?;
                     let r = self.lower_expr(rhs)?;
-                    let dst = self.alloc_reg()?;
-                    let op = Op::Binary {
-                        op: *op,
-                        dst,
-                        lhs: l,
-                        rhs: r,
-                    };
-                    self.emit_or_fold(dst, &[l, r], op);
-                    Ok(dst)
+                    self.lower_binary(*op, l, r)
                 }
             },
             Expr::Call { name, args } => self.lower_call(name, args),
         }
+    }
+
+    /// A non-short-circuit binary on evaluated operands — arm-for-arm the
+    /// interpreter's `eval_binary` tail, with its promotions made explicit:
+    /// `+ - * /` and comparisons are `int` ops when both operands are
+    /// `int` and `double` ops otherwise; `%`, the bitwise operators and
+    /// the shifts read both operands as `int`.
+    fn lower_binary(&mut self, op: BinOp, l: u16, r: u16) -> Result<u16, LowerError> {
+        let both_int = self.tag(l) == Tag::Int && self.tag(r) == Tag::Int;
+        let operand_tag = match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Cmp(_) if !both_int => {
+                Tag::Double
+            }
+            _ => Tag::Int,
+        };
+        let lhs = self.convert(l, operand_tag)?;
+        let rhs = self.convert(r, operand_tag)?;
+        let result_tag = match op {
+            BinOp::Cmp(_) => Tag::Int,
+            _ => operand_tag,
+        };
+        let dst = self.alloc_reg(result_tag, true)?;
+        let op = match (op, operand_tag) {
+            (BinOp::Add, Tag::Int) => Op::IAdd { dst, lhs, rhs },
+            (BinOp::Sub, Tag::Int) => Op::ISub { dst, lhs, rhs },
+            (BinOp::Mul, Tag::Int) => Op::IMul { dst, lhs, rhs },
+            (BinOp::Div, Tag::Int) => Op::IDiv { dst, lhs, rhs },
+            (BinOp::Add, Tag::Double) => Op::FAdd { dst, lhs, rhs },
+            (BinOp::Sub, Tag::Double) => Op::FSub { dst, lhs, rhs },
+            (BinOp::Mul, Tag::Double) => Op::FMul { dst, lhs, rhs },
+            (BinOp::Div, Tag::Double) => Op::FDiv { dst, lhs, rhs },
+            (BinOp::Rem, _) => Op::IRem { dst, lhs, rhs },
+            (BinOp::BitAnd, _) => Op::IAnd { dst, lhs, rhs },
+            (BinOp::BitOr, _) => Op::IOr { dst, lhs, rhs },
+            (BinOp::BitXor, _) => Op::IXor { dst, lhs, rhs },
+            (BinOp::Shl, _) => Op::IShl { dst, lhs, rhs },
+            (BinOp::Shr, _) => Op::IShr { dst, lhs, rhs },
+            (BinOp::Cmp(cmp), Tag::Int) => Op::ICmp { cmp, dst, lhs, rhs },
+            (BinOp::Cmp(cmp), Tag::Double) => Op::FCmp { cmp, dst, lhs, rhs },
+            (BinOp::LogicalAnd | BinOp::LogicalOr, _) => {
+                unreachable!("short-circuit operators are lowered to control flow")
+            }
+        };
+        self.emit_or_fold(dst, &[lhs, rhs], op);
+        Ok(dst)
     }
 
     /// Lowers `&&` / `||` to control flow so the right operand's burns (and
@@ -1203,7 +1680,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         is_and: bool,
     ) -> Result<u16, LowerError> {
         let l = self.lower_expr(lhs)?;
-        let dst = self.alloc_reg()?;
+        let dst = self.alloc_reg(Tag::Int, false)?;
         let rhs_bb = self.new_block();
         let short_bb = self.new_block();
         let join = self.new_block();
@@ -1212,22 +1689,21 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         } else {
             (short_bb, rhs_bb)
         };
-        self.terminate(Term::BranchTruth {
-            cond: l,
-            on_true,
-            on_false,
+        self.terminate(self.truth(l, on_true, on_false));
+        self.enter(rhs_bb);
+        let src = self.lower_expr(rhs)?;
+        self.emit(match self.tag(src) {
+            Tag::Int => Op::IBool { dst, src },
+            Tag::Double => Op::FBool { dst, src },
         });
-        self.current = rhs_bb;
-        let r = self.lower_expr(rhs)?;
-        self.emit(Op::Truth { dst, src: r });
         self.terminate(Term::Jump(join));
-        self.current = short_bb;
-        self.emit(Op::ConstInt {
+        self.enter(short_bb);
+        self.emit(Op::IConst {
             dst,
-            value: i64::from(!is_and),
+            value: i32::from(!is_and),
         });
         self.terminate(Term::Jump(join));
-        self.current = join;
+        self.enter(join);
         Ok(dst)
     }
 
@@ -1240,9 +1716,14 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         // `eval_builtin`-first dispatch.
         if let Some((which, builtin_arity)) = Builtin::from_name(name) {
             if args.len() >= builtin_arity {
-                let dst = self.alloc_reg()?;
-                let a = arg_regs[0];
-                let b = if builtin_arity > 1 { arg_regs[1] } else { a };
+                let (a_tag, b_tag) = which.operand_tags();
+                let a = self.convert(arg_regs[0], a_tag)?;
+                let b = if builtin_arity > 1 {
+                    self.convert(arg_regs[1], b_tag)?
+                } else {
+                    a
+                };
+                let dst = self.alloc_reg(which.result_tag(), true)?;
                 self.emit_or_fold(dst, &[a, b], Op::Builtin { which, dst, a, b });
                 return Ok(dst);
             }
@@ -1254,25 +1735,38 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                 name: name.to_string(),
             });
         }
-        let dst = self.alloc_reg()?;
-        match self.func_ids.get(name) {
-            Some(&func) => {
-                let ret = self.new_block();
-                self.terminate(Term::Call {
-                    func,
-                    args: arg_regs,
-                    dst: Some(dst),
-                    ret,
-                });
-                self.current = ret;
-            }
-            None => {
-                // Unknown call target: arguments evaluate (and burn), then
-                // the run traps — the interpreter's exact order.
-                self.terminate(Term::Trap);
-                self.current = self.new_block();
-            }
+        let Some(&func) = self.func_ids.get(name) else {
+            // Unknown call target: arguments evaluate (and burn), then the
+            // run traps — the interpreter's exact order.
+            let dst = self.alloc_reg(Tag::Double, false)?;
+            self.terminate(Term::Trap);
+            let next = self.new_block();
+            self.enter(next);
+            return Ok(dst);
+        };
+        let callee = &self.module.functions[func as usize];
+        if arg_regs.len() < callee.params.len() {
+            // The interpreter would panic reading the missing argument.
+            return Err(LowerError::UnknownVariable {
+                function: self.func_name.to_string(),
+                name: name.to_string(),
+            });
         }
+        // The interpreter coerces each argument to its parameter's type.
+        let mut call_args = Vec::with_capacity(callee.params.len());
+        for (&reg, param) in arg_regs.iter().zip(&callee.params) {
+            let tag = param_tag(callee, param)?;
+            call_args.push(self.convert(reg, tag)?);
+        }
+        let dst = self.alloc_reg(Tag::of(callee.ret), false)?;
+        let ret = self.new_block();
+        self.terminate(Term::Call {
+            func,
+            args: call_args,
+            dst,
+            ret,
+        });
+        self.enter(ret);
         Ok(dst)
     }
 }
@@ -1292,8 +1786,13 @@ pub struct TapeBackend {
 impl TapeBackend {
     /// Wraps a lowered tape.
     pub fn new(tape: Tape) -> TapeBackend {
+        TapeBackend::shared(Arc::new(tape))
+    }
+
+    /// Wraps a tape other backends may share.
+    fn shared(tape: Arc<Tape>) -> TapeBackend {
         TapeBackend {
-            tape: Arc::new(tape),
+            tape,
             lanes: ExecCtx::representing(BranchSet::new())
                 .without_trace()
                 .without_coverage(),
@@ -1343,7 +1842,7 @@ impl ExecBackend for TapeBackend {
 }
 
 /// Builds the backend [`IrProgram::backend`] hands out: `None` for
-/// [`BackendMode::Interp`], the lowered tape for `Auto` (or `None` when
+/// [`BackendMode::Interp`], the program's tape for `Auto` (or `None` when
 /// lowering bails, which transparently keeps the interpreter).
 pub(crate) fn program_backend(
     program: &IrProgram,
@@ -1351,9 +1850,9 @@ pub(crate) fn program_backend(
 ) -> Option<Box<dyn ExecBackend>> {
     match mode {
         BackendMode::Interp => None,
-        BackendMode::Auto => lower(program)
-            .ok()
-            .map(|tape| Box::new(TapeBackend::new(tape)) as Box<dyn ExecBackend>),
+        BackendMode::Auto => program
+            .tape()
+            .map(|tape| Box::new(TapeBackend::shared(tape)) as Box<dyn ExecBackend>),
     }
 }
 
@@ -1552,7 +2051,7 @@ mod tests {
         let tape = lower(&p).unwrap();
         let listing = tape.serialize();
         assert!(listing.contains("tape f arity=1"));
-        assert!(listing.contains("branch.site s0 le"));
+        assert!(listing.contains("fsite s0 le"));
         // `sqrt(16.0)` is folded: the image lists the literal and the
         // result, and the only `sqrt` left in a block is `sqrt(x)`.
         let (image, blocks) = listing.split_at(listing.find("b0:").unwrap());
@@ -1560,7 +2059,8 @@ mod tests {
         assert!(image.contains("= const.f 4.0"), "{listing}");
         assert!(!blocks.contains("const.f"), "{listing}");
         assert_eq!(blocks.matches(" sqrt ").count(), 1, "{listing}");
-        assert!(listing.contains("branch.truth"));
+        // `x > 0.0 && x < 9.0` is an `int` truth value.
+        assert!(listing.contains("itruth"));
         assert!(listing.contains("jump b"));
         assert!(listing.contains("ret"));
         assert_eq!(listing, tape.to_string());
@@ -1742,5 +2242,360 @@ mod tests {
                 assert_observably_equal(&starved, &[v]);
             }
         }
+    }
+
+    /// Compiles without the type checker, for operand tags it rejects
+    /// (`~` on a `double`) but the interpreter still defines.
+    fn compile_unchecked(source: &str, entry: &str) -> IrProgram {
+        let module = crate::parse(source).expect("parses");
+        IrProgram::new(crate::instrument(module, entry).expect("instruments")).expect("program")
+    }
+
+    /// Tape and interpreter agree on every input at every fuel from 1 to
+    /// `max_fuel`: outcome, coverage and trace in observe mode, and the
+    /// representing value bit for bit.
+    fn assert_agrees_at_every_fuel(program: &IrProgram, inputs: &[Vec<f64>], max_fuel: usize) {
+        for fuel in 1..=max_fuel {
+            let starved = program.clone().with_fuel(fuel);
+            let tape = lower(&starved).expect("lowers");
+            for input in inputs {
+                assert_observably_equal(&starved, input);
+                let saturated = BranchSet::with_sites(starved.num_sites());
+                let mut interp_ctx = ExecCtx::representing(saturated.clone());
+                starved.execute(input, &mut interp_ctx);
+                let mut tape_ctx = ExecCtx::representing(saturated);
+                tape.execute(input, &mut tape_ctx);
+                assert_eq!(
+                    tape_ctx.representing_value().to_bits(),
+                    interp_ctx.representing_value().to_bits(),
+                    "representing value diverged at fuel {fuel} on {input:?}"
+                );
+            }
+        }
+    }
+
+    /// Inputs that cross zero, truncate, saturate the `int` range and
+    /// carry NaN and signed zeros.
+    fn edge_inputs(arity: usize) -> Vec<Vec<f64>> {
+        [-7.5, -1.0, -0.0, 0.0, 0.3, 2.9, 4.0, 1e10, -1e300, f64::NAN]
+            .iter()
+            .map(|&v| vec![v; arity])
+            .collect()
+    }
+
+    // The entry function's value is not observable: a computed value shows
+    // only through an instrumented site, which reports both operands. So
+    // the programs below compare everything they compute in a site.
+
+    #[test]
+    fn int_helper_parameters_convert_at_the_call_site() {
+        let p = compile(
+            r#"
+            double scale(int k, double a) {
+                int m = k * 3 - 7 / k;
+                return a * m + k % 4 - (k / 2) * 0.5;
+            }
+            double f(double x) {
+                double y = scale(x, 2);
+                int n = x;
+                if (n < 3) { y = y + scale(n, x); }
+                if (y > n) { y = y / n; }
+                double z = scale(n * 2, y - 1.5);
+                if (z <= y) { z = 0.0; }
+                return z;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let listing = lower(&p).unwrap().to_string();
+        assert!(listing.contains("fn0 scale(int,double)"), "{listing}");
+        assert!(listing.contains("ftoi"), "{listing}");
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 120);
+    }
+
+    #[test]
+    fn int_returning_and_void_helpers_match_the_interpreter() {
+        // Each `int` helper ends in a `return` on every path, so its
+        // fall-off block is dead and it lowers.
+        let p = compile(
+            r#"
+            int sgn(double a) { if (a > 0.0) { return 1; } else { return -1; } }
+            int clamp3(int k) { if (k > 3) { return 3; } return k; }
+            void touch(double a) {
+                if (a < -1.0) { return; }
+                double z = a * 2.0;
+                if (z > 3.0) { z = 3.0; }
+            }
+            double f(double x) {
+                touch(x);
+                int s = sgn(x) + clamp3(x);
+                double q = sgn(x) / 2;
+                if (s == 2) { q = q + 1.0; }
+                if (clamp3(s * 5) <= sgn(-x)) { q = x / s; }
+                double r = (double) sgn(x) / 4 + q;
+                if (r < q) { r = q; }
+                return r;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let listing = lower(&p).unwrap().to_string();
+        assert!(listing.contains("isite"), "{listing}");
+        assert!(listing.contains("idiv"), "{listing}");
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 120);
+    }
+
+    #[test]
+    fn mixed_int_and_double_arithmetic_and_comparisons_match() {
+        let p = compile(
+            r#"
+            double f(double x, double y) {
+                int i = high_word(x);
+                int j = low_word(y) % 7;
+                double a = i + x;
+                double b = j * y - i;
+                double c = (i - j) / 3 + x / 3;
+                int k = (i < j) + (x < j) + (i == y);
+                if (i < x) { a = a - c; }
+                if (j != k) { b = b * k; }
+                if (a >= b) { a = a + k; }
+                int m = (i & 255) + (j | 2) + (i ^ j) + (j << 2) + (i >> 3);
+                if (m > c) { m = 0; }
+                if (k == 1) { k = 0; }
+                return a + b;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let listing = lower(&p).unwrap().to_string();
+        for mnemonic in ["icmp.lt", "fcmp.lt", "fcmp.eq", "itof", "isite", "fsite"] {
+            assert!(listing.contains(mnemonic), "{mnemonic}: {listing}");
+        }
+        let mut inputs = edge_inputs(2);
+        inputs.extend([
+            vec![3.0, -3.5],
+            vec![-2.0, 1e-310],
+            vec![f64::INFINITY, 6.0],
+        ]);
+        assert_agrees_at_every_fuel(&p, &inputs, 100);
+    }
+
+    #[test]
+    fn casts_of_call_results_match() {
+        let p = compile(
+            r#"
+            int h(double a) { return (int) (a * 3.0); }
+            double g(double a) { return a / 3.0; }
+            double f(double x) {
+                double p = (double) h(x);
+                int q = (int) g(x);
+                int r = (int) h(x);
+                double s = (double) g(x);
+                if ((int) g(x) < h(x)) { p = p + q; }
+                if (p > s) { p = s; }
+                if (r != q) { r = q; }
+                return r - s;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 100);
+    }
+
+    #[test]
+    fn unary_operators_match_on_both_tags() {
+        // `~x` on a `double` fails type checking but is defined by the
+        // interpreter (it truncates first), so the tape must agree.
+        let p = compile_unchecked(
+            r#"
+            double f(double x) {
+                int i = x;
+                double a = -x;
+                int b = -i;
+                int c = !x;
+                int d = !i;
+                int e = ~i;
+                int g = ~x;
+                if (a < b) { a = b; }
+                if (c == d) { c = 0; }
+                if (e >= g) { e = 0; }
+                double h = -(-x) + !(!i) + ~(~3) + -(2.5);
+                if (h > a) { h = a; }
+                return h;
+            }
+            "#,
+            "f",
+        );
+        let listing = lower(&p).unwrap().to_string();
+        for mnemonic in ["fneg", "ineg", "fnot", "inot", "ibitnot"] {
+            assert!(listing.contains(mnemonic), "{mnemonic}: {listing}");
+        }
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 80);
+    }
+
+    #[test]
+    fn logical_operators_on_doubles_match() {
+        let p = compile(
+            r#"
+            double f(double x, double y) {
+                double z = x && y;
+                int w = x || y - 1.0;
+                if (x && y) { z = z + 1.0; }
+                if (x - 1.0 || y) { w = w + 2; }
+                while (z && x > 0.0) { z = z - 1.0; x = x - 1.0; }
+                if (z < w) { z = w; }
+                return z + w;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let listing = lower(&p).unwrap().to_string();
+        assert!(listing.contains("ftruth"), "{listing}");
+        assert!(listing.contains("fbool"), "{listing}");
+        let mut inputs = edge_inputs(2);
+        inputs.extend([
+            vec![1.0, 0.0],
+            vec![0.0, 1.0],
+            vec![f64::NAN, 0.0],
+            vec![2.0, -0.0],
+        ]);
+        assert_agrees_at_every_fuel(&p, &inputs, 80);
+    }
+
+    #[test]
+    fn an_int_helper_that_can_fall_off_its_end_keeps_the_interpreter() {
+        // Falling off `pick` returns `double` 0.0, not `int` 0: at
+        // x = -1 the interpreter computes 0.0 * -1 = -0.0 and 1.0 / -0.0
+        // = -inf, where an `int` 0 would give +inf. No static tag fits.
+        let p = compile(
+            r#"
+            int pick(double a) { if (a > 0.0) { return 1; } }
+            double f(double x) {
+                if (1.0 / (pick(x) * -1) < 0.0) { return 1.0; }
+                return 0.0;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        assert_eq!(
+            lower(&p).unwrap_err(),
+            LowerError::ReturnTagMismatch {
+                function: "pick".to_string(),
+                declared: Ty::Int,
+            }
+        );
+        assert!(p.backend(BackendMode::Auto).is_none());
+        assert_eq!(
+            p.fingerprint(),
+            coverme_runtime::native_fingerprint("f", 1, p.num_sites())
+        );
+        let mut ctx = ExecCtx::observe();
+        p.execute(&[-1.0], &mut ctx);
+        let site = ctx.trace().last().expect("the site reports").branch();
+        assert_eq!(site, BranchId::true_of(1));
+    }
+
+    #[test]
+    fn a_double_function_returning_an_int_keeps_the_interpreter() {
+        // `half(1.0)` is the `int` 1, so `half(1.0) / 2` is the `int` 0.
+        let source = r#"
+            double half(double a) { if (a > 0.0) { return 1; } return a / 2.0; }
+            double f(double x) {
+                if (half(x) / 2 > 0.25) { return 1.0; }
+                return 0.0;
+            }
+            "#;
+        let p = compile(source, "f").unwrap();
+        assert_eq!(
+            lower(&p).unwrap_err(),
+            LowerError::ReturnTagMismatch {
+                function: "half".to_string(),
+                declared: Ty::Double,
+            }
+        );
+        assert!(p.backend(BackendMode::Auto).is_none());
+        let mut ctx = ExecCtx::observe();
+        p.execute(&[1.0], &mut ctx);
+        assert!(ctx.covered().contains(BranchId::false_of(1)));
+        // An entry function's own value is never read: returning an `int`
+        // from it is no reason to leave the tape.
+        let entry = compile(
+            "double f(double x) { if (x > 0.0) { return 1; } return x; }",
+            "f",
+        )
+        .unwrap();
+        assert!(lower(&entry).is_ok());
+        assert_agrees_at_every_fuel(&entry, &edge_inputs(1), 10);
+    }
+
+    #[test]
+    fn a_same_tag_store_folds_into_its_producer() {
+        let p = compile("double f(double x) { x = x + 1.0; return x; }", "f").unwrap();
+        let listing = lower(&p).unwrap().to_string();
+        let blocks = &listing[listing.find("b0:").unwrap()..];
+        let ops: Vec<&str> = blocks
+            .lines()
+            .map(str::trim)
+            .filter(|line| line.contains(" = "))
+            .collect();
+        // `x` is r0 and the folded `1.0` is r1.
+        assert_eq!(ops, ["r0 = fadd r0, r1"], "{listing}");
+        // A variable is never retargeted: `z = y` right after the op that
+        // writes `y` stays a copy.
+        let p = compile(
+            r#"
+            double f(double x) {
+                double y = x * 2.0;
+                double z = y;
+                y = y + 1.0;
+                x = y;
+                if (z < y) { z = 0.0; }
+                if (x > z) { x = 0.0; }
+                return z;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let listing = lower(&p).unwrap().to_string();
+        // `y` is r1, `z` r4.
+        assert!(
+            listing.contains("  r4 = r1\n  r1 = fadd r1, r5\n  r0 = r1\n"),
+            "{listing}"
+        );
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 40);
+    }
+
+    #[test]
+    fn generated_programs_never_fall_back() {
+        for seed in 0..500 {
+            let source = crate::generate::generate_source(seed);
+            let p = compile(&source, crate::generate::ENTRY_NAME).unwrap();
+            if let Err(error) = lower(&p) {
+                panic!("seed {seed}: {error}\n{source}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_program_lowers_once_until_its_fuel_changes() {
+        let p = compile(
+            "double f(double x) { if (x < 1.0) { return x; } return 1.0; }",
+            "f",
+        )
+        .unwrap();
+        let tape = p.tape().expect("lowers");
+        assert!(Arc::ptr_eq(&tape, &p.tape().unwrap()));
+        assert!(Arc::ptr_eq(&tape, &p.clone().tape().unwrap()));
+        assert_eq!(p.fingerprint(), tape.fingerprint64());
+        let starved = p.clone().with_fuel(7);
+        assert_eq!(starved.tape().unwrap().fuel(), 7);
+        assert_ne!(starved.fingerprint(), p.fingerprint());
     }
 }
