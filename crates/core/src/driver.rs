@@ -1193,6 +1193,14 @@ mod tests {
             .with_budget(5_000)
             .with_shards(2);
         assert_eq!(tuned.search_key(), 0xe9bb_d475_5e69_8d44);
+        for (method, key) in [
+            (LocalMethod::NelderMead, 0xb081_f413_f387_5e4a),
+            (LocalMethod::Compass, 0xf48f_0200_b8ad_da45),
+            (LocalMethod::None, 0x58a3_3d8e_c826_2cf4),
+        ] {
+            let config = CoverMeConfig::default().with_local_method(method);
+            assert_eq!(config.search_key(), key, "{}", method.name());
+        }
     }
 
     #[test]

@@ -3,26 +3,16 @@
 //! A very simple derivative-free local minimizer: probe `x ± h·e_i` along
 //! every coordinate axis, move to the best improving probe, and halve the
 //! step when no probe improves. It converges slowly but makes no smoothness
-//! assumptions at all, which makes it a useful ablation point against Powell
-//! and Nelder–Mead on the piecewise-quadratic representing functions CoverMe
-//! produces.
+//! assumptions at all, which makes it the ablation point against Powell on
+//! the piecewise-quadratic representing functions CoverMe produces.
 //!
-//! The probe star of every sweep — all `2n` candidates — was always
-//! evaluated unconditionally, so it is submitted as a single
-//! [`Objective::eval_batch`] call: a batch-capable engine amortizes its
-//! per-evaluation setup with zero change to which points are evaluated, in
-//! which order, or which probe is selected.
-//!
-//! For low dimensions the classic star is small (`2` candidates in 1-D,
-//! `4` in 2-D) — too small to fill the lanes of a data-parallel engine.
-//! [`probe_scales`](CompassSearch::probe_scales) widens the star: each
-//! sweep probes the same `2n` directions at `k` step scales
-//! (`h, h/2, h/4, …`) in one batch, which both fills lanes and lets a
-//! single sweep discover the contraction a classic search would need `k`
-//! sweeps for. The default is `2`, on every objective: the star depth is
-//! part of the algorithm, so it never depends on the objective's
-//! [`preferred_batch`](Objective::preferred_batch) hint. Set
-//! `probe_scales(1)` to recover the textbook algorithm, bit for bit.
+//! Each sweep probes the `2n` directions at two step scales, `h` and
+//! `h·contraction`, so one sweep discovers the contraction a classic
+//! single-scale search needs a second sweep for. The whole star is always
+//! evaluated, so it goes to the objective as one
+//! [`Objective::eval_batch`] call; which points are evaluated, in which
+//! order, and which probe wins never depend on how the objective serves
+//! the batch.
 //!
 //! `+∞` carries no descent information; a search that has seen nothing else
 //! stops. A sweep in which the incumbent and every probe are `+∞` (every
@@ -33,6 +23,9 @@
 use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
 use crate::sanitize_value as sanitize;
+
+/// Step scales probed per sweep: `h` and `h·contraction`.
+const PROBE_SCALES: usize = 2;
 
 /// Configuration and entry point for compass search.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,10 +40,6 @@ pub struct CompassSearch {
     pub expansion: f64,
     /// Maximum number of probe sweeps.
     pub max_iterations: usize,
-    /// Number of step scales probed per sweep (`1` = the classic star; `k`
-    /// probes `h·contraction^j` for `j < k`, all in one batch). The
-    /// default is `2`. See the [module docs](self).
-    pub probe_scales: usize,
 }
 
 impl Default for CompassSearch {
@@ -61,7 +50,6 @@ impl Default for CompassSearch {
             contraction: 0.5,
             expansion: 2.0,
             max_iterations: 2000,
-            probe_scales: 2,
         }
     }
 }
@@ -84,20 +72,8 @@ impl CompassSearch {
         self
     }
 
-    /// Sets the number of step scales probed per sweep (`1` keeps the
-    /// classic star).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales` is zero.
-    pub fn probe_scales(mut self, scales: usize) -> Self {
-        assert!(scales > 0, "at least one probe scale is required");
-        self.probe_scales = scales;
-        self
-    }
-
-    /// Minimizes `f` starting from `x0`. Every sweep's `2n` probe star
-    /// goes through [`Objective::eval_batch`] in one call.
+    /// Minimizes `f` starting from `x0`. Every sweep's probe star goes
+    /// through [`Objective::eval_batch`] in one call.
     ///
     /// # Panics
     ///
@@ -118,23 +94,19 @@ impl CompassSearch {
             evals += 1;
             sanitize(f.eval_scalar(&point))
         };
-        let scales = self.probe_scales.max(1);
         let mut step = self.initial_step;
         let mut iterations = 0usize;
         let mut converged = false;
-        let mut probes: Vec<Vec<f64>> = Vec::with_capacity(2 * n * scales);
-        let mut probe_values: Vec<f64> = Vec::with_capacity(2 * n * scales);
+        let mut probes: Vec<Vec<f64>> = Vec::with_capacity(2 * n * PROBE_SCALES);
+        let mut probe_values: Vec<f64> = Vec::with_capacity(2 * n * PROBE_SCALES);
 
         while iterations < self.max_iterations {
             iterations += 1;
-            // The probe star `x ± h·e_i` at every configured scale
-            // (`h, h·c, h·c², …`), in the historical evaluation order
-            // (+ before - per coordinate, coarsest scale first), evaluated
-            // as one batch. With `probe_scales == 1` this is exactly the
-            // classic single-scale star.
+            // The probe star `x ± h·e_i` at both scales (`h, h·c`), + before
+            // - per coordinate, coarsest scale first, evaluated as one batch.
             probes.clear();
             let mut contracted_step = step;
-            for _ in 0..scales {
+            for _ in 0..PROBE_SCALES {
                 for i in 0..n {
                     for sign in [1.0, -1.0] {
                         let mut probe = point.clone();
@@ -163,8 +135,7 @@ impl CompassSearch {
                 Some((index, pv)) => {
                     point.clone_from(&probes[index]);
                     value = pv;
-                    // Expand from the scale that produced the winner, so a
-                    // single-scale search keeps its classic step dynamics.
+                    // Expand from the scale that produced the winner.
                     let winner_scale = index / (2 * n);
                     let mut winning_step = step;
                     for _ in 0..winner_scale {
@@ -264,26 +235,22 @@ mod tests {
     #[test]
     fn all_infinite_sweep_converges_after_one_star() {
         // `+∞` everywhere, and NaN everywhere (sanitized to `+∞`): the
-        // incumbent plus one star of 2n·probe_scales probes is the whole
-        // search, at the default depth and at the classic one.
+        // incumbent plus one two-scale star of 2n·2 probes is the whole
+        // search.
         let x0 = [3.0, -1.0];
         for plateau in [f64::INFINITY, f64::NAN] {
-            for scales in [1, 2, 3] {
-                let mut count = 0usize;
-                let mut f = |_: &[f64]| {
-                    count += 1;
-                    plateau
-                };
-                let m = CompassSearch::new()
-                    .probe_scales(scales)
-                    .minimize_objective(&mut FnObjective(&mut f), &x0);
-                let expected = 1 + 2 * x0.len() * scales;
-                assert_eq!(m.stats.evaluations, expected, "{plateau} × {scales}");
-                assert_eq!(count, expected, "{plateau} × {scales}");
-                assert!(m.stats.converged);
-                assert_eq!(m.stats.iterations, 1);
-                assert_eq!(m.x, x0);
-            }
+            let mut count = 0usize;
+            let mut f = |_: &[f64]| {
+                count += 1;
+                plateau
+            };
+            let m = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &x0);
+            let expected = 1 + 2 * x0.len() * 2;
+            assert_eq!(m.stats.evaluations, expected, "{plateau}");
+            assert_eq!(count, expected, "{plateau}");
+            assert!(m.stats.converged);
+            assert_eq!(m.stats.iterations, 1);
+            assert_eq!(m.x, x0);
         }
     }
 
@@ -305,35 +272,13 @@ mod tests {
     }
 
     #[test]
-    fn multi_scale_star_finds_the_same_minimum() {
-        let mut classic_f = |p: &[f64]| (p[0] - 2.0).abs() + (p[1] + 1.0).abs();
-        let classic = CompassSearch::new()
-            .minimize_objective(&mut FnObjective(&mut classic_f), &[10.0, 10.0]);
-        let mut wide_f = |p: &[f64]| (p[0] - 2.0).abs() + (p[1] + 1.0).abs();
-        let wide = CompassSearch::new()
-            .probe_scales(2)
-            .minimize_objective(&mut FnObjective(&mut wide_f), &[10.0, 10.0]);
-        assert!(wide.value < 1e-6, "value {}", wide.value);
-        assert!(classic.value < 1e-6);
-        // The wider star spends fewer sweeps: each sweep covers two scales.
-        assert!(wide.stats.iterations <= classic.stats.iterations);
-    }
-
-    #[test]
-    fn default_star_is_two_scales_and_one_scale_stays_classic() {
-        // The default is the two-scale star; probe_scales(1) recovers the
-        // textbook algorithm, which must find the same minimum.
-        assert_eq!(CompassSearch::default().probe_scales, 2);
-        let mut classic_f = |p: &[f64]| (p[0] - 4.0).powi(2);
-        let classic = CompassSearch::new()
-            .probe_scales(1)
-            .minimize_objective(&mut FnObjective(&mut classic_f), &[0.0]);
-        let mut wide_f = |p: &[f64]| (p[0] - 4.0).powi(2);
-        let wide = CompassSearch::new().minimize_objective(&mut FnObjective(&mut wide_f), &[0.0]);
-        assert!(classic.value < 1e-8);
-        assert!(wide.value < 1e-8);
-        // Each two-scale sweep covers what two classic sweeps would.
-        assert!(wide.stats.iterations <= classic.stats.iterations);
+    fn default_star_is_two_scales() {
+        // Every sweep, not only the first, probes ±h and ±h/2: the
+        // incumbent plus four probes per 1-D sweep is the whole count.
+        let mut f = |p: &[f64]| (p[0] - 4.0).powi(2);
+        let m = CompassSearch::new().minimize_objective(&mut FnObjective(&mut f), &[0.0]);
+        assert!(m.value < 1e-8);
+        assert_eq!(m.stats.evaluations, 1 + 4 * m.stats.iterations);
     }
 
     #[test]
@@ -369,11 +314,5 @@ mod tests {
             assert!(m.value < 1e-8);
             assert_eq!(f.first_batch_len, Some(4), "batch {batch}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one probe scale")]
-    fn rejects_zero_probe_scales() {
-        let _ = CompassSearch::new().probe_scales(0);
     }
 }

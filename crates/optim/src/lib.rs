@@ -66,8 +66,12 @@ use crate::rng::SplitMix64;
 
 /// Selects which local minimization algorithm a global method should use.
 ///
-/// The paper's experiments set `LM = "powell"`; the other variants exist for
-/// the local-minimizer ablation (`benches/ablation_local_minimizer.rs`).
+/// The paper's experiments set `LM = "powell"`, the default. The other
+/// variants are the local-minimizer ablation (`--local` on the command
+/// line, `benches/ablation_local_minimizer.rs`). At matched evaluation
+/// spend on the fdlibm suite, Nelder–Mead and compass each cover more
+/// branches than Powell; the README's local-minimizer trial has the
+/// numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalMethod {
     /// Powell's direction-set method with Brent line search (paper default).

@@ -17,14 +17,11 @@
 //! trajectory — and therefore the returned minimum — is identical, the
 //! expansion value is simply discarded when unused.
 //!
-//! [`restarts`](NelderMead::restarts) goes one step further for
-//! lane-parallel engines: `k` jittered starting simplices are generated
-//! deterministically, **all** their vertices are evaluated in one batch
-//! (`k·(n+1)` candidates — enough to fill lanes even in 1-D), and the
-//! simplex holding the best vertex seeds the classic loop. The count is
-//! used as configured, whatever the objective's
-//! [`preferred_batch`](Objective::preferred_batch) hint says. The default
-//! (`1`) evaluates exactly the classic starting simplex, bit for bit.
+//! [`restarts`](NelderMead::restarts) generates `k` jittered starting
+//! simplices deterministically, evaluates **all** their vertices in one
+//! batch (`k·(n+1)` candidates), and seeds the classic loop with the
+//! simplex holding the best vertex. The default (`1`) evaluates exactly the
+//! classic starting simplex, bit for bit.
 //!
 //! `+∞` carries no descent information; a search that has seen nothing else
 //! stops. A simplex whose best vertex is `+∞` (every vertex aborted or was
@@ -96,9 +93,9 @@ impl NelderMead {
         self
     }
 
-    /// Sets the number of jittered starting simplices (candidate-set sizing
-    /// for lane-parallel engines; `1` keeps the classic single start). The
-    /// jitter is deterministic, so repeated runs are reproducible.
+    /// Sets the number of jittered starting simplices (`1` keeps the
+    /// classic single start). The jitter is deterministic, so repeated runs
+    /// are reproducible.
     ///
     /// # Panics
     ///

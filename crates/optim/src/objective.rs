@@ -1,28 +1,20 @@
 //! The objective protocol shared by every minimizer in this crate.
 //!
-//! Historically the minimizers took bare `FnMut(&[f64]) -> f64` closures.
-//! That protocol has no room for an evaluation engine that amortizes setup
-//! across calls: a closure can only be asked for one value at a time, so a
-//! caller that owns a reusable execution context or a SIMD/parallel
-//! backend cannot expose any of it to the search loop.
-//!
-//! [`Objective`] is the richer protocol. It has two entry points:
+//! [`Objective`] has two entry points:
 //!
 //! * [`eval_scalar`](Objective::eval_scalar) — one candidate, one value;
-//!   the drop-in replacement for calling the closure;
 //! * [`eval_batch`](Objective::eval_batch) — a slice of candidates
-//!   evaluated in one call. Minimizers submit *unconditionally needed*
-//!   candidate sets (a Nelder–Mead starting simplex, a compass-search probe
-//!   star, a shrink step) through this seam, so an engine can amortize
-//!   per-call setup — or, in the future, vectorize — without any change to
-//!   the search logic. The default implementation simply loops over
-//!   [`eval_scalar`](Objective::eval_scalar), which keeps plain closures
-//!   working and guarantees that **batching never changes results**: the
-//!   values produced are bit-for-bit the ones sequential evaluation yields,
-//!   in the same order.
+//!   evaluated in one call. Minimizers submit candidate sets they always
+//!   evaluate whole through this seam: compass search its probe star,
+//!   Nelder–Mead its starting simplex, its reflection/expansion pair and
+//!   its shrink step. The default
+//!   implementation loops over [`eval_scalar`](Objective::eval_scalar),
+//!   and CoverMe's evaluation engine does the same, point by point, so
+//!   **batching never changes results**: the values produced are bit for
+//!   bit the ones sequential evaluation yields, in the same order.
 //!
-//! Closures still work everywhere: wrap one in [`FnObjective`] and pass it
-//! to any minimizer's `minimize_objective`.
+//! Closures work everywhere: wrap one in [`FnObjective`] and pass it to any
+//! minimizer's `minimize_objective`.
 
 /// A minimization objective `f: R^n -> R`.
 ///
@@ -150,7 +142,7 @@ mod tests {
     #[test]
     fn preferred_batch_never_changes_search_results() {
         // The same objective behind wrappers that advertise different
-        // lane widths: compass and Nelder–Mead (with batched restarts)
+        // batch sizes: compass and Nelder–Mead (with batched restarts)
         // must return the same minimum — point, value and evaluations.
         use crate::compass::CompassSearch;
         use crate::nelder_mead::NelderMead;

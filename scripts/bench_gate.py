@@ -32,9 +32,12 @@ compares a pair of campaign-report artifacts (the
 coverme CLI write) on ``coverage_per_megaeval`` — covered branches per
 million evaluations, the eval-budget economics headline. The metric is a
 pure function of ``(seed, config)``, not of machine speed, so a >15% drop
-means the search genuinely pays more evaluations per branch. The campaign
-pair may be gated alone (without the objective-engine positionals) or
-alongside them.
+means the search genuinely pays more evaluations per branch. The same
+pair is also gated on search quality: the current artifact's summed
+``covered_branches`` must not fall below the baseline's. Coverage is as
+deterministic as the ratio, so any drop fails, and a coverage loss cannot
+hide behind a matching cut in evaluations. The campaign pair may be gated
+alone (without the objective-engine positionals) or alongside them.
 
 Exit status: 0 when every gated metric is within tolerance, 1 otherwise
 (and 2 for usage/schema errors, so a malformed artifact cannot pass as
@@ -100,10 +103,17 @@ def load_campaign(path):
     return data
 
 
+def covered_branches(data):
+    """Covered branches summed over a campaign artifact's functions."""
+    return sum(row["covered_branches"] for row in data["functions"])
+
+
 def gate_campaign(args, failures):
-    """Gates coverage_per_megaeval on a campaign-artifact pair."""
+    """Gates coverage_per_megaeval and covered branches on a campaign pair."""
     baseline = load_campaign(args.campaign_baseline)
     current = load_campaign(args.campaign_current)
+    base_covered = covered_branches(baseline)
+    covered = covered_branches(current)
     base_value = baseline["coverage_per_megaeval"]
     value = current["coverage_per_megaeval"]
     floor = base_value * (1.0 - args.tolerance)
@@ -122,11 +132,21 @@ def gate_campaign(args, failures):
         f"{baseline['suite_branch_coverage_percent']:.1f}% over "
         f"{baseline['total_evaluations']} evals)"
     )
+    covered_status = "ok" if covered >= base_covered else "REGRESSED"
+    print(
+        f"  suite    covered_branches           baseline {base_covered:8d} "
+        f"  current {covered:8d}   floor {base_covered:8d}   {covered_status}"
+    )
     if value < floor:
         drop = 1.0 - value / base_value if base_value else 1.0
         failures.append(
             f"campaign: coverage_per_megaeval dropped {drop:.0%} "
             f"({base_value:.1f} -> {value:.1f}, floor {floor:.1f})"
+        )
+    if covered < base_covered:
+        failures.append(
+            f"campaign: covered branches fell below the baseline "
+            f"({base_covered} -> {covered})"
         )
 
 
@@ -178,7 +198,7 @@ def main():
     if args.baseline is None:
         if campaign_failures:
             print(
-                "\nbench_gate: FAIL — campaign search efficiency regressed:",
+                "\nbench_gate: FAIL — campaign search efficiency or coverage regressed:",
                 file=sys.stderr,
             )
             for failure in campaign_failures:
