@@ -923,8 +923,12 @@ impl<'a, P: Program> SearchState<'a, P> {
         let mut evaluation = self.engine.eval_full(&minimum_point);
         self.evaluations += 1;
         if self.config.polish && evaluation.value > self.config.zero_threshold {
-            let (polished, polish_evals) =
-                polish_minimum(&mut self.engine, &minimum_point, self.config.zero_threshold);
+            let (polished, polish_evals) = polish_minimum(
+                &mut self.engine,
+                &minimum_point,
+                evaluation.value,
+                self.config.zero_threshold,
+            );
             self.evaluations += polish_evals;
             if let Some((point, polished_eval)) = polished {
                 minimum_point = point;
@@ -1042,6 +1046,9 @@ impl<'a, P: Program> SearchState<'a, P> {
 /// candidates tried here are the natural "intended" values a numeric method
 /// narrowly missed: integers, halves, tenths, and a few ULP neighbours.
 ///
+/// `value` is `FOO_R(x)` on the engine's current snapshot, which the caller
+/// has already executed, so `x` itself is not run again.
+///
 /// Returns the polished point and its evaluation (`None` if no candidate
 /// reached the threshold) together with the number of representing-function
 /// evaluations spent, which is owed on both paths. Candidate probes run
@@ -1049,11 +1056,12 @@ impl<'a, P: Program> SearchState<'a, P> {
 fn polish_minimum<P: Program>(
     engine: &mut ObjectiveEngine<P>,
     x: &[f64],
+    value: f64,
     threshold: f64,
 ) -> (Option<(Vec<f64>, crate::representing::Evaluation)>, usize) {
     let mut best = x.to_vec();
-    let mut best_value = engine.eval_scalar(&best);
-    let mut evaluations = 1usize;
+    let mut best_value = value;
+    let mut evaluations = 0usize;
 
     for coord in 0..best.len() {
         let original = best[coord];
@@ -1407,9 +1415,9 @@ mod tests {
         // walks the `+∞` plateau instead spends 2,550 (Powell), 38,502
         // (Nelder–Mead) and 1,710 (compass).
         for (method, max_evaluations) in [
-            (LocalMethod::Powell, 150),
-            (LocalMethod::NelderMead, 102),
-            (LocalMethod::Compass, 174),
+            (LocalMethod::Powell, 146),
+            (LocalMethod::NelderMead, 98),
+            (LocalMethod::Compass, 170),
         ] {
             let config = quick_config().with_n_start(500).with_local_method(method);
             let mut state = SearchState::new(&config, &program, 0);
