@@ -3,8 +3,9 @@
 //! A very simple derivative-free local minimizer: probe `x ± h·e_i` along
 //! every coordinate axis, move to the best improving probe, and halve the
 //! step when no probe improves. It converges slowly but makes no smoothness
-//! assumptions at all, which makes it the ablation point against Powell on
-//! the piecewise-quadratic representing functions CoverMe produces.
+//! assumptions at all, which makes it a useful ablation point against Powell
+//! and Nelder–Mead on the piecewise-quadratic representing functions CoverMe
+//! produces.
 //!
 //! Each sweep probes the `2n` directions at two step scales, `h` and
 //! `h·contraction`, so one sweep discovers the contraction a classic

@@ -7,11 +7,11 @@
 //!   evaluated in one call. Minimizers submit candidate sets they always
 //!   evaluate whole through this seam: compass search its probe star,
 //!   Nelder–Mead its starting simplex, its reflection/expansion pair and
-//!   its shrink step. The default
-//!   implementation loops over [`eval_scalar`](Objective::eval_scalar),
-//!   and CoverMe's evaluation engine does the same, point by point, so
-//!   **batching never changes results**: the values produced are bit for
-//!   bit the ones sequential evaluation yields, in the same order.
+//!   its shrink step. The default implementation loops over
+//!   [`eval_scalar`](Objective::eval_scalar), and CoverMe's evaluation
+//!   engine does the same, point by point, so **batching never changes
+//!   results**: the values produced are bit for bit the ones sequential
+//!   evaluation yields, in the same order.
 //!
 //! Closures work everywhere: wrap one in [`FnObjective`] and pass it to any
 //! minimizer's `minimize_objective`.
