@@ -35,6 +35,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use coverme::objective::ObjectiveEngine;
+use coverme::report::schema::{member, JsonValue};
 use coverme::{BackendMode, BranchId, BranchSet};
 use coverme_fdlibm::by_name;
 use coverme_fpir::{compile, IrProgram};
@@ -78,6 +79,12 @@ fn inputs(arity: usize, count: usize) -> Vec<Vec<f64>> {
 
 /// Best-of-`reps` wall time of one pass of `routine` (fresh state per rep
 /// comes from the `setup` closure).
+/// `value` rounded to 4 decimal places, the precision the artifact keeps
+/// for speedup ratios.
+fn round4(value: f64) -> f64 {
+    (value * 1e4).round() / 1e4
+}
+
 fn best_of<S, F: FnMut(&mut S)>(
     reps: usize,
     mut setup: impl FnMut() -> S,
@@ -106,23 +113,14 @@ impl Row {
         self.engine / self.legacy.max(1e-12)
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\n",
-                "      \"function\": \"{}\",\n",
-                "      \"sites\": {},\n",
-                "      \"legacy_evals_per_sec\": {:.0},\n",
-                "      \"engine_evals_per_sec\": {:.0},\n",
-                "      \"engine_speedup_vs_legacy\": {:.4}\n",
-                "    }}"
-            ),
-            self.name,
-            self.sites,
-            self.legacy,
-            self.engine,
-            self.engine_speedup(),
-        )
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            member("function", self.name),
+            member("sites", self.sites),
+            member("legacy_evals_per_sec", self.legacy.round()),
+            member("engine_evals_per_sec", self.engine.round()),
+            member("engine_speedup_vs_legacy", round4(self.engine_speedup())),
+        ])
     }
 }
 
@@ -219,23 +217,14 @@ impl FpirRow {
         self.tape / self.interp.max(1e-12)
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\n",
-                "      \"function\": \"{}\",\n",
-                "      \"sites\": {},\n",
-                "      \"interp_evals_per_sec\": {:.0},\n",
-                "      \"tape_evals_per_sec\": {:.0},\n",
-                "      \"tape_speedup_vs_interp\": {:.4}\n",
-                "    }}"
-            ),
-            self.name,
-            self.sites,
-            self.interp,
-            self.tape,
-            self.tape_speedup(),
-        )
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            member("function", self.name),
+            member("sites", self.sites),
+            member("interp_evals_per_sec", self.interp.round()),
+            member("tape_evals_per_sec", self.tape.round()),
+            member("tape_speedup_vs_interp", round4(self.tape_speedup())),
+        ])
     }
 }
 
@@ -342,15 +331,21 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let body: Vec<String> = rows.iter().map(Row::to_json).collect();
-        let fpir_body: Vec<String> = fpir_rows.iter().map(FpirRow::to_json).collect();
-        let json = format!(
-            "{{\n  \"schema\": 2,\n  \"bench\": \"objective_engine\",\n  \"measured\": {},\n  \"functions\": [\n{}\n  ],\n  \"fpir\": [\n{}\n  ]\n}}\n",
-            measure_mode,
-            body.join(",\n"),
-            fpir_body.join(",\n")
-        );
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        let json = JsonValue::Object(vec![
+            member("schema", 2usize),
+            member("bench", "objective_engine"),
+            member("measured", measure_mode),
+            member(
+                "functions",
+                JsonValue::Array(rows.iter().map(Row::to_value).collect()),
+            ),
+            member(
+                "fpir",
+                JsonValue::Array(fpir_rows.iter().map(FpirRow::to_value).collect()),
+            ),
+        ]);
+        std::fs::write(&path, json.to_pretty())
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");
     }
 

@@ -71,6 +71,7 @@ use coverme_runtime::Program;
 
 use crate::corpus::CorpusStore;
 use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SearchState};
+use crate::report::schema::{member, JsonValue, CAMPAIGN_REPORT};
 use crate::report::TestReport;
 use crate::shard::{merge_shards, ShardOutcome};
 
@@ -332,6 +333,42 @@ impl FunctionResult {
             ),
         }
     }
+
+    /// This function's row of the campaign report's `functions` array.
+    fn to_value(&self) -> JsonValue {
+        let mut members = vec![
+            member("name", self.name.as_str()),
+            member("completed", self.completed()),
+            member("status", self.status.label()),
+            member("shards_run", self.shards_run),
+        ];
+        let Some(report) = &self.report else {
+            members.push(member("evals", 0usize));
+            return JsonValue::Object(members);
+        };
+        members.extend([
+            member("backend", report.backend),
+            member("branches", report.coverage.total_branches()),
+            member("covered_branches", report.coverage.covered_count()),
+            member("branch_coverage_percent", report.branch_coverage_percent()),
+            member("inputs", report.inputs.len()),
+            member("evals", report.evaluations),
+            member("timeouts", report.timeouts),
+            member("traps", report.traps),
+            member("evals_per_second", report.evals_per_second()),
+            member(
+                "effective_evals_per_second",
+                report.effective_evals_per_second(),
+            ),
+            member("infeasible_blamed", report.infeasible_blamed()),
+        ]);
+        if report.warm_replayed > 0 {
+            members.push(member("corpus_warm_start", true));
+            members.push(member("warm_replayed", report.warm_replayed));
+        }
+        members.push(member("wall_time_s", report.wall_time.as_secs_f64()));
+        JsonValue::Object(members)
+    }
 }
 
 /// Aggregated result of a [`Campaign::run`], one entry per inventory
@@ -527,217 +564,58 @@ impl CampaignReport {
         covered as f64 * 1.0e6 / evals as f64
     }
 
-    /// Serializes the report as a self-contained JSON document — the
-    /// machine-readable artifact the nightly CI job stores (see
-    /// `examples/fdlibm_campaign.rs --json`). Hand-rolled (the build image
-    /// has no serde); numbers use Rust's shortest-roundtrip `Display`,
-    /// non-finite rates are clamped to 0.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096 + 256 * self.results.len());
-        out.push_str("{\n");
-        push_json_field(
-            &mut out,
-            "  ",
-            "schema",
-            &crate::report::schema::CAMPAIGN_REPORT.label(),
-            true,
-        );
-        push_json_number(&mut out, "  ", "workers", self.workers as f64, true);
-        push_json_number(&mut out, "  ", "shards", self.shards as f64, true);
-        push_json_number(
-            &mut out,
-            "  ",
-            "wall_time_s",
-            self.wall_time.as_secs_f64(),
-            true,
-        );
-        push_json_number(&mut out, "  ", "completed", self.completed() as f64, true);
-        push_json_number(&mut out, "  ", "skipped", self.skipped() as f64, true);
-        push_json_number(
-            &mut out,
-            "  ",
-            "suite_branch_coverage_percent",
-            self.suite_branch_coverage_percent(),
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "suite_block_coverage_percent",
-            self.suite_block_coverage_percent(),
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "mean_branch_coverage_percent",
-            self.mean_branch_coverage_percent(),
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "total_evaluations",
-            self.total_evaluations() as f64,
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "total_timeouts",
-            self.total_timeouts() as f64,
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "total_traps",
-            self.total_traps() as f64,
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "suite_evals_per_second",
-            self.suite_evals_per_second(),
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "suite_effective_evals_per_second",
-            self.suite_effective_evals_per_second(),
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "total_infeasible_blamed",
-            self.total_infeasible_blamed() as f64,
-            true,
-        );
-        push_json_number(
-            &mut out,
-            "  ",
-            "coverage_per_megaeval",
-            self.coverage_per_megaeval(),
-            true,
-        );
+    /// The campaign report as a JSON value (schema
+    /// [`CAMPAIGN_REPORT`](crate::report::schema::CAMPAIGN_REPORT)) — the
+    /// machine-readable artifact the nightly CI job stores and the
+    /// `coverme serve` `report` event embeds. Non-finite rates are
+    /// written as 0.
+    pub fn to_value(&self) -> JsonValue {
+        let mut members = vec![
+            member("schema", CAMPAIGN_REPORT.label()),
+            member("workers", self.workers),
+            member("shards", self.shards),
+            member("wall_time_s", self.wall_time.as_secs_f64()),
+            member("completed", self.completed()),
+            member("skipped", self.skipped()),
+            member(
+                "suite_branch_coverage_percent",
+                self.suite_branch_coverage_percent(),
+            ),
+            member(
+                "suite_block_coverage_percent",
+                self.suite_block_coverage_percent(),
+            ),
+            member(
+                "mean_branch_coverage_percent",
+                self.mean_branch_coverage_percent(),
+            ),
+            member("total_evaluations", self.total_evaluations()),
+            member("total_timeouts", self.total_timeouts()),
+            member("total_traps", self.total_traps()),
+            member("suite_evals_per_second", self.suite_evals_per_second()),
+            member(
+                "suite_effective_evals_per_second",
+                self.suite_effective_evals_per_second(),
+            ),
+            member("total_infeasible_blamed", self.total_infeasible_blamed()),
+            member("coverage_per_megaeval", self.coverage_per_megaeval()),
+        ];
         // Corpus keys are emitted only when a warm start actually replayed
         // inputs, so a corpus-less campaign's artifact stays byte-identical
         // to earlier releases (pinned by `schema_properties`).
-        if self.total_warm_replayed() > 0 {
-            push_json_bool(&mut out, "  ", "corpus_warm_start", true, true);
-            push_json_number(
-                &mut out,
-                "  ",
-                "total_warm_replayed",
-                self.total_warm_replayed() as f64,
-                true,
-            );
+        if self.corpus_warm_start() {
+            members.push(member("corpus_warm_start", true));
+            members.push(member("total_warm_replayed", self.total_warm_replayed()));
         }
-        out.push_str("  \"functions\": [\n");
-        for (index, result) in self.results.iter().enumerate() {
-            out.push_str("    {\n");
-            push_json_field(&mut out, "      ", "name", &result.name, true);
-            push_json_bool(&mut out, "      ", "completed", result.completed(), true);
-            out.push_str("      \"status\": \"");
-            out.push_str(result.status.label());
-            out.push_str("\",\n");
-            push_json_number(
-                &mut out,
-                "      ",
-                "shards_run",
-                result.shards_run as f64,
-                true,
-            );
-            match &result.report {
-                Some(report) => {
-                    out.push_str("      \"backend\": \"");
-                    out.push_str(report.backend);
-                    out.push_str("\",\n");
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "branches",
-                        report.coverage.total_branches() as f64,
-                        true,
-                    );
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "covered_branches",
-                        report.coverage.covered_count() as f64,
-                        true,
-                    );
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "branch_coverage_percent",
-                        report.branch_coverage_percent(),
-                        true,
-                    );
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "inputs",
-                        report.inputs.len() as f64,
-                        true,
-                    );
-                    push_json_number(&mut out, "      ", "evals", report.evaluations as f64, true);
-                    push_json_number(&mut out, "      ", "timeouts", report.timeouts as f64, true);
-                    push_json_number(&mut out, "      ", "traps", report.traps as f64, true);
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "evals_per_second",
-                        report.evals_per_second(),
-                        true,
-                    );
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "effective_evals_per_second",
-                        report.effective_evals_per_second(),
-                        true,
-                    );
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "infeasible_blamed",
-                        report.infeasible_blamed() as f64,
-                        true,
-                    );
-                    if report.warm_replayed > 0 {
-                        push_json_bool(&mut out, "      ", "corpus_warm_start", true, true);
-                        push_json_number(
-                            &mut out,
-                            "      ",
-                            "warm_replayed",
-                            report.warm_replayed as f64,
-                            true,
-                        );
-                    }
-                    push_json_number(
-                        &mut out,
-                        "      ",
-                        "wall_time_s",
-                        report.wall_time.as_secs_f64(),
-                        false,
-                    );
-                }
-                None => {
-                    push_json_number(&mut out, "      ", "evals", 0.0, false);
-                }
-            }
-            out.push_str(if index + 1 < self.results.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = self.results.iter().map(FunctionResult::to_value).collect();
+        members.push(member("functions", JsonValue::Array(rows)));
+        JsonValue::Object(members)
+    }
+
+    /// [`to_value`](Self::to_value) as the indented document
+    /// `coverme campaign --json` and `fdlibm_campaign --json` write.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_pretty()
     }
 
     /// `(covered, total)` branch counts summed over completed functions.
@@ -803,14 +681,6 @@ impl std::fmt::Display for CampaignReport {
         writeln!(f, "{}", self.summary())
     }
 }
-
-// The JSON member writers live in the shared envelope module
-// ([`crate::report::schema`]) so every artifact — run report, campaign
-// report, corpus entries, the serve wire protocol — escapes and formats
-// identically. Local aliases keep this file's emission code readable.
-use crate::report::schema::{
-    push_bool as push_json_bool, push_escaped as push_json_field, push_number as push_json_number,
-};
 
 /// What a worker may still do under the campaign deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

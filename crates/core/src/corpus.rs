@@ -41,7 +41,7 @@ use std::sync::Mutex;
 use coverme_runtime::BranchId;
 
 use crate::driver::WarmStart;
-use crate::report::schema::{self, JsonValue};
+use crate::report::schema::{self, member, JsonValue};
 use crate::TestReport;
 
 /// One persisted function entry: everything a repeat campaign needs to
@@ -134,42 +134,21 @@ impl CorpusEntry {
         let infeasible = JsonValue::Array(
             self.infeasible
                 .iter()
-                .map(|b| JsonValue::Number(b.index() as f64))
+                .map(|b| JsonValue::from(b.index()))
                 .collect(),
         );
         let doc = JsonValue::Object(vec![
-            (
-                "schema".to_string(),
-                JsonValue::String(schema::CORPUS_ENTRY.label()),
-            ),
-            (
-                "fingerprint".to_string(),
-                JsonValue::String(format!("{:016x}", self.fingerprint)),
-            ),
-            ("name".to_string(), JsonValue::String(self.name.clone())),
-            (
-                "generation".to_string(),
-                JsonValue::Number(self.generation as f64),
-            ),
-            (
-                "covered_branches".to_string(),
-                JsonValue::Number(self.covered_branches as f64),
-            ),
-            (
-                "total_branches".to_string(),
-                JsonValue::Number(self.total_branches as f64),
-            ),
-            (
-                "evaluations".to_string(),
-                JsonValue::Number(self.evaluations as f64),
-            ),
-            (
-                "search_key".to_string(),
-                JsonValue::String(format!("{:016x}", self.search_key)),
-            ),
-            ("exhausted".to_string(), JsonValue::Bool(self.exhausted)),
-            ("inputs".to_string(), inputs),
-            ("infeasible".to_string(), infeasible),
+            member("schema", schema::CORPUS_ENTRY.label()),
+            member("fingerprint", format!("{:016x}", self.fingerprint)),
+            member("name", self.name.as_str()),
+            member("generation", self.generation as f64),
+            member("covered_branches", self.covered_branches),
+            member("total_branches", self.total_branches),
+            member("evaluations", self.evaluations),
+            member("search_key", format!("{:016x}", self.search_key)),
+            member("exhausted", self.exhausted),
+            member("inputs", inputs),
+            member("infeasible", infeasible),
         ]);
         let mut out = doc.to_compact();
         out.push('\n');
@@ -381,14 +360,8 @@ impl CorpusStore {
             entry.generation = *counter;
             *counter += 1;
             let meta = JsonValue::Object(vec![
-                (
-                    "schema".to_string(),
-                    JsonValue::String(schema::CORPUS_META.label()),
-                ),
-                (
-                    "next_generation".to_string(),
-                    JsonValue::Number(*counter as f64),
-                ),
+                member("schema", schema::CORPUS_META.label()),
+                member("next_generation", *counter as f64),
             ]);
             let mut meta_text = meta.to_compact();
             meta_text.push('\n');

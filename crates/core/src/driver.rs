@@ -301,12 +301,6 @@ impl CoverMeConfig {
         self
     }
 
-    /// Sets the starting-point distribution.
-    pub fn with_starting_points(mut self, strategy: StartingPointStrategy) -> Self {
-        self.starting_points = strategy;
-        self
-    }
-
     /// Sets the Monte-Carlo perturbation distribution.
     pub fn with_perturbation(mut self, perturbation: PerturbationKind) -> Self {
         self.perturbation = perturbation;
@@ -328,12 +322,6 @@ impl CoverMeConfig {
     /// Sets the infeasible-branch policy.
     pub fn with_infeasible_policy(mut self, policy: InfeasiblePolicy) -> Self {
         self.infeasible_policy = policy;
-        self
-    }
-
-    /// Sets the zero-acceptance threshold (`FOO_R(x*) <=` this is "zero").
-    pub fn with_zero_threshold(mut self, threshold: f64) -> Self {
-        self.zero_threshold = threshold;
         self
     }
 
@@ -497,11 +485,6 @@ impl CoverMe {
     /// Creates a tester with the given configuration.
     pub fn new(config: CoverMeConfig) -> CoverMe {
         CoverMe { config }
-    }
-
-    /// Creates a tester with the paper's default configuration.
-    pub fn with_defaults() -> CoverMe {
-        CoverMe::default()
     }
 
     /// The configuration in use.
@@ -691,12 +674,6 @@ impl<'a, P: Program> SearchState<'a, P> {
     /// Which shard this state searches for.
     pub fn shard_index(&self) -> usize {
         self.shard_index
-    }
-
-    /// The next global round index the state would run, or `None` when the
-    /// strided slice is exhausted.
-    pub fn next_round(&self) -> Option<usize> {
-        (self.cursor < self.config.n_start).then_some(self.cursor)
     }
 
     /// Whether a previous slice already reported a finished outcome.
@@ -1394,7 +1371,7 @@ mod tests {
     #[should_panic(expected = "at least one input")]
     fn rejects_zero_arity_programs() {
         let p = FnProgram::new("nullary", 0, 0, |_: &[f64], _: &mut ExecCtx| {});
-        let _ = CoverMe::with_defaults().run(&p);
+        let _ = CoverMe::default().run(&p);
     }
 
     /// A program whose every execution runs out of fuel before completing —

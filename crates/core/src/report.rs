@@ -6,6 +6,8 @@ use std::time::Duration;
 
 use coverme_runtime::{BranchId, CoverageMap, CoverageSummary};
 
+use schema::{member, JsonValue};
+
 /// What happened in one minimization round (one iteration of the outer loop
 /// of Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,58 +186,37 @@ impl TestReport {
     /// The standalone-run JSON artifact (schema
     /// [`schema::RUN_REPORT`] = `coverme-run-report/7`) — what
     /// `coverme run --json` writes. `entry` is the entry-function name,
-    /// `path` the source file the run tested; both are escaped, so any
-    /// file name yields a valid document. A warm-started run additionally
-    /// carries `corpus_warm_start` / `warm_replayed` members; a cold run's
-    /// document is byte-identical to earlier releases.
-    pub fn to_run_json(&self, entry: &str, path: &str) -> String {
-        use schema::{push_bool, push_escaped, push_number};
-        const INDENT: &str = "  ";
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        push_escaped(
-            &mut out,
-            INDENT,
-            "schema",
-            &schema::RUN_REPORT.label(),
-            true,
-        );
-        push_escaped(&mut out, INDENT, "file", path, true);
-        push_escaped(&mut out, INDENT, "entry", entry, true);
-        push_escaped(&mut out, INDENT, "outcome", self.outcome_label(), true);
-        push_escaped(&mut out, INDENT, "backend", self.backend, true);
-        let number = |out: &mut String, key: &str, value: f64| {
-            push_number(out, INDENT, key, value, true);
-        };
-        number(&mut out, "branches", self.coverage.total_branches() as f64);
-        number(
-            &mut out,
-            "covered_branches",
-            self.coverage.covered_count() as f64,
-        );
-        number(
-            &mut out,
-            "branch_coverage_percent",
-            self.branch_coverage_percent(),
-        );
-        number(&mut out, "inputs", self.inputs.len() as f64);
-        number(&mut out, "rounds", self.rounds.len() as f64);
-        number(&mut out, "evals", self.evaluations as f64);
-        number(&mut out, "timeouts", self.timeouts as f64);
-        number(&mut out, "traps", self.traps as f64);
+    /// `path` the source file the run tested. A warm-started run
+    /// additionally carries `corpus_warm_start` / `warm_replayed` members;
+    /// a cold run's document is byte-identical to earlier releases.
+    pub fn to_run_value(&self, entry: &str, path: &str) -> JsonValue {
+        let mut members = vec![
+            member("schema", schema::RUN_REPORT.label()),
+            member("file", path),
+            member("entry", entry),
+            member("outcome", self.outcome_label()),
+            member("backend", self.backend),
+            member("branches", self.coverage.total_branches()),
+            member("covered_branches", self.coverage.covered_count()),
+            member("branch_coverage_percent", self.branch_coverage_percent()),
+            member("inputs", self.inputs.len()),
+            member("rounds", self.rounds.len()),
+            member("evals", self.evaluations),
+            member("timeouts", self.timeouts),
+            member("traps", self.traps),
+        ];
         if self.warm_replayed > 0 {
-            push_bool(&mut out, INDENT, "corpus_warm_start", true, true);
-            number(&mut out, "warm_replayed", self.warm_replayed as f64);
+            members.push(member("corpus_warm_start", true));
+            members.push(member("warm_replayed", self.warm_replayed));
         }
-        push_number(
-            &mut out,
-            INDENT,
-            "wall_time_s",
-            self.wall_time.as_secs_f64(),
-            false,
-        );
-        out.push_str("}\n");
-        out
+        members.push(member("wall_time_s", self.wall_time.as_secs_f64()));
+        JsonValue::Object(members)
+    }
+
+    /// [`to_run_value`](Self::to_run_value) as the indented document
+    /// `coverme run --json` writes.
+    pub fn to_run_json(&self, entry: &str, path: &str) -> String {
+        self.to_run_value(entry, path).to_pretty()
     }
 }
 

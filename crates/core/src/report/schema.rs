@@ -12,12 +12,13 @@
 //!   order-preserving value model ([`JsonValue`]) — the repository
 //!   vendors no serde, so the wire protocol and the corpus store read
 //!   documents through this parser;
-//! * a compact writer ([`write_compact`]) whose output [`parse`]
+//! * two writers over that one value model: a compact one
+//!   ([`write_compact`], the wire and corpus format) whose output [`parse`]
 //!   round-trips exactly (pinned by property tests in
-//!   `tests/schema_properties.rs`);
-//! * the emission helpers (`push_number` / `push_bool` / `push_escaped`)
-//!   the hand-built report writers share, so every artifact escapes and
-//!   formats numbers identically.
+//!   `tests/schema_properties.rs`), and a pretty one ([`write_pretty`],
+//!   the run and campaign report files). Every artifact is built as a
+//!   [`JsonValue`] and written by one of them, so all of them escape and
+//!   format numbers identically.
 //!
 //! The envelope contract: [`open_envelope`] parses a document, requires a
 //! top-level object with a string `"schema"` field, and splits the label
@@ -56,8 +57,8 @@ pub const RUN_REPORT: SchemaId = SchemaId {
     version: 7,
 };
 
-/// The campaign report
-/// ([`CampaignReport::write_json`](crate::CampaignReport)).
+/// The campaign report (see
+/// [`CampaignReport::to_json`](crate::CampaignReport::to_json)).
 pub const CAMPAIGN_REPORT: SchemaId = SchemaId {
     kind: "coverme-campaign-report",
     version: 12,
@@ -174,6 +175,48 @@ impl JsonValue {
         write_compact(self, &mut out);
         out
     }
+
+    /// Renders the value as an indented document (see [`write_pretty`]).
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        write_pretty(self, &mut out);
+        out
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(value: f64) -> Self {
+        JsonValue::Number(value)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(value: usize) -> Self {
+        JsonValue::Number(value as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(value: bool) -> Self {
+        JsonValue::Bool(value)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(value: &str) -> Self {
+        JsonValue::String(value.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(value: String) -> Self {
+        JsonValue::String(value)
+    }
+}
+
+/// One object member, ready to push onto a [`JsonValue::Object`]'s list.
+pub fn member(key: &str, value: impl Into<JsonValue>) -> (String, JsonValue) {
+    (key.to_string(), value.into())
 }
 
 /// A positioned JSON parse error. `line` and `column` are 1-based and
@@ -540,6 +583,44 @@ pub fn write_compact(value: &JsonValue, out: &mut String) {
     }
 }
 
+/// Renders `value` as an indented document followed by a newline: 2-space
+/// indentation, one member or element per line, `"key": value`. A
+/// container always breaks its line, so an empty one renders as its
+/// brackets on two lines. [`parse`] reads it back to `value`.
+pub fn write_pretty(value: &JsonValue, out: &mut String) {
+    write_pretty_at(value, 0, out);
+    out.push('\n');
+}
+
+fn write_pretty_at(value: &JsonValue, depth: usize, out: &mut String) {
+    let (open, close, entries): (char, char, Vec<(Option<&str>, &JsonValue)>) = match value {
+        JsonValue::Array(items) => ('[', ']', items.iter().map(|item| (None, item)).collect()),
+        JsonValue::Object(members) => (
+            '{',
+            '}',
+            members
+                .iter()
+                .map(|(key, item)| (Some(key.as_str()), item))
+                .collect(),
+        ),
+        scalar => return write_compact(scalar, out),
+    };
+    let indent = "  ".repeat(depth + 1);
+    out.push(open);
+    for (index, (key, item)) in entries.into_iter().enumerate() {
+        out.push_str(if index == 0 { "\n" } else { ",\n" });
+        out.push_str(&indent);
+        if let Some(key) = key {
+            write_escaped(key, out);
+            out.push_str(": ");
+        }
+        write_pretty_at(item, depth + 1, out);
+    }
+    out.push('\n');
+    out.push_str(&indent[2..]);
+    out.push(close);
+}
+
 /// Renders a number the way every report writer does: non-finite values
 /// collapse to `0` (JSON has no NaN/∞), finite ones print via Rust's
 /// shortest round-trip `to_string`.
@@ -570,46 +651,6 @@ pub fn write_escaped(text: &str, out: &mut String) {
         }
     }
     out.push('"');
-}
-
-/// Appends `  "key": value,\n`-style lines for the pretty report writers.
-/// `indent` is the literal indentation string.
-pub fn push_number(out: &mut String, indent: &str, key: &str, value: f64, comma: bool) {
-    out.push_str(indent);
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(&format_number(value));
-    if comma {
-        out.push(',');
-    }
-    out.push('\n');
-}
-
-/// Appends a pretty-printed boolean member line.
-pub fn push_bool(out: &mut String, indent: &str, key: &str, value: bool, comma: bool) {
-    out.push_str(indent);
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(if value { "true" } else { "false" });
-    if comma {
-        out.push(',');
-    }
-    out.push('\n');
-}
-
-/// Appends a pretty-printed string member line (value escaped).
-pub fn push_escaped(out: &mut String, indent: &str, key: &str, value: &str, comma: bool) {
-    out.push_str(indent);
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\": ");
-    write_escaped(value, out);
-    if comma {
-        out.push(',');
-    }
-    out.push('\n');
 }
 
 /// An opened envelope: the schema label split into kind + version, plus

@@ -91,13 +91,16 @@ fn hostile_text_strategy() -> impl Strategy<Value = String> {
 
 proptest! {
     /// write → parse is the identity on every document the writers can
-    /// produce, and the round trip is a fixpoint (stable formatting).
+    /// produce, and the round trip is a fixpoint (stable formatting). The
+    /// pretty writer reads back to the same value.
     #[test]
     fn compact_json_round_trips(value in json_strategy(3)) {
         let text = value.to_compact();
         let parsed = schema::parse(&text).expect("own output parses");
         prop_assert_eq!(&parsed, &value);
         prop_assert_eq!(parsed.to_compact(), text);
+        let pretty = schema::parse(&value.to_pretty()).expect("pretty output parses");
+        prop_assert_eq!(&pretty, &value);
     }
 
     /// The parser never panics on hostile bytes: any outcome is a value

@@ -88,3 +88,53 @@ pub fn compile(source: &str, entry: &str) -> Result<IrProgram, CompileError> {
     let instrumented = instrument(module, entry)?;
     IrProgram::new(instrumented)
 }
+
+/// The entry function to run `module` from when the caller names none:
+/// the function named like the file stem of `path`, else the module's only
+/// function, else [`ENTRY_NAME`] (the entry of every
+/// [`generate_source`] module). `None` when none of them exists.
+pub fn infer_entry(module: &Module, path: &str) -> Option<String> {
+    let stem = std::path::Path::new(path)
+        .file_stem()
+        .and_then(|stem| stem.to_str())
+        .unwrap_or("");
+    let defined = |name: &str| module.function(name).map(|f| f.name.clone());
+    defined(stem)
+        .or_else(|| match module.functions.as_slice() {
+            [only] => Some(only.name.clone()),
+            _ => None,
+        })
+        .or_else(|| defined(ENTRY_NAME))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn entry_inference_prefers_the_stem_then_the_only_function_then_entry() {
+        let pair =
+            parse("double a(double x) { return x; } double entry(double x) { return a(x); }")
+                .unwrap();
+        assert_eq!(infer_entry(&pair, "dir/a.fpir").as_deref(), Some("a"));
+        assert_eq!(
+            infer_entry(&pair, "dir/gen_7.fpir").as_deref(),
+            Some("entry")
+        );
+        assert_eq!(infer_entry(&pair, "<submitted>").as_deref(), Some("entry"));
+
+        let only = parse("double f(double x) { return x; }").unwrap();
+        assert_eq!(infer_entry(&only, "g.fpir").as_deref(), Some("f"));
+
+        let neither =
+            parse("double f(double x) { return x; } double g(double x) { return x; }").unwrap();
+        assert_eq!(infer_entry(&neither, "h.fpir"), None);
+        assert_eq!(infer_entry(&neither, "g.fpir").as_deref(), Some("g"));
+
+        let generated = parse(&generate_source(1000)).unwrap();
+        assert_eq!(
+            infer_entry(&generated, "seed_1000.fpir").as_deref(),
+            Some(ENTRY_NAME)
+        );
+    }
+}

@@ -17,12 +17,6 @@
 //! trajectory — and therefore the returned minimum — is identical, the
 //! expansion value is simply discarded when unused.
 //!
-//! [`restarts`](NelderMead::restarts) generates `k` jittered starting
-//! simplices deterministically, evaluates **all** their vertices in one
-//! batch (`k·(n+1)` candidates), and seeds the classic loop with the
-//! simplex holding the best vertex. The default (`1`) evaluates exactly the
-//! classic starting simplex, bit for bit.
-//!
 //! `+∞` carries no descent information; a search that has seen nothing else
 //! stops. A simplex whose best vertex is `+∞` (every vertex aborted or was
 //! NaN) has converged: the classic spread test cannot say so, because
@@ -31,7 +25,6 @@
 
 use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
-use crate::rng::SplitMix64;
 use crate::sanitize_value as sanitize;
 
 /// Configuration and entry point for the Nelder–Mead simplex method.
@@ -53,10 +46,6 @@ pub struct NelderMead {
     pub x_tolerance: f64,
     /// Maximum number of iterations before giving up.
     pub max_iterations: usize,
-    /// Number of jittered starting simplices generated and evaluated as one
-    /// batch; the best-seeded simplex runs the classic loop. `1` (the
-    /// default) is exactly the classic single-simplex start.
-    pub restarts: usize,
 }
 
 impl Default for NelderMead {
@@ -70,7 +59,6 @@ impl Default for NelderMead {
             f_tolerance: 1e-12,
             x_tolerance: 1e-10,
             max_iterations: 400,
-            restarts: 1,
         }
     }
 }
@@ -90,19 +78,6 @@ impl NelderMead {
     /// Sets the iteration budget.
     pub fn max_iterations(mut self, iters: usize) -> Self {
         self.max_iterations = iters;
-        self
-    }
-
-    /// Sets the number of jittered starting simplices (`1` keeps the
-    /// classic single start). The jitter is deterministic, so repeated runs
-    /// are reproducible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn restarts(mut self, count: usize) -> Self {
-        assert!(count > 0, "at least one starting simplex is required");
-        self.restarts = count;
         self
     }
 
@@ -136,48 +111,15 @@ impl NelderMead {
             raw.iter().map(|&v| sanitize(v)).collect()
         };
 
-        // Starting simplices: the classic one (x0 plus one perturbed vertex
-        // per dimension) first, then `restarts - 1` deterministically
-        // jittered ones, all evaluated as a single batch of
-        // `restarts · (n + 1)` candidates.
-        let restarts = self.restarts.max(1);
-        let build_simplex = |origin: &[f64], step_scale: f64| -> Vec<Vec<f64>> {
-            let mut simplex = Vec::with_capacity(n + 1);
-            simplex.push(origin.to_vec());
-            for i in 0..n {
-                let mut v = origin.to_vec();
-                let scale = self.initial_step * step_scale * v[i].abs().max(1.0);
-                v[i] += scale;
-                simplex.push(v);
-            }
-            simplex
-        };
-        let mut candidates: Vec<Vec<f64>> = build_simplex(x0, 1.0);
-        let mut rng = SplitMix64::new(0xC0FF_EE00_5EED ^ n as u64);
-        for _ in 1..restarts {
-            let mut origin = x0.to_vec();
-            for v in origin.iter_mut() {
-                let spread = self.initial_step * v.abs().max(1.0);
-                *v += rng.uniform(-1.0, 1.0) * spread;
-            }
-            let step_scale = rng.uniform(0.5, 2.0);
-            candidates.extend(build_simplex(&origin, step_scale));
+        // The starting simplex: x0 plus one perturbed vertex per
+        // dimension, evaluated as one batch.
+        let mut simplex: Vec<Vec<f64>> = vec![x0.to_vec()];
+        for i in 0..n {
+            let mut v = x0.to_vec();
+            v[i] += self.initial_step * v[i].abs().max(1.0);
+            simplex.push(v);
         }
-        let candidate_values = eval_batch(f, &candidates, &mut evals);
-        // Seed the loop with the simplex holding the best vertex, ties to
-        // the earliest — so `restarts == 1` is exactly the classic start.
-        let mut best_group = 0;
-        let mut best_seen = f64::INFINITY;
-        for (group, chunk) in candidate_values.chunks(n + 1).enumerate() {
-            let group_best = chunk.iter().copied().fold(f64::INFINITY, f64::min);
-            if group_best < best_seen {
-                best_seen = group_best;
-                best_group = group;
-            }
-        }
-        let start = best_group * (n + 1);
-        let mut simplex: Vec<Vec<f64>> = candidates[start..start + n + 1].to_vec();
-        let mut values: Vec<f64> = candidate_values[start..start + n + 1].to_vec();
+        let mut values = eval_batch(f, &simplex, &mut evals);
 
         let mut iterations = 0usize;
         let mut converged = false;
@@ -401,9 +343,7 @@ mod tests {
                 count += 1;
                 plateau
             };
-            let m = NelderMead::new()
-                .restarts(1)
-                .minimize_objective(&mut FnObjective(&mut f), &x0);
+            let m = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &x0);
             assert_eq!(m.stats.evaluations, x0.len() + 1, "plateau {plateau}");
             assert_eq!(count, x0.len() + 1, "plateau {plateau}");
             assert!(m.stats.converged);
@@ -423,9 +363,7 @@ mod tests {
                 f64::INFINITY
             }
         };
-        let m = NelderMead::new()
-            .restarts(1)
-            .minimize_objective(&mut FnObjective(&mut f), &[0.0]);
+        let m = NelderMead::new().minimize_objective(&mut FnObjective(&mut f), &[0.0]);
         assert!((m.x[0] - 2.0).abs() < 1e-3, "x {}", m.x[0]);
         assert!(m.value < 1e-6, "value {}", m.value);
         assert!(m.stats.evaluations > 2);
@@ -433,86 +371,27 @@ mod tests {
 
     #[test]
     fn single_restart_matches_the_classic_start_bit_for_bit() {
-        assert_eq!(NelderMead::default().restarts, 1);
-        let f = |p: &[f64]| (p[0] + 1e16) - 1e16 + (p[0] - 3.0).powi(2);
-        let mut a_f = f;
-        let a = NelderMead::new().minimize_objective(&mut FnObjective(&mut a_f), &[0.5]);
-        let mut b_f = f;
-        let b = NelderMead::new()
-            .restarts(1)
-            .minimize_objective(&mut FnObjective(&mut b_f), &[0.5]);
-        assert_eq!(a.x[0].to_bits(), b.x[0].to_bits());
-        assert_eq!(a.value.to_bits(), b.value.to_bits());
-        assert_eq!(a.stats.evaluations, b.stats.evaluations);
-    }
-
-    #[test]
-    fn batched_restarts_are_deterministic_and_escape_poor_seeds() {
-        // A double well: the classic simplex from x0 = 4 converges into the
-        // shallow right basin; jittered restarts can seed the deep one.
-        let well = |p: &[f64]| {
-            let x = p[0];
-            ((x - 5.0).powi(2) + 0.5).min((x + 5.0).powi(2))
-        };
-        let mut a_f = well;
-        let a = NelderMead::new()
-            .restarts(8)
-            .minimize_objective(&mut FnObjective(&mut a_f), &[4.0]);
-        let mut b_f = well;
-        let b = NelderMead::new()
-            .restarts(8)
-            .minimize_objective(&mut FnObjective(&mut b_f), &[4.0]);
-        // Deterministic jitter: identical runs give identical results.
-        assert_eq!(a.x[0].to_bits(), b.x[0].to_bits());
-        assert_eq!(a.stats.evaluations, b.stats.evaluations);
-        // The batch is charged for every restart vertex.
-        let single = NelderMead::new().minimize_objective(&mut FnObjective(well), &[4.0]);
-        assert!(a.stats.evaluations > single.stats.evaluations);
-    }
-
-    #[test]
-    fn restart_batch_rounds_up_to_fill_engine_lanes() {
-        // The restart count is used as configured, never rounded up to the
-        // engine's lane width: on a 16-lane engine, restarts(3) in 1-D seeds
-        // exactly 6 vertices. A single restart stays the classic 2-vertex
-        // start.
-        struct Wide {
-            first_batch_len: Option<usize>,
-        }
-        impl Objective for Wide {
+        // The first batch is exactly the classic starting simplex: x0, then
+        // x0 with coordinate i moved by initial_step · max(1, |x0_i|).
+        struct FirstBatch(Option<Vec<Vec<f64>>>);
+        impl Objective for FirstBatch {
             fn eval_scalar(&mut self, x: &[f64]) -> f64 {
-                (x[0] - 3.0).powi(2)
+                (x[0] - 3.0).powi(2) + x[1].powi(2)
             }
             fn eval_batch(&mut self, points: &[Vec<f64>], values: &mut Vec<f64>) {
-                self.first_batch_len.get_or_insert(points.len());
+                self.0.get_or_insert_with(|| points.to_vec());
                 for p in points {
                     values.push(self.eval_scalar(p));
                 }
             }
-            fn preferred_batch(&self) -> usize {
-                16
-            }
         }
-        let mut f = Wide {
-            first_batch_len: None,
-        };
-        let m = NelderMead::new()
-            .restarts(3)
-            .minimize_objective(&mut f, &[0.5]);
-        assert!(m.value < 1e-8);
-        assert_eq!(f.first_batch_len, Some(6));
-
-        let mut single = Wide {
-            first_batch_len: None,
-        };
-        let _ = NelderMead::new().minimize_objective(&mut single, &[0.5]);
-        assert_eq!(single.first_batch_len, Some(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one starting simplex")]
-    fn rejects_zero_restarts() {
-        let _ = NelderMead::new().restarts(0);
+        let mut f = FirstBatch(None);
+        let m = NelderMead::new().minimize_objective(&mut f, &[0.5, -20.0]);
+        assert!(m.value < 1e-8, "value {}", m.value);
+        assert_eq!(
+            f.0,
+            Some(vec![vec![0.5, -20.0], vec![0.6, -20.0], vec![0.5, -18.0]])
+        );
     }
 
     #[test]

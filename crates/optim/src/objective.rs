@@ -142,8 +142,8 @@ mod tests {
     #[test]
     fn preferred_batch_never_changes_search_results() {
         // The same objective behind wrappers that advertise different
-        // batch sizes: compass and Nelder–Mead (with batched restarts)
-        // must return the same minimum — point, value and evaluations.
+        // batch sizes: compass and Nelder–Mead must return the same
+        // minimum — point, value and evaluations.
         use crate::compass::CompassSearch;
         use crate::nelder_mead::NelderMead;
         use crate::result::Minimum;
@@ -159,11 +159,7 @@ mod tests {
         }
         let searches: [fn(&mut Advertising) -> Minimum; 2] = [
             |f| CompassSearch::new().minimize_objective(f, &[4.0, 2.0]),
-            |f| {
-                NelderMead::new()
-                    .restarts(3)
-                    .minimize_objective(f, &[4.0, 2.0])
-            },
+            |f| NelderMead::new().minimize_objective(f, &[4.0, 2.0]),
         ];
         for search in searches {
             let reference = search(&mut Advertising(1));

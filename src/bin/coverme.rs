@@ -31,12 +31,12 @@
 
 use std::sync::Arc;
 
-use coverme::report::schema::JsonValue;
+use coverme::report::schema::{self, member, JsonValue};
 use coverme::{
     Campaign, CampaignConfig, CampaignEvent, CampaignReport, CorpusStore, CoverMe, CoverMeConfig,
     Program, SearchState,
 };
-use coverme_fpir::{check, instrument, parse, IrProgram, Module};
+use coverme_fpir::{check, infer_entry, instrument, parse, IrProgram, Module};
 use coverme_repro::args::{write_json_atomic, ArgParser, CommonOptions, SubcommandSet};
 use coverme_repro::serve::{serve, submit_job, ServeOptions};
 
@@ -188,35 +188,26 @@ fn open_corpus(options: &Options) -> Option<Arc<CorpusStore>> {
     })
 }
 
-/// Picks the entry function: `--entry` wins, else a function named like the
-/// file, else the file's only function; anything else is an error listing
-/// what the module defines.
-fn infer_entry(module: &Module, path: &str, requested: Option<&str>) -> String {
-    if let Some(name) = requested {
-        if module.function(name).is_none() {
-            let defined: Vec<&str> = module.functions.iter().map(|f| f.name.as_str()).collect();
+/// Picks the entry function: `--entry` wins, else [`infer_entry`]'s rule;
+/// anything else is an error listing what the module defines.
+fn entry_for(module: &Module, path: &str, requested: Option<&str>) -> String {
+    let defined = || {
+        let names: Vec<&str> = module.functions.iter().map(|f| f.name.as_str()).collect();
+        names.join(", ")
+    };
+    match requested {
+        Some(name) if module.function(name).is_none() => run_error(&format!(
+            "{path}: no function named {name} (defines: {})",
+            defined()
+        )),
+        Some(name) => name.to_string(),
+        None => infer_entry(module, path).unwrap_or_else(|| {
             run_error(&format!(
-                "{path}: no function named {name} (defines: {})",
-                defined.join(", ")
-            ));
-        }
-        return name.to_string();
+                "{path}: cannot infer the entry function (defines: {}); pass --entry",
+                defined()
+            ))
+        }),
     }
-    let stem = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("");
-    if module.function(stem).is_some() {
-        return stem.to_string();
-    }
-    if let [only] = module.functions.as_slice() {
-        return only.name.clone();
-    }
-    let defined: Vec<&str> = module.functions.iter().map(|f| f.name.as_str()).collect();
-    run_error(&format!(
-        "{path}: cannot infer the entry function (defines: {}); pass --entry",
-        defined.join(", ")
-    ));
 }
 
 /// Loads, checks and instruments one FPIR file into an executable program.
@@ -224,7 +215,7 @@ fn load_program(path: &str, entry: Option<&str>, fuel: Option<usize>) -> IrProgr
     let source = std::fs::read_to_string(path)
         .unwrap_or_else(|error| run_error(&format!("cannot read {path}: {error}")));
     let module = parse(&source).unwrap_or_else(|error| run_error(&format!("{path}: {error}")));
-    let entry = infer_entry(&module, path, entry);
+    let entry = entry_for(&module, path, entry);
     let module = check(module).unwrap_or_else(|error| run_error(&format!("{path}: {error}")));
     let instrumented =
         instrument(module, &entry).unwrap_or_else(|error| run_error(&format!("{path}: {error}")));
@@ -378,45 +369,27 @@ fn cmd_submit(operands: &[String], options: &Options) {
         usage_error("submit needs --connect HOST:PORT");
     };
     let request = match options.op.as_deref() {
-        Some("ping") | Some("stats") | Some("shutdown") => {
-            format!("{{\"op\": \"{}\"}}", options.op.as_deref().unwrap())
-        }
-        Some("gc") => format!("{{\"op\": \"gc\", \"keep\": {}}}", options.keep),
+        Some(op @ ("ping" | "stats" | "shutdown")) => vec![member("op", op)],
+        Some("gc") => vec![member("op", "gc"), member("keep", options.keep)],
         Some(other) => usage_error(&format!(
             "--op got unknown op {other} (ping, stats, gc, shutdown)"
         )),
         None => {
             let mut members = vec![
-                ("op".to_string(), JsonValue::String("campaign".to_string())),
-                (
-                    "tenant".to_string(),
-                    JsonValue::String(options.tenant.clone().unwrap_or_else(|| "default".into())),
-                ),
-                (
-                    "seed".to_string(),
-                    JsonValue::Number(options.common.seed as f64),
-                ),
-                (
-                    "n_start".to_string(),
-                    JsonValue::Number(options.common.n_start as f64),
-                ),
+                member("op", "campaign"),
+                member("tenant", options.tenant.as_deref().unwrap_or("default")),
+                member("seed", options.common.seed as f64),
+                member("n_start", options.common.n_start),
             ];
             if let Some(fuel) = options.fuel {
-                members.push(("fuel".to_string(), JsonValue::Number(fuel as f64)));
+                members.push(member("fuel", fuel));
             }
             match options.suite.as_deref() {
                 Some(suite) => {
-                    members.push(("suite".to_string(), JsonValue::String(suite.to_string())));
+                    members.push(member("suite", suite));
                     if !operands.is_empty() {
-                        members.push((
-                            "functions".to_string(),
-                            JsonValue::Array(
-                                operands
-                                    .iter()
-                                    .map(|name| JsonValue::String(name.clone()))
-                                    .collect(),
-                            ),
-                        ));
+                        let names = operands.iter().map(|name| name.as_str().into());
+                        members.push(member("functions", JsonValue::Array(names.collect())));
                     }
                 }
                 None => {
@@ -430,17 +403,18 @@ fn cmd_submit(operands: &[String], options: &Options) {
                                 run_error(&format!("cannot read {path}: {error}"))
                             });
                             JsonValue::Object(vec![
-                                ("path".to_string(), JsonValue::String(path.clone())),
-                                ("text".to_string(), JsonValue::String(text)),
+                                member("path", path.as_str()),
+                                member("text", text),
                             ])
                         })
                         .collect();
-                    members.push(("sources".to_string(), JsonValue::Array(sources)));
+                    members.push(member("sources", JsonValue::Array(sources)));
                 }
             }
-            JsonValue::Object(members).to_compact()
+            members
         }
     };
+    let request = JsonValue::Object(request).to_compact();
     let outcome = submit_job(addr, &request, |event| {
         println!("{}", event.to_compact());
     })
@@ -448,7 +422,9 @@ fn cmd_submit(operands: &[String], options: &Options) {
     match outcome {
         Ok(report) => {
             if let (Some(json_path), Some(report)) = (&options.common.json_path, report) {
-                write_json_atomic(json_path, &format!("{report}\n"));
+                // The same indented layout `coverme campaign --json` writes.
+                let report = schema::parse(&report).expect("submit_job returns compact JSON");
+                write_json_atomic(json_path, &report.to_pretty());
             }
         }
         Err(reason) => run_error(&format!("daemon refused the request: {reason}")),

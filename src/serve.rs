@@ -45,11 +45,11 @@ use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 
-use coverme::report::schema::{self, JsonValue};
+use coverme::report::schema::{self, member, JsonValue};
 use coverme::{
     Campaign, CampaignConfig, CampaignEvent, CancelToken, CorpusStore, CoverMeConfig, Program,
 };
-use coverme_fpir::{check, instrument, parse as parse_fpir, IrProgram};
+use coverme_fpir::{check, infer_entry, instrument, parse as parse_fpir, IrProgram};
 
 /// Hard cap on one request frame, in bytes. A line longer than this is
 /// answered with an `error` event and the connection is closed — a frame
@@ -212,11 +212,8 @@ fn read_frame(reader: &mut impl BufRead) -> io::Result<Frame> {
 /// given members, compact, newline-terminated.
 fn event_line(event: &str, members: Vec<(String, JsonValue)>) -> String {
     let mut object = vec![
-        (
-            "schema".to_string(),
-            JsonValue::String(schema::SERVE_PROTOCOL.label()),
-        ),
-        ("event".to_string(), JsonValue::String(event.to_string())),
+        member("schema", schema::SERVE_PROTOCOL.label()),
+        member("event", event),
     ];
     object.extend(members);
     let mut line = JsonValue::Object(object).to_compact();
@@ -297,14 +294,8 @@ fn handle_connection(server: &Server, stream: TcpStream) {
     let hello = event_line(
         "hello",
         vec![
-            (
-                "corpus".to_string(),
-                JsonValue::Bool(server.options.corpus.is_some()),
-            ),
-            (
-                "max_jobs".to_string(),
-                JsonValue::Number(server.options.max_jobs as f64),
-            ),
+            member("corpus", server.options.corpus.is_some()),
+            member("max_jobs", server.options.max_jobs),
         ],
     );
     if send(&mut writer, &hello).is_err() {
@@ -367,12 +358,9 @@ fn error_event(line: u32, column: u32, message: &str) -> String {
     event_line(
         "error",
         vec![
-            ("line".to_string(), JsonValue::Number(line as f64)),
-            ("column".to_string(), JsonValue::Number(column as f64)),
-            (
-                "message".to_string(),
-                JsonValue::String(message.to_string()),
-            ),
+            member("line", line as f64),
+            member("column", column as f64),
+            member("message", message),
         ],
     )
 }
@@ -397,13 +385,9 @@ fn dispatch(server: &Server, request: &JsonValue, writer: &mut impl Write) -> bo
                 .unwrap_or(64);
             let line = match &server.options.corpus {
                 Some(store) => match store.gc(keep) {
-                    Ok(removed) => event_line(
-                        "gc",
-                        vec![
-                            ("removed".to_string(), JsonValue::Number(removed as f64)),
-                            ("kept".to_string(), JsonValue::Number(keep as f64)),
-                        ],
-                    ),
+                    Ok(removed) => {
+                        event_line("gc", vec![member("removed", removed), member("kept", keep)])
+                    }
                     Err(error) => error_event(1, 1, &format!("corpus gc failed: {error}")),
                 },
                 None => error_event(1, 1, "no corpus store attached (start with --corpus DIR)"),
@@ -431,33 +415,18 @@ fn dispatch(server: &Server, request: &JsonValue, writer: &mut impl Write) -> bo
 fn stats_event(server: &Server) -> String {
     let shared = server.shared.lock().expect("server lock poisoned");
     let mut members = vec![
-        (
-            "active_jobs".to_string(),
-            JsonValue::Number(shared.active_jobs as f64),
-        ),
-        (
-            "workers".to_string(),
-            JsonValue::Number(server.pool.total as f64),
-        ),
+        member("active_jobs", shared.active_jobs),
+        member("workers", server.pool.total),
     ];
     if let Some(store) = &server.options.corpus {
         let stats = store.stats();
-        members.push((
-            "corpus".to_string(),
+        members.push(member(
+            "corpus",
             JsonValue::Object(vec![
-                (
-                    "entries".to_string(),
-                    JsonValue::Number(stats.entries as f64),
-                ),
-                ("inputs".to_string(), JsonValue::Number(stats.inputs as f64)),
-                (
-                    "infeasible".to_string(),
-                    JsonValue::Number(stats.infeasible as f64),
-                ),
-                (
-                    "evaluations".to_string(),
-                    JsonValue::Number(stats.evaluations as f64),
-                ),
+                member("entries", stats.entries),
+                member("inputs", stats.inputs),
+                member("infeasible", stats.infeasible),
+                member("evaluations", stats.evaluations),
             ]),
         ));
     }
@@ -465,17 +434,12 @@ fn stats_event(server: &Server) -> String {
         .tenants
         .iter()
         .map(|(name, usage)| {
-            (
-                name.clone(),
-                JsonValue::Object(vec![
-                    ("spent".to_string(), JsonValue::Number(usage.spent as f64)),
-                    ("jobs".to_string(), JsonValue::Number(usage.jobs as f64)),
-                ]),
-            )
+            let usage = vec![member("spent", usage.spent), member("jobs", usage.jobs)];
+            member(name, JsonValue::Object(usage))
         })
         .collect();
     tenants.sort_by(|a, b| a.0.cmp(&b.0));
-    members.push(("tenants".to_string(), JsonValue::Object(tenants)));
+    members.push(member("tenants", JsonValue::Object(tenants)));
     event_line("stats", members)
 }
 
@@ -568,20 +532,11 @@ fn resolve_inventory(request: &JsonValue) -> Result<JobInventory, String> {
 }
 
 /// FPIR text → instrumented program, with the entry inferred like the CLI
-/// does (a function named like the file stem, else the only function).
+/// does ([`infer_entry`]).
 fn compile_source(path: &str, text: &str) -> Result<IrProgram, String> {
     let module = parse_fpir(text).map_err(|error| error.to_string())?;
-    let stem = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("");
-    let entry = if module.function(stem).is_some() {
-        stem.to_string()
-    } else if let [only] = module.functions.as_slice() {
-        only.name.clone()
-    } else {
-        return Err("cannot infer the entry function; name one function like the file".to_string());
-    };
+    let entry = infer_entry(&module, path)
+        .ok_or("cannot infer the entry function; name one function like the file or `entry`")?;
     let module = check(module).map_err(|error| error.to_string())?;
     let instrumented = instrument(module, &entry).map_err(|error| error.to_string())?;
     IrProgram::new(instrumented).map_err(|error| error.to_string())
@@ -676,15 +631,12 @@ fn handle_campaign(server: &Server, request: &JsonValue, writer: &mut impl Write
     }
 
     let mut accepted = vec![
-        ("job".to_string(), JsonValue::Number(job as f64)),
-        ("tenant".to_string(), JsonValue::String(tenant.clone())),
-        (
-            "workers".to_string(),
-            JsonValue::Number(ticket.workers as f64),
-        ),
+        member("job", job as f64),
+        member("tenant", tenant.as_str()),
+        member("workers", ticket.workers),
     ];
     if let Some(pool) = budget {
-        accepted.push(("budget".to_string(), JsonValue::Number(pool as f64)));
+        accepted.push(member("budget", pool));
     }
     if send(writer, &event_line("accepted", accepted)).is_err() {
         return true;
@@ -702,42 +654,25 @@ fn handle_campaign(server: &Server, request: &JsonValue, writer: &mut impl Write
         usage.spent += report.as_ref().map_or(0, |(evals, _)| *evals);
         usage.jobs += 1;
     }
-    let Some((_, report_json)) = report else {
+    let Some((_, report)) = report else {
         return true; // client vanished mid-stream; job already unwound
-    };
-    let report_value = match schema::parse(&report_json) {
-        Ok(value) => value,
-        Err(_) => JsonValue::Null,
     };
     let line = event_line(
         "report",
-        vec![
-            ("job".to_string(), JsonValue::Number(job as f64)),
-            ("report".to_string(), report_value),
-        ],
+        vec![member("job", job as f64), member("report", report)],
     );
     if send(writer, &line).is_err() {
         return true;
     }
-    send(
-        writer,
-        &event_line(
-            "done",
-            vec![("job".to_string(), JsonValue::Number(job as f64))],
-        ),
-    )
-    .is_err()
+    send(writer, &event_line("done", vec![member("job", job as f64)])).is_err()
 }
 
 fn rejected_event(reason: &str) -> String {
-    event_line(
-        "rejected",
-        vec![("reason".to_string(), JsonValue::String(reason.to_string()))],
-    )
+    event_line("rejected", vec![member("reason", reason)])
 }
 
 /// Runs one admitted campaign, streaming a `function` event per finished
-/// function. Returns `(total_evaluations, report_json)`, or `None` when
+/// function. Returns `(total_evaluations, report)`, or `None` when
 /// the client disconnected mid-stream (the job is cancelled and drained
 /// before returning — no worker outlives its connection).
 fn run_job<P: Program + Sync>(
@@ -746,7 +681,7 @@ fn run_job<P: Program + Sync>(
     job: u64,
     inventory: &[P],
     writer: &mut impl Write,
-) -> Option<(usize, String)> {
+) -> Option<(usize, JsonValue)> {
     let campaign = Campaign::new(config.clone());
     let mut client_gone = false;
     let report = campaign.run_with(inventory, |event| {
@@ -755,30 +690,17 @@ fn run_job<P: Program + Sync>(
         }
         let CampaignEvent::FunctionFinished { result, .. } = event;
         let mut members = vec![
-            ("job".to_string(), JsonValue::Number(job as f64)),
-            ("name".to_string(), JsonValue::String(result.name.clone())),
-            (
-                "status".to_string(),
-                JsonValue::String(result.status.label().to_string()),
-            ),
+            member("job", job as f64),
+            member("name", result.name.as_str()),
+            member("status", result.status.label()),
         ];
         if let Some(report) = &result.report {
-            members.push((
-                "covered".to_string(),
-                JsonValue::Number(report.coverage.covered_count() as f64),
-            ));
-            members.push((
-                "branches".to_string(),
-                JsonValue::Number(report.coverage.total_branches() as f64),
-            ));
-            members.push((
-                "evals".to_string(),
-                JsonValue::Number(report.evaluations as f64),
-            ));
-            members.push((
-                "warm_replayed".to_string(),
-                JsonValue::Number(report.warm_replayed as f64),
-            ));
+            members.extend([
+                member("covered", report.coverage.covered_count()),
+                member("branches", report.coverage.total_branches()),
+                member("evals", report.evaluations),
+                member("warm_replayed", report.warm_replayed),
+            ]);
         }
         if send(writer, &event_line("function", members)).is_err() {
             // The client hung up: cancel the job so its remaining searches
@@ -791,7 +713,7 @@ fn run_job<P: Program + Sync>(
     if client_gone {
         return None;
     }
-    Some((evals, report.to_json()))
+    Some((evals, report.to_value()))
 }
 
 /// Client side of one job submission: connects, sends `request` (one

@@ -15,8 +15,9 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use coverme_repro::coverme::report::schema::{self, JsonValue};
+use coverme_repro::coverme::report::schema::{self, member, JsonValue};
 use coverme_repro::coverme::CoverMeConfig;
+use coverme_repro::fpir::generate_source;
 use coverme_repro::optim::rng::SplitMix64;
 use coverme_repro::serve::{serve, submit_job, ServeOptions, MAX_FRAME};
 
@@ -281,5 +282,35 @@ fn tiers_meter_tenants_with_a_per_function_allowance() {
     let (accepted, outcome) = job("other");
     assert!(accepted.is_some(), "unlisted tenants are unmetered");
     assert!(outcome.expect("accepted").is_some(), "report arrived");
+    shutdown_and_join(&addr, handle);
+}
+
+#[test]
+fn generated_modules_are_submitted_without_naming_their_entry() {
+    // Generator modules define helpers plus `entry`; the entry rule picks
+    // `entry` when no function is named like the file.
+    let (addr, handle) = start_server(tiny_options());
+    let sources = (1000..1002)
+        .map(|seed| {
+            JsonValue::Object(vec![
+                member("path", format!("gen_{seed}.fpir")),
+                member("text", generate_source(seed)),
+            ])
+        })
+        .collect();
+    let request = JsonValue::Object(vec![
+        member("op", "campaign"),
+        member("fuel", 2000usize),
+        member("sources", JsonValue::Array(sources)),
+    ]);
+    let report = submit_job(&addr, &request.to_compact(), |_| {})
+        .expect("campaign submits")
+        .expect("campaign accepted")
+        .expect("report arrived");
+    let report = schema::parse(&report).expect("report parses");
+    assert_eq!(
+        report.get("completed").and_then(JsonValue::as_usize),
+        Some(2)
+    );
     shutdown_and_join(&addr, handle);
 }
