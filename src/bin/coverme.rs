@@ -203,7 +203,8 @@ fn entry_for(module: &Module, path: &str, requested: Option<&str>) -> String {
         Some(name) => name.to_string(),
         None => infer_entry(module, path).unwrap_or_else(|| {
             run_error(&format!(
-                "{path}: cannot infer the entry function (defines: {}); pass --entry",
+                "{path}: cannot infer the entry function (defines: {}); name it like the \
+                 file or `entry`, or pass --entry to `coverme run`",
                 defined()
             ))
         }),
