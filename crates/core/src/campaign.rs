@@ -564,9 +564,8 @@ impl CampaignReport {
         covered as f64 * 1.0e6 / evals as f64
     }
 
-    /// The campaign report as a JSON value (schema
-    /// [`CAMPAIGN_REPORT`](crate::report::schema::CAMPAIGN_REPORT)) — the
-    /// machine-readable artifact the nightly CI job stores and the
+    /// The campaign report as a JSON value (schema [`CAMPAIGN_REPORT`]) —
+    /// the machine-readable artifact the nightly CI job stores and the
     /// `coverme serve` `report` event embeds. Non-finite rates are
     /// written as 0.
     pub fn to_value(&self) -> JsonValue {
