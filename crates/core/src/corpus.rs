@@ -8,7 +8,7 @@
 //! hash of the lowered instruction tape for FPIR programs, the
 //! name/arity/site-count shape hash for native ports. A repeat campaign
 //! over an unchanged function looks its entry up, replays the prior
-//! winners as a [`WarmStart`](crate::WarmStart) before its first round,
+//! winners as a [`WarmStart`] before its first round,
 //! and — when they still saturate the function — exits after just the
 //! replay evaluations instead of re-running the whole starting-point
 //! schedule. A changed function hashes to a different fingerprint and

@@ -6,20 +6,15 @@
 //! branches is equivalent to covering all branches, which is why CoverMe can
 //! phrase its goal as "saturate everything".
 //!
-//! The descendant relation is a static property of the control-flow graph.
-//! Two sources are supported:
-//!
-//! * **static** descendants, supplied by a front end that has a CFG (the
-//!   `coverme-fpir` mini-language computes them exactly);
-//! * **dynamic** descendants, learned from executed traces: whenever a trace
-//!   takes branch `b` and later reaches conditional site `s`, both branches
-//!   of `s` are recorded as descendants of `b` (reaching the site means both
-//!   of its outgoing branches are control-flow successors). This
-//!   under-approximates the static relation (it only contains sites that
-//!   were actually observed after `b`), so the resulting saturation set is
-//!   an over-approximation that tightens as more traces are seen. For the
-//!   hand-ported benchmarks this matches how a tool without a CFG must
-//!   behave.
+//! The descendant relation is a property of the control-flow graph. The
+//! tracker learns it from executed traces: whenever a trace takes branch `b`
+//! and later reaches conditional site `s`, both branches of `s` are recorded
+//! as descendants of `b` (reaching the site means both of its outgoing
+//! branches are control-flow successors). This under-approximates the CFG
+//! relation (it only contains sites that were actually observed after `b`),
+//! so the resulting saturation set is an over-approximation that tightens as
+//! more traces are seen. Native ports and FPIR programs are searched the
+//! same way.
 //!
 //! Branches the infeasible-branch heuristic (Sect. 5.3) deems unreachable
 //! are treated as covered for saturation purposes, exactly as the paper
@@ -35,49 +30,19 @@ pub struct SaturationTracker {
     infeasible: BranchSet,
     /// `descendants[b.index()]` = branches known to be reachable after taking `b`.
     descendants: Vec<BranchSet>,
-    /// Whether descendants keep being learned from traces (disabled when a
-    /// static relation was supplied).
-    learn_descendants: bool,
     /// Whether the descendant condition participates in saturation at all
     /// (the `PenPolicy::CoveredOnly` ablation turns it off).
     use_descendants: bool,
 }
 
 impl SaturationTracker {
-    /// Creates a tracker for a program with `num_sites` conditionals, with
-    /// dynamic descendant learning enabled.
+    /// Creates a tracker for a program with `num_sites` conditionals.
     pub fn new(num_sites: usize) -> SaturationTracker {
         SaturationTracker {
             num_sites,
             covered: BranchSet::with_sites(num_sites),
             infeasible: BranchSet::with_sites(num_sites),
             descendants: vec![BranchSet::new(); num_sites * 2],
-            learn_descendants: true,
-            use_descendants: true,
-        }
-    }
-
-    /// Creates a tracker with a statically computed descendant relation
-    /// (indexed by [`BranchId::index`]); dynamic learning is disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `descendants.len() != num_sites * 2`.
-    pub fn with_static_descendants(
-        num_sites: usize,
-        descendants: Vec<BranchSet>,
-    ) -> SaturationTracker {
-        assert_eq!(
-            descendants.len(),
-            num_sites * 2,
-            "descendant table must have one entry per branch"
-        );
-        SaturationTracker {
-            num_sites,
-            covered: BranchSet::with_sites(num_sites),
-            infeasible: BranchSet::with_sites(num_sites),
-            descendants,
-            learn_descendants: false,
             use_descendants: true,
         }
     }
@@ -100,14 +65,14 @@ impl SaturationTracker {
     }
 
     /// Records the decisions of one execution: marks every taken branch as
-    /// covered and (when enabled) learns descendant pairs from the order of
-    /// the trace.
+    /// covered and (unless descendants are disabled) learns descendant pairs
+    /// from the order of the trace.
     pub fn record_trace(&mut self, trace: &Trace) {
         let taken: Vec<BranchId> = trace.covered_branches().collect();
         for &branch in &taken {
             self.covered.insert(branch);
         }
-        if self.learn_descendants && self.use_descendants {
+        if self.use_descendants {
             for (i, &from) in taken.iter().enumerate() {
                 let from_idx = from.index();
                 for &to in &taken[i + 1..] {
@@ -123,11 +88,6 @@ impl SaturationTracker {
                 }
             }
         }
-    }
-
-    /// Records coverage without a trace (no descendant learning).
-    pub fn record_covered(&mut self, covered: &BranchSet) {
-        self.covered.union_with(covered);
     }
 
     /// Marks a branch as deemed-infeasible. Such branches are treated as
@@ -183,8 +143,8 @@ impl SaturationTracker {
     /// set of trackers is order-independent and idempotent: the infeasible
     /// set always ends as `union(infeasible) \ union(covered)`.
     ///
-    /// The learning/ablation flags of `self` are kept; all shards of one
-    /// search share a configuration, so they agree anyway.
+    /// The ablation flag of `self` is kept; all shards of one search share a
+    /// configuration, so they agree anyway.
     ///
     /// # Panics
     ///
@@ -263,11 +223,6 @@ impl SaturationTracker {
                 && self.is_saturated(BranchId::false_of(site))
         })
     }
-
-    /// Whether every branch is actually covered (not counting infeasible).
-    pub fn all_covered(&self) -> bool {
-        self.covered.len() >= self.total_branches()
-    }
 }
 
 #[cfg(test)]
@@ -334,7 +289,6 @@ mod tests {
         tracker.record_trace(&trace_of(&[(0, false)]));
         tracker.record_trace(&trace_of(&[(0, true), (1, true)]));
         assert!(tracker.all_saturated());
-        assert!(tracker.all_covered());
     }
 
     #[test]
@@ -344,7 +298,6 @@ mod tests {
         assert!(!tracker.all_saturated());
         tracker.mark_infeasible(BranchId::true_of(0));
         assert!(tracker.all_saturated());
-        assert!(!tracker.all_covered(), "infeasible is not real coverage");
     }
 
     #[test]
@@ -353,40 +306,6 @@ mod tests {
         tracker.record_trace(&trace_of(&[(0, true), (1, false)]));
         // In covered-only mode 0T is "saturated" even though descendant 1T
         // is not covered.
-        assert!(tracker.is_saturated(BranchId::true_of(0)));
-    }
-
-    #[test]
-    fn static_descendants_are_respected_and_not_overwritten() {
-        // Static CFG: 0T's descendants are {1T, 1F}; everything else has none.
-        let mut desc = vec![BranchSet::new(); 4];
-        desc[BranchId::true_of(0).index()] = [BranchId::true_of(1), BranchId::false_of(1)]
-            .into_iter()
-            .collect();
-        let mut tracker = SaturationTracker::with_static_descendants(2, desc);
-
-        // Cover 0T and 1F only (no dynamic learning should add pairs).
-        tracker.record_trace(&trace_of(&[(0, true), (1, false)]));
-        assert!(!tracker.is_saturated(BranchId::true_of(0)));
-        tracker.record_trace(&trace_of(&[(0, true), (1, true)]));
-        assert!(tracker.is_saturated(BranchId::true_of(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "one entry per branch")]
-    fn static_descendants_must_match_site_count() {
-        let _ = SaturationTracker::with_static_descendants(2, vec![BranchSet::new(); 3]);
-    }
-
-    #[test]
-    fn record_covered_without_trace_adds_coverage_only() {
-        let mut tracker = SaturationTracker::new(2);
-        let covered: BranchSet = [BranchId::true_of(0), BranchId::true_of(1)]
-            .into_iter()
-            .collect();
-        tracker.record_covered(&covered);
-        assert!(tracker.covered().contains(BranchId::true_of(0)));
-        // No descendant pair was learned, so 0T saturates as a leaf.
         assert!(tracker.is_saturated(BranchId::true_of(0)));
     }
 

@@ -8,22 +8,17 @@
 //! calling [`coverme_runtime::ExecCtx::branch`], and the pretty printer can
 //! render it textually (Fig. 3's `FOO_I` view).
 //!
-//! The pass also computes the **static descendant relation** between
-//! branches (Definition 3.2): for every branch it determines which other
-//! branch sites are reachable once that branch is taken, including sites of
-//! functions (transitively) called from the reachable region. The CoverMe
-//! driver's saturation tracker consumes this relation directly, giving the
-//! mini-language path the exact saturation semantics of the paper rather
-//! than the dynamically learned approximation used for native ports.
+//! The pass computes no control-flow facts beyond site ids. The branch
+//! descendant relation that saturation needs (Definition 3.2) is learned
+//! from executed traces by the search's saturation tracker, for FPIR
+//! programs exactly as for native ports.
 //!
 //! Conditionals whose condition is not a comparison (e.g. `if (flag)` or a
 //! `&&` combination) are left uninstrumented, exactly as CoverMe "ignores
 //! these conditional statements by not injecting pen before them"
 //! (Sect. 5.3).
 
-use std::collections::HashMap;
-
-use coverme_runtime::{BranchId, BranchSet, Cmp};
+use coverme_runtime::Cmp;
 
 use crate::ast::{BinOp, Block, Expr, FunctionDef, Module, Stmt, Ty};
 use crate::error::{CompileError, ErrorKind};
@@ -43,8 +38,7 @@ pub struct SiteInfo {
     pub is_loop: bool,
 }
 
-/// An instrumented module: the annotated AST plus site metadata and the
-/// static descendant relation.
+/// An instrumented module: the annotated AST plus per-site metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstrumentedModule {
     /// The annotated module (site ids filled in on `If`/`While` nodes).
@@ -53,8 +47,6 @@ pub struct InstrumentedModule {
     pub entry: String,
     /// Per-site metadata, indexed by site id.
     pub sites: Vec<SiteInfo>,
-    /// `descendants[b.index()]` = branches reachable after taking branch `b`.
-    pub descendants: Vec<BranchSet>,
 }
 
 impl InstrumentedModule {
@@ -78,7 +70,7 @@ impl InstrumentedModule {
 /// Fails when the entry function does not exist, or when its parameters are
 /// not all `double` (the paper excludes such benchmark functions; see its
 /// Table 4 "unsupported input type").
-pub fn instrument(module: Module, entry: &str) -> Result<InstrumentedModule, CompileError> {
+pub fn instrument(mut module: Module, entry: &str) -> Result<InstrumentedModule, CompileError> {
     let Some(entry_fn) = module.function(entry) else {
         return Err(CompileError::new(
             ErrorKind::Instrument,
@@ -100,63 +92,17 @@ pub fn instrument(module: Module, entry: &str) -> Result<InstrumentedModule, Com
         ));
     }
 
-    let mut module = module;
+    // Assign site ids, function by function in source order.
     let mut sites = Vec::new();
-
-    // Pass 1: assign site ids, function by function in source order.
     for function in &mut module.functions {
         let name = function.name.clone();
         assign_sites(&mut function.body, &name, &mut sites);
-    }
-
-    // Pass 2: per-function branch sets (own sites, all directions), needed to
-    // fold called functions into the descendant relation.
-    let mut fn_sites: HashMap<String, BranchSet> = HashMap::new();
-    for function in &module.functions {
-        let mut set = BranchSet::new();
-        collect_block_sites(&function.body, &mut set);
-        fn_sites.insert(function.name.clone(), set);
-    }
-    // Transitive closure over calls: a function's reachable site set includes
-    // the sites of every function it calls (directly or indirectly).
-    let call_edges: HashMap<String, Vec<String>> = module
-        .functions
-        .iter()
-        .map(|f| (f.name.clone(), called_functions(&f.body)))
-        .collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (caller, callees) in &call_edges {
-            let mut addition = BranchSet::new();
-            for callee in callees {
-                if let Some(callee_sites) = fn_sites.get(callee) {
-                    addition.union_with(callee_sites);
-                }
-            }
-            let caller_set = fn_sites.get_mut(caller).expect("all functions present");
-            if caller_set.union_with(&addition) > 0 {
-                changed = true;
-            }
-        }
-    }
-
-    // Pass 3: the descendant relation.
-    let mut descendants = vec![BranchSet::new(); sites.len() * 2];
-    for function in &module.functions {
-        compute_descendants(
-            &function.body,
-            &BranchSet::new(),
-            &fn_sites,
-            &mut descendants,
-        );
     }
 
     Ok(InstrumentedModule {
         module,
         entry: entry.to_string(),
         sites,
-        descendants,
     })
 }
 
@@ -224,195 +170,6 @@ fn assign_sites(block: &mut Block, function: &str, sites: &mut Vec<SiteInfo>) {
     }
 }
 
-/// Adds both branches of every instrumented site in `block` (recursively,
-/// not following calls) to `out`.
-fn collect_block_sites(block: &Block, out: &mut BranchSet) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::If {
-                then_block,
-                else_block,
-                site,
-                ..
-            } => {
-                if let Some(site) = site {
-                    out.insert(BranchId::true_of(*site));
-                    out.insert(BranchId::false_of(*site));
-                }
-                collect_block_sites(then_block, out);
-                if let Some(else_block) = else_block {
-                    collect_block_sites(else_block, out);
-                }
-            }
-            Stmt::While { body, site, .. } => {
-                if let Some(site) = site {
-                    out.insert(BranchId::true_of(*site));
-                    out.insert(BranchId::false_of(*site));
-                }
-                collect_block_sites(body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Names of functions called anywhere in a block (expressions included).
-fn called_functions(block: &Block) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk_expr(expr: &Expr, out: &mut Vec<String>) {
-        match expr {
-            Expr::Call { name, args } => {
-                out.push(name.clone());
-                for a in args {
-                    walk_expr(a, out);
-                }
-            }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => walk_expr(expr, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                walk_expr(lhs, out);
-                walk_expr(rhs, out);
-            }
-            Expr::Int(_) | Expr::Float(_) | Expr::Var(_) => {}
-        }
-    }
-    fn walk_block(block: &Block, out: &mut Vec<String>) {
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Decl { init, .. } => {
-                    if let Some(init) = init {
-                        walk_expr(init, out);
-                    }
-                }
-                Stmt::Assign { value, .. } => walk_expr(value, out),
-                Stmt::If {
-                    cond,
-                    then_block,
-                    else_block,
-                    ..
-                } => {
-                    walk_expr(cond, out);
-                    walk_block(then_block, out);
-                    if let Some(e) = else_block {
-                        walk_block(e, out);
-                    }
-                }
-                Stmt::While { cond, body, .. } => {
-                    walk_expr(cond, out);
-                    walk_block(body, out);
-                }
-                Stmt::Return { value, .. } => {
-                    if let Some(v) = value {
-                        walk_expr(v, out);
-                    }
-                }
-                Stmt::ExprStmt { expr, .. } => walk_expr(expr, out),
-            }
-        }
-    }
-    walk_block(block, &mut out);
-    out
-}
-
-/// Branch sites syntactically inside a statement, including sites of called
-/// functions (via the pre-computed transitive `fn_sites` map).
-fn stmt_sites(stmt: &Stmt, fn_sites: &HashMap<String, BranchSet>) -> BranchSet {
-    let block = Block {
-        stmts: vec![stmt.clone()],
-    };
-    let mut set = BranchSet::new();
-    collect_block_sites(&block, &mut set);
-    for callee in called_functions(&block) {
-        if let Some(callee_sites) = fn_sites.get(&callee) {
-            set.union_with(callee_sites);
-        }
-    }
-    set
-}
-
-/// Computes the descendant relation for every instrumented conditional of a
-/// block. `following` is the set of branches reachable after the block
-/// finishes (i.e. branches of statements that follow the block in the
-/// enclosing control flow).
-fn compute_descendants(
-    block: &Block,
-    following: &BranchSet,
-    fn_sites: &HashMap<String, BranchSet>,
-    descendants: &mut Vec<BranchSet>,
-) {
-    let n = block.stmts.len();
-    // after[i] = branches of statements strictly after i, plus `following`.
-    let mut after = vec![BranchSet::new(); n + 1];
-    after[n] = following.clone();
-    for i in (0..n).rev() {
-        let mut set = after[i + 1].clone();
-        set.union_with(&stmt_sites(&block.stmts[i], fn_sites));
-        after[i] = set;
-    }
-
-    for (i, stmt) in block.stmts.iter().enumerate() {
-        match stmt {
-            Stmt::If {
-                then_block,
-                else_block,
-                site,
-                ..
-            } => {
-                let then_sites = block_sites_with_calls(then_block, fn_sites);
-                let else_sites = else_block
-                    .as_ref()
-                    .map(|b| block_sites_with_calls(b, fn_sites))
-                    .unwrap_or_default();
-                if let Some(site) = site {
-                    let mut true_desc = then_sites.clone();
-                    true_desc.union_with(&after[i + 1]);
-                    let mut false_desc = else_sites.clone();
-                    false_desc.union_with(&after[i + 1]);
-                    descendants[BranchId::true_of(*site).index()] = true_desc;
-                    descendants[BranchId::false_of(*site).index()] = false_desc;
-                }
-                compute_descendants(then_block, &after[i + 1], fn_sites, descendants);
-                if let Some(else_block) = else_block {
-                    compute_descendants(else_block, &after[i + 1], fn_sites, descendants);
-                }
-            }
-            Stmt::While { body, site, .. } => {
-                let body_sites = block_sites_with_calls(body, fn_sites);
-                if let Some(site) = site {
-                    // Taking the loop branch reaches the body, the loop
-                    // condition again (both of its branches), and whatever
-                    // follows the loop.
-                    let mut true_desc = body_sites.clone();
-                    true_desc.insert(BranchId::true_of(*site));
-                    true_desc.insert(BranchId::false_of(*site));
-                    true_desc.union_with(&after[i + 1]);
-                    descendants[BranchId::true_of(*site).index()] = true_desc;
-                    descendants[BranchId::false_of(*site).index()] = after[i + 1].clone();
-                }
-                // Statements in the body can loop back to the condition.
-                let mut body_following = after[i + 1].clone();
-                if let Some(site) = site {
-                    body_following.insert(BranchId::true_of(*site));
-                    body_following.insert(BranchId::false_of(*site));
-                }
-                body_following.union_with(&body_sites);
-                compute_descendants(body, &body_following, fn_sites, descendants);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn block_sites_with_calls(block: &Block, fn_sites: &HashMap<String, BranchSet>) -> BranchSet {
-    let mut set = BranchSet::new();
-    collect_block_sites(block, &mut set);
-    for callee in called_functions(block) {
-        if let Some(callee_sites) = fn_sites.get(&callee) {
-            set.union_with(callee_sites);
-        }
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,70 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn descendant_relation_matches_paper_example() {
-        let inst = instrument_src(PAPER_EXAMPLE, "foo");
-        // 0T and 0F both lead to the second conditional (site 1).
-        let d0t = &inst.descendants[BranchId::true_of(0).index()];
-        let d0f = &inst.descendants[BranchId::false_of(0).index()];
-        assert!(d0t.contains(BranchId::true_of(1)));
-        assert!(d0t.contains(BranchId::false_of(1)));
-        assert!(d0f.contains(BranchId::true_of(1)));
-        // Site 1 is a leaf: no descendants.
-        assert!(inst.descendants[BranchId::true_of(1).index()].is_empty());
-        assert!(inst.descendants[BranchId::false_of(1).index()].is_empty());
-    }
-
-    #[test]
-    fn nested_conditionals_have_nested_descendants() {
-        let inst = instrument_src(
-            r#"
-            double f(double x) {
-                if (x > 0.0) {
-                    if (x > 10.0) { return 2.0; }
-                }
-                return 0.0;
-            }
-            "#,
-            "f",
-        );
-        let d_outer_true = &inst.descendants[BranchId::true_of(0).index()];
-        assert!(d_outer_true.contains(BranchId::true_of(1)));
-        let d_outer_false = &inst.descendants[BranchId::false_of(0).index()];
-        assert!(!d_outer_false.contains(BranchId::true_of(1)));
-    }
-
-    #[test]
-    fn while_loop_branches_include_the_loop_itself() {
-        let inst = instrument_src(
-            r#"
-            int f(double x) {
-                int i = 0;
-                while (i < 10) {
-                    if (x > 0.5) { x = x - 1.0; }
-                    i = i + 1;
-                }
-                if (x == 0.0) { return 1; }
-                return 0;
-            }
-            "#,
-            "f",
-        );
-        assert_eq!(inst.num_sites(), 3);
-        assert!(inst.sites[0].is_loop);
-        let dt = &inst.descendants[BranchId::true_of(0).index()];
-        // Loop-true reaches the inner if, the loop header again, and the
-        // conditional after the loop.
-        assert!(dt.contains(BranchId::true_of(1)));
-        assert!(dt.contains(BranchId::true_of(0)));
-        assert!(dt.contains(BranchId::true_of(2)));
-        // Loop-false skips the body but still reaches the trailing if.
-        let df = &inst.descendants[BranchId::false_of(0).index()];
-        assert!(!df.contains(BranchId::true_of(1)));
-        assert!(df.contains(BranchId::false_of(2)));
-    }
-
-    #[test]
-    fn callee_sites_become_descendants_of_the_caller_branch() {
+    fn loop_headers_and_callee_sites_are_numbered_in_source_order() {
         let inst = instrument_src(
             r#"
             double goo(double x) {
@@ -515,19 +209,25 @@ mod tests {
                 return 0.0;
             }
             double foo(double x) {
-                if (x > 0.0) { return goo(x); }
-                return 0.0;
+                int i = 0;
+                while (i < 10) {
+                    if (x > 0.5) { x = x - goo(x); }
+                    i = i + 1;
+                }
+                return x;
             }
             "#,
             "foo",
         );
-        assert_eq!(inst.num_sites(), 2);
-        // Site 0 is goo's conditional (source order), site 1 is foo's.
-        assert_eq!(inst.sites[0].function, "goo");
-        assert_eq!(inst.sites[1].function, "foo");
-        let d_foo_true = &inst.descendants[BranchId::true_of(1).index()];
-        assert!(d_foo_true.contains(BranchId::true_of(0)));
-        assert!(d_foo_true.contains(BranchId::false_of(0)));
+        assert_eq!(inst.num_sites(), 3);
+        // Site 0 is goo's conditional, then foo's loop header and inner if.
+        let placement: Vec<(&str, bool)> = inst
+            .sites
+            .iter()
+            .map(|s| (s.function.as_str(), s.is_loop))
+            .collect();
+        assert_eq!(placement, [("goo", false), ("foo", true), ("foo", false)]);
+        assert_eq!(inst.sites[1].op, Cmp::Lt);
     }
 
     #[test]

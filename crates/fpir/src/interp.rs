@@ -175,13 +175,6 @@ impl IrProgram {
         &self.inst
     }
 
-    /// The static descendant relation (indexed by
-    /// [`coverme_runtime::BranchId::index`]), ready to seed
-    /// `SaturationTracker::with_static_descendants`.
-    pub fn descendants(&self) -> Vec<coverme_runtime::BranchSet> {
-        self.inst.descendants.clone()
-    }
-
     /// Executes the program on `input` and returns the set of entry-function
     /// source lines whose statements were executed — the mini-language's
     /// exact line coverage (the analogue of Gcov line data).
@@ -1037,6 +1030,5 @@ mod tests {
         assert_eq!(Program::num_sites(&p), 1);
         // Everything is on one source line in this one-liner definition.
         assert_eq!(Program::source_lines(&p), 1);
-        assert_eq!(p.descendants().len(), 2);
     }
 }

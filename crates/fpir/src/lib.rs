@@ -12,10 +12,9 @@
 //!    representation, `if`/`while`/`return`, function calls);
 //! 2. [`typeck`] — checks and annotates the AST (int vs. double, implicit
 //!    promotions, call signatures);
-//! 3. [`instrument`] — the analogue of the LLVM pass: identifies every
-//!    conditional whose condition is an arithmetic comparison, assigns it a
-//!    site id, and computes the static descendant relation used by
-//!    saturation tracking;
+//! 3. [`instrument`](mod@instrument) — the analogue of the LLVM pass:
+//!    identifies every conditional whose condition is an arithmetic
+//!    comparison and assigns it a site id;
 //! 4. [`interp`] — a tree-walking interpreter that executes the instrumented
 //!    program against a [`coverme_runtime::ExecCtx`], reporting every
 //!    instrumented conditional through `ExecCtx::branch` (the runtime then

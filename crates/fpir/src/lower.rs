@@ -103,7 +103,9 @@ use std::sync::Arc;
 use coverme_runtime::backend::run_each;
 use coverme_runtime::{BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx, LaneEval, Program};
 
-use crate::ast::{BinOp, Block as AstBlock, Expr, FunctionDef, Module, Param, Stmt, Ty, UnOp};
+use crate::ast::{
+    builtin_signature, BinOp, Block as AstBlock, Expr, FunctionDef, Module, Param, Stmt, Ty, UnOp,
+};
 use crate::instrument::as_comparison;
 use crate::interp::{int_compare, IrProgram, MAX_DEPTH};
 
@@ -181,24 +183,35 @@ enum Builtin {
 }
 
 impl Builtin {
-    fn from_name(name: &str) -> Option<(Builtin, usize)> {
-        Some(match name {
-            "sqrt" => (Builtin::Sqrt, 1),
-            "fabs" => (Builtin::Fabs, 1),
-            "floor" => (Builtin::Floor, 1),
-            "sin" => (Builtin::Sin, 1),
-            "cos" => (Builtin::Cos, 1),
-            "exp" => (Builtin::Exp, 1),
-            "log" => (Builtin::Log, 1),
-            "pow" => (Builtin::Pow, 2),
-            "high_word" => (Builtin::HighWord, 1),
-            "low_word" => (Builtin::LowWord, 1),
-            "from_words" => (Builtin::FromWords, 2),
-            "with_high_word" => (Builtin::WithHighWord, 2),
-            "with_low_word" => (Builtin::WithLowWord, 2),
-            "scalbn" => (Builtin::Scalbn, 2),
-            _ => return None,
-        })
+    /// Every builtin, in `ast::BUILTINS` order.
+    const ALL: [Builtin; 14] = [
+        Builtin::Sqrt,
+        Builtin::Fabs,
+        Builtin::Floor,
+        Builtin::Sin,
+        Builtin::Cos,
+        Builtin::Exp,
+        Builtin::Log,
+        Builtin::Pow,
+        Builtin::HighWord,
+        Builtin::LowWord,
+        Builtin::FromWords,
+        Builtin::WithHighWord,
+        Builtin::WithLowWord,
+        Builtin::Scalbn,
+    ];
+
+    /// The builtin a call to `name` resolves to, with its parameter and
+    /// result types from [`builtin_signature`], the table type checking
+    /// uses. The builtin reads operand `i` at `Tag::of(params[i])`, the
+    /// interpreter's `as_f64`/`as_i64` per argument.
+    fn from_name(name: &str) -> Option<(Builtin, &'static [Ty], Ty)> {
+        let (params, ret) = builtin_signature(name)?;
+        let which = Builtin::ALL
+            .into_iter()
+            .find(|b| b.name() == name)
+            .expect("every ast builtin has a tape builtin");
+        Some((which, params, ret))
     }
 
     fn name(self) -> &'static str {
@@ -220,28 +233,9 @@ impl Builtin {
         }
     }
 
-    /// The tags the builtin reads its operands at — the interpreter's
-    /// `as_f64`/`as_i64` per argument. A unary builtin's second operand is
-    /// its first.
-    fn operand_tags(self) -> (Tag, Tag) {
-        match self {
-            Builtin::FromWords => (Tag::Int, Tag::Int),
-            Builtin::WithHighWord | Builtin::WithLowWord | Builtin::Scalbn => {
-                (Tag::Double, Tag::Int)
-            }
-            _ => (Tag::Double, Tag::Double),
-        }
-    }
-
-    fn result_tag(self) -> Tag {
-        match self {
-            Builtin::HighWord | Builtin::LowWord => Tag::Int,
-            _ => Tag::Double,
-        }
-    }
-
-    /// Applies the builtin to operands of [`operand_tags`](Self::operand_tags)
-    /// — formula-for-formula the interpreter's `eval_builtin`.
+    /// Applies the builtin to operands of its signature's tags — formula for
+    /// formula the interpreter's `eval_builtin`. A unary builtin's second
+    /// operand is its first.
     fn eval(self, frame: &[u64], a: u16, b: u16) -> u64 {
         let d = |reg| load_f(frame, reg);
         let n = |reg| load_i(frame, reg);
@@ -710,11 +704,10 @@ impl Tape {
 
     /// A stable 64-bit fingerprint of the compiled form: FNV-1a over the
     /// serialized listing plus the fuel allowance. This is what
-    /// [`Program::fingerprint`](coverme_runtime::Program::fingerprint)
-    /// returns for FPIR programs — any semantic edit to the source changes
-    /// the lowered tape and therefore the key, so stale corpus entries
-    /// never warm-start a changed function. A cache key, not a
-    /// cryptographic digest.
+    /// [`Program::fingerprint`] returns for FPIR programs — any semantic
+    /// edit to the source changes the lowered tape and therefore the key,
+    /// so stale corpus entries never warm-start a changed function. A cache
+    /// key, not a cryptographic digest.
     pub fn fingerprint64(&self) -> u64 {
         let mut hash = coverme_runtime::fingerprint_seed();
         hash = coverme_runtime::fingerprint_bytes(hash, self.serialize().as_bytes());
@@ -1714,16 +1707,14 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         }
         // Builtins shadow user functions, exactly like the interpreter's
         // `eval_builtin`-first dispatch.
-        if let Some((which, builtin_arity)) = Builtin::from_name(name) {
-            if args.len() >= builtin_arity {
-                let (a_tag, b_tag) = which.operand_tags();
-                let a = self.convert(arg_regs[0], a_tag)?;
-                let b = if builtin_arity > 1 {
-                    self.convert(arg_regs[1], b_tag)?
-                } else {
-                    a
+        if let Some((which, params, ret)) = Builtin::from_name(name) {
+            if args.len() >= params.len() {
+                let a = self.convert(arg_regs[0], Tag::of(params[0]))?;
+                let b = match params.get(1) {
+                    Some(&ty) => self.convert(arg_regs[1], Tag::of(ty))?,
+                    None => a,
                 };
-                let dst = self.alloc_reg(which.result_tag(), true)?;
+                let dst = self.alloc_reg(Tag::of(ret), true)?;
                 self.emit_or_fold(dst, &[a, b], Op::Builtin { which, dst, a, b });
                 return Ok(dst);
             }
@@ -1883,6 +1874,20 @@ mod tests {
             format!("{:?}", interp_ctx.trace()),
             "trace diverged on {input:?}"
         );
+    }
+
+    #[test]
+    fn tape_builtins_and_the_ast_signature_table_name_the_same_set() {
+        let tape_names: Vec<&str> = Builtin::ALL.iter().map(|b| b.name()).collect();
+        let ast_names: Vec<&str> = crate::ast::BUILTINS.iter().map(|(n, _, _)| *n).collect();
+        assert_eq!(tape_names, ast_names);
+        // `Op::Builtin` carries at most two operands.
+        for (name, params, _) in crate::ast::BUILTINS {
+            assert!(
+                matches!(params.len(), 1 | 2),
+                "`{name}` takes 1 or 2 operands"
+            );
+        }
     }
 
     #[test]

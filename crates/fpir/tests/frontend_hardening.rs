@@ -8,9 +8,11 @@
 //! pseudo-random ASCII soup, pseudo-random bytes drawn from the language's
 //! own token alphabet (far more likely to get deep into the parser), and
 //! truncations of valid programs (every prefix of a generated source).
+//! A last test bounds the cost of a large valid module: compiling one that
+//! fills a `coverme serve` frame must stay linear in its size.
 
 use coverme_fpir::generate::generate_source;
-use coverme_fpir::{check, parse};
+use coverme_fpir::{check, compile, parse};
 
 /// SplitMix64 — deterministic hostile inputs, so failures replay.
 struct Rng(u64);
@@ -194,4 +196,20 @@ fn truncated_corpus_files_fail_cleanly() {
             assert_total(&source[..end], &format!("corpus prefix {end}"));
         }
     }
+}
+
+#[test]
+fn a_frame_sized_flat_module_compiles_in_linear_time() {
+    // 32,000 sequential `if` sites, just under `coverme serve`'s 1 MiB
+    // frame cap. Every compile pass must be linear in the module: a pass
+    // quadratic in the site count takes minutes here.
+    const SITES: usize = 32_000;
+    let mut source = String::from("double f(double x) {\n");
+    for k in 0..SITES {
+        source.push_str(&format!("if (x < {k}.0) {{ x = 1.0; }}\n"));
+    }
+    source.push_str("return x;\n}\n");
+    assert!(source.len() < 1 << 20, "{} bytes", source.len());
+    let program = compile(&source, "f").expect("compiles");
+    assert_eq!(program.instrumented().num_sites(), SITES);
 }

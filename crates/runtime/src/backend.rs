@@ -11,7 +11,7 @@
 //!   programs run their tree-walking interpreter). Works for every
 //!   program.
 //! * A program can provide its own backend through
-//!   [`Program::backend`](crate::Program::backend) — the FPIR front end
+//!   [`Program::backend`] — the FPIR front end
 //!   lowers its AST to a flat instruction tape and returns a tape backend
 //!   that runs the tape instead of walking the tree.
 //!

@@ -9,9 +9,9 @@
 //! achieved (the `coverme-fpir` crate rewrites ASTs of a C-like mini
 //! language; the `coverme-fdlibm` crate uses hand-instrumented Rust ports):
 //!
-//! * [`Cmp`] and [`distance`] — the branch-distance family `d_ε(op, a, b)`
+//! * [`Cmp`] and [`distance`](fn@distance) — the branch-distance family `d_ε(op, a, b)`
 //!   of Definition 4.1,
-//! * [`pen`] — the penalty function of Definition 4.2,
+//! * [`pen`](fn@pen) — the penalty function of Definition 4.2,
 //! * [`BranchId`]/[`BranchSet`] — identities and sets of branches,
 //! * [`ExecCtx`] — the per-execution context that records coverage, the
 //!   taken-branch trace, and (in representing mode) the value of `r`,

@@ -4,9 +4,8 @@
 //!
 //! * the CoverMe driver's *infeasible branch heuristic* (Sect. 5.3 of the
 //!   paper) needs the **last** conditional a minimizing input passed through,
-//! * the dynamic descendant analysis used for saturation of native (non-IR)
-//!   programs learns "control flow can reach `b'` after `b`" facts from
-//!   traces,
+//! * the dynamic descendant analysis used for saturation learns "control
+//!   flow can reach `b'` after `b`" facts from traces,
 //! * the AFL-style baseline hashes consecutive pairs of decisions into its
 //!   edge-coverage bitmap.
 

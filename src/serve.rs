@@ -5,7 +5,7 @@
 //! directions), multiplexes concurrent campaigns through one shared worker
 //! pool with admission control, meters tenants against configured
 //! eval-budget tiers, and streams each campaign's
-//! [`CampaignEvent`](coverme::CampaignEvent) rows back to its client as
+//! [`CampaignEvent`] rows back to its client as
 //! they land. With a corpus store attached (`--corpus DIR`, see
 //! [`coverme::corpus`]), every job warm-starts from the store's entries
 //! and records its completed results back — a repeat submission of an

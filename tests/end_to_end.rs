@@ -88,15 +88,12 @@ fn static_descendants_from_the_mini_language_feed_saturation_tracking() {
         "f",
     )
     .unwrap();
-    let mut tracker = SaturationTracker::with_static_descendants(
-        Program::num_sites(&program),
-        program.descendants(),
-    );
+    let mut tracker = SaturationTracker::new(Program::num_sites(&program));
     let mut ctx = ExecCtx::observe();
     program.execute(&[5.0], &mut ctx);
     tracker.record_trace(ctx.trace());
-    // 0T is covered but its descendant 1T (x > 10) is not, so it must not be
-    // saturated under the static relation.
+    // The trace [0T, 1F] teaches the tracker that site 1 follows 0T. 0T is
+    // covered but its descendant 1T (x > 10) is not, so it is not saturated.
     assert!(!tracker.is_saturated(coverme_runtime::BranchId::true_of(0)));
 }
 
