@@ -1,12 +1,11 @@
 //! Ablation: MCMC parameters — number of Monte-Carlo
-//! iterations per start and the perturbation distribution.
+//! iterations per start.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use coverme::{CoverMe, CoverMeConfig};
 use coverme_fdlibm::by_name;
-use coverme_optim::PerturbationKind;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_mcmc");
@@ -23,15 +22,6 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    group.bench_function("gaussian_perturbation", |bench| {
-        bench.iter(|| {
-            let config = CoverMeConfig::default()
-                .with_n_start(30)
-                .with_perturbation(PerturbationKind::Gaussian { stddev: 1.0 })
-                .with_seed(1);
-            black_box(CoverMe::new(config).run(&b))
-        })
-    });
     group.finish();
 }
 

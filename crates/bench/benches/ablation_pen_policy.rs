@@ -1,10 +1,10 @@
-//! Ablation: saturation vs covered-only pen, and the
-//! near-miss polish step.
+//! Ablation: the near-miss polish step, on and off, under the
+//! saturation pen.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use coverme::{CoverMe, CoverMeConfig, PenPolicy};
+use coverme::{CoverMe, CoverMeConfig};
 use coverme_fdlibm::by_name;
 
 fn bench(c: &mut Criterion) {
@@ -14,15 +14,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("saturation_pen", |bench| {
         bench.iter(|| {
             let config = CoverMeConfig::default().with_n_start(40).with_seed(1);
-            black_box(CoverMe::new(config).run(&b))
-        })
-    });
-    group.bench_function("covered_only_pen", |bench| {
-        bench.iter(|| {
-            let config = CoverMeConfig::default()
-                .with_n_start(40)
-                .with_pen_policy(PenPolicy::CoveredOnly)
-                .with_seed(1);
             black_box(CoverMe::new(config).run(&b))
         })
     });

@@ -35,7 +35,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use coverme_optim::rng::SplitMix64;
-use coverme_optim::{BasinHopping, LocalMethod, PerturbationKind, StartingPointStrategy};
+use coverme_optim::sampling::uniform_box;
+use coverme_optim::{BasinHopping, LocalMethod, PerturbationKind};
 use coverme_runtime::{CoverageMap, Program, DEFAULT_EPSILON};
 
 use crate::objective::{CacheMode, ObjectiveEngine};
@@ -44,18 +45,9 @@ use crate::report::{RoundOutcome, RoundRecord, TestReport};
 use crate::saturation::SaturationTracker;
 use crate::shard::{AcceptedInput, ShardOutcome};
 
-/// How `pen` decides that a conditional site no longer needs attention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PenPolicy {
-    /// Use saturation (Definition 3.2): a branch stops being a target only
-    /// when it *and all its descendant branches* are covered. This is the
-    /// paper's definition and gives Theorem 4.3 its guarantee.
-    #[default]
-    Saturation,
-    /// Treat plain coverage as saturation. Cheaper but loses the guarantee
-    /// on nested branches; exists for the ablation benchmarks.
-    CoveredOnly,
-}
+/// The box `[lo, hi]^n` every starting point is drawn from, uniformly
+/// (Algorithm 1, line 9).
+const START_BOX: (f64, f64) = (-100.0, 100.0);
 
 /// Whether the infeasible-branch heuristic of Sect. 5.3 is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -172,8 +164,8 @@ impl WarmStart {
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`CoverMeConfig::new`]/[`default`](CoverMeConfig::default) and the
-/// builder-style `with_*` methods (every knob has one), so future fields
-/// stop being breaking changes for downstream crates.
+/// builder-style `with_*` methods (every knob a search varies has one),
+/// so future fields stop being breaking changes for downstream crates.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct CoverMeConfig {
@@ -185,14 +177,13 @@ pub struct CoverMeConfig {
     pub local_method: LocalMethod,
     /// `ε` used by the branch distances.
     pub epsilon: f64,
-    /// Distribution of random starting points.
-    pub starting_points: StartingPointStrategy,
-    /// Distribution of Monte-Carlo perturbations.
+    /// Distribution of Monte-Carlo perturbations. Always the default
+    /// (SciPy's uniform step, `half_width = 0.5`): nothing in the product
+    /// sets it, and it stays a field only because the end-to-end benchmark
+    /// harness (`perfbench/`) reads it.
     pub perturbation: PerturbationKind,
     /// Master random seed.
     pub seed: u64,
-    /// Saturation semantics used by `pen`.
-    pub pen_policy: PenPolicy,
     /// Infeasible-branch heuristic.
     pub infeasible_policy: InfeasiblePolicy,
     /// A minimum is accepted as "zero" when `FOO_R(x*) <=` this threshold.
@@ -252,10 +243,8 @@ impl Default for CoverMeConfig {
             n_iter: 5,
             local_method: LocalMethod::Powell,
             epsilon: DEFAULT_EPSILON,
-            starting_points: StartingPointStrategy::default(),
             perturbation: PerturbationKind::default(),
             seed: 0,
-            pen_policy: PenPolicy::Saturation,
             infeasible_policy: InfeasiblePolicy::LastConditional,
             zero_threshold: 0.0,
             time_budget: None,
@@ -301,21 +290,9 @@ impl CoverMeConfig {
         self
     }
 
-    /// Sets the Monte-Carlo perturbation distribution.
-    pub fn with_perturbation(mut self, perturbation: PerturbationKind) -> Self {
-        self.perturbation = perturbation;
-        self
-    }
-
     /// Sets the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the saturation semantics used by `pen`.
-    pub fn with_pen_policy(mut self, policy: PenPolicy) -> Self {
-        self.pen_policy = policy;
         self
     }
 
@@ -393,15 +370,19 @@ impl CoverMeConfig {
 
     /// Hash of every knob that determines a search's *results* — the
     /// schedule and its processing: `seed`, `n_start`, `n_iter`, the
-    /// local method, sampling strategies (with their parameters, by bit
-    /// pattern), `ε`, the zero threshold, the pen/infeasible policies,
-    /// `polish`, the eval allowance and the shard split. Knobs pinned
-    /// result-invisible by the property suites stay out: `backend`, the
-    /// ignored `cache` and `simd`, `run_rounds` slicing, `time_budget`
-    /// (wall-clock never decides a *complete* run's content),
-    /// `warm_start`/`cancel` themselves. Two constant `0` words stand where
-    /// deleted knobs used to be mixed, so keys recorded by earlier releases
-    /// stay valid.
+    /// local method, `ε`, the perturbation's half width (by bit pattern),
+    /// the infeasible policy, the zero threshold, `polish`, the eval
+    /// allowance and the shard split. Knobs pinned result-invisible by the
+    /// property suites stay out: `backend`, the ignored `cache` and `simd`,
+    /// `run_rounds` slicing, `time_budget` (wall-clock never decides a
+    /// *complete* run's content), `warm_start`/`cancel` themselves.
+    ///
+    /// Constant words stand where earlier releases mixed knobs that are now
+    /// fixed or deleted, so the keys those releases recorded stay valid:
+    /// `0` and the bit patterns of `-100.0` and `100.0` for the uniform
+    /// starting-point box, `5` (the uniform tag) before the perturbation's
+    /// half width, `0` for the pen policy (saturation), and one `0` each
+    /// after `polish` and after the shard split.
     ///
     /// Two runs of the same program fingerprint with equal search keys
     /// are bit-identical, which is what lets a corpus warm start credit
@@ -426,37 +407,13 @@ impl CoverMeConfig {
             LocalMethod::None => 3,
         });
         mix(self.epsilon.to_bits());
-        match self.starting_points {
-            StartingPointStrategy::UniformBox { lo, hi } => {
-                mix(0);
-                mix(lo.to_bits());
-                mix(hi.to_bits());
-            }
-            StartingPointStrategy::Gaussian { scale } => {
-                mix(1);
-                mix(scale.to_bits());
-            }
-            StartingPointStrategy::BitPattern => mix(2),
-            StartingPointStrategy::Origin => mix(3),
-        }
-        match self.perturbation {
-            PerturbationKind::Gaussian { stddev } => {
-                mix(4);
-                mix(stddev.to_bits());
-            }
-            PerturbationKind::Uniform { half_width } => {
-                mix(5);
-                mix(half_width.to_bits());
-            }
-            PerturbationKind::HeavyTailed { scale } => {
-                mix(6);
-                mix(scale.to_bits());
-            }
-        }
-        mix(match self.pen_policy {
-            PenPolicy::Saturation => 0,
-            PenPolicy::CoveredOnly => 1,
-        });
+        mix(0);
+        mix(START_BOX.0.to_bits());
+        mix(START_BOX.1.to_bits());
+        let PerturbationKind::Uniform { half_width } = self.perturbation;
+        mix(5);
+        mix(half_width.to_bits());
+        mix(0);
         mix(match self.infeasible_policy {
             InfeasiblePolicy::LastConditional => 0,
             InfeasiblePolicy::Generalized => 1,
@@ -638,15 +595,10 @@ impl<'a, P: Program> SearchState<'a, P> {
         let arity = program.arity();
         assert!(arity > 0, "program under test must take at least one input");
 
-        let tracker = match config.pen_policy {
-            PenPolicy::Saturation => SaturationTracker::new(num_sites),
-            PenPolicy::CoveredOnly => SaturationTracker::new(num_sites).covered_only(),
-        };
+        let tracker = SaturationTracker::new(num_sites);
         let engine = ObjectiveEngine::new(program, config.epsilon).backend_mode(config.backend);
         let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
-        let schedule = config
-            .starting_points
-            .sample_batch(&mut start_rng, arity, config.n_start);
+        let schedule = uniform_box(&mut start_rng, START_BOX, arity, config.n_start);
 
         SearchState {
             config: config.clone(),
@@ -1241,13 +1193,6 @@ mod tests {
         let b = CoverMe::new(quick_config()).run(&paper_example());
         assert_eq!(a.inputs, b.inputs);
         assert_eq!(a.coverage.covered_count(), b.coverage.covered_count());
-    }
-
-    #[test]
-    fn covered_only_policy_still_covers_the_example() {
-        let config = quick_config().with_pen_policy(PenPolicy::CoveredOnly);
-        let report = CoverMe::new(config).run(&paper_example());
-        assert_eq!(report.branch_coverage_percent(), 100.0);
     }
 
     #[test]

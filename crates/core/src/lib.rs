@@ -81,8 +81,8 @@ pub use campaign::{
 };
 pub use corpus::{CorpusEntry, CorpusStats, CorpusStore};
 pub use driver::{
-    CancelToken, CoverMe, CoverMeConfig, EpochOutcome, InfeasiblePolicy, PenPolicy, SearchState,
-    WarmStart, ABORT_PATIENCE,
+    CancelToken, CoverMe, CoverMeConfig, EpochOutcome, InfeasiblePolicy, SearchState, WarmStart,
+    ABORT_PATIENCE,
 };
 pub use objective::{EngineTelemetry, ObjectiveEngine, ABORTED_VALUE};
 pub use report::{RoundOutcome, RoundRecord, TestReport};

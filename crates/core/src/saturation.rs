@@ -30,9 +30,6 @@ pub struct SaturationTracker {
     infeasible: BranchSet,
     /// `descendants[b.index()]` = branches known to be reachable after taking `b`.
     descendants: Vec<BranchSet>,
-    /// Whether the descendant condition participates in saturation at all
-    /// (the `PenPolicy::CoveredOnly` ablation turns it off).
-    use_descendants: bool,
 }
 
 impl SaturationTracker {
@@ -43,15 +40,7 @@ impl SaturationTracker {
             covered: BranchSet::with_sites(num_sites),
             infeasible: BranchSet::with_sites(num_sites),
             descendants: vec![BranchSet::new(); num_sites * 2],
-            use_descendants: true,
         }
-    }
-
-    /// Disables the descendant condition entirely: saturation degenerates to
-    /// plain coverage. Used by the `PenPolicy::CoveredOnly` ablation.
-    pub fn covered_only(mut self) -> SaturationTracker {
-        self.use_descendants = false;
-        self
     }
 
     /// Number of conditional sites.
@@ -65,25 +54,22 @@ impl SaturationTracker {
     }
 
     /// Records the decisions of one execution: marks every taken branch as
-    /// covered and (unless descendants are disabled) learns descendant pairs
-    /// from the order of the trace.
+    /// covered and learns descendant pairs from the order of the trace.
     pub fn record_trace(&mut self, trace: &Trace) {
         let taken: Vec<BranchId> = trace.covered_branches().collect();
         for &branch in &taken {
             self.covered.insert(branch);
         }
-        if self.use_descendants {
-            for (i, &from) in taken.iter().enumerate() {
-                let from_idx = from.index();
-                for &to in &taken[i + 1..] {
-                    // Reaching conditional site `to.site` after taking `from`
-                    // means *both* branches of that site are control-flow
-                    // descendants of `from`, not just the one this execution
-                    // happened to take.
-                    for descendant in [to, to.sibling()] {
-                        if descendant != from {
-                            self.descendants[from_idx].insert(descendant);
-                        }
+        for (i, &from) in taken.iter().enumerate() {
+            let from_idx = from.index();
+            for &to in &taken[i + 1..] {
+                // Reaching conditional site `to.site` after taking `from`
+                // means *both* branches of that site are control-flow
+                // descendants of `from`, not just the one this execution
+                // happened to take.
+                for descendant in [to, to.sibling()] {
+                    if descendant != from {
+                        self.descendants[from_idx].insert(descendant);
                     }
                 }
             }
@@ -193,9 +179,6 @@ impl SaturationTracker {
         if !self.effectively_covered(branch) {
             return false;
         }
-        if !self.use_descendants {
-            return true;
-        }
         self.descendants[branch.index()]
             .iter()
             .all(|d| self.effectively_covered(d))
@@ -298,15 +281,6 @@ mod tests {
         assert!(!tracker.all_saturated());
         tracker.mark_infeasible(BranchId::true_of(0));
         assert!(tracker.all_saturated());
-    }
-
-    #[test]
-    fn covered_only_mode_ignores_descendants() {
-        let mut tracker = SaturationTracker::new(2).covered_only();
-        tracker.record_trace(&trace_of(&[(0, true), (1, false)]));
-        // In covered-only mode 0T is "saturated" even though descendant 1T
-        // is not covered.
-        assert!(tracker.is_saturated(BranchId::true_of(0)));
     }
 
     #[test]

@@ -122,10 +122,14 @@ fn reference_shard_rounds<P: Program>(
     let mut coverage = coverme_runtime::CoverageMap::new(program.num_sites());
     let mut engine = ObjectiveEngine::new(program, config.epsilon);
     let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
-    let schedule: Vec<Vec<f64>> =
-        config
-            .starting_points
-            .sample_batch(&mut start_rng, program.arity(), config.n_start);
+    // Every start is uniform over the fixed box [-100, 100]^n.
+    let schedule: Vec<Vec<f64>> = (0..config.n_start)
+        .map(|_| {
+            (0..program.arity())
+                .map(|_| start_rng.uniform(-100.0, 100.0))
+                .collect()
+        })
+        .collect();
     let mut rounds = Vec::new();
     let mut inputs = Vec::new();
     let mut evaluations = 0usize;

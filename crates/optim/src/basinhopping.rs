@@ -51,7 +51,11 @@ pub struct BasinHopping {
     pub iterations: usize,
     /// The local minimizer `LM`.
     pub local_method: LocalMethod,
-    /// Distribution of the perturbation `δ`.
+    /// Distribution of the perturbation `δ`. Product code always runs the
+    /// default (SciPy's uniform step, `half_width = 0.5`); the field stays
+    /// settable because the end-to-end benchmark harness (`perfbench/`)
+    /// passes the `coverme` crate's `CoverMeConfig::perturbation` through
+    /// [`perturbation()`](Self::perturbation()).
     pub perturbation: PerturbationKind,
     /// Metropolis annealing temperature `T` (the paper sets `T = 1`).
     pub temperature: f64,
@@ -95,7 +99,8 @@ impl BasinHopping {
         self
     }
 
-    /// Sets the perturbation distribution for Monte-Carlo moves.
+    /// Sets the perturbation distribution for Monte-Carlo moves (see the
+    /// field of the same name for who sets it).
     pub fn perturbation(mut self, perturbation: PerturbationKind) -> Self {
         self.perturbation = perturbation;
         self

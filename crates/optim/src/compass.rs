@@ -8,7 +8,7 @@
 //! produces.
 //!
 //! Each sweep probes the `2n` directions at two step scales, `h` and
-//! `h·contraction`, so one sweep discovers the contraction a classic
+//! `h/2`, so one sweep discovers the contraction a classic
 //! single-scale search needs a second sweep for. The whole star is always
 //! evaluated, so it goes to the objective as one
 //! [`Objective::eval_batch`] call; which points are evaluated, in which
@@ -18,27 +18,27 @@
 //! `+∞` carries no descent information; a search that has seen nothing else
 //! stops. A sweep in which the incumbent and every probe are `+∞` (every
 //! execution aborted or was NaN) converges at once instead of contracting
-//! the step down to [`min_step`](CompassSearch::min_step): no probe of a
+//! the step down to its `1e-10` floor: no probe of a
 //! flat `+∞` plateau can ever improve on the incumbent.
 
 use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
 use crate::sanitize_value as sanitize;
 
-/// Step scales probed per sweep: `h` and `h·contraction`.
+/// Step scales probed per sweep: `h` and `h·CONTRACTION`.
 const PROBE_SCALES: usize = 2;
+/// Initial step size applied to every coordinate.
+const INITIAL_STEP: f64 = 1.0;
+/// The search stops when the step size drops below this threshold.
+const MIN_STEP: f64 = 1e-10;
+/// Step contraction factor applied after an unsuccessful sweep.
+const CONTRACTION: f64 = 0.5;
+/// Step expansion factor applied after a successful sweep.
+const EXPANSION: f64 = 2.0;
 
 /// Configuration and entry point for compass search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompassSearch {
-    /// Initial step size applied to every coordinate.
-    pub initial_step: f64,
-    /// The search stops when the step size drops below this threshold.
-    pub min_step: f64,
-    /// Step contraction factor applied after an unsuccessful sweep.
-    pub contraction: f64,
-    /// Step expansion factor applied after a successful sweep.
-    pub expansion: f64,
     /// Maximum number of probe sweeps.
     pub max_iterations: usize,
 }
@@ -46,25 +46,15 @@ pub struct CompassSearch {
 impl Default for CompassSearch {
     fn default() -> Self {
         CompassSearch {
-            initial_step: 1.0,
-            min_step: 1e-10,
-            contraction: 0.5,
-            expansion: 2.0,
             max_iterations: 2000,
         }
     }
 }
 
 impl CompassSearch {
-    /// Creates a compass search with default parameters.
+    /// Creates a compass search with the fixed step schedule.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the initial probe step.
-    pub fn initial_step(mut self, step: f64) -> Self {
-        self.initial_step = step;
-        self
     }
 
     /// Sets the sweep budget.
@@ -95,7 +85,7 @@ impl CompassSearch {
             evals += 1;
             sanitize(f.eval_scalar(&point))
         };
-        let mut step = self.initial_step;
+        let mut step = INITIAL_STEP;
         let mut iterations = 0usize;
         let mut converged = false;
         let mut probes: Vec<Vec<f64>> = Vec::with_capacity(2 * n * PROBE_SCALES);
@@ -115,7 +105,7 @@ impl CompassSearch {
                         probes.push(probe);
                     }
                 }
-                contracted_step *= self.contraction;
+                contracted_step *= CONTRACTION;
             }
             probe_values.clear();
             f.eval_batch(&probes, &mut probe_values);
@@ -140,16 +130,16 @@ impl CompassSearch {
                     let winner_scale = index / (2 * n);
                     let mut winning_step = step;
                     for _ in 0..winner_scale {
-                        winning_step *= self.contraction;
+                        winning_step *= CONTRACTION;
                     }
-                    step = winning_step * self.expansion;
+                    step = winning_step * EXPANSION;
                 }
                 None => {
                     // Every probed scale failed; resume below the finest.
                     // With a `+∞` incumbent, "failed" means every probe
                     // was `+∞` too.
                     step = contracted_step;
-                    if step < self.min_step || value == f64::INFINITY {
+                    if step < MIN_STEP || value == f64::INFINITY {
                         converged = true;
                         break;
                     }

@@ -60,7 +60,7 @@ pub use nelder_mead::NelderMead;
 pub use objective::{FnObjective, Objective};
 pub use powell::Powell;
 pub use result::{Minimum, OptimStats};
-pub use sampling::{PerturbationKind, StartingPointStrategy};
+pub use sampling::PerturbationKind;
 
 use crate::rng::SplitMix64;
 
@@ -86,11 +86,8 @@ pub enum LocalMethod {
 }
 
 impl LocalMethod {
-    /// Runs the selected local minimizer on `f` starting from `x0`.
-    ///
-    /// Each method is run with its default options; construct the concrete
-    /// structs ([`Powell`], [`NelderMead`], [`CompassSearch`]) directly for
-    /// fine-grained control.
+    /// Runs the selected local minimizer on `f` starting from `x0`, with
+    /// the method's fixed tolerances and iteration cap.
     pub fn minimize_objective<O>(&self, f: &mut O, x0: &[f64]) -> Minimum
     where
         O: Objective + ?Sized,

@@ -27,23 +27,24 @@ use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
 use crate::sanitize_value as sanitize;
 
+/// Reflection coefficient (`alpha`), conventionally `1.0`.
+const ALPHA: f64 = 1.0;
+/// Expansion coefficient (`gamma`), conventionally `2.0`.
+const GAMMA: f64 = 2.0;
+/// Contraction coefficient (`rho`), conventionally `0.5`.
+const RHO: f64 = 0.5;
+/// Shrink coefficient (`sigma`), conventionally `0.5`.
+const SIGMA: f64 = 0.5;
+/// Edge length of the initial simplex relative to `max(1, |x0_i|)`.
+const INITIAL_STEP: f64 = 0.1;
+/// Convergence tolerance on the spread of objective values.
+const F_TOLERANCE: f64 = 1e-12;
+/// Convergence tolerance on the simplex diameter.
+const X_TOLERANCE: f64 = 1e-10;
+
 /// Configuration and entry point for the Nelder–Mead simplex method.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NelderMead {
-    /// Reflection coefficient (`alpha`), conventionally `1.0`.
-    pub alpha: f64,
-    /// Expansion coefficient (`gamma`), conventionally `2.0`.
-    pub gamma: f64,
-    /// Contraction coefficient (`rho`), conventionally `0.5`.
-    pub rho: f64,
-    /// Shrink coefficient (`sigma`), conventionally `0.5`.
-    pub sigma: f64,
-    /// Edge length of the initial simplex relative to `max(1, |x0_i|)`.
-    pub initial_step: f64,
-    /// Convergence tolerance on the spread of objective values.
-    pub f_tolerance: f64,
-    /// Convergence tolerance on the simplex diameter.
-    pub x_tolerance: f64,
     /// Maximum number of iterations before giving up.
     pub max_iterations: usize,
 }
@@ -51,13 +52,6 @@ pub struct NelderMead {
 impl Default for NelderMead {
     fn default() -> Self {
         NelderMead {
-            alpha: 1.0,
-            gamma: 2.0,
-            rho: 0.5,
-            sigma: 0.5,
-            initial_step: 0.1,
-            f_tolerance: 1e-12,
-            x_tolerance: 1e-10,
             max_iterations: 400,
         }
     }
@@ -67,12 +61,6 @@ impl NelderMead {
     /// Creates a minimizer with the conventional coefficient choices.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the relative edge length of the initial simplex.
-    pub fn initial_step(mut self, step: f64) -> Self {
-        self.initial_step = step;
-        self
     }
 
     /// Sets the iteration budget.
@@ -116,7 +104,7 @@ impl NelderMead {
         let mut simplex: Vec<Vec<f64>> = vec![x0.to_vec()];
         for i in 0..n {
             let mut v = x0.to_vec();
-            v[i] += self.initial_step * v[i].abs().max(1.0);
+            v[i] += INITIAL_STEP * v[i].abs().max(1.0);
             simplex.push(v);
         }
         let mut values = eval_batch(f, &simplex, &mut evals);
@@ -143,7 +131,7 @@ impl NelderMead {
                 .iter()
                 .map(|v| distance(v, &simplex[best]))
                 .fold(0.0_f64, f64::max);
-            if f_spread.abs() <= self.f_tolerance && x_spread <= self.x_tolerance {
+            if f_spread.abs() <= F_TOLERANCE && x_spread <= X_TOLERANCE {
                 converged = true;
                 break;
             }
@@ -167,8 +155,8 @@ impl NelderMead {
             // the best vertex (the classic rule), so the trajectory is the
             // textbook one.
             let probes = vec![
-                affine(&centroid, &simplex[worst], self.alpha),
-                affine(&centroid, &simplex[worst], self.gamma),
+                affine(&centroid, &simplex[worst], ALPHA),
+                affine(&centroid, &simplex[worst], GAMMA),
             ];
             let probe_values = eval_batch(f, &probes, &mut evals);
             let mut probes = probes.into_iter();
@@ -193,11 +181,11 @@ impl NelderMead {
                 // Contraction (outside if the reflected point improved on the
                 // worst vertex, inside otherwise).
                 let (contracted, f_contracted) = if f_reflected < values[worst] {
-                    let c = affine(&centroid, &simplex[worst], self.rho * self.alpha);
+                    let c = affine(&centroid, &simplex[worst], RHO * ALPHA);
                     let fc = eval(f, &c, &mut evals);
                     (c, fc)
                 } else {
-                    let c = affine(&centroid, &simplex[worst], -self.rho);
+                    let c = affine(&centroid, &simplex[worst], -RHO);
                     let fc = eval(f, &c, &mut evals);
                     (c, fc)
                 };
@@ -214,7 +202,7 @@ impl NelderMead {
                             continue;
                         }
                         for (v, b) in vertex.iter_mut().zip(&best_vertex) {
-                            *v = b + self.sigma * (*v - b);
+                            *v = b + SIGMA * (*v - b);
                         }
                         shrunk.push(vertex.clone());
                     }
@@ -372,7 +360,7 @@ mod tests {
     #[test]
     fn single_restart_matches_the_classic_start_bit_for_bit() {
         // The first batch is exactly the classic starting simplex: x0, then
-        // x0 with coordinate i moved by initial_step · max(1, |x0_i|).
+        // x0 with coordinate i moved by INITIAL_STEP · max(1, |x0_i|).
         struct FirstBatch(Option<Vec<Vec<f64>>>);
         impl Objective for FirstBatch {
             fn eval_scalar(&mut self, x: &[f64]) -> f64 {

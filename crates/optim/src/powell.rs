@@ -11,40 +11,30 @@ use crate::objective::Objective;
 use crate::result::{Minimum, OptimStats};
 use crate::sanitize_value as sanitize;
 
+/// Initial step used when bracketing each line minimization.
+const INITIAL_STEP: f64 = 1.0;
+/// Relative tolerance on the decrease of the objective per sweep.
+const F_TOLERANCE: f64 = 1e-10;
+/// Tolerance passed to the Brent line minimizer.
+const LINE_TOLERANCE: f64 = 1e-8;
+
 /// Configuration and entry point for Powell's method.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Powell {
-    /// Initial step used when bracketing each line minimization.
-    pub initial_step: f64,
-    /// Relative tolerance on the decrease of the objective per sweep.
-    pub f_tolerance: f64,
-    /// Tolerance passed to the Brent line minimizer.
-    pub line_tolerance: f64,
     /// Maximum number of direction-set sweeps.
     pub max_iterations: usize,
 }
 
 impl Default for Powell {
     fn default() -> Self {
-        Powell {
-            initial_step: 1.0,
-            f_tolerance: 1e-10,
-            line_tolerance: 1e-8,
-            max_iterations: 60,
-        }
+        Powell { max_iterations: 60 }
     }
 }
 
 impl Powell {
-    /// Creates a minimizer with default tolerances.
+    /// Creates a minimizer with the fixed tolerances.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the initial bracketing step for line searches.
-    pub fn initial_step(mut self, step: f64) -> Self {
-        self.initial_step = step;
-        self
     }
 
     /// Sets the sweep budget.
@@ -120,8 +110,7 @@ impl Powell {
             } else {
                 start_value - value
             };
-            if 2.0 * decrease.abs() <= self.f_tolerance * (start_value.abs() + value.abs() + 1e-25)
-            {
+            if 2.0 * decrease.abs() <= F_TOLERANCE * (start_value.abs() + value.abs() + 1e-25) {
                 converged = true;
                 break;
             }
@@ -185,7 +174,7 @@ impl Powell {
     where
         O: Objective + ?Sized,
     {
-        minimize_along_ray(f, point, direction, self.initial_step, self.line_tolerance)
+        minimize_along_ray(f, point, direction, INITIAL_STEP, LINE_TOLERANCE)
     }
 }
 
