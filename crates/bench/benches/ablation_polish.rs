@@ -1,5 +1,4 @@
-//! Ablation: the near-miss polish step, on and off, under the
-//! saturation pen.
+//! Ablation: the near-miss polish step, on and off.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,10 +7,10 @@ use coverme::{CoverMe, CoverMeConfig};
 use coverme_fdlibm::by_name;
 
 fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_pen_policy");
+    let mut group = c.benchmark_group("ablation_polish");
     group.sample_size(10);
     let b = by_name("erf").unwrap();
-    group.bench_function("saturation_pen", |bench| {
+    group.bench_function("polish_enabled", |bench| {
         bench.iter(|| {
             let config = CoverMeConfig::default().with_n_start(40).with_seed(1);
             black_box(CoverMe::new(config).run(&b))

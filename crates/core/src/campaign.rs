@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 use coverme_runtime::Program;
 
 use crate::corpus::CorpusStore;
-use crate::driver::{CancelToken, CoverMeConfig, EpochOutcome, SearchState};
+use crate::driver::{CoverMeConfig, EpochOutcome, SearchState};
 use crate::report::schema::{member, JsonValue, CAMPAIGN_REPORT};
 use crate::report::TestReport;
 use crate::shard::{merge_shards, ShardOutcome};
@@ -103,12 +103,6 @@ pub struct CampaignConfig {
     /// [`FunctionStatus::Complete`] result is recorded back. `None` (the
     /// default) reproduces the corpus-less behavior bit for bit.
     pub corpus: Option<Arc<CorpusStore>>,
-    /// Optional cooperative cancellation token, shared with every
-    /// function's search: when cancelled, in-flight searches finalize the
-    /// progress they completed (reported [`FunctionStatus::Partial`], like
-    /// a deadline expiry) instead of running out their schedules — the
-    /// serve daemon's teardown seam.
-    pub cancel: Option<CancelToken>,
 }
 
 impl PartialEq for CampaignConfig {
@@ -124,7 +118,6 @@ impl PartialEq for CampaignConfig {
             && self.workers == other.workers
             && self.time_budget == other.time_budget
             && corpus_eq
-            && self.cancel == other.cancel
     }
 }
 
@@ -164,12 +157,6 @@ impl CampaignConfig {
     /// the way out.
     pub fn with_corpus(mut self, corpus: Arc<CorpusStore>) -> Self {
         self.corpus = Some(corpus);
-        self
-    }
-
-    /// Attaches a cooperative cancellation token shared with every search.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
         self
     }
 
@@ -753,7 +740,6 @@ impl Campaign {
         // The worker grid is sized with the effective shard count; the
         // per-shard stride must agree with it.
         template.shards = shards;
-        template.cancel = self.config.cancel.clone();
 
         // Seed derivation input per function: how many *earlier* inventory
         // entries share its name. 0 for every uniquely named function, so a
@@ -1208,6 +1194,7 @@ fn derive_function_seed(campaign_seed: u64, name: &str, occurrence: usize) -> u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::CancelToken;
     use coverme_runtime::{Cmp, ExecCtx, FnProgram};
 
     type ToyProgram = FnProgram<fn(&[f64], &mut ExecCtx)>;
@@ -1574,6 +1561,23 @@ mod tests {
         assert_eq!(report.suite_branch_coverage_percent(), 0.0);
         assert_eq!(report.suite_block_coverage_percent(), 0.0);
         assert_eq!(report.mean_branch_coverage_percent(), 0.0);
+    }
+
+    #[test]
+    fn a_cancel_token_on_the_base_config_reaches_every_search() {
+        let token = CancelToken::new();
+        token.cancel();
+        let programs = inventory();
+        let config = CampaignConfig::new()
+            .with_base(quick_base().with_cancel(token))
+            .with_workers(2);
+        let report = Campaign::new(config).run(&programs);
+        assert_eq!(report.partial(), programs.len(), "{report}");
+        assert_eq!(report.total_evaluations(), 0, "{report}");
+        assert!(report
+            .results
+            .iter()
+            .all(|r| r.status != FunctionStatus::Complete));
     }
 
     #[test]

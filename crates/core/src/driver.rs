@@ -209,17 +209,19 @@ pub struct CoverMeConfig {
     /// candidates per coordinate and accept one that drives the representing
     /// function to zero. This mitigates the floating-point-inaccuracy
     /// incompleteness the paper's Remark 6.1 describes; the
-    /// `ablation_pen_policy` bench measures its effect.
+    /// `ablation_polish` bench measures its effect.
     pub polish: bool,
     /// Ignored. No product code reads it; the end-to-end benchmark harness
     /// (`perfbench/`) passes it to [`ObjectiveEngine::cache_mode`], and the
     /// benchmark-archetype change deletes both.
     pub cache: CacheMode,
-    /// Execution backend selection (see
-    /// [`BackendMode`](coverme_runtime::BackendMode); the default `Auto`
-    /// picks the program's compiled tape when it has one and the
-    /// interpreter otherwise). Every mode is bit-exact, so this is purely
-    /// a performance knob — the one `--backend` exposes on the CLI.
+    /// Ignored: a search always runs
+    /// [`BackendMode::Auto`](coverme_runtime::BackendMode), so every FPIR
+    /// program runs on its compiled tape and every native port on
+    /// [`Program::execute`]. No product code sets it; it stays a field only
+    /// because the end-to-end benchmark harness (`perfbench/`) passes it to
+    /// [`ObjectiveEngine::backend_mode`], and the benchmark-archetype change
+    /// deletes both.
     pub backend: coverme_runtime::BackendMode,
     /// Ignored. No product code reads it; the end-to-end benchmark harness
     /// (`perfbench/`) sets it through [`with_simd`](Self::with_simd), and
@@ -232,7 +234,9 @@ pub struct CoverMeConfig {
     /// Cooperative cancellation (none by default): when the token fires,
     /// the search stops at its next round boundary with
     /// [`EpochOutcome::DeadlineExpired`] semantics, exactly like a
-    /// wall-clock deadline.
+    /// wall-clock deadline. A campaign copies its base configuration into
+    /// every function's search, so one token on the base cancels the whole
+    /// campaign (the serve daemon's teardown seam).
     pub cancel: Option<CancelToken>,
 }
 
@@ -336,14 +340,6 @@ impl CoverMeConfig {
     /// near-miss minima.
     pub fn with_polish(mut self, enabled: bool) -> Self {
         self.polish = enabled;
-        self
-    }
-
-    /// Selects the execution backend (see
-    /// [`BackendMode`](coverme_runtime::BackendMode)). Bit-exact under
-    /// every mode; `Auto` (the default) prefers the compiled tape.
-    pub fn with_backend(mut self, mode: coverme_runtime::BackendMode) -> Self {
-        self.backend = mode;
         self
     }
 
@@ -596,7 +592,7 @@ impl<'a, P: Program> SearchState<'a, P> {
         assert!(arity > 0, "program under test must take at least one input");
 
         let tracker = SaturationTracker::new(num_sites);
-        let engine = ObjectiveEngine::new(program, config.epsilon).backend_mode(config.backend);
+        let engine = ObjectiveEngine::new(program, config.epsilon);
         let mut start_rng = SplitMix64::new(config.seed ^ 0x5EED_0001);
         let schedule = uniform_box(&mut start_rng, START_BOX, arity, config.n_start);
 

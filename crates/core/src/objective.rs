@@ -171,9 +171,11 @@ impl<P: Program> ObjectiveEngine<P> {
 
     /// Selects the execution backend (see [`BackendMode`]; the default is
     /// [`BackendMode::Auto`]). Every mode produces bit-identical values,
-    /// coverage and telemetry — the backend is a throughput seam, never a
-    /// semantic one — so this only trades interpretation overhead against
-    /// the program's compiled form, when it has one.
+    /// coverage and telemetry. No search calls it: `Interp` is the oracle
+    /// switch of the differential tests and the `objective_engine` bench,
+    /// and the end-to-end benchmark harness (`perfbench/`) passes
+    /// [`CoverMeConfig::backend`](crate::CoverMeConfig::backend) through
+    /// it until the benchmark-archetype change deletes both.
     pub fn backend_mode(mut self, mode: BackendMode) -> Self {
         self.backend = resolve_backend(&self.program, mode, self.epsilon, self.ctx.saturated());
         self
@@ -194,8 +196,8 @@ impl<P: Program> ObjectiveEngine<P> {
 
     /// The name of the execution backend actually in use (`"interp"`,
     /// `"tape"`, …) — the effective backend, not the requested mode: an
-    /// engine asked for [`BackendMode::Auto`] on a program without a tape
-    /// reports `"interp"`.
+    /// engine asked for [`BackendMode::Auto`] on a native port, which has
+    /// no tape, reports `"interp"`.
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
     }

@@ -14,9 +14,10 @@ pub enum ErrorKind {
     /// Instrumentation-time problems (missing entry function, unsupported
     /// parameter types, ...).
     Instrument,
-    /// Runtime failures surfaced at compile-time analysis (e.g. recursion
-    /// depth limits detected eagerly).
-    Interp,
+    /// Lowering to the instruction tape: a function needs more registers
+    /// than the tape has, or an unchecked module holds what type checking
+    /// rules out.
+    Lower,
 }
 
 impl fmt::Display for ErrorKind {
@@ -26,7 +27,7 @@ impl fmt::Display for ErrorKind {
             ErrorKind::Parse => "parse error",
             ErrorKind::Type => "type error",
             ErrorKind::Instrument => "instrumentation error",
-            ErrorKind::Interp => "interpreter error",
+            ErrorKind::Lower => "lowering error",
         };
         write!(f, "{label}")
     }

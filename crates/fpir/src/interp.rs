@@ -8,9 +8,11 @@
 //!
 //! Semantics follow C on the `double`/`int` pair: mixed arithmetic promotes
 //! to `double`, `(int)` casts truncate toward zero, integer overflow wraps
-//! (two's complement), and the bit-level builtins (`high_word`, `low_word`,
-//! `from_words`, ...) give direct access to the IEEE-754 representation the
-//! way Fdlibm's `__HI`/`__LO` macros do.
+//! (two's complement), a `return` converts its value to the function's
+//! declared type (falling off the end returns that type's zero), and the
+//! bit-level builtins (`high_word`, `low_word`, `from_words`, ...) give
+//! direct access to the IEEE-754 representation the way Fdlibm's
+//! `__HI`/`__LO` macros do.
 //!
 //! # Run outcomes
 //!
@@ -31,14 +33,14 @@
 //! objective engine, the search driver) must discard them.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use coverme_runtime::{BackendMode, ExecBackend, ExecCtx, Program};
 
 use crate::ast::{BinOp, Block, Expr, FunctionDef, Stmt, Ty, UnOp};
 use crate::error::{CompileError, ErrorKind};
 use crate::instrument::{as_comparison, InstrumentedModule};
-use crate::lower::{lower, Tape};
+use crate::lower::{lower_module, Tape};
 
 /// Default step fuel per top-level call. A search performs 100k+ evaluations
 /// per function, so the old 2M-step ceiling meant a single looping program
@@ -106,22 +108,27 @@ enum Flow {
 /// An executable, instrumented FPIR program.
 ///
 /// Implements [`coverme_runtime::Program`], so it can be handed to the
-/// CoverMe driver or to any baseline tester.
+/// CoverMe driver or to any baseline tester. Searches run its lowered
+/// tape; [`Program::execute`] runs the tree-walking interpreter, the
+/// oracle the tape is tested against.
 #[derive(Debug, Clone)]
 pub struct IrProgram {
     inst: InstrumentedModule,
     arity: usize,
     line_count: usize,
-    fuel: usize,
-    /// The lowered tape (`None` when lowering bails), built on first use
-    /// and shared by every backend, clone and fingerprint of this program.
-    /// The fuel is part of the tape, so [`with_fuel`](Self::with_fuel)
-    /// drops it.
-    tape: OnceLock<Option<Arc<Tape>>>,
+    /// The lowered tape, shared by every backend, clone and fingerprint of
+    /// this program. It holds the fuel too.
+    tape: Arc<Tape>,
 }
 
 impl IrProgram {
-    /// Wraps an instrumented module, validating the entry signature.
+    /// Wraps an instrumented module, validating the entry signature, and
+    /// lowers it to its tape.
+    ///
+    /// # Errors
+    ///
+    /// A [`CompileError`] when the entry function takes no inputs or the
+    /// module does not lower (see [`lower`](crate::lower())).
     pub fn new(inst: InstrumentedModule) -> Result<IrProgram, CompileError> {
         let entry = inst.entry_function();
         let arity = entry.params.len();
@@ -134,12 +141,12 @@ impl IrProgram {
         }
         let mut lines = BTreeSet::new();
         collect_lines(&entry.body, &mut lines);
+        let tape = Arc::new(lower_module(&inst, DEFAULT_FUEL)?);
         Ok(IrProgram {
             arity,
             line_count: lines.len(),
             inst,
-            fuel: DEFAULT_FUEL,
-            tape: OnceLock::new(),
+            tape,
         })
     }
 
@@ -152,22 +159,18 @@ impl IrProgram {
     /// Panics if `fuel` is zero.
     pub fn with_fuel(mut self, fuel: usize) -> IrProgram {
         assert!(fuel > 0, "fuel must be positive");
-        self.fuel = fuel;
-        self.tape = OnceLock::new();
+        Arc::make_mut(&mut self.tape).fuel = fuel;
         self
     }
 
     /// The per-execution step fuel in effect.
     pub fn fuel(&self) -> usize {
-        self.fuel
+        self.tape.fuel()
     }
 
-    /// The program's tape, lowered on the first call; `None` when the
-    /// program stays on the interpreter.
-    pub(crate) fn tape(&self) -> Option<Arc<Tape>> {
-        self.tape
-            .get_or_init(|| lower(self).ok().map(Arc::new))
-            .clone()
+    /// The program's tape.
+    pub(crate) fn tape(&self) -> &Arc<Tape> {
+        &self.tape
     }
 
     /// The instrumented module backing this program.
@@ -180,7 +183,7 @@ impl IrProgram {
     /// exact line coverage (the analogue of Gcov line data).
     pub fn executed_lines(&self, input: &[f64]) -> BTreeSet<u32> {
         let mut ctx = ExecCtx::observe().without_trace();
-        let mut interp = Interp::new(&self.inst, self.fuel, true);
+        let mut interp = Interp::new(&self.inst, self.fuel(), true);
         interp.run(input, &mut ctx);
         interp.executed_lines
     }
@@ -219,7 +222,7 @@ impl Program for IrProgram {
         // empty and grow once within the run — and the flat `Env` below
         // replaces the old per-call `HashMap<String, Value>` chain, so the
         // per-evaluation setup cost is a few empty-vec constructions.
-        let mut interp = Interp::new(&self.inst, self.fuel, false);
+        let mut interp = Interp::new(&self.inst, self.fuel(), false);
         interp.run(input, ctx);
     }
 
@@ -234,12 +237,7 @@ impl Program for IrProgram {
     fn fingerprint(&self) -> u64 {
         // Key the corpus on the compiled form: any semantic edit to the
         // source changes the lowered tape and invalidates stale entries.
-        // The rare program the tape cannot mirror falls back to the native
-        // shape hash, exactly like a closure-backed port.
-        match self.tape() {
-            Some(tape) => tape.fingerprint64(),
-            None => coverme_runtime::native_fingerprint(self.name(), self.arity, self.num_sites()),
-        }
+        self.tape.fingerprint64()
     }
 }
 
@@ -295,10 +293,7 @@ impl<'a> Interp<'a> {
         self.env.reset();
         self.args.clear();
         self.args.extend(input.iter().map(|&v| Value::Double(v)));
-        match self.call(entry, 0, ctx, 0) {
-            Some(Some(value)) => Some(value.as_f64()),
-            _ => None,
-        }
+        self.call(entry, 0, ctx, 0).map(Value::as_f64)
     }
 
     /// Checks the step fuel, classifying an exhausted run as a timeout.
@@ -314,15 +309,15 @@ impl<'a> Interp<'a> {
     }
 
     /// Calls a function whose evaluated arguments sit at
-    /// `self.args[args_base..]`; `None` means aborted, `Some(ret)` normal
-    /// completion.
+    /// `self.args[args_base..]`; `None` means aborted, `Some(value)` normal
+    /// completion with the value the caller reads.
     fn call(
         &mut self,
         function: &'a FunctionDef,
         args_base: usize,
         ctx: &mut ExecCtx,
         depth: usize,
-    ) -> Option<Option<Value>> {
+    ) -> Option<Value> {
         if depth > MAX_DEPTH {
             ctx.mark_trap();
             return None;
@@ -335,8 +330,8 @@ impl<'a> Interp<'a> {
         let flow = self.exec_block(&function.body, ctx, depth, true);
         self.env.pop_frame();
         match flow {
-            Flow::Return(v) => Some(v),
-            Flow::Normal => Some(None),
+            Flow::Return(value) => Some(returned(function.ret, value)),
+            Flow::Normal => Some(returned(function.ret, None)),
             Flow::Abort => None,
         }
     }
@@ -621,10 +616,18 @@ impl<'a> Interp<'a> {
         }
         let result = self.call(function, base, ctx, depth + 1);
         self.args.truncate(base);
-        match result? {
-            Some(v) => Some(v),
-            None => Some(Value::Double(0.0)),
-        }
+        result
+    }
+}
+
+/// What a call to a function declared `ret` yields: the returned value
+/// coerced to `ret`, or `ret`'s zero when there is none (the function fell
+/// off its end). A `void` call reads as the `double` `0.0`. Like every
+/// coercion, this burns no fuel.
+fn returned(ret: Ty, value: Option<Value>) -> Value {
+    match ret {
+        Ty::Int => Value::Int(value.map_or(0, Value::as_i64)),
+        Ty::Double | Ty::Void => Value::Double(value.map_or(0.0, Value::as_f64)),
     }
 }
 

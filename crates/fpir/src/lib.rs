@@ -19,7 +19,10 @@
 //!    program against a [`coverme_runtime::ExecCtx`], reporting every
 //!    instrumented conditional through `ExecCtx::branch` (the runtime then
 //!    plays the role of the injected `pen` calls);
-//! 5. [`pretty`] — prints the instrumented program with the injected
+//! 5. [`lower`](mod@lower) — compiles the instrumented program once to a
+//!    flat register tape that every search runs, bit-identical to the
+//!    interpreter, which stays its test oracle;
+//! 6. [`pretty`] — prints the instrumented program with the injected
 //!    `r = pen(...)` assignments made explicit, reproducing the paper's
 //!    Fig. 3 view of `FOO_I`.
 //!
@@ -65,7 +68,7 @@ pub use generate::{generate_module, generate_source, ENTRY_NAME};
 pub use instrument::{instrument, InstrumentedModule, SiteInfo};
 pub use interp::IrProgram;
 pub use lexer::{Lexer, Token, TokenKind};
-pub use lower::{lower, LowerError, Tape, TapeBackend};
+pub use lower::{lower, Tape, TapeBackend};
 pub use parser::parse;
 pub use pretty::to_source;
 pub use typeck::check;
@@ -74,13 +77,13 @@ pub use typeck::check;
 /// point is the function named `entry`.
 ///
 /// This is the convenience front door: lex + parse + type-check +
-/// instrument, returning an [`IrProgram`] that implements
+/// instrument + lower, returning an [`IrProgram`] that implements
 /// [`coverme_runtime::Program`].
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] describing the first lexing, parsing, typing
-/// or instrumentation problem encountered.
+/// Returns a [`CompileError`] describing the first lexing, parsing, typing,
+/// instrumentation or lowering problem encountered.
 pub fn compile(source: &str, entry: &str) -> Result<IrProgram, CompileError> {
     let module = parse(source)?;
     let module = check(module)?;

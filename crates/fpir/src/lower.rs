@@ -9,8 +9,8 @@
 //! sites, calls, returns, traps). [`Tape::execute`] runs it against any
 //! [`ExecCtx`] mode (observe or representing) exactly like the
 //! interpreter, and [`TapeBackend`] runs it for every evaluation of a
-//! search. [`IrProgram`] lowers itself once and shares that tape between
-//! its backends and its fingerprint.
+//! search. [`IrProgram::new`] lowers every checked program once and shares
+//! that tape between its backends and its fingerprint.
 //!
 //! # Static tags
 //!
@@ -36,15 +36,11 @@
 //! tag — the interpreter's promotions and coercions — is an explicit
 //! `itof`/`ftoi` op. The executor takes one match per op and tests no tag.
 //!
-//! The interpreter hands a caller the returned value with whatever tag the
-//! `return` expression has, and `double` `0.0` when the callee falls off
-//! its end. So the declared return tag is checked at every `return` that
-//! the function's block graph can reach, falling off the end included. A
-//! mismatch in a function that some call site reads — a `double` function
-//! returning an `int` expression, an `int` function that can fall off its
-//! end — is a [`LowerError::ReturnTagMismatch`], and the program keeps the
-//! interpreter. The entry function's value is never read, so its returns
-//! only matter when it is called too.
+//! A `return` coerces its value to the declared return type, as a
+//! declaration or an assignment coerces to the variable's type, so the tape
+//! converts a `return` of another tag before it returns. Falling off the
+//! end returns zero bits: the `int` zero or the `double` `0.0`, whichever
+//! the function declares. Like every conversion, neither burns fuel.
 //!
 //! # Bit-exactness
 //!
@@ -91,11 +87,10 @@
 //! keeps one register file and frame stack across executions, cleared but
 //! not freed, so a search's millions of runs do not allocate.
 //!
-//! Lowering is conservative: anything the (type-checked) module should
-//! rule out but this pass cannot mirror statically — unknown variables,
-//! register overflow, a return tag that differs from the declared one —
-//! aborts with a [`LowerError`] and the program simply keeps using the
-//! interpreter backend.
+//! Every type-checked module lowers, unless a function needs more than
+//! 65,536 registers: that limit, and the unknown variables and `void`
+//! declarations only unchecked modules can contain, are a
+//! [`CompileError`] of kind [`ErrorKind::Lower`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -106,7 +101,8 @@ use coverme_runtime::{BackendMode, BranchSet, Cmp, ExecBackend, ExecCtx, LaneEva
 use crate::ast::{
     builtin_signature, BinOp, Block as AstBlock, Expr, FunctionDef, Module, Param, Stmt, Ty, UnOp,
 };
-use crate::instrument::as_comparison;
+use crate::error::{CompileError, ErrorKind};
+use crate::instrument::{as_comparison, InstrumentedModule};
 use crate::interp::{int_compare, IrProgram, MAX_DEPTH};
 
 /// A register's static tag: the variant of the interpreter's `Value` the
@@ -500,33 +496,11 @@ enum Term {
         dst: u16,
         ret: usize,
     },
-    /// Return from the current frame; no value is `double` `0.0`.
+    /// Return from the current frame; no value is zero bits, the declared
+    /// return type's zero.
     Return { value: Option<u16> },
     /// Abort the run as a trap (statically-unresolvable call target).
     Trap,
-}
-
-impl Term {
-    /// The blocks control can pass to, including a call's return block.
-    fn successors(&self) -> [Option<usize>; 2] {
-        match *self {
-            Term::Jump(target) => [Some(target), None],
-            Term::FSite {
-                on_true, on_false, ..
-            }
-            | Term::ISite {
-                on_true, on_false, ..
-            }
-            | Term::FTruth {
-                on_true, on_false, ..
-            }
-            | Term::ITruth {
-                on_true, on_false, ..
-            } => [Some(on_true), Some(on_false)],
-            Term::Call { ret, .. } => [Some(ret), None],
-            Term::Return { .. } | Term::Trap => [None, None],
-        }
-    }
 }
 
 /// A basic block: a fused fuel burn, straight-line ops, one terminator.
@@ -558,71 +532,6 @@ struct TapeFunc {
     entry_block: usize,
 }
 
-/// Why lowering bailed out. A failed lowering is not a program error —
-/// the program transparently stays on the interpreter backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LowerError {
-    /// A function needs more than `u16::MAX + 1` virtual registers.
-    TooManyRegisters {
-        /// The function being lowered.
-        function: String,
-    },
-    /// An expression references a variable with no visible declaration
-    /// (unreachable for type-checked modules).
-    UnknownVariable {
-        /// The function being lowered.
-        function: String,
-        /// The unresolved name.
-        name: String,
-    },
-    /// A declaration form the tape cannot mirror statically (e.g. a
-    /// `void`-typed local, which type checking rejects anyway).
-    UnsupportedDecl {
-        /// The function being lowered.
-        function: String,
-        /// The declared name.
-        name: String,
-    },
-    /// A called function can return a value whose runtime tag differs from
-    /// its declared return type: a `return` of an `int` expression in a
-    /// `double` function, or an `int` function that can fall off its end
-    /// (which returns `double` `0.0`). The caller's register would need a
-    /// tag per path.
-    ReturnTagMismatch {
-        /// The called function.
-        function: String,
-        /// Its declared return type.
-        declared: Ty,
-    },
-}
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LowerError::TooManyRegisters { function } => {
-                write!(f, "function `{function}` exceeds the tape register budget")
-            }
-            LowerError::UnknownVariable { function, name } => {
-                write!(f, "unknown variable `{name}` in function `{function}`")
-            }
-            LowerError::UnsupportedDecl { function, name } => {
-                write!(
-                    f,
-                    "unsupported declaration `{name}` in function `{function}`"
-                )
-            }
-            LowerError::ReturnTagMismatch { function, declared } => {
-                write!(
-                    f,
-                    "function `{function}` can return a value that is not {declared}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for LowerError {}
-
 /// A compiled FPIR program: flat blocks of register ops with explicit
 /// control flow, bit-identical in behavior to the tree-walking
 /// interpreter.
@@ -631,7 +540,8 @@ pub struct Tape {
     name: String,
     arity: usize,
     num_sites: usize,
-    fuel: usize,
+    /// Set in place by [`IrProgram::with_fuel`], which never lowers again.
+    pub(crate) fuel: usize,
     entry: usize,
     funcs: Vec<TapeFunc>,
     blocks: Vec<TapeBlock>,
@@ -1089,15 +999,26 @@ fn exec_op(op: &Op, frame: &mut [u64]) {
     }
 }
 
-/// Lowers an instrumented program to its instruction tape.
+/// Lowers `program` to its instruction tape again. [`IrProgram::new`]
+/// already holds the tape every backend shares, so no product code calls
+/// this; the end-to-end benchmark harness (`perfbench/`) times it.
 ///
 /// # Errors
 ///
-/// Returns a [`LowerError`] when the module uses something the tape cannot
-/// mirror statically (see the variant docs); callers should treat that as
-/// "stay on the interpreter", not as a failure.
-pub fn lower(program: &IrProgram) -> Result<Tape, LowerError> {
-    let inst = program.instrumented();
+/// None for a program that exists: [`IrProgram::new`] lowered it already.
+pub fn lower(program: &IrProgram) -> Result<Tape, CompileError> {
+    lower_module(program.instrumented(), program.fuel())
+}
+
+/// Lowers an instrumented module to its instruction tape with the given
+/// step fuel.
+///
+/// # Errors
+///
+/// A [`CompileError`] of kind [`ErrorKind::Lower`] when a function needs
+/// more than 65,536 registers, or when an unchecked module has what type
+/// checking rules out (see the module docs).
+pub(crate) fn lower_module(inst: &InstrumentedModule, fuel: usize) -> Result<Tape, CompileError> {
     let module = &inst.module;
     let mut func_ids: HashMap<&str, u32> = HashMap::new();
     for (index, func) in module.functions.iter().enumerate() {
@@ -1107,45 +1028,32 @@ pub fn lower(program: &IrProgram) -> Result<Tape, LowerError> {
         func_ids.entry(func.name.as_str()).or_insert(index as u32);
     }
     let entry = func_ids[inst.entry.as_str()] as usize;
+    let entry_fn = &module.functions[entry];
     // Inputs enter as `double` registers; the instrumentation pass admits
     // no other entry parameter.
-    if let Some(param) = module.functions[entry]
-        .params
-        .iter()
-        .find(|p| p.ty != Ty::Double)
-    {
-        return Err(LowerError::UnsupportedDecl {
-            function: inst.entry.clone(),
-            name: param.name.clone(),
-        });
+    if let Some(param) = entry_fn.params.iter().find(|p| p.ty != Ty::Double) {
+        return Err(lower_error(
+            entry_fn,
+            format!("entry parameter `{}` is not a double", param.name),
+        ));
     }
     let mut blocks = Vec::new();
     let mut ops = Vec::new();
     let mut funcs = Vec::with_capacity(module.functions.len());
-    let mut mismatched = Vec::with_capacity(module.functions.len());
     for func in &module.functions {
-        let (lowered, mismatch) =
-            FuncLowerer::lower_function(module, &func_ids, func, &mut blocks, &mut ops)?;
-        funcs.push(lowered);
-        mismatched.push(mismatch);
-    }
-    // A return tag matters only where a call site reads it.
-    for block in &blocks {
-        if let Term::Call { func, .. } = block.term {
-            if mismatched[func as usize] {
-                let callee = &module.functions[func as usize];
-                return Err(LowerError::ReturnTagMismatch {
-                    function: callee.name.clone(),
-                    declared: callee.ret,
-                });
-            }
-        }
+        funcs.push(FuncLowerer::lower_function(
+            module,
+            &func_ids,
+            func,
+            &mut blocks,
+            &mut ops,
+        )?);
     }
     Ok(Tape {
         name: inst.entry.clone(),
-        arity: program.arity(),
+        arity: entry_fn.params.len(),
         num_sites: inst.num_sites(),
-        fuel: program.fuel(),
+        fuel,
         entry,
         funcs,
         blocks,
@@ -1153,15 +1061,24 @@ pub fn lower(program: &IrProgram) -> Result<Tape, LowerError> {
     })
 }
 
+/// A lowering failure in `func`.
+fn lower_error(func: &FunctionDef, message: impl std::fmt::Display) -> CompileError {
+    CompileError::at(
+        ErrorKind::Lower,
+        func.line,
+        format!("function `{}`: {message}", func.name),
+    )
+}
+
 /// The tag of `param` of `func`. A `void` parameter (which type checking
 /// rejects) would keep its argument's tag in the interpreter, so it has
 /// none.
-fn param_tag(func: &FunctionDef, param: &Param) -> Result<Tag, LowerError> {
+fn param_tag(func: &FunctionDef, param: &Param) -> Result<Tag, CompileError> {
     match param.ty {
-        Ty::Void => Err(LowerError::UnsupportedDecl {
-            function: func.name.clone(),
-            name: param.name.clone(),
-        }),
+        Ty::Void => Err(lower_error(
+            func,
+            format!("parameter `{}` is void", param.name),
+        )),
         ty => Ok(Tag::of(ty)),
     }
 }
@@ -1169,7 +1086,7 @@ fn param_tag(func: &FunctionDef, param: &Param) -> Result<Tag, LowerError> {
 /// Per-function lowering state.
 struct FuncLowerer<'m, 'b> {
     module: &'m Module,
-    func_name: &'m str,
+    func: &'m FunctionDef,
     func_ids: &'b HashMap<&'m str, u32>,
     blocks: &'b mut Vec<TapeBlock>,
     ops: &'b mut Vec<Op>,
@@ -1184,28 +1101,24 @@ struct FuncLowerer<'m, 'b> {
     folded: Vec<bool>,
     /// Which registers are expression temporaries: one writer, one reader.
     temp: Vec<bool>,
-    /// The tag every `return` must hand the caller.
+    /// The tag every `return` hands the caller.
     ret_tag: Tag,
-    /// Blocks that end in a `return` of another tag.
-    mismatched_returns: Vec<usize>,
     current: usize,
 }
 
 impl<'m, 'b> FuncLowerer<'m, 'b> {
-    /// Lowers `func` onto the shared block and op lists. Also returns
-    /// whether a `return` of a tag other than the declared one is
-    /// reachable.
+    /// Lowers `func` onto the shared block and op lists.
     fn lower_function(
         module: &'m Module,
         func_ids: &'b HashMap<&'m str, u32>,
         func: &'m FunctionDef,
         blocks: &'b mut Vec<TapeBlock>,
         ops: &'b mut Vec<Op>,
-    ) -> Result<(TapeFunc, bool), LowerError> {
+    ) -> Result<TapeFunc, CompileError> {
         let entry_block = blocks.len();
         let mut lowerer = FuncLowerer {
             module,
-            func_name: &func.name,
+            func,
             func_ids,
             blocks,
             ops,
@@ -1216,7 +1129,6 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
             folded: Vec::new(),
             temp: Vec::new(),
             ret_tag: Tag::of(func.ret),
-            mismatched_returns: Vec::new(),
             current: entry_block,
         };
         let entry = lowerer.new_block();
@@ -1227,50 +1139,25 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
             lowerer.symbols.push((&param.name, reg));
         }
         lowerer.lower_ast_block(&func.body)?;
-        // Falling off the end of a function returns "no value" (the caller
-        // substitutes 0.0), exactly like the interpreter's `Flow::Normal`.
-        lowerer.lower_return(None);
-        let mismatch = lowerer.reaches_a_mismatched_return(entry_block);
-        Ok((
-            TapeFunc {
-                name: func.name.clone(),
-                num_params: func.params.len(),
-                tags: lowerer.tags,
-                init: lowerer.init,
-                entry_block,
-            },
-            mismatch,
-        ))
+        // Falling off the end returns the declared type's zero, exactly
+        // like the interpreter's `Flow::Normal`.
+        lowerer.lower_return(None)?;
+        Ok(TapeFunc {
+            name: func.name.clone(),
+            num_params: func.params.len(),
+            tags: lowerer.tags,
+            init: lowerer.init,
+            entry_block,
+        })
     }
 
-    /// Whether a block in `mismatched_returns` is reachable from the
-    /// function's entry. Lowering leaves a block after every `return`,
-    /// so most functions end in a dead fall-off block.
-    fn reaches_a_mismatched_return(&self, entry_block: usize) -> bool {
-        if self.mismatched_returns.is_empty() {
-            return false;
-        }
-        let mut seen = vec![false; self.blocks.len() - entry_block];
-        let mut stack = vec![entry_block];
-        seen[0] = true;
-        while let Some(block) = stack.pop() {
-            if self.mismatched_returns.contains(&block) {
-                return true;
-            }
-            for next in self.blocks[block].term.successors().into_iter().flatten() {
-                if !std::mem::replace(&mut seen[next - entry_block], true) {
-                    stack.push(next);
-                }
-            }
-        }
-        false
-    }
-
-    fn alloc_reg(&mut self, tag: Tag, temp: bool) -> Result<u16, LowerError> {
+    fn alloc_reg(&mut self, tag: Tag, temp: bool) -> Result<u16, CompileError> {
+        // Registers are `u16` indices: 65,536 per function.
         let Ok(reg) = u16::try_from(self.init.len()) else {
-            return Err(LowerError::TooManyRegisters {
-                function: self.func_name.to_string(),
-            });
+            return Err(lower_error(
+                self.func,
+                "needs more than 65,536 registers, the limit per function",
+            ));
         };
         self.tags.push(tag);
         self.init.push(0);
@@ -1332,7 +1219,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     }
 
     /// A folded constant of `tag` with the given bits.
-    fn constant(&mut self, tag: Tag, bits: u64) -> Result<u16, LowerError> {
+    fn constant(&mut self, tag: Tag, bits: u64) -> Result<u16, CompileError> {
         let dst = self.alloc_reg(tag, true)?;
         self.init[dst as usize] = bits;
         self.folded[dst as usize] = true;
@@ -1341,7 +1228,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
 
     /// `src` read at `tag`: `src` itself, or a temporary holding its
     /// conversion — the interpreter's `as_f64`/`as_i64`.
-    fn convert(&mut self, src: u16, tag: Tag) -> Result<u16, LowerError> {
+    fn convert(&mut self, src: u16, tag: Tag) -> Result<u16, CompileError> {
         if self.tag(src) == tag {
             return Ok(src);
         }
@@ -1379,14 +1266,14 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         self.blocks[self.current].term = term;
     }
 
-    /// Terminates the current block with a `return`, noting a tag other
-    /// than the declared one.
-    fn lower_return(&mut self, value: Option<u16>) {
-        let tag = value.map_or(Tag::Double, |reg| self.tag(reg));
-        if tag != self.ret_tag {
-            self.mismatched_returns.push(self.current);
-        }
+    /// Terminates the current block with a `return` of `value` coerced to
+    /// the declared return tag; no value is that tag's zero.
+    fn lower_return(&mut self, value: Option<u16>) -> Result<(), CompileError> {
+        let value = value
+            .map(|reg| self.convert(reg, self.ret_tag))
+            .transpose()?;
         self.terminate(Term::Return { value });
+        Ok(())
     }
 
     /// A conditional branch on the truth of `cond`.
@@ -1405,19 +1292,16 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         }
     }
 
-    fn lookup(&self, name: &str) -> Result<u16, LowerError> {
+    fn lookup(&self, name: &str) -> Result<u16, CompileError> {
         self.symbols
             .iter()
             .rev()
             .find(|(n, _)| *n == name)
             .map(|&(_, reg)| reg)
-            .ok_or_else(|| LowerError::UnknownVariable {
-                function: self.func_name.to_string(),
-                name: name.to_string(),
-            })
+            .ok_or_else(|| lower_error(self.func, format!("unknown variable `{name}`")))
     }
 
-    fn lower_ast_block(&mut self, block: &'m AstBlock) -> Result<(), LowerError> {
+    fn lower_ast_block(&mut self, block: &'m AstBlock) -> Result<(), CompileError> {
         self.scopes.push(self.symbols.len());
         for stmt in &block.stmts {
             self.lower_stmt(stmt)?;
@@ -1427,7 +1311,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &'m Stmt) -> Result<(), LowerError> {
+    fn lower_stmt(&mut self, stmt: &'m Stmt) -> Result<(), CompileError> {
         // `exec_stmt` burns one step on entry, before dispatch.
         self.add_cost(1);
         match stmt {
@@ -1436,10 +1320,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                     Ty::Int => Tag::Int,
                     Ty::Double => Tag::Double,
                     Ty::Void => {
-                        return Err(LowerError::UnsupportedDecl {
-                            function: self.func_name.to_string(),
-                            name: name.clone(),
-                        })
+                        return Err(lower_error(self.func, format!("variable `{name}` is void")))
                     }
                 };
                 let dst = self.alloc_reg(tag, false)?;
@@ -1511,7 +1392,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
                     Some(expr) => Some(self.lower_expr(expr)?),
                     None => None,
                 };
-                self.lower_return(reg);
+                self.lower_return(reg)?;
                 // Anything lowered after a return lands in an unreachable
                 // continuation block.
                 let next = self.new_block();
@@ -1536,7 +1417,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         site: Option<u32>,
         on_true: usize,
         on_false: usize,
-    ) -> Result<(), LowerError> {
+    ) -> Result<(), CompileError> {
         let term = if let (Some(site), Some((op, lhs, rhs))) = (site, as_comparison(cond)) {
             let lhs = self.lower_expr(lhs)?;
             let rhs = self.lower_expr(rhs)?;
@@ -1570,7 +1451,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     /// Lowers an expression, returning the register holding its value.
     /// Charges the interpreter's one-burn-per-node pre-order accounting as
     /// it goes.
-    fn lower_expr(&mut self, expr: &'m Expr) -> Result<u16, LowerError> {
+    fn lower_expr(&mut self, expr: &'m Expr) -> Result<u16, CompileError> {
         self.add_cost(1);
         match expr {
             Expr::Int(value) => self.constant(Tag::Int, *value as u64),
@@ -1624,7 +1505,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
     /// `+ - * /` and comparisons are `int` ops when both operands are
     /// `int` and `double` ops otherwise; `%`, the bitwise operators and
     /// the shifts read both operands as `int`.
-    fn lower_binary(&mut self, op: BinOp, l: u16, r: u16) -> Result<u16, LowerError> {
+    fn lower_binary(&mut self, op: BinOp, l: u16, r: u16) -> Result<u16, CompileError> {
         let both_int = self.tag(l) == Tag::Int && self.tag(r) == Tag::Int;
         let operand_tag = match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Cmp(_) if !both_int => {
@@ -1671,7 +1552,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         lhs: &'m Expr,
         rhs: &'m Expr,
         is_and: bool,
-    ) -> Result<u16, LowerError> {
+    ) -> Result<u16, CompileError> {
         let l = self.lower_expr(lhs)?;
         let dst = self.alloc_reg(Tag::Int, false)?;
         let rhs_bb = self.new_block();
@@ -1700,7 +1581,7 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         Ok(dst)
     }
 
-    fn lower_call(&mut self, name: &'m str, args: &'m [Expr]) -> Result<u16, LowerError> {
+    fn lower_call(&mut self, name: &'m str, args: &'m [Expr]) -> Result<u16, CompileError> {
         let mut arg_regs = Vec::with_capacity(args.len());
         for arg in args {
             arg_regs.push(self.lower_expr(arg)?);
@@ -1721,10 +1602,10 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
             // Under-applied builtin: the interpreter would panic indexing
             // the argument slice; type checking rejects this, so refuse to
             // lower rather than invent a behavior.
-            return Err(LowerError::UnknownVariable {
-                function: self.func_name.to_string(),
-                name: name.to_string(),
-            });
+            return Err(lower_error(
+                self.func,
+                format!("too few arguments to `{name}`"),
+            ));
         }
         let Some(&func) = self.func_ids.get(name) else {
             // Unknown call target: arguments evaluate (and burn), then the
@@ -1738,10 +1619,10 @@ impl<'m, 'b> FuncLowerer<'m, 'b> {
         let callee = &self.module.functions[func as usize];
         if arg_regs.len() < callee.params.len() {
             // The interpreter would panic reading the missing argument.
-            return Err(LowerError::UnknownVariable {
-                function: self.func_name.to_string(),
-                name: name.to_string(),
-            });
+            return Err(lower_error(
+                self.func,
+                format!("too few arguments to `{name}`"),
+            ));
         }
         // The interpreter coerces each argument to its parameter's type.
         let mut call_args = Vec::with_capacity(callee.params.len());
@@ -1832,18 +1713,16 @@ impl ExecBackend for TapeBackend {
     }
 }
 
-/// Builds the backend [`IrProgram::backend`] hands out: `None` for
-/// [`BackendMode::Interp`], the program's tape for `Auto` (or `None` when
-/// lowering bails, which transparently keeps the interpreter).
+/// Builds the backend [`IrProgram::backend`] hands out: the program's
+/// tape for [`BackendMode::Auto`], `None` (the interpreter oracle) for
+/// `Interp`.
 pub(crate) fn program_backend(
     program: &IrProgram,
     mode: BackendMode,
 ) -> Option<Box<dyn ExecBackend>> {
     match mode {
         BackendMode::Interp => None,
-        BackendMode::Auto => program
-            .tape()
-            .map(|tape| Box::new(TapeBackend::shared(tape)) as Box<dyn ExecBackend>),
+        BackendMode::Auto => Some(Box::new(TapeBackend::shared(Arc::clone(program.tape())))),
     }
 }
 
@@ -1851,6 +1730,7 @@ pub(crate) fn program_backend(
 mod tests {
     use super::*;
     use crate::compile;
+    use crate::interp::DEFAULT_FUEL;
     use coverme_runtime::{BranchId, InterpBackend, RunOutcome, DEFAULT_EPSILON};
 
     /// Runs `program` both ways on `input` in observe mode and asserts the
@@ -2473,10 +2353,10 @@ mod tests {
     }
 
     #[test]
-    fn an_int_helper_that_can_fall_off_its_end_keeps_the_interpreter() {
-        // Falling off `pick` returns `double` 0.0, not `int` 0: at
-        // x = -1 the interpreter computes 0.0 * -1 = -0.0 and 1.0 / -0.0
-        // = -inf, where an `int` 0 would give +inf. No static tag fits.
+    fn an_int_helper_that_can_fall_off_its_end_lowers() {
+        // Falling off `pick` returns the `int` 0, so at x = -1 the product
+        // is the `int` 0 and 1.0 / 0 is +inf: the site goes false. A
+        // `double` 0.0 would give -0.0 and -inf.
         let p = compile(
             r#"
             int pick(double a) { if (a > 0.0) { return 1; } }
@@ -2488,27 +2368,18 @@ mod tests {
             "f",
         )
         .unwrap();
-        assert_eq!(
-            lower(&p).unwrap_err(),
-            LowerError::ReturnTagMismatch {
-                function: "pick".to_string(),
-                declared: Ty::Int,
-            }
-        );
-        assert!(p.backend(BackendMode::Auto).is_none());
-        assert_eq!(
-            p.fingerprint(),
-            coverme_runtime::native_fingerprint("f", 1, p.num_sites())
-        );
+        assert_eq!(p.backend(BackendMode::Auto).unwrap().name(), "tape");
         let mut ctx = ExecCtx::observe();
         p.execute(&[-1.0], &mut ctx);
         let site = ctx.trace().last().expect("the site reports").branch();
-        assert_eq!(site, BranchId::true_of(1));
+        assert_eq!(site, BranchId::false_of(1));
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 30);
     }
 
     #[test]
-    fn a_double_function_returning_an_int_keeps_the_interpreter() {
-        // `half(1.0)` is the `int` 1, so `half(1.0) / 2` is the `int` 0.
+    fn a_double_function_returning_an_int_lowers() {
+        // `half(1.0)` returns the `int` 1 coerced to the `double` 1.0, so
+        // `half(1.0) / 2` is 0.5, not the `int` 0.
         let source = r#"
             double half(double a) { if (a > 0.0) { return 1; } return a / 2.0; }
             double f(double x) {
@@ -2517,26 +2388,63 @@ mod tests {
             }
             "#;
         let p = compile(source, "f").unwrap();
-        assert_eq!(
-            lower(&p).unwrap_err(),
-            LowerError::ReturnTagMismatch {
-                function: "half".to_string(),
-                declared: Ty::Double,
-            }
-        );
-        assert!(p.backend(BackendMode::Auto).is_none());
+        let listing = lower(&p).unwrap().to_string();
+        assert!(listing.contains("const.f 1.0"), "{listing}");
         let mut ctx = ExecCtx::observe();
         p.execute(&[1.0], &mut ctx);
-        assert!(ctx.covered().contains(BranchId::false_of(1)));
-        // An entry function's own value is never read: returning an `int`
-        // from it is no reason to leave the tape.
+        assert!(ctx.covered().contains(BranchId::true_of(1)));
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 30);
+        // An `int` expression returned from a `double` entry converts too.
         let entry = compile(
-            "double f(double x) { if (x > 0.0) { return 1; } return x; }",
+            "double f(double x) { if (x > 0.0) { return high_word(x); } return x; }",
             "f",
         )
         .unwrap();
-        assert!(lower(&entry).is_ok());
+        assert!(lower(&entry).unwrap().to_string().contains("itof"));
         assert_agrees_at_every_fuel(&entry, &edge_inputs(1), 10);
+    }
+
+    #[test]
+    fn a_read_void_helper_is_the_double_zero() {
+        // Type checking rejects reading a `void` call; the interpreter
+        // reads it as the `double` 0.0, so 0.0 * -1 is -0.0 and the site
+        // sees -inf.
+        let p = compile_unchecked(
+            r#"
+            void touch(double a) {
+                if (a < -1.0) { return; }
+                double z = a * 2.0;
+                if (z > 3.0) { z = 3.0; }
+            }
+            double f(double x) {
+                if (1.0 / (touch(x) * -1) < 0.0) { return 1.0; }
+                return 0.0;
+            }
+            "#,
+            "f",
+        );
+        let mut ctx = ExecCtx::observe();
+        p.execute(&[-2.0], &mut ctx);
+        let site = ctx.trace().last().expect("the site reports").branch();
+        assert_eq!(site, BranchId::true_of(2));
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 40);
+    }
+
+    #[test]
+    fn a_function_needing_more_than_65536_registers_does_not_compile() {
+        // Each declaration takes two registers: the folded constant and
+        // the variable. With the parameter that is 65,537.
+        let body: String = (0..32_768)
+            .map(|i| format!("double a{i} = 1.0;\n"))
+            .collect();
+        let source = format!("double f(double x) {{\n{body}return x;\n}}");
+        let error = compile(&source, "f").unwrap_err();
+        assert_eq!(error.kind, ErrorKind::Lower);
+        assert!(error.message.contains("65,536 registers"), "{error}");
+        assert!(error.message.contains("`f`"), "{error}");
+        // One declaration fewer fits.
+        let fits = source.replacen("double a0 = 1.0;\n", "", 1);
+        assert!(compile(&fits, "f").is_ok());
     }
 
     #[test]
@@ -2579,10 +2487,10 @@ mod tests {
 
     #[test]
     fn generated_programs_never_fall_back() {
+        // `compile` lowers, so a program that did not lower would fail it.
         for seed in 0..500 {
             let source = crate::generate::generate_source(seed);
-            let p = compile(&source, crate::generate::ENTRY_NAME).unwrap();
-            if let Err(error) = lower(&p) {
+            if let Err(error) = compile(&source, crate::generate::ENTRY_NAME) {
                 panic!("seed {seed}: {error}\n{source}");
             }
         }
@@ -2595,12 +2503,21 @@ mod tests {
             "f",
         )
         .unwrap();
-        let tape = p.tape().expect("lowers");
-        assert!(Arc::ptr_eq(&tape, &p.tape().unwrap()));
-        assert!(Arc::ptr_eq(&tape, &p.clone().tape().unwrap()));
+        let tape = Arc::clone(p.tape());
+        assert!(Arc::ptr_eq(&tape, p.clone().tape()));
         assert_eq!(p.fingerprint(), tape.fingerprint64());
+        // A shared tape is copied, not lowered again, to change its fuel.
         let starved = p.clone().with_fuel(7);
-        assert_eq!(starved.tape().unwrap().fuel(), 7);
+        assert_eq!(starved.tape().fuel(), 7);
+        assert_eq!(p.fuel(), DEFAULT_FUEL);
         assert_ne!(starved.fingerprint(), p.fingerprint());
+        let relisted = starved.tape().to_string();
+        assert_eq!(relisted, tape.to_string().replace("fuel=100000", "fuel=7"));
+        // A tape nobody else holds changes in place.
+        drop(tape);
+        let at = Arc::as_ptr(p.tape());
+        let refueled = p.with_fuel(9);
+        assert_eq!(Arc::as_ptr(refueled.tape()), at);
+        assert_eq!(refueled.fuel(), 9);
     }
 }

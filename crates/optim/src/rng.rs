@@ -52,14 +52,6 @@ impl SplitMix64 {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Returns a standard normal deviate using the Box–Muller transform.
-    pub fn gaussian(&mut self) -> f64 {
-        // Avoid log(0) by nudging u1 away from zero.
-        let u1 = self.next_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// Returns a uniformly chosen index in `[0, n)`.
     ///
     /// # Panics
@@ -125,17 +117,6 @@ mod tests {
     fn uniform_rejects_empty_range() {
         let mut rng = SplitMix64::new(1);
         let _ = rng.uniform(2.0, 2.0);
-    }
-
-    #[test]
-    fn gaussian_has_plausible_moments() {
-        let mut rng = SplitMix64::new(2024);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.03, "mean {mean} too far from 0");
-        assert!((var - 1.0).abs() < 0.05, "variance {var} too far from 1");
     }
 
     #[test]

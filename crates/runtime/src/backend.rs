@@ -7,13 +7,13 @@
 //! the same execution on the backend's own eager representing context:
 //!
 //! * [`InterpBackend`] calls [`Program::execute`] (whatever executor the
-//!   program embeds — the fdlibm ports run native Rust, `coverme-fpir`
-//!   programs run their tree-walking interpreter). Works for every
+//!   program embeds — the fdlibm ports run native Rust). Works for every
 //!   program.
 //! * A program can provide its own backend through
-//!   [`Program::backend`] — the FPIR front end
-//!   lowers its AST to a flat instruction tape and returns a tape backend
-//!   that runs the tape instead of walking the tree.
+//!   [`Program::backend`] — every FPIR program is lowered to a flat
+//!   instruction tape and returns a tape backend that runs it. Its
+//!   tree-walking interpreter is reached only under
+//!   [`BackendMode::Interp`], as the differential tests' oracle.
 //!
 //! Whatever the backend, the contract is **bit-exactness**: values,
 //! coverage, traces and [`RunOutcome`] classification must be
@@ -40,40 +40,22 @@ use crate::context::{ExecCtx, RunOutcome};
 use crate::program::Program;
 
 /// Which execution backend an evaluation pipeline should use.
+///
+/// No product path sets it: every search runs [`Auto`](Self::Auto), and
+/// [`Interp`](Self::Interp) is the oracle switch of the differential tests
+/// and the `objective_engine` bench. The end-to-end benchmark harness
+/// (`perfbench/`) links the type and [`Program::backend`] by name; the
+/// benchmark-archetype change deletes both and gives the tests an
+/// interpreter switch of their own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendMode {
     /// Let the program pick: programs that carry a compiled form (the FPIR
-    /// tape) use it, everything else runs the interpreter/native backend.
+    /// tape) use it, everything else runs [`Program::execute`].
     #[default]
     Auto,
-    /// Force the historical backend: [`Program::execute`] per evaluation.
-    /// Every program supports this.
+    /// Force [`Program::execute`] per evaluation, which for FPIR programs
+    /// is the tree-walking interpreter. Every program supports this.
     Interp,
-}
-
-impl BackendMode {
-    /// Stable lowercase label (CLI flags, JSON artifacts).
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendMode::Auto => "auto",
-            BackendMode::Interp => "interp",
-        }
-    }
-
-    /// Parses a CLI-style label (the inverse of [`label`](Self::label)).
-    pub fn parse(s: &str) -> Option<BackendMode> {
-        match s {
-            "auto" => Some(BackendMode::Auto),
-            "interp" => Some(BackendMode::Interp),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BackendMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// A single-variant instruction-set type of the deleted lane kernels. No
@@ -307,17 +289,6 @@ mod tests {
                 // target
             }
         })
-    }
-
-    #[test]
-    fn mode_labels_round_trip() {
-        for mode in [BackendMode::Auto, BackendMode::Interp] {
-            assert_eq!(BackendMode::parse(mode.label()), Some(mode));
-            assert_eq!(mode.to_string(), mode.label());
-        }
-        assert_eq!(BackendMode::parse("nope"), None);
-        assert_eq!(BackendMode::parse("tape"), None);
-        assert_eq!(BackendMode::default(), BackendMode::Auto);
     }
 
     #[test]

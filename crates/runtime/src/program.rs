@@ -49,10 +49,12 @@ pub trait Program {
     /// Offers a program-specific [`ExecBackend`] for the requested mode.
     ///
     /// Returning `None` (the default) means "run me through the generic
-    /// interpreter backend" — [`Program::execute`] per evaluation.
-    /// Programs that carry a compiled form (the FPIR instruction tape)
-    /// return their own backend for [`BackendMode::Auto`]; whatever is
-    /// returned must be observably bit-identical to [`Program::execute`].
+    /// backend" — [`Program::execute`] per evaluation. Programs that carry
+    /// a compiled form (the FPIR instruction tape) return their own backend
+    /// for [`BackendMode::Auto`]; whatever is returned must be observably
+    /// bit-identical to [`Program::execute`]. The `mode` parameter stays
+    /// because the end-to-end benchmark harness (`perfbench/`) passes it
+    /// through; see [`BackendMode`].
     fn backend(&self, mode: BackendMode) -> Option<Box<dyn ExecBackend>> {
         let _ = mode;
         None

@@ -27,11 +27,6 @@
 //!   --n-start N          starting points per function (default 80)
 //!   --seed S             campaign master seed (default 42)
 //!   --local METHOD       local minimizer: powell (default), nm, compass, none
-//!   --backend MODE       execution backend: auto (default), interp
-//!                        (native fdlibm ports have no tape, so auto runs
-//!                        interp here — the knob exists for parity with the
-//!                        coverme CLI, whose flags this example shares via
-//!                        coverme_repro::args)
 //!   --json PATH          also write the CampaignReport as JSON to PATH
 //!                        (per-function coverage, evals, timeouts, traps and
 //!                        evals/sec — the artifact the nightly CI job and
@@ -63,7 +58,6 @@ usage: cargo run --release --example fdlibm_campaign -- [options] [names...]
   --n-start N          starting points per function (default 80)
   --seed S             campaign master seed (default 42)
   --local METHOD       local minimizer: powell (default), nm, compass, none
-  --backend MODE       execution backend: auto (default), interp
   --json PATH          also write the CampaignReport as JSON to PATH
                        (atomic: tmp file + rename)
   --help               print this message

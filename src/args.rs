@@ -6,10 +6,7 @@
 //! exit-2-with-usage convention. This module is the single copy both now
 //! share: an [`ArgParser`] that owns the iterator mechanics and the error
 //! convention, a [`CommonOptions`] struct holding every flag the front
-//! ends have in common (including the `--backend auto|interp`
-//! execution-backend knob, plumbed through
-//! [`CoverMeConfig::backend`](coverme::CoverMeConfig)), and the
-//! [`write_json_atomic`] artifact writer.
+//! ends have in common, and the [`write_json_atomic`] artifact writer.
 //!
 //! Front-end-specific flags stay in the front ends: the parser hands back
 //! any argument [`accept_common`](ArgParser::accept_common) does not
@@ -19,10 +16,10 @@
 
 use std::time::Duration;
 
-use coverme::{BackendMode, CoverMeConfig, InfeasiblePolicy, LocalMethod};
+use coverme::{CoverMeConfig, InfeasiblePolicy, LocalMethod};
 
 /// Every option the front ends share, with the front ends' historical
-/// defaults (`n_start` 80, seed 42, unsharded, Powell, auto backend).
+/// defaults (`n_start` 80, seed 42, unsharded, Powell).
 #[derive(Debug, Clone)]
 pub struct CommonOptions {
     /// Starting points per function (`--n-start`).
@@ -33,8 +30,6 @@ pub struct CommonOptions {
     pub shards: usize,
     /// Local minimizer (`--local powell|nm|compass|none`).
     pub local_method: LocalMethod,
-    /// Execution backend (`--backend auto|interp`).
-    pub backend: BackendMode,
     /// Wall-clock budget (`--time-budget SECS`).
     pub time_budget: Option<Duration>,
     /// Infeasibility heuristic (`--infeasible last|all|off`).
@@ -58,7 +53,6 @@ impl Default for CommonOptions {
             seed: 42,
             shards: 1,
             local_method: LocalMethod::Powell,
-            backend: BackendMode::Auto,
             time_budget: None,
             infeasible_policy: InfeasiblePolicy::LastConditional,
             json_path: None,
@@ -78,7 +72,6 @@ impl CommonOptions {
             .with_n_start(self.n_start)
             .with_seed(self.seed)
             .with_local_method(self.local_method)
-            .with_backend(self.backend)
             .with_shards(self.shards)
             .with_infeasible_policy(self.infeasible_policy);
         if let Some(budget) = self.time_budget {
@@ -95,7 +88,6 @@ pub const COMMON_USAGE: &str = "\
   --seed S             master seed (default 42)
   --shards N           shards per function (default 1 = unsharded)
   --local METHOD       local minimizer: powell (default), nm, compass, none
-  --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --time-budget SECS   wall-clock budget in seconds
   --json PATH          write a machine-readable report to PATH (atomic)
@@ -168,14 +160,6 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
                     "none" => LocalMethod::None,
                     other => self.usage_error(&format!("--local got unknown method {other}")),
                 };
-            }
-            "--backend" => {
-                let value = self.value_for("--backend");
-                options.backend = BackendMode::parse(&value).unwrap_or_else(|| {
-                    self.usage_error(&format!(
-                        "--backend got unknown mode {value} (auto, interp)"
-                    ))
-                });
             }
             "--time-budget" => {
                 let secs: f64 = self.parsed("--time-budget");
@@ -316,8 +300,6 @@ mod tests {
             "3",
             "--local",
             "nm",
-            "--backend",
-            "interp",
             "--time-budget",
             "1.5",
             "--infeasible",
@@ -336,7 +318,6 @@ mod tests {
         assert_eq!(options.seed, 7);
         assert_eq!(options.shards, 3);
         assert_eq!(options.local_method, LocalMethod::NelderMead);
-        assert_eq!(options.backend, BackendMode::Interp);
         assert_eq!(options.time_budget, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(options.infeasible_policy, InfeasiblePolicy::Generalized);
         assert_eq!(options.json_path.as_deref(), Some("out.json"));
@@ -382,14 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn search_config_carries_the_backend_knob() {
+    fn search_config_carries_the_shards_and_n_start() {
         let options = CommonOptions {
-            backend: BackendMode::Interp,
             shards: 2,
             ..CommonOptions::default()
         };
         let config = options.search_config();
-        assert_eq!(config.backend, BackendMode::Interp);
         assert_eq!(config.shards, 2);
         assert_eq!(config.n_start, 80);
     }

@@ -5,9 +5,8 @@
 //! front door takes FPIR mini-language files (see `coverme-fpir` and the
 //! checked-in corpus in `examples/fpir/`) and drives the same search
 //! machinery the library exposes — sharding, the streaming campaign
-//! scheduler, the execution-backend layer
-//! (`--backend auto|interp`), and the persistent corpus store
-//! (`--corpus DIR`, see `coverme::corpus`).
+//! scheduler and the persistent corpus store (`--corpus DIR`, see
+//! `coverme::corpus`). Every FPIR program runs on its lowered tape.
 //!
 //! ```text
 //! coverme run <file.fpir> [options]       test one program
@@ -17,7 +16,7 @@
 //! coverme corpus <ls|stats|gc> [options]  inspect or prune a corpus store
 //! ```
 //!
-//! The common options (`--seed`, `--shards`, `--local`, `--backend`, …)
+//! The common options (`--seed`, `--shards`, `--local`, `--json`, …)
 //! are shared with the `fdlibm_campaign` example through
 //! [`coverme_repro::args`]; subcommand-specific flags are listed in the
 //! usage text below.
@@ -50,12 +49,11 @@ commands:
   corpus <ls|stats|gc>   inspect or prune a corpus store
 options:
   --entry NAME         entry function (run mode only)
-  --fuel N             interpreter step budget per execution (default 100000)
+  --fuel N             step budget per execution (default 100000)
   --n-start N          starting points per function (default 80)
   --seed S             master seed (default 42)
   --shards N           shards per function (default 1 = unsharded)
   --local METHOD       local minimizer: powell (default), nm, compass, none
-  --backend MODE       execution backend: auto (default), interp
   --infeasible POLICY  infeasibility blame: last (default), all, off
   --time-budget SECS   wall-clock budget in seconds
   --json PATH          write a machine-readable report to PATH (atomic)

@@ -623,9 +623,8 @@ fn handle_campaign(server: &Server, request: &JsonValue, writer: &mut impl Write
         base = base.with_budget((pool / inventory.functions().max(1)).max(1));
     }
     let mut config = CampaignConfig::new()
-        .with_base(base)
-        .with_workers(ticket.workers)
-        .with_cancel(ticket.cancel.clone());
+        .with_base(base.with_cancel(ticket.cancel.clone()))
+        .with_workers(ticket.workers);
     if let Some(store) = &server.options.corpus {
         config = config.with_corpus(Arc::clone(store));
     }
