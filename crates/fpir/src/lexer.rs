@@ -125,7 +125,9 @@ impl<'a> Lexer<'a> {
     /// Returns a [`CompileError`] on the first unrecognized character or
     /// malformed literal.
     pub fn tokenize(mut self) -> Result<Vec<Token>, CompileError> {
-        let mut tokens = Vec::new();
+        // About one token per four source bytes: sized once, the vector
+        // is not regrown and copied as it fills.
+        let mut tokens = Vec::with_capacity(self.src.len() / 4);
         loop {
             let token = self.next_token()?;
             let is_eof = token.kind == TokenKind::Eof;

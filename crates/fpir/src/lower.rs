@@ -83,6 +83,31 @@
 //! Variables, parameters, call results and `&&`/`||` results are neither
 //! folded nor retargeted: they can have several writers.
 //!
+//! Once every function is lowered, three passes run once over the whole
+//! tape, each in time linear in it (liveness sweeps a loop once more per
+//! level of loop nesting):
+//!
+//! * **Dead-op elimination.** A backward register liveness pass per
+//!   function drops every op whose `dst` no later op or terminator reads
+//!   (site and truth operands, call arguments, return values; a call's
+//!   `dst` is written at its return), and every copy of a register onto
+//!   itself. A dropped op reads nothing, so what fed only dead ops goes
+//!   too. This is exact because ops are pure and total: a value nobody
+//!   reads changes nothing. Sites, calls, returns, traps and every
+//!   block's `cost` stay.
+//! * **Superblocks.** A block ending in a jump takes in the jump's
+//!   target: its ops are appended, the costs add and the target's
+//!   terminator is taken over. It merges a target that has no other way
+//!   in, and copies one of at most a few ops (so empty and cost-only
+//!   blocks go, and a loop's header is copied into the latch that jumps
+//!   back to it). This is exact by burn folding: between the two block
+//!   headers lies no observable event, so one check of the summed cost at
+//!   the first header trips in exactly the runs where one of the two
+//!   checks would, before the same observable.
+//! * **Compaction.** Blocks nothing reaches any more are dropped and the
+//!   rest renumbered, so the block count and the listing (and with it the
+//!   fingerprint) show what runs.
+//!
 //! Every frame starts as a copy of its function's image. [`TapeBackend`]
 //! keeps one register file and frame stack across executions, cleared but
 //! not freed, so a search's millions of runs do not allocate.
@@ -501,6 +526,68 @@ enum Term {
     Return { value: Option<u16> },
     /// Abort the run as a trap (statically-unresolvable call target).
     Trap,
+}
+
+impl Term {
+    /// The blocks control can go to next in this frame: a call's return
+    /// block, not the callee.
+    fn targets(&self) -> impl Iterator<Item = usize> {
+        let (first, second) = match *self {
+            Term::Jump(target) | Term::Call { ret: target, .. } => (Some(target), None),
+            Term::FSite {
+                on_true, on_false, ..
+            }
+            | Term::ISite {
+                on_true, on_false, ..
+            }
+            | Term::FTruth {
+                on_true, on_false, ..
+            }
+            | Term::ITruth {
+                on_true, on_false, ..
+            } => (Some(on_true), Some(on_false)),
+            Term::Return { .. } | Term::Trap => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Replaces each target `b` by `map(b)`.
+    fn retarget(&mut self, map: impl Fn(usize) -> usize) {
+        match self {
+            Term::Jump(target) | Term::Call { ret: target, .. } => *target = map(*target),
+            Term::FSite {
+                on_true, on_false, ..
+            }
+            | Term::ISite {
+                on_true, on_false, ..
+            }
+            | Term::FTruth {
+                on_true, on_false, ..
+            }
+            | Term::ITruth {
+                on_true, on_false, ..
+            } => {
+                *on_true = map(*on_true);
+                *on_false = map(*on_false);
+            }
+            Term::Return { .. } | Term::Trap => {}
+        }
+    }
+
+    /// Calls `read` on each register the terminator reads. A call's `dst`
+    /// is not read: it is written when the callee returns.
+    fn for_each_read(&self, mut read: impl FnMut(u16)) {
+        match self {
+            Term::FSite { lhs, rhs, .. } | Term::ISite { lhs, rhs, .. } => {
+                read(*lhs);
+                read(*rhs);
+            }
+            Term::FTruth { cond, .. } | Term::ITruth { cond, .. } => read(*cond),
+            Term::Call { args, .. } => args.iter().for_each(|&arg| read(arg)),
+            Term::Return { value } => value.iter().for_each(|&reg| read(reg)),
+            Term::Jump(_) | Term::Trap => {}
+        }
+    }
 }
 
 /// A basic block: a fused fuel burn, straight-line ops, one terminator.
@@ -1049,6 +1136,7 @@ pub(crate) fn lower_module(inst: &InstrumentedModule, fuel: usize) -> Result<Tap
             &mut ops,
         )?);
     }
+    let (blocks, ops) = optimize(&mut funcs, blocks, ops);
     Ok(Tape {
         name: inst.entry.clone(),
         arity: entry_fn.params.len(),
@@ -1059,6 +1147,651 @@ pub(crate) fn lower_module(inst: &InstrumentedModule, fuel: usize) -> Result<Tap
         blocks,
         ops,
     })
+}
+
+/// The largest block, in ops, that a jump into it copies (see
+/// [`build_superblocks`]).
+const DUPLICATE_MAX_OPS: u32 = 8;
+
+/// Runs the three exact passes (see the module docs) over freshly lowered
+/// blocks: dead-op elimination, superblocks, compaction.
+fn optimize(
+    funcs: &mut [TapeFunc],
+    mut blocks: Vec<TapeBlock>,
+    mut ops: Vec<Op>,
+) -> (Vec<TapeBlock>, Vec<Op>) {
+    let mut liveness = Liveness::new(blocks.len(), ops.len());
+    let mut order = Vec::with_capacity(blocks.len());
+    for func in funcs.iter() {
+        liveness.eliminate_dead_ops(func, &mut blocks, &mut ops);
+        order.extend_from_slice(&liveness.order);
+    }
+    let entries: Vec<usize> = funcs.iter().map(|func| func.entry_block).collect();
+    let chains = build_superblocks(&entries, &order, &mut blocks);
+    compact(funcs, blocks, &chains, &ops)
+}
+
+/// A block's state in [`Liveness::walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    New,
+    /// On the walk's stack: an edge to it closes a cycle.
+    Open,
+    Done,
+}
+
+/// How [`Liveness`] tracks a register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// No op or call writes it (a folded constant, say): nothing to drop.
+    Unwritten,
+    /// Written, and read only after a write in the same block: never live
+    /// across a block boundary.
+    Local,
+    /// Read somewhere before a write in the same block: bit `n` of the
+    /// live sets.
+    Bit(u32),
+}
+
+/// An op's registers, read out of the op once by [`Liveness::walk`] so
+/// that the sweeps need not match on it again.
+#[derive(Debug, Clone, Copy, Default)]
+struct Operands {
+    dst: u16,
+    sources: [u16; 2],
+    count: u8,
+}
+
+impl Operands {
+    /// The registers `op` writes and reads.
+    fn of(op: &Op) -> Operands {
+        let (sources, count) = match *op {
+            Op::Zero { .. } | Op::IConst { .. } => ([0, 0], 0),
+            Op::Move { src, .. }
+            | Op::IToF { src, .. }
+            | Op::FToI { src, .. }
+            | Op::IBool { src, .. }
+            | Op::FBool { src, .. }
+            | Op::INot { src, .. }
+            | Op::FNot { src, .. }
+            | Op::INeg { src, .. }
+            | Op::FNeg { src, .. }
+            | Op::IBitNot { src, .. } => ([src, 0], 1),
+            Op::IAdd { lhs, rhs, .. }
+            | Op::ISub { lhs, rhs, .. }
+            | Op::IMul { lhs, rhs, .. }
+            | Op::IDiv { lhs, rhs, .. }
+            | Op::IRem { lhs, rhs, .. }
+            | Op::IAnd { lhs, rhs, .. }
+            | Op::IOr { lhs, rhs, .. }
+            | Op::IXor { lhs, rhs, .. }
+            | Op::IShl { lhs, rhs, .. }
+            | Op::IShr { lhs, rhs, .. }
+            | Op::FAdd { lhs, rhs, .. }
+            | Op::FSub { lhs, rhs, .. }
+            | Op::FMul { lhs, rhs, .. }
+            | Op::FDiv { lhs, rhs, .. }
+            | Op::ICmp { lhs, rhs, .. }
+            | Op::FCmp { lhs, rhs, .. }
+            | Op::Builtin { a: lhs, b: rhs, .. } => ([lhs, rhs], 2),
+        };
+        let mut op = *op;
+        Operands {
+            dst: *op.dst_mut(),
+            sources,
+            count,
+        }
+    }
+
+    fn sources(&self) -> &[u16] {
+        &self.sources[..self.count as usize]
+    }
+}
+
+/// What [`Liveness`] knows of a block.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    visit: Visit,
+    /// An edge to it closes a cycle: it heads a loop.
+    header: bool,
+    /// Its position in its function's order.
+    position: u32,
+    /// The position where the subtree the walk entered at it starts.
+    start: u32,
+}
+
+/// Backward register liveness and dead-op elimination, one function at a
+/// time. The buffers are kept across functions, so a tape allocates them
+/// once.
+#[derive(Default)]
+struct Liveness {
+    nodes: Vec<Node>,
+    /// The function's reachable blocks in postorder of a depth-first walk
+    /// from its entry: each block after every block it reaches, but along
+    /// an edge that closes a cycle.
+    order: Vec<usize>,
+    stack: Vec<(usize, usize)>,
+    /// Per op, its registers.
+    operands: Vec<Operands>,
+    slot: Vec<Slot>,
+    /// `mark[reg] == stamp`: the `Local` register `reg` is live (or, in
+    /// the walk, written) at this point of the block at hand.
+    mark: Vec<u32>,
+    stamp: u32,
+    /// Registers read before a write in their block, with repeats.
+    exposed: Vec<u16>,
+    words: usize,
+    /// Per position, the `Bit` registers live on entry, `words` per block.
+    live_in: Vec<u64>,
+    /// The `Bit` registers live at this point of the block at hand.
+    live: Vec<u64>,
+    /// Per position, whether the block's live-out set is final.
+    settled: Vec<bool>,
+    /// The positions not settled yet, ascending.
+    unsettled: Vec<usize>,
+}
+
+impl Liveness {
+    fn new(num_blocks: usize, num_ops: usize) -> Liveness {
+        let node = Node {
+            visit: Visit::New,
+            header: false,
+            position: 0,
+            start: 0,
+        };
+        Liveness {
+            nodes: vec![node; num_blocks],
+            order: Vec::with_capacity(num_blocks),
+            operands: vec![Operands::default(); num_ops],
+            ..Liveness::default()
+        }
+    }
+
+    /// Drops every op of `func` whose `dst` nothing reads later. Exact
+    /// because ops are pure and total: a value nobody reads changes
+    /// nothing, and the blocks' costs stay. The reads are the sources of
+    /// kept ops and the terminators' operands: site and truth operands,
+    /// call arguments and return values. A call's `dst` is written at its
+    /// return. A copy of a register onto itself goes too.
+    ///
+    /// A dropped op reads nothing, so a chain of ops that feeds only dead
+    /// ops goes too, and so does a loop variable that feeds only itself.
+    ///
+    /// One backward sweep in postorder settles every block whose
+    /// successors were all settled before it: its live-out set is final,
+    /// so it drops at once. That is every block of an acyclic function.
+    /// A block that reaches a loop's back edge waits for the loop's
+    /// header, which comes after the whole loop in postorder; there the
+    /// loop sweeps again without dropping until no live set grows, then
+    /// drops. So a block outside loops is swept once.
+    fn eliminate_dead_ops(&mut self, func: &TapeFunc, blocks: &mut [TapeBlock], ops: &mut [Op]) {
+        let num_regs = func.init.len();
+        self.slot.clear();
+        self.slot.resize(num_regs, Slot::Unwritten);
+        self.mark.clear();
+        self.mark.resize(num_regs, 0);
+        self.exposed.clear();
+        self.order.clear();
+        self.walk(func.entry_block, blocks, ops);
+        let mut bits = 0;
+        for &reg in &self.exposed {
+            let slot = &mut self.slot[reg as usize];
+            if *slot == Slot::Local {
+                *slot = Slot::Bit(bits);
+                bits += 1;
+            }
+        }
+        self.words = (bits as usize).div_ceil(64);
+        let len = self.order.len();
+        self.live_in.clear();
+        self.live_in.resize(len * self.words, 0);
+        self.live.resize(self.words, 0);
+        self.settled.clear();
+        self.settled.resize(len, false);
+        self.unsettled.clear();
+        for index in 0..len {
+            let block = self.order[index];
+            let settled = blocks[block]
+                .term
+                .targets()
+                .all(|target| self.settled[self.nodes[target].position as usize]);
+            self.sweep(index, &mut blocks[block], ops, settled);
+            if settled {
+                self.settled[index] = true;
+                continue;
+            }
+            self.unsettled.push(index);
+            if self.nodes[block].header {
+                // The loop is every unsettled block of the header's
+                // subtree. It settles unless it also waits for another
+                // header, an enclosing loop's.
+                let from = self.nodes[block].start as usize;
+                let first = self.unsettled.partition_point(|&at| at < from);
+                let closed = self.unsettled[first..].iter().all(|&at| {
+                    blocks[self.order[at]].term.targets().all(|target| {
+                        let to = self.nodes[target].position as usize;
+                        self.settled[to] || (from..=index).contains(&to)
+                    })
+                });
+                if closed {
+                    let members = self.unsettled.split_off(first);
+                    self.settle(&members, blocks, ops);
+                }
+            }
+        }
+        // Structured loops leave nothing here (none did over generator
+        // seeds 0-4,999); anything else settles over all of it.
+        let rest = std::mem::take(&mut self.unsettled);
+        self.settle(&rest, blocks, ops);
+        self.unsettled = rest;
+    }
+
+    /// Sweeps the blocks at `members` without dropping until no live set
+    /// grows, then drops. In postorder, only an edge to a loop header can
+    /// lead to a set not yet recomputed in the same sweep, so a sweep in
+    /// which no header's set grew has reached the fixed point.
+    fn settle(&mut self, members: &[usize], blocks: &mut [TapeBlock], ops: &mut [Op]) {
+        let mut changed = !members.is_empty();
+        while changed {
+            changed = false;
+            for &index in members {
+                let block = self.order[index];
+                let grew = self.sweep(index, &mut blocks[block], ops, false);
+                changed |= grew && self.nodes[block].header;
+            }
+        }
+        for &index in members {
+            self.sweep(index, &mut blocks[self.order[index]], ops, true);
+            self.settled[index] = true;
+        }
+    }
+
+    /// Appends the blocks reachable from `entry` to `order` in postorder,
+    /// notes each block's position and subtree start and the loop
+    /// headers, and walks each block forward once to give every register
+    /// its [`Slot`], note each op's [`Operands`] and drop each copy of a
+    /// register onto itself, which does nothing.
+    fn walk(&mut self, entry: usize, blocks: &mut [TapeBlock], ops: &mut [Op]) {
+        self.enter(entry, blocks, ops);
+        while let Some(top) = self.stack.last_mut() {
+            let (block, next) = *top;
+            match blocks[block].term.targets().nth(next) {
+                Some(target) => {
+                    top.1 += 1;
+                    match self.nodes[target].visit {
+                        Visit::New => self.enter(target, blocks, ops),
+                        Visit::Open => self.nodes[target].header = true,
+                        Visit::Done => {}
+                    }
+                }
+                None => {
+                    self.stack.pop();
+                    let node = &mut self.nodes[block];
+                    node.visit = Visit::Done;
+                    node.position = self.order.len() as u32;
+                    self.order.push(block);
+                }
+            }
+        }
+    }
+
+    /// Pushes `block` on the walk's stack and scans it (see [`walk`]).
+    ///
+    /// [`walk`]: Liveness::walk
+    fn enter(&mut self, block: usize, blocks: &mut [TapeBlock], ops: &mut [Op]) {
+        let node = &mut self.nodes[block];
+        node.visit = Visit::Open;
+        node.start = self.order.len() as u32;
+        self.stack.push((block, 0));
+        self.stamp += 1;
+        let Liveness {
+            operands,
+            slot,
+            mark,
+            stamp,
+            exposed,
+            ..
+        } = self;
+        let stamp = *stamp;
+        let block = &mut blocks[block];
+        let mut write = block.start as usize;
+        for read in block.start as usize..block.end as usize {
+            let op = ops[read];
+            if matches!(op, Op::Move { dst, src } if dst == src) {
+                continue;
+            }
+            let regs = Operands::of(&op);
+            for &reg in regs.sources() {
+                if mark[reg as usize] != stamp {
+                    exposed.push(reg);
+                }
+            }
+            mark[regs.dst as usize] = stamp;
+            slot[regs.dst as usize] = Slot::Local;
+            ops[write] = op;
+            operands[write] = regs;
+            write += 1;
+        }
+        block.end = write as u32;
+        block.term.for_each_read(|reg| {
+            if mark[reg as usize] != stamp {
+                exposed.push(reg);
+            }
+        });
+        if let Term::Call { dst, .. } = block.term {
+            slot[dst as usize] = Slot::Local;
+        }
+    }
+
+    /// Walks `block` (at `index` in the order) backward from the union of
+    /// its successors' live-in sets and stores its own; returns whether
+    /// that grew. With `drop`, the block keeps only its live ops, moved to
+    /// the end of its run of `ops`.
+    fn sweep(&mut self, index: usize, block: &mut TapeBlock, ops: &mut [Op], drop: bool) -> bool {
+        self.stamp += 1;
+        let Liveness {
+            nodes,
+            operands,
+            slot,
+            mark,
+            stamp,
+            live_in,
+            live,
+            words,
+            ..
+        } = self;
+        let words = *words;
+        let mut targets = block
+            .term
+            .targets()
+            .map(|target| nodes[target].position as usize * words);
+        let (first, second) = (targets.next(), targets.next());
+        for (word, live) in live.iter_mut().enumerate() {
+            let row = |at: Option<usize>| at.map_or(0, |at| live_in[at + word]);
+            *live = row(first) | row(second);
+        }
+        let mut set = LiveSet {
+            slot,
+            mark,
+            stamp: *stamp,
+            live,
+        };
+        if let Term::Call { dst, .. } = block.term {
+            set.kill(dst);
+        }
+        block.term.for_each_read(|reg| set.gen(reg));
+        let mut write = block.end as usize;
+        for read in (block.start as usize..block.end as usize).rev() {
+            let regs = operands[read];
+            if !set.holds(regs.dst) {
+                continue;
+            }
+            set.kill(regs.dst);
+            for &reg in regs.sources() {
+                set.gen(reg);
+            }
+            if drop {
+                write -= 1;
+                ops[write] = ops[read];
+            }
+        }
+        if drop {
+            block.start = write as u32;
+        }
+        let mut grew = false;
+        for (old, &new) in live_in[index * words..(index + 1) * words]
+            .iter_mut()
+            .zip(live.iter())
+        {
+            grew |= *old != new;
+            *old = new;
+        }
+        grew
+    }
+}
+
+/// The registers live at one point of a block, during [`Liveness::sweep`].
+struct LiveSet<'a> {
+    slot: &'a [Slot],
+    mark: &'a mut [u32],
+    stamp: u32,
+    live: &'a mut [u64],
+}
+
+impl LiveSet<'_> {
+    fn holds(&self, reg: u16) -> bool {
+        match self.slot[reg as usize] {
+            Slot::Unwritten => false,
+            Slot::Local => self.mark[reg as usize] == self.stamp,
+            Slot::Bit(bit) => self.live[bit as usize / 64] & (1 << (bit % 64)) != 0,
+        }
+    }
+
+    /// Adds `reg`: a read.
+    fn gen(&mut self, reg: u16) {
+        match self.slot[reg as usize] {
+            Slot::Unwritten => {}
+            Slot::Local => self.mark[reg as usize] = self.stamp,
+            Slot::Bit(bit) => self.live[bit as usize / 64] |= 1 << (bit % 64),
+        }
+    }
+
+    /// Removes `reg`: a write.
+    fn kill(&mut self, reg: u16) {
+        match self.slot[reg as usize] {
+            Slot::Unwritten => {}
+            Slot::Local => self.mark[reg as usize] = 0,
+            Slot::Bit(bit) => self.live[bit as usize / 64] &= !(1 << (bit % 64)),
+        }
+    }
+}
+
+/// A block's ops during [`build_superblocks`]: a linked list of runs of
+/// `ops`, so that a merge appends a whole block in constant time.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    /// First and last run, `NO_RUN` when the block has no ops.
+    head: usize,
+    tail: usize,
+    len: u32,
+}
+
+/// One nonempty run of `ops` in a [`Chain`].
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    end: u32,
+    next: usize,
+}
+
+const NO_RUN: usize = usize::MAX;
+
+/// The chains of every block, and the runs they link.
+struct Chains {
+    by_block: Vec<Chain>,
+    runs: Vec<Run>,
+}
+
+impl Chains {
+    /// Appends a run to `block`'s chain.
+    fn push(&mut self, block: usize, start: u32, end: u32) {
+        let run = self.runs.len();
+        self.runs.push(Run {
+            start,
+            end,
+            next: NO_RUN,
+        });
+        self.link(block, run, run, end - start);
+    }
+
+    /// Moves `from`'s runs to the end of `block`'s chain.
+    fn append(&mut self, block: usize, from: usize) {
+        let Chain { head, tail, len } = self.by_block[from];
+        if head != NO_RUN {
+            self.link(block, head, tail, len);
+        }
+    }
+
+    /// Appends a copy of `from`'s runs to `block`'s chain.
+    fn copy(&mut self, block: usize, from: usize) {
+        let mut at = self.by_block[from].head;
+        while at != NO_RUN {
+            let Run { start, end, next } = self.runs[at];
+            self.push(block, start, end);
+            at = next;
+        }
+    }
+
+    /// Appends the runs `head..=tail` holding `len` ops to `block`'s chain.
+    fn link(&mut self, block: usize, head: usize, tail: usize, len: u32) {
+        let chain = &mut self.by_block[block];
+        match chain.tail {
+            NO_RUN => chain.head = head,
+            last => self.runs[last].next = head,
+        }
+        chain.tail = tail;
+        chain.len += len;
+    }
+
+    /// The runs of `block`'s chain, in order.
+    fn runs(&self, block: usize) -> impl Iterator<Item = Run> + '_ {
+        let mut at = self.by_block[block].head;
+        std::iter::from_fn(move || {
+            let run = *self.runs.get(at)?;
+            at = run.next;
+            Some(run)
+        })
+    }
+}
+
+/// Builds superblocks over the blocks reachable from `entries`, visited
+/// in `order` (postorder, so a jump's target has mostly taken in its own
+/// successors when the jump considers it). A block ending in a jump takes
+/// in its target, ops appended, costs added, terminator taken over:
+///
+/// * by **merging** when the jump is the target's only way in: the
+///   target is gone, and the block goes on with the target's terminator;
+/// * by **duplication**, once per block, when the target has at most
+///   [`DUPLICATE_MAX_OPS`] ops: the block takes in a copy. This removes
+///   empty and cost-only blocks, and copies a loop's header into the
+///   latch that jumps back to it.
+///
+/// Both are exact under burn folding: between the two block headers lies
+/// no observable event, so one fuel check of the summed cost at the first
+/// header trips in exactly the runs where one of the two checks would,
+/// before the same observable. Linear time: a merge links two chains, and
+/// a block copies at most one chain of at most [`DUPLICATE_MAX_OPS`] ops.
+fn build_superblocks(entries: &[usize], order: &[usize], blocks: &mut [TapeBlock]) -> Chains {
+    let mut chains = Chains {
+        by_block: vec![
+            Chain {
+                head: NO_RUN,
+                tail: NO_RUN,
+                len: 0,
+            };
+            blocks.len()
+        ],
+        runs: Vec::with_capacity(order.len()),
+    };
+    // The ways into each block: jumps and branches of live blocks, plus
+    // the call that enters a function at its entry block.
+    let mut preds = vec![0u32; blocks.len()];
+    for &entry in entries {
+        preds[entry] += 1;
+    }
+    for &block in order {
+        let TapeBlock {
+            start, end, term, ..
+        } = &blocks[block];
+        if start < end {
+            chains.push(block, *start, *end);
+        }
+        for target in term.targets() {
+            preds[target] += 1;
+        }
+    }
+    for &block in order {
+        if preds[block] == 0 {
+            continue;
+        }
+        let mut duplicated = false;
+        while let Term::Jump(target) = blocks[block].term {
+            if target == block {
+                break;
+            }
+            let Some(cost) = blocks[block].cost.checked_add(blocks[target].cost) else {
+                break;
+            };
+            if preds[target] == 1 {
+                chains.append(block, target);
+                blocks[block].term = std::mem::replace(&mut blocks[target].term, Term::Trap);
+                preds[target] = 0;
+            } else if !duplicated && chains.by_block[target].len <= DUPLICATE_MAX_OPS {
+                duplicated = true;
+                chains.copy(block, target);
+                blocks[block].term = blocks[target].term.clone();
+                for next in blocks[block].term.targets() {
+                    preds[next] += 1;
+                }
+                preds[target] -= 1;
+            } else {
+                break;
+            }
+            blocks[block].cost = cost;
+        }
+    }
+    chains
+}
+
+/// Keeps the blocks still reachable from the function entries, in their
+/// old order, and lays their chains out as one contiguous run of ops each.
+fn compact(
+    funcs: &mut [TapeFunc],
+    blocks: Vec<TapeBlock>,
+    chains: &Chains,
+    ops: &[Op],
+) -> (Vec<TapeBlock>, Vec<Op>) {
+    let mut renumber = vec![usize::MAX; blocks.len()];
+    let mut stack: Vec<usize> = funcs.iter().map(|func| func.entry_block).collect();
+    for &entry in &stack {
+        renumber[entry] = 0;
+    }
+    while let Some(block) = stack.pop() {
+        for target in blocks[block].term.targets() {
+            if renumber[target] == usize::MAX {
+                renumber[target] = 0;
+                stack.push(target);
+            }
+        }
+    }
+    let mut kept = 0;
+    for index in renumber.iter_mut().filter(|index| **index == 0) {
+        *index = kept;
+        kept += 1;
+    }
+    let mut new_ops = Vec::with_capacity(ops.len());
+    let mut new_blocks = Vec::with_capacity(kept);
+    for (index, block) in blocks.into_iter().enumerate() {
+        if renumber[index] == usize::MAX {
+            continue;
+        }
+        let start = new_ops.len() as u32;
+        for run in chains.runs(index) {
+            new_ops.extend_from_slice(&ops[run.start as usize..run.end as usize]);
+        }
+        let mut term = block.term;
+        term.retarget(|target| renumber[target]);
+        new_blocks.push(TapeBlock {
+            cost: block.cost,
+            start,
+            end: new_ops.len() as u32,
+            term,
+        });
+    }
+    for func in funcs {
+        func.entry_block = renumber[func.entry_block];
+    }
+    (new_blocks, new_ops)
 }
 
 /// A lowering failure in `func`.
@@ -1946,7 +2679,9 @@ mod tests {
         assert_eq!(blocks.matches(" sqrt ").count(), 1, "{listing}");
         // `x > 0.0 && x < 9.0` is an `int` truth value.
         assert!(listing.contains("itruth"));
-        assert!(listing.contains("jump b"));
+        // Superblocks took in every jump target: the `if`'s join went into
+        // both arms, the loop's header into the blocks that enter it.
+        assert!(!listing.contains("jump"), "{listing}");
         assert!(listing.contains("ret"));
         assert_eq!(listing, tape.to_string());
         assert!(tape.num_blocks() > 4);
@@ -2483,6 +3218,136 @@ mod tests {
             "{listing}"
         );
         assert_agrees_at_every_fuel(&p, &edge_inputs(1), 40);
+    }
+
+    /// The blocks of `program`'s listing, without the register image.
+    fn block_listing(program: &IrProgram) -> String {
+        let listing = lower(program).expect("lowers").to_string();
+        listing[listing.find("b0:").expect("a block")..].to_string()
+    }
+
+    #[test]
+    fn an_unread_value_leaves_no_op() {
+        // `v` and `w` are never read, `y`'s first two values are
+        // overwritten before any read, and `n` feeds only itself.
+        let p = compile(
+            r#"
+            double f(double x) {
+                double v = sin(x);
+                double w = floor(x) * 2.0;
+                double y = x;
+                y = cos(x);
+                y = scalbn(x, 3);
+                int n = 0;
+                while (x < 10.0) { n = n + 1; x = x + 4.0; }
+                if (y > x) { return y; }
+                return 0.0;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let blocks = block_listing(&p);
+        for dead in [" sin ", " floor ", " fmul ", " cos ", " iadd ", "= r0\n"] {
+            assert!(!blocks.contains(dead), "{dead}: {blocks}");
+        }
+        assert!(blocks.contains(" scalbn "), "{blocks}");
+        assert!(blocks.contains(" fadd "), "{blocks}");
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 60);
+    }
+
+    #[test]
+    fn values_read_by_a_site_a_call_a_return_or_a_live_op_are_kept() {
+        let p = compile(
+            r#"
+            double g(double a) { if (a > 0.5) { return a; } return 0.0; }
+            double h(double a) { double e = exp(a); return e; }
+            double f(double x) {
+                double s = sin(x);
+                double c = cos(x);
+                double l = log(x);
+                double t = l * 2.0;
+                if (s < t) { x = g(c); }
+                if (h(x) > 2.0) { return 1.0; }
+                return 0.0;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let blocks = block_listing(&p);
+        for live in [" sin ", " cos ", " exp ", " log ", " fmul "] {
+            assert!(blocks.contains(live), "{live}: {blocks}");
+        }
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 60);
+    }
+
+    #[test]
+    fn a_value_carried_around_a_loop_several_times_stays_live() {
+        // `w` reaches `y`, which is read after the loop, two iterations
+        // after it is written: liveness must sweep the loop more than once.
+        let p = compile(
+            r#"
+            double f(double x) {
+                double y = 0.0;
+                double z = 0.0;
+                double w = 0.0;
+                int i = 0;
+                while (i < 4) { y = z; z = w; w = x * 2.0; i = i + 1; }
+                if (y > 1.0) { return y; }
+                return 0.0;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        assert!(block_listing(&p).contains(" fmul "));
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 100);
+    }
+
+    #[test]
+    fn merged_and_copied_blocks_trip_their_fuel_at_the_same_observable() {
+        // The `if`'s join is small, so each arm takes in a copy; the loop
+        // header is copied into the latch; and what follows the loop has
+        // one way in, so the header's exit takes it in.
+        let p = compile(
+            r#"
+            double f(double x) {
+                double y = x;
+                if (x < 0.0) { y = -x; } else { y = x * 0.5; }
+                while (y < 100.0) { y = y * 3.0 + 1.0; }
+                if (y > x) { return y; }
+                return x;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let blocks = block_listing(&p);
+        assert!(!blocks.contains("jump"), "{blocks}");
+        assert_eq!(blocks.matches("fsite s1 ").count(), 3, "{blocks}");
+        let mut inputs = edge_inputs(1);
+        inputs.extend([vec![99.0], vec![-33.0], vec![100.0]]);
+        assert_agrees_at_every_fuel(&p, &inputs, 120);
+        // A join too large to copy stays a block both arms jump to.
+        let p = compile(
+            r#"
+            double f(double x) {
+                if (x < 0.0) { x = -x; }
+                double a = x * 2.0 + 1.0;
+                double b = a * a - x;
+                double c = b / 3.0 + a * x;
+                double d = sqrt(c) - b * 0.5;
+                if (d > 3.0) { return d; }
+                return a;
+            }
+            "#,
+            "f",
+        )
+        .unwrap();
+        let blocks = block_listing(&p);
+        assert_eq!(blocks.matches("jump").count(), 2, "{blocks}");
+        assert_agrees_at_every_fuel(&p, &edge_inputs(1), 60);
     }
 
     #[test]

@@ -63,12 +63,24 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
+    /// Consumes the token under the cursor. Its slot is never read again,
+    /// so the token moves out; only the final `Eof`, which the cursor
+    /// never passes, is copied.
     fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos].kind.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
+        } else {
+            self.tokens[self.pos].kind.clone()
         }
-        kind
+    }
+
+    /// Consumes the identifier under the cursor, which the caller peeked.
+    fn bump_ident(&mut self) -> String {
+        match self.bump() {
+            TokenKind::Ident(name) => name,
+            other => unreachable!("peeked an identifier, found {other:?}"),
+        }
     }
 
     fn expect(&mut self, expected: &TokenKind, what: &str) -> Result<(), CompileError> {
@@ -115,11 +127,8 @@ impl Parser {
     }
 
     fn parse_ident(&mut self, what: &str) -> Result<String, CompileError> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(name)
-            }
+        match self.peek() {
+            TokenKind::Ident(_) => Ok(self.bump_ident()),
             other => Err(CompileError::at(
                 ErrorKind::Parse,
                 self.line(),
@@ -176,7 +185,7 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::KwDouble | TokenKind::KwInt => {
                 let ty = self.parse_type()?;
                 let name = self.parse_ident("variable name")?;
@@ -245,10 +254,10 @@ impl Parser {
                 self.expect(&TokenKind::Semicolon, "';'")?;
                 Ok(Stmt::Return { value, line })
             }
-            TokenKind::Ident(name) => {
+            TokenKind::Ident(_) => {
                 // Lookahead: assignment or expression statement.
                 if self.tokens[self.pos + 1].kind == TokenKind::Assign {
-                    self.bump(); // ident
+                    let name = self.bump_ident();
                     self.bump(); // '='
                     let value = self.parse_expr()?;
                     self.expect(&TokenKind::Semicolon, "';'")?;
@@ -489,7 +498,7 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::IntLit(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
@@ -498,8 +507,8 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Float(v))
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let name = self.bump_ident();
                 if *self.peek() == TokenKind::LParen {
                     self.bump();
                     let mut args = Vec::new();
@@ -525,7 +534,7 @@ impl Parser {
                 self.expect(&TokenKind::RParen, "')'")?;
                 Ok(expr)
             }
-            other => Err(CompileError::at(
+            ref other => Err(CompileError::at(
                 ErrorKind::Parse,
                 line,
                 format!("unexpected token {other:?} in expression"),

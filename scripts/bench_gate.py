@@ -39,6 +39,16 @@ deterministic as the ratio, so any drop fails, and a coverage loss cannot
 hide behind a matching cut in evaluations. The campaign pair may be gated
 alone (without the objective-engine positionals) or alongside them.
 
+Exact search-results gate
+-------------------------
+With ``--exact-baseline`` and ``--exact-current`` the gate compares a
+pair of campaign-report artifacts function by function and fails on any
+difference in ``covered_branches``, ``evals``, ``timeouts`` or ``traps``
+(or in the set of functions). Every execution path of a program is
+bit-identical by construction and the search is a pure function of
+``(seed, config)``, so no tolerance applies: the FPIR corpus gate pins
+``coverme campaign examples/fpir`` against ``ci/fpir_campaign_baseline.json``.
+
 Exit status: 0 when every gated metric is within tolerance, 1 otherwise
 (and 2 for usage/schema errors, so a malformed artifact cannot pass as
 "no regression").
@@ -150,6 +160,34 @@ def gate_campaign(args, failures):
         )
 
 
+EXACT_FIELDS = ("covered_branches", "evals", "timeouts", "traps")
+
+
+def gate_exact(args, failures):
+    """Fails on any per-function difference in EXACT_FIELDS."""
+    baseline = load_campaign(args.exact_baseline)
+    current = load_campaign(args.exact_current)
+    base_rows = {row["name"]: row for row in baseline["functions"]}
+    rows = {row["name"]: row for row in current["functions"]}
+    print(f"bench_gate: exact search results — {', '.join(EXACT_FIELDS)} per function")
+    if set(base_rows) != set(rows):
+        failures.append(
+            f"exact: the functions differ (baseline {sorted(base_rows)}, "
+            f"current {sorted(rows)})"
+        )
+    for name in sorted(set(base_rows) & set(rows)):
+        for field in EXACT_FIELDS:
+            base_value = base_rows[name].get(field)
+            value = rows[name].get(field)
+            status = "ok" if value == base_value else "CHANGED"
+            print(
+                f"  {name:<16} {field:<17} baseline {base_value!s:>9}"
+                f"  current {value!s:>9}  {status}"
+            )
+            if value != base_value:
+                failures.append(f"exact: {name} {field} changed ({base_value} -> {value})")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -180,14 +218,25 @@ def main():
         help="freshly produced campaign-report JSON to gate on "
         "coverage_per_megaeval",
     )
+    parser.add_argument(
+        "--exact-baseline",
+        help="committed campaign-report baseline whose search results must "
+        "repeat exactly (ci/fpir_campaign_baseline.json)",
+    )
+    parser.add_argument(
+        "--exact-current",
+        help="freshly produced campaign-report JSON to compare exactly",
+    )
     args = parser.parse_args()
 
     if (args.campaign_baseline is None) != (args.campaign_current is None):
         parser.error("--campaign-baseline and --campaign-current come as a pair")
-    if args.baseline is None and args.campaign_baseline is None:
+    if (args.exact_baseline is None) != (args.exact_current is None):
+        parser.error("--exact-baseline and --exact-current come as a pair")
+    if args.baseline is None and args.campaign_baseline is None and args.exact_baseline is None:
         parser.error(
             "nothing to gate: pass the objective-engine positionals, the "
-            "campaign pair, or both"
+            "campaign pair, the exact pair, or several"
         )
     if (args.baseline is None) != (args.current is None):
         parser.error("the objective-engine artifacts come as a pair")
@@ -195,10 +244,13 @@ def main():
     campaign_failures = []
     if args.campaign_baseline is not None:
         gate_campaign(args, campaign_failures)
+    if args.exact_baseline is not None:
+        gate_exact(args, campaign_failures)
     if args.baseline is None:
         if campaign_failures:
             print(
-                "\nbench_gate: FAIL — campaign search efficiency or coverage regressed:",
+                "\nbench_gate: FAIL — campaign search efficiency, coverage or "
+                "search results regressed:",
                 file=sys.stderr,
             )
             for failure in campaign_failures:

@@ -179,6 +179,58 @@ fn tape_engine_matches_interp_engine_bitwise() {
     assert!(aborted > 0, "no evaluation ever aborted across the corpus");
 }
 
+#[test]
+fn starved_fuel_agrees_on_the_benchmark_modules() {
+    // The end-to-end benchmark's `fpir-generated` modules (generator
+    // seeds 1000-1039) in representing mode against a random saturation
+    // snapshot: at every fuel from 1 to 400, and at the benchmark's 2,000,
+    // the tape must trip its fuel at the same observable as the
+    // interpreter, so outcome, coverage, trace and value all agree.
+    for seed in 1_000..1_040u64 {
+        let source = generate_source(seed);
+        let program = compile(&source, ENTRY_NAME)
+            .unwrap_or_else(|e| panic!("seed {seed} failed to compile: {e}\n{source}"));
+        let arity = Program::arity(&program);
+        let mut rng = Rng(seed ^ 0xF0E1);
+        let saturated = random_saturation(&mut rng, program.num_sites());
+        let inputs: Vec<Vec<f64>> = (0..3).map(|_| rng.point(arity)).collect();
+        for fuel in (1..=400).chain([2_000]) {
+            let starved = program.clone().with_fuel(fuel);
+            let mut tape = starved
+                .backend(BackendMode::Auto)
+                .expect("every FPIR program runs on its tape");
+            for input in &inputs {
+                let at = format!("seed {seed}, fuel {fuel}, input {input:?}");
+                let mut interp_ctx = ExecCtx::representing(saturated.clone());
+                starved.execute(input, &mut interp_ctx);
+                let mut tape_ctx = ExecCtx::representing(saturated.clone());
+                tape.run(&starved, input, &mut tape_ctx);
+                assert_eq!(
+                    tape_ctx.run_outcome(),
+                    interp_ctx.run_outcome(),
+                    "{at}: outcome diverged"
+                );
+                assert_eq!(
+                    tape_ctx.covered(),
+                    interp_ctx.covered(),
+                    "{at}: coverage diverged"
+                );
+                // Formatted, so that a NaN operand equals itself.
+                assert_eq!(
+                    format!("{:?}", tape_ctx.trace()),
+                    format!("{:?}", interp_ctx.trace()),
+                    "{at}: trace diverged"
+                );
+                assert_eq!(
+                    tape_ctx.representing_value().to_bits(),
+                    interp_ctx.representing_value().to_bits(),
+                    "{at}: representing value diverged"
+                );
+            }
+        }
+    }
+}
+
 /// Feeds `inputs` to one long-lived tape backend in windows of three,
 /// alternating its scalar `run` and its batched `run_lanes`, and checks
 /// every execution against a fresh interpreter run at one saturation
