@@ -4,9 +4,9 @@
 //! The paper evaluates CoverMe one Fdlibm function at a time; reproducing a
 //! whole table is embarrassingly parallel because every function is searched
 //! independently. A [`Campaign`] runs its functions on one executor: a queue
-//! of **tasks** — one *(function, shard)* search run to exhaustion
-//! ([`SearchState::run_to_exhaustion`]) — claimed by one worker loop on a
-//! pool of scoped threads ([`std::thread::scope`]).
+//! of **tasks** — one *(function, shard)* search run to its end
+//! ([`SearchState::run`]) — claimed by one worker loop on a pool of scoped
+//! threads ([`std::thread::scope`]).
 //!
 //! There is one schedule, the paper's: every function runs its own
 //! `n_start` schedule. With `shards = 1` every function is a single task
@@ -16,15 +16,13 @@
 //! shard snapshots are merged and the function is finalized.
 //!
 //! [`CoverMe::run`](crate::CoverMe::run) is a one-function run of the same
-//! executor on the calling thread, and
-//! [`CoverMe::run_parallel`](crate::CoverMe::run_parallel) the same run with
-//! one worker per shard:
+//! executor on the calling thread:
 //!
 //! ```text
 //!              tasks (function, shard)
-//!   queue ──▶ worker loop ──▶ SearchState::run_to_exhaustion ──▶ settle
-//!                                                                   │
-//!        last shard of the function back? merge and finalize ◀──────┘
+//!   queue ──▶ worker loop ──▶ SearchState::run ──▶ settle the snapshot
+//!                                                          │
+//!        last shard of the function back? merge and finalize ◀──┘
 //! ```
 //!
 //! Because tasks are claimed from one shared queue seeded in
@@ -835,45 +833,24 @@ impl Campaign {
 /// one-function run of the executor with the configuration's own seed and
 /// no campaign deadline, on the calling thread.
 pub(crate) fn run_standalone<P: Program>(config: &CoverMeConfig, program: &P) -> TestReport {
-    standalone(config, program, |executor, _| {
-        executor.run_inline(&mut |_| {})
-    })
-}
-
-/// [`run_standalone`] with one worker thread per shard
-/// ([`CoverMe::run_parallel`](crate::CoverMe::run_parallel)).
-pub(crate) fn run_standalone_parallel<P: Program + Sync>(
-    config: &CoverMeConfig,
-    program: &P,
-) -> TestReport {
-    standalone(config, program, |executor, shards| {
-        executor.run_on(shards, &mut |_| {})
-    })
-}
-
-fn standalone<P: Program>(
-    config: &CoverMeConfig,
-    program: &P,
-    run: impl FnOnce(Executor<'_, '_, P>, usize) -> Vec<FunctionResult>,
-) -> TestReport {
     let shards = config.effective_shards();
     let config = CoverMeConfig {
         shards,
         ..config.clone()
     };
-    let executor = Executor::new(
+    Executor::new(
         std::slice::from_ref(program),
         std::slice::from_ref(&config),
         shards,
         None,
-    );
-    run(executor, shards)
-        .pop()
-        .and_then(|result| result.report)
-        .expect("a search without a campaign deadline always reports")
+    )
+    .run_inline(&mut |_| {})
+    .pop()
+    .and_then(|result| result.report)
+    .expect("a search without a campaign deadline always reports")
 }
 
-/// One task: run one (function, shard) search to exhaustion.
+/// One task: run one (function, shard) search to its end.
 #[derive(Debug, Clone, Copy)]
 struct Task {
     function: usize,
@@ -881,72 +858,69 @@ struct Task {
 }
 
 /// Scheduling state of one function.
-struct FunctionRun<'inv, P: Program> {
+struct FunctionRun {
     /// One slot per shard; `None` until the shard's task returns its
-    /// finished state.
-    states: Vec<Option<SearchState<'inv, P>>>,
+    /// snapshot.
+    outcomes: Vec<Option<ShardOutcome>>,
     /// Tasks not yet returned.
     pending: usize,
     /// Whether the function was finalized and its event emitted.
     finished: bool,
 }
 
-impl<'inv, P: Program> FunctionRun<'inv, P> {
+impl FunctionRun {
     fn new(shards: usize) -> Self {
         FunctionRun {
-            states: (0..shards).map(|_| None).collect(),
+            outcomes: (0..shards).map(|_| None).collect(),
             pending: shards,
             finished: false,
         }
     }
 
-    /// Marks the function finalized and takes its states. `deadline_cut`
-    /// marks a function the campaign deadline stopped; a shard that
-    /// expired or degraded mid-search (see [`EpochOutcome::Degraded`])
-    /// cuts it short too.
-    fn finalize(&mut self, index: usize, deadline_cut: bool) -> Finished<'inv, P> {
+    /// Marks the function finalized and takes its snapshots.
+    /// `deadline_cut` marks a function the campaign deadline stopped; a
+    /// shard that expired or degraded mid-search (see
+    /// [`EpochOutcome::Degraded`]) cuts it short too.
+    fn finalize(&mut self, index: usize, deadline_cut: bool) -> Finished {
         self.finished = true;
         let cut_short = deadline_cut
-            || self.states.iter().flatten().any(|state| {
+            || self.outcomes.iter().flatten().any(|shard| {
                 matches!(
-                    state.outcome(),
-                    Some(EpochOutcome::DeadlineExpired | EpochOutcome::Degraded)
+                    shard.outcome,
+                    EpochOutcome::DeadlineExpired | EpochOutcome::Degraded
                 )
             });
         Finished {
             index,
-            shards: self.states.len(),
-            states: self.states.iter_mut().filter_map(Option::take).collect(),
+            shards: self.outcomes.len(),
+            outcomes: self.outcomes.iter_mut().filter_map(Option::take).collect(),
             cut_short,
         }
     }
 }
 
-/// A finalized function's states, merged into its result outside the lock
-/// (the merge is real work).
-struct Finished<'inv, P: Program> {
+/// A finalized function's snapshots, merged into its result outside the
+/// lock (the merge is real work).
+struct Finished {
     index: usize,
     /// Shard slots the function was scheduled with.
     shards: usize,
-    /// The states of the shards that ran.
-    states: Vec<SearchState<'inv, P>>,
+    /// The snapshots of the shards that ran.
+    outcomes: Vec<ShardOutcome>,
     /// Whether the function stopped before its full budget.
     cut_short: bool,
 }
 
-impl<P: Program> Finished<'_, P> {
-    fn into_event(self, inventory: &[P]) -> CampaignEvent {
-        let name = inventory[self.index].name();
-        let shards_run = self.states.len();
-        let mut outcomes: Vec<ShardOutcome> =
-            self.states.into_iter().map(SearchState::finish).collect();
-        let report = match outcomes.len() {
+impl Finished {
+    fn into_event(mut self, name: &str) -> CampaignEvent {
+        let shards_run = self.outcomes.len();
+        let report = match shards_run {
             0 => None,
             // The paper's setup: a single whole-budget search, passed
             // through without representative-input reselection so the
             // campaign reproduces a standalone `CoverMe::run` exactly.
-            _ if self.shards == 1 => outcomes.pop().map(|outcome| outcome.into_report(name)),
-            _ => Some(merge_shards(name, outcomes).report),
+            _ if self.shards == 1 => self.outcomes.pop().map(|outcome| outcome.into_report(name)),
+            _ => Some(merge_shards(name, self.outcomes).report),
         };
         let status = if report.is_none() {
             FunctionStatus::Skipped
@@ -968,9 +942,9 @@ impl<P: Program> Finished<'_, P> {
 }
 
 /// The executor state one mutex guards.
-struct Shared<'inv, P: Program> {
+struct Shared {
     queue: VecDeque<Task>,
-    functions: Vec<FunctionRun<'inv, P>>,
+    functions: Vec<FunctionRun>,
     /// Functions not yet finalized; workers exit when it reaches 0.
     unfinished: usize,
     /// Set when a worker observes the campaign deadline expired; stops all
@@ -978,12 +952,12 @@ struct Shared<'inv, P: Program> {
     expired: bool,
 }
 
-impl<'inv, P: Program> Shared<'inv, P> {
-    /// Parks a returned task's finished state; when it was the function's
-    /// last task, finalizes the function.
-    fn settle(&mut self, task: Task, state: SearchState<'inv, P>) -> Option<Finished<'inv, P>> {
+impl Shared {
+    /// Parks a returned task's snapshot; when it was the function's last
+    /// task, finalizes the function.
+    fn settle(&mut self, task: Task, outcome: ShardOutcome) -> Option<Finished> {
         let run = &mut self.functions[task.function];
-        run.states[task.shard] = Some(state);
+        run.outcomes[task.shard] = Some(outcome);
         run.pending -= 1;
         if run.pending > 0 {
             return None;
@@ -1003,7 +977,7 @@ struct Executor<'c, 'inv, P: Program> {
     /// Per-function search configurations.
     configs: &'c [CoverMeConfig],
     deadline: Option<Instant>,
-    shared: Mutex<Shared<'inv, P>>,
+    shared: Mutex<Shared>,
     ready: Condvar,
 }
 
@@ -1036,7 +1010,7 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Shared<'inv, P>> {
+    fn lock(&self) -> MutexGuard<'_, Shared> {
         self.shared.lock().expect("executor lock poisoned")
     }
 
@@ -1065,7 +1039,10 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         let shared = self.shared.into_inner().expect("executor lock poisoned");
         for (index, mut run) in shared.functions.into_iter().enumerate() {
             if !run.finished {
-                deliver(run.finalize(index, true).into_event(inventory));
+                deliver(
+                    run.finalize(index, true)
+                        .into_event(inventory[index].name()),
+                );
             }
         }
         results
@@ -1120,10 +1097,10 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         SearchState::new(&config, &self.inventory[task.function], task.shard)
     }
 
-    /// Hands a task's finished state back and finalizes its function when
-    /// it was the last shard.
-    fn settle(&self, task: Task, state: SearchState<'inv, P>) -> Option<Finished<'inv, P>> {
-        let finished = self.lock().settle(task, state);
+    /// Hands a task's snapshot back and finalizes its function when it was
+    /// the last shard.
+    fn settle(&self, task: Task, outcome: ShardOutcome) -> Option<Finished> {
+        let finished = self.lock().settle(task, outcome);
         self.ready.notify_all();
         finished
     }
@@ -1163,13 +1140,12 @@ impl<P: Program + Sync> Executor<'_, '_, P> {
 }
 
 /// The one worker loop: claim a task, run its search *outside* the lock,
-/// hand the state back, and emit every function that finished.
+/// hand the snapshot back, and emit every function that finished.
 fn run_worker<P: Program>(executor: &Executor<'_, '_, P>, emit: &mut dyn FnMut(CampaignEvent)) {
     while let Some(task) = executor.claim() {
-        let mut state = executor.new_state(task);
-        state.run_to_exhaustion();
-        if let Some(finished) = executor.settle(task, state) {
-            emit(finished.into_event(executor.inventory));
+        let outcome = executor.new_state(task).run(&mut |_| {});
+        if let Some(finished) = executor.settle(task, outcome) {
+            emit(finished.into_event(executor.inventory[task.function].name()));
         }
     }
 }
@@ -1330,22 +1306,21 @@ mod tests {
     #[test]
     fn unsharded_campaign_reproduces_standalone_coverme_runs() {
         // Every campaign row is exactly the report a standalone CoverMe
-        // run with the derived seed produces, on one thread or one thread
-        // per shard, whatever the campaign's worker count. Unsharded that
-        // includes redundant accepted inputs, which a sharded merge drops.
+        // run with the derived seed produces, whatever the campaign's
+        // worker count. Unsharded that includes redundant accepted inputs,
+        // which a sharded merge drops.
         let shapes = [
             ("unsharded", quick_base()),
             ("sharded", quick_base().with_n_start(48).with_shards(3)),
         ];
         let programs = inventory();
         for (shape, base) in shapes {
-            let standalone: Vec<[TestReport; 2]> = programs
+            let standalone: Vec<TestReport> = programs
                 .iter()
                 .map(|program| {
                     let mut config = base.clone();
                     config.seed = derive_function_seed(base.seed, program.name(), 0);
-                    let search = crate::CoverMe::new(config);
-                    [search.run(program), search.run_parallel(program)]
+                    crate::CoverMe::new(config).run(program)
                 })
                 .collect();
             for workers in [1, 2, 5] {
@@ -1353,15 +1328,13 @@ mod tests {
                     .with_base(base.clone())
                     .with_workers(workers);
                 let report = Campaign::new(config).run(&programs);
-                for (result, reports) in report.results.iter().zip(&standalone) {
+                for (result, standalone) in report.results.iter().zip(&standalone) {
                     let campaign = result.report.as_ref().unwrap();
-                    for standalone in reports {
-                        let context = format!("{shape}, {workers} workers, {}", result.name);
-                        assert_eq!(campaign.inputs, standalone.inputs, "{context}");
-                        assert_eq!(campaign.coverage, standalone.coverage, "{context}");
-                        assert_eq!(campaign.evaluations, standalone.evaluations, "{context}");
-                        assert_eq!(campaign.rounds, standalone.rounds, "{context}");
-                    }
+                    let context = format!("{shape}, {workers} workers, {}", result.name);
+                    assert_eq!(campaign.inputs, standalone.inputs, "{context}");
+                    assert_eq!(campaign.coverage, standalone.coverage, "{context}");
+                    assert_eq!(campaign.evaluations, standalone.evaluations, "{context}");
+                    assert_eq!(campaign.rounds, standalone.rounds, "{context}");
                 }
             }
         }

@@ -19,16 +19,14 @@
 //! of starting points (`n_start`) is exhausted, or when an optional wall
 //! clock budget runs out.
 //!
-//! This module owns the loop itself — the resumable [`SearchState`] — and
-//! its configuration. It does not schedule: [`CoverMe::run`] and
-//! [`CoverMe::run_parallel`] are one-function runs of the campaign's
-//! executor ([`crate::campaign`]), so a standalone search and a campaign
-//! row share one code path. With `shards > 1` the starting-point budget is
-//! split across shard searches whose snapshots are merged afterwards (see
-//! [`crate::shard`]): `run` executes the shards on the calling thread,
-//! `run_parallel` on one worker thread per shard, with identical reports.
-//! A search's results depend on `(seed, shards, budget)` only — never on
-//! the worker count or on how its rounds are sliced.
+//! This module owns the loop itself — [`SearchState::run`] takes one
+//! shard's search from its warm-start replay to its stop — and its
+//! configuration. It does not schedule: [`CoverMe::run`] is a one-function
+//! run of the campaign's executor ([`crate::campaign`]), so a standalone
+//! search and a campaign row share one code path. With `shards > 1` the
+//! starting-point budget is split across shard searches whose snapshots
+//! are merged afterwards (see [`crate::shard`]). A search's results depend
+//! on `(seed, shards, budget)` only — never on the worker count.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -129,8 +127,8 @@ impl PartialEq for CancelToken {
 /// (or any later round or sibling shard) actually covers drops the
 /// verdict again.
 ///
-/// A function whose prior inputs still saturate it exits its first
-/// `run_rounds` slice after just the replay evaluations. When they don't
+/// A function whose prior inputs still saturate it stops after just the
+/// replay evaluations, before its first round. When they don't
 /// (some branches end the run uncovered *without* an infeasibility
 /// verdict), `prior_coverage` carries the second saving: the recorded
 /// run already spent the identical schedule — same program fingerprint,
@@ -370,8 +368,8 @@ impl CoverMeConfig {
     /// the infeasible policy, the zero threshold, `polish`, the eval
     /// allowance and the shard split. Knobs pinned result-invisible by the
     /// property suites stay out: `backend`, the ignored `cache` and `simd`,
-    /// `run_rounds` slicing, `time_budget` (wall-clock never decides a
-    /// *complete* run's content), `warm_start`/`cancel` themselves.
+    /// `time_budget` (wall-clock never decides a *complete* run's content),
+    /// `warm_start`/`cancel` themselves.
     ///
     /// Constant words stand where earlier releases mixed knobs that are now
     /// fixed or deleted, so the keys those releases recorded stay valid:
@@ -450,71 +448,44 @@ impl CoverMe {
     /// A one-function run of the campaign executor ([`crate::campaign`])
     /// on the calling thread, with the configuration's own seed: with
     /// `shards > 1` the shards run one after another and their snapshots
-    /// are merged ([`crate::shard`]). The report is identical to what
-    /// [`run_parallel`](Self::run_parallel) produces, just without the
-    /// wall-clock speedup.
+    /// are merged ([`crate::shard`]).
     pub fn run<P: Program>(&self, program: &P) -> TestReport {
         crate::campaign::run_standalone(&self.config, program)
     }
-
-    /// Runs branch coverage-based testing with one worker thread per
-    /// shard — the same executor run as [`run`](Self::run), so the report
-    /// is bitwise-identical, but the wall-clock time approaches the
-    /// slowest single shard. With `shards <= 1` this is exactly `run`.
-    pub fn run_parallel<P: Program + Sync>(&self, program: &P) -> TestReport {
-        crate::campaign::run_standalone_parallel(&self.config, program)
-    }
 }
 
-/// Why a [`SearchState::run_rounds`] slice stopped.
+/// Why a search ([`SearchState::run`]) stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochOutcome {
-    /// The round quota of this slice is spent; the search has more rounds
-    /// to run and can be resumed with another `run_rounds` call.
-    Paused,
-    /// Every branch is saturated; the search is finished.
+    /// Every branch is saturated.
     Saturated,
     /// The shard's strided slice of the starting-point schedule is
-    /// exhausted; the search is finished.
+    /// exhausted.
     Exhausted,
-    /// The configured wall-clock budget ran out mid-slice; the search is
-    /// finished and the state holds everything completed so far.
+    /// The configured wall-clock budget ran out, or the search was
+    /// cancelled (see [`CancelToken`]); the snapshot holds every round
+    /// completed before that.
     DeadlineExpired,
-    /// The evaluation allowance ([`CoverMeConfig::budget`]) is spent; the
-    /// search is finished.
+    /// The evaluation allowance ([`CoverMeConfig::budget`]) is spent.
     BudgetExhausted,
     /// Too many consecutive rounds aborted — the program kept timing out or
     /// trapping on every minimum the backend returned (see
     /// [`crate::report::RoundOutcome::Aborted`]) — so the search gave up
     /// rather than burn the remaining budget on evaluations that can never
-    /// feed coverage. The state holds everything completed so far; a
+    /// feed coverage. The snapshot holds everything completed so far; a
     /// campaign marks the function `partial`.
     Degraded,
 }
 
-impl EpochOutcome {
-    /// Whether the search can still make progress (`Paused`) or is done.
-    pub fn is_finished(&self) -> bool {
-        *self != EpochOutcome::Paused
-    }
-}
-
-/// The resumable search loop of Algorithm 1 — the per-round body of
-/// the sequential driver extracted into a state machine that can pause at
-/// any round boundary and resume later with no behavior change.
+/// The search loop of Algorithm 1 for one shard.
 ///
 /// A `SearchState` owns everything one shard's search needs: its
 /// [`ObjectiveEngine`] (scalar fast path, execution backend), the
 /// regenerated starting-point schedule (the shard's RNG stream — per-round
 /// minimizer seeds are derived from the global round index, never from
 /// scheduling), its [`SaturationTracker`], coverage, accepted inputs and
-/// round records. [`run_rounds(n)`](Self::run_rounds) executes up to `n`
-/// rounds of the shard's strided slice and reports why it stopped; running
-/// a state to exhaustion in one call is bit-identical to running it in
-/// any sequence of smaller slices (pinned by
-/// `tests/shard_properties.rs`). The campaign executor runs every state to
-/// exhaustion in one slice; `coverme run --stream` slices it one round at
-/// a time to report rounds as they land.
+/// round records. [`new`](Self::new) only prepares the search;
+/// [`run`](Self::run) runs it to its end and returns the shard's snapshot.
 #[derive(Debug)]
 pub struct SearchState<'a, P: Program> {
     config: CoverMeConfig,
@@ -534,25 +505,17 @@ pub struct SearchState<'a, P: Program> {
     cursor: usize,
     evaluations: usize,
     started: Instant,
-    /// Set once, when a slice first reports a finished outcome.
-    finished_at: Option<Instant>,
-    /// The finished outcome, repeated by later `run_rounds` calls.
-    finished: Option<EpochOutcome>,
     /// Consecutive rounds whose final evaluation aborted (reset by any
     /// round that runs to completion); at [`ABORT_PATIENCE`] the search
     /// finishes with [`EpochOutcome::Degraded`].
     abort_streak: usize,
-    /// Whether a configured warm start is still waiting to be replayed
-    /// (consumed at the top of the first `run_rounds` slice).
-    warm_pending: bool,
     /// Corpus inputs replayed by the warm start (0 for a cold search).
     warm_replayed: usize,
     /// Set when the warm replay reproduced exactly the coverage at which
     /// a prior run with the same search key exhausted this identical
-    /// schedule ([`WarmStart::prior_coverage`]); the next `run_rounds`
-    /// slice then finishes [`EpochOutcome::Exhausted`] without re-running
-    /// the schedule — determinism guarantees it would only rediscover the
-    /// recorded result.
+    /// schedule ([`WarmStart::prior_coverage`]); the search then finishes
+    /// [`EpochOutcome::Exhausted`] without re-running the schedule —
+    /// determinism guarantees it would only rediscover the recorded result.
     warm_satisfied: bool,
 }
 
@@ -575,7 +538,9 @@ pub const ABORT_PATIENCE: usize = 4;
 impl<'a, P: Program> SearchState<'a, P> {
     /// Creates the search state for shard `shard_index` of a search
     /// configured for `config.shards` shards (`<= 1` means unsharded).
-    /// The wall-clock budget, if any, starts counting here.
+    /// The wall-clock budget, if any, starts counting here. Creating a
+    /// state never executes the program: the warm start replays in
+    /// [`run`](Self::run).
     ///
     /// # Panics
     ///
@@ -610,130 +575,91 @@ impl<'a, P: Program> SearchState<'a, P> {
             cursor: shard_index,
             evaluations: 0,
             started: Instant::now(),
-            finished_at: None,
-            finished: None,
             abort_streak: 0,
-            warm_pending: config.warm_start.as_ref().is_some_and(|w| !w.is_empty()),
             warm_replayed: 0,
             warm_satisfied: false,
         }
     }
 
-    /// Which shard this state searches for.
-    pub fn shard_index(&self) -> usize {
-        self.shard_index
-    }
-
-    /// Whether a previous slice already reported a finished outcome.
-    pub fn is_finished(&self) -> bool {
-        self.finished.is_some()
-    }
-
-    /// The finished outcome, once a slice reported one (`None` while the
-    /// search can still run). [`EpochOutcome::DeadlineExpired`] here is
-    /// what marks a campaign row `partial`.
-    pub fn outcome(&self) -> Option<EpochOutcome> {
-        self.finished
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_run(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Representing-function evaluations spent so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-
-    /// The per-round records produced so far, in execution order — lets a
-    /// caller driving the state slice by slice (e.g. a streaming CLI)
-    /// report each round as it lands.
-    pub fn rounds(&self) -> &[RoundRecord] {
-        &self.rounds
-    }
-
-    /// The state's saturation tracker (covered, descendants, infeasible).
-    pub fn tracker(&self) -> &SaturationTracker {
-        &self.tracker
-    }
-
-    /// Runs the search to completion in one slice — the sequential driver
-    /// loop of Algorithm 1, restricted to the shard's strided slice.
-    pub fn run_to_exhaustion(&mut self) -> EpochOutcome {
-        self.run_rounds(usize::MAX)
-    }
-
-    /// Runs up to `max_rounds` rounds of the shard's strided slice and
-    /// reports why the slice stopped. Pausable at any round boundary with
-    /// no behavior change: the rounds executed, their records, inputs and
-    /// evaluation counts are bit-identical however the schedule is cut
-    /// into slices. Calling after the search finished re-reports the
-    /// finished outcome without doing work.
-    pub fn run_rounds(&mut self, max_rounds: usize) -> EpochOutcome {
-        if let Some(outcome) = self.finished {
-            return outcome;
-        }
-        if self.warm_pending {
-            // Replay inside the first slice (not in `new`), so constructing
-            // a state never executes the program.
-            self.warm_pending = false;
-            self.replay_warm_start();
-        }
-        let mut ran = 0usize;
-        loop {
-            if self.cursor >= self.config.n_start {
-                break self.finish_slice(EpochOutcome::Exhausted);
+    /// Runs the search to its end — the sequential driver loop of
+    /// Algorithm 1, restricted to the shard's strided slice — and returns
+    /// the shard's snapshot.
+    ///
+    /// A configured warm start replays first. Before each round the stop
+    /// checks run in a fixed order: schedule exhausted, every branch
+    /// saturated, warm-start schedule credit, cancellation, evaluation
+    /// allowance, abort patience, wall-clock budget. Each round's record
+    /// goes to `on_round` the moment the round ends, in round order.
+    pub fn run(mut self, on_round: &mut dyn FnMut(&RoundRecord)) -> ShardOutcome {
+        self.replay_warm_start();
+        let outcome = loop {
+            if let Some(outcome) = self.stop() {
+                break outcome;
             }
-            if self.tracker.all_saturated() {
-                break self.finish_slice(EpochOutcome::Saturated);
-            }
-            if self.warm_satisfied {
-                // The warm replay reproduced the coverage at which a prior
-                // run with the same search key exhausted this schedule: the
-                // remaining rounds are already spent by transitivity.
-                break self.finish_slice(EpochOutcome::Exhausted);
-            }
-            if self
-                .config
-                .cancel
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled)
-            {
-                // Cooperative teardown: identical semantics to a deadline
-                // expiry — everything completed so far is kept, a campaign
-                // marks the function `partial`.
-                break self.finish_slice(EpochOutcome::DeadlineExpired);
-            }
-            if let Some(allowance) = self.config.budget {
-                // Checked before each round: rounds are atomic, so the
-                // final round of an allowance may overshoot it by its own
-                // evaluations.
-                if self.evaluations >= allowance {
-                    break self.finish_slice(EpochOutcome::BudgetExhausted);
-                }
-            }
-            if self.abort_streak >= ABORT_PATIENCE {
-                break self.finish_slice(EpochOutcome::Degraded);
-            }
-            if let Some(budget) = self.config.time_budget {
-                if self.started.elapsed() >= budget {
-                    break self.finish_slice(EpochOutcome::DeadlineExpired);
-                }
-            }
-            if ran == max_rounds {
-                break EpochOutcome::Paused;
-            }
-            self.run_one_round();
-            ran += 1;
+            let record = self.run_one_round();
+            on_round(&record);
+            self.rounds.push(record);
+        };
+        ShardOutcome {
+            shard_index: self.shard_index,
+            shards: self.shards,
+            tracker: self.tracker,
+            coverage: self.coverage,
+            accepted: self.accepted,
+            rounds: self.rounds,
+            evaluations: self.evaluations,
+            timeouts: self.engine.telemetry().timeouts as usize,
+            traps: self.engine.telemetry().traps as usize,
+            warm_replayed: self.warm_replayed,
+            backend: self.engine.backend_name(),
+            outcome,
+            started: self.started,
+            finished: Instant::now(),
         }
     }
 
-    /// Marks the search finished with `outcome` (idempotent timestamps).
-    fn finish_slice(&mut self, outcome: EpochOutcome) -> EpochOutcome {
-        self.finished = Some(outcome);
-        self.finished_at = Some(Instant::now());
-        outcome
+    /// Why the search must stop before its next round, if it must.
+    fn stop(&self) -> Option<EpochOutcome> {
+        if self.cursor >= self.config.n_start {
+            return Some(EpochOutcome::Exhausted);
+        }
+        if self.tracker.all_saturated() {
+            return Some(EpochOutcome::Saturated);
+        }
+        if self.warm_satisfied {
+            // The warm replay reproduced the coverage at which a prior run
+            // with the same search key exhausted this schedule: the
+            // remaining rounds are already spent by transitivity.
+            return Some(EpochOutcome::Exhausted);
+        }
+        if self
+            .config
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
+        {
+            // Cooperative teardown: identical semantics to a deadline
+            // expiry — everything completed so far is kept, a campaign
+            // marks the function `partial`.
+            return Some(EpochOutcome::DeadlineExpired);
+        }
+        if let Some(allowance) = self.config.budget {
+            // Checked before each round: rounds are atomic, so the final
+            // round of an allowance may overshoot it by its own
+            // evaluations.
+            if self.evaluations >= allowance {
+                return Some(EpochOutcome::BudgetExhausted);
+            }
+        }
+        if self.abort_streak >= ABORT_PATIENCE {
+            return Some(EpochOutcome::Degraded);
+        }
+        if let Some(budget) = self.config.time_budget {
+            if self.started.elapsed() >= budget {
+                return Some(EpochOutcome::DeadlineExpired);
+            }
+        }
+        None
     }
 
     /// Replays the configured [`WarmStart`] — the corpus store's prior
@@ -754,9 +680,10 @@ impl<'a, P: Program> SearchState<'a, P> {
     ///   finishes without re-running it.
     ///
     /// Inputs of the wrong arity (a stale entry after a fingerprint
-    /// collision) are skipped, as are verdicts out of the site range.
+    /// collision) are skipped, as are verdicts out of the site range. An
+    /// empty warm start replays nothing.
     fn replay_warm_start(&mut self) {
-        let Some(warm) = self.config.warm_start.clone() else {
+        let Some(warm) = self.config.warm_start.clone().filter(|w| !w.is_empty()) else {
             return;
         };
         let snapshot = self.tracker.saturated_set();
@@ -800,16 +727,12 @@ impl<'a, P: Program> SearchState<'a, P> {
         }
     }
 
-    /// Corpus inputs the warm start replayed (0 for a cold search).
-    pub fn warm_replayed(&self) -> usize {
-        self.warm_replayed
-    }
-
     /// One iteration of the outer loop of Algorithm 1 (lines 9–12): take
     /// the shard's next starting point, minimize the representing function
     /// against the current snapshot, and either accept the zero as a test
-    /// input or apply the infeasible-branch heuristic.
-    fn run_one_round(&mut self) {
+    /// input or apply the infeasible-branch heuristic. Returns the round's
+    /// record.
+    fn run_one_round(&mut self) -> RoundRecord {
         let round = self.cursor;
         self.cursor += self.shards;
 
@@ -922,7 +845,7 @@ impl<'a, P: Program> SearchState<'a, P> {
             }
         };
 
-        self.rounds.push(RoundRecord {
+        RoundRecord {
             round,
             start: x0,
             minimum: minimum_point,
@@ -930,35 +853,7 @@ impl<'a, P: Program> SearchState<'a, P> {
             evaluations: result.stats.evaluations,
             saturated_before,
             outcome,
-        });
-    }
-
-    /// Consumes the state into the shard's snapshot. Valid at any point —
-    /// a state finalized mid-search (e.g. when a deadline or a cancel
-    /// stopped it) yields the partial outcome of everything completed so
-    /// far.
-    pub fn finish(self) -> ShardOutcome {
-        let finished = self.finished_at.unwrap_or_else(Instant::now);
-        ShardOutcome {
-            shard_index: self.shard_index,
-            shards: self.shards,
-            tracker: self.tracker,
-            coverage: self.coverage,
-            accepted: self.accepted,
-            rounds: self.rounds,
-            evaluations: self.evaluations,
-            timeouts: self.engine.telemetry().timeouts as usize,
-            traps: self.engine.telemetry().traps as usize,
-            warm_replayed: self.warm_replayed,
-            backend: self.engine.backend_name(),
-            started: self.started,
-            finished,
         }
-    }
-
-    /// The program this state searches.
-    pub fn program(&self) -> &'a P {
-        self.program
     }
 }
 
@@ -1077,6 +972,7 @@ fn next_down(x: f64) -> f64 {
 mod tests {
     use super::*;
     use coverme_runtime::{BranchId, Cmp, CoverageMap, ExecCtx, FnProgram};
+    use std::cell::Cell;
 
     /// The paper's Fig. 3 example program.
     fn paper_example() -> FnProgram<impl Fn(&[f64], &mut ExecCtx)> {
@@ -1241,16 +1137,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_sequential_sharded_run() {
-        let config = quick_config().with_shards(3);
-        let sequential = CoverMe::new(config.clone()).run(&paper_example());
-        let parallel = CoverMe::new(config).run_parallel(&paper_example());
-        assert_eq!(sequential.inputs, parallel.inputs);
-        assert_eq!(sequential.coverage, parallel.coverage);
-        assert_eq!(sequential.evaluations, parallel.evaluations);
-    }
-
-    #[test]
     fn sharded_run_never_covers_less_than_unsharded() {
         for shards in [2usize, 3, 4] {
             let unsharded = CoverMe::new(quick_config()).run(&infeasible_example());
@@ -1338,12 +1224,11 @@ mod tests {
             (LocalMethod::Compass, 170),
         ] {
             let config = quick_config().with_n_start(500).with_local_method(method);
-            let mut state = SearchState::new(&config, &program, 0);
-            let outcome = state.run_to_exhaustion();
+            let outcome = SearchState::new(&config, &program, 0).run(&mut |_| {});
             let name = method.name();
-            assert_eq!(outcome, EpochOutcome::Degraded, "{name}");
-            assert_eq!(state.rounds_run(), ABORT_PATIENCE, "{name}");
-            let report = state.finish().into_report("SPIN");
+            assert_eq!(outcome.outcome, EpochOutcome::Degraded, "{name}");
+            assert_eq!(outcome.rounds.len(), ABORT_PATIENCE, "{name}");
+            let report = outcome.into_report("SPIN");
             assert!(
                 report.evaluations <= max_evaluations,
                 "{name}: {} evaluations",
@@ -1369,72 +1254,108 @@ mod tests {
         }
     }
 
+    /// Wraps `inner` so that every execution adds one to `calls`.
+    fn counting<'c, P: Program + 'c>(
+        inner: P,
+        calls: &'c Cell<usize>,
+    ) -> FnProgram<impl Fn(&[f64], &mut ExecCtx) + 'c> {
+        let (arity, num_sites) = (inner.arity(), inner.num_sites());
+        FnProgram::new(
+            inner.name().to_string(),
+            arity,
+            num_sites,
+            move |input: &[f64], ctx: &mut ExecCtx| {
+                calls.set(calls.get() + 1);
+                inner.execute(input, ctx);
+            },
+        )
+    }
+
+    /// Runs shard 0 of `config` on `program` and checks that `on_round`
+    /// saw every round exactly once, in round order, as the snapshot
+    /// records them.
+    fn run_watched<P: Program>(config: &CoverMeConfig, program: &P) -> ShardOutcome {
+        let mut seen = Vec::new();
+        let outcome =
+            SearchState::new(config, program, 0).run(&mut |record| seen.push(record.clone()));
+        assert_eq!(seen, outcome.rounds);
+        assert!(seen.windows(2).all(|w| w[0].round < w[1].round));
+        outcome
+    }
+
     #[test]
     fn reported_evaluations_match_engine_calls() {
         // Every engine call is one execution, and every execution —
         // line-search probes, the final full evaluation, polish probes that
-        // find nothing — is owed to `evaluations`.
-        fn check<P: Program>(program: &P) {
-            let config = quick_config();
-            let mut state = SearchState::new(&config, program, 0);
-            state.run_to_exhaustion();
-            assert_eq!(
-                state.evaluations as u64,
-                state.engine.telemetry().calls,
-                "{}",
-                program.name()
-            );
+        // find nothing, warm-start replays — is owed to `evaluations`.
+        let warm = WarmStart {
+            inputs: vec![vec![0.5], vec![3.0]],
+            ..WarmStart::default()
+        };
+        fn check<P: Program>(config: &CoverMeConfig, program: P) {
+            let name = program.name().to_string();
+            let calls = Cell::new(0);
+            let outcome = run_watched(config, &counting(program, &calls));
+            assert_eq!(outcome.evaluations, calls.get(), "{name}");
         }
-        check(&paper_example());
-        check(&infeasible_example());
+        for config in [quick_config(), quick_config().with_warm_start(warm)] {
+            check(&config, paper_example());
+            check(&config, infeasible_example());
+        }
+    }
+
+    #[test]
+    fn new_never_executes_the_program() {
+        let calls = Cell::new(0);
+        let program = counting(paper_example(), &calls);
+        let warm = WarmStart {
+            inputs: vec![vec![0.5], vec![3.0]],
+            ..WarmStart::default()
+        };
+        let config = quick_config().with_warm_start(warm);
+        let state = SearchState::new(&config, &program, 0);
+        assert_eq!(calls.get(), 0, "creating a state executes nothing");
+        let outcome = state.run(&mut |_| {});
+        assert_eq!(outcome.warm_replayed, 2);
+        assert!(calls.get() >= outcome.warm_replayed);
+    }
+
+    #[test]
+    fn on_round_sees_every_round_once_in_order() {
+        // Cold: the paper example saturates.
+        let cold = run_watched(&quick_config(), &paper_example());
+        assert_eq!(cold.outcome, EpochOutcome::Saturated);
+        assert!(!cold.rounds.is_empty());
+
+        // Warm: `0.5` covers 0T and 1F, so rounds still run after the
+        // replay, which reports no round of its own.
+        let warm = WarmStart {
+            inputs: vec![vec![0.5]],
+            ..WarmStart::default()
+        };
+        let warmed = run_watched(&quick_config().with_warm_start(warm), &paper_example());
+        assert_eq!(warmed.warm_replayed, 1);
+        assert!(!warmed.rounds.is_empty());
+
+        // Degraded: the always-aborting program gives up after
+        // ABORT_PATIENCE rounds.
+        let spun = run_watched(&quick_config(), &always_aborting());
+        assert_eq!(spun.outcome, EpochOutcome::Degraded);
+        assert_eq!(spun.rounds.len(), ABORT_PATIENCE);
     }
 
     #[test]
     fn budget_pauses_the_search_and_extend_resumes_it() {
-        let program = infeasible_example();
+        // The allowance admits exactly one round, which overshoots it;
+        // `on_round` sees that round and nothing after it.
         let config = quick_config()
             .with_n_start(500)
             .with_infeasible_policy(InfeasiblePolicy::Disabled)
             .with_budget(1);
-        let mut state = SearchState::new(&config, &program, 0);
-        // The allowance admits exactly one (overshooting) round.
-        assert_eq!(state.run_to_exhaustion(), EpochOutcome::BudgetExhausted);
-        assert_eq!(state.rounds_run(), 1);
-        let spent = state.evaluations();
-        assert!(spent >= 1);
-        // The outcome is final: re-running re-reports it and does no work.
-        assert!(state.is_finished());
-        assert_eq!(state.run_to_exhaustion(), EpochOutcome::BudgetExhausted);
-        assert_eq!(state.evaluations(), spent);
-        assert_eq!(state.rounds_run(), 1);
-    }
-
-    #[test]
-    fn budget_slicing_is_bit_identical_to_one_shot_runs() {
-        // A budgeted search run one round per slice must visit exactly the
-        // rounds of the same search run in one slice, and stop at the same
-        // allowance check.
-        let program = infeasible_example();
-        let base = quick_config()
-            .with_n_start(24)
-            .with_infeasible_policy(InfeasiblePolicy::Disabled)
-            .with_budget(400);
-        let mut whole = SearchState::new(&base, &program, 0);
-        let outcome = whole.run_to_exhaustion();
-        assert_eq!(
-            outcome,
-            EpochOutcome::BudgetExhausted,
-            "the allowance binds"
-        );
-
-        let mut sliced = SearchState::new(&base, &program, 0);
-        let mut last = sliced.run_rounds(1);
-        while last == EpochOutcome::Paused {
-            last = sliced.run_rounds(1);
-        }
-        assert_eq!(last, outcome);
-        assert_eq!(whole.rounds(), sliced.rounds());
-        assert_eq!(whole.evaluations(), sliced.evaluations());
+        let outcome = run_watched(&config, &infeasible_example());
+        assert_eq!(outcome.outcome, EpochOutcome::BudgetExhausted);
+        assert_eq!(outcome.rounds.len(), 1);
+        assert!(outcome.evaluations > 1);
     }
 
     #[test]

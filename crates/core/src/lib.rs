@@ -33,11 +33,12 @@
 //!    execution per evaluation, with per-function evals / aborts /
 //!    evals-per-second telemetry surfaced in [`TestReport`] and
 //!    [`CampaignReport`];
-//! 7. drive all of the above through a **resumable state machine**
-//!    ([`SearchState`]): one shard's loop pauses at any round boundary
-//!    with no behavior change (`coverme run --stream` reports rounds that
-//!    way), and the campaign executor streams each function's merged row
-//!    the moment it finishes ([`CampaignEvent`], `Campaign::run_with`).
+//! 7. drive all of the above through **one search loop**
+//!    ([`SearchState::run`]): one call takes a shard from its warm-start
+//!    replay to its stop and hands each round's record to a callback
+//!    (`coverme run --stream` prints rounds that way), and the campaign
+//!    executor streams each function's merged row the moment it finishes
+//!    ([`CampaignEvent`], `Campaign::run_with`).
 //!
 //! # Quick start
 //!
@@ -88,7 +89,7 @@ pub use objective::{EngineTelemetry, ObjectiveEngine, ABORTED_VALUE};
 pub use report::{RoundOutcome, RoundRecord, TestReport};
 pub use representing::{Evaluation, RepresentingFunction};
 pub use saturation::SaturationTracker;
-pub use shard::{merge_shards, run_shard, AcceptedInput, MergedSearch, ShardOutcome};
+pub use shard::{merge_shards, AcceptedInput, MergedSearch, ShardOutcome};
 
 // Re-export the pieces users need to define programs without adding an
 // explicit dependency on the runtime crate.

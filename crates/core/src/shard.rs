@@ -4,10 +4,11 @@
 //! The paper's Algorithm 1 is multistart at heart — coverage comes from many
 //! independent starting points funneled through local minimization — which
 //! makes a *single* function's search shardable, not just a benchmark suite.
-//! This module splits the `n_start` budget of one [`CoverMeConfig`] into
-//! `shards` disjoint slices, runs each slice as its own local search loop
-//! ([`run_shard`]), and merges the per-shard snapshots into one
-//! [`TestReport`] ([`merge_shards`]).
+//! This module splits the `n_start` budget of one
+//! [`CoverMeConfig`](crate::CoverMeConfig) into `shards` disjoint slices,
+//! runs each slice as its own local search loop
+//! ([`SearchState::run`](crate::SearchState::run)), and merges the
+//! per-shard snapshots into one [`TestReport`] ([`merge_shards`]).
 //!
 //! # Budget slicing and seed derivation
 //!
@@ -40,12 +41,12 @@
 //!   its snapshot refines over `n_start / shards` rounds instead of
 //!   `n_start` — so a shard starved of rounds can burn its whole slice on
 //!   branches every other shard also finds. That is why
-//!   [`CoverMeConfig::effective_shards`] refuses to split below
-//!   [`MIN_ROUNDS_PER_SHARD`] rounds per shard; with the floor in place, a
-//!   sharded run covers at least what shard count 1 covers for the same
-//!   total `n_start` on every Fdlibm benchmark measured, and the property
-//!   tests in `tests/shard_properties.rs` check the invariant across
-//!   generated programs and shard counts.
+//!   [`CoverMeConfig::effective_shards`](crate::CoverMeConfig::effective_shards)
+//!   refuses to split below [`MIN_ROUNDS_PER_SHARD`] rounds per shard; with
+//!   the floor in place, a sharded run covers at least what shard count 1
+//!   covers for the same total `n_start` on every Fdlibm benchmark
+//!   measured, and the property tests in `tests/shard_properties.rs` check
+//!   the invariant across generated programs and shard counts.
 //!
 //! # Merging
 //!
@@ -57,20 +58,17 @@
 //! earlier-kept input covers. The merge is a pure function of the shard
 //! snapshots, so it inherits their determinism.
 //!
-//! The shard loop itself lives in the resumable [`SearchState`];
-//! [`run_shard`] runs one state to exhaustion in a single slice. The
-//! executor of [`crate::campaign`] — behind campaigns,
-//! [`CoverMe::run`](crate::CoverMe::run) and
-//! [`CoverMe::run_parallel`](crate::CoverMe::run_parallel) alike — runs the
-//! same states the same way, one task per shard, on any number of workers;
-//! all of them merge to the identical report for a fixed
-//! `(seed, shards, budget)`.
+//! The executor of [`crate::campaign`] — behind campaigns and
+//! [`CoverMe::run`](crate::CoverMe::run) alike — runs one
+//! [`SearchState`](crate::SearchState) per shard, one task each, on any
+//! number of workers; all of them merge to the identical report for a
+//! fixed `(seed, shards, budget)`.
 
 use std::time::Instant;
 
-use coverme_runtime::{BranchSet, CoverageMap, Program};
+use coverme_runtime::{BranchSet, CoverageMap};
 
-use crate::driver::{CoverMeConfig, SearchState};
+use crate::driver::EpochOutcome;
 use crate::report::{RoundRecord, TestReport};
 use crate::saturation::SaturationTracker;
 
@@ -80,8 +78,10 @@ use crate::saturation::SaturationTracker;
 /// starved below roughly this many rounds duplicates the easy branches other
 /// shards also find and never gets pushed toward the rest (measured on
 /// `ieee754_pow`: 10 rounds per shard lost branches the unsharded search
-/// found, 16+ reached parity). [`CoverMeConfig::effective_shards`] clamps
-/// the requested shard count so every shard keeps at least this many rounds.
+/// found, 16+ reached parity).
+/// [`CoverMeConfig::effective_shards`](crate::CoverMeConfig::effective_shards)
+/// clamps the requested shard count so every shard keeps at least this many
+/// rounds.
 pub const MIN_ROUNDS_PER_SHARD: usize = 16;
 
 /// One accepted zero of the representing function: a generated test input
@@ -124,10 +124,13 @@ pub struct ShardOutcome {
     /// [`coverme_runtime::RunOutcome::Trap`]).
     pub traps: usize,
     /// Corpus inputs the shard's warm start replayed (see
-    /// [`CoverMeConfig::warm_start`]; 0 for a cold search).
+    /// [`CoverMeConfig::warm_start`](crate::CoverMeConfig::warm_start); 0
+    /// for a cold search).
     pub warm_replayed: usize,
     /// Name of the execution backend the shard's engine ran.
     pub backend: &'static str,
+    /// Why the shard's search stopped.
+    pub outcome: EpochOutcome,
     /// When the shard started running.
     pub started: Instant,
     /// When the shard finished.
@@ -164,29 +167,6 @@ pub struct MergedSearch {
     pub report: TestReport,
     /// The merged saturation state (see [`SaturationTracker::merge_from`]).
     pub tracker: SaturationTracker,
-}
-
-/// Runs shard `shard_index` of a search configured for `config.shards`
-/// shards: the local search loop of Algorithm 1 restricted to the strided
-/// slice of rounds the shard owns (see the [module docs](self)).
-///
-/// A thin wrapper over the resumable [`SearchState`]: create the
-/// state, run it to exhaustion in a single slice, convert it into the
-/// shard snapshot. With `config.shards <= 1` this is exactly the
-/// sequential driver loop.
-///
-/// # Panics
-///
-/// Panics if the program takes no inputs, or if `shard_index` is out of
-/// range for the configured shard count.
-pub fn run_shard<P: Program>(
-    config: &CoverMeConfig,
-    program: &P,
-    shard_index: usize,
-) -> ShardOutcome {
-    let mut state = SearchState::new(config, program, shard_index);
-    state.run_to_exhaustion();
-    state.finish()
 }
 
 /// Merges shard snapshots of one search into a single report plus the
@@ -278,8 +258,17 @@ pub fn merge_shards(program_name: &str, mut outcomes: Vec<ShardOutcome>) -> Merg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverMe, InfeasiblePolicy};
-    use coverme_runtime::{Cmp, ExecCtx, FnProgram};
+    use crate::{CoverMe, CoverMeConfig, InfeasiblePolicy, SearchState};
+    use coverme_runtime::{Cmp, ExecCtx, FnProgram, Program};
+
+    /// Runs shard `shard_index` of `config` to its end.
+    fn search_shard<P: Program>(
+        config: &CoverMeConfig,
+        program: &P,
+        shard_index: usize,
+    ) -> ShardOutcome {
+        SearchState::new(config, program, shard_index).run(&mut |_| {})
+    }
 
     /// The paper's Fig. 3 example program.
     fn paper_example() -> FnProgram<impl Fn(&[f64], &mut ExecCtx)> {
@@ -321,7 +310,7 @@ mod tests {
     fn one_shard_outcome_reproduces_the_sequential_driver() {
         let program = paper_example();
         let sequential = CoverMe::new(config(1)).run(&program);
-        let outcome = run_shard(&config(1), &program, 0);
+        let outcome = search_shard(&config(1), &program, 0);
         let report = outcome.into_report(program.name());
         assert_eq!(report.inputs, sequential.inputs);
         assert_eq!(report.coverage, sequential.coverage);
@@ -337,7 +326,7 @@ mod tests {
             // exactly the strided slices.
             .with_infeasible_policy(InfeasiblePolicy::Disabled)
             .with_n_start(12);
-        let outcomes: Vec<ShardOutcome> = (0..3).map(|i| run_shard(&cfg, &program, i)).collect();
+        let outcomes: Vec<ShardOutcome> = (0..3).map(|i| search_shard(&cfg, &program, i)).collect();
         let mut rounds_seen: Vec<usize> = outcomes
             .iter()
             .flat_map(|o| o.rounds.iter().map(|r| r.round))
@@ -350,7 +339,7 @@ mod tests {
         assert_eq!(rounds_seen.len(), total, "overlapping shard slices");
         // And the same global round gets the same starting point in every
         // shard count (shared schedule).
-        let unsharded = run_shard(&cfg.clone().with_shards(1), &program, 0);
+        let unsharded = search_shard(&cfg.clone().with_shards(1), &program, 0);
         for outcome in &outcomes {
             for record in &outcome.rounds {
                 if let Some(seq) = unsharded.rounds.iter().find(|r| r.round == record.round) {
@@ -364,7 +353,7 @@ mod tests {
     fn merged_report_covers_union_of_shards() {
         let program = paper_example();
         let cfg = config(3);
-        let outcomes: Vec<ShardOutcome> = (0..3).map(|i| run_shard(&cfg, &program, i)).collect();
+        let outcomes: Vec<ShardOutcome> = (0..3).map(|i| search_shard(&cfg, &program, i)).collect();
         let mut union = BranchSet::with_sites(program.num_sites());
         for outcome in &outcomes {
             union.union_with(outcome.coverage.covered());
@@ -378,7 +367,7 @@ mod tests {
     fn merged_inputs_reproduce_the_merged_coverage() {
         let program = paper_example();
         let cfg = config(4);
-        let outcomes: Vec<ShardOutcome> = (0..4).map(|i| run_shard(&cfg, &program, i)).collect();
+        let outcomes: Vec<ShardOutcome> = (0..4).map(|i| search_shard(&cfg, &program, i)).collect();
         let merged = merge_shards(program.name(), outcomes);
         let mut check = CoverageMap::new(program.num_sites());
         for input in &merged.report.inputs {
@@ -398,7 +387,10 @@ mod tests {
         let cfg = config(4);
         // Only shards 3 and 1 ran (deadline expired for the rest), handed
         // over out of order.
-        let outcomes = vec![run_shard(&cfg, &program, 3), run_shard(&cfg, &program, 1)];
+        let outcomes = vec![
+            search_shard(&cfg, &program, 3),
+            search_shard(&cfg, &program, 1),
+        ];
         let merged = merge_shards(program.name(), outcomes);
         assert!(merged.report.coverage.covered_count() > 0);
     }
@@ -413,8 +405,8 @@ mod tests {
     #[should_panic(expected = "different shard counts")]
     fn merge_rejects_mixed_shard_counts() {
         let program = paper_example();
-        let a = run_shard(&config(2), &program, 0);
-        let b = run_shard(&config(3), &program, 1);
+        let a = search_shard(&config(2), &program, 0);
+        let b = search_shard(&config(3), &program, 1);
         let _ = merge_shards(program.name(), vec![a, b]);
     }
 
@@ -423,7 +415,7 @@ mod tests {
     fn merge_rejects_duplicate_shards() {
         let program = paper_example();
         let cfg = config(2);
-        let a = run_shard(&cfg, &program, 0);
+        let a = search_shard(&cfg, &program, 0);
         let _ = merge_shards(program.name(), vec![a.clone(), a]);
     }
 
@@ -447,16 +439,14 @@ mod tests {
             .with_seed(5)
             .with_shards(4)
             .with_infeasible_policy(InfeasiblePolicy::Disabled);
-        let sequential = CoverMe::new(cfg.clone()).run(&program);
-        assert_eq!(sequential.rounds.len(), 32, "every scheduled round ran");
-        let parallel = CoverMe::new(cfg).run_parallel(&program);
-        assert_eq!(parallel.rounds, sequential.rounds);
+        let report = CoverMe::new(cfg).run(&program);
+        assert_eq!(report.rounds.len(), 32, "every scheduled round ran");
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn run_shard_rejects_out_of_range_index() {
+    fn search_state_rejects_out_of_range_shard_index() {
         let program = paper_example();
-        let _ = run_shard(&config(2), &program, 2);
+        let _ = search_shard(&config(2), &program, 2);
     }
 }

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use coverme::{
     Campaign, CampaignConfig, CampaignReport, CoverMeConfig, InfeasiblePolicy, SaturationTracker,
-    ShardOutcome,
+    SearchState, ShardOutcome,
 };
 use coverme_runtime::{Cmp, ExecCtx, FnProgram, Program};
 
@@ -195,7 +195,7 @@ proptest! {
             .with_shards(3)
             .with_infeasible_policy(InfeasiblePolicy::Generalized);
         let outcomes: Vec<ShardOutcome> = (0..3)
-            .map(|i| coverme::shard::run_shard(&cfg, &program, i))
+            .map(|i| SearchState::new(&cfg, &program, i).run(&mut |_| {}))
             .collect();
         let merge_in = |order: &[usize]| {
             let mut tracker = SaturationTracker::new(program.num_sites());

@@ -28,7 +28,7 @@ use coverme::{
     BranchId, BranchSet, Cmp, CoverMe, CoverMeConfig, ExecCtx, FnProgram, Program,
     RepresentingFunction,
 };
-use coverme_runtime::{Direction, Trace, DEFAULT_EPSILON};
+use coverme_runtime::DEFAULT_EPSILON;
 
 /// Specification of one conditional site of a generated program.
 #[derive(Debug, Clone)]
@@ -134,14 +134,6 @@ fn snapshot_from_mask(num_sites: usize, mask: u64) -> BranchSet {
     snapshot
 }
 
-/// A trace as comparable bits: site, direction, operator, operand patterns.
-fn trace_bits(trace: &Trace) -> Vec<(u32, Direction, Cmp, u64, u64)> {
-    trace
-        .iter()
-        .map(|e| (e.site, e.direction, e.op, e.lhs.to_bits(), e.rhs.to_bits()))
-        .collect()
-}
-
 /// Checks every evaluation path on `batch` against `snapshot`.
 ///
 /// Two engines are warmed with the same `warm`-point prefix, then
@@ -182,10 +174,9 @@ fn check_paths_agree<P: Program>(
         prop_assert_eq!(value.to_bits(), full.value.to_bits());
         prop_assert_eq!(value.to_bits(), legacy_fast.to_bits());
         prop_assert_eq!(value.to_bits(), legacy_full.value.to_bits());
-        // The full paths agree on coverage and trace too (operands by bit
-        // pattern: NaN operands are equal to themselves only that way).
+        // The full paths agree on coverage and trace too.
         prop_assert_eq!(&full.covered, &legacy_full.covered);
-        prop_assert_eq!(trace_bits(&full.trace), trace_bits(&legacy_full.trace));
+        prop_assert_eq!(&full.trace, &legacy_full.trace);
     }
 }
 

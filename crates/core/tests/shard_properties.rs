@@ -10,13 +10,12 @@
 //!   branches and coverage maps union exactly, infeasible verdicts union
 //!   minus what real coverage refuted — and the merge is order-independent
 //!   and idempotent;
-//! * `run_shard` is exactly a reference run-to-completion round loop
-//!   written against the public engine, minimizer and tracker API, and
-//!   cutting a shard's schedule into `run_rounds` slices changes nothing;
+//! * `SearchState::run` is exactly a reference round loop written against
+//!   the public engine, minimizer and tracker API;
 //! * results are deterministic per `(seed, shards, budget)` at any worker
-//!   count — `CoverMe::run` on the calling thread, `CoverMe::run_parallel`
-//!   on one worker per shard and campaigns on any number of workers (all
-//!   one executor) agree, warm-started or cold.
+//!   count — campaigns on 1, 2 and 5 workers (one executor, the same one
+//!   `CoverMe::run` drives on the calling thread) agree, warm-started or
+//!   cold.
 //!
 //! These are checked on randomly generated straight-line programs (affine
 //! conditions over one input, with data flow between sites), not just the
@@ -24,10 +23,10 @@
 
 use proptest::prelude::*;
 
-use coverme::shard::{merge_shards, run_shard};
+use coverme::shard::merge_shards;
 use coverme::{
     Campaign, CampaignConfig, CoverMe, CoverMeConfig, InfeasiblePolicy, ObjectiveEngine,
-    RoundOutcome, RoundRecord, SaturationTracker, SearchState, ShardOutcome, WarmStart,
+    RoundOutcome, RoundRecord, SaturationTracker, SearchState, ShardOutcome, TestReport, WarmStart,
 };
 use coverme_optim::rng::SplitMix64;
 use coverme_optim::BasinHopping;
@@ -96,6 +95,15 @@ fn site_strategy() -> impl Strategy<Value = SiteSpec> {
 
 fn program_strategy() -> impl Strategy<Value = Vec<SiteSpec>> {
     prop::collection::vec(site_strategy(), 1..5)
+}
+
+/// Runs shard `shard_index` of `config` to its end.
+fn search_shard<P: Program>(
+    config: &CoverMeConfig,
+    program: &P,
+    shard_index: usize,
+) -> ShardOutcome {
+    SearchState::new(config, program, shard_index).run(&mut |_| {})
 }
 
 fn config(seed: u64, shards: usize) -> CoverMeConfig {
@@ -232,21 +240,6 @@ proptest! {
         prop_assert_eq!(a.evaluations, b.evaluations);
     }
 
-    /// Sequential and thread-per-shard execution merge to the same report.
-    #[test]
-    fn parallel_execution_matches_sequential(
-        specs in program_strategy(),
-        seed in 0..1000u64,
-        shards in 2..5usize,
-    ) {
-        let program = build_program(specs);
-        let sequential = CoverMe::new(config(seed, shards)).run(&program);
-        let parallel = CoverMe::new(config(seed, shards)).run_parallel(&program);
-        prop_assert_eq!(&sequential.inputs, &parallel.inputs);
-        prop_assert_eq!(sequential.coverage.covered(), parallel.coverage.covered());
-        prop_assert_eq!(sequential.evaluations, parallel.evaluations);
-    }
-
     /// Coverage is monotone in the shard count: a sharded run over the same
     /// total `n_start` never covers fewer branches than the unsharded run.
     #[test]
@@ -280,7 +273,7 @@ proptest! {
     ) {
         let program = build_program(specs);
         let cfg = config(seed, shards);
-        let outcomes: Vec<_> = (0..shards).map(|i| run_shard(&cfg, &program, i)).collect();
+        let outcomes: Vec<_> = (0..shards).map(|i| search_shard(&cfg, &program, i)).collect();
 
         let mut covered_union = BranchSet::with_sites(program.num_sites());
         let mut infeasible_union = BranchSet::with_sites(program.num_sites());
@@ -327,11 +320,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The `SearchState`-backed `run_shard` produces exactly the rounds,
-    /// evaluation counts and accepted inputs of the reference
-    /// run-to-completion loop.
+    /// `SearchState::run` produces exactly the rounds, evaluation counts
+    /// and accepted inputs of the reference round loop.
     #[test]
-    fn run_shard_matches_the_reference_shard_loop(
+    fn search_state_run_matches_the_reference_shard_loop(
         specs in program_strategy(),
         seed in 0..1000u64,
         shards in 1..4usize,
@@ -339,7 +331,7 @@ proptest! {
         let program = build_program(specs);
         let cfg = config(seed, shards).with_polish(false);
         for shard in 0..shards {
-            let outcome = run_shard(&cfg, &program, shard);
+            let outcome = search_shard(&cfg, &program, shard);
             let (rounds, evaluations, inputs) =
                 reference_shard_rounds(&cfg, &program, shard);
             prop_assert_eq!(&outcome.rounds, &rounds, "shard {}", shard);
@@ -348,34 +340,6 @@ proptest! {
                 outcome.accepted.iter().map(|a| a.input.clone()).collect();
             prop_assert_eq!(accepted, inputs);
         }
-    }
-
-    /// Pausing is free: cutting a shard's schedule into arbitrary
-    /// `run_rounds` slices produces the same outcome as one
-    /// run-to-exhaustion call — rounds, inputs, coverage, evaluations.
-    #[test]
-    fn run_rounds_slicing_is_behavior_free(
-        specs in program_strategy(),
-        seed in 0..1000u64,
-        chunks in prop::collection::vec(1..7usize, 1..32),
-    ) {
-        let program = build_program(specs);
-        let cfg = config(seed, 1);
-        let whole = run_shard(&cfg, &program, 0);
-
-        let mut state = SearchState::new(&cfg, &program, 0);
-        let mut chunk_iter = chunks.iter().cycle();
-        loop {
-            let outcome = state.run_rounds(*chunk_iter.next().expect("cycle"));
-            if outcome.is_finished() {
-                break;
-            }
-        }
-        let sliced = state.finish();
-        prop_assert_eq!(&sliced.rounds, &whole.rounds);
-        prop_assert_eq!(&sliced.coverage, &whole.coverage);
-        prop_assert_eq!(sliced.evaluations, whole.evaluations);
-        prop_assert_eq!(&sliced.tracker, &whole.tracker);
     }
 
     /// Merging the trackers real searches produce is order-independent
@@ -389,7 +353,7 @@ proptest! {
         let program = build_program(specs);
         let cfg = config(seed, 3);
         let outcomes: Vec<ShardOutcome> =
-            (0..3).map(|i| run_shard(&cfg, &program, i)).collect();
+            (0..3).map(|i| search_shard(&cfg, &program, i)).collect();
 
         let merge_in = |order: &[usize]| {
             let mut tracker = SaturationTracker::new(program.num_sites());
@@ -410,51 +374,20 @@ proptest! {
     }
 
     /// Sharded searches are deterministic per `(seed, shards)` at any
-    /// worker count: `CoverMe::run` on the calling thread,
-    /// `CoverMe::run_parallel` on one worker per shard, and campaigns at
-    /// several worker counts all produce the same report.
+    /// worker count: campaigns on 1, 2 and 5 workers produce the same
+    /// report.
     #[test]
     fn sharded_results_deterministic_at_any_worker_count(
         specs in program_strategy(),
         seed in 0..1000u64,
         shards in 2..4usize,
     ) {
-        let program = build_program(specs.clone());
-        let cfg = config(seed, shards);
-        let sequential = CoverMe::new(cfg.clone()).run(&program);
-        let parallel = CoverMe::new(cfg.clone()).run_parallel(&program);
-        prop_assert_eq!(&sequential.inputs, &parallel.inputs);
-        prop_assert_eq!(&sequential.coverage, &parallel.coverage);
-        prop_assert_eq!(sequential.evaluations, parallel.evaluations);
-        prop_assert_eq!(&sequential.rounds, &parallel.rounds);
-
-        // The campaign derives its own per-function seed, so compare the
-        // campaign against itself across worker counts.
         let programs = vec![build_program(specs)];
-        let run_campaign = |workers: usize| {
-            Campaign::new(
-                CampaignConfig::new()
-                    .with_base(cfg.clone())
-                    .with_workers(workers),
-            )
-            .run(&programs)
-        };
-        let one = run_campaign(1);
-        for workers in [2usize, 5] {
-            let many = run_campaign(workers);
-            let (a, b) = (
-                one.results[0].report.as_ref().expect("ran"),
-                many.results[0].report.as_ref().expect("ran"),
-            );
-            prop_assert_eq!(&a.inputs, &b.inputs, "workers = {}", workers);
-            prop_assert_eq!(&a.coverage, &b.coverage);
-            prop_assert_eq!(a.evaluations, b.evaluations);
-        }
+        assert_identical_at_any_worker_count(&config(seed, shards), &programs);
     }
 
-    /// A corpus warm start replays inside each shard's first `run_rounds`
-    /// slice, before any scheduled round: sharded warm runs stay
-    /// deterministic between `CoverMe::run` and `CoverMe::run_parallel`.
+    /// A corpus warm start replays in each shard before any scheduled
+    /// round: sharded warm runs stay deterministic across worker counts.
     #[test]
     fn warm_started_sharded_runs_stay_deterministic(
         specs in program_strategy(),
@@ -472,12 +405,36 @@ proptest! {
             prior_coverage: None,
         };
         let cfg = config(seed, shards).with_warm_start(warm);
-        let sequential = CoverMe::new(cfg.clone()).run(&program);
-        let parallel = CoverMe::new(cfg).run_parallel(&program);
-        prop_assert_eq!(&sequential.inputs, &parallel.inputs);
-        prop_assert_eq!(&sequential.coverage, &parallel.coverage);
-        prop_assert_eq!(sequential.evaluations, parallel.evaluations);
-        prop_assert_eq!(sequential.warm_replayed, parallel.warm_replayed);
-        prop_assert!(sequential.warm_replayed > 0 || donor.inputs.is_empty());
+        let one = assert_identical_at_any_worker_count(&cfg, &[program]);
+        prop_assert!(one.warm_replayed > 0 || donor.inputs.is_empty());
     }
+}
+
+/// Runs a campaign of `programs` under the base configuration `cfg` on 1,
+/// 2 and 5 workers, checks that every run reports the same first row
+/// (inputs, coverage, rounds, evaluations, warm replays), and returns the
+/// one-worker row.
+fn assert_identical_at_any_worker_count<P: Program + Sync>(
+    cfg: &CoverMeConfig,
+    programs: &[P],
+) -> TestReport {
+    let run_campaign = |workers: usize| {
+        let report = Campaign::new(
+            CampaignConfig::new()
+                .with_base(cfg.clone())
+                .with_workers(workers),
+        )
+        .run(programs);
+        report.results[0].report.clone().expect("ran")
+    };
+    let one = run_campaign(1);
+    for workers in [2usize, 5] {
+        let many = run_campaign(workers);
+        prop_assert_eq!(&one.inputs, &many.inputs, "workers = {}", workers);
+        prop_assert_eq!(&one.coverage, &many.coverage);
+        prop_assert_eq!(&one.rounds, &many.rounds);
+        prop_assert_eq!(one.evaluations, many.evaluations);
+        prop_assert_eq!(one.warm_replayed, many.warm_replayed);
+    }
+    one
 }

@@ -2483,8 +2483,8 @@ mod tests {
         let tape_cov: Vec<BranchId> = tape_ctx.covered().iter().collect();
         assert_eq!(tape_cov, interp_cov, "coverage diverged on {input:?}");
         assert_eq!(
-            format!("{:?}", tape_ctx.trace()),
-            format!("{:?}", interp_ctx.trace()),
+            tape_ctx.trace(),
+            interp_ctx.trace(),
             "trace diverged on {input:?}"
         );
     }

@@ -13,7 +13,11 @@ use crate::branch::{BranchId, Direction, SiteId};
 use crate::distance::Cmp;
 
 /// One branch decision made during an execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Equality compares the operands by bit pattern, so a decision with a NaN
+/// operand equals itself and `0.0` differs from `-0.0`: two traces are
+/// equal exactly when the executions observed the same values.
+#[derive(Debug, Clone, Copy)]
 pub struct TakenBranch {
     /// The conditional site that was evaluated.
     pub site: SiteId,
@@ -42,8 +46,20 @@ impl TakenBranch {
     }
 }
 
+impl PartialEq for TakenBranch {
+    fn eq(&self, other: &Self) -> bool {
+        self.site == other.site
+            && self.direction == other.direction
+            && self.op == other.op
+            && self.lhs.to_bits() == other.lhs.to_bits()
+            && self.rhs.to_bits() == other.rhs.to_bits()
+    }
+}
+
+impl Eq for TakenBranch {}
+
 /// The ordered sequence of branch decisions of a single execution.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     events: Vec<TakenBranch>,
 }
@@ -178,6 +194,22 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert!(t.last().is_none());
+    }
+
+    #[test]
+    fn traces_compare_operands_by_bits() {
+        let with_operand = |lhs: f64| {
+            let mut t = Trace::new();
+            t.push(TakenBranch {
+                lhs,
+                ..event(0, true)
+            });
+            t
+        };
+        let nan = with_operand(f64::NAN);
+        assert_eq!(nan, nan.clone(), "a NaN operand equals itself");
+        assert_ne!(with_operand(0.0), with_operand(-0.0));
+        assert_eq!(with_operand(0.0), with_operand(0.0));
     }
 
     #[test]

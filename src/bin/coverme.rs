@@ -248,25 +248,14 @@ fn cmd_run(path: &str, options: &Options) {
         if config.effective_shards() > 1 {
             usage_error("--stream run mode is unsharded; drop --shards");
         }
-        // Drive the resumable state round by round so each record
-        // prints the moment it lands.
-        let mut state = SearchState::new(&config, &program, 0);
-        let mut printed = 0usize;
-        loop {
-            let outcome = state.run_rounds(1);
-            for record in &state.rounds()[printed..] {
-                println!(
-                    "round {:>4}: value {:<12} {:?}",
-                    record.round, record.value, record.outcome
-                );
-            }
-            printed = state.rounds().len();
-            if outcome.is_finished() {
-                println!("search finished: {outcome:?}");
-                break;
-            }
-        }
-        state.finish().into_report(&entry)
+        let outcome = SearchState::new(&config, &program, 0).run(&mut |record| {
+            println!(
+                "round {:>4}: value {:<12} {:?}",
+                record.round, record.value, record.outcome
+            );
+        });
+        println!("search finished: {:?}", outcome.outcome);
+        outcome.into_report(&entry)
     } else {
         CoverMe::new(config).run(&program)
     };
