@@ -3,10 +3,10 @@
 //!
 //! The paper evaluates CoverMe one Fdlibm function at a time; reproducing a
 //! whole table is embarrassingly parallel because every function is searched
-//! independently. A [`Campaign`] runs its functions on one executor: a queue
-//! of **tasks** — one *(function, shard)* search run to its end
-//! ([`SearchState::run`]) — claimed by one worker loop on a pool of scoped
-//! threads ([`std::thread::scope`]).
+//! independently. A [`Campaign`] runs its functions on one executor: a fixed
+//! list of **tasks** — one *(function, shard)* search run to its end
+//! ([`SearchState::run`]) — claimed front to back by one worker loop on a
+//! pool of scoped threads ([`std::thread::scope`]).
 //!
 //! There is one schedule, the paper's: every function runs its own
 //! `n_start` schedule. With `shards = 1` every function is a single task
@@ -20,15 +20,15 @@
 //!
 //! ```text
 //!              tasks (function, shard)
-//!   queue ──▶ worker loop ──▶ SearchState::run ──▶ settle the snapshot
-//!                                                          │
-//!        last shard of the function back? merge and finalize ◀──┘
+//!   task list ──▶ worker loop ──▶ SearchState::run ──▶ settle the snapshot
+//!                                                              │
+//!            last shard of the function back? merge and finalize ◀──┘
 //! ```
 //!
-//! Because tasks are claimed from one shared queue seeded in
-//! function-major order, a trailing heavy function (e.g. `ieee754_pow` with
-//! its 114 branches) fans out over the workers that would otherwise sit
-//! idle at the end of a campaign.
+//! Because tasks are claimed from one shared list built in function-major
+//! order, a trailing heavy function (e.g. `ieee754_pow` with its 114
+//! branches) fans out over the workers that would otherwise sit idle at the
+//! end of a campaign.
 //!
 //! Finished functions do not wait for the suite: the moment a function is
 //! finalized, its merged [`FunctionResult`] is emitted as a
@@ -49,26 +49,27 @@
 //!   merge is order-independent — so a campaign without a deadline
 //!   produces identical searches whether it runs on 1 worker or 64.
 //! * **Graceful budget expiry.** With a wall-clock budget set, workers check
-//!   the deadline *before* claiming a task — an expired deadline never
+//!   the deadline *before* claiming a task — a passed deadline never
 //!   starts a zero-budget search that would be counted as completed — and
 //!   searches created mid-campaign have their own time budget clamped to
-//!   the time remaining. Functions none of whose shards ran are reported as
-//!   [`FunctionStatus::Skipped`]; functions the deadline cut mid-search
-//!   keep everything their shards completed and are reported as
-//!   [`FunctionStatus::Partial`] instead of being dropped.
-//! * **Work conservation.** Tasks are claimed from a shared queue guarded
-//!   by a condvar, so a slow function does not serialize the suite behind
-//!   it and idle workers sleep instead of spinning.
+//!   the time remaining. A fired [`CancelToken`] on the base configuration
+//!   stops claiming the same way. Functions none of whose shards ran are
+//!   reported as [`FunctionStatus::Skipped`]; functions the deadline or the
+//!   token cut mid-search keep everything their shards completed and are
+//!   reported as [`FunctionStatus::Partial`] instead of being dropped.
+//! * **Work conservation.** Tasks are claimed from one shared list, so a
+//!   slow function does not serialize the suite behind it, and idle workers
+//!   exit: no task is ever added after the list is built.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use coverme_runtime::Program;
+use coverme_runtime::{fingerprint_bytes, fingerprint_seed, Program};
 
 use crate::corpus::CorpusStore;
-use crate::driver::{CoverMeConfig, EpochOutcome, SearchState};
+use crate::driver::{CancelToken, CoverMeConfig, SearchState, StopReason};
 use crate::report::schema::{member, JsonValue, CAMPAIGN_REPORT};
 use crate::report::TestReport;
 use crate::shard::{merge_shards, ShardOutcome};
@@ -137,13 +138,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the per-function shard count on the template configuration
-    /// (convenience for `base.shards`).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.base.shards = shards;
-        self
-    }
-
     /// Sets the campaign wall-clock budget.
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
@@ -182,10 +176,10 @@ pub enum FunctionStatus {
     /// exhaustion) — the result a budget-less campaign always produces.
     Complete,
     /// The campaign deadline cut the search: some shards never ran, or a
-    /// shard's wall-clock budget expired mid-search. The report merges
+    /// shard's wall-clock budget ran out mid-search. The report merges
     /// everything that did complete instead of dropping it.
     Partial,
-    /// The deadline expired before any of the function's shards started;
+    /// The deadline passed before any of the function's shards started;
     /// there is no report.
     Skipped,
 }
@@ -225,10 +219,10 @@ pub struct FunctionResult {
     /// The program's name, as reported by [`Program::name`].
     pub name: String,
     /// The search report (merged across shards), or `None` if the campaign
-    /// budget expired before any of this function's shards started.
+    /// budget ran out before any of this function's shards started.
     pub report: Option<TestReport>,
     /// How many of the function's shard units ran before the budget
-    /// expired (equals the configured shard count on an unconstrained
+    /// ran out (equals the configured shard count on an unconstrained
     /// campaign, `0` when skipped).
     pub shards_run: usize,
     /// Whether the function ran to completion, was cut by the deadline
@@ -377,7 +371,7 @@ impl CampaignReport {
         self.results.iter().filter(|r| r.completed()).count()
     }
 
-    /// Number of functions skipped because the budget expired.
+    /// Number of functions skipped because the budget ran out.
     pub fn skipped(&self) -> usize {
         self.results.len() - self.completed()
     }
@@ -394,7 +388,7 @@ impl CampaignReport {
     /// Suite-level branch coverage in percent: covered branches over total
     /// branches, summed across completed functions. An empty inventory is
     /// vacuously 100; a non-empty inventory where nothing completed (budget
-    /// expired immediately) is 0.
+    /// ran out immediately) is 0.
     pub fn suite_branch_coverage_percent(&self) -> f64 {
         if let Some(zero) = self.vacuous_percent() {
             return zero;
@@ -666,36 +660,6 @@ impl std::fmt::Display for CampaignReport {
     }
 }
 
-/// What a worker may still do under the campaign deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BudgetState {
-    /// No deadline configured.
-    Unlimited,
-    /// Time is left; in-flight searches are clamped to it.
-    Remaining(Duration),
-    /// The deadline has passed (or nothing measurable remains): claiming
-    /// another unit would start a zero-budget search, so don't.
-    Expired,
-}
-
-/// Evaluates the campaign deadline at `now`. Checked *before* a worker
-/// claims a unit from the cursor, so a post-deadline worker never claims an
-/// index only to run it with a near-zero clamped budget and have it counted
-/// as completed.
-fn budget_state(deadline: Option<Instant>, now: Instant) -> BudgetState {
-    match deadline {
-        None => BudgetState::Unlimited,
-        Some(deadline) => {
-            let remaining = deadline.saturating_duration_since(now);
-            if remaining.is_zero() {
-                BudgetState::Expired
-            } else {
-                BudgetState::Remaining(remaining)
-            }
-        }
-    }
-}
-
 /// A parallel campaign runner. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct Campaign {
@@ -778,8 +742,13 @@ impl Campaign {
             })
             .collect();
 
-        let deadline = self.config.time_budget.map(|budget| started + budget);
-        let executor = Executor::new(inventory, &configs, shards, deadline);
+        // A budget too large to add to the start instant is no deadline.
+        let deadline = self
+            .config
+            .time_budget
+            .and_then(|budget| started.checked_add(budget));
+        let cancel = self.config.base.cancel.clone();
+        let executor = Executor::new(inventory, &configs, shards, deadline, cancel);
         let results = executor.run_on(workers, &mut on_event);
         self.record_corpus(&fingerprints, &configs, &results);
         CampaignReport {
@@ -830,8 +799,10 @@ impl Campaign {
 }
 
 /// A standalone search ([`CoverMe::run`](crate::CoverMe::run)): a
-/// one-function run of the executor with the configuration's own seed and
-/// no campaign deadline, on the calling thread.
+/// one-function run of the executor with the configuration's own seed, on
+/// the calling thread. Its one task is always claimed — no campaign
+/// deadline, no claim-time cancellation — so a cancelled standalone search
+/// still reports, stopped by its own first check.
 pub(crate) fn run_standalone<P: Program>(config: &CoverMeConfig, program: &P) -> TestReport {
     let shards = config.effective_shards();
     let config = CoverMeConfig {
@@ -842,6 +813,7 @@ pub(crate) fn run_standalone<P: Program>(config: &CoverMeConfig, program: &P) ->
         std::slice::from_ref(program),
         std::slice::from_ref(&config),
         shards,
+        None,
         None,
     )
     .run_inline(&mut |_| {})
@@ -879,15 +851,15 @@ impl FunctionRun {
 
     /// Marks the function finalized and takes its snapshots.
     /// `deadline_cut` marks a function the campaign deadline stopped; a
-    /// shard that expired or degraded mid-search (see
-    /// [`EpochOutcome::Degraded`]) cuts it short too.
+    /// shard that ran out of time or degraded mid-search (see
+    /// [`StopReason::Degraded`]) cuts it short too.
     fn finalize(&mut self, index: usize, deadline_cut: bool) -> Finished {
         self.finished = true;
         let cut_short = deadline_cut
             || self.outcomes.iter().flatten().any(|shard| {
                 matches!(
                     shard.outcome,
-                    EpochOutcome::DeadlineExpired | EpochOutcome::Degraded
+                    StopReason::DeadlineExpired | StopReason::Degraded
                 )
             });
         Finished {
@@ -943,13 +915,11 @@ impl Finished {
 
 /// The executor state one mutex guards.
 struct Shared {
-    queue: VecDeque<Task>,
+    /// Every `(function, shard)` task, function-major; fixed once built.
+    tasks: Vec<Task>,
+    /// Index of the next unclaimed task.
+    next: usize,
     functions: Vec<FunctionRun>,
-    /// Functions not yet finalized; workers exit when it reaches 0.
-    unfinished: usize,
-    /// Set when a worker observes the campaign deadline expired; stops all
-    /// claiming, leaving unfinished functions for the deadline pass.
-    expired: bool,
 }
 
 impl Shared {
@@ -962,23 +932,23 @@ impl Shared {
         if run.pending > 0 {
             return None;
         }
-        self.unfinished -= 1;
         Some(run.finalize(task.function, false))
     }
 }
 
 /// The one search executor behind every campaign and every standalone
-/// search: a queue of `(function, shard)` tasks, one worker loop
+/// search: a fixed list of `(function, shard)` tasks, one worker loop
 /// ([`run_worker`]), the settling of a returned task ([`Shared::settle`]),
-/// and one pass that finalizes the functions a deadline cut
-/// ([`Executor::run`]).
+/// and one pass that finalizes the functions a deadline or cancellation
+/// cut ([`Executor::run`]).
 struct Executor<'c, 'inv, P: Program> {
     inventory: &'inv [P],
     /// Per-function search configurations.
     configs: &'c [CoverMeConfig],
     deadline: Option<Instant>,
+    /// Stops claiming once fired.
+    cancel: Option<CancelToken>,
     shared: Mutex<Shared>,
-    ready: Condvar,
 }
 
 impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
@@ -987,26 +957,26 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         configs: &'c [CoverMeConfig],
         shards: usize,
         deadline: Option<Instant>,
+        cancel: Option<CancelToken>,
     ) -> Self {
         // One task per (function, shard) pair, function-major so the suite
         // streams front to back and a trailing heavy function still fans
         // out over idle workers.
-        let queue = (0..inventory.len())
+        let tasks = (0..inventory.len())
             .flat_map(|function| (0..shards).map(move |shard| Task { function, shard }))
             .collect();
         Executor {
             inventory,
             configs,
             deadline,
+            cancel,
             shared: Mutex::new(Shared {
-                queue,
+                tasks,
+                next: 0,
                 functions: (0..inventory.len())
                     .map(|_| FunctionRun::new(shards))
                     .collect(),
-                unfinished: inventory.len(),
-                expired: false,
             }),
-            ready: Condvar::new(),
         }
     }
 
@@ -1056,43 +1026,35 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
         self.run(on_event, |executor, deliver| run_worker(executor, deliver))
     }
 
-    /// Claims the next task. Blocks while the queue is empty and other
-    /// workers still hold tasks; returns `None` once every function is
-    /// finalized or the deadline expired.
+    /// Claims the next task: `None` once the list is exhausted, the
+    /// campaign deadline has passed or the cancel token has fired. Checked
+    /// *before* the claim, so a post-deadline worker never starts a
+    /// zero-budget search that would be counted as completed.
     fn claim(&self) -> Option<Task> {
-        let mut shared = self.lock();
-        loop {
-            if shared.expired || shared.unfinished == 0 {
-                return None;
-            }
-            if budget_state(self.deadline, Instant::now()) == BudgetState::Expired {
-                shared.expired = true;
-                self.ready.notify_all();
-                return None;
-            }
-            if let Some(task) = shared.queue.pop_front() {
-                return Some(task);
-            }
-            shared = self.ready.wait(shared).expect("executor lock poisoned");
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+            || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+        {
+            return None;
         }
+        let mut shared = self.lock();
+        let task = *shared.tasks.get(shared.next)?;
+        shared.next += 1;
+        Some(task)
     }
 
     /// Creates a task's search state — outside the lock, since schedule
     /// regeneration is O(n_start) RNG draws — with the time budget clamped
-    /// to what the campaign deadline leaves.
+    /// to what the campaign deadline leaves. A deadline that passed
+    /// between the claim and here leaves zero, so the search stops at its
+    /// first check instead of running unbounded.
     fn new_state(&self, task: Task) -> SearchState<'inv, P> {
         let mut config = Cow::Borrowed(&self.configs[task.function]);
-        match budget_state(self.deadline, Instant::now()) {
-            BudgetState::Remaining(left) => {
-                let budget = config.time_budget.map_or(left, |budget| budget.min(left));
-                config.to_mut().time_budget = Some(budget);
-            }
-            // The deadline expired between the claim check and state
-            // creation: a zero budget makes the state record a
-            // DeadlineExpired outcome on its first round check instead of
-            // running the whole search unbounded.
-            BudgetState::Expired => config.to_mut().time_budget = Some(Duration::ZERO),
-            BudgetState::Unlimited => {}
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let budget = config.time_budget.map_or(left, |budget| budget.min(left));
+            config.to_mut().time_budget = Some(budget);
         }
         SearchState::new(&config, &self.inventory[task.function], task.shard)
     }
@@ -1100,9 +1062,7 @@ impl<'c, 'inv, P: Program> Executor<'c, 'inv, P> {
     /// Hands a task's snapshot back and finalizes its function when it was
     /// the last shard.
     fn settle(&self, task: Task, outcome: ShardOutcome) -> Option<Finished> {
-        let finished = self.lock().settle(task, outcome);
-        self.ready.notify_all();
-        finished
+        self.lock().settle(task, outcome)
     }
 }
 
@@ -1159,12 +1119,8 @@ fn run_worker<P: Program>(executor: &Executor<'_, '_, P>, emit: &mut dyn FnMut(C
 /// share a name still run distinct searches instead of silently duplicating
 /// one.
 fn derive_function_seed(campaign_seed: u64, name: &str, occurrence: usize) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in name.bytes().chain((occurrence as u64).to_le_bytes()) {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    campaign_seed ^ hash
+    let hash = fingerprint_bytes(fingerprint_seed(), name.as_bytes());
+    campaign_seed ^ fingerprint_bytes(hash, &(occurrence as u64).to_le_bytes())
 }
 
 #[cfg(test)]
@@ -1263,8 +1219,7 @@ mod tests {
             .iter()
             .map(|&workers| {
                 let config = CampaignConfig::new()
-                    .with_base(quick_base().with_n_start(48))
-                    .with_shards(3)
+                    .with_base(quick_base().with_n_start(48).with_shards(3))
                     .with_workers(workers);
                 Campaign::new(config).run(&programs)
             })
@@ -1284,8 +1239,7 @@ mod tests {
         for shards in [2usize, 4] {
             let sharded = Campaign::new(
                 CampaignConfig::new()
-                    .with_base(base())
-                    .with_shards(shards)
+                    .with_base(base().with_shards(shards))
                     .with_workers(2),
             )
             .run(&programs);
@@ -1545,29 +1499,59 @@ mod tests {
             .with_base(quick_base().with_cancel(token))
             .with_workers(2);
         let report = Campaign::new(config).run(&programs);
-        assert_eq!(report.partial(), programs.len(), "{report}");
+        // A fired token stops claiming, so no search starts.
+        assert_eq!(report.skipped(), programs.len(), "{report}");
         assert_eq!(report.total_evaluations(), 0, "{report}");
         assert!(report
             .results
             .iter()
-            .all(|r| r.status != FunctionStatus::Complete));
+            .all(|r| r.status == FunctionStatus::Skipped));
     }
 
     #[test]
-    fn budget_state_expires_before_a_claim_not_after() {
-        let now = Instant::now();
-        assert_eq!(budget_state(None, now), BudgetState::Unlimited);
-        assert_eq!(
-            budget_state(Some(now + Duration::from_secs(5)), now),
-            BudgetState::Remaining(Duration::from_secs(5))
-        );
-        // A deadline that leaves no measurable time is expired — a worker
-        // must not claim a unit it could only run with a zero budget.
-        assert_eq!(budget_state(Some(now), now), BudgetState::Expired);
-        assert_eq!(
-            budget_state(Some(now), now + Duration::from_millis(1)),
-            BudgetState::Expired
-        );
+    fn a_cancelled_campaign_never_executes_the_program() {
+        // A warm start would replay its inputs before a search's first
+        // stop check; a fired token must stop the campaign before that.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = AtomicUsize::new(0);
+        let counted = |input: &[f64], ctx: &mut ExecCtx| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            ctx.branch(0, Cmp::Le, input[0], 1.0);
+        };
+        let programs = vec![FnProgram::new("counted", 1, 1, counted)];
+        let token = CancelToken::new();
+        token.cancel();
+        let warm = crate::WarmStart {
+            inputs: vec![vec![0.5], vec![3.0]],
+            ..crate::WarmStart::default()
+        };
+        let config = CampaignConfig::new()
+            .with_base(quick_base().with_cancel(token).with_warm_start(warm))
+            .with_workers(1);
+        let report = Campaign::new(config).run(&programs);
+        assert_eq!(report.skipped(), 1, "{report}");
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_budget_past_the_end_of_time_is_no_deadline() {
+        // `started + budget` overflows `Instant` here; the campaign must run
+        // as if it had no budget.
+        let programs = inventory();
+        let unbounded = Campaign::new(CampaignConfig::new().with_base(quick_base())).run(&programs);
+        for budget in [Duration::from_secs_f64(1e19), Duration::MAX] {
+            let report = Campaign::new(
+                CampaignConfig::new()
+                    .with_base(quick_base())
+                    .with_time_budget(budget),
+            )
+            .run(&programs);
+            assert!(report
+                .results
+                .iter()
+                .all(|r| r.status == FunctionStatus::Complete));
+            assert_eq!(fingerprint(&report), fingerprint(&unbounded));
+        }
     }
 
     #[test]
@@ -1821,14 +1805,14 @@ mod tests {
         // still fan out over several workers.
         assert_eq!(
             CampaignConfig::new()
+                .with_base(CoverMeConfig::default().with_shards(4))
                 .with_workers(8)
-                .with_shards(4)
                 .effective_workers(1),
             4
         );
         // The minimum-rounds floor caps how finely a small budget splits,
         // and the unit grid follows the effective count.
-        let starved = CampaignConfig::new().with_base(quick_base()).with_shards(4);
+        let starved = CampaignConfig::new().with_base(quick_base().with_shards(4));
         assert_eq!(starved.base.effective_shards(), 2); // n_start 40 / 16
         assert_eq!(starved.clone().with_workers(8).effective_workers(1), 2);
     }

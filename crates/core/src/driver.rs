@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use coverme_optim::rng::SplitMix64;
 use coverme_optim::sampling::uniform_box;
 use coverme_optim::{BasinHopping, LocalMethod, PerturbationKind};
-use coverme_runtime::{CoverageMap, Program, DEFAULT_EPSILON};
+use coverme_runtime::{fingerprint_bytes, fingerprint_seed, CoverageMap, Program, DEFAULT_EPSILON};
 
 use crate::objective::{CacheMode, ObjectiveEngine};
 
@@ -80,7 +80,7 @@ pub enum InfeasiblePolicy {
 /// A shared cooperative-cancellation flag. Cloning shares the flag;
 /// [`cancel`](Self::cancel) makes every search and campaign carrying a
 /// clone stop at its next round boundary with
-/// [`EpochOutcome::DeadlineExpired`] semantics — partial results are
+/// [`StopReason::DeadlineExpired`] semantics — partial results are
 /// finalized exactly like a wall-clock deadline expiry, nothing leaks.
 /// This is how `coverme serve` tears a campaign down when its client
 /// disconnects mid-stream.
@@ -136,7 +136,7 @@ impl PartialEq for CancelToken {
 /// that coverage. A search is deterministic in (program, search key), so
 /// once the replay reproduces exactly that coverage count, re-running
 /// the schedule is guaranteed to rediscover the same result and the
-/// search finishes [`EpochOutcome::Exhausted`] by transitivity.
+/// search finishes [`StopReason::Exhausted`] by transitivity.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WarmStart {
     /// Representative inputs from a prior run, replayed in order.
@@ -192,7 +192,7 @@ pub struct CoverMeConfig {
     pub time_budget: Option<Duration>,
     /// Optional per-search evaluation allowance: each search (each shard of
     /// a sharded one, and each function of a campaign) finishes with
-    /// [`EpochOutcome::BudgetExhausted`] before starting any round once its
+    /// [`StopReason::BudgetExhausted`] before starting any round once its
     /// representing-function evaluations reach the allowance. The last
     /// round may overshoot it by its own evaluations — rounds are atomic.
     /// `None` (the default) means unlimited.
@@ -231,7 +231,7 @@ pub struct CoverMeConfig {
     pub warm_start: Option<WarmStart>,
     /// Cooperative cancellation (none by default): when the token fires,
     /// the search stops at its next round boundary with
-    /// [`EpochOutcome::DeadlineExpired`] semantics, exactly like a
+    /// [`StopReason::DeadlineExpired`] semantics, exactly like a
     /// wall-clock deadline. A campaign copies its base configuration into
     /// every function's search, so one token on the base cancels the whole
     /// campaign (the serve daemon's teardown seam).
@@ -383,14 +383,8 @@ impl CoverMeConfig {
     /// a recorded run's exhausted schedule (see
     /// [`WarmStart::prior_coverage`]).
     pub fn search_key(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
-        };
+        let mut hash = fingerprint_seed();
+        let mut mix = |word: u64| hash = fingerprint_bytes(hash, &word.to_le_bytes());
         mix(self.seed);
         mix(self.n_start as u64);
         mix(self.n_iter as u64);
@@ -456,7 +450,7 @@ impl CoverMe {
 
 /// Why a search ([`SearchState::run`]) stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochOutcome {
+pub enum StopReason {
     /// Every branch is saturated.
     Saturated,
     /// The shard's strided slice of the starting-point schedule is
@@ -503,18 +497,17 @@ pub struct SearchState<'a, P: Program> {
     /// Next global round index this shard will run (always ≡ `shard_index`
     /// mod `shards`).
     cursor: usize,
-    evaluations: usize,
     started: Instant,
     /// Consecutive rounds whose final evaluation aborted (reset by any
     /// round that runs to completion); at [`ABORT_PATIENCE`] the search
-    /// finishes with [`EpochOutcome::Degraded`].
+    /// finishes with [`StopReason::Degraded`].
     abort_streak: usize,
     /// Corpus inputs replayed by the warm start (0 for a cold search).
     warm_replayed: usize,
     /// Set when the warm replay reproduced exactly the coverage at which
     /// a prior run with the same search key exhausted this identical
     /// schedule ([`WarmStart::prior_coverage`]); the search then finishes
-    /// [`EpochOutcome::Exhausted`] without re-running the schedule —
+    /// [`StopReason::Exhausted`] without re-running the schedule —
     /// determinism guarantees it would only rediscover the recorded result.
     warm_satisfied: bool,
 }
@@ -573,7 +566,6 @@ impl<'a, P: Program> SearchState<'a, P> {
             rounds: Vec::new(),
             schedule,
             cursor: shard_index,
-            evaluations: 0,
             started: Instant::now(),
             abort_streak: 0,
             warm_replayed: 0,
@@ -607,7 +599,7 @@ impl<'a, P: Program> SearchState<'a, P> {
             coverage: self.coverage,
             accepted: self.accepted,
             rounds: self.rounds,
-            evaluations: self.evaluations,
+            evaluations: self.engine.telemetry().calls as usize,
             timeouts: self.engine.telemetry().timeouts as usize,
             traps: self.engine.telemetry().traps as usize,
             warm_replayed: self.warm_replayed,
@@ -619,18 +611,18 @@ impl<'a, P: Program> SearchState<'a, P> {
     }
 
     /// Why the search must stop before its next round, if it must.
-    fn stop(&self) -> Option<EpochOutcome> {
+    fn stop(&self) -> Option<StopReason> {
         if self.cursor >= self.config.n_start {
-            return Some(EpochOutcome::Exhausted);
+            return Some(StopReason::Exhausted);
         }
         if self.tracker.all_saturated() {
-            return Some(EpochOutcome::Saturated);
+            return Some(StopReason::Saturated);
         }
         if self.warm_satisfied {
             // The warm replay reproduced the coverage at which a prior run
             // with the same search key exhausted this schedule: the
             // remaining rounds are already spent by transitivity.
-            return Some(EpochOutcome::Exhausted);
+            return Some(StopReason::Exhausted);
         }
         if self
             .config
@@ -641,22 +633,22 @@ impl<'a, P: Program> SearchState<'a, P> {
             // Cooperative teardown: identical semantics to a deadline
             // expiry — everything completed so far is kept, a campaign
             // marks the function `partial`.
-            return Some(EpochOutcome::DeadlineExpired);
+            return Some(StopReason::DeadlineExpired);
         }
         if let Some(allowance) = self.config.budget {
             // Checked before each round: rounds are atomic, so the final
             // round of an allowance may overshoot it by its own
             // evaluations.
-            if self.evaluations >= allowance {
-                return Some(EpochOutcome::BudgetExhausted);
+            if self.engine.telemetry().calls >= allowance as u64 {
+                return Some(StopReason::BudgetExhausted);
             }
         }
         if self.abort_streak >= ABORT_PATIENCE {
-            return Some(EpochOutcome::Degraded);
+            return Some(StopReason::Degraded);
         }
         if let Some(budget) = self.config.time_budget {
             if self.started.elapsed() >= budget {
-                return Some(EpochOutcome::DeadlineExpired);
+                return Some(StopReason::DeadlineExpired);
             }
         }
         None
@@ -694,7 +686,6 @@ impl<'a, P: Program> SearchState<'a, P> {
                 continue;
             }
             let evaluation = self.engine.eval_full(input);
-            self.evaluations += 1;
             self.warm_replayed += 1;
             if evaluation.outcome.is_done() {
                 let newly_covered = self.coverage.record_set(&evaluation.covered);
@@ -763,22 +754,18 @@ impl<'a, P: Program> SearchState<'a, P> {
             .target_value(config.zero_threshold);
 
         let result = hopper.minimize_objective(&mut self.engine, &x0);
-        self.evaluations += result.stats.evaluations;
 
         // Line 11-12: accept the minimum point if FOO_R(x*) = 0, update
         // Saturate; otherwise apply the infeasible-branch heuristic.
         let mut minimum_point = result.x.clone();
         let mut evaluation = self.engine.eval_full(&minimum_point);
-        self.evaluations += 1;
         if self.config.polish && evaluation.value > self.config.zero_threshold {
-            let (polished, polish_evals) = polish_minimum(
+            if let Some((point, polished_eval)) = polish_minimum(
                 &mut self.engine,
                 &minimum_point,
                 evaluation.value,
                 self.config.zero_threshold,
-            );
-            self.evaluations += polish_evals;
-            if let Some((point, polished_eval)) = polished {
+            ) {
                 minimum_point = point;
                 evaluation = polished_eval;
             }
@@ -869,19 +856,17 @@ impl<'a, P: Program> SearchState<'a, P> {
 /// `value` is `FOO_R(x)` on the engine's current snapshot, which the caller
 /// has already executed, so `x` itself is not run again.
 ///
-/// Returns the polished point and its evaluation (`None` if no candidate
-/// reached the threshold) together with the number of representing-function
-/// evaluations spent, which is owed on both paths. Candidate probes run
-/// through the engine's scalar fast path, one execution each.
+/// Returns the polished point and its evaluation, or `None` if no
+/// candidate reached the threshold. Candidate probes run through the
+/// engine's scalar fast path, one execution each, counted by the engine.
 fn polish_minimum<P: Program>(
     engine: &mut ObjectiveEngine<P>,
     x: &[f64],
     value: f64,
     threshold: f64,
-) -> (Option<(Vec<f64>, crate::representing::Evaluation)>, usize) {
+) -> Option<(Vec<f64>, crate::representing::Evaluation)> {
     let mut best = x.to_vec();
     let mut best_value = value;
-    let mut evaluations = 0usize;
 
     for coord in 0..best.len() {
         let original = best[coord];
@@ -892,13 +877,12 @@ fn polish_minimum<P: Program>(
             let mut trial = best.clone();
             trial[coord] = candidate;
             let value = engine.eval_scalar(&trial);
-            evaluations += 1;
             if value < best_value {
                 best_value = value;
                 best = trial;
                 if best_value <= threshold {
                     let evaluation = engine.eval_full(&best);
-                    return (Some((best, evaluation)), evaluations + 1);
+                    return Some((best, evaluation));
                 }
             }
         }
@@ -906,9 +890,9 @@ fn polish_minimum<P: Program>(
 
     if best_value <= threshold {
         let evaluation = engine.eval_full(&best);
-        (Some((best, evaluation)), evaluations + 1)
+        Some((best, evaluation))
     } else {
-        (None, evaluations)
+        None
     }
 }
 
@@ -930,42 +914,13 @@ fn candidate_values(x: f64) -> Vec<f64> {
     let mut up = x;
     let mut down = x;
     for _ in 0..3 {
-        up = next_up(up);
-        down = next_down(down);
+        up = up.next_up();
+        down = down.next_down();
         candidates.push(up);
         candidates.push(down);
     }
     candidates.dedup();
     candidates
-}
-
-fn next_up(x: f64) -> f64 {
-    if x.is_nan() || x == f64::INFINITY {
-        return x;
-    }
-    let bits = if x == 0.0 {
-        1
-    } else if x > 0.0 {
-        x.to_bits() + 1
-    } else {
-        x.to_bits() - 1
-    };
-    f64::from_bits(bits)
-}
-
-fn next_down(x: f64) -> f64 {
-    if x.is_nan() || x == f64::NEG_INFINITY {
-        return x;
-    }
-    if x == 0.0 {
-        return -f64::from_bits(1);
-    }
-    let bits = if x > 0.0 {
-        x.to_bits() - 1
-    } else {
-        x.to_bits() + 1
-    };
-    f64::from_bits(bits)
 }
 
 #[cfg(test)]
@@ -1226,7 +1181,7 @@ mod tests {
             let config = quick_config().with_n_start(500).with_local_method(method);
             let outcome = SearchState::new(&config, &program, 0).run(&mut |_| {});
             let name = method.name();
-            assert_eq!(outcome.outcome, EpochOutcome::Degraded, "{name}");
+            assert_eq!(outcome.outcome, StopReason::Degraded, "{name}");
             assert_eq!(outcome.rounds.len(), ABORT_PATIENCE, "{name}");
             let report = outcome.into_report("SPIN");
             assert!(
@@ -1287,7 +1242,9 @@ mod tests {
     fn reported_evaluations_match_engine_calls() {
         // Every engine call is one execution, and every execution —
         // line-search probes, the final full evaluation, polish probes that
-        // find nothing, warm-start replays — is owed to `evaluations`.
+        // find nothing, warm-start replays — goes through the engine, whose
+        // call counter is the reported `evaluations`, under every local
+        // method.
         let warm = WarmStart {
             inputs: vec![vec![0.5], vec![3.0]],
             ..WarmStart::default()
@@ -1298,10 +1255,55 @@ mod tests {
             let outcome = run_watched(config, &counting(program, &calls));
             assert_eq!(outcome.evaluations, calls.get(), "{name}");
         }
-        for config in [quick_config(), quick_config().with_warm_start(warm)] {
-            check(&config, paper_example());
-            check(&config, infeasible_example());
+        for method in [
+            LocalMethod::Powell,
+            LocalMethod::NelderMead,
+            LocalMethod::Compass,
+            LocalMethod::None,
+        ] {
+            let cold = quick_config().with_local_method(method);
+            for config in [cold.clone(), cold.with_warm_start(warm.clone())] {
+                check(&config, paper_example());
+                check(&config, infeasible_example());
+            }
         }
+    }
+
+    #[test]
+    fn candidate_values_at_the_edges_of_f64() {
+        // Bit patterns, so signed zeros and infinities compare exactly.
+        let bits =
+            |x: f64| -> Vec<u64> { candidate_values(x).iter().map(|c| c.to_bits()).collect() };
+        const NEG: u64 = 1 << 63;
+        const INF: u64 = 0x7ff0_0000_0000_0000;
+        const MAX: u64 = 0x7fef_ffff_ffff_ffff;
+        const ONE: u64 = 0x3ff0_0000_0000_0000;
+        assert_eq!(bits(0.0), [0, 1, NEG | 1, 2, NEG | 2, 3, NEG | 3]);
+        assert_eq!(bits(-0.0), [NEG, 1, NEG | 1, 2, NEG | 2, 3, NEG | 3]);
+        assert_eq!(
+            bits(f64::MAX),
+            [MAX, INF, 0, INF, MAX - 1, INF, MAX - 2, INF, MAX - 3]
+        );
+        assert_eq!(
+            bits(-f64::MAX),
+            [
+                NEG | MAX,
+                NEG | INF,
+                0,
+                NEG | (MAX - 1),
+                NEG | INF,
+                NEG | (MAX - 2),
+                NEG | INF,
+                NEG | (MAX - 3),
+                NEG | INF
+            ]
+        );
+        // The smallest subnormal.
+        assert_eq!(
+            bits(f64::from_bits(1)),
+            [0, ONE, 0, 2, 0, 3, NEG | 1, 4, NEG | 2]
+        );
+        assert_eq!(bits(f64::NAN), [0]);
     }
 
     #[test]
@@ -1324,7 +1326,7 @@ mod tests {
     fn on_round_sees_every_round_once_in_order() {
         // Cold: the paper example saturates.
         let cold = run_watched(&quick_config(), &paper_example());
-        assert_eq!(cold.outcome, EpochOutcome::Saturated);
+        assert_eq!(cold.outcome, StopReason::Saturated);
         assert!(!cold.rounds.is_empty());
 
         // Warm: `0.5` covers 0T and 1F, so rounds still run after the
@@ -1340,12 +1342,12 @@ mod tests {
         // Degraded: the always-aborting program gives up after
         // ABORT_PATIENCE rounds.
         let spun = run_watched(&quick_config(), &always_aborting());
-        assert_eq!(spun.outcome, EpochOutcome::Degraded);
+        assert_eq!(spun.outcome, StopReason::Degraded);
         assert_eq!(spun.rounds.len(), ABORT_PATIENCE);
     }
 
     #[test]
-    fn budget_pauses_the_search_and_extend_resumes_it() {
+    fn budget_admits_one_overshooting_round() {
         // The allowance admits exactly one round, which overshoots it;
         // `on_round` sees that round and nothing after it.
         let config = quick_config()
@@ -1353,7 +1355,7 @@ mod tests {
             .with_infeasible_policy(InfeasiblePolicy::Disabled)
             .with_budget(1);
         let outcome = run_watched(&config, &infeasible_example());
-        assert_eq!(outcome.outcome, EpochOutcome::BudgetExhausted);
+        assert_eq!(outcome.outcome, StopReason::BudgetExhausted);
         assert_eq!(outcome.rounds.len(), 1);
         assert!(outcome.evaluations > 1);
     }

@@ -82,7 +82,7 @@ pub use campaign::{
 };
 pub use corpus::{CorpusEntry, CorpusStats, CorpusStore};
 pub use driver::{
-    CancelToken, CoverMe, CoverMeConfig, EpochOutcome, InfeasiblePolicy, SearchState, WarmStart,
+    CancelToken, CoverMe, CoverMeConfig, InfeasiblePolicy, SearchState, StopReason, WarmStart,
     ABORT_PATIENCE,
 };
 pub use objective::{EngineTelemetry, ObjectiveEngine, ABORTED_VALUE};

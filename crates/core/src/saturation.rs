@@ -129,9 +129,6 @@ impl SaturationTracker {
     /// set of trackers is order-independent and idempotent: the infeasible
     /// set always ends as `union(infeasible) \ union(covered)`.
     ///
-    /// The ablation flag of `self` is kept; all shards of one search share a
-    /// configuration, so they agree anyway.
-    ///
     /// # Panics
     ///
     /// Panics if the trackers disagree on the number of conditional sites.

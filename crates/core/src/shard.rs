@@ -68,7 +68,7 @@ use std::time::Instant;
 
 use coverme_runtime::{BranchSet, CoverageMap};
 
-use crate::driver::EpochOutcome;
+use crate::driver::StopReason;
 use crate::report::{RoundRecord, TestReport};
 use crate::saturation::SaturationTracker;
 
@@ -130,7 +130,7 @@ pub struct ShardOutcome {
     /// Name of the execution backend the shard's engine ran.
     pub backend: &'static str,
     /// Why the shard's search stopped.
-    pub outcome: EpochOutcome,
+    pub outcome: StopReason,
     /// When the shard started running.
     pub started: Instant,
     /// When the shard finished.

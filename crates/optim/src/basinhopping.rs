@@ -9,40 +9,14 @@
 //!    local minimum with the Metropolis rule
 //!    `accept ⇔ f(x̃_L) < f(x_L)  ∨  m < exp((f(x_L) − f(x̃_L)) / T)`.
 //!
-//! A per-hop callback mirrors SciPy's `callback` argument, which CoverMe uses
-//! to stop as soon as a minimum point that saturates a new branch is found.
+//! CoverMe stops the chain as soon as a minimum point saturates a new
+//! branch by setting [`BasinHopping::target_value`] to `0`.
 
 use crate::derive_rng;
 use crate::objective::Objective;
 use crate::result::Minimum;
 use crate::sampling::PerturbationKind;
 use crate::LocalMethod;
-
-/// What the caller wants Basinhopping to do after observing a hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopDecision {
-    /// Keep hopping.
-    Continue,
-    /// Stop immediately and return the best point seen so far. CoverMe issues
-    /// this as soon as the representing function reaches zero.
-    Stop,
-}
-
-/// Information passed to the per-hop callback.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HopEvent<'a> {
-    /// Index of the Monte-Carlo iteration (0-based; the initial local
-    /// minimization is reported as iteration 0 before any hop).
-    pub iteration: usize,
-    /// The local minimum proposed in this iteration.
-    pub proposal: &'a [f64],
-    /// Objective value at the proposal.
-    pub proposal_value: f64,
-    /// Whether the Metropolis rule accepted the proposal.
-    pub accepted: bool,
-    /// Best objective value observed so far (including this proposal).
-    pub best_value: f64,
-}
 
 /// The Basinhopping global minimizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,36 +98,19 @@ impl BasinHopping {
         self
     }
 
-    /// Minimizes `f` starting from `x0` without a callback.
-    pub fn minimize_objective<O>(&self, f: &mut O, x0: &[f64]) -> Minimum
-    where
-        O: Objective + ?Sized,
-    {
-        self.minimize_objective_with_callback(f, x0, |_| HopDecision::Continue)
-    }
-
-    /// Minimizes `f` starting from `x0`, invoking `callback` after the
-    /// initial local minimization and after every Monte-Carlo hop.
-    ///
-    /// Returning [`HopDecision::Stop`] from the callback terminates the
-    /// search immediately, mirroring the way CoverMe's backend terminates
-    /// once all branches are saturated. The Markov chain is sequential —
-    /// every hop perturbs the current local minimum — so candidates flow
-    /// through the local method one at a time; batch-capable objectives
-    /// still amortize inside the local minimizations.
+    /// Minimizes `f` starting from `x0`, stopping early once the best
+    /// value reaches [`target_value`](Self::target_value). The Markov
+    /// chain is sequential — every hop perturbs the current local minimum
+    /// — so candidates flow through the local method one at a time;
+    /// batch-capable objectives still amortize inside the local
+    /// minimizations.
     ///
     /// # Panics
     ///
     /// Panics if `x0` is empty.
-    pub fn minimize_objective_with_callback<O, C>(
-        &self,
-        f: &mut O,
-        x0: &[f64],
-        mut callback: C,
-    ) -> Minimum
+    pub fn minimize_objective<O>(&self, f: &mut O, x0: &[f64]) -> Minimum
     where
         O: Objective + ?Sized,
-        C: FnMut(&HopEvent<'_>) -> HopDecision,
     {
         assert!(
             !x0.is_empty(),
@@ -170,14 +127,7 @@ impl BasinHopping {
         let mut best = current.clone();
         let mut best_value = current_value;
 
-        let initial_event = HopEvent {
-            iteration: 0,
-            proposal: &current,
-            proposal_value: current_value,
-            accepted: true,
-            best_value,
-        };
-        if callback(&initial_event) == HopDecision::Stop || self.reached_target(best_value) {
+        if self.reached_target(best_value) {
             return Minimum {
                 x: best,
                 value: best_value,
@@ -186,7 +136,7 @@ impl BasinHopping {
         }
 
         // Lines 26-33.
-        for iteration in 1..=self.iterations {
+        for _ in 0..self.iterations {
             stats.iterations += 1;
 
             // Line 27: a random perturbation from the predefined distribution.
@@ -211,22 +161,13 @@ impl BasinHopping {
                 best = proposal.x.clone();
             }
 
-            let event = HopEvent {
-                iteration,
-                proposal: &proposal.x,
-                proposal_value: proposal.value,
-                accepted,
-                best_value,
-            };
-            let decision = callback(&event);
-
             // Line 33.
             if accepted {
                 current = proposal.x;
                 current_value = proposal.value;
             }
 
-            if decision == HopDecision::Stop || self.reached_target(best_value) {
+            if self.reached_target(best_value) {
                 break;
             }
         }
@@ -313,39 +254,6 @@ mod tests {
         // Early stop: far fewer evaluations than 1000 iterations would need.
         assert!(count < 2000, "no early stop: {count} evaluations");
         assert!(m.stats.converged);
-    }
-
-    #[test]
-    fn callback_can_stop_the_search() {
-        let mut f = |p: &[f64]| (p[0] - 5.0).powi(2);
-        let mut hops = 0usize;
-        let m = BasinHopping::new()
-            .iterations(50)
-            .seed(1)
-            .minimize_objective_with_callback(&mut FnObjective(&mut f), &[0.0], |event| {
-                hops += 1;
-                if event.iteration >= 2 {
-                    HopDecision::Stop
-                } else {
-                    HopDecision::Continue
-                }
-            });
-        assert!(hops <= 4, "callback did not stop the search: {hops} hops");
-        assert!(m.value < 1e-6);
-    }
-
-    #[test]
-    fn callback_observes_monotone_best_value() {
-        let mut f = |p: &[f64]| fig2b(p[0]);
-        let mut last_best = f64::INFINITY;
-        let _ = BasinHopping::new()
-            .iterations(25)
-            .seed(9)
-            .minimize_objective_with_callback(&mut FnObjective(&mut f), &[10.0], |event| {
-                assert!(event.best_value <= last_best + 1e-15);
-                last_best = event.best_value;
-                HopDecision::Continue
-            });
     }
 
     #[test]

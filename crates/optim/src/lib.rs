@@ -54,7 +54,7 @@ pub mod result;
 pub mod rng;
 pub mod sampling;
 
-pub use basinhopping::{BasinHopping, HopDecision, HopEvent};
+pub use basinhopping::BasinHopping;
 pub use compass::CompassSearch;
 pub use nelder_mead::NelderMead;
 pub use objective::{FnObjective, Objective};

@@ -162,8 +162,11 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
                 };
             }
             "--time-budget" => {
-                let secs: f64 = self.parsed("--time-budget");
-                options.time_budget = Some(Duration::from_secs_f64(secs));
+                let value = self.value_for("--time-budget");
+                let budget = seconds(&value).unwrap_or_else(|| {
+                    self.usage_error(&format!("--time-budget got invalid value {value}"))
+                });
+                options.time_budget = Some(budget);
             }
             "--infeasible" => {
                 options.infeasible_policy = match self.value_for("--infeasible").as_str() {
@@ -185,6 +188,12 @@ impl<I: Iterator<Item = String>> ArgParser<I> {
         }
         true
     }
+}
+
+/// A `--time-budget` value: a non-negative number of seconds that fits a
+/// [`Duration`]. `nan`, `inf`, negatives and overflowing values are `None`.
+fn seconds(value: &str) -> Option<Duration> {
+    Duration::try_from_secs_f64(value.parse().ok()?).ok()
 }
 
 /// Declarative subcommand table for a front end with several modes: the
@@ -323,6 +332,19 @@ mod tests {
         assert_eq!(options.json_path.as_deref(), Some("out.json"));
         assert!(options.stream);
         assert_eq!(options.workers, 4);
+    }
+
+    #[test]
+    fn time_budgets_outside_a_duration_are_rejected() {
+        assert_eq!(seconds("1.5"), Some(Duration::from_millis(1500)));
+        assert_eq!(seconds("0"), Some(Duration::ZERO));
+        assert_eq!(
+            seconds("1e19"),
+            Some(Duration::from_secs(10_000_000_000_000_000_000))
+        );
+        for junk in ["nan", "inf", "-inf", "1e30", "-1", "soon"] {
+            assert_eq!(seconds(junk), None, "{junk}");
+        }
     }
 
     #[test]

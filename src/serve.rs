@@ -37,8 +37,9 @@
 //! positioned `error` event and the connection lives on; an oversized
 //! frame (> [`MAX_FRAME`]) or a truncated final frame gets an `error` and
 //! a clean close; a client that disconnects mid-campaign cancels its job's
-//! searches ([`CancelToken`]), whose workers finalize partial progress and
-//! return their pool slots.
+//! searches ([`CancelToken`]): searches in flight finalize partial
+//! progress, searches not yet started never start, and the workers return
+//! their pool slots.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, ErrorKind, Write};

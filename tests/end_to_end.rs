@@ -155,15 +155,13 @@ fn sharded_campaign_is_deterministic_and_loses_no_coverage() {
     .run(&inventory);
     let sharded = Campaign::new(
         CampaignConfig::new()
-            .with_base(base.clone())
-            .with_shards(4)
+            .with_base(base.clone().with_shards(4))
             .with_workers(2),
     )
     .run(&inventory);
     let again = Campaign::new(
         CampaignConfig::new()
-            .with_base(base)
-            .with_shards(4)
+            .with_base(base.with_shards(4))
             .with_workers(5),
     )
     .run(&inventory);
