@@ -6,8 +6,9 @@
 //! to split each function's `n_start` budget across N shard units of the
 //! campaign schedule (deterministic per shard count).
 
-use coverme_bench::{mean, pct, run_afl, run_campaign, run_rand, shards_from_env, HarnessBudget};
-use coverme_fdlibm::{all, by_name};
+use coverme_bench::{
+    mean, pct, run_afl, run_campaign, run_rand, select_benchmarks, shards_from_env, HarnessBudget,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,11 +20,7 @@ fn main() {
         .collect();
     let budget = HarnessBudget::from_env();
 
-    let benchmarks = if selected.is_empty() {
-        all()
-    } else {
-        selected.iter().filter_map(|name| by_name(name)).collect()
-    };
+    let benchmarks = select_benchmarks(&selected);
 
     if !series {
         println!(

@@ -1,17 +1,12 @@
 //! Regenerates Table 3: CoverMe vs Austin (time, branch coverage, speedup).
 //! Set `COVERME_FULL=1` for the paper's full budgets.
 
-use coverme_bench::{mean, pct, run_austin, run_coverme, HarnessBudget};
-use coverme_fdlibm::{all, by_name};
+use coverme_bench::{mean, pct, run_austin, run_coverme, select_benchmarks, HarnessBudget};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let budget = HarnessBudget::from_env();
-    let benchmarks = if args.is_empty() {
-        all()
-    } else {
-        args.iter().filter_map(|name| by_name(name)).collect()
-    };
+    let benchmarks = select_benchmarks(&args);
 
     println!(
         "{:<22} {:>12} {:>12} {:>10} {:>11} {:>9} {:>12}",

@@ -2,17 +2,14 @@
 //! ports) for CoverMe vs Rand vs AFL. Set `COVERME_FULL=1` for the paper's
 //! full budgets and `COVERME_SHARDS=N` to shard each function's search.
 
-use coverme_bench::{mean, pct, run_afl, run_campaign, run_rand, shards_from_env, HarnessBudget};
-use coverme_fdlibm::{all, by_name};
+use coverme_bench::{
+    mean, pct, run_afl, run_campaign, run_rand, select_benchmarks, shards_from_env, HarnessBudget,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let budget = HarnessBudget::from_env();
-    let benchmarks = if args.is_empty() {
-        all()
-    } else {
-        args.iter().filter_map(|name| by_name(name)).collect()
-    };
+    let benchmarks = select_benchmarks(&args);
 
     println!(
         "{:<22} {:>7} {:>10} {:>9} {:>12}",

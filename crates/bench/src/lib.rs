@@ -190,6 +190,16 @@ pub fn run_austin(benchmark: &Benchmark, budget: HarnessBudget, seed: u64) -> Ba
     .run(benchmark)
 }
 
+/// The benchmarks a table binary's name operands select, all 40 when there
+/// are none (see [`coverme_fdlibm::suite::select`]). An unknown name is a
+/// usage error: the message on stderr, exit 2.
+pub fn select_benchmarks(names: &[String]) -> Vec<Benchmark> {
+    coverme_fdlibm::suite::select(names).unwrap_or_else(|error| {
+        eprintln!("{error}");
+        std::process::exit(2);
+    })
+}
+
 /// Formats a percentage the way the paper's tables do (one decimal).
 pub fn pct(value: f64) -> String {
     format!("{value:.1}")

@@ -33,8 +33,8 @@
 //! Finished functions do not wait for the suite: the moment a function is
 //! finalized, its merged [`FunctionResult`] is emitted as a
 //! [`CampaignEvent`] — [`Campaign::run_with`] hands every event to a caller
-//! callback as it lands (the `fdlibm_campaign --stream` mode prints table
-//! rows this way), while [`Campaign::run`] just collects them. With more
+//! callback as it lands (`coverme campaign --stream` prints table rows
+//! this way), while [`Campaign::run`] just collects them. With more
 //! than one worker the calling thread runs no searches, only the handler.
 //! Either way the final [`CampaignReport`] lists results in inventory
 //! order.
@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 use coverme_runtime::{fingerprint_bytes, fingerprint_seed, Program};
 
 use crate::corpus::CorpusStore;
-use crate::driver::{CancelToken, CoverMeConfig, SearchState, StopReason};
+use crate::driver::{CancelToken, CoverMeConfig, SearchState};
 use crate::report::schema::{member, JsonValue, CAMPAIGN_REPORT};
 use crate::report::TestReport;
 use crate::shard::{merge_shards, ShardOutcome};
@@ -197,7 +197,7 @@ impl FunctionStatus {
 
 /// A progress notification of a running campaign, delivered to the
 /// [`Campaign::run_with`] callback the moment the scheduler produces it —
-/// the streaming seam `fdlibm_campaign --stream` prints rows from.
+/// the streaming seam `coverme campaign --stream` prints rows from.
 #[derive(Debug, Clone)]
 pub enum CampaignEvent {
     /// A function's last shard completed (or the deadline finalized its
@@ -591,7 +591,7 @@ impl CampaignReport {
     }
 
     /// [`to_value`](Self::to_value) as the indented document
-    /// `coverme campaign --json` and `fdlibm_campaign --json` write.
+    /// `coverme campaign --json` writes.
     pub fn to_json(&self) -> String {
         self.to_value().to_pretty()
     }
@@ -803,7 +803,10 @@ impl Campaign {
 /// the calling thread. Its one task is always claimed — no campaign
 /// deadline, no claim-time cancellation — so a cancelled standalone search
 /// still reports, stopped by its own first check.
-pub(crate) fn run_standalone<P: Program>(config: &CoverMeConfig, program: &P) -> TestReport {
+pub(crate) fn run_standalone<P: Program>(
+    config: &CoverMeConfig,
+    program: &P,
+) -> (TestReport, FunctionStatus) {
     let shards = config.effective_shards();
     let config = CoverMeConfig {
         shards,
@@ -818,7 +821,7 @@ pub(crate) fn run_standalone<P: Program>(config: &CoverMeConfig, program: &P) ->
     )
     .run_inline(&mut |_| {})
     .pop()
-    .and_then(|result| result.report)
+    .and_then(|result| Some((result.report?, result.status)))
     .expect("a search without a campaign deadline always reports")
 }
 
@@ -852,16 +855,10 @@ impl FunctionRun {
     /// Marks the function finalized and takes its snapshots.
     /// `deadline_cut` marks a function the campaign deadline stopped; a
     /// shard that ran out of time or degraded mid-search (see
-    /// [`StopReason::Degraded`]) cuts it short too.
+    /// [`ShardOutcome::cut_short`]) cuts it short too.
     fn finalize(&mut self, index: usize, deadline_cut: bool) -> Finished {
         self.finished = true;
-        let cut_short = deadline_cut
-            || self.outcomes.iter().flatten().any(|shard| {
-                matches!(
-                    shard.outcome,
-                    StopReason::DeadlineExpired | StopReason::Degraded
-                )
-            });
+        let cut_short = deadline_cut || self.outcomes.iter().flatten().any(ShardOutcome::cut_short);
         Finished {
             index,
             shards: self.outcomes.len(),

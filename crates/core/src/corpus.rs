@@ -365,9 +365,9 @@ impl CorpusStore {
             ]);
             let mut meta_text = meta.to_compact();
             meta_text.push('\n');
-            write_atomic(&self.root.join("meta.json"), &meta_text)?;
+            write_atomic(self.root.join("meta.json"), &meta_text)?;
         }
-        write_atomic(&self.entry_path(entry.fingerprint), &entry.to_json())
+        write_atomic(self.entry_path(entry.fingerprint), &entry.to_json())
     }
 
     /// Convenience: records what a finished run would persist. Reports
@@ -452,11 +452,15 @@ impl CorpusStore {
     }
 }
 
-/// Atomic file replace: write to a sibling temp file, then rename over
-/// the target (same pattern as the CLI's `write_json_atomic`, but
-/// returning errors instead of exiting — this is library code).
-fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
+/// Atomic file replace: write `contents` to the sibling temp file
+/// `<path>.tmp`, then rename it over `path`. The rename either happens or
+/// it does not, so an interrupted writer never leaves a truncated file.
+/// The corpus writes its entries through it, and the `coverme` CLI its
+/// JSON reports.
+pub fn write_atomic(path: impl AsRef<Path>, contents: &str) -> io::Result<()> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path)
 }

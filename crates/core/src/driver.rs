@@ -37,6 +37,7 @@ use coverme_optim::sampling::uniform_box;
 use coverme_optim::{BasinHopping, LocalMethod, PerturbationKind};
 use coverme_runtime::{fingerprint_bytes, fingerprint_seed, CoverageMap, Program, DEFAULT_EPSILON};
 
+use crate::campaign::FunctionStatus;
 use crate::objective::{CacheMode, ObjectiveEngine};
 
 use crate::report::{RoundOutcome, RoundRecord, TestReport};
@@ -392,7 +393,6 @@ impl CoverMeConfig {
             LocalMethod::Powell => 0,
             LocalMethod::NelderMead => 1,
             LocalMethod::Compass => 2,
-            LocalMethod::None => 3,
         });
         mix(self.epsilon.to_bits());
         mix(0);
@@ -444,6 +444,14 @@ impl CoverMe {
     /// `shards > 1` the shards run one after another and their snapshots
     /// are merged ([`crate::shard`]).
     pub fn run<P: Program>(&self, program: &P) -> TestReport {
+        crate::campaign::run_standalone(&self.config, program).0
+    }
+
+    /// [`run`](Self::run), plus how far the search got: `Partial` when
+    /// the wall-clock budget or degradation cut it short. Only a
+    /// `Complete` search proves anything about the rounds it was given,
+    /// so only its report belongs in a corpus store.
+    pub fn run_with_status<P: Program>(&self, program: &P) -> (TestReport, FunctionStatus) {
         crate::campaign::run_standalone(&self.config, program)
     }
 }
@@ -980,7 +988,6 @@ mod tests {
         for (method, key) in [
             (LocalMethod::NelderMead, 0xb081_f413_f387_5e4a),
             (LocalMethod::Compass, 0xf48f_0200_b8ad_da45),
-            (LocalMethod::None, 0x58a3_3d8e_c826_2cf4),
         ] {
             let config = CoverMeConfig::default().with_local_method(method);
             assert_eq!(config.search_key(), key, "{}", method.name());
@@ -1259,7 +1266,6 @@ mod tests {
             LocalMethod::Powell,
             LocalMethod::NelderMead,
             LocalMethod::Compass,
-            LocalMethod::None,
         ] {
             let cold = quick_config().with_local_method(method);
             for config in [cold.clone(), cold.with_warm_start(warm.clone())] {

@@ -413,6 +413,22 @@ pub fn by_name(name: &str) -> Option<Benchmark> {
         .copied()
 }
 
+/// Resolves a front end's function names to benchmarks, in the order
+/// given: no names is the whole suite, and an unknown name is an error
+/// naming it, never a silently shorter inventory.
+pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<Benchmark>, String> {
+    if names.is_empty() {
+        return Ok(all());
+    }
+    names
+        .iter()
+        .map(|name| {
+            let name = name.as_ref();
+            by_name(name).ok_or_else(|| format!("unknown fdlibm function `{name}`"))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +454,16 @@ mod tests {
         assert!(by_name("ieee754_pow").is_some());
         assert!(by_name("pow").is_some());
         assert!(by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn select_keeps_order_and_rejects_unknown_names() {
+        assert_eq!(select::<&str>(&[]).unwrap().len(), 40);
+        let picked = select(&["pow", "tanh"]).unwrap();
+        let names: Vec<&str> = picked.iter().map(|b| b.name).collect();
+        assert_eq!(names, ["ieee754_pow", "tanh"]);
+        let error = select(&["tanh", "tnah"]).unwrap_err();
+        assert!(error.contains("`tnah`"), "{error}");
     }
 
     #[test]

@@ -177,21 +177,6 @@ impl IrProgram {
     pub fn instrumented(&self) -> &InstrumentedModule {
         &self.inst
     }
-
-    /// Executes the program on `input` and returns the set of entry-function
-    /// source lines whose statements were executed — the mini-language's
-    /// exact line coverage (the analogue of Gcov line data).
-    pub fn executed_lines(&self, input: &[f64]) -> BTreeSet<u32> {
-        let mut ctx = ExecCtx::observe().without_trace();
-        let mut interp = Interp::new(&self.inst, self.fuel(), true);
-        interp.run(input, &mut ctx);
-        interp.executed_lines
-    }
-
-    /// Total number of distinct statement lines in the entry function.
-    pub fn line_total(&self) -> usize {
-        self.line_count
-    }
 }
 
 impl Program for IrProgram {
@@ -222,7 +207,7 @@ impl Program for IrProgram {
         // empty and grow once within the run — and the flat `Env` below
         // replaces the old per-call `HashMap<String, Value>` chain, so the
         // per-evaluation setup cost is a few empty-vec constructions.
-        let mut interp = Interp::new(&self.inst, self.fuel(), false);
+        let mut interp = Interp::new(&self.inst, self.fuel());
         interp.run(input, ctx);
     }
 
@@ -265,8 +250,6 @@ struct Interp<'a> {
     inst: &'a InstrumentedModule,
     steps: usize,
     fuel: usize,
-    track_lines: bool,
-    executed_lines: BTreeSet<u32>,
     env: Env<'a>,
     /// Evaluated call arguments, all frames flattened (indexed by base
     /// offset). Reused across calls so argument passing allocates at most
@@ -275,13 +258,11 @@ struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    fn new(inst: &'a InstrumentedModule, fuel: usize, track_lines: bool) -> Interp<'a> {
+    fn new(inst: &'a InstrumentedModule, fuel: usize) -> Interp<'a> {
         Interp {
             inst,
             steps: 0,
             fuel,
-            track_lines,
-            executed_lines: BTreeSet::new(),
             env: Env::new(),
             args: Vec::new(),
         }
@@ -327,7 +308,7 @@ impl<'a> Interp<'a> {
             let arg = self.args[args_base + index];
             self.env.define(&param.name, arg.coerce(param.ty));
         }
-        let flow = self.exec_block(&function.body, ctx, depth, true);
+        let flow = self.exec_block(&function.body, ctx, depth);
         self.env.pop_frame();
         match flow {
             Flow::Return(value) => Some(returned(function.ret, value)),
@@ -336,16 +317,10 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn exec_block(
-        &mut self,
-        block: &'a Block,
-        ctx: &mut ExecCtx,
-        depth: usize,
-        track: bool,
-    ) -> Flow {
+    fn exec_block(&mut self, block: &'a Block, ctx: &mut ExecCtx, depth: usize) -> Flow {
         self.env.push_scope();
         for stmt in &block.stmts {
-            let flow = self.exec_stmt(stmt, ctx, depth, track);
+            let flow = self.exec_stmt(stmt, ctx, depth);
             match flow {
                 Flow::Normal => {}
                 other => {
@@ -358,12 +333,9 @@ impl<'a> Interp<'a> {
         Flow::Normal
     }
 
-    fn exec_stmt(&mut self, stmt: &'a Stmt, ctx: &mut ExecCtx, depth: usize, track: bool) -> Flow {
+    fn exec_stmt(&mut self, stmt: &'a Stmt, ctx: &mut ExecCtx, depth: usize) -> Flow {
         if !self.burn_step(ctx) {
             return Flow::Abort;
-        }
-        if self.track_lines && track {
-            self.executed_lines.insert(stmt.line());
         }
         match stmt {
             Stmt::Decl { ty, name, init, .. } => {
@@ -398,9 +370,9 @@ impl<'a> Interp<'a> {
                     return Flow::Abort;
                 };
                 if outcome {
-                    self.exec_block(then_block, ctx, depth, track)
+                    self.exec_block(then_block, ctx, depth)
                 } else if let Some(else_block) = else_block {
-                    self.exec_block(else_block, ctx, depth, track)
+                    self.exec_block(else_block, ctx, depth)
                 } else {
                     Flow::Normal
                 }
@@ -415,7 +387,7 @@ impl<'a> Interp<'a> {
                     if !outcome {
                         break;
                     }
-                    match self.exec_block(body, ctx, depth, track) {
+                    match self.exec_block(body, ctx, depth) {
                         Flow::Normal => {}
                         other => return other,
                     }
@@ -773,7 +745,7 @@ mod tests {
 
     fn run_value(program: &IrProgram, input: &[f64]) -> Option<f64> {
         let mut ctx = ExecCtx::observe();
-        let mut interp = Interp::new(program.instrumented(), program.fuel(), false);
+        let mut interp = Interp::new(program.instrumented(), program.fuel());
         interp.run(input, &mut ctx)
     }
 
@@ -939,26 +911,6 @@ mod tests {
         .unwrap();
         assert_eq!(run_value(&p, &[2.9]), Some(2.0));
         assert_eq!(run_value(&p, &[-2.9]), Some(-2.0));
-    }
-
-    #[test]
-    fn executed_lines_reflect_the_path_taken() {
-        let source = r#"double f(double x) {
-    if (x > 0.0) {
-        x = x + 1.0;
-    } else {
-        x = x - 1.0;
-    }
-    return x;
-}"#;
-        let p = compile(source, "f").unwrap();
-        let pos_lines = p.executed_lines(&[5.0]);
-        let neg_lines = p.executed_lines(&[-5.0]);
-        assert!(pos_lines.contains(&3));
-        assert!(!pos_lines.contains(&5));
-        assert!(neg_lines.contains(&5));
-        assert!(!neg_lines.contains(&3));
-        assert!(p.line_total() >= 4);
     }
 
     #[test]

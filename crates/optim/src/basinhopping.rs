@@ -287,7 +287,6 @@ mod tests {
             LocalMethod::Powell,
             LocalMethod::NelderMead,
             LocalMethod::Compass,
-            LocalMethod::None,
         ] {
             let mut f = |p: &[f64]| fig2b(p[0]);
             let m = BasinHopping::new()

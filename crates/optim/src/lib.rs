@@ -81,8 +81,6 @@ pub enum LocalMethod {
     NelderMead,
     /// Compass (coordinate pattern) search.
     Compass,
-    /// No local refinement at all: the raw perturbed point is used.
-    None,
 }
 
 impl LocalMethod {
@@ -96,18 +94,6 @@ impl LocalMethod {
             LocalMethod::Powell => Powell::new().minimize_objective(f, x0),
             LocalMethod::NelderMead => NelderMead::new().minimize_objective(f, x0),
             LocalMethod::Compass => CompassSearch::new().minimize_objective(f, x0),
-            LocalMethod::None => {
-                let value = f.eval_scalar(x0);
-                Minimum {
-                    x: x0.to_vec(),
-                    value,
-                    stats: OptimStats {
-                        evaluations: 1,
-                        iterations: 0,
-                        converged: true,
-                    },
-                }
-            }
         }
     }
 
@@ -117,7 +103,6 @@ impl LocalMethod {
             LocalMethod::Powell => "powell",
             LocalMethod::NelderMead => "nelder-mead",
             LocalMethod::Compass => "compass",
-            LocalMethod::None => "none",
         }
     }
 }
@@ -158,20 +143,6 @@ mod tests {
         assert_eq!(LocalMethod::Powell.name(), "powell");
         assert_eq!(LocalMethod::NelderMead.name(), "nelder-mead");
         assert_eq!(LocalMethod::Compass.name(), "compass");
-        assert_eq!(LocalMethod::None.name(), "none");
-    }
-
-    #[test]
-    fn local_method_none_evaluates_once() {
-        let mut calls = 0;
-        let mut f = |p: &[f64]| {
-            calls += 1;
-            p[0] * p[0]
-        };
-        let m = LocalMethod::None.minimize_objective(&mut FnObjective(&mut f), &[2.0]);
-        assert_eq!(m.value, 4.0);
-        assert_eq!(m.stats.evaluations, 1);
-        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -28,9 +28,8 @@ Campaign search-efficiency gate
 -------------------------------
 With ``--campaign-baseline`` and ``--campaign-current`` the gate also
 compares a pair of campaign-report artifacts (the
-``coverme-campaign-report/N`` JSON the fdlibm_campaign example and the
-coverme CLI write) on ``coverage_per_megaeval`` — covered branches per
-million evaluations, the eval-budget economics headline. The metric is a
+``coverme-campaign-report/N`` JSON ``coverme campaign --json`` writes)
+on ``coverage_per_megaeval`` — covered branches per million evaluations, the eval-budget economics headline. The metric is a
 pure function of ``(seed, config)``, not of machine speed, so a >15% drop
 means the search genuinely pays more evaluations per branch. The same
 pair is also gated on search quality: the current artifact's summed

@@ -1,34 +1,71 @@
-//! Shared command-line plumbing for the workspace's front ends.
+//! The `coverme` command line: its usage text, the [`Options`] every
+//! subcommand reads, the parser that fills them, and the
+//! [`SubcommandSet`] that picks the subcommand.
 //!
-//! The `coverme` binary and the `fdlibm_campaign` example grew the same
-//! flag-parsing loop independently — same `--seed`/`--shards`/`--local`
-//! spellings, same "a flag's value must not itself be a flag" rule, same
-//! exit-2-with-usage convention. This module is the single copy both now
-//! share: an [`ArgParser`] that owns the iterator mechanics and the error
-//! convention, a [`CommonOptions`] struct holding every flag the front
-//! ends have in common, and the [`write_json_atomic`] artifact writer.
-//!
-//! Front-end-specific flags stay in the front ends: the parser hands back
-//! any argument [`accept_common`](ArgParser::accept_common) does not
-//! recognize, and the caller decides whether it is a local flag, an
-//! operand, or — for anything dash-prefixed it does not know — a usage
-//! error (exit 2), so a flag typo can never be misread as an operand.
+//! Every bad invocation — an unknown flag, a flag missing its value, a
+//! junk value — prints the usage text and exits 2, so a flag typo is never
+//! misread as an operand and a CI step never mistakes it for a result.
 
 use std::time::Duration;
 
 use coverme::{CoverMeConfig, InfeasiblePolicy, LocalMethod};
 
-/// Every option the front ends share, with the front ends' historical
-/// defaults (`n_start` 80, seed 42, unsharded, Powell).
+/// The `coverme` usage text, printed by `--help` and after every usage
+/// error.
+pub const USAGE: &str = "\
+usage: coverme <command> [options]
+commands:
+  run <file.fpir>        test one FPIR program
+  campaign <dir>         test every .fpir file in a directory (sorted by name)
+  campaign --suite fdlibm [names...]
+                         test fdlibm benchmarks (default: all 40)
+  serve                  start the campaign daemon (JSON-lines TCP protocol)
+  submit <file.fpir...>  submit a campaign job to a running daemon
+  corpus <ls|stats|gc>   inspect or prune a corpus store
+options:
+  --entry NAME         entry function (run mode only)
+  --fuel N             step budget per FPIR execution (default 100000)
+  --n-start N          starting points per function (default 80)
+  --seed S             master seed (default 42)
+  --shards N           shards per function (default 1 = unsharded)
+  --local METHOD       local minimizer: powell (default), nm, compass
+  --infeasible POLICY  infeasibility blame: last (default), all, off
+  --time-budget SECS   wall-clock budget in seconds
+  --json PATH          write a machine-readable report to PATH (atomic)
+  --stream             per-round (run) / per-function (campaign) progress
+  --workers N          worker threads (default: auto); serve: shared pool size
+  --corpus DIR         persistent corpus store: warm-start repeats, record results
+  --suite fdlibm       campaign/submit: operands name fdlibm functions
+serve options:
+  --port N             listen port (default 0 = ephemeral, printed on start)
+  --max-jobs N         concurrently running campaigns (default 4)
+  --tier NAME=EVALS    per-tenant evaluation pool, split evenly over each
+                       job's functions (repeatable)
+submit options:
+  --connect HOST:PORT  daemon address (required)
+  --tenant NAME        tenant to submit as (default: default)
+  --op OP              raw daemon op instead of a campaign: ping|stats|gc|shutdown
+corpus options:
+  --keep N             entries `corpus gc` keeps, newest first (default 64)
+  --help               print this message";
+
+/// Bad invocation: the message and the usage text on stderr, exit 2 (the
+/// conventional status, distinct from a source or I/O failure's exit 1).
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("coverme: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Every `coverme` option, with its default.
 #[derive(Debug, Clone)]
-pub struct CommonOptions {
+pub struct Options {
     /// Starting points per function (`--n-start`).
     pub n_start: usize,
     /// Master seed (`--seed`).
     pub seed: u64,
     /// Shards per function (`--shards`; 1 = unsharded).
     pub shards: usize,
-    /// Local minimizer (`--local powell|nm|compass|none`).
+    /// Local minimizer (`--local powell|nm|compass`).
     pub local_method: LocalMethod,
     /// Wall-clock budget (`--time-budget SECS`).
     pub time_budget: Option<Duration>,
@@ -38,17 +75,37 @@ pub struct CommonOptions {
     pub json_path: Option<String>,
     /// Streaming progress (`--stream`).
     pub stream: bool,
-    /// Campaign worker threads (`--workers`; 0 = auto).
+    /// Worker threads (`--workers`; 0 = auto).
     pub workers: usize,
     /// Persistent corpus store directory (`--corpus DIR`): warm-start
     /// repeat searches from prior winners and record completed results
     /// back (see `coverme::corpus`).
     pub corpus_dir: Option<String>,
+    /// Entry function of `run`'s program (`--entry`).
+    pub entry: Option<String>,
+    /// Step budget per FPIR execution (`--fuel`, positive).
+    pub fuel: Option<usize>,
+    /// `serve`'s listen port (`--port`; 0 = ephemeral).
+    pub port: u16,
+    /// `serve`'s concurrently running campaigns (`--max-jobs`, positive).
+    pub max_jobs: usize,
+    /// `serve`'s per-tenant evaluation pools (`--tier NAME=EVALS`).
+    pub tiers: Vec<(String, usize)>,
+    /// `submit`'s daemon address (`--connect HOST:PORT`).
+    pub connect: Option<String>,
+    /// `submit`'s tenant (`--tenant`).
+    pub tenant: Option<String>,
+    /// Built-in suite whose functions the operands name (`--suite`).
+    pub suite: Option<String>,
+    /// `submit`'s raw daemon op (`--op`).
+    pub op: Option<String>,
+    /// Entries `corpus gc` keeps (`--keep`).
+    pub keep: usize,
 }
 
-impl Default for CommonOptions {
+impl Default for Options {
     fn default() -> Self {
-        CommonOptions {
+        Options {
             n_start: 80,
             seed: 42,
             shards: 1,
@@ -59,14 +116,105 @@ impl Default for CommonOptions {
             stream: false,
             workers: 0,
             corpus_dir: None,
+            entry: None,
+            fuel: None,
+            port: 0,
+            max_jobs: 4,
+            tiers: Vec::new(),
+            connect: None,
+            tenant: None,
+            suite: None,
+            op: None,
+            keep: 64,
         }
     }
 }
 
-impl CommonOptions {
+impl Options {
+    /// Parses the arguments after the subcommand into the options and the
+    /// operands, in order. `--help`/`-h` print the usage text and exit 0;
+    /// a bad invocation is a [`usage_error`].
+    pub fn parse(args: impl Iterator<Item = String>) -> (Vec<String>, Options) {
+        let mut parser = ArgParser(args);
+        let mut options = Options::default();
+        let mut operands = Vec::new();
+        while let Some(arg) = parser.0.next() {
+            match arg.as_str() {
+                "--n-start" => options.n_start = parser.parsed("--n-start"),
+                "--seed" => options.seed = parser.parsed("--seed"),
+                "--shards" => options.shards = parser.parsed("--shards"),
+                "--local" => {
+                    options.local_method = match parser.value_for("--local").as_str() {
+                        "powell" => LocalMethod::Powell,
+                        "nm" | "nelder-mead" => LocalMethod::NelderMead,
+                        "compass" => LocalMethod::Compass,
+                        other => usage_error(&format!("--local got unknown method {other}")),
+                    };
+                }
+                "--time-budget" => {
+                    let value = parser.value_for("--time-budget");
+                    let budget = seconds(&value).unwrap_or_else(|| {
+                        usage_error(&format!("--time-budget got invalid value {value}"))
+                    });
+                    options.time_budget = Some(budget);
+                }
+                "--infeasible" => {
+                    options.infeasible_policy = match parser.value_for("--infeasible").as_str() {
+                        "last" => InfeasiblePolicy::LastConditional,
+                        "all" => InfeasiblePolicy::Generalized,
+                        "off" => InfeasiblePolicy::Disabled,
+                        other => usage_error(&format!("--infeasible got unknown policy {other}")),
+                    };
+                }
+                "--json" => options.json_path = Some(parser.value_for("--json")),
+                "--stream" => options.stream = true,
+                "--workers" => options.workers = parser.parsed("--workers"),
+                "--corpus" => options.corpus_dir = Some(parser.value_for("--corpus")),
+                "--entry" => options.entry = Some(parser.value_for("--entry")),
+                "--fuel" => {
+                    let fuel: usize = parser.parsed("--fuel");
+                    if fuel == 0 {
+                        usage_error("--fuel must be positive");
+                    }
+                    options.fuel = Some(fuel);
+                }
+                "--port" => options.port = parser.parsed("--port"),
+                "--max-jobs" => {
+                    let max_jobs: usize = parser.parsed("--max-jobs");
+                    if max_jobs == 0 {
+                        usage_error("--max-jobs must be positive");
+                    }
+                    options.max_jobs = max_jobs;
+                }
+                "--tier" => {
+                    let spec = parser.value_for("--tier");
+                    let Some((name, evals)) = spec.split_once('=') else {
+                        usage_error(&format!("--tier wants NAME=EVALS, found {spec}"));
+                    };
+                    let Ok(evals) = evals.parse::<usize>() else {
+                        usage_error(&format!("--tier got invalid eval count {evals}"));
+                    };
+                    options.tiers.push((name.to_string(), evals));
+                }
+                "--connect" => options.connect = Some(parser.value_for("--connect")),
+                "--tenant" => options.tenant = Some(parser.value_for("--tenant")),
+                "--suite" => options.suite = Some(parser.value_for("--suite")),
+                "--op" => options.op = Some(parser.value_for("--op")),
+                "--keep" => options.keep = parser.parsed("--keep"),
+                "--help" | "-h" => {
+                    println!("{USAGE}");
+                    std::process::exit(0);
+                }
+                flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
+                operand => operands.push(operand.to_string()),
+            }
+        }
+        (operands, options)
+    }
+
     /// The search configuration these options describe — everything except
     /// the campaign-level knobs (`workers`, `json_path`, `stream`), which
-    /// the front ends apply themselves.
+    /// the subcommands apply themselves.
     pub fn search_config(&self) -> CoverMeConfig {
         let mut config = CoverMeConfig::default()
             .with_n_start(self.n_start)
@@ -81,112 +229,26 @@ impl CommonOptions {
     }
 }
 
-/// The usage lines for the flags [`ArgParser::accept_common`] handles,
-/// ready to splice into a front end's usage text.
-pub const COMMON_USAGE: &str = "\
-  --n-start N          starting points per function (default 80)
-  --seed S             master seed (default 42)
-  --shards N           shards per function (default 1 = unsharded)
-  --local METHOD       local minimizer: powell (default), nm, compass, none
-  --infeasible POLICY  infeasibility blame: last (default), all, off
-  --time-budget SECS   wall-clock budget in seconds
-  --json PATH          write a machine-readable report to PATH (atomic)
-  --stream             print progress as it happens
-  --workers N          campaign worker threads (default: auto)
-  --corpus DIR         persistent corpus store: warm-start repeats, record results
-  --help               print this message";
-
-/// Flag-parsing mechanics shared by the front ends: iterator handling,
-/// value extraction, typed parsing, and the exit-2 usage-error convention.
-pub struct ArgParser<I: Iterator<Item = String>> {
-    tool: &'static str,
-    usage: &'static str,
-    iter: I,
-}
+/// The argument iterator, with the rules for a flag's value.
+struct ArgParser<I>(I);
 
 impl<I: Iterator<Item = String>> ArgParser<I> {
-    /// Wraps an argument iterator. `tool` prefixes error messages; `usage`
-    /// is printed after them (and by `--help`).
-    pub fn new(tool: &'static str, usage: &'static str, iter: I) -> Self {
-        ArgParser { tool, usage, iter }
-    }
-
-    /// The next raw argument, if any.
-    pub fn next_arg(&mut self) -> Option<String> {
-        self.iter.next()
-    }
-
-    /// Bad invocation: usage text on stderr, exit 2 (the conventional
-    /// status, distinct from a source/I-O failure's exit 1) — so CI steps
-    /// cannot misread a flag typo as a tool result.
-    pub fn usage_error(&self, message: &str) -> ! {
-        eprintln!("{}: {message}\n{}", self.tool, self.usage);
-        std::process::exit(2);
-    }
-
     /// A flag's value must be a real operand: the next argument, and not
     /// another flag — `--json --shards` is a missing path, not a path.
-    pub fn value_for(&mut self, flag: &str) -> String {
-        match self.iter.next() {
+    fn value_for(&mut self, flag: &str) -> String {
+        match self.0.next() {
             Some(value) if !value.starts_with("--") => value,
-            Some(value) => self.usage_error(&format!("{flag} needs a value, found flag {value}")),
-            None => self.usage_error(&format!("{flag} needs a value")),
+            Some(value) => usage_error(&format!("{flag} needs a value, found flag {value}")),
+            None => usage_error(&format!("{flag} needs a value")),
         }
     }
 
-    /// Extracts and parses a flag's value, aborting with a usage message
-    /// on junk.
-    pub fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+    /// Extracts and parses a flag's value; junk is a usage error.
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> T {
         let value = self.value_for(flag);
         value
             .parse()
-            .unwrap_or_else(|_| self.usage_error(&format!("{flag} got invalid value {value}")))
-    }
-
-    /// Tries to consume `arg` as one of the shared flags, updating
-    /// `options`; returns `true` when it did. `--help`/`-h` print the
-    /// usage text and exit 0. Anything unrecognized — front-end-specific
-    /// flags and operands alike — is left to the caller.
-    pub fn accept_common(&mut self, arg: &str, options: &mut CommonOptions) -> bool {
-        match arg {
-            "--n-start" => options.n_start = self.parsed("--n-start"),
-            "--seed" => options.seed = self.parsed("--seed"),
-            "--shards" => options.shards = self.parsed("--shards"),
-            "--local" => {
-                options.local_method = match self.value_for("--local").as_str() {
-                    "powell" => LocalMethod::Powell,
-                    "nm" | "nelder-mead" => LocalMethod::NelderMead,
-                    "compass" => LocalMethod::Compass,
-                    "none" => LocalMethod::None,
-                    other => self.usage_error(&format!("--local got unknown method {other}")),
-                };
-            }
-            "--time-budget" => {
-                let value = self.value_for("--time-budget");
-                let budget = seconds(&value).unwrap_or_else(|| {
-                    self.usage_error(&format!("--time-budget got invalid value {value}"))
-                });
-                options.time_budget = Some(budget);
-            }
-            "--infeasible" => {
-                options.infeasible_policy = match self.value_for("--infeasible").as_str() {
-                    "last" => InfeasiblePolicy::LastConditional,
-                    "all" => InfeasiblePolicy::Generalized,
-                    "off" => InfeasiblePolicy::Disabled,
-                    other => self.usage_error(&format!("--infeasible got unknown policy {other}")),
-                };
-            }
-            "--json" => options.json_path = Some(self.value_for("--json")),
-            "--stream" => options.stream = true,
-            "--workers" => options.workers = self.parsed("--workers"),
-            "--corpus" => options.corpus_dir = Some(self.value_for("--corpus")),
-            "--help" | "-h" => {
-                println!("{}", self.usage);
-                std::process::exit(0);
-            }
-            _ => return false,
-        }
-        true
+            .unwrap_or_else(|_| usage_error(&format!("{flag} got invalid value {value}")))
     }
 }
 
@@ -272,35 +334,17 @@ impl SubcommandSet {
     }
 }
 
-/// Atomic JSON write (tmp + rename), so an interrupted run never leaves a
-/// truncated artifact: the document lands in a sibling temp file first and
-/// is renamed into place — the rename either happens or it doesn't.
-/// Exits 1 on an I/O failure.
-pub fn write_json_atomic(path: &str, json: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, json).unwrap_or_else(|error| {
-        eprintln!("cannot write {tmp}: {error}");
-        std::process::exit(1);
-    });
-    std::fs::rename(&tmp, path).unwrap_or_else(|error| {
-        eprintln!("cannot rename {tmp} to {path}: {error}");
-        std::process::exit(1);
-    });
-    println!("wrote {path}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parser(args: &[&str]) -> ArgParser<std::vec::IntoIter<String>> {
-        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        ArgParser::new("test", "usage", args.into_iter())
+    fn parse(args: &[&str]) -> (Vec<String>, Options) {
+        Options::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn common_flags_update_the_options() {
-        let mut p = parser(&[
+        let (operands, options) = parse(&[
             "--n-start",
             "17",
             "--seed",
@@ -318,11 +362,10 @@ mod tests {
             "--stream",
             "--workers",
             "4",
+            "--suite",
+            "fdlibm",
         ]);
-        let mut options = CommonOptions::default();
-        while let Some(arg) = p.next_arg() {
-            assert!(p.accept_common(&arg, &mut options), "unhandled {arg}");
-        }
+        assert!(operands.is_empty(), "{operands:?}");
         assert_eq!(options.n_start, 17);
         assert_eq!(options.seed, 7);
         assert_eq!(options.shards, 3);
@@ -332,6 +375,7 @@ mod tests {
         assert_eq!(options.json_path.as_deref(), Some("out.json"));
         assert!(options.stream);
         assert_eq!(options.workers, 4);
+        assert_eq!(options.suite.as_deref(), Some("fdlibm"));
     }
 
     #[test]
@@ -349,15 +393,11 @@ mod tests {
 
     #[test]
     fn unrecognized_arguments_are_left_to_the_caller() {
-        let mut p = parser(&["--entry", "main", "file.fpir"]);
-        let mut options = CommonOptions::default();
-        let arg = p.next_arg().unwrap();
-        assert!(!p.accept_common(&arg, &mut options));
-        // The caller consumes its own flag's value through the parser.
-        assert_eq!(p.value_for("--entry"), "main");
-        let operand = p.next_arg().unwrap();
-        assert!(!p.accept_common(&operand, &mut options));
-        assert_eq!(operand, "file.fpir");
+        // Operands, interleaved with flags, come back in order for the
+        // subcommand to interpret; a flag's value is never an operand.
+        let (operands, options) = parse(&["tanh", "--entry", "main", "file.fpir", "pow"]);
+        assert_eq!(operands, ["tanh", "file.fpir", "pow"]);
+        assert_eq!(options.entry.as_deref(), Some("main"));
     }
 
     #[test]
@@ -376,19 +416,15 @@ mod tests {
 
     #[test]
     fn corpus_flag_reaches_the_options() {
-        let mut p = parser(&["--corpus", ".corpus"]);
-        let mut options = CommonOptions::default();
-        while let Some(arg) = p.next_arg() {
-            assert!(p.accept_common(&arg, &mut options), "unhandled {arg}");
-        }
+        let (_, options) = parse(&["--corpus", ".corpus"]);
         assert_eq!(options.corpus_dir.as_deref(), Some(".corpus"));
     }
 
     #[test]
     fn search_config_carries_the_shards_and_n_start() {
-        let options = CommonOptions {
+        let options = Options {
             shards: 2,
-            ..CommonOptions::default()
+            ..Options::default()
         };
         let config = options.search_config();
         assert_eq!(config.shards, 2);

@@ -1,5 +1,6 @@
-//! The `coverme` command-line front end: run CoverMe on FPIR source files,
-//! locally or against a long-running campaign daemon.
+//! The `coverme` command-line front end: run CoverMe on FPIR source files
+//! or on the fdlibm suite, locally or against a long-running campaign
+//! daemon.
 //!
 //! The paper's tool is invoked on C source; this reproduction's equivalent
 //! front door takes FPIR mini-language files (see `coverme-fpir` and the
@@ -7,19 +8,20 @@
 //! machinery the library exposes — sharding, the streaming campaign
 //! scheduler and the persistent corpus store (`--corpus DIR`, see
 //! `coverme::corpus`). Every FPIR program runs on its lowered tape.
+//! `campaign --suite fdlibm [names...]` runs the paper's evaluation
+//! campaign over the native fdlibm ports instead.
 //!
 //! ```text
-//! coverme run <file.fpir> [options]       test one program
-//! coverme campaign <dir> [options]        test every .fpir file in a directory
-//! coverme serve [options]                 start the campaign daemon
-//! coverme submit <file.fpir...> [options] submit a job to a running daemon
-//! coverme corpus <ls|stats|gc> [options]  inspect or prune a corpus store
+//! coverme run <file.fpir> [options]         test one program
+//! coverme campaign <dir> [options]          test every .fpir file in a directory
+//! coverme campaign --suite fdlibm [names…]  test fdlibm benchmarks (default: all 40)
+//! coverme serve [options]                   start the campaign daemon
+//! coverme submit <file.fpir...> [options]   submit a job to a running daemon
+//! coverme corpus <ls|stats|gc> [options]    inspect or prune a corpus store
 //! ```
 //!
-//! The common options (`--seed`, `--shards`, `--local`, `--json`, …)
-//! are shared with the `fdlibm_campaign` example through
-//! [`coverme_repro::args`]; subcommand-specific flags are listed in the
-//! usage text below.
+//! The options are parsed by [`coverme_repro::args`], which also holds the
+//! usage text.
 //!
 //! `run` exits 0 and prints the usual coverage report; its JSON carries an
 //! `outcome` field — `done` when every evaluation ran to completion,
@@ -30,53 +32,22 @@
 
 use std::sync::Arc;
 
+use coverme::corpus::write_atomic;
 use coverme::report::schema::{self, member, JsonValue};
 use coverme::{
-    Campaign, CampaignConfig, CampaignEvent, CampaignReport, CorpusStore, CoverMe, CoverMeConfig,
+    Campaign, CampaignConfig, CampaignEvent, CampaignReport, CorpusStore, CoverMe, FunctionStatus,
     Program, SearchState,
 };
 use coverme_fpir::{check, infer_entry, instrument, parse, IrProgram, Module};
-use coverme_repro::args::{write_json_atomic, ArgParser, CommonOptions, SubcommandSet};
+use coverme_repro::args::{usage_error, Options, SubcommandSet, USAGE};
 use coverme_repro::serve::{serve, submit_job, ServeOptions};
-
-const USAGE: &str = "\
-usage: coverme <command> [options]
-commands:
-  run <file.fpir>        test one FPIR program
-  campaign <dir>         test every .fpir file in a directory (sorted by name)
-  serve                  start the campaign daemon (JSON-lines TCP protocol)
-  submit <file.fpir...>  submit a campaign job to a running daemon
-  corpus <ls|stats|gc>   inspect or prune a corpus store
-options:
-  --entry NAME         entry function (run mode only)
-  --fuel N             step budget per execution (default 100000)
-  --n-start N          starting points per function (default 80)
-  --seed S             master seed (default 42)
-  --shards N           shards per function (default 1 = unsharded)
-  --local METHOD       local minimizer: powell (default), nm, compass, none
-  --infeasible POLICY  infeasibility blame: last (default), all, off
-  --time-budget SECS   wall-clock budget in seconds
-  --json PATH          write a machine-readable report to PATH (atomic)
-  --stream             per-round (run) / per-function (campaign) progress
-  --workers N          worker threads (default: auto); serve: shared pool size
-  --corpus DIR         persistent corpus store: warm-start repeats, record results
-serve options:
-  --port N             listen port (default 0 = ephemeral, printed on start)
-  --max-jobs N         concurrently running campaigns (default 4)
-  --tier NAME=EVALS    per-tenant evaluation pool, split evenly over each
-                       job's functions (repeatable)
-submit options:
-  --connect HOST:PORT  daemon address (required)
-  --tenant NAME        tenant to submit as (default: default)
-  --suite fdlibm       submit fdlibm benchmarks (operands name functions)
-  --op OP              raw daemon op instead of a campaign: ping|stats|gc|shutdown
-corpus options:
-  --keep N             entries `corpus gc` keeps, newest first (default 64)
-  --help               print this message";
 
 const COMMANDS: &[(&str, &str)] = &[
     ("run", "test one FPIR program"),
-    ("campaign", "test every .fpir file in a directory"),
+    (
+        "campaign",
+        "test a directory of .fpir files, or --suite fdlibm",
+    ),
     ("serve", "start the campaign daemon"),
     ("submit", "submit a campaign job to a running daemon"),
     ("corpus", "inspect or prune a corpus store"),
@@ -94,91 +65,18 @@ fn run_error(message: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The subcommand-specific flags on top of the shared set.
-struct Options {
-    common: CommonOptions,
-    entry: Option<String>,
-    fuel: Option<usize>,
-    port: u16,
-    max_jobs: usize,
-    tiers: Vec<(String, usize)>,
-    connect: Option<String>,
-    tenant: Option<String>,
-    suite: Option<String>,
-    op: Option<String>,
-    keep: usize,
-}
-
-fn parse_options(args: impl Iterator<Item = String>) -> (Vec<String>, Options) {
-    let mut parser = ArgParser::new("coverme", USAGE, args);
-    let mut options = Options {
-        common: CommonOptions::default(),
-        entry: None,
-        fuel: None,
-        port: 0,
-        max_jobs: 4,
-        tiers: Vec::new(),
-        connect: None,
-        tenant: None,
-        suite: None,
-        op: None,
-        keep: 64,
-    };
-    let mut operands = Vec::new();
-    while let Some(arg) = parser.next_arg() {
-        if parser.accept_common(&arg, &mut options.common) {
-            continue;
-        }
-        match arg.as_str() {
-            "--entry" => options.entry = Some(parser.value_for("--entry")),
-            "--fuel" => {
-                let fuel: usize = parser.parsed("--fuel");
-                if fuel == 0 {
-                    parser.usage_error("--fuel must be positive");
-                }
-                options.fuel = Some(fuel);
-            }
-            "--port" => options.port = parser.parsed("--port"),
-            "--max-jobs" => {
-                let max_jobs: usize = parser.parsed("--max-jobs");
-                if max_jobs == 0 {
-                    parser.usage_error("--max-jobs must be positive");
-                }
-                options.max_jobs = max_jobs;
-            }
-            "--tier" => {
-                let spec = parser.value_for("--tier");
-                let Some((name, evals)) = spec.split_once('=') else {
-                    parser.usage_error(&format!("--tier wants NAME=EVALS, found {spec}"));
-                };
-                let Ok(evals) = evals.parse::<usize>() else {
-                    parser.usage_error(&format!("--tier got invalid eval count {evals}"));
-                };
-                options.tiers.push((name.to_string(), evals));
-            }
-            "--connect" => options.connect = Some(parser.value_for("--connect")),
-            "--tenant" => options.tenant = Some(parser.value_for("--tenant")),
-            "--suite" => options.suite = Some(parser.value_for("--suite")),
-            "--op" => options.op = Some(parser.value_for("--op")),
-            "--keep" => options.keep = parser.parsed("--keep"),
-            flag if flag.starts_with('-') => {
-                parser.usage_error(&format!("unknown flag {flag}"));
-            }
-            operand => operands.push(operand.to_string()),
-        }
-    }
-    (operands, options)
-}
-
-fn search_config(options: &Options) -> CoverMeConfig {
-    options.common.search_config()
+/// Writes a JSON report through the atomic writer; exit 1 on failure.
+fn write_json(path: &str, json: &str) {
+    write_atomic(path, json)
+        .unwrap_or_else(|error| run_error(&format!("cannot write {path}: {error}")));
+    println!("wrote {path}");
 }
 
 /// Opens the corpus store named by `--corpus`, if any. Exit 1 on I/O
 /// failure — a requested store that cannot be opened must not silently
 /// degrade to a cold run.
 fn open_corpus(options: &Options) -> Option<Arc<CorpusStore>> {
-    options.common.corpus_dir.as_ref().map(|dir| {
+    options.corpus_dir.as_ref().map(|dir| {
         Arc::new(
             CorpusStore::open(dir)
                 .unwrap_or_else(|error| run_error(&format!("cannot open corpus {dir}: {error}"))),
@@ -229,7 +127,7 @@ fn load_program(path: &str, entry: Option<&str>, fuel: Option<usize>) -> IrProgr
 fn cmd_run(path: &str, options: &Options) {
     let program = load_program(path, options.entry.as_deref(), options.fuel);
     let entry = program.name().to_string();
-    let mut config = search_config(options);
+    let mut config = options.search_config();
     let corpus = open_corpus(options);
     let fingerprint = corpus.as_ref().map(|store| {
         let fingerprint = program.fingerprint();
@@ -244,7 +142,7 @@ fn cmd_run(path: &str, options: &Options) {
         fingerprint
     });
     let record_config = config.clone();
-    let report = if options.common.stream {
+    let (report, complete) = if options.stream {
         if config.effective_shards() > 1 {
             usage_error("--stream run mode is unsharded; drop --shards");
         }
@@ -255,11 +153,15 @@ fn cmd_run(path: &str, options: &Options) {
             );
         });
         println!("search finished: {:?}", outcome.outcome);
-        outcome.into_report(&entry)
+        let complete = !outcome.cut_short();
+        (outcome.into_report(&entry), complete)
     } else {
-        CoverMe::new(config).run(&program)
+        let (report, status) = CoverMe::new(config).run_with_status(&program);
+        (report, status == FunctionStatus::Complete)
     };
-    if let (Some(store), Some(fingerprint)) = (&corpus, fingerprint) {
+    // A search cut short proves nothing about the rounds it never ran, so
+    // the store records complete searches only, as a campaign does.
+    if let (Some(store), Some(fingerprint), true) = (&corpus, fingerprint, complete) {
         if let Err(error) = store.record_report(fingerprint, &record_config, &report) {
             eprintln!("coverme: corpus record failed: {error}");
         }
@@ -272,21 +174,44 @@ fn cmd_run(path: &str, options: &Options) {
         );
     }
     println!("outcome: {}", report.outcome_label());
-    if let Some(json_path) = &options.common.json_path {
-        write_json_atomic(json_path, &report.to_run_json(&entry, path));
+    if let Some(json_path) = &options.json_path {
+        write_json(json_path, &report.to_run_json(&entry, path));
     }
 }
 
-/// Bad invocation detected after parsing: usage text on stderr, exit 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("coverme: {message}\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn cmd_campaign(dir: &str, options: &Options) {
+/// `campaign`: every `.fpir` file of one directory, or with `--suite
+/// fdlibm` the named fdlibm benchmarks (all 40 when none are named).
+fn cmd_campaign(operands: &[String], options: &Options) {
     if options.entry.is_some() {
         usage_error("--entry applies to run mode only");
     }
+    match options.suite.as_deref() {
+        Some("fdlibm") => {
+            if options.fuel.is_some() {
+                usage_error("--fuel applies to FPIR programs, not to --suite fdlibm");
+            }
+            if operands
+                .iter()
+                .any(|name| std::path::Path::new(name).is_dir())
+            {
+                usage_error("campaign takes a directory or --suite fdlibm, not both");
+            }
+            let inventory =
+                coverme_fdlibm::suite::select(operands).unwrap_or_else(|error| usage_error(&error));
+            run_campaign(&inventory, options);
+        }
+        Some(other) => usage_error(&format!("unknown suite {other} (only fdlibm)")),
+        None => {
+            let [dir] = operands else {
+                usage_error("campaign takes exactly one directory (or --suite fdlibm [names...])");
+            };
+            run_campaign(&load_dir(dir, options.fuel), options);
+        }
+    }
+}
+
+/// Loads every `.fpir` file of `dir`, sorted by name.
+fn load_dir(dir: &str, fuel: Option<usize>) -> Vec<IrProgram> {
     let mut paths: Vec<String> = std::fs::read_dir(dir)
         .unwrap_or_else(|error| run_error(&format!("cannot read {dir}: {error}")))
         .filter_map(|entry| entry.ok())
@@ -298,31 +223,33 @@ fn cmd_campaign(dir: &str, options: &Options) {
     if paths.is_empty() {
         run_error(&format!("{dir}: no .fpir files"));
     }
-    let inventory: Vec<IrProgram> = paths
+    paths
         .iter()
-        .map(|path| load_program(path, None, options.fuel))
-        .collect();
+        .map(|path| load_program(path, None, fuel))
+        .collect()
+}
 
+fn run_campaign<P: Program + Sync>(inventory: &[P], options: &Options) {
     let mut config = CampaignConfig::new()
-        .with_base(search_config(options))
-        .with_workers(options.common.workers);
-    if let Some(budget) = options.common.time_budget {
+        .with_base(options.search_config())
+        .with_workers(options.workers);
+    if let Some(budget) = options.time_budget {
         config = config.with_time_budget(budget);
     }
     if let Some(store) = open_corpus(options) {
         config = config.with_corpus(store);
     }
     let campaign = Campaign::new(config);
-    let report = if options.common.stream {
+    let report = if options.stream {
         println!("{}", CampaignReport::table_header());
-        let report = campaign.run_with(&inventory, |event| {
+        let report = campaign.run_with(inventory, |event| {
             let CampaignEvent::FunctionFinished { result, .. } = event;
             println!("{}", result.table_row());
         });
         println!("{}", report.summary());
         report
     } else {
-        let report = campaign.run(&inventory);
+        let report = campaign.run(inventory);
         print!("{report}");
         report
     };
@@ -332,18 +259,18 @@ fn cmd_campaign(dir: &str, options: &Options) {
             report.total_warm_replayed()
         );
     }
-    if let Some(json_path) = &options.common.json_path {
-        write_json_atomic(json_path, &report.to_json());
+    if let Some(json_path) = &options.json_path {
+        write_json(json_path, &report.to_json());
     }
 }
 
 fn cmd_serve(options: &Options) {
     let serve_options = ServeOptions {
         max_jobs: options.max_jobs,
-        workers: options.common.workers,
+        workers: options.workers,
         corpus: open_corpus(options),
         tiers: options.tiers.clone(),
-        base: search_config(options),
+        base: options.search_config(),
     };
     let listener = std::net::TcpListener::bind(("127.0.0.1", options.port))
         .unwrap_or_else(|error| run_error(&format!("cannot bind port {}: {error}", options.port)));
@@ -366,8 +293,8 @@ fn cmd_submit(operands: &[String], options: &Options) {
             let mut members = vec![
                 member("op", "campaign"),
                 member("tenant", options.tenant.as_deref().unwrap_or("default")),
-                member("seed", options.common.seed as f64),
-                member("n_start", options.common.n_start),
+                member("seed", options.seed as f64),
+                member("n_start", options.n_start),
             ];
             if let Some(fuel) = options.fuel {
                 members.push(member("fuel", fuel));
@@ -409,10 +336,10 @@ fn cmd_submit(operands: &[String], options: &Options) {
     .unwrap_or_else(|error| run_error(&format!("cannot reach {addr}: {error}")));
     match outcome {
         Ok(report) => {
-            if let (Some(json_path), Some(report)) = (&options.common.json_path, report) {
+            if let (Some(json_path), Some(report)) = (&options.json_path, report) {
                 // The same indented layout `coverme campaign --json` writes.
                 let report = schema::parse(&report).expect("submit_job returns compact JSON");
-                write_json_atomic(json_path, &report.to_pretty());
+                write_json(json_path, &report.to_pretty());
             }
         }
         Err(reason) => run_error(&format!("daemon refused the request: {reason}")),
@@ -465,7 +392,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let set = SubcommandSet::new("coverme", USAGE, COMMANDS);
     let command = set.resolve(args.next());
-    let (operands, options) = parse_options(args);
+    let (operands, options) = Options::parse(args);
+    if options.suite.is_some() && !matches!(command, "campaign" | "submit") {
+        usage_error("--suite applies to campaign and submit only");
+    }
     match command {
         "run" => {
             let [path] = operands.as_slice() else {
@@ -473,12 +403,7 @@ fn main() {
             };
             cmd_run(path, &options);
         }
-        "campaign" => {
-            let [dir] = operands.as_slice() else {
-                usage_error("campaign takes exactly one directory");
-            };
-            cmd_campaign(dir, &options);
-        }
+        "campaign" => cmd_campaign(&operands, &options),
         "serve" => {
             if !operands.is_empty() {
                 usage_error("serve takes no operands");

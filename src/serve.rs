@@ -486,24 +486,15 @@ fn resolve_inventory(request: &JsonValue) -> Result<JobInventory, String> {
         if suite != "fdlibm" {
             return Err(format!("unknown suite `{suite}` (only `fdlibm`)"));
         }
-        let benchmarks = match request.get("functions").and_then(JsonValue::as_array) {
-            None => coverme_fdlibm::suite::all(),
-            Some(names) => {
-                let mut picked = Vec::new();
-                for name in names {
-                    let name = name.as_str().ok_or("`functions` must be strings")?;
-                    picked.push(
-                        coverme_fdlibm::suite::by_name(name)
-                            .ok_or_else(|| format!("unknown fdlibm function `{name}`"))?,
-                    );
-                }
-                picked
-            }
+        let names = match request.get("functions").and_then(JsonValue::as_array) {
+            None => Vec::new(),
+            Some([]) => return Err("empty inventory".to_string()),
+            Some(names) => names
+                .iter()
+                .map(|name| name.as_str().ok_or("`functions` must be strings"))
+                .collect::<Result<Vec<_>, _>>()?,
         };
-        if benchmarks.is_empty() {
-            return Err("empty inventory".to_string());
-        }
-        return Ok(JobInventory::Fdlibm(benchmarks));
+        return coverme_fdlibm::suite::select(&names).map(JobInventory::Fdlibm);
     }
     let sources = request
         .get("sources")

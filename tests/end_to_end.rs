@@ -74,6 +74,31 @@ fn generated_inputs_replay_to_the_reported_coverage() {
 }
 
 #[test]
+fn no_covered_branch_is_reported_infeasible() {
+    // At seed 42 the search blames two branches of `newton_sqrt` as
+    // infeasible and covers both later; the report must not list them,
+    // whether the one shard's report passes through or shards merge.
+    let program = compile(
+        include_str!("../examples/fpir/newton_sqrt.fpir"),
+        "newton_sqrt",
+    )
+    .expect("compiles");
+    for shards in [1, 4] {
+        let config = CoverMeConfig::default()
+            .with_n_start(80)
+            .with_seed(42)
+            .with_shards(shards);
+        let report = CoverMe::new(config).run(&program);
+        let refuted: Vec<_> = report
+            .infeasible
+            .iter()
+            .filter(|branch| report.coverage.covered().contains(**branch))
+            .collect();
+        assert!(refuted.is_empty(), "{shards} shard(s): {refuted:?}");
+    }
+}
+
+#[test]
 fn static_descendants_from_the_mini_language_feed_saturation_tracking() {
     let program = compile(
         r#"

@@ -113,6 +113,14 @@ fn malformed_frames_get_positioned_errors_and_the_connection_survives() {
     assert!(read_line(&mut reader).contains("request has no string `op`"));
     writer.write_all(b"{\"op\": \"warp\"}\n").expect("write");
     assert!(read_line(&mut reader).contains("unknown op `warp`"));
+    writer
+        .write_all(b"{\"op\": \"campaign\", \"suite\": \"fdlibm\", \"functions\": [\"tanh\", \"nosuch\"]}\n")
+        .expect("write");
+    assert!(read_line(&mut reader).contains("unknown fdlibm function `nosuch`"));
+    writer
+        .write_all(b"{\"op\": \"campaign\", \"suite\": \"fdlibm\", \"functions\": []}\n")
+        .expect("write");
+    assert!(read_line(&mut reader).contains("empty inventory"));
 
     drop(writer);
     drop(reader);
